@@ -7,7 +7,7 @@
 CARGO ?= cargo
 SAFEFLOW = target/release/safeflow
 
-.PHONY: all help build test lint bench bench-frontend bench-serve bench-shard smoke serve-smoke policy-smoke shard-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
+.PHONY: all help build test lint bench sfbench bench-frontend bench-serve bench-shard smoke serve-smoke policy-smoke shard-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
 
 # One line per target; kept in sync by hand when targets change.
 help:
@@ -16,6 +16,8 @@ help:
 	@echo "  test             cargo test -q (full suite)"
 	@echo "  lint             rustfmt --check + clippy -D warnings"
 	@echo "  bench            paper-evaluation benches (cargo bench)"
+	@echo "  sfbench          BENCHMARK.json workload W (default cold), traced"
+	@echo "                   per-layer run, seed 1, 20 s"
 	@echo "  bench-frontend   frontend LOC/sec trajectory -> BENCH_pr9.json"
 	@echo "                   (incl. monorepo corpus column; BENCH_ARGS overrides)"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
@@ -49,6 +51,14 @@ lint:
 
 bench:
 	$(CARGO) bench -q -p safeflow-bench
+
+# One traced run of a BENCHMARK.json workload (cold, warm_noop, warm_edit
+# or findings): prints per-layer medians and, last, one JSON line. The
+# sfbench package is a workspace of its own, built from this checkout.
+W ?= cold
+sfbench:
+	$(CARGO) run --release --offline --manifest-path sfbench/Cargo.toml -- \
+	  --workload $(W) --seed 1 --seconds 20 --trace 1
 
 # Frontend throughput trajectory: measures parse / parse+lower+SSA /
 # end-to-end LOC/sec over the classic corpus plus the monorepo corpus

@@ -24,14 +24,26 @@
 //! sets, and the config knobs that steer summarization. Spans are
 //! included, so shifting a function within its file re-hashes it — sound
 //! (never stale), merely conservative.
+//!
+//! The IR is hashed *structurally*: hand-written walkers write a one-byte
+//! variant tag and then every field of each type, value, instruction,
+//! terminator and annotation into the [`Fnv64`], with lists length-prefixed
+//! and floats written as their bits. Nothing is rendered to a string or
+//! collected into a temporary, and the key depends on neither the rustc
+//! version nor the pointer width (hence no `#[derive(Hash)]`). The walkers
+//! match every variant without a wildcard arm, so a new IR variant cannot
+//! compile until it is hashed.
 
 use crate::config::AnalysisConfig;
 use crate::regions::{RegionId, RegionMap};
 use crate::shmptr::ShmPointers;
 use crate::summary::Summary;
-use safeflow_ir::{CallGraph, FuncId, GlobalId, Module, Value};
+use safeflow_ir::{CallGraph, Callee, FuncId, GlobalId, InstKind, Module, Terminator, Type, Value};
 use safeflow_points_to::PointsTo;
+use safeflow_syntax::annot::{AnnExpr, Annotation};
+use safeflow_syntax::span::Span;
 use safeflow_util::hash::Fnv64;
+use safeflow_util::lock_recover;
 use safeflow_util::metrics::{Class, Metrics};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hasher;
@@ -55,6 +67,11 @@ pub struct CacheStats {
 /// Content-addressed store of per-SCC summary vectors (member order), keyed
 /// by the chained content hash. Shared across worker threads and across
 /// repeated `analyze_*` calls on one `Analyzer`.
+///
+/// Both mutexes are taken with [`lock_recover`]: every critical section is
+/// a single map or vector operation, so a panic elsewhere (a contained SCC
+/// fault) cannot leave them torn, and it must not disable the cache for the
+/// rest of the session.
 #[derive(Debug, Default)]
 pub(crate) struct SummaryCache {
     map: Mutex<HashMap<u64, Arc<Vec<Summary>>>>,
@@ -72,7 +89,7 @@ impl SummaryCache {
     /// the hit/miss counters: seeded entries only count when a run
     /// actually probes them.
     pub(crate) fn seed(&self, entries: Vec<(u64, Arc<Vec<Summary>>)>) {
-        let mut map = self.map.lock().unwrap();
+        let mut map = lock_recover(&self.map);
         for (key, summaries) in entries {
             map.entry(key).or_insert(summaries);
         }
@@ -81,18 +98,16 @@ impl SummaryCache {
     /// Declares the current run's SCC hash set as live (replacing the
     /// previous set). Called once per summary-engine run.
     pub(crate) fn set_live(&self, keys: &[u64]) {
-        *self.live.lock().unwrap() = keys.to_vec();
+        *lock_recover(&self.live) = keys.to_vec();
     }
 
     /// The cached entries for the live key set, in live-set order — what a
     /// clean run may persist. SCCs whose computation degraded were never
     /// inserted, so they are simply absent.
     pub(crate) fn export_live(&self) -> Vec<(u64, Arc<Vec<Summary>>)> {
-        let map = self.map.lock().unwrap();
+        let map = lock_recover(&self.map);
         let mut seen = std::collections::HashSet::new();
-        self.live
-            .lock()
-            .unwrap()
+        lock_recover(&self.live)
             .iter()
             .filter(|&&k| seen.insert(k))
             .filter_map(|&k| map.get(&k).map(|v| (k, v.clone())))
@@ -101,7 +116,7 @@ impl SummaryCache {
 
     /// Probes for an SCC's summaries, tallying `members` hits or misses.
     pub(crate) fn get(&self, key: u64, members: usize) -> Option<Arc<Vec<Summary>>> {
-        let found = self.map.lock().unwrap().get(&key).cloned();
+        let found = lock_recover(&self.map).get(&key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(members, Ordering::Relaxed),
             None => self.misses.fetch_add(members, Ordering::Relaxed),
@@ -111,7 +126,7 @@ impl SummaryCache {
 
     /// Stores a freshly computed SCC result.
     pub(crate) fn insert(&self, key: u64, summaries: Arc<Vec<Summary>>) {
-        self.map.lock().unwrap().insert(key, summaries);
+        lock_recover(&self.map).insert(key, summaries);
     }
 
     /// Current counters.
@@ -226,9 +241,10 @@ fn env_hash(
 }
 
 /// Content signature of one function: everything `summarize_function`
-/// reads from it. The IR walk uses the stable `Debug` renderings of
-/// instruction kinds, types, terminators and annotations — these embed
-/// operand ids, so structural changes always surface.
+/// reads from it — the signature and annotations, the assume scope, every
+/// instruction (id, kind, type, span) and terminator, and the region and
+/// points-to facts of each parameter, instruction result and operand.
+/// Hashed structurally (see the module docs), so it allocates nothing.
 fn function_sig(
     module: &Module,
     shm: &ShmPointers,
@@ -239,16 +255,19 @@ fn function_sig(
     let func = module.function(fid);
     let mut h = Fnv64::new();
     h.write_str(&func.name);
-    h.write_str(&format!("{:?}", func.ret));
+    hash_type(&mut h, &func.ret);
     h.write_u8(func.is_definition as u8);
+    h.write_usize(func.params.len());
     for p in &func.params {
         h.write_str(&p.name);
-        h.write_str(&format!("{:?}", p.ty));
+        hash_type(&mut h, &p.ty);
     }
+    h.write_usize(func.annotations.len());
     for ann in &func.annotations {
-        h.write_str(&format!("{ann:?}"));
+        hash_annotation(&mut h, ann);
     }
     if let Some(assumed) = assumed {
+        h.write_usize(assumed.len());
         for (r, mask) in assumed {
             h.write_u32(r.0);
             h.write_u64(*mask);
@@ -256,45 +275,308 @@ fn function_sig(
     }
     // Per-value analysis facts for parameters...
     for i in 0..func.params.len() {
-        let v = Value::Param(i as u32);
-        hash_value_facts(&mut h, shm, pt, fid, &v);
+        hash_value_facts(&mut h, shm, pt, fid, &Value::Param(i as u32));
     }
     // ...and the IR itself, block by block, with per-result facts.
     for (bid, block) in func.iter_blocks() {
         h.write_u32(bid.0);
+        h.write_usize(block.insts.len());
         for &iid in &block.insts {
             let inst = func.inst(iid);
             h.write_u32(iid.0);
-            h.write_str(&format!("{:?}", inst.kind));
-            h.write_str(&format!("{:?}", inst.ty));
-            h.write_u32(inst.span.file.0);
-            h.write_u32(inst.span.lo);
-            h.write_u32(inst.span.hi);
+            hash_inst_kind(&mut h, &inst.kind);
+            hash_type(&mut h, &inst.ty);
+            hash_span(&mut h, inst.span);
             hash_value_facts(&mut h, shm, pt, fid, &Value::Inst(iid));
             // Store/load targets have facts on their operands too.
-            for op in inst.kind.operands() {
-                hash_value_facts(&mut h, shm, pt, fid, op);
-            }
+            inst.kind.for_each_operand(|op| hash_value_facts(&mut h, shm, pt, fid, op));
         }
-        h.write_str(&format!("{:?}", block.terminator));
+        hash_terminator(&mut h, &block.terminator);
     }
     h.finish()
 }
 
 /// Folds in the shm-region facts and points-to set of one value.
 fn hash_value_facts(h: &mut Fnv64, shm: &ShmPointers, pt: &PointsTo, fid: FuncId, v: &Value) {
-    let regions = shm.regions_of(fid, v);
+    let regions = shm.regions_of_ref(fid, v);
     h.write_usize(regions.len());
     for rp in regions {
         h.write_u32(rp.region.0);
         h.write_i64(rp.offset.unwrap_or(i64::MIN));
     }
-    let objs = pt.points_to(fid, v);
+    let objs = pt.points_to_ref(fid, v);
     h.write_usize(objs.len());
-    for o in objs {
+    for o in objs.iter() {
         h.write_u32(o.0);
         h.write_u32(pt.base_of(o).0);
     }
+}
+
+fn hash_span(h: &mut Fnv64, span: Span) {
+    h.write_u32(span.file.0);
+    h.write_u32(span.lo);
+    h.write_u32(span.hi);
+}
+
+fn hash_type(h: &mut Fnv64, ty: &Type) {
+    match ty {
+        Type::Void => h.write_u8(0),
+        Type::Int { bits, signed } => {
+            h.write_u8(1);
+            h.write_u8(*bits);
+            h.write_u8(*signed as u8);
+        }
+        Type::Float { bits } => {
+            h.write_u8(2);
+            h.write_u8(*bits);
+        }
+        Type::Ptr(pointee) => {
+            h.write_u8(3);
+            hash_type(h, pointee);
+        }
+        Type::Array(elem, len) => {
+            h.write_u8(4);
+            hash_type(h, elem);
+            h.write_u64(*len);
+        }
+        Type::Struct(id) => {
+            h.write_u8(5);
+            h.write_u32(id.0);
+        }
+    }
+}
+
+fn hash_value(h: &mut Fnv64, v: &Value) {
+    match v {
+        Value::Inst(id) => {
+            h.write_u8(0);
+            h.write_u32(id.0);
+        }
+        Value::Param(i) => {
+            h.write_u8(1);
+            h.write_u32(*i);
+        }
+        Value::Global(g) => {
+            h.write_u8(2);
+            h.write_u32(g.0);
+        }
+        Value::ConstInt(c, ty) => {
+            h.write_u8(3);
+            h.write_i64(*c);
+            hash_type(h, ty);
+        }
+        Value::ConstFloat(c, ty) => {
+            h.write_u8(4);
+            h.write_u64(c.to_bits());
+            hash_type(h, ty);
+        }
+        Value::ConstNull(ty) => {
+            h.write_u8(5);
+            hash_type(h, ty);
+        }
+    }
+}
+
+fn hash_inst_kind(h: &mut Fnv64, kind: &InstKind) {
+    match kind {
+        InstKind::Alloca { ty, name } => {
+            h.write_u8(0);
+            hash_type(h, ty);
+            h.write_str(name);
+        }
+        InstKind::Load { ptr } => {
+            h.write_u8(1);
+            hash_value(h, ptr);
+        }
+        InstKind::Store { ptr, value } => {
+            h.write_u8(2);
+            hash_value(h, ptr);
+            hash_value(h, value);
+        }
+        InstKind::FieldAddr { base, struct_id, field } => {
+            h.write_u8(3);
+            hash_value(h, base);
+            h.write_u32(struct_id.0);
+            h.write_u32(*field);
+        }
+        InstKind::ElemAddr { base, index } => {
+            h.write_u8(4);
+            hash_value(h, base);
+            hash_value(h, index);
+        }
+        InstKind::Bin { op, lhs, rhs } => {
+            h.write_u8(5);
+            h.write_u8(*op as u8);
+            hash_value(h, lhs);
+            hash_value(h, rhs);
+        }
+        InstKind::Cmp { op, lhs, rhs } => {
+            h.write_u8(6);
+            h.write_u8(*op as u8);
+            hash_value(h, lhs);
+            hash_value(h, rhs);
+        }
+        InstKind::Cast { kind, value } => {
+            h.write_u8(7);
+            h.write_u8(*kind as u8);
+            hash_value(h, value);
+        }
+        InstKind::Call { callee, args } => {
+            h.write_u8(8);
+            match callee {
+                Callee::Local(f) => {
+                    h.write_u8(0);
+                    h.write_u32(f.0);
+                }
+                Callee::External(name) => {
+                    h.write_u8(1);
+                    h.write_str(name);
+                }
+            }
+            h.write_usize(args.len());
+            for a in args {
+                hash_value(h, a);
+            }
+        }
+        InstKind::Phi { incoming } => {
+            h.write_u8(9);
+            h.write_usize(incoming.len());
+            for (b, v) in incoming {
+                h.write_u32(b.0);
+                hash_value(h, v);
+            }
+        }
+        InstKind::AssertSafe { var, value } => {
+            h.write_u8(10);
+            h.write_str(var);
+            hash_value(h, value);
+        }
+    }
+}
+
+fn hash_terminator(h: &mut Fnv64, term: &Terminator) {
+    match term {
+        Terminator::Br(b) => {
+            h.write_u8(0);
+            h.write_u32(b.0);
+        }
+        Terminator::CondBr { cond, then_bb, else_bb } => {
+            h.write_u8(1);
+            hash_value(h, cond);
+            h.write_u32(then_bb.0);
+            h.write_u32(else_bb.0);
+        }
+        Terminator::Switch { value, cases, default } => {
+            h.write_u8(2);
+            hash_value(h, value);
+            h.write_usize(cases.len());
+            for (c, b) in cases {
+                h.write_i64(*c);
+                h.write_u32(b.0);
+            }
+            h.write_u32(default.0);
+        }
+        Terminator::Ret(v) => {
+            h.write_u8(3);
+            match v {
+                None => h.write_u8(0),
+                Some(v) => {
+                    h.write_u8(1);
+                    hash_value(h, v);
+                }
+            }
+        }
+        Terminator::Unreachable => h.write_u8(4),
+    }
+}
+
+fn hash_annotation(h: &mut Fnv64, ann: &Annotation) {
+    match ann {
+        Annotation::AssumeCore { ptr, offset, size, span } => {
+            h.write_u8(0);
+            h.write_str(ptr);
+            hash_ann_expr(h, offset);
+            hash_ann_expr(h, size);
+            hash_span(h, *span);
+        }
+        Annotation::AssertSafe { var, span } => {
+            h.write_u8(1);
+            h.write_str(var);
+            hash_span(h, *span);
+        }
+        Annotation::ShmInit { span } => {
+            h.write_u8(2);
+            hash_span(h, *span);
+        }
+        Annotation::ShmVar { ptr, size, span } => {
+            h.write_u8(3);
+            h.write_str(ptr);
+            hash_ann_expr(h, size);
+            hash_span(h, *span);
+        }
+        Annotation::Noncore { target, span } => {
+            h.write_u8(4);
+            h.write_str(target);
+            hash_span(h, *span);
+        }
+        Annotation::Label { name, below, span } => {
+            h.write_u8(5);
+            h.write_str(name);
+            match below {
+                None => h.write_u8(0),
+                Some(below) => {
+                    h.write_u8(1);
+                    h.write_str(below);
+                }
+            }
+            hash_span(h, *span);
+        }
+        Annotation::Declassifier { from, to, span } => {
+            h.write_u8(6);
+            h.write_str(from);
+            h.write_str(to);
+            hash_span(h, *span);
+        }
+        Annotation::Channel { ptr, size, label, span } => {
+            h.write_u8(7);
+            h.write_str(ptr);
+            hash_ann_expr(h, size);
+            h.write_str(label);
+            hash_span(h, *span);
+        }
+        Annotation::AssumeDeclassify { ptr, offset, size, to, span } => {
+            h.write_u8(8);
+            h.write_str(ptr);
+            hash_ann_expr(h, offset);
+            hash_ann_expr(h, size);
+            h.write_str(to);
+            hash_span(h, *span);
+        }
+    }
+}
+
+fn hash_ann_expr(h: &mut Fnv64, e: &AnnExpr) {
+    let (tag, a, b) = match e {
+        AnnExpr::Int(v) => {
+            h.write_u8(0);
+            return h.write_i64(*v);
+        }
+        AnnExpr::Sizeof(name) => {
+            h.write_u8(1);
+            return h.write_str(name);
+        }
+        AnnExpr::Ident(name) => {
+            h.write_u8(2);
+            return h.write_str(name);
+        }
+        AnnExpr::Add(a, b) => (3, a, b),
+        AnnExpr::Sub(a, b) => (4, a, b),
+        AnnExpr::Mul(a, b) => (5, a, b),
+        AnnExpr::Div(a, b) => (6, a, b),
+    };
+    h.write_u8(tag);
+    hash_ann_expr(h, a);
+    hash_ann_expr(h, b);
 }
 
 #[cfg(test)]
@@ -302,9 +584,11 @@ mod tests {
     use super::*;
     use crate::regions::extract_regions;
     use crate::shmptr::identify_shm_pointers;
-    use safeflow_ir::build_module;
+    use safeflow_ir::{build_module, BasicBlock, BinOp, BlockId, CastKind, CmpOp, Function};
+    use safeflow_ir::{Inst, InstId, IrParam, StructId};
     use safeflow_syntax::diag::Diagnostics;
     use safeflow_syntax::parse_source;
+    use safeflow_syntax::span::FileId;
 
     fn hashes_for(src: &str) -> (Vec<String>, Vec<u64>) {
         let pr = parse_source("t.c", src);
@@ -393,6 +677,209 @@ mod tests {
         let (names_b, b) = hashes_for(&src);
         assert_eq!(names_a, names_b);
         assert_eq!(a, b);
+    }
+
+    /// A function with one instruction of every kind and one terminator
+    /// of every kind, for the hash-sensitivity test.
+    fn every_variant() -> Function {
+        let p32 = Type::int32().ptr_to();
+        let (i, f64c) = (|n| Value::Inst(InstId(n)), Value::ConstFloat(1.5, Type::f64()));
+        #[rustfmt::skip]
+        let kinds = vec![
+            (InstKind::Alloca { ty: Type::Array(Box::new(p32.clone()), 4), name: "buf".into() }, p32.clone()),
+            (InstKind::Load { ptr: Value::Param(0) }, Type::int32()),
+            (InstKind::Store { ptr: i(0), value: Value::i32(5) }, Type::Void),
+            (InstKind::FieldAddr { base: Value::Param(0), struct_id: StructId(0), field: 1 }, p32.clone()),
+            (InstKind::ElemAddr { base: i(0), index: Value::ConstInt(2, Type::int64()) }, p32.clone()),
+            (InstKind::Bin { op: BinOp::Add, lhs: i(1), rhs: f64c }, Type::f64()),
+            (InstKind::Cmp { op: CmpOp::Lt, lhs: i(5), rhs: Value::ConstNull(Type::void_ptr()) }, Type::int32()),
+            (InstKind::Cast { kind: CastKind::IntToFloat, value: Value::Global(GlobalId(0)) }, Type::f32()),
+            (InstKind::Call { callee: Callee::Local(FuncId(0)), args: vec![i(1), Value::Param(0)] }, Type::int32()),
+            (InstKind::AssertSafe { var: "x".into(), value: i(8) }, Type::Void),
+            (InstKind::Call { callee: Callee::External("kill".into()), args: vec![] }, Type::int32()),
+            (InstKind::Phi { incoming: vec![(BlockId(1), i(1)), (BlockId(2), Value::i32(0))] }, Type::int32()),
+        ];
+        let span = |lo: u32| Span::new(FileId(0), lo, lo + 5);
+        let insts =
+            kinds.into_iter().zip(0..).map(|((kind, ty), n)| Inst { kind, ty, span: span(10 * n) });
+        let block = |insts: Vec<u32>, terminator| BasicBlock {
+            insts: insts.into_iter().map(InstId).collect(),
+            terminator,
+            name: String::new(),
+        };
+        #[rustfmt::skip]
+        let blocks = vec![
+            block((0..10).collect(), Terminator::CondBr { cond: i(6), then_bb: BlockId(1), else_bb: BlockId(2) }),
+            block(vec![10], Terminator::Switch { value: i(1), cases: vec![(1, BlockId(2)), (2, BlockId(3))], default: BlockId(3) }),
+            block(vec![], Terminator::Br(BlockId(3))),
+            block(vec![11], Terminator::Ret(Some(i(11)))),
+            block(vec![], Terminator::Ret(None)),
+            block(vec![], Terminator::Unreachable),
+        ];
+        let two = Box::new(AnnExpr::Int(2));
+        Function {
+            name: "f".into(),
+            ret: Type::int32(),
+            params: vec![IrParam { name: "p".into(), ty: p32 }],
+            varargs: false,
+            insts: insts.collect(),
+            blocks,
+            annotations: vec![Annotation::AssumeCore {
+                ptr: "p".into(),
+                offset: AnnExpr::Int(0),
+                size: AnnExpr::Mul(Box::new(AnnExpr::Sizeof("int".into())), two),
+                span: span(200),
+            }],
+            is_definition: true,
+            span: Span::dummy(),
+        }
+    }
+
+    /// `function_sig` of `func` over empty fact tables, so only the
+    /// structural walk can tell two functions apart.
+    fn bare_sig(func: &Function) -> u64 {
+        let mut m = Module::new();
+        let fid = m.add_function(func.clone());
+        let pt = PointsTo::analyze(&Module::new());
+        function_sig(&m, &ShmPointers::default(), &pt, fid, None)
+    }
+
+    /// Every field of every instruction, terminator, value and type
+    /// variant reaches the key, as it did when the key hashed `Debug`
+    /// renderings (which never covered `varargs`, block names or the
+    /// declarator span either).
+    #[test]
+    fn every_ir_field_changes_the_function_sig() {
+        type Edit = fn(&mut Function);
+        fn k(f: &mut Function, i: usize) -> &mut InstKind {
+            &mut f.insts[i].kind
+        }
+        /// Operand `n` of instruction `i`.
+        fn op(f: &mut Function, i: usize, n: usize) -> &mut Value {
+            f.insts[i].kind.operands_mut().swap_remove(n)
+        }
+        fn t(f: &mut Function, b: usize) -> &mut Terminator {
+            &mut f.blocks[b].terminator
+        }
+        // Each edit changes one field in place; a pattern that does not
+        // match leaves the IR unchanged, which the loop below rejects.
+        #[rustfmt::skip]
+        let edits: &[(&str, Edit)] = &[
+            ("function name", |f| f.name = "g".into()),
+            ("return type", |f| f.ret = Type::int64()),
+            ("is_definition", |f| f.is_definition = false),
+            ("param name", |f| f.params[0].name = "q".into()),
+            ("param type", |f| f.params[0].ty = Type::int8().ptr_to()),
+            ("annotation kind", |f| f.annotations[0] = Annotation::ShmInit { span: f.annotations[0].span() }),
+            ("annotation span", |f| if let Annotation::AssumeCore { span, .. } = &mut f.annotations[0] { span.lo += 1 }),
+            ("annotation pointer", |f| if let Annotation::AssumeCore { ptr, .. } = &mut f.annotations[0] { *ptr = "q".into() }),
+            ("annotation constant", |f| if let Annotation::AssumeCore { offset, .. } = &mut f.annotations[0] { *offset = AnnExpr::Int(4) }),
+            ("annotation operator", |f| if let Annotation::AssumeCore { size, .. } = &mut f.annotations[0] {
+                if let AnnExpr::Mul(a, b) = size.clone() { *size = AnnExpr::Add(a, b) }
+            }),
+            ("annotation sizeof -> ident", |f| if let Annotation::AssumeCore { size, .. } = &mut f.annotations[0] {
+                if let AnnExpr::Mul(_, b) = size.clone() { *size = AnnExpr::Mul(Box::new(AnnExpr::Ident("int".into())), b) }
+            }),
+            ("instruction type", |f| f.insts[1].ty = Type::int64()),
+            ("span file", |f| f.insts[1].span.file = FileId(1)),
+            ("span lo", |f| f.insts[1].span.lo += 1),
+            ("span hi", |f| f.insts[1].span.hi += 1),
+            ("array length", |f| if let InstKind::Alloca { ty: Type::Array(_, n), .. } = k(f, 0) { *n = 5 }),
+            ("nested pointer", |f| if let InstKind::Alloca { ty: Type::Array(e, _), .. } = k(f, 0) { **e = e.ptr_to() }),
+            ("pointee type", |f| if let InstKind::Alloca { ty: Type::Array(e, _), .. } = k(f, 0) { **e = Type::Struct(StructId(0)).ptr_to() }),
+            ("struct type id", |f| f.insts[0].ty = Type::Struct(StructId(1))),
+            ("alloca name", |f| if let InstKind::Alloca { name, .. } = k(f, 0) { name.push('2') }),
+            ("param -> inst operand", |f| *op(f, 1, 0) = Value::Inst(InstId(0))),
+            ("param -> global operand", |f| *op(f, 1, 0) = Value::Global(GlobalId(0))),
+            ("param index", |f| *op(f, 1, 0) = Value::Param(1)),
+            ("inst id", |f| *op(f, 2, 0) = Value::Inst(InstId(3))),
+            ("integer constant", |f| *op(f, 2, 1) = Value::i32(6)),
+            ("integer constant width", |f| *op(f, 2, 1) = Value::ConstInt(5, Type::int64())),
+            ("integer constant sign", |f| *op(f, 2, 1) = Value::ConstInt(5, Type::Int { bits: 32, signed: false })),
+            ("integer -> null constant", |f| *op(f, 2, 1) = Value::ConstNull(Type::int32())),
+            ("field struct", |f| if let InstKind::FieldAddr { struct_id, .. } = k(f, 3) { *struct_id = StructId(1) }),
+            ("field index", |f| if let InstKind::FieldAddr { field, .. } = k(f, 3) { *field = 2 }),
+            ("field base", |f| *op(f, 3, 0) = Value::Inst(InstId(0))),
+            ("element base", |f| *op(f, 4, 0) = Value::Param(0)),
+            ("element index", |f| *op(f, 4, 1) = Value::ConstInt(3, Type::int64())),
+            ("binary operator", |f| if let InstKind::Bin { op, .. } = k(f, 5) { *op = BinOp::Sub }),
+            ("binary lhs", |f| *op(f, 5, 0) = Value::Inst(InstId(2))),
+            ("float constant bits", |f| *op(f, 5, 1) = Value::ConstFloat(2.5, Type::f64())),
+            ("float constant width", |f| *op(f, 5, 1) = Value::ConstFloat(1.5, Type::f32())),
+            ("operands swapped", |f| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5) { std::mem::swap(lhs, rhs) }),
+            ("bin -> cmp", |f| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5).clone() { *k(f, 5) = InstKind::Cmp { op: CmpOp::Eq, lhs, rhs } }),
+            ("compare operator", |f| if let InstKind::Cmp { op, .. } = k(f, 6) { *op = CmpOp::Le }),
+            ("null pointer type", |f| *op(f, 6, 1) = Value::ConstNull(Type::int8().ptr_to())),
+            ("cast kind", |f| if let InstKind::Cast { kind, .. } = k(f, 7) { *kind = CastKind::IntToInt }),
+            ("global id", |f| *op(f, 7, 0) = Value::Global(GlobalId(1))),
+            ("local callee id", |f| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::Local(FuncId(1)) }),
+            ("local -> external callee", |f| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::External("f".into()) }),
+            ("call argument dropped", |f| if let InstKind::Call { args, .. } = k(f, 8) { args.pop(); }),
+            ("call arguments reordered", |f| if let InstKind::Call { args, .. } = k(f, 8) { args.reverse() }),
+            ("asserted name", |f| if let InstKind::AssertSafe { var, .. } = k(f, 9) { *var = "y".into() }),
+            ("asserted value", |f| *op(f, 9, 0) = Value::Inst(InstId(1))),
+            ("external callee name", |f| if let InstKind::Call { callee: Callee::External(n), .. } = k(f, 10) { n.push_str("pg") }),
+            ("phi incoming block", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming[0].0 = BlockId(0) }),
+            ("phi incoming value", |f| *op(f, 11, 1) = Value::i32(1)),
+            ("phi arm dropped", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming.pop(); }),
+            ("instruction moved to another block", |f| if let Some(id) = f.blocks[0].insts.pop() { f.blocks[2].insts.push(id) }),
+            ("branch condition", |f| if let Terminator::CondBr { cond, .. } = t(f, 0) { *cond = Value::Inst(InstId(1)) }),
+            ("branch then target", |f| if let Terminator::CondBr { then_bb, .. } = t(f, 0) { *then_bb = BlockId(3) }),
+            ("branch else target", |f| if let Terminator::CondBr { else_bb, .. } = t(f, 0) { *else_bb = BlockId(3) }),
+            ("switch value", |f| if let Terminator::Switch { value, .. } = t(f, 1) { *value = Value::Inst(InstId(5)) }),
+            ("switch case constant", |f| if let Terminator::Switch { cases, .. } = t(f, 1) { cases[1].0 = 3 }),
+            ("switch case target", |f| if let Terminator::Switch { cases, .. } = t(f, 1) { cases[0].1 = BlockId(3) }),
+            ("switch case dropped", |f| if let Terminator::Switch { cases, .. } = t(f, 1) { cases.pop(); }),
+            ("switch default", |f| if let Terminator::Switch { default, .. } = t(f, 1) { *default = BlockId(2) }),
+            ("jump target", |f| *t(f, 2) = Terminator::Br(BlockId(4))),
+            ("returned value", |f| *t(f, 3) = Terminator::Ret(Some(Value::Inst(InstId(1))))),
+            ("value return -> void return", |f| *t(f, 3) = Terminator::Ret(None)),
+            ("void return -> unreachable", |f| *t(f, 4) = Terminator::Unreachable),
+            ("unreachable -> jump", |f| *t(f, 5) = Terminator::Br(BlockId(0))),
+        ];
+        let base_fn = every_variant();
+        let base = bare_sig(&base_fn);
+        let mut sigs = BTreeMap::new();
+        for (name, edit) in edits {
+            let mut f = base_fn.clone();
+            edit(&mut f);
+            assert_ne!(f, base_fn, "{name}: the edit must change the IR");
+            let sig = bare_sig(&f);
+            assert_ne!(sig, base, "{name}: the edit did not reach function_sig");
+            if let Some(other) = sigs.insert(sig, *name) {
+                panic!("`{name}` and `{other}` hash alike");
+            }
+        }
+        // Floats are keyed by their bits, so even `0.0` and `-0.0` differ.
+        let with_float = |c: f64| {
+            let mut f = base_fn.clone();
+            *op(&mut f, 5, 1) = Value::ConstFloat(c, Type::f64());
+            bare_sig(&f)
+        };
+        assert_ne!(with_float(0.0), with_float(-0.0));
+    }
+
+    #[test]
+    fn summary_cache_survives_a_poisoned_lock() {
+        let cache = SummaryCache::default();
+        cache.insert(1, Arc::new(vec![Summary::default()]));
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _map = cache.map.lock().unwrap();
+                let _live = cache.live.lock().unwrap();
+                panic!("poison the summary cache");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cache.map.is_poisoned() && cache.live.is_poisoned());
+        cache.seed(vec![(2, Arc::new(vec![Summary::default()]))]);
+        cache.set_live(&[1, 2, 3]);
+        assert!(cache.get(1, 1).is_some());
+        assert!(cache.get(3, 1).is_none());
+        cache.insert(3, Arc::new(vec![Summary::default()]));
+        let live: Vec<u64> = cache.export_live().iter().map(|(k, _)| *k).collect();
+        assert_eq!(live, vec![1, 2, 3]);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]

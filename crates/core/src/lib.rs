@@ -500,6 +500,7 @@ impl Analyzer {
                 &regions,
                 &shm,
                 &pt,
+                &callgraph,
                 &self.config,
                 &table,
                 &self.cache,

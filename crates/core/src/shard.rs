@@ -219,6 +219,7 @@ pub fn run_worker(
         &regions,
         &shm,
         &pt,
+        &callgraph,
         config,
         &table,
         &cache,

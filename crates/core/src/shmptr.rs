@@ -68,13 +68,20 @@ pub struct ShmPointers {
 impl ShmPointers {
     /// Region pointers held by `value` inside `func`.
     pub fn regions_of(&self, func: FuncId, value: &Value) -> BTreeSet<RegionPtr> {
-        match value {
-            Value::Inst(id) => self.get(Key::Inst(func, *id)),
-            Value::Param(i) => self.get(Key::Param(func, *i)),
+        self.regions_of_ref(func, value).clone()
+    }
+
+    /// Borrowing form of [`ShmPointers::regions_of`].
+    pub fn regions_of_ref(&self, func: FuncId, value: &Value) -> &BTreeSet<RegionPtr> {
+        static NONE: BTreeSet<RegionPtr> = BTreeSet::new();
+        let key = match value {
+            Value::Inst(id) => Key::Inst(func, *id),
+            Value::Param(i) => Key::Param(func, *i),
             // The *address* of a region global is not itself a region
             // pointer; its contents are.
-            _ => BTreeSet::new(),
-        }
+            _ => return &NONE,
+        };
+        self.sets.get(&key).unwrap_or(&NONE)
     }
 
     /// Region pointers stored in global `g`.

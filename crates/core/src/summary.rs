@@ -269,21 +269,26 @@ impl Summary {
 /// sites are re-collected conservatively from its IR, and the report
 /// carries a [`Degradation`] naming the affected functions. Degraded
 /// summaries are never written to the cache.
+///
+/// `callgraph` must be `CallGraph::build(module)`; the caller builds it
+/// once for restriction checking and value flow alike.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_summaries(
     module: &Module,
     regions: &RegionMap,
     shm: &ShmPointers,
     pt: &PointsTo,
+    callgraph: &CallGraph,
     config: &AnalysisConfig,
     table: &LabelTable,
     cache: &SummaryCache,
     deadline: Option<Instant>,
     metrics: &Metrics,
 ) -> TaintResults {
-    let outcome =
-        summarize_sccs(module, regions, shm, pt, config, table, cache, deadline, metrics, None);
-    build_report(module, regions, shm, pt, config, table, outcome)
+    let outcome = summarize_sccs(
+        module, regions, shm, pt, callgraph, config, table, cache, deadline, metrics, None,
+    );
+    build_report(module, regions, shm, pt, callgraph, config, table, outcome)
 }
 
 /// Restricts a [`summarize_sccs`] run to one shard's compute closure
@@ -313,7 +318,6 @@ pub(crate) struct ShardRestrict<'a> {
 /// The engine half of a summary run: everything [`build_report`] (and a
 /// shard worker's export pass) needs from the bottom-up SCC traversal.
 pub(crate) struct SummarizeOutcome {
-    pub(crate) callgraph: CallGraph,
     pub(crate) notes: Vec<String>,
     pub(crate) assumed_of: HashMap<FuncId, BTreeMap<RegionId, u64>>,
     /// Per-SCC result: the members' summaries plus the tainted flag.
@@ -327,12 +331,17 @@ pub(crate) struct SummarizeOutcome {
 /// Bottom-up summarization over call-graph SCCs — the engine half of
 /// [`analyze_summaries`], also run standalone by shard workers (which
 /// export the resulting summaries instead of building a report).
+///
+/// An SCC iterates its members to a fixpoint, except a singleton whose
+/// member does not call itself: its summary never reads itself, so a
+/// second round would only reproduce the first, and it stops after one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn summarize_sccs(
     module: &Module,
     regions: &RegionMap,
     shm: &ShmPointers,
     pt: &PointsTo,
+    callgraph: &CallGraph,
     config: &AnalysisConfig,
     table: &LabelTable,
     cache: &SummaryCache,
@@ -340,7 +349,6 @@ pub(crate) fn summarize_sccs(
     metrics: &Metrics,
     restrict: Option<&ShardRestrict<'_>>,
 ) -> SummarizeOutcome {
-    let callgraph = CallGraph::build(module);
     let noncore_sockets = find_noncore_sockets(module, regions);
     let mut notes = Vec::new();
 
@@ -366,7 +374,7 @@ pub(crate) fn summarize_sccs(
         pt,
         config,
         &noncore_sockets,
-        &callgraph,
+        callgraph,
         &deps,
         &assumed_of,
         metrics,
@@ -491,6 +499,7 @@ pub(crate) fn summarize_sccs(
         }
         let mut local: HashMap<FuncId, Summary> = HashMap::new();
         let mut local_graphs: HashMap<FuncId, FnGraphs> = HashMap::new();
+        let one_round = scc.len() == 1 && !callgraph.is_recursive(scc[0]);
         let mut changed = true;
         let mut rounds = 0;
         let mut summarize_calls = 0u64;
@@ -514,8 +523,7 @@ pub(crate) fn summarize_sccs(
                         .entry(fid)
                         .or_insert_with(|| build_fn_graphs(module, &assumed_of, fid)),
                 };
-                let view =
-                    SummaryView { callgraph: &callgraph, slots: &slots, local: &local, own_scc: i };
+                let view = SummaryView { callgraph, slots: &slots, local: &local, own_scc: i };
                 let (s, converged) = summarize_function(
                     module,
                     regions,
@@ -537,6 +545,9 @@ pub(crate) fn summarize_sccs(
                     changed = true;
                 }
             }
+            // Nothing in a non-recursive singleton reads `local`, so the
+            // round it just ran is already the fixpoint.
+            changed &= !one_round;
         }
         metrics.add_many(
             Class::Work,
@@ -620,7 +631,6 @@ pub(crate) fn summarize_sccs(
     }
 
     SummarizeOutcome {
-        callgraph,
         notes,
         assumed_of,
         results: slots.into_iter().map(OnceLock::into_inner).collect(),
@@ -632,24 +642,19 @@ pub(crate) fn summarize_sccs(
 /// The report half of [`analyze_summaries`]: module-wide object taint,
 /// root evaluation, the conservative degraded-scope sweep, and assembly of
 /// [`TaintResults`] from a [`SummarizeOutcome`].
+#[allow(clippy::too_many_arguments)]
 fn build_report(
     module: &Module,
     regions: &RegionMap,
     shm: &ShmPointers,
     pt: &PointsTo,
+    callgraph: &CallGraph,
     config: &AnalysisConfig,
     table: &LabelTable,
     outcome: SummarizeOutcome,
 ) -> TaintResults {
-    let SummarizeOutcome {
-        callgraph,
-        mut notes,
-        assumed_of,
-        results,
-        degradations,
-        degraded_sccs,
-        ..
-    } = outcome;
+    let SummarizeOutcome { mut notes, assumed_of, results, degradations, degraded_sccs, .. } =
+        outcome;
 
     let mut summaries: HashMap<FuncId, Summary> = HashMap::new();
     for (i, scc) in callgraph.sccs.iter().enumerate() {

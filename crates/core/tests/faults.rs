@@ -102,6 +102,30 @@ fn tiny_fixpoint_budget_degrades_with_exit_4() {
 }
 
 #[test]
+fn one_round_budget_degrades_recursion_but_not_a_settled_leaf() {
+    // A one-round budget cannot confirm the fixpoint of an SCC that reads
+    // its own summaries, but a non-recursive singleton never iterates:
+    // `seven`, whose body settles in one pass, must not degrade.
+    let src = r#"
+        int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }
+        int odd(int n);
+        int even(int n) { if (n == 0) return 1; return odd(n - 1); }
+        int odd(int n) { if (n == 0) return 0; return even(n - 1); }
+        int seven(void) { return 7; }
+        int main() { return fact(3) + even(4) + seven(); }
+    "#;
+    let budget = Budget { fixpoint_rounds: Some(1), ..Budget::unlimited() };
+    let config = AnalysisConfig::with_engine(Engine::Summary).with_budget(budget);
+    let report = Analyzer::new(config).analyze_source("rounds.c", src).expect("analyzes").report;
+    let degraded = degraded_functions(&report);
+    for f in ["fact", "even", "odd"] {
+        assert!(degraded.contains(f), "recursive `{f}` must degrade: {degraded:?}");
+    }
+    assert!(!degraded.contains("seven"), "non-recursive leaf degraded: {degraded:?}");
+    assert_eq!(report.exit_code(), 4);
+}
+
+#[test]
 fn injected_solver_exhaustion_marks_bounds_unproven() {
     // Exhaust the solver step pool everywhere: A1 obligations degrade to
     // "unproven" violations instead of silently passing.

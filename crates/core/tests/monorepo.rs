@@ -3,8 +3,9 @@
 //! parallel parse, lower, analyze — with byte-identical reports at every
 //! `--jobs` value, like every other corpus program.
 
-use safeflow::{AnalysisConfig, Analyzer};
+use safeflow::{AnalysisConfig, Analyzer, Engine};
 use safeflow_corpus::monorepo::{generate_monorepo, total_loc, MonorepoParams};
+use safeflow_ir::CallGraph;
 use safeflow_syntax::pp::VirtualFs;
 
 /// A mid-size monorepo: big enough to exercise cross-package call depth
@@ -42,6 +43,26 @@ fn monorepo_analyzes_cleanly() {
     // scales without scaling the report.
     assert!(!result.diags.has_errors());
     assert!(!result.render().is_empty());
+}
+
+#[test]
+fn non_recursive_singletons_are_summarized_once() {
+    let (fs, _) = load(medium());
+    let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary));
+    let result = analyzer.analyze_program("main.c", &fs).expect("monorepo must analyze");
+    let module = &result.module;
+    let cg = CallGraph::build(module);
+    assert!(
+        cg.sccs.iter().all(|scc| scc.len() == 1 && !cg.is_recursive(scc[0])),
+        "the monorepo has no recursion"
+    );
+    let summarized = module
+        .definitions()
+        .filter(|&f| !module.function(f).is_shminit() && !module.function(f).blocks.is_empty())
+        .count() as u64;
+    let metrics = analyzer.last_metrics();
+    assert_eq!(metrics.work["summary.summarize_calls"], summarized);
+    assert_eq!(metrics.work["summary.fixpoint_rounds"], metrics.counters["summary.sccs"]);
 }
 
 #[test]

@@ -222,17 +222,33 @@ pub enum InstKind {
 impl InstKind {
     /// Operands read by this instruction.
     pub fn operands(&self) -> Vec<&Value> {
+        let mut ops = Vec::new();
+        self.for_each_operand(|v| ops.push(v));
+        ops
+    }
+
+    /// Calls `f` on each operand read by this instruction, in order,
+    /// without collecting them into a `Vec`.
+    pub fn for_each_operand<'a>(&'a self, mut f: impl FnMut(&'a Value)) {
         match self {
-            InstKind::Alloca { .. } => vec![],
-            InstKind::Load { ptr } => vec![ptr],
-            InstKind::Store { ptr, value } => vec![ptr, value],
-            InstKind::FieldAddr { base, .. } => vec![base],
-            InstKind::ElemAddr { base, index } => vec![base, index],
-            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-            InstKind::Cast { value, .. } => vec![value],
-            InstKind::Call { args, .. } => args.iter().collect(),
-            InstKind::Phi { incoming } => incoming.iter().map(|(_, v)| v).collect(),
-            InstKind::AssertSafe { value, .. } => vec![value],
+            InstKind::Alloca { .. } => {}
+            InstKind::Load { ptr } => f(ptr),
+            InstKind::Store { ptr, value } => {
+                f(ptr);
+                f(value);
+            }
+            InstKind::FieldAddr { base, .. } => f(base),
+            InstKind::ElemAddr { base, index } => {
+                f(base);
+                f(index);
+            }
+            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            InstKind::Cast { value, .. } | InstKind::AssertSafe { value, .. } => f(value),
+            InstKind::Call { args, .. } => args.iter().for_each(f),
+            InstKind::Phi { incoming } => incoming.iter().for_each(|(_, v)| f(v)),
         }
     }
 

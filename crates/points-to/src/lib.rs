@@ -70,6 +70,42 @@ enum VarKey {
     Contents(ObjId),
 }
 
+static NO_OBJECTS: BTreeSet<ObjId> = BTreeSet::new();
+
+/// A points-to set borrowed from a [`PointsTo`]; see
+/// [`PointsTo::points_to_ref`].
+#[derive(Debug, Clone, Copy)]
+pub enum PointsToRef<'a> {
+    /// A solved set (instruction results and parameters; empty otherwise).
+    Set(&'a BTreeSet<ObjId>),
+    /// The single object a global's address denotes.
+    One(ObjId),
+}
+
+impl<'a> PointsToRef<'a> {
+    /// Number of objects.
+    pub fn len(&self) -> usize {
+        match self {
+            PointsToRef::Set(s) => s.len(),
+            PointsToRef::One(_) => 1,
+        }
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The objects in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = ObjId> + 'a {
+        let (set, one) = match *self {
+            PointsToRef::Set(s) => (Some(s), None),
+            PointsToRef::One(o) => (None, Some(o)),
+        };
+        set.into_iter().flatten().copied().chain(one)
+    }
+}
+
 /// Results of the points-to analysis.
 #[derive(Debug)]
 pub struct PointsTo {
@@ -133,16 +169,24 @@ impl PointsTo {
 
     /// Points-to set of `value` as seen in `func` (empty for non-pointers).
     pub fn points_to(&self, func: FuncId, value: &Value) -> BTreeSet<ObjId> {
-        match value {
-            Value::Inst(id) => self.lookup(VarKey::Inst(func, *id)),
-            Value::Param(i) => self.lookup(VarKey::Param(func, *i)),
-            Value::Global(g) => self
-                .obj_ids
-                .get(&Obj::Global(*g))
-                .map(|&id| std::iter::once(id).collect())
-                .unwrap_or_default(),
-            _ => BTreeSet::new(),
-        }
+        self.points_to_ref(func, value).iter().collect()
+    }
+
+    /// Borrowing form of [`PointsTo::points_to`]: the same objects in the
+    /// same ascending order, without cloning a set.
+    pub fn points_to_ref(&self, func: FuncId, value: &Value) -> PointsToRef<'_> {
+        let key = match value {
+            Value::Inst(id) => VarKey::Inst(func, *id),
+            Value::Param(i) => VarKey::Param(func, *i),
+            Value::Global(g) => {
+                return match self.obj_ids.get(&Obj::Global(*g)) {
+                    Some(&id) => PointsToRef::One(id),
+                    None => PointsToRef::Set(&NO_OBJECTS),
+                }
+            }
+            _ => return PointsToRef::Set(&NO_OBJECTS),
+        };
+        PointsToRef::Set(self.sets.get(&key).unwrap_or(&NO_OBJECTS))
     }
 
     /// Points-to set of `func`'s merged return value.

@@ -52,5 +52,7 @@ pub use hash::Fnv64;
 pub use intern::{Interner, Symbol};
 pub use json::Json;
 pub use metrics::{Class, Histogram, Metrics, MetricsSnapshot};
-pub use pool::{run_dag, run_dag_isolated, run_map, PoolPolicy, PoolStats, TaskPanic};
+pub use pool::{
+    lock_recover, run_dag, run_dag_isolated, run_map, PoolPolicy, PoolStats, TaskPanic,
+};
 pub use rng::SplitMix64;

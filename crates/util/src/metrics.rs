@@ -114,7 +114,7 @@ impl Metrics {
     /// accumulator, so the worst a poisoned lock hides is the one
     /// increment that panicked mid-flush.
     fn locked(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        crate::pool::lock_recover(&self.inner)
     }
 
     /// Adds `n` to the counter `key` in `class`.

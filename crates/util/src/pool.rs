@@ -85,12 +85,12 @@ pub struct TaskPanic {
 
 /// Locks `m`, recovering the guard when a panicking task poisoned it.
 ///
-/// The pool's mutexes guard plain scheduling state (deques of task
-/// indices, result slots, the park token): a panic while one is held
-/// cannot leave that state logically torn, and panic containment
-/// ([`PoolPolicy::Isolate`]) requires every other worker to keep draining
-/// the run rather than cascade the poison into its own `unwrap`.
-fn lock_recover<U>(m: &Mutex<U>) -> std::sync::MutexGuard<'_, U> {
+/// Only for mutexes whose state a panic cannot leave logically torn. The
+/// pool's own guard plain scheduling state (deques of task indices, result
+/// slots, the park token), and panic containment ([`PoolPolicy::Isolate`])
+/// requires every other worker to keep draining the run rather than
+/// cascade the poison into its own `unwrap`.
+pub fn lock_recover<U>(m: &Mutex<U>) -> std::sync::MutexGuard<'_, U> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
