@@ -7,7 +7,7 @@
 CARGO ?= cargo
 SAFEFLOW = target/release/safeflow
 
-.PHONY: all help build test lint bench sfbench bench-frontend bench-serve bench-shard smoke serve-smoke policy-smoke shard-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
+.PHONY: all help build test lint bench sfbench bench-frontend bench-serve smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
 
 # One line per target; kept in sync by hand when targets change.
 help:
@@ -21,7 +21,6 @@ help:
 	@echo "  bench-frontend   frontend LOC/sec trajectory -> BENCH_pr9.json"
 	@echo "                   (incl. monorepo corpus column; BENCH_ARGS overrides)"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
-	@echo "  bench-shard      sharded-analysis 1/2/4-worker scaling -> BENCH_pr10.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
 	@echo "  oracle-smoke     64-seed differential oracle (CI gate)"
 	@echo "  oracle-deep      512-seed oracle sweep with minimization"
@@ -29,8 +28,6 @@ help:
 	@echo "                   fault, byte-identity vs one-shot CLI, SIGKILL"
 	@echo "  policy-smoke     3-label mixed-criticality example through all"
 	@echo "                   implicit-flow modes, diffed against goldens"
-	@echo "  shard-smoke      cross-process drill: check --shards 4 vs --shards 1"
-	@echo "                   byte-identity cold+warm, SIGKILL-one-worker recovery"
 	@echo "  smoke            pre-merge gate: lint+build+test+determinism"
 	@echo "  metrics-demo     Table 1 with the observability layer on"
 	@echo "  incremental-demo incremental-session store lifecycle walk"
@@ -77,15 +74,6 @@ bench-frontend:
 # by crates/bench/tests/bench_schema.rs).
 bench-serve:
 	$(CARGO) run --release -q -p safeflow-bench --bin bench-serve -- $(BENCH_ARGS)
-
-# Sharded-analysis scaling: cold fan-out + merge wall-clock for the
-# monorepo corpus at 1, 2, and 4 workers, next to the unsharded baseline.
-# Every sharded sample is asserted byte-identical to the unsharded
-# reference before its timing counts. Rewrites the checked-in
-# BENCH_pr10.json artifact (schema locked by crates/bench/tests/
-# bench_schema.rs).
-bench-shard:
-	$(CARGO) run --release -q -p safeflow-bench --bin bench-shard -- $(BENCH_ARGS)
 
 # Run-only targets must never fall back to a silent debug rebuild: they
 # fail fast with instructions when the release binaries are missing.
@@ -160,24 +148,11 @@ policy-smoke: require-release
 	cmp /tmp/safeflow-policy-separate.json tests/policy-goldens/report-separately.json
 	@echo "policy-smoke OK: all three implicit-flow modes match their goldens"
 
-# Cross-process sharding drill: `check --shards 4` (a coordinator plus
-# four shard-worker processes over a shared summary store) must render
-# byte-identical reports to `--shards 1`, cold and warm, across --jobs;
-# then four workers run against a fresh store with one SIGKILLed mid-run
-# and the merge check must still match — a killed worker costs
-# recomputation, never correctness. The harness is
-# crates/cli/src/bin/shard-smoke.rs.
-shard-smoke: require-release
-	@test -x target/release/shard-smoke || { \
-	  echo "error: target/release/shard-smoke is missing — run \`make build\` first"; \
-	  exit 1; }
-	target/release/shard-smoke $(SAFEFLOW)
-
 # Lint + build + test + determinism at two thread counts: the summary
 # engine's corpus reports must be byte-identical at --jobs 1 and --jobs 8.
 # (The `--format json` byte-identity contract, with volatile metric
 # sections stripped, is covered by crates/core/tests/observability.rs.)
-smoke: lint build test oracle-smoke serve-smoke policy-smoke shard-smoke
+smoke: lint build test oracle-smoke serve-smoke policy-smoke
 	@$(MAKE) --no-print-directory require-release
 	$(SAFEFLOW) --engine summary --jobs 1 --fig2 > /tmp/safeflow-smoke-j1.txt || true
 	$(SAFEFLOW) --engine summary --jobs 8 --fig2 > /tmp/safeflow-smoke-j8.txt || true

@@ -26,8 +26,9 @@ fn pr9_artifact() -> Json {
 
 fn pr10_artifact() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr10.json");
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {path}: {e} (run `make bench-shard`)"));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("read {path}: {e} (a checked-in historical record; restore it from git)")
+    });
     Json::parse(&text).expect("artifact is valid workspace JSON")
 }
 

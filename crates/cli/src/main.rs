@@ -87,16 +87,11 @@ fn run() -> ExitCode {
     let mut store_dir: Option<String> = None;
     let mut engine_set = false;
     let mut implicit_flow: Option<ImplicitFlowMode> = None;
-    let mut shards = 1usize;
-    let mut shard_index: Option<usize> = None;
 
     // `check` and `oracle` are subcommands: they must come first, before
-    // any file. `shard-worker` is the internal per-shard process `check
-    // --shards N` spawns; it shares `check`'s whole flag grammar so the
-    // coordinator can pass its own arguments through verbatim.
+    // any file.
     let check_mode = args.first().map(String::as_str) == Some("check");
-    let worker_mode = args.first().map(String::as_str) == Some("shard-worker");
-    if check_mode || worker_mode {
+    if check_mode {
         args.remove(0);
     }
     if !check_mode && args.first().map(String::as_str) == Some("oracle") {
@@ -163,27 +158,6 @@ fn run() -> ExitCode {
                 match args.get(i) {
                     Some(dir) => store_dir = Some(dir.clone()),
                     None => return usage_error("--store requires a directory argument"),
-                }
-            }
-            "--shards" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some(n) => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => shards = n,
-                        _ => {
-                            return usage_error(&format!(
-                                "--shards takes a positive integer, got {n:?}"
-                            ))
-                        }
-                    },
-                    None => return usage_error("--shards requires an argument (a worker count)"),
-                }
-            }
-            "--shard" => {
-                i += 1;
-                match args.get(i).and_then(|n| n.parse::<usize>().ok()) {
-                    Some(k) => shard_index = Some(k),
-                    None => return usage_error("--shard requires a shard index"),
                 }
             }
             "--critical-call" => {
@@ -274,10 +248,8 @@ fn run() -> ExitCode {
 
     // `check` defaults to the summary engine: only it populates the
     // per-SCC store. An explicit `--engine context` still works (the
-    // whole-program replay manifest is engine-agnostic). Workers must
-    // resolve defaults exactly like the coordinator, or their content
-    // hashes would never match.
-    if (check_mode || worker_mode) && !engine_set {
+    // whole-program replay manifest is engine-agnostic).
+    if check_mode && !engine_set {
         engine = Engine::Summary;
     }
     let mut builder = AnalysisConfig::builder().engine(engine).jobs(jobs).budget(budget);
@@ -307,29 +279,8 @@ fn run() -> ExitCode {
     }
     let config = builder.build_config();
 
-    if store_dir.is_some() && !check_mode && !worker_mode {
+    if store_dir.is_some() && !check_mode {
         return usage_error("--store only applies to the `check` subcommand");
-    }
-    if shards > 1 && !check_mode && !worker_mode {
-        return usage_error("--shards only applies to the `check` subcommand");
-    }
-    if shard_index.is_some() && !worker_mode {
-        return usage_error("--shard is internal to the `shard-worker` subcommand");
-    }
-    if worker_mode {
-        let Some(dir) = store_dir else {
-            return usage_error("shard-worker requires --store DIR");
-        };
-        let Some(shard) = shard_index else {
-            return usage_error("shard-worker requires --shard K");
-        };
-        if shard >= shards {
-            return usage_error(&format!("--shard {shard} out of range for --shards {shards}"));
-        }
-        if files.is_empty() {
-            return usage_error("shard-worker requires input files");
-        }
-        return run_shard_worker(config, &files, &dir, shard, shards);
     }
     if table1 {
         return run_table1(&config, &out);
@@ -342,19 +293,6 @@ fn run() -> ExitCode {
         return ExitCode::from(2);
     }
     if check_mode {
-        // Sharding requires a store (it is the workers' only interchange)
-        // and only pre-warms the summary engine's cache; an armed fault
-        // plan disables persistence wholesale, so it falls back to the
-        // plain in-process path (which handles the injection itself).
-        if shards > 1 {
-            let Some(dir) = store_dir else {
-                return usage_error("--shards requires --store DIR (the workers' interchange)");
-            };
-            if config.fault_plan.is_none() && engine == Engine::Summary {
-                return run_check_sharded(config, &files, &dir, shards, &out, &args);
-            }
-            return run_check(config, &files, Some(dir), &out);
-        }
         return run_check(config, &files, store_dir, &out);
     }
     run_files(&config, &files, &out)
@@ -443,123 +381,6 @@ fn run_check(
                 None => {}
             }
             ExitCode::from(outcome.exit_code)
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// The sharded `check` coordinator: probe the store's whole-program
-/// manifest, and on a miss spawn one `shard-worker` process per shard to
-/// pre-warm the per-SCC store concurrently, then run the exact same
-/// in-process check `--shards 1` would. Workers only ever *add* clean
-/// summaries, so a worker that fails (or is killed) costs recomputation in
-/// the final run, never correctness — their exit statuses are reported on
-/// stderr and otherwise ignored.
-fn run_check_sharded(
-    config: AnalysisConfig,
-    files: &[String],
-    store_dir: &str,
-    shards: usize,
-    out: &OutputOpts,
-    passthrough: &[String],
-) -> ExitCode {
-    let mut fs = VirtualFs::new();
-    for f in files {
-        match std::fs::read_to_string(f) {
-            Ok(text) => {
-                fs.add(f.as_str(), text);
-            }
-            Err(e) => {
-                eprintln!("cannot read {f}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    // Manifest probe: on a warm manifest the final check replays without
-    // analyzing anything, making workers pure overhead. The probe session
-    // holds the store's exclusive lock, so it must drop before any worker
-    // opens the directory in shared mode.
-    let spawn = match AnalysisSession::with_store(config.clone(), std::path::Path::new(store_dir)) {
-        Ok(session) => !session.manifest_hit(&files[0], &fs),
-        Err(e) => {
-            eprintln!("safeflow: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if spawn {
-        match std::env::current_exe() {
-            Ok(exe) => {
-                let mut children = Vec::new();
-                for k in 0..shards {
-                    let mut cmd = std::process::Command::new(&exe);
-                    cmd.arg("shard-worker").arg("--shard").arg(k.to_string());
-                    cmd.args(passthrough);
-                    cmd.stdout(std::process::Stdio::null());
-                    match cmd.spawn() {
-                        Ok(c) => children.push((k, c)),
-                        Err(e) => eprintln!("safeflow: cannot spawn shard worker {k}: {e}"),
-                    }
-                }
-                for (k, mut c) in children {
-                    match c.wait() {
-                        Ok(status) if status.success() => {}
-                        Ok(status) => eprintln!(
-                            "safeflow: shard worker {k} exited with {status}; \
-                             its summaries will be recomputed"
-                        ),
-                        Err(e) => eprintln!("safeflow: cannot wait for shard worker {k}: {e}"),
-                    }
-                }
-            }
-            // No path to our own binary: degrade to the unsharded path.
-            Err(e) => eprintln!("safeflow: cannot locate own executable ({e}); running unsharded"),
-        }
-    }
-    // The final run opens the store exclusively (absorbing every segment
-    // the workers published), analyzes over the warm cache, and compacts
-    // the segments on save — identical output to an unsharded run by
-    // construction.
-    run_check(config, files, Some(store_dir.to_string()), out)
-}
-
-/// The internal `shard-worker` subcommand: summarize one shard's compute
-/// closure against the shared store (see [`safeflow::shard`]). Exit 0 even
-/// when detached — a worker that did nothing is not a failure, just a
-/// colder final run.
-fn run_shard_worker(
-    config: AnalysisConfig,
-    files: &[String],
-    store_dir: &str,
-    shard: usize,
-    shards: usize,
-) -> ExitCode {
-    let mut fs = VirtualFs::new();
-    for f in files {
-        match std::fs::read_to_string(f) {
-            Ok(text) => {
-                fs.add(f.as_str(), text);
-            }
-            Err(e) => {
-                eprintln!("cannot read {f}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let dir = std::path::Path::new(store_dir);
-    match safeflow::shard::run_worker(&config, &files[0], &fs, dir, shard, shards) {
-        Ok(r) => {
-            println!(
-                "shard {shard}/{shards}: {} sccs, {} owned, {} published, {} fetched{}",
-                r.sccs,
-                r.owned,
-                r.published,
-                r.fetched,
-                if r.detached { " (detached: store busy)" } else { "" }
-            );
-            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("{e}");
@@ -735,7 +556,7 @@ fn parse_fault_seed(spec: &str) -> Result<(u64, f64), String> {
 /// reporting (stderr).
 const USAGE: &str = "USAGE:\n\
      \x20 safeflow [OPTIONS] FILE.c [FILE2.c ...]\n\
-     \x20 safeflow check [OPTIONS] FILE.c [FILE2.c ...] [--store DIR] [--shards N]\n\
+     \x20 safeflow check [OPTIONS] FILE.c [FILE2.c ...] [--store DIR]\n\
      \x20 safeflow serve [--listen ADDR] [--store DIR] [--watch[=MS]] ...\n\
      \x20 safeflow serve --connect ADDR FILE.c ... | --ping | --shutdown\n\
      \x20 safeflow oracle --seeds A..B [--minimize] [--repro-dir DIR] [--jobs N]\n\
@@ -748,7 +569,7 @@ fn print_help() {
          \n\
          USAGE:\n\
          \x20 safeflow [OPTIONS] FILE.c [FILE2.c ...]\n\
-         \x20 safeflow check [OPTIONS] FILE.c [FILE2.c ...] [--store DIR] [--shards N]\n\
+         \x20 safeflow check [OPTIONS] FILE.c [FILE2.c ...] [--store DIR]\n\
          \x20 safeflow serve [--listen ADDR] [--store DIR] [--watch[=MS]] ...\n\
          \x20 safeflow serve --connect ADDR FILE.c ... | --ping | --shutdown\n\
          \x20 safeflow oracle --seeds A..B [--minimize] [--repro-dir DIR] [--jobs N]\n\
@@ -758,12 +579,7 @@ fn print_help() {
          prior per-SCC summaries are loaded from DIR, only changed SCCs\n\
          (plus their transitive callers) re-analyze, and an unchanged\n\
          input replays the stored report without re-analyzing anything.\n\
-         `check` defaults to the summary engine. With --shards N (requires\n\
-         --store), the call-graph SCC DAG is partitioned across N worker\n\
-         processes that pre-warm the store concurrently through per-worker\n\
-         append-only segment files; the final report is produced by the\n\
-         same in-process path and is byte-identical to --shards 1 — a\n\
-         crashed or killed worker only costs recomputation.\n\
+         `check` defaults to the summary engine.\n\
          \n\
          The `serve` subcommand keeps analysis sessions resident in a\n\
          loopback daemon so repeat checks answer at warm-path latency:\n\
@@ -787,7 +603,7 @@ fn print_help() {
          \n\
          The `oracle` subcommand generates seeded annotation-bearing\n\
          programs and cross-checks the parallel, warm-cache, store-replay,\n\
-         incremental, and sharded engine configurations against the naive\n\
+         and incremental engine configurations against the naive\n\
          reference analyzer; any report difference (modulo the observability\n\
          contract's stripped sections) is a divergence. --minimize shrinks\n\
          divergent programs; --repro-dir writes them out. Exit 0 = all\n\
@@ -797,9 +613,6 @@ fn print_help() {
          \x20 --store DIR                persistent summary store (check only);\n\
          \x20                            a corrupt/mismatched store degrades to a\n\
          \x20                            cold run, never a stale result\n\
-         \x20 --shards N                 check only, with --store: analyze across\n\
-         \x20                            N concurrent worker processes sharing the\n\
-         \x20                            store; output byte-identical to --shards 1\n\
          \x20 --engine summary|context   phase-3 engine (default: context)\n\
          \x20 --critical-call NAME:ARG[:LABEL]\n\
          \x20                            treat argument ARG of external NAME as\n\

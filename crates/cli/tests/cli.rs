@@ -105,6 +105,30 @@ fn unknown_flag_exits_2_and_prints_usage() {
 }
 
 #[test]
+fn removed_sharding_inputs_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("safeflow_cli_removed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("f.c");
+    std::fs::write(&path, "int main() { return 0; }").unwrap();
+    let file = path.to_str().unwrap();
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    for args in [
+        vec!["check", "--shards", "2", file],
+        vec!["shard-worker", "--shard", "0", "--shards", "2", "--store", store, file],
+    ] {
+        let out = safeflow().args(&args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not analyze anything");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.starts_with("safeflow: unknown flag `--shard"), "{args:?}: {err}");
+        assert!(err.contains("USAGE"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn jobs_zero_exits_2_and_prints_usage() {
     let out = safeflow().args(["--jobs", "0", "--fig2"]).output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
@@ -210,7 +234,7 @@ fn oracle_subcommand_agrees_and_is_byte_identical_across_runs_and_jobs() {
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     let first = run("1");
-    assert!(first.contains("32 seed(s), 160 comparison(s), 0 divergence(s)"), "{first}");
+    assert!(first.contains("32 seed(s), 128 comparison(s), 0 divergence(s)"), "{first}");
     // Byte-identical across repeated runs and across worker-thread counts
     // (the single-threaded reference included — parallel lexing must not
     // perturb FileIds or diagnostic order): the oracle's own output

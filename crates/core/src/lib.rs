@@ -71,7 +71,6 @@ pub mod regions;
 pub mod report;
 pub mod restrict;
 pub mod session;
-pub mod shard;
 pub mod shmptr;
 mod store;
 pub mod summary;
@@ -93,6 +92,7 @@ pub use session::{AnalysisSession, SessionOutcome, SessionRun};
 use safeflow_ir::{build_module, CallGraph, Module};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::{Diagnostics, SourceMap, VirtualFs};
+use safeflow_util::lock_recover;
 use safeflow_util::metrics::{Class, Metrics};
 use std::sync::Mutex;
 
@@ -232,10 +232,6 @@ impl std::error::Error for AnalysisError {
 /// bound. The default two-point policy compiles to the empty table, under
 /// which everything downstream reduces to the historical
 /// monitored/unmonitored behavior byte-for-byte.
-///
-/// The table is a pure function of `(config, module, regions)`, so shard
-/// workers compiling it independently (see [`crate::shard`]) get exactly
-/// the table the coordinator's final in-process run uses.
 pub(crate) fn compile_policy(
     config: &AnalysisConfig,
     module: &Module,
@@ -343,7 +339,7 @@ impl Analyzer {
     /// registry, so `work`-class counters reflect that run's cache state
     /// alone — see [`safeflow_util::metrics`] for the determinism classes.
     pub fn last_metrics(&self) -> MetricsSnapshot {
-        self.last_metrics.lock().unwrap().clone()
+        lock_recover(&self.last_metrics).clone()
     }
 
     /// Composes the full machine-readable report for `result` (which must
@@ -575,7 +571,39 @@ impl Analyzer {
                 ("report.degradations", report.degradations.len() as u64),
             ],
         );
-        *self.last_metrics.lock().unwrap() = metrics.snapshot();
+        *lock_recover(&self.last_metrics) = metrics.snapshot();
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn last_metrics_survives_a_poisoned_lock() {
+        let analyzer = Analyzer::new(AnalysisConfig::default());
+        let mut fs = VirtualFs::new();
+        fs.add("main.c", "int main() { return 0; }");
+        analyzer.analyze_program("main.c", &fs).unwrap();
+        let before = analyzer.last_metrics();
+        assert!(!before.counters.is_empty());
+
+        // A panic while the lock is held, as a contained panic elsewhere
+        // in a long-lived process would leave it.
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _guard = analyzer.last_metrics.lock();
+                    panic!("poisoning the lock on purpose");
+                })
+                .join();
+        });
+        assert!(analyzer.last_metrics.is_poisoned());
+
+        assert_eq!(analyzer.last_metrics().counters, before.counters);
+        fs.add("main.c", "int f(int x) { return x; } int main() { return f(1); }");
+        analyzer.analyze_program("main.c", &fs).unwrap();
+        assert_ne!(analyzer.last_metrics().counters, before.counters, "the next run still records");
     }
 }

@@ -129,12 +129,6 @@ impl Policy {
         Policy::default()
     }
 
-    /// The paper's two-point policy, under its historical name.
-    #[deprecated(note = "use `Policy::two_point()` (or `Policy::default()`)")]
-    pub fn monitored_unmonitored() -> Policy {
-        Policy::default()
-    }
-
     /// `true` for the two-point default policy with default implicit-flow
     /// handling — the configuration whose reports must stay byte-identical
     /// to the pre-lattice analyzer (and keep the `safeflow-report-v1`

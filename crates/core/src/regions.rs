@@ -47,8 +47,9 @@ pub struct Region {
     pub label: Option<String>,
     /// The `shminit` function that declared it.
     pub init_fn: FuncId,
-    /// Segment identity: the attach call-site whose result this region's
-    /// pointer was derived from, when the initializer was interpretable.
+    /// Shared-memory segment identity: the attach call-site whose result
+    /// this region's pointer was derived from, when the initializer was
+    /// interpretable.
     pub segment: Option<(FuncId, InstId)>,
     /// Constant byte offset within the segment, when interpretable.
     pub offset: Option<i64>,

@@ -140,23 +140,6 @@ impl AnalysisSession {
         &self.analyzer
     }
 
-    /// Whether [`AnalysisSession::check`] on these exact inputs would
-    /// replay a stored whole-program manifest without analyzing anything.
-    /// The sharded coordinator (see [`crate::shard`]) probes this before
-    /// spawning workers — on a warm manifest they would be pure overhead.
-    pub fn manifest_hit(&self, root: &str, fs: &VirtualFs) -> bool {
-        if !self.replay_enabled || !self.store_usable() || self.store_lock_busy() {
-            return false;
-        }
-        let Some(store) = self.store.as_ref() else { return false };
-        let files: Vec<(String, String)> = fs
-            .names()
-            .iter()
-            .map(|n| (n.to_string(), fs.get(n).unwrap_or_default().to_string()))
-            .collect();
-        store.manifest(manifest_key(config_hash(self.analyzer.config()), root, &files)).is_some()
-    }
-
     /// An armed fault plan makes results non-reproducible, so it disables
     /// persistence wholesale (replay and save).
     fn store_usable(&self) -> bool {
@@ -228,15 +211,6 @@ impl AnalysisSession {
                 metrics.work.insert("store.sccs_loaded".to_string(), store.scc_count() as u64);
                 if store.load_rejected() {
                     metrics.work.insert("store.load_rejected".to_string(), 1);
-                }
-                // How many of the loaded SCCs came from worker segment
-                // files. Sched-class: segment contents depend on how
-                // concurrent workers interleaved, never on the program.
-                if store.segment_entries() > 0 {
-                    metrics.sched.insert(
-                        "store.segment_entries".to_string(),
-                        store.segment_entries() as u64,
-                    );
                 }
             }
         } else if self.store_lock_busy() {

@@ -53,19 +53,6 @@ const MAGIC: &[u8; 8] = b"SFSTORE\0";
 const STORE_FILE: &str = "safeflow-store.bin";
 const LOCK_FILE: &str = "safeflow-store.lock";
 
-/// Magic for append-only segment files (`seg-<pid>-<n>.bin`), the
-/// multi-writer half of the store: each shard worker appends freshly
-/// computed SCC summaries to its own segment, peers poll the directory for
-/// them mid-run, and the next exclusive [`SummaryStore::save`] folds the
-/// surviving entries into the main file and compacts the segments away.
-const SEG_MAGIC: &[u8; 8] = b"SFSEG\0\0\0";
-const SEG_PREFIX: &str = "seg-";
-const SEG_SUFFIX: &str = ".bin";
-
-/// Cap on one segment record's payload. A length field beyond this is a
-/// corrupt frame, not an allocation request.
-const MAX_SEG_RECORD: u32 = 256 * 1024 * 1024;
-
 /// Caps on table sizes, enforced on save so one store directory cannot
 /// grow without bound across alternating roots/configs.
 const MAX_MANIFESTS: usize = 64;
@@ -97,8 +84,6 @@ pub(crate) struct SaveStats {
     pub sccs_saved: usize,
     /// Previously loaded SCC entries dropped because no longer live.
     pub sccs_invalidated: usize,
-    /// Segment files deleted by the post-save compaction pass.
-    pub segments_compacted: usize,
 }
 
 /// The persistent store bound to one directory.
@@ -115,13 +100,6 @@ pub(crate) struct SummaryStore {
     /// SIGKILLed daemon never leaves a stale lock). `None` means another
     /// live process holds it — this store is detached.
     lock: Option<std::fs::File>,
-    /// `true` for stores opened via [`SummaryStore::open_shared`]: readers
-    /// that coexist with other shard workers. Shared stores never write
-    /// the main file — publication goes through [`SegmentWriter`]s.
-    shared: bool,
-    /// SCC entries folded in from segment files at open time (crash
-    /// recovery for the exclusive open, peer pickup for the shared one).
-    segment_entries: usize,
 }
 
 impl SummaryStore {
@@ -149,8 +127,6 @@ impl SummaryStore {
             sccs: Vec::new(),
             load_rejected: false,
             lock,
-            shared: false,
-            segment_entries: 0,
         };
         if store.lock_busy() {
             // A concurrent writer owns the directory: do not even read the
@@ -159,84 +135,20 @@ impl SummaryStore {
             // coherence hazard). Detached = cold.
             return Ok(store);
         }
-        store.read_main_file();
-        // Fold in whatever segment files previous (possibly killed) shard
-        // workers left behind: every complete checksummed record is a
-        // valid content-addressed entry, so crash recovery is simply
-        // "absorb the valid prefixes". The next save compacts them away.
-        store.absorb_segments();
-        Ok(store)
-    }
-
-    /// Opens the store in `dir` for **shared** reading: a shard worker
-    /// that coexists with other workers under a coordinator. Takes the
-    /// directory lock *shared* — any number of workers attach together,
-    /// while an exclusive owner (a resident daemon, a plain `check`)
-    /// forces detachment exactly like [`SummaryStore::open`]. Shared
-    /// stores read the main file plus every valid segment prefix, and
-    /// never write the main file ([`SummaryStore::save`] is a no-op);
-    /// workers publish through their own [`SegmentWriter`] instead.
-    pub(crate) fn open_shared(dir: &Path) -> Result<SummaryStore, AnalysisError> {
-        std::fs::create_dir_all(dir).map_err(|e| AnalysisError::Store {
-            context: format!("creating store directory `{}`", dir.display()),
-            source: Some(e),
-        })?;
-        let path = dir.join(STORE_FILE);
-        let lock = acquire_shared_lock(&dir.join(LOCK_FILE));
-        let mut store = SummaryStore {
-            path,
-            manifests: Vec::new(),
-            sccs: Vec::new(),
-            load_rejected: false,
-            lock,
-            shared: true,
-            segment_entries: 0,
-        };
-        if store.lock_busy() {
-            return Ok(store);
-        }
-        store.read_main_file();
-        store.absorb_segments();
-        Ok(store)
-    }
-
-    /// Reads and decodes the main store file into the tables (defensive:
-    /// any validation failure comes up empty with `load_rejected` set).
-    fn read_main_file(&mut self) {
-        match std::fs::read(&self.path) {
+        match std::fs::read(&store.path) {
             Ok(bytes) => match decode_store(&bytes) {
                 Some((manifests, sccs)) => {
-                    self.manifests = manifests;
-                    self.sccs = sccs;
+                    store.manifests = manifests;
+                    store.sccs = sccs;
                 }
-                None => self.load_rejected = true,
+                None => store.load_rejected = true,
             },
             // No file yet: a fresh store. Any other read error also
             // degrades to cold rather than failing the run.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(_) => self.load_rejected = true,
+            Err(_) => store.load_rejected = true,
         }
-    }
-
-    /// Folds every valid segment record in the directory into the SCC
-    /// table. Keys are content hashes, so duplicates are interchangeable;
-    /// the main file's entry wins ties purely for determinism of the
-    /// in-memory order.
-    fn absorb_segments(&mut self) {
-        let Some(dir) = self.path.parent().map(Path::to_path_buf) else { return };
-        let mut scanner = SegmentScanner::new(&dir, None);
-        let mut seen: HashSet<u64> = self.sccs.iter().map(|(k, _)| *k).collect();
-        for (key, summaries) in scanner.poll() {
-            if seen.insert(key) {
-                self.sccs.push((key, summaries));
-                self.segment_entries += 1;
-            }
-        }
-    }
-
-    /// SCC entries folded in from segment files at open time.
-    pub(crate) fn segment_entries(&self) -> usize {
-        self.segment_entries
+        Ok(store)
     }
 
     /// Whether an existing store file was ignored as invalid.
@@ -275,18 +187,16 @@ impl SummaryStore {
         entry: ReplayEntry,
         live_sccs: Vec<(u64, Arc<Vec<Summary>>)>,
     ) -> Result<SaveStats, AnalysisError> {
-        if self.lock_busy() || self.shared {
+        if self.lock_busy() {
             // Detached store: another live process owns the directory.
             // Persisting here would race its atomic rename; skip silently
-            // (the caller's run was cold anyway). Shared stores are
-            // readers by construction — workers publish via segments.
+            // (the caller's run was cold anyway).
             return Ok(SaveStats::default());
         }
         let live: HashSet<u64> = live_sccs.iter().map(|(k, _)| *k).collect();
-        let mut stats = SaveStats {
+        let stats = SaveStats {
             sccs_saved: live_sccs.len(),
             sccs_invalidated: self.sccs.iter().filter(|(k, _)| !live.contains(k)).count(),
-            segments_compacted: 0,
         };
         self.manifests.retain(|(k, _)| *k != manifest_key);
         self.manifests.push((manifest_key, entry));
@@ -306,43 +216,8 @@ impl SummaryStore {
             context: format!("renaming into `{}`", self.path.display()),
             source: Some(e),
         })?;
-        // Compaction: the rename above persisted everything this run
-        // keeps, so segment files are now redundant *unless* a live
-        // writer is still appending to one. Each writer holds an
-        // exclusive advisory lock on its own segment for its lifetime —
-        // probe it: acquirable means the writer is gone (finished or
-        // SIGKILLed, either way the lock died with it) and the file can
-        // go; `WouldBlock` means live, leave it for the next save.
-        stats.segments_compacted = compact_segments(self.path.parent());
         Ok(stats)
     }
-}
-
-/// Deletes every segment file in `dir` whose writer no longer holds its
-/// exclusive lock. Returns the number of files removed; all I/O errors
-/// are swallowed (compaction is best-effort garbage collection).
-fn compact_segments(dir: Option<&Path>) -> usize {
-    let Some(dir) = dir else { return 0 };
-    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
-    let mut removed = 0;
-    for entry in entries.filter_map(|e| e.ok()) {
-        let name = entry.file_name();
-        let s = name.to_string_lossy();
-        if !s.starts_with(SEG_PREFIX) || !s.ends_with(SEG_SUFFIX) {
-            continue;
-        }
-        let path = entry.path();
-        let Ok(file) = std::fs::OpenOptions::new().read(true).open(&path) else { continue };
-        match file.try_lock() {
-            Ok(()) | Err(std::fs::TryLockError::Error(_)) => {
-                if std::fs::remove_file(&path).is_ok() {
-                    removed += 1;
-                }
-            }
-            Err(std::fs::TryLockError::WouldBlock) => {} // live writer
-        }
-    }
-    removed
 }
 
 /// Tries to take an exclusive advisory lock on `path` without blocking.
@@ -360,231 +235,6 @@ fn acquire_lock(path: &Path) -> Option<std::fs::File> {
         Err(std::fs::TryLockError::WouldBlock) => None,
         // Unsupported filesystem etc.: proceed unlocked (best effort).
         Err(std::fs::TryLockError::Error(_)) => Some(file),
-    }
-}
-
-/// The shared-mode counterpart of [`acquire_lock`]: any number of shard
-/// workers hold this together, while an exclusive holder (daemon, plain
-/// `check`, the coordinator outside its worker window) forces `None`.
-fn acquire_shared_lock(path: &Path) -> Option<std::fs::File> {
-    let file = std::fs::OpenOptions::new().create(true).append(true).open(path).ok()?;
-    match file.try_lock_shared() {
-        Ok(()) => Some(file),
-        Err(std::fs::TryLockError::WouldBlock) => None,
-        Err(std::fs::TryLockError::Error(_)) => Some(file),
-    }
-}
-
-// -------------------------------------------------------------- segments
-
-/// One shard worker's append-only output file.
-///
-/// The file is created `create_new` under a unique `seg-<pid>-<n>.bin`
-/// name, so writers never contend for a file, and an exclusive advisory
-/// lock is held on it for the writer's lifetime: that lock is the
-/// liveness signal compaction probes (released by the OS on drop and on
-/// process death, so SIGKILLed workers leave reclaimable segments, never
-/// stale locks). Records are framed `[u32 len][payload][u64 fnv64]` after
-/// an 12-byte magic+version header; readers accept any valid prefix, so a
-/// worker killed mid-append loses at most its last record.
-#[derive(Debug)]
-pub(crate) struct SegmentWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    records: usize,
-}
-
-impl SegmentWriter {
-    /// Creates a fresh segment in `dir` (which must already exist — it is
-    /// the store directory the worker attached to).
-    pub(crate) fn create(dir: &Path) -> Result<SegmentWriter, AnalysisError> {
-        let pid = std::process::id();
-        for seq in 0u32.. {
-            let path = dir.join(format!("{SEG_PREFIX}{pid}-{seq}{SEG_SUFFIX}"));
-            match std::fs::OpenOptions::new().create_new(true).append(true).open(&path) {
-                Ok(file) => {
-                    // Liveness lock (see type docs). Uncontended: the file
-                    // did not exist a moment ago. Best-effort on
-                    // filesystems without lock support — compaction then
-                    // reclaims the segment at the *next* save, which is
-                    // still correct, just later.
-                    let _ = file.try_lock();
-                    let mut writer = SegmentWriter { file, path, records: 0 };
-                    let mut header = Vec::with_capacity(SEG_MAGIC.len() + 4);
-                    header.extend_from_slice(SEG_MAGIC);
-                    put_u32(&mut header, STORE_VERSION);
-                    writer.append(&header)?;
-                    return Ok(writer);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => {
-                    return Err(AnalysisError::Store {
-                        context: format!("creating segment `{}`", path.display()),
-                        source: Some(e),
-                    })
-                }
-            }
-        }
-        unreachable!("u32 sequence space exhausted")
-    }
-
-    /// Appends one checksummed SCC record and flushes it to the OS, so
-    /// peers polling the directory observe it promptly.
-    pub(crate) fn publish(&mut self, key: u64, summaries: &[Summary]) -> Result<(), AnalysisError> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, key);
-        put_u32(&mut payload, summaries.len() as u32);
-        for s in summaries {
-            s.encode(&mut payload);
-        }
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        put_u64(&mut frame, safeflow_util::hash::hash_bytes(&payload));
-        self.append(&frame)?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Number of records published so far.
-    pub(crate) fn records(&self) -> usize {
-        self.records
-    }
-
-    /// This segment's file path (excluded from the owner's own scans).
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn append(&mut self, bytes: &[u8]) -> Result<(), AnalysisError> {
-        use std::io::Write;
-        self.file.write_all(bytes).and_then(|()| self.file.flush()).map_err(|e| {
-            AnalysisError::Store {
-                context: format!("appending to segment `{}`", self.path.display()),
-                source: Some(e),
-            }
-        })
-    }
-}
-
-/// Incremental reader over every segment file in a store directory.
-///
-/// Each `poll` re-scans the directory and returns only the records that
-/// appeared since the previous poll (per-file byte offsets). Semantics
-/// per file are *valid prefix*: an incomplete tail frame is simply not
-/// there yet (the offset stays put and the next poll retries), while a
-/// checksum mismatch, an implausible length, a bad header, or a shrunk
-/// file marks that segment **dead** — records decoded before the damage
-/// remain valid, nothing after it is trusted.
-#[derive(Debug)]
-pub(crate) struct SegmentScanner {
-    dir: PathBuf,
-    /// The caller's own segment file name, skipped during scans.
-    skip: Option<std::ffi::OsString>,
-    files: BTreeMap<std::ffi::OsString, SegFileState>,
-}
-
-#[derive(Debug, Default)]
-struct SegFileState {
-    offset: usize,
-    dead: bool,
-}
-
-impl SegmentScanner {
-    /// A scanner over `dir`, ignoring `own` (the caller's own segment).
-    pub(crate) fn new(dir: &Path, own: Option<&Path>) -> SegmentScanner {
-        SegmentScanner {
-            dir: dir.to_path_buf(),
-            skip: own.and_then(Path::file_name).map(|n| n.to_os_string()),
-            files: BTreeMap::new(),
-        }
-    }
-
-    /// Returns every record appended (in any segment) since the last
-    /// poll, in deterministic (file name, file order) order.
-    pub(crate) fn poll(&mut self) -> Vec<(u64, Arc<Vec<Summary>>)> {
-        let mut out = Vec::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return out };
-        let mut names: Vec<std::ffi::OsString> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name())
-            .filter(|n| {
-                let s = n.to_string_lossy();
-                s.starts_with(SEG_PREFIX) && s.ends_with(SEG_SUFFIX)
-            })
-            .collect();
-        names.sort();
-        for name in names {
-            if self.skip.as_deref() == Some(name.as_os_str()) {
-                continue;
-            }
-            let state = self.files.entry(name.clone()).or_default();
-            if state.dead {
-                continue;
-            }
-            let Ok(bytes) = std::fs::read(self.dir.join(&name)) else { continue };
-            scan_segment(&bytes, state, &mut out);
-        }
-        out
-    }
-}
-
-/// Decodes the complete, checksummed records between `state.offset` and
-/// the end of `bytes` (see [`SegmentScanner`] for the prefix semantics).
-fn scan_segment(bytes: &[u8], state: &mut SegFileState, out: &mut Vec<(u64, Arc<Vec<Summary>>)>) {
-    if bytes.len() < state.offset {
-        state.dead = true; // the file shrank: not append-only, distrust it
-        return;
-    }
-    if state.offset == 0 {
-        let header_len = SEG_MAGIC.len() + 4;
-        if bytes.len() < header_len {
-            return; // header still in flight
-        }
-        if &bytes[..SEG_MAGIC.len()] != SEG_MAGIC
-            || bytes[SEG_MAGIC.len()..header_len] != STORE_VERSION.to_le_bytes()
-        {
-            state.dead = true;
-            return;
-        }
-        state.offset = header_len;
-    }
-    loop {
-        let rest = &bytes[state.offset..];
-        if rest.len() < 4 {
-            return;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
-        if len > MAX_SEG_RECORD {
-            state.dead = true;
-            return;
-        }
-        let total = 4 + len as usize + 8;
-        if rest.len() < total {
-            return; // incomplete tail: the writer is mid-append, retry
-        }
-        let payload = &rest[4..4 + len as usize];
-        let stored = u64::from_le_bytes(rest[4 + len as usize..total].try_into().unwrap());
-        if safeflow_util::hash::hash_bytes(payload) != stored {
-            state.dead = true;
-            return;
-        }
-        let decoded = (|| {
-            let mut r = ByteReader::new(payload);
-            let key = r.u64()?;
-            let members = r.seq_len()?;
-            let mut vec = Vec::with_capacity(members);
-            for _ in 0..members {
-                vec.push(Summary::decode(&mut r)?);
-            }
-            r.done().then(|| (key, Arc::new(vec)))
-        })();
-        let Some(entry) = decoded else {
-            state.dead = true; // checksum passed but the payload is garbage
-            return;
-        };
-        out.push(entry);
-        state.offset += total;
     }
 }
 
@@ -999,197 +649,6 @@ mod tests {
         assert_ne!(config_hash(&a), config_hash(&c));
         // And the default (two-point) policy differs from any declared one.
         assert_ne!(config_hash(&c), config_hash(&AnalysisConfig::default()));
-    }
-
-    #[test]
-    fn segments_round_trip_incrementally() {
-        let dir = tmp_dir("seg-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = SegmentWriter::create(&dir).unwrap();
-        w.publish(11, &[Summary::default()]).unwrap();
-        w.publish(22, &[Summary::default(), Summary::default()]).unwrap();
-        assert_eq!(w.records(), 2);
-
-        let mut scanner = SegmentScanner::new(&dir, None);
-        let got = scanner.poll();
-        assert_eq!(got.iter().map(|(k, v)| (*k, v.len())).collect::<Vec<_>>(), [(11, 1), (22, 2)]);
-        // Nothing new: the next poll is empty, not a re-read.
-        assert!(scanner.poll().is_empty());
-        // A later append surfaces on the following poll.
-        w.publish(33, &[Summary::default()]).unwrap();
-        let got = scanner.poll();
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [33]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scanner_skips_own_segment_and_reads_peers() {
-        let dir = tmp_dir("seg-own");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut mine = SegmentWriter::create(&dir).unwrap();
-        let mut peer = SegmentWriter::create(&dir).unwrap();
-        mine.publish(1, &[Summary::default()]).unwrap();
-        peer.publish(2, &[Summary::default()]).unwrap();
-        let mut scanner = SegmentScanner::new(&dir, Some(mine.path()));
-        let got = scanner.poll();
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [2]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_segment_tail_waits_then_completes() {
-        let dir = tmp_dir("seg-torn");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = SegmentWriter::create(&dir).unwrap();
-        w.publish(7, &[Summary::default()]).unwrap();
-        let full = std::fs::read(w.path()).unwrap();
-        drop(w);
-
-        // Re-create the segment cut mid-frame: the scanner must treat the
-        // tail as in-flight (not dead) and pick the record up once the
-        // remaining bytes land.
-        let torn = dir.join("seg-99999-0.bin");
-        let cut = full.len() - 5;
-        std::fs::write(&torn, &full[..cut]).unwrap();
-        let mut scanner = SegmentScanner::new(&dir, None);
-        let keys =
-            |v: Vec<(u64, Arc<Vec<Summary>>)>| v.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
-        assert_eq!(keys(scanner.poll()), [7], "the intact sibling segment still reads");
-        assert!(scanner.poll().is_empty());
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).open(&torn).unwrap();
-        f.write_all(&full[cut..]).unwrap();
-        drop(f);
-        assert_eq!(keys(scanner.poll()), [7], "the completed tail must surface");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_segment_frame_keeps_prefix_kills_rest() {
-        let dir = tmp_dir("seg-corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut w = SegmentWriter::create(&dir).unwrap();
-        w.publish(1, &[Summary::default()]).unwrap();
-        let prefix_len = std::fs::read(w.path()).unwrap().len();
-        w.publish(2, &[Summary::default()]).unwrap();
-        let path = w.path().to_path_buf();
-        drop(w);
-        // Flip a byte inside the second record's payload.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[prefix_len + 6] ^= 0x5a;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut scanner = SegmentScanner::new(&dir, None);
-        let got = scanner.poll();
-        assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [1], "valid prefix survives");
-        // The file is dead: even further valid appends are distrusted.
-        let mut w2 = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        use std::io::Write;
-        w2.write_all(&bytes[12..prefix_len]).unwrap();
-        drop(w2);
-        assert!(scanner.poll().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bad_segment_header_is_dead_on_arrival() {
-        let dir = tmp_dir("seg-header");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"NOTSEG\0\0");
-        put_u32(&mut bytes, STORE_VERSION);
-        std::fs::write(dir.join("seg-1-0.bin"), &bytes).unwrap();
-        // Version mismatch with a correct magic is equally dead.
-        let mut vbytes = Vec::new();
-        vbytes.extend_from_slice(SEG_MAGIC);
-        put_u32(&mut vbytes, STORE_VERSION + 1);
-        std::fs::write(dir.join("seg-1-1.bin"), &vbytes).unwrap();
-        let mut scanner = SegmentScanner::new(&dir, None);
-        assert!(scanner.poll().is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_absorbs_leftover_segments_and_save_compacts_them() {
-        let dir = tmp_dir("seg-absorb");
-        let mut store = SummaryStore::open(&dir).unwrap();
-        store.save(7, sample_entry(), vec![(1u64, Arc::new(vec![Summary::default()]))]).unwrap();
-        drop(store);
-        // A worker crashed after publishing: its segment survives it.
-        let mut w = SegmentWriter::create(&dir).unwrap();
-        w.publish(2, &[Summary::default()]).unwrap();
-        drop(w);
-
-        let mut store = SummaryStore::open(&dir).unwrap();
-        assert_eq!(store.scc_count(), 2, "main entry + absorbed segment entry");
-        assert_eq!(store.segment_entries(), 1);
-        let live = store.scc_entries();
-        let stats = store.save(8, sample_entry(), live).unwrap();
-        assert_eq!(stats.segments_compacted, 1, "the dead segment must be reclaimed");
-        drop(store);
-        let seg_files = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(SEG_PREFIX))
-            .count();
-        assert_eq!(seg_files, 0);
-        // And the absorbed entry persisted into the main file.
-        let store = SummaryStore::open(&dir).unwrap();
-        assert_eq!(store.scc_count(), 2);
-        assert_eq!(store.segment_entries(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_spares_live_writers() {
-        let dir = tmp_dir("seg-live");
-        let mut store = SummaryStore::open(&dir).unwrap();
-        let mut live_writer = SegmentWriter::create(&dir).unwrap();
-        live_writer.publish(5, &[Summary::default()]).unwrap();
-        let stats = store.save(7, sample_entry(), Vec::new()).unwrap();
-        assert_eq!(stats.segments_compacted, 0, "a locked segment is a live writer's");
-        assert!(live_writer.path().exists());
-        drop(live_writer);
-        let stats = store.save(8, sample_entry(), Vec::new()).unwrap();
-        assert_eq!(stats.segments_compacted, 1, "released segments are reclaimed");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_openers_coexist_and_never_write() {
-        let dir = tmp_dir("seg-shared");
-        let mut store = SummaryStore::open(&dir).unwrap();
-        store.save(7, sample_entry(), vec![(1u64, Arc::new(vec![Summary::default()]))]).unwrap();
-        drop(store); // release the exclusive lock
-
-        let mut a = SummaryStore::open_shared(&dir).unwrap();
-        let b = SummaryStore::open_shared(&dir).unwrap();
-        assert!(!a.lock_busy() && !b.lock_busy(), "shared locks must coexist");
-        assert_eq!(a.manifest(7), Some(&sample_entry()));
-        assert_eq!(b.scc_count(), 1);
-        // A shared store's save is a silent no-op.
-        let stats = a.save(8, sample_entry(), Vec::new()).unwrap();
-        assert_eq!(stats, SaveStats::default());
-        // An exclusive opener detaches while readers hold the lock...
-        let excl = SummaryStore::open(&dir).unwrap();
-        assert!(excl.lock_busy());
-        drop((a, b, excl));
-        // ...and attaches again once they are gone.
-        let excl = SummaryStore::open(&dir).unwrap();
-        assert!(!excl.lock_busy());
-        assert_eq!(excl.manifest(8), None, "the shared no-op save must not have landed");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_opener_detaches_under_exclusive_owner() {
-        let dir = tmp_dir("seg-shared-detach");
-        let owner = SummaryStore::open(&dir).unwrap();
-        assert!(!owner.lock_busy());
-        let reader = SummaryStore::open_shared(&dir).unwrap();
-        assert!(reader.lock_busy(), "shared open under an exclusive owner must detach");
-        assert_eq!(reader.scc_count(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

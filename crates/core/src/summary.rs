@@ -286,51 +286,25 @@ pub(crate) fn analyze_summaries(
     metrics: &Metrics,
 ) -> TaintResults {
     let outcome = summarize_sccs(
-        module, regions, shm, pt, callgraph, config, table, cache, deadline, metrics, None,
+        module, regions, shm, pt, callgraph, config, table, cache, deadline, metrics,
     );
     build_report(module, regions, shm, pt, callgraph, config, table, outcome)
 }
 
-/// Restricts a [`summarize_sccs`] run to one shard's compute closure
-/// (see [`crate::shard`]). SCCs outside the closure are skipped outright —
-/// no slot published, no degradation recorded — which is sound because a
-/// shard's closure is dependency-closed: every dependency of an in-closure
-/// SCC is itself in the closure, so no computed SCC ever reads a hole.
-pub(crate) struct ShardRestrict<'a> {
-    /// `closure[i]` — whether SCC `i` (in [`CallGraph::sccs`] order) is in
-    /// this shard's compute set (owned SCCs plus their transitive
-    /// dependencies).
-    pub(crate) closure: &'a [bool],
-    /// Late cache fill from peer workers: `fetch(hash, members)` returns a
-    /// summary vector a peer published to the shared store since this run
-    /// began, or `None` to compute locally. Results are pure functions of
-    /// the content hash, so a fetch hit is interchangeable with a local
-    /// recomputation.
-    pub(crate) fetch: &'a (dyn Fn(u64, usize) -> Option<Arc<Vec<Summary>>> + Sync),
-    /// Streamed export: `publish(scc_index, hash, summaries)` fires as
-    /// soon as a clean result is computed locally (never for cache hits,
-    /// fetch hits, or tainted/degraded results). Workers append their
-    /// owned results to a segment file here so peers can fetch them
-    /// mid-run.
-    pub(crate) publish: &'a (dyn Fn(usize, u64, &[Summary]) + Sync),
-}
-
-/// The engine half of a summary run: everything [`build_report`] (and a
-/// shard worker's export pass) needs from the bottom-up SCC traversal.
+/// The engine half of a summary run: everything [`build_report`] needs
+/// from the bottom-up SCC traversal.
 pub(crate) struct SummarizeOutcome {
     pub(crate) notes: Vec<String>,
     pub(crate) assumed_of: HashMap<FuncId, BTreeMap<RegionId, u64>>,
     /// Per-SCC result: the members' summaries plus the tainted flag.
-    /// `None` means the task panicked (readers substitute [`Summary::top`])
-    /// or, under a [`ShardRestrict`], the SCC was outside the closure.
+    /// `None` means the task panicked (readers substitute [`Summary::top`]).
     pub(crate) results: Vec<Option<(Arc<Vec<Summary>>, bool)>>,
     pub(crate) degradations: Vec<Degradation>,
     pub(crate) degraded_sccs: Vec<usize>,
 }
 
 /// Bottom-up summarization over call-graph SCCs — the engine half of
-/// [`analyze_summaries`], also run standalone by shard workers (which
-/// export the resulting summaries instead of building a report).
+/// [`analyze_summaries`].
 ///
 /// An SCC iterates its members to a fixpoint, except a singleton whose
 /// member does not call itself: its summary never reads itself, so a
@@ -347,7 +321,6 @@ pub(crate) fn summarize_sccs(
     cache: &SummaryCache,
     deadline: Option<Instant>,
     metrics: &Metrics,
-    restrict: Option<&ShardRestrict<'_>>,
 ) -> SummarizeOutcome {
     let noncore_sockets = find_noncore_sockets(module, regions);
     let mut notes = Vec::new();
@@ -441,14 +414,6 @@ pub(crate) fn summarize_sccs(
     let rounds_cap = config.budget.fixpoint_rounds.map(|r| r.max(1) as usize).unwrap_or(16);
     let scc_body = |i: usize| -> Option<String> {
         let scc = &callgraph.sccs[i];
-        // Sharded runs skip SCCs outside this worker's compute closure:
-        // nothing is published and nothing downstream reads the hole (the
-        // closure is dependency-closed, see [`ShardRestrict`]).
-        if let Some(r) = restrict {
-            if !r.closure[i] {
-                return None;
-            }
-        }
         // Injected faults: a panic is contained by the pool (slot stays
         // unset); a budget fault degrades the SCC like a real exhaustion.
         if let Some(plan) = &config.fault_plan {
@@ -482,19 +447,6 @@ pub(crate) fn summarize_sccs(
             if let Some(hit) = &cached[i] {
                 let _ = slots[i].set((hit.clone(), false));
                 return None;
-            }
-            // Sharded runs poll the shared store's segments for a result a
-            // peer worker published since this run began. A fetch hit is a
-            // late cache hit: clean by construction, because workers never
-            // publish tainted or degraded summaries.
-            if let Some(r) = restrict {
-                if let Some(arc) = (r.fetch)(hashes[i], scc.len()) {
-                    if arc.len() == scc.len() {
-                        cache.insert(hashes[i], arc.clone());
-                        let _ = slots[i].set((arc, false));
-                        return None;
-                    }
-                }
             }
         }
         let mut local: HashMap<FuncId, Summary> = HashMap::new();
@@ -575,11 +527,6 @@ pub(crate) fn summarize_sccs(
         }
         if cache_ok {
             cache.insert(hashes[i], arc.clone());
-            // Stream the clean result to the shared store so concurrent
-            // shard workers can fetch it instead of recomputing.
-            if let Some(r) = restrict {
-                (r.publish)(i, hashes[i], &arc);
-            }
         }
         let _ = slots[i].set((arc, dep_tainted));
         None

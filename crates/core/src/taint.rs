@@ -125,17 +125,6 @@ impl TaintVal {
             TaintKind::Clean
         }
     }
-
-    /// The two-point embedding of a [`TaintKind`] (⊤ = the untrusted
-    /// atom of the default policy).
-    #[deprecated(note = "use `TaintVal::explicit_at` / `TaintVal::implicit_at` with policy masks")]
-    pub fn from_kind(kind: TaintKind) -> TaintVal {
-        match kind {
-            TaintKind::Clean => TaintVal::bot(),
-            TaintKind::Control => TaintVal::implicit_at(1),
-            TaintKind::Data => TaintVal::explicit_at(1),
-        }
-    }
 }
 
 /// A taint fact with provenance.
@@ -159,13 +148,6 @@ impl Taint {
     /// The two-point compatibility view of the value.
     pub fn kind(&self) -> TaintKind {
         self.val.kind()
-    }
-
-    /// A two-point taint fact (⊤ = the default policy's untrusted atom).
-    #[deprecated(note = "use label-mask constructors via `TaintVal`")]
-    pub fn of_kind(kind: TaintKind, origin: Option<Arc<FlowNode>>) -> Taint {
-        #[allow(deprecated)]
-        Taint { val: TaintVal::from_kind(kind), origin }
     }
 
     /// Joins `other` in, replacing the origin only when `other` strictly
@@ -1242,16 +1224,6 @@ mod tests {
         assert_eq!(jd.explicit(), 0b110);
         assert_eq!(jd.implicit(), 0b001);
         assert_eq!(jd.as_implicit(), TaintVal::implicit_at(0b111));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_two_point_constructors_still_work() {
-        assert_eq!(TaintVal::from_kind(TaintKind::Data), TaintVal::explicit_at(1));
-        assert_eq!(TaintVal::from_kind(TaintKind::Control), TaintVal::implicit_at(1));
-        assert_eq!(TaintVal::from_kind(TaintKind::Clean), TaintVal::bot());
-        let t = Taint::of_kind(TaintKind::Data, None);
-        assert_eq!(t.kind(), TaintKind::Data);
     }
 
     #[test]

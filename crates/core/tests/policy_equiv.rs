@@ -55,9 +55,6 @@ fn builder_default_equals_two_point() {
     assert_eq!(built, Policy::two_point());
     assert_eq!(built, Policy::default());
     assert!(built.is_default(), "builder with no declarations must stay the default policy");
-    #[allow(deprecated)]
-    let legacy = Policy::monitored_unmonitored();
-    assert_eq!(built, legacy, "the deprecated constructor must stay an alias for the default");
 }
 
 #[test]

@@ -272,6 +272,46 @@ fn version_mismatch_invalidates_everything() {
 }
 
 #[test]
+fn leftover_files_from_older_binaries_are_ignored() {
+    let dir = store_dir("leftover");
+    let fs = two_unit_fs(UTIL_C);
+    let cold = AnalysisSession::with_store(config(1), &dir).unwrap().check("core.c", &fs).unwrap();
+    let saved = cold.metrics.work["store.sccs_saved"];
+
+    // An append-only summary file as older binaries wrote beside the
+    // store: magic, format version, then one checksummed well-formed
+    // record (key 42, no summaries). Reading it would add an SCC entry.
+    let mut payload = 42u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    let mut leftover = b"SFSEG\0\0\0".to_vec();
+    leftover.extend_from_slice(&2u32.to_le_bytes());
+    leftover.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    leftover.extend_from_slice(&payload);
+    leftover.extend_from_slice(&safeflow_util::hash::hash_bytes(&payload).to_le_bytes());
+    let path = dir.join("seg-4242-0.bin");
+    std::fs::write(&path, &leftover).unwrap();
+
+    let mut warm = AnalysisSession::with_store(config(1), &dir).unwrap();
+    let replayed = warm.check("core.c", &fs).unwrap();
+    assert_eq!(replayed.run, SessionRun::Replayed);
+    assert_eq!(replayed.rendered, cold.rendered);
+    assert_eq!(stripped(&replayed.report_json, true), stripped(&cold.report_json, true));
+    assert_eq!(replayed.metrics.work["store.sccs_loaded"], saved, "the leftover is not read");
+    drop(warm);
+
+    // A full run over the same directory neither rejects the store nor
+    // touches the leftover when it saves.
+    let edited = two_unit_fs(&UTIL_C.replace("x + 1", "x + 2"));
+    let mut session = AnalysisSession::with_store(config(1), &dir).unwrap();
+    let after = session.check("core.c", &edited).unwrap();
+    assert_eq!(after.run, SessionRun::Analyzed);
+    assert_eq!(after.metrics.work.get("store.load_rejected"), None);
+    assert_eq!(after.metrics.work["store.sccs_loaded"], saved);
+    assert_eq!(std::fs::read(&path).unwrap(), leftover, "the leftover is left alone");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn degraded_runs_are_never_persisted_and_fault_plans_disable_the_store() {
     let dir = store_dir("degraded");
     let fs = two_unit_fs(UTIL_C);

@@ -18,11 +18,7 @@
 //! * **store-replay** — a persisted session replayed from its manifest;
 //! * **incremental** — a store populated from an edited *variant* of the
 //!   program, then the real program checked against it (dirty-region
-//!   re-analysis over a seeded cache);
-//! * **sharded** — the call-graph SCC DAG partitioned across several shard
-//!   workers that populate a shared store through segment files (run
-//!   in-process, seed-varied worker count), then the coordinator's final
-//!   check over the merged store.
+//!   re-analysis over a seeded cache).
 //!
 //! A **divergence** is any difference in the `safeflow-report-v1` JSON
 //! document after stripping the sections the observability contract
@@ -52,19 +48,14 @@ pub enum OracleConfig {
     /// A store populated from an edited variant, then the real program
     /// checked against it (dirty-region re-analysis).
     Incremental,
-    /// Shard workers (2–4, seed-varied) populate a shared store through
-    /// segment files, then the coordinator's final check runs over the
-    /// merged store — the in-process equivalent of `check --shards N`.
-    Sharded,
 }
 
 /// All configurations, in the fixed order the oracle runs them.
-pub const ALL_CONFIGS: [OracleConfig; 5] = [
+pub const ALL_CONFIGS: [OracleConfig; 4] = [
     OracleConfig::Parallel,
     OracleConfig::WarmCache,
     OracleConfig::StoreReplay,
     OracleConfig::Incremental,
-    OracleConfig::Sharded,
 ];
 
 impl OracleConfig {
@@ -75,14 +66,11 @@ impl OracleConfig {
             OracleConfig::WarmCache => "warm-cache",
             OracleConfig::StoreReplay => "store-replay",
             OracleConfig::Incremental => "incremental",
-            OracleConfig::Sharded => "sharded",
         }
     }
 
     /// Whether comparing this configuration against the reference crosses
-    /// cache states (which widens the stripping contract). `Sharded`
-    /// qualifies: its final run hits the worker-populated store where the
-    /// reference runs cold.
+    /// cache states (which widens the stripping contract).
     fn across_cache_states(self) -> bool {
         !matches!(self, OracleConfig::Parallel)
     }
@@ -277,12 +265,6 @@ fn compare_config(
             let _ = std::fs::remove_dir_all(&dir);
             doc
         }
-        OracleConfig::Sharded => {
-            let dir = scratch_dir(seed, "shard");
-            let doc = sharded_doc(&files, &dir, seed);
-            let _ = std::fs::remove_dir_all(&dir);
-            doc
-        }
     };
     let actual = stripped_str(&actual, config.across_cache_states());
     (reference, actual)
@@ -335,33 +317,6 @@ fn incremental_doc(shape: &OracleShape, files: &[(String, String)], dir: &Path) 
     // recomputes over the store-seeded cache.
     match AnalysisSession::with_store(AnalysisConfig::reference(), dir) {
         Ok(mut s) => match s.check(root, &vfs(files)) {
-            Ok(outcome) => outcome.report_json.render(),
-            Err(e) => format!("{{\"analysis_error\":\"{e}\"}}"),
-        },
-        Err(e) => format!("{{\"analysis_error\":\"{e}\"}}"),
-    }
-}
-
-/// The sharded-coordination pipeline run in-process: every shard worker
-/// summarizes its compute closure into `dir`'s segment files (exactly the
-/// code path `safeflow shard-worker` runs, minus the process boundary),
-/// then a fresh session's exclusive open merges the segments and the final
-/// check runs over the warm store. The worker count varies with the seed
-/// (2–4) so the window exercises every supported fan-out.
-fn sharded_doc(files: &[(String, String)], dir: &Path, seed: u64) -> String {
-    let _ = std::fs::remove_dir_all(dir);
-    let fs = vfs(files);
-    let root = root_of(files);
-    let shards = 2 + (seed as usize % 3);
-    for shard in 0..shards {
-        if let Err(e) =
-            safeflow::shard::run_worker(&AnalysisConfig::reference(), root, &fs, dir, shard, shards)
-        {
-            return format!("{{\"analysis_error\":\"{e}\"}}");
-        }
-    }
-    match AnalysisSession::with_store(AnalysisConfig::reference(), dir) {
-        Ok(mut s) => match s.check(root, &fs) {
             Ok(outcome) => outcome.report_json.render(),
             Err(e) => format!("{{\"analysis_error\":\"{e}\"}}"),
         },
@@ -491,7 +446,7 @@ mod tests {
     #[test]
     fn small_seed_window_has_no_divergences() {
         let report = run(&OracleOptions { seed_lo: 0, seed_hi: 6, ..Default::default() });
-        assert_eq!(report.comparisons, 30);
+        assert_eq!(report.comparisons, 24);
         assert!(
             report.divergences.is_empty(),
             "optimized engines diverged from reference:\n{}",

@@ -39,7 +39,7 @@ use safeflow_syntax::VirtualFs;
 use safeflow_util::fault::{FaultKind, FaultPlan, FaultSite};
 use safeflow_util::hash::Fnv64;
 use safeflow_util::metrics::{Class, Metrics, MetricsSnapshot};
-use safeflow_util::pool::panic_message;
+use safeflow_util::pool::{lock_recover, panic_message};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hasher;
 use std::io::Read;
@@ -47,7 +47,7 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Configuration for a [`Daemon`].
@@ -205,17 +205,7 @@ impl Daemon {
         let local = listener.local_addr()?;
         let workers = opts.workers.max(1);
         let watch_poll = opts.watch_poll_ms;
-        let shared = Arc::new(Shared {
-            opts,
-            queue: Mutex::new(QueueState { jobs: VecDeque::new(), in_flight: 0 }),
-            work: Condvar::new(),
-            drained: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            metrics: Metrics::new(),
-            sessions: Mutex::new(HashMap::new()),
-            live: Mutex::new(HashMap::new()),
-            watched: Mutex::new(HashMap::new()),
-        });
+        let shared = Arc::new(Shared::new(opts));
 
         let mut threads = Vec::new();
         {
@@ -275,9 +265,23 @@ impl DaemonHandle {
 }
 
 impl Shared {
+    fn new(opts: ServeOptions) -> Shared {
+        Shared {
+            opts,
+            queue: Mutex::new(QueueState { jobs: VecDeque::new(), in_flight: 0 }),
+            work: Condvar::new(),
+            drained: Condvar::new(),
+            shutting_down: AtomicBool::new(false),
+            metrics: Metrics::new(),
+            sessions: Mutex::new(HashMap::new()),
+            live: Mutex::new(HashMap::new()),
+            watched: Mutex::new(HashMap::new()),
+        }
+    }
+
     fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
-        let _g = self.queue.lock().unwrap();
+        let _g = lock_recover(&self.queue);
         self.work.notify_all();
         self.drained.notify_all();
     }
@@ -308,9 +312,9 @@ impl Shared {
 
         // Coalesce onto a live identical job if one exists.
         if with_waiter {
-            let live = self.live.lock().unwrap();
+            let live = lock_recover(&self.live);
             if let Some(slot) = live.get(&key) {
-                let mut job = slot.lock().unwrap();
+                let mut job = lock_recover(slot);
                 if let Some(job) = job.as_mut() {
                     job.waiters.push(tx);
                     self.metrics.add(Class::Sched, "serve.coalesced", 1);
@@ -319,7 +323,7 @@ impl Shared {
             }
         }
 
-        let mut q = self.queue.lock().unwrap();
+        let mut q = lock_recover(&self.queue);
         if q.jobs.len() >= self.opts.queue_capacity {
             self.metrics.add(Class::Sched, "serve.shed_overloaded", 1);
             return Err(Status::Overloaded);
@@ -340,7 +344,7 @@ impl Shared {
         // Publish to the live map before releasing the queue lock, so a
         // worker can never pop-and-retire this job before it is visible
         // to coalescers (which would strand a closed slot in the map).
-        self.live.lock().unwrap().insert(key, slot);
+        lock_recover(&self.live).insert(key, slot);
         drop(q);
         self.work.notify_one();
         Ok(with_waiter.then_some(rx))
@@ -349,7 +353,7 @@ impl Shared {
     /// The resident session for `root`, created (and store-attached) on
     /// first use.
     fn session_for(&self, root: &str) -> Arc<Mutex<AnalysisSession>> {
-        let mut sessions = self.sessions.lock().unwrap();
+        let mut sessions = lock_recover(&self.sessions);
         if let Some(s) = sessions.get(root) {
             return Arc::clone(s);
         }
@@ -370,7 +374,7 @@ impl Shared {
     /// Drops `root`'s resident session (after a contained panic): the next
     /// request rebuilds it, warm from the store's last clean state.
     fn evict_session(&self, root: &str) {
-        self.sessions.lock().unwrap().remove(root);
+        lock_recover(&self.sessions).remove(root);
     }
 }
 
@@ -450,9 +454,9 @@ fn serve_request(stream: &mut TcpStream, shared: &Arc<Shared>, req: Request) -> 
             shared.begin_shutdown();
             // Wait for the queue to drain so the client knows every
             // admitted request was answered.
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = lock_recover(&shared.queue);
             while q.in_flight > 0 {
-                q = shared.drained.wait(q).unwrap();
+                q = shared.drained.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
             drop(q);
             let resp = Response::message(Status::ShuttingDown, "drained");
@@ -545,7 +549,7 @@ fn write_response(
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let slot = {
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = lock_recover(&shared.queue);
             loop {
                 if let Some(slot) = q.jobs.pop_front() {
                     break slot;
@@ -553,18 +557,18 @@ fn worker_loop(shared: Arc<Shared>) {
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     return;
                 }
-                q = shared.work.wait(q).unwrap();
+                q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         // Take the job out of its slot: from here on, late coalescers see
         // a closed slot and enqueue fresh.
-        let job = slot.lock().unwrap().take();
+        let job = lock_recover(&slot).take();
         let Some(job) = job else {
             finish_one(&shared);
             continue;
         };
         let response = execute_job(&shared, &job);
-        shared.live.lock().unwrap().remove(&job.key);
+        lock_recover(&shared.live).remove(&job.key);
         let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
         shared.metrics.observe("serve.wait_ns", queue_ns);
         for (i, tx) in job.waiters.iter().enumerate() {
@@ -581,7 +585,7 @@ fn worker_loop(shared: Arc<Shared>) {
 
 /// Marks one admitted job complete, waking drain waiters at zero.
 fn finish_one(shared: &Shared) {
-    let mut q = shared.queue.lock().unwrap();
+    let mut q = lock_recover(&shared.queue);
     q.in_flight -= 1;
     if q.in_flight == 0 {
         shared.drained.notify_all();
@@ -629,8 +633,8 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
     let outcome = {
         // A previous panic poisons the mutex; the poison flag carries no
         // information we don't already handle (the session was evicted),
-        // so clear it.
-        let mut session = session_slot.lock().unwrap_or_else(|p| p.into_inner());
+        // so ignore it.
+        let mut session = lock_recover(&session_slot);
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(plan) = &shared.opts.fault_plan {
                 // Deterministic mid-request panic, inside containment.
@@ -716,10 +720,7 @@ fn register_watch(shared: &Shared, paths: &[String]) {
         return;
     }
     let fingerprints = paths.iter().map(|p| fingerprint(p)).collect();
-    shared
-        .watched
-        .lock()
-        .unwrap()
+    lock_recover(&shared.watched)
         .insert(paths[0].clone(), WatchedRoot { paths: paths.to_vec(), fingerprints });
 }
 
@@ -733,7 +734,7 @@ fn watch_loop(shared: Arc<Shared>, poll_ms: u64) {
         // Collect dirty roots under the lock, re-check outside it.
         let mut dirty: Vec<Vec<String>> = Vec::new();
         {
-            let mut watched = shared.watched.lock().unwrap();
+            let mut watched = lock_recover(&shared.watched);
             for root in watched.values_mut() {
                 let fresh: Vec<Option<(SystemTime, u64)>> =
                     root.paths.iter().map(|p| fingerprint(p)).collect();
@@ -762,4 +763,55 @@ pub fn drain_stream(stream: &mut TcpStream) -> Vec<u8> {
     let mut buf = Vec::new();
     let _ = stream.read_to_end(&mut buf);
     buf
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Poisons `m` the way a contained panic would: a thread panics while
+    /// holding the guard.
+    fn poison<T: Send>(m: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _guard = m.lock();
+                    panic!("poisoning the lock on purpose");
+                })
+                .join();
+        });
+        assert!(m.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_session_map_still_serves_and_evicts() {
+        let shared = Shared::new(ServeOptions::default());
+        let first = shared.session_for("a.c");
+        poison(&shared.sessions);
+        assert!(Arc::ptr_eq(&first, &shared.session_for("a.c")), "resident session survives");
+        shared.evict_session("a.c");
+        assert!(!Arc::ptr_eq(&first, &shared.session_for("a.c")), "eviction still rebuilds");
+    }
+
+    #[test]
+    fn poisoned_queue_still_admits_and_executes() {
+        let shared = Arc::new(Shared::new(ServeOptions::default()));
+        poison(&shared.queue);
+        let kind = CheckKind::Inline {
+            root: "main.c".to_string(),
+            files: vec![("main.c".to_string(), "int main() { return 0; }".to_string())],
+        };
+        let rx = shared.submit(kind, None, true).expect("admitted").expect("has a waiter");
+        assert_eq!(lock_recover(&shared.queue).in_flight, 1);
+
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(shared))
+        };
+        let resp = rx.recv().expect("the worker answers");
+        assert_eq!(resp.status, Status::Clean);
+        shared.begin_shutdown();
+        worker.join().expect("worker exits on shutdown");
+        assert_eq!(lock_recover(&shared.queue).in_flight, 0);
+    }
 }
