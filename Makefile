@@ -14,7 +14,7 @@ help:
 	@echo "SafeFlow make targets:"
 	@echo "  build            release build of the whole workspace"
 	@echo "  test             cargo test -q (full suite)"
-	@echo "  lint             rustfmt --check + clippy -D warnings"
+	@echo "  lint             rustfmt --check + clippy -D warnings (incl. sfbench)"
 	@echo "  bench            paper-evaluation benches (cargo bench)"
 	@echo "  sfbench          BENCHMARK.json workload W (default cold), traced"
 	@echo "                   per-layer run, seed 1, 20 s"
@@ -42,9 +42,13 @@ build:
 test:
 	$(CARGO) test -q
 
+# sfbench/ is a workspace of its own, so it is linted by manifest path:
+# a core API change must not break the benchmark unnoticed.
 lint:
 	$(CARGO) fmt --all --check
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+	$(CARGO) fmt --check --manifest-path sfbench/Cargo.toml
+	$(CARGO) clippy --offline --all-targets --manifest-path sfbench/Cargo.toml -- -D warnings
 
 bench:
 	$(CARGO) bench -q -p safeflow-bench

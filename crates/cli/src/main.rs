@@ -660,7 +660,7 @@ fn emit_result(
     if out.format_json {
         println!("{}", analyzer.report_json(result).render());
     } else {
-        print!("{}", result.report.render(&result.sources));
+        print!("{}", result.render());
     }
     if out.dot {
         emit_dot(result);

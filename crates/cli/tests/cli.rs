@@ -89,6 +89,22 @@ fn analyzes_file_from_disk() {
 }
 
 #[test]
+fn plain_run_and_check_print_the_same_frontend_warnings() {
+    let dir = std::env::temp_dir().join(format!("safeflow_cli_arity_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("arity.c");
+    std::fs::write(&path, "int f(int a) { return a; }\nint main() { return f(1, 2); }\n").unwrap();
+    let path = path.to_str().unwrap();
+    let plain = safeflow().arg(path).output().expect("runs");
+    let check = safeflow().args(["check", "--engine", "context", path]).output().expect("runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = String::from_utf8_lossy(&plain.stdout);
+    assert!(text.contains("warning: too many arguments to `f`"), "{text}");
+    assert_eq!(text, String::from_utf8_lossy(&check.stdout));
+    assert_eq!(plain.status.code(), check.status.code());
+}
+
+#[test]
 fn dot_flag_emits_graphviz() {
     let out = safeflow().args(["--fig2", "--dot"]).output().expect("runs");
     let text = String::from_utf8_lossy(&out.stdout);

@@ -35,7 +35,8 @@
 //! compile until it is hashed.
 
 use crate::config::AnalysisConfig;
-use crate::regions::{RegionId, RegionMap};
+use crate::regions::RegionMap;
+use crate::scope::Scope;
 use crate::shmptr::ShmPointers;
 use crate::summary::Summary;
 use safeflow_ir::{CallGraph, Callee, FuncId, GlobalId, InstKind, Module, Terminator, Type, Value};
@@ -45,7 +46,7 @@ use safeflow_syntax::span::Span;
 use safeflow_util::hash::Fnv64;
 use safeflow_util::lock_recover;
 use safeflow_util::metrics::{Class, Metrics};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -154,7 +155,7 @@ pub(crate) fn scc_hashes(
     noncore_sockets: &BTreeSet<GlobalId>,
     callgraph: &CallGraph,
     deps: &[Vec<usize>],
-    assumed_of: &HashMap<FuncId, BTreeMap<RegionId, u64>>,
+    assumed_of: &HashMap<FuncId, Scope>,
     metrics: &Metrics,
 ) -> Vec<u64> {
     let t0 = std::time::Instant::now();
@@ -213,9 +214,19 @@ fn env_hash(
     for g in &module.globals {
         h.write_str(&g.name);
     }
+    hash_summary_config(&mut h, config);
+    h.finish()
+}
+
+/// Folds in the configuration every summary reads: control-dependence
+/// tracking, the critical calls with their clearances, the recv specs, the
+/// normalized label policy and the entry point. Lists are hashed sorted
+/// and the policy normalized, because neither list order nor label
+/// declaration order is semantic: configs differing only there must share
+/// summaries and stored entries. [`crate::store::config_hash`] keys the
+/// store with the same helper.
+pub(crate) fn hash_summary_config(h: &mut Fnv64, config: &AnalysisConfig) {
     h.write_u8(config.track_control_dependence as u8);
-    // Sorted: list order is not semantic, and summary content hashes must
-    // agree between configs that differ only in flag order.
     let mut calls: Vec<_> = config.implicit_critical_calls.iter().collect();
     calls.sort();
     for call in calls {
@@ -230,14 +241,10 @@ fn env_hash(
         h.write_usize(spec.sock_arg);
         h.write_usize(spec.buf_arg);
     }
-    // The normalized label policy: declaration order is not semantic, but
-    // the compiled lattice (and therefore every summary) depends on the
-    // label set, the declassifier pairs, and the implicit-flow mode.
     let mut policy_bytes = Vec::new();
     config.policy.clone().normalized().encode_into(&mut policy_bytes);
     h.write(&policy_bytes);
     h.write_str(&config.entry);
-    h.finish()
 }
 
 /// Content signature of one function: everything `summarize_function`
@@ -250,7 +257,7 @@ fn function_sig(
     shm: &ShmPointers,
     pt: &PointsTo,
     fid: FuncId,
-    assumed: Option<&BTreeMap<RegionId, u64>>,
+    assumed: Option<&Scope>,
 ) -> u64 {
     let func = module.function(fid);
     let mut h = Fnv64::new();
@@ -589,6 +596,7 @@ mod tests {
     use safeflow_syntax::diag::Diagnostics;
     use safeflow_syntax::parse_source;
     use safeflow_syntax::span::FileId;
+    use std::collections::BTreeMap;
 
     fn hashes_for(src: &str) -> (Vec<String>, Vec<u64>) {
         let pr = parse_source("t.c", src);
@@ -602,7 +610,7 @@ mod tests {
         let cg = CallGraph::build(&m);
         let config = AnalysisConfig::default();
         let deps = cg.scc_dependencies();
-        let assumed: HashMap<FuncId, BTreeMap<RegionId, u64>> = HashMap::new();
+        let assumed: HashMap<FuncId, Scope> = HashMap::new();
         let metrics = Metrics::new();
         let hs = scc_hashes(
             &m,

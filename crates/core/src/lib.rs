@@ -70,6 +70,7 @@ pub mod policy;
 pub mod regions;
 pub mod report;
 pub mod restrict;
+mod scope;
 pub mod session;
 pub mod shmptr;
 mod store;

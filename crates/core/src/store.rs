@@ -256,33 +256,10 @@ pub(crate) fn config_hash(config: &crate::AnalysisConfig) -> u64 {
         crate::Engine::ContextSensitive => 0,
         crate::Engine::Summary => 1,
     });
-    h.write_str(&config.entry);
+    crate::engine::hash_summary_config(&mut h, config);
     h.write_usize(config.max_contexts);
-    h.write_u8(config.track_control_dependence as u8);
-    // Hash the external-function lists in sorted order: configurations
-    // that differ only in list order are the same configuration, and a
-    // warm `safeflow check` must not miss replay over flag order. The
-    // builder normalizes too, but hand-built configs reach here unsorted.
-    let mut calls: Vec<_> = config.implicit_critical_calls.iter().collect();
-    calls.sort();
-    for call in calls {
-        h.write_str(&call.name);
-        h.write_usize(call.arg);
-        h.write_str(call.clearance.as_deref().unwrap_or(""));
-    }
-    let mut recvs: Vec<_> = config.recv_functions.iter().collect();
-    recvs.sort();
-    for spec in recvs {
-        h.write_str(&spec.name);
-        h.write_usize(spec.sock_arg);
-        h.write_usize(spec.buf_arg);
-    }
-    // The label policy, in normalized form: two policies differing only in
-    // declaration order are the same policy and must warm-replay against
-    // each other's stored entries (the flag-order rule, extended).
-    let mut policy_bytes = Vec::new();
-    config.policy.clone().normalized().encode_into(&mut policy_bytes);
-    h.write(&policy_bytes);
+    // Sorted, like the summary inputs: flag order must not miss a warm
+    // replay.
     let mut deallocs: Vec<_> = config.dealloc_functions.iter().collect();
     deallocs.sort();
     for name in deallocs {

@@ -33,12 +33,12 @@ use crate::regions::{RegionId, RegionMap};
 use crate::report::{
     Degradation, DegradationKind, DependencyKind, ErrorDependency, FlowNode, Warning,
 };
+use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use crate::taint::{TaintResults, TaintVal};
 use safeflow_dataflow::{ControlDeps, PostDomTree};
 use safeflow_ir::{BlockId, CallGraph, Cfg, FuncId, InstId, InstKind, Module, Terminator, Value};
 use safeflow_points_to::{ObjId, PointsTo};
-use safeflow_syntax::annot::Annotation;
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
@@ -261,7 +261,10 @@ impl Summary {
 /// `config.jobs` worker threads, and each SCC's summaries are served from
 /// `cache` when its content hash matches a prior run (see
 /// [`crate::engine`]). Results are bit-identical for every `jobs` value
-/// and for warm vs cold caches.
+/// and for warm vs cold caches. An SCC iterates its members to a fixpoint,
+/// except a singleton whose member does not call itself: its summary never
+/// reads itself, so a second round would only reproduce the first, and it
+/// stops after one.
 ///
 /// A panic inside one SCC's task (or an exhausted budget) degrades that
 /// SCC — and only it — to conservative top: independent SCCs complete,
@@ -285,57 +288,11 @@ pub(crate) fn analyze_summaries(
     deadline: Option<Instant>,
     metrics: &Metrics,
 ) -> TaintResults {
-    let outcome = summarize_sccs(
-        module, regions, shm, pt, callgraph, config, table, cache, deadline, metrics,
-    );
-    build_report(module, regions, shm, pt, callgraph, config, table, outcome)
-}
-
-/// The engine half of a summary run: everything [`build_report`] needs
-/// from the bottom-up SCC traversal.
-pub(crate) struct SummarizeOutcome {
-    pub(crate) notes: Vec<String>,
-    pub(crate) assumed_of: HashMap<FuncId, BTreeMap<RegionId, u64>>,
-    /// Per-SCC result: the members' summaries plus the tainted flag.
-    /// `None` means the task panicked (readers substitute [`Summary::top`]).
-    pub(crate) results: Vec<Option<(Arc<Vec<Summary>>, bool)>>,
-    pub(crate) degradations: Vec<Degradation>,
-    pub(crate) degraded_sccs: Vec<usize>,
-}
-
-/// Bottom-up summarization over call-graph SCCs — the engine half of
-/// [`analyze_summaries`].
-///
-/// An SCC iterates its members to a fixpoint, except a singleton whose
-/// member does not call itself: its summary never reads itself, so a
-/// second round would only reproduce the first, and it stops after one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn summarize_sccs(
-    module: &Module,
-    regions: &RegionMap,
-    shm: &ShmPointers,
-    pt: &PointsTo,
-    callgraph: &CallGraph,
-    config: &AnalysisConfig,
-    table: &LabelTable,
-    cache: &SummaryCache,
-    deadline: Option<Instant>,
-    metrics: &Metrics,
-) -> SummarizeOutcome {
-    let noncore_sockets = find_noncore_sockets(module, regions);
-    let mut notes = Vec::new();
-
-    // Assume scopes first, sequentially in definition order: they feed the
-    // report's init-check notes on *every* run (cache-warm included) and
-    // are part of each function's cache key.
-    let mut assumed_of: HashMap<FuncId, BTreeMap<RegionId, u64>> = HashMap::new();
-    for fid in module.definitions() {
-        let func = module.function(fid);
-        if func.is_shminit() || func.blocks.is_empty() {
-            continue;
-        }
-        assumed_of.insert(fid, own_declass(module, regions, shm, table, fid, &mut notes));
-    }
+    let noncore_sockets = scope::find_noncore_sockets(module, regions);
+    // Assume scopes first: they feed the report's init-check notes on
+    // *every* run (cache-warm included) and are part of each function's
+    // cache key.
+    let (assumed_of, mut notes) = scope::own_scopes(module, regions, shm, table);
 
     // Content hashes chained bottom-up over the SCC DAG, then one cache
     // probe per SCC (counters tally per member function).
@@ -577,35 +534,9 @@ pub(crate) fn summarize_sccs(
         }
     }
 
-    SummarizeOutcome {
-        notes,
-        assumed_of,
-        results: slots.into_iter().map(OnceLock::into_inner).collect(),
-        degradations,
-        degraded_sccs,
-    }
-}
-
-/// The report half of [`analyze_summaries`]: module-wide object taint,
-/// root evaluation, the conservative degraded-scope sweep, and assembly of
-/// [`TaintResults`] from a [`SummarizeOutcome`].
-#[allow(clippy::too_many_arguments)]
-fn build_report(
-    module: &Module,
-    regions: &RegionMap,
-    shm: &ShmPointers,
-    pt: &PointsTo,
-    callgraph: &CallGraph,
-    config: &AnalysisConfig,
-    table: &LabelTable,
-    outcome: SummarizeOutcome,
-) -> TaintResults {
-    let SummarizeOutcome { mut notes, assumed_of, results, degradations, degraded_sccs, .. } =
-        outcome;
-
     let mut summaries: HashMap<FuncId, Summary> = HashMap::new();
     for (i, scc) in callgraph.sccs.iter().enumerate() {
-        match &results[i] {
+        match slots[i].get() {
             Some((arc, _)) => {
                 for (k, &fid) in scc.iter().enumerate() {
                     summaries.insert(fid, arc[k].clone());
@@ -705,19 +636,6 @@ fn build_report(
         }
     }
 
-    // Per-sink clearance masks: flows at or below a critical call's
-    // declared clearance label are permitted to reach it. Assert anchors
-    // always have clearance ⊥ (their key is the asserted variable name,
-    // never present in this map).
-    let clearance_of: BTreeMap<String, u64> = config
-        .implicit_critical_calls
-        .iter()
-        .map(|c| {
-            let mask = c.clearance.as_deref().and_then(|n| table.mask_of(n)).unwrap_or(0);
-            (format!("{}:arg{}", c.name, c.arg), mask)
-        })
-        .collect();
-
     // Evaluate sinks and collect warnings at *roots* only: the entry point
     // plus every defined function not reachable from it. Sites inside
     // helpers reached exclusively through monitors were filtered out while
@@ -759,12 +677,19 @@ fn build_report(
                 region: *rid,
                 region_name,
                 span: *span,
-                label: finding_label(table, effective),
+                label: table.finding_label(effective),
             });
         }
         for sink in &s.sinks {
-            // Parameters of roots are clean; other sources decide.
-            let clear = clearance_of.get(&sink.critical).copied().unwrap_or(0);
+            // Parameters of roots are clean; other sources decide. Flows
+            // at or below a critical call's clearance may reach it; an
+            // assert anchor (keyed by its variable) has clearance ⊥.
+            let clear = config
+                .implicit_critical_calls
+                .iter()
+                .rev()
+                .find(|c| sink.critical == format!("{}:arg{}", c.name, c.arg))
+                .map_or(0, |c| table.clearance(c));
             let mut worst: Option<(bool, Option<RegionId>, u64)> = None; // (ctl_only, region, leak)
             for f in &sink.sources {
                 let v = source_val(f, &unsafe_objs);
@@ -811,7 +736,7 @@ fn build_report(
                     function: sink.function.clone(),
                     span: sink.span,
                     kind: if ctl_only { DependencyKind::ControlOnly } else { DependencyKind::Data },
-                    label: finding_label(table, leak_mask),
+                    label: table.finding_label(leak_mask),
                     flow: Some(FlowNode::step(
                         format!("reaches critical `{}`", sink.critical),
                         sink.span,
@@ -850,20 +775,11 @@ fn build_report(
             continue;
         }
         let assumed = assumed_of.get(&fid).cloned().unwrap_or_default();
-        let local_assumed_params: BTreeSet<u32> = func
-            .annotations
-            .iter()
-            .filter_map(|a| match a {
-                Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
-                    func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
-                }
-                _ => None,
-            })
-            .collect();
+        let local_assumed_params = scope::assumed_params(func);
         for (_, inst) in func.iter_insts() {
             match &inst.kind {
                 InstKind::Load { ptr } => {
-                    if derives_from_assumed_param(func, ptr, &local_assumed_params, 0) {
+                    if scope::derives_from_assumed_param(func, ptr, &local_assumed_params, 0) {
                         continue;
                     }
                     for fact in shm.regions_of(fid, ptr) {
@@ -881,7 +797,7 @@ fn build_report(
                                 region: fact.region,
                                 region_name: region.name.clone(),
                                 span: inst.span,
-                                label: finding_label(table, effective),
+                                label: table.finding_label(effective),
                             });
                     }
                 }
@@ -891,7 +807,7 @@ fn build_report(
                         var.clone(),
                         func,
                         inst.span,
-                        finding_label(table, table.top()),
+                        table.finding_label(table.top()),
                     );
                 }
                 InstKind::Call { callee, args } => {
@@ -901,11 +817,7 @@ fn build_report(
                             if cname == name && args.get(*argi).is_some() {
                                 // Even conservative top is no leak when the
                                 // sink's clearance covers the whole lattice.
-                                let clear = clearance_of
-                                    .get(&format!("{cname}:arg{argi}"))
-                                    .copied()
-                                    .unwrap_or(0);
-                                let leak = table.top() & !clear;
+                                let leak = table.top() & !table.clearance(call);
                                 if leak == 0 {
                                     continue;
                                 }
@@ -914,7 +826,7 @@ fn build_report(
                                     format!("{name}:arg{argi}"),
                                     func,
                                     inst.span,
-                                    finding_label(table, leak),
+                                    table.finding_label(leak),
                                 );
                             }
                         }
@@ -981,130 +893,14 @@ fn summary_eq(a: &Summary, b: &Summary) -> bool {
             .all(|(x, y)| x.sources == y.sources && x.critical == y.critical && x.span == y.span)
 }
 
-fn find_noncore_sockets(module: &Module, regions: &RegionMap) -> BTreeSet<safeflow_ir::GlobalId> {
-    let mut out = BTreeSet::new();
-    for fid in module.definitions() {
-        for ann in &module.function(fid).annotations {
-            if let Annotation::Noncore { target, .. } = ann {
-                if let Some(g) = module.global_by_name(target) {
-                    if regions.by_global(g).is_none() {
-                        out.insert(g);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Label attached to report findings: `None` under the default two-point
-/// policy (keeps the v1 report byte-identical), the mask's joined label
-/// name otherwise.
-fn finding_label(table: &LabelTable, mask: u64) -> Option<String> {
-    if table.is_default() {
-        None
-    } else {
-        Some(table.name_of(mask))
-    }
-}
-
-/// The declassification scope a function's own `assume(core(...))` and
-/// `assume(declassify(...))` annotations establish: region → the mask its
-/// reads carry inside this scope (`0` = fully monitored). Multiple
-/// annotations on one region meet (`&`) — monitoring only ever narrows.
-/// Must stay in lock-step with `Engine::base_ctx` in [`crate::taint`]:
-/// note strings and licensing checks feed both engines' reports.
-fn own_declass(
-    module: &Module,
-    regions: &RegionMap,
-    shm: &ShmPointers,
-    table: &LabelTable,
-    fid: FuncId,
-    notes: &mut Vec<String>,
-) -> BTreeMap<RegionId, u64> {
-    let mut declass = BTreeMap::new();
-    let func = module.function(fid);
-    for ann in &func.annotations {
-        let (fact, ptr, offset, size, to) = match ann {
-            Annotation::AssumeCore { ptr, offset, size, .. } => ("core", ptr, offset, size, None),
-            Annotation::AssumeDeclassify { ptr, offset, size, to, .. } => {
-                ("declassify", ptr, offset, size, Some(to.as_str()))
-            }
-            _ => continue,
-        };
-        let mut rids: BTreeSet<RegionId> = BTreeSet::new();
-        if let Some(g) = module.global_by_name(ptr) {
-            if let Some(r) = regions.by_global(g) {
-                rids.insert(r);
-            } else {
-                rids.extend(shm.global_regions(g).into_iter().map(|p| p.region));
-            }
-        } else if let Some(i) = func.params.iter().position(|p| p.name == *ptr) {
-            rids.extend(shm.regions_of(fid, &Value::Param(i as u32)).into_iter().map(|p| p.region));
-        }
-        if rids.is_empty() {
-            notes.push(format!(
-                "assume({fact}({ptr}, ...)) in `{}` names no known shared-memory pointer; ignored",
-                func.name
-            ));
-            continue;
-        }
-        let to_mask = match to {
-            None => 0,
-            Some(name) => match table.mask_of(name) {
-                Some(m) => m,
-                None => {
-                    notes.push(format!(
-                        "assume(declassify({ptr}, ..., {name})) in `{}` names unknown label `{name}`; ignored",
-                        func.name
-                    ));
-                    continue;
-                }
-            },
-        };
-        let off = crate::regions::eval_ann_expr(module, offset);
-        let sz = crate::regions::eval_ann_expr(module, size);
-        for rid in rids {
-            let region = regions.region(rid);
-            match (off, sz) {
-                (Some(0), Some(s)) if s as u64 == region.size => {
-                    let from = table.region_source_mask(rid.0, region.noncore);
-                    let licensed = region.label.is_none() && to_mask == 0
-                        || table.may_declassify(from, to_mask);
-                    if !licensed {
-                        notes.push(format!(
-                            "assume({fact}({ptr}, ...)) in `{}`: policy has no declassifier({}, {}); annotation is ineffective",
-                            func.name,
-                            table.name_of(from),
-                            table.name_of(to_mask)
-                        ));
-                        continue;
-                    }
-                    let e = declass.entry(rid).or_insert(to_mask);
-                    *e &= to_mask;
-                }
-                _ => notes.push(format!(
-                    "assume({fact}({ptr}, ...)) in `{}` does not span the whole region `{}` ({} bytes); annotation is ineffective",
-                    func.name, region.name, region.size
-                )),
-            }
-        }
-    }
-    declass
-}
-
 /// Loop-invariant per-function inputs to summarization.
 struct FnGraphs {
     cfg: Cfg,
     cd: ControlDeps,
-    assumed: BTreeMap<RegionId, u64>,
+    assumed: Scope,
 }
 
-fn build_fn_graphs(
-    module: &Module,
-    assumed_of: &HashMap<FuncId, BTreeMap<RegionId, u64>>,
-    fid: FuncId,
-) -> FnGraphs {
+fn build_fn_graphs(module: &Module, assumed_of: &HashMap<FuncId, Scope>, fid: FuncId) -> FnGraphs {
     let func = module.function(fid);
     let cfg = Cfg::build(func);
     let pdom = PostDomTree::build(func, &cfg);
@@ -1175,19 +971,7 @@ fn summarize_function(
     }
     let FnGraphs { cfg, cd, assumed } = graphs;
 
-    // Parameters covered by a local assume(core(param, ...)) or
-    // assume(declassify(param, ...)) — §3.4.3's received-buffer monitoring
-    // form: loads through them are monitored.
-    let local_assumed_params: BTreeSet<u32> = func
-        .annotations
-        .iter()
-        .filter_map(|a| match a {
-            Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
-                func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
-            }
-            _ => None,
-        })
-        .collect();
+    let local_assumed_params = scope::assumed_params(func);
 
     let mut vals: HashMap<InstId, SymSet> = HashMap::new();
     let mut block_ctl: HashMap<BlockId, SymSet> = HashMap::new();
@@ -1248,7 +1032,7 @@ fn summarize_function(
                 match &inst.kind {
                     InstKind::Load { ptr } => {
                         let locally_assumed =
-                            derives_from_assumed_param(func, ptr, &local_assumed_params, 0);
+                            scope::derives_from_assumed_param(func, ptr, &local_assumed_params, 0);
                         for fact in shm.regions_of(fid, ptr) {
                             let region = regions.region(fact.region);
                             let declared = table.region_source_mask(fact.region.0, region.noncore);
@@ -1334,7 +1118,7 @@ fn summarize_function(
                             for spec in &config.recv_functions {
                                 if spec.name == name {
                                     let sock_noncore = args.get(spec.sock_arg).is_some_and(|a| {
-                                        socket_is_noncore(func, a, noncore_sockets)
+                                        scope::socket_is_noncore(func, a, noncore_sockets)
                                     });
                                     if sock_noncore {
                                         if let Some(buf) = args.get(spec.buf_arg) {
@@ -1465,44 +1249,4 @@ fn summarize_function(
         }
     }
     (s, converged)
-}
-
-/// Whether a pointer value derives (through field/element/cast chains)
-/// from a parameter covered by a local `assume(core(param, ...))`.
-fn derives_from_assumed_param(
-    func: &safeflow_ir::Function,
-    v: &Value,
-    assumed: &BTreeSet<u32>,
-    depth: usize,
-) -> bool {
-    if depth > 16 {
-        return false;
-    }
-    match v {
-        Value::Param(i) => assumed.contains(i),
-        Value::Inst(id) => match &func.inst(*id).kind {
-            InstKind::FieldAddr { base, .. }
-            | InstKind::ElemAddr { base, .. }
-            | InstKind::Cast { value: base, .. } => {
-                derives_from_assumed_param(func, base, assumed, depth + 1)
-            }
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
-fn socket_is_noncore(
-    func: &safeflow_ir::Function,
-    sock: &Value,
-    noncore_sockets: &BTreeSet<safeflow_ir::GlobalId>,
-) -> bool {
-    match sock {
-        Value::Inst(id) => match &func.inst(*id).kind {
-            InstKind::Load { ptr: Value::Global(g) } => noncore_sockets.contains(g),
-            InstKind::Cast { value, .. } => socket_is_noncore(func, value, noncore_sockets),
-            _ => false,
-        },
-        _ => false,
-    }
 }

@@ -23,19 +23,19 @@
 //! every clearance is `trusted` (⊥), which collapses [`TaintVal`] to the
 //! paper's three-point `Clean < Control < Data` lattice byte-for-byte.
 
-use crate::config::{AnalysisConfig, CriticalCall};
+use crate::config::AnalysisConfig;
 use crate::policy::LabelTable;
 use crate::regions::{RegionId, RegionMap};
 use crate::report::{
     Degradation, DegradationKind, DependencyKind, ErrorDependency, FlowNode, Warning,
 };
+use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use safeflow_dataflow::{ControlDeps, PostDomTree};
 use safeflow_ir::{
     BlockId, Callee, Cfg, FuncId, Function, InstId, InstKind, Module, Terminator, Value,
 };
 use safeflow_points_to::{ObjId, PointsTo};
-use safeflow_syntax::annot::Annotation;
 use safeflow_util::metrics::{Class, Metrics};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -172,7 +172,7 @@ impl Taint {
 struct Ctx {
     /// Declassification scope, per §3.1 generalized: region → the label
     /// mask reads of it carry inside this scope (`0` = assumed core).
-    declass: BTreeMap<RegionId, u64>,
+    declass: Scope,
     /// Label value of each parameter (masks only; origins are kept
     /// separately to keep the memo key small and the fixpoint monotone).
     params: Vec<TaintVal>,
@@ -222,6 +222,7 @@ pub fn analyze_taint(
     deadline: Option<Instant>,
     metrics: &Metrics,
 ) -> TaintResults {
+    let (own_scopes, notes) = scope::own_scopes(module, regions, shm, table);
     let mut eng = Engine {
         module,
         regions,
@@ -232,8 +233,9 @@ pub fn analyze_taint(
         memo: HashMap::new(),
         in_progress: BTreeSet::new(),
         obj_taint: BTreeMap::new(),
-        noncore_sockets: find_noncore_sockets(module, regions),
-        notes: Vec::new(),
+        noncore_sockets: scope::find_noncore_sockets(module, regions),
+        own_scopes,
+        notes,
         cfg_cache: HashMap::new(),
         obj_dirty: false,
         deadline,
@@ -260,7 +262,7 @@ pub fn analyze_taint(
         let mut analyzed_roots: BTreeSet<FuncId> = BTreeSet::new();
         if let Some(e) = entry {
             if module.function(e).is_definition {
-                let ctx = eng.base_ctx(e, &BTreeMap::new(), &[]);
+                let ctx = eng.base_ctx(e, &Scope::new(), &[]);
                 eng.analyze(e, ctx);
                 analyzed_roots.insert(e);
             }
@@ -272,7 +274,7 @@ pub fn analyze_taint(
             let already = eng.memo.keys().any(|(f, _)| *f == fid);
             if !already {
                 let nparams = module.function(fid).params.len();
-                let ctx = eng.base_ctx(fid, &BTreeMap::new(), &vec![TaintVal::bot(); nparams]);
+                let ctx = eng.base_ctx(fid, &Scope::new(), &vec![TaintVal::bot(); nparams]);
                 eng.analyze(fid, ctx);
             }
         }
@@ -347,24 +349,6 @@ pub fn analyze_taint(
     }
 }
 
-/// Globals annotated `noncore(...)` that are not shm regions: socket /
-/// descriptor variables for the §3.4.3 message-passing extension.
-fn find_noncore_sockets(module: &Module, regions: &RegionMap) -> BTreeSet<safeflow_ir::GlobalId> {
-    let mut out = BTreeSet::new();
-    for fid in module.definitions() {
-        for ann in &module.function(fid).annotations {
-            if let Annotation::Noncore { target, .. } = ann {
-                if let Some(g) = module.global_by_name(target) {
-                    if regions.by_global(g).is_none() {
-                        out.insert(g);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 struct Engine<'a> {
     module: &'a Module,
     regions: &'a RegionMap,
@@ -378,6 +362,8 @@ struct Engine<'a> {
     /// DSA-backed memory reasoning).
     obj_taint: BTreeMap<ObjId, Taint>,
     noncore_sockets: BTreeSet<safeflow_ir::GlobalId>,
+    /// Each function's own assume/declassify scope.
+    own_scopes: HashMap<FuncId, Scope>,
     notes: Vec<String>,
     cfg_cache: HashMap<FuncId, (Cfg, ControlDeps)>,
     /// Set when a memory-object taint was raised; forces another local
@@ -397,25 +383,6 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// The clearance mask of an implicitly-critical call argument:
-    /// `trusted` (0) unless the config names a declared label. Unknown
-    /// names resolve to `trusted` — the most conservative clearance —
-    /// and are reported as notes at policy-compile time.
-    fn clearance_mask(&self, call: &CriticalCall) -> u64 {
-        call.clearance.as_deref().and_then(|n| self.table.mask_of(n)).unwrap_or(0)
-    }
-
-    /// The label a finding reports, under non-default policies only (the
-    /// default two-point policy keeps label-free findings for byte
-    /// identity with historical reports).
-    fn finding_label(&self, mask: u64) -> Option<String> {
-        if self.table.is_default() {
-            None
-        } else {
-            Some(self.table.name_of(mask))
-        }
-    }
-
     /// The flow-path source description for a region read at `mask`.
     fn read_source_desc(&self, region_name: &str, func_name: &str, mask: u64) -> String {
         if self.table.is_default() {
@@ -429,113 +396,11 @@ impl<'a> Engine<'a> {
     }
 
     /// The context a function runs in, given the caller's declassification
-    /// scope and argument labels: its own `assume(core(...))` /
-    /// `assume(declassify(...))` annotations extend the scope (and apply
-    /// recursively to callees, §3.1).
-    fn base_ctx(
-        &mut self,
-        fid: FuncId,
-        inherited: &BTreeMap<RegionId, u64>,
-        params: &[TaintVal],
-    ) -> Ctx {
-        let mut declass = inherited.clone();
-        let func = self.module.function(fid);
-        for ann in &func.annotations {
-            let (fact, ptr, offset, size, to) = match ann {
-                Annotation::AssumeCore { ptr, offset, size, span: _ } => {
-                    ("core", ptr, offset, size, None)
-                }
-                Annotation::AssumeDeclassify { ptr, offset, size, to, span: _ } => {
-                    ("declassify", ptr, offset, size, Some(to.as_str()))
-                }
-                _ => continue,
-            };
-            let Some(rids) = self.resolve_regions_for_name(fid, ptr) else {
-                self.notes.push(format!(
-                    "assume({fact}({ptr}, ...)) in `{}` names no known shared-memory pointer; ignored",
-                    func.name
-                ));
-                continue;
-            };
-            let to_mask = match to {
-                None => 0,
-                Some(name) => match self.table.mask_of(name) {
-                    Some(m) => m,
-                    None => {
-                        self.notes.push(format!(
-                            "assume(declassify({ptr}, ..., {name})) in `{}` names unknown label `{name}`; ignored",
-                            func.name
-                        ));
-                        continue;
-                    }
-                },
-            };
-            // Extent must span the whole region, else ineffective
-            // (§3.1: "Offset and size values should span an entire
-            // array ... otherwise, the annotation becomes ineffective").
-            let off = crate::regions::eval_ann_expr(self.module, offset);
-            let sz = crate::regions::eval_ann_expr(self.module, size);
-            for rid in rids {
-                let region = self.regions.region(rid);
-                match (off, sz) {
-                    (Some(0), Some(s)) if s as u64 == region.size => {
-                        // A declassification of a *labeled* region must be
-                        // licensed by a declared declassifier pair; the
-                        // paper's `assume(core(...))` on unlabeled regions
-                        // is always allowed.
-                        let from = self.table.region_source_mask(rid.0, region.noncore);
-                        let licensed = region.label.is_none() && to_mask == 0
-                            || self.table.may_declassify(from, to_mask);
-                        if !licensed {
-                            self.notes.push(format!(
-                                "assume({fact}({ptr}, ...)) in `{}`: policy has no declassifier({}, {}); annotation is ineffective",
-                                func.name,
-                                self.table.name_of(from),
-                                self.table.name_of(to_mask)
-                            ));
-                            continue;
-                        }
-                        let e = declass.entry(rid).or_insert(to_mask);
-                        *e &= to_mask;
-                    }
-                    _ => {
-                        self.notes.push(format!(
-                            "assume({fact}({ptr}, ...)) in `{}` does not span the whole region `{}` ({} bytes); annotation is ineffective",
-                            func.name, region.name, region.size
-                        ));
-                    }
-                }
-            }
-        }
-        Ctx { declass, params: params.to_vec() }
-    }
-
-    /// Regions a pointer name refers to inside `fid`: a region global, a
-    /// global holding region pointers, or a parameter.
-    fn resolve_regions_for_name(&self, fid: FuncId, name: &str) -> Option<BTreeSet<RegionId>> {
-        if let Some(g) = self.module.global_by_name(name) {
-            if let Some(r) = self.regions.by_global(g) {
-                return Some(std::iter::once(r).collect());
-            }
-            let held: BTreeSet<RegionId> =
-                self.shm.global_regions(g).into_iter().map(|p| p.region).collect();
-            if !held.is_empty() {
-                return Some(held);
-            }
-        }
-        let func = self.module.function(fid);
-        if let Some(i) = func.params.iter().position(|p| p.name == name) {
-            let held: BTreeSet<RegionId> = self
-                .shm
-                .regions_of(fid, &Value::Param(i as u32))
-                .into_iter()
-                .map(|p| p.region)
-                .collect();
-            if !held.is_empty() {
-                return Some(held);
-            }
-        }
-        None
+    /// scope and argument labels: the inherited scope narrowed by the
+    /// function's own `assume(core(...))` / `assume(declassify(...))`
+    /// annotations (which apply recursively to callees, §3.1).
+    fn base_ctx(&self, fid: FuncId, inherited: &Scope, params: &[TaintVal]) -> Ctx {
+        Ctx { declass: scope::meet(inherited, self.own_scopes.get(&fid)), params: params.to_vec() }
     }
 
     fn analyze(&mut self, fid: FuncId, ctx: Ctx) -> Taint {
@@ -555,7 +420,7 @@ impl<'a> Engine<'a> {
         if per_fn >= self.config.max_contexts {
             let nparams = self.module.function(fid).params.len();
             let top = TaintVal::explicit_at(self.table.top());
-            let merged = self.base_ctx(fid, &BTreeMap::new(), &vec![top; nparams]);
+            let merged = self.base_ctx(fid, &Scope::new(), &vec![top; nparams]);
             if merged != ctx {
                 return self.analyze(fid, merged);
             }
@@ -608,16 +473,7 @@ impl<'a> Engine<'a> {
         // Locally-assumed objects for the §3.4.3 extension: assume core
         // (or declassify) on a *local/param* pointer exempts loads through
         // it in this function only.
-        let local_assumed_params: BTreeSet<u32> = func
-            .annotations
-            .iter()
-            .filter_map(|a| match a {
-                Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
-                    func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
-                }
-                _ => None,
-            })
-            .collect();
+        let local_assumed_params = scope::assumed_params(func);
 
         let mut taints: HashMap<InstId, Taint> = HashMap::new();
         let mut block_ctl: HashMap<BlockId, Taint> = HashMap::new();
@@ -686,8 +542,12 @@ impl<'a> Engine<'a> {
                     let mut t = Taint::clean();
                     match &inst.kind {
                         InstKind::Load { ptr } => {
-                            let locally_assumed =
-                                derives_from_assumed_param(func, ptr, &local_assumed_params, 0);
+                            let locally_assumed = scope::derives_from_assumed_param(
+                                func,
+                                ptr,
+                                &local_assumed_params,
+                                0,
+                            );
                             // Region source?
                             for fact in self.shm.regions_of(fid, ptr) {
                                 let region = self.regions.region(fact.region);
@@ -709,7 +569,7 @@ impl<'a> Engine<'a> {
                                     region: fact.region,
                                     region_name: region.name.clone(),
                                     span: inst.span,
-                                    label: self.finding_label(effective),
+                                    label: self.table.finding_label(effective),
                                 });
                                 t.join(&Taint {
                                     val: TaintVal::explicit_at(effective),
@@ -817,7 +677,7 @@ impl<'a> Engine<'a> {
                                     } else {
                                         DependencyKind::ControlOnly
                                     },
-                                    label: self.finding_label(leak),
+                                    label: self.table.finding_label(leak),
                                     flow: vt.origin.map(|orig| {
                                         FlowNode::step(
                                             format!("assert(safe({var})) reached"),
@@ -918,7 +778,7 @@ impl<'a> Engine<'a> {
                             region: fact.region,
                             region_name: region.name.clone(),
                             span: inst.span,
-                            label: self.finding_label(effective),
+                            label: self.table.finding_label(effective),
                         });
                     }
                 }
@@ -936,7 +796,7 @@ impl<'a> Engine<'a> {
                         function: func.name.clone(),
                         span: inst.span,
                         kind: DependencyKind::Data,
-                        label: self.finding_label(top),
+                        label: self.table.finding_label(top),
                         flow: Some(origin.clone()),
                     });
                 }
@@ -950,7 +810,7 @@ impl<'a> Engine<'a> {
                             let n = self.module.function(*target).params.len();
                             let worst = self.base_ctx(
                                 *target,
-                                &BTreeMap::new(),
+                                &Scope::new(),
                                 &vec![TaintVal::explicit_at(top); n],
                             );
                             self.analyze(*target, worst);
@@ -959,14 +819,14 @@ impl<'a> Engine<'a> {
                     if let Some(name) = self.module.external_callee_name(callee) {
                         for call in &self.config.implicit_critical_calls {
                             let (cname, argi) = (&call.name, &call.arg);
-                            let leak = top & !self.clearance_mask(call);
+                            let leak = top & !self.table.clearance(call);
                             if cname == name && args.get(*argi).is_some() && leak != 0 {
                                 outcome.errors.push(ErrorDependency {
                                     critical: format!("{name}:arg{argi}"),
                                     function: func.name.clone(),
                                     span: inst.span,
                                     kind: DependencyKind::Data,
-                                    label: self.finding_label(leak),
+                                    label: self.table.finding_label(leak),
                                     flow: Some(origin.clone()),
                                 });
                             }
@@ -1020,7 +880,7 @@ impl<'a> Engine<'a> {
                     if let Some(arg) = args.get(*argi) {
                         let mut at = value_taint(arg, taints, ctx);
                         at.join(ctl_here);
-                        let clear = self.clearance_mask(call);
+                        let clear = self.table.clearance(call);
                         let leak_e = at.val.explicit() & !clear;
                         let leak_i = at.val.implicit() & !clear;
                         if leak_e | leak_i != 0 {
@@ -1033,7 +893,7 @@ impl<'a> Engine<'a> {
                                 } else {
                                     DependencyKind::ControlOnly
                                 },
-                                label: self.finding_label(leak_e | leak_i),
+                                label: self.table.finding_label(leak_e | leak_i),
                                 flow: at.origin.map(|orig| {
                                     FlowNode::step(
                                         format!("passed as critical argument {argi} of `{name}`"),
@@ -1052,7 +912,7 @@ impl<'a> Engine<'a> {
                 if spec.name == name {
                     let sock_noncore = args
                         .get(spec.sock_arg)
-                        .is_some_and(|s| self.socket_is_noncore(fid, func, s, taints));
+                        .is_some_and(|s| scope::socket_is_noncore(func, s, &self.noncore_sockets));
                     if sock_noncore {
                         if let Some(buf) = args.get(spec.buf_arg) {
                             let origin = FlowNode::source(
@@ -1111,51 +971,6 @@ impl<'a> Engine<'a> {
         }
         t.join(ctl_here);
         t
-    }
-
-    /// Whether a socket argument reads from a `noncore(...)`-annotated
-    /// descriptor global.
-    fn socket_is_noncore(
-        &self,
-        _fid: FuncId,
-        func: &Function,
-        sock: &Value,
-        _taints: &HashMap<InstId, Taint>,
-    ) -> bool {
-        match sock {
-            Value::Inst(id) => match &func.inst(*id).kind {
-                InstKind::Load { ptr: Value::Global(g) } => self.noncore_sockets.contains(g),
-                InstKind::Cast { value, .. } => self.socket_is_noncore(_fid, func, value, _taints),
-                _ => false,
-            },
-            _ => false,
-        }
-    }
-}
-
-/// Whether a pointer value derives (through field/element/cast chains)
-/// from a parameter covered by a local `assume(core(param, ...))` — the
-/// §3.4.3 received-buffer monitoring form.
-fn derives_from_assumed_param(
-    func: &Function,
-    v: &Value,
-    assumed: &BTreeSet<u32>,
-    depth: usize,
-) -> bool {
-    if depth > 16 {
-        return false;
-    }
-    match v {
-        Value::Param(i) => assumed.contains(i),
-        Value::Inst(id) => match &func.inst(*id).kind {
-            InstKind::FieldAddr { base, .. }
-            | InstKind::ElemAddr { base, .. }
-            | InstKind::Cast { value: base, .. } => {
-                derives_from_assumed_param(func, base, assumed, depth + 1)
-            }
-            _ => false,
-        },
-        _ => false,
     }
 }
 

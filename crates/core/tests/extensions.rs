@@ -270,3 +270,27 @@ fn write_does_not_sanitize_noncore_region() {
         );
     }
 }
+
+/// §3.4.2's encapsulation form on a *parameter* that shares its name with
+/// an unrelated global: `assume(core(ctrl, ...))` resolves past the
+/// region-less global `ctrl` to the parameter, so the monitor covers its
+/// helper's read. Both engines must resolve the name the same way.
+#[test]
+fn assume_on_parameter_named_like_a_global_resolves_to_the_parameter() {
+    let src = include_str!("../../../tests/oracle-repros/param-named-like-a-global.c");
+    let runs = analyze_both(src);
+    for (engine, result) in &runs {
+        assert!(result.report.warnings.is_empty(), "{engine:?}:\n{}", result.render());
+        assert!(result.report.errors.is_empty(), "{engine:?}:\n{}", result.render());
+        assert!(
+            !result
+                .report
+                .init_check
+                .iter()
+                .any(|n| n.contains("names no known shared-memory pointer")),
+            "{engine:?}: the annotation must resolve:\n{}",
+            result.render()
+        );
+    }
+    assert_eq!(runs[0].1.report.init_check, runs[1].1.report.init_check);
+}

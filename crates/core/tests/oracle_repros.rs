@@ -1,10 +1,13 @@
 //! Checked-in oracle repros as permanent regression cases.
 //!
-//! Every `tests/oracle-repros/*.c` at the workspace root is a program the
-//! differential oracle flagged (or a minimized fixture for one of the bugs
-//! it flushed out) during development: the omega solver's degenerate-
+//! Every `tests/oracle-repros/*.c` at the workspace root is a regression
+//! program: most are ones the differential oracle flagged (or minimized
+//! fixtures for the bugs it flushed out) — the omega solver's degenerate-
 //! equality panic, the CRLF/tab annotation-span drift, and the
-//! order-sensitive store manifest keys. Each program is driven through
+//! order-sensitive store manifest keys. `param-named-like-a-global.c`
+//! pins a disagreement between the engines instead: an
+//! `assume(core(p, ...))` whose parameter `p` shares its name with an
+//! unrelated global. Each program is driven through
 //! every engine configuration — context-sensitive, summary single- and
 //! multi-threaded, warm cache, store replay, and dirty-region incremental
 //! — and every optimized configuration must reproduce the naive reference

@@ -731,20 +731,7 @@ fn watch_loop(shared: Arc<Shared>, poll_ms: u64) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        // Collect dirty roots under the lock, re-check outside it.
-        let mut dirty: Vec<Vec<String>> = Vec::new();
-        {
-            let mut watched = lock_recover(&shared.watched);
-            for root in watched.values_mut() {
-                let fresh: Vec<Option<(SystemTime, u64)>> =
-                    root.paths.iter().map(|p| fingerprint(p)).collect();
-                if fresh != root.fingerprints {
-                    root.fingerprints = fresh;
-                    dirty.push(root.paths.clone());
-                }
-            }
-        }
-        for paths in dirty {
+        for paths in dirty_roots(&shared) {
             // Dirty roots go through the same bounded admission queue as
             // client traffic; under overload the re-check is skipped this
             // round and the next poll retries.
@@ -754,6 +741,23 @@ fn watch_loop(shared: Arc<Shared>, poll_ms: u64) {
             }
         }
     }
+}
+
+/// Re-fingerprints every watched root under the lock and returns the path
+/// sets that changed since the last scan (the caller re-checks them
+/// outside it).
+fn dirty_roots(shared: &Shared) -> Vec<Vec<String>> {
+    let mut dirty = Vec::new();
+    let mut watched = lock_recover(&shared.watched);
+    for root in watched.values_mut() {
+        let fresh: Vec<Option<(SystemTime, u64)>> =
+            root.paths.iter().map(|p| fingerprint(p)).collect();
+        if fresh != root.fingerprints {
+            root.fingerprints = fresh;
+            dirty.push(root.paths.clone());
+        }
+    }
+    dirty
 }
 
 /// Reads everything the peer sends until EOF, for tests that need to see
@@ -797,12 +801,16 @@ mod tests {
     fn poisoned_queue_still_admits_and_executes() {
         let shared = Arc::new(Shared::new(ServeOptions::default()));
         poison(&shared.queue);
-        let kind = CheckKind::Inline {
+        poison(&shared.live);
+        let kind = || CheckKind::Inline {
             root: "main.c".to_string(),
             files: vec![("main.c".to_string(), "int main() { return 0; }".to_string())],
         };
-        let rx = shared.submit(kind, None, true).expect("admitted").expect("has a waiter");
-        assert_eq!(lock_recover(&shared.queue).in_flight, 1);
+        let rx = shared.submit(kind(), None, true).expect("admitted").expect("has a waiter");
+        let slot = lock_recover(&shared.live).values().next().cloned().expect("the job is live");
+        poison(&slot);
+        let follower = shared.submit(kind(), None, true).expect("admitted").expect("has a waiter");
+        assert_eq!(lock_recover(&shared.queue).in_flight, 1, "the second submit coalesced");
 
         let worker = {
             let shared = Arc::clone(&shared);
@@ -810,8 +818,30 @@ mod tests {
         };
         let resp = rx.recv().expect("the worker answers");
         assert_eq!(resp.status, Status::Clean);
+        let resp = follower.recv().expect("the follower is answered too");
+        assert_eq!(resp.status, Status::Clean);
+        assert_eq!(resp.run, RunKind::Coalesced);
         shared.begin_shutdown();
         worker.join().expect("worker exits on shutdown");
         assert_eq!(lock_recover(&shared.queue).in_flight, 0);
+        assert!(lock_recover(&shared.live).is_empty());
+    }
+
+    #[test]
+    fn poisoned_watch_map_still_registers_and_scans() {
+        let dir =
+            std::env::temp_dir().join(format!("safeflow-watch-poison-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("main.c");
+        std::fs::write(&path, "int main() { return 0; }\n").unwrap();
+        let paths = vec![path.to_string_lossy().into_owned()];
+        let shared =
+            Shared::new(ServeOptions { watch_poll_ms: Some(10), ..ServeOptions::default() });
+        poison(&shared.watched);
+        register_watch(&shared, &paths);
+        assert!(dirty_roots(&shared).is_empty(), "an unchanged root is clean");
+        std::fs::write(&path, "int main() { return 1 + 0; }\n").unwrap();
+        assert_eq!(dirty_roots(&shared), vec![paths], "a grown file is dirty");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
