@@ -7,7 +7,7 @@
 CARGO ?= cargo
 SAFEFLOW = target/release/safeflow
 
-.PHONY: all help build test lint bench sfbench bench-frontend bench-serve smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
+.PHONY: all help build test lint bench sfbench bench-serve smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
 
 # One line per target; kept in sync by hand when targets change.
 help:
@@ -18,8 +18,6 @@ help:
 	@echo "  bench            paper-evaluation benches (cargo bench)"
 	@echo "  sfbench          BENCHMARK.json workload W (default cold), traced"
 	@echo "                   per-layer run, seed 1, 20 s"
-	@echo "  bench-frontend   frontend LOC/sec trajectory -> BENCH_pr9.json"
-	@echo "                   (incl. monorepo corpus column; BENCH_ARGS overrides)"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
 	@echo "  oracle-smoke     64-seed differential oracle (CI gate)"
@@ -60,17 +58,6 @@ W ?= cold
 sfbench:
 	$(CARGO) run --release --offline --manifest-path sfbench/Cargo.toml -- \
 	  --workload $(W) --seed 1 --seconds 20 --trace 1
-
-# Frontend throughput trajectory: measures parse / parse+lower+SSA /
-# end-to-end LOC/sec over the classic corpus plus the monorepo corpus
-# (146 TUs / 180k+ LOC through the conforming preprocessor) and rewrites
-# the checked-in BENCH_pr9.json artifact (schema locked by crates/bench/
-# tests/bench_schema.rs). Later flags win, so BENCH_ARGS can override the
-# output path, label, pr number, or sample count.
-bench-frontend:
-	$(CARGO) run --release -q -p safeflow-bench --bin bench-frontend -- \
-	  --out BENCH_pr9.json --pr 9 --monorepo \
-	  --label "conforming preprocessor + monorepo corpus" $(BENCH_ARGS)
 
 # Daemon latency trajectory: warm-path (store replay) vs cold-path p50/p99
 # over loopback, plus a 4x-overload shedding drill against a bounded

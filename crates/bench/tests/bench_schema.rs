@@ -2,25 +2,27 @@
 //! (ISSUE 6 satellite).
 //!
 //! `BENCH_pr6.json` at the workspace root is the first entry in the
-//! recorded LOC/sec perf history (`make bench-frontend` regenerates it).
-//! Future PRs extend the trajectory with `BENCH_pr*.json` artifacts of the
-//! same shape, so the shape itself is locked here: required keys, integer
-//! timing fields, min ≤ median ≤ max ordering, and the embedded
-//! pre-refactor baseline with its e2e speedup ratio.
+//! recorded LOC/sec perf history, and `BENCH_pr9.json` the last: both are
+//! frozen records of a since-retired frontend bench, so their shape is
+//! locked here: required keys, integer timing fields, min ≤ median ≤ max
+//! ordering, and the embedded pre-refactor baseline with its e2e speedup
+//! ratio.
 
 use safeflow_util::Json;
 
 fn artifact() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr6.json");
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {path}: {e} (run `make bench-frontend`)"));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("read {path}: {e} (a checked-in historical record; restore it from git)")
+    });
     Json::parse(&text).expect("artifact is valid workspace JSON")
 }
 
 fn pr9_artifact() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json");
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {path}: {e} (run `make bench-frontend`)"));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("read {path}: {e} (a checked-in historical record; restore it from git)")
+    });
     Json::parse(&text).expect("artifact is valid workspace JSON")
 }
 
@@ -146,7 +148,7 @@ fn pr9_artifact_continues_the_trajectory() {
 fn pr9_artifact_records_the_monorepo_column() {
     let doc = pr9_artifact();
     // The ISSUE 8 acceptance floor: a >=100-TU, >=100k-LOC monorepo run
-    // completed under `make bench-frontend`.
+    // completed by the frontend bench.
     let tus = uint(&doc, &["monorepo", "tus"]);
     assert!(tus >= 100, "monorepo column needs >=100 TUs, recorded {tus}");
     let loc = uint(&doc, &["monorepo", "loc"]);

@@ -90,7 +90,7 @@ pub use safeflow_util::json::Json;
 pub use safeflow_util::metrics::MetricsSnapshot;
 pub use session::{AnalysisSession, SessionOutcome, SessionRun};
 
-use safeflow_ir::{build_module, CallGraph, Module};
+use safeflow_ir::{build_module, CallGraph, Cfg, Module};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::{Diagnostics, SourceMap, VirtualFs};
 use safeflow_util::lock_recover;
@@ -468,12 +468,18 @@ impl Analyzer {
         let shm = metrics.time("phase.shmptr", || shmptr::identify_shm_pointers(module, &regions));
         // Phase 2: language restrictions.
         let callgraph = metrics.time("phase.callgraph", || CallGraph::build(module));
+        // Each function's CFG, indexed by `FuncId` (`None` for prototypes),
+        // shared by restrictions and value flow.
+        let cfgs: Vec<Option<Cfg>> = metrics.time("phase.cfg", || {
+            module.functions.iter().map(|f| (!f.blocks.is_empty()).then(|| Cfg::build(f))).collect()
+        });
         let (violations, mut degradations) = metrics.time("phase.restrict", || {
             restrict::check_restrictions(
                 module,
                 &regions,
                 &shm,
                 &callgraph,
+                &cfgs,
                 &self.config,
                 deadline,
                 &metrics,
@@ -487,6 +493,7 @@ impl Analyzer {
                 &regions,
                 &shm,
                 &pt,
+                &cfgs,
                 &self.config,
                 &table,
                 deadline,
@@ -498,6 +505,7 @@ impl Analyzer {
                 &shm,
                 &pt,
                 &callgraph,
+                &cfgs,
                 &self.config,
                 &table,
                 &self.cache,

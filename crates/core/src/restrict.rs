@@ -53,17 +53,22 @@ struct FnCheckStats {
 /// `config.jobs` worker threads. Results are merged in definition order,
 /// so the output is independent of `jobs`.
 ///
+/// `cfgs` holds each function's CFG, indexed by `FuncId` (`None` for
+/// prototypes).
+///
 /// A panic inside one function's scan is contained: that function's
 /// checks degrade (recorded as an `InternalError` degradation — no silent
 /// pass), every other function completes. Solver obligations share a
 /// per-function step pool from `config.budget.solver_steps`; exhaustion
 /// leaves the obligation *unproven* (still an A1 violation, conservative)
 /// and records a `BudgetExhausted` degradation.
+#[allow(clippy::too_many_arguments)]
 pub fn check_restrictions(
     module: &Module,
     regions: &RegionMap,
     shm: &ShmPointers,
     callgraph: &CallGraph,
+    cfgs: &[Option<Cfg>],
     config: &AnalysisConfig,
     deadline: Option<Instant>,
     metrics: &Metrics,
@@ -99,9 +104,11 @@ pub fn check_restrictions(
                     return (vs, budget_notes, fs);
                 }
             }
+            let cfg = cfgs[fid.0 as usize].as_ref();
             check_p1_in(
                 module,
                 shm,
+                cfg,
                 &touches,
                 &config.dealloc_functions,
                 &config.entry,
@@ -114,6 +121,7 @@ pub fn check_restrictions(
                 module,
                 regions,
                 shm,
+                cfg,
                 &shminit_reachable,
                 fid,
                 config,
@@ -237,9 +245,11 @@ fn shm_touching_functions(
     touches
 }
 
+#[allow(clippy::too_many_arguments)]
 fn check_p1_in(
     module: &Module,
     shm: &ShmPointers,
+    cfg: Option<&Cfg>,
     touches: &HashSet<FuncId>,
     dealloc_functions: &[String],
     entry: &str,
@@ -247,7 +257,8 @@ fn check_p1_in(
     out: &mut Vec<RestrictionViolation>,
 ) {
     let func = module.function(fid);
-    for (_bid, block) in func.iter_blocks() {
+    let Some(cfg) = cfg else { return };
+    for (bid, block) in func.iter_blocks() {
         for (pos, &iid) in block.insts.iter().enumerate() {
             let inst = func.inst(iid);
             let InstKind::Call { callee, .. } = &inst.kind else { continue };
@@ -275,9 +286,8 @@ fn check_p1_in(
                 }
             }
             if !bad {
-                let cfg = Cfg::build(func);
                 let mut seen = HashSet::new();
-                let mut work: Vec<_> = block.terminator.successors();
+                let mut work = cfg.succs_of(bid).to_vec();
                 while let Some(b) = work.pop() {
                     if !seen.insert(b) {
                         continue;
@@ -618,6 +628,7 @@ fn check_arrays_in(
     module: &Module,
     regions: &RegionMap,
     shm: &ShmPointers,
+    cfg: Option<&Cfg>,
     exempt: &HashSet<FuncId>,
     fid: FuncId,
     config: &AnalysisConfig,
@@ -628,10 +639,8 @@ fn check_arrays_in(
     if exempt.contains(&fid) {
         return;
     }
+    let Some(cfg) = cfg else { return };
     let func = module.function(fid);
-    if func.blocks.is_empty() {
-        return;
-    }
     // Per-function Omega step pool, shared by every bounds obligation in
     // the function. The solver fault site keys on the function id, so an
     // injected fault lands on the same function at any thread count (a
@@ -647,9 +656,9 @@ fn check_arrays_in(
         }
     }
     let mut exhausted = false;
-    let cfg = Cfg::build(func);
-    let dom = DomTree::build(&cfg);
-    let loops = find_loops(func, &cfg, &dom);
+    // Built on the first bounds obligation: most functions index no shared
+    // array and need no dominators.
+    let mut loops: Option<Vec<Loop>> = None;
 
     for (iid, inst) in func.iter_insts() {
         let InstKind::ElemAddr { base, index } = &inst.kind else { continue };
@@ -669,7 +678,8 @@ fn check_arrays_in(
         };
 
         let at = func.block_of(iid).unwrap_or(func.entry());
-        let mut ctx = AffineCtx::new(func, &loops);
+        let loops = loops.get_or_insert_with(|| find_loops(func, cfg, &DomTree::build(cfg)));
+        let mut ctx = AffineCtx::new(func, loops);
         ctx.add_loop_constraints(at);
         fs.bounds_obligations += 1;
         let Some(idx) = ctx.as_affine(index, 0) else {
@@ -784,8 +794,10 @@ mod tests {
         let cg = CallGraph::build(&m);
         let config = AnalysisConfig::default();
         let metrics = Metrics::new();
+        let cfgs: Vec<Option<Cfg>> =
+            m.functions.iter().map(|f| (!f.blocks.is_empty()).then(|| Cfg::build(f))).collect();
         let (vs, degradations) =
-            check_restrictions(&m, &regions, &shm, &cg, &config, None, &metrics);
+            check_restrictions(&m, &regions, &shm, &cg, &cfgs, &config, None, &metrics);
         assert!(degradations.is_empty(), "{degradations:?}");
         vs
     }

@@ -36,8 +36,9 @@ use crate::report::{
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use crate::taint::{TaintResults, TaintVal};
-use safeflow_dataflow::{ControlDeps, PostDomTree};
-use safeflow_ir::{BlockId, CallGraph, Cfg, FuncId, InstId, InstKind, Module, Terminator, Value};
+use safeflow_ir::{
+    BlockId, CallGraph, Cfg, ControlDeps, FuncId, InstId, InstKind, Module, Terminator, Value,
+};
 use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
@@ -273,8 +274,9 @@ impl Summary {
 /// carries a [`Degradation`] naming the affected functions. Degraded
 /// summaries are never written to the cache.
 ///
-/// `callgraph` must be `CallGraph::build(module)`; the caller builds it
-/// once for restriction checking and value flow alike.
+/// `callgraph` must be `CallGraph::build(module)` and `cfgs` each
+/// function's CFG, indexed by `FuncId` (`None` for prototypes); the caller
+/// builds both once for restriction checking and value flow alike.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn analyze_summaries(
     module: &Module,
@@ -282,6 +284,7 @@ pub(crate) fn analyze_summaries(
     shm: &ShmPointers,
     pt: &PointsTo,
     callgraph: &CallGraph,
+    cfgs: &[Option<Cfg>],
     config: &AnalysisConfig,
     table: &LabelTable,
     cache: &SummaryCache,
@@ -348,7 +351,7 @@ pub(crate) fn analyze_summaries(
         })
         .collect();
     let built = run_map_observed(jobs, need.len(), &pool_stats, |i| {
-        build_fn_graphs(module, &assumed_of, need[i])
+        build_fn_graphs(cfgs, &assumed_of, need[i])
     });
     let graphs: HashMap<FuncId, FnGraphs> = need.iter().copied().zip(built).collect();
 
@@ -430,7 +433,7 @@ pub(crate) fn analyze_summaries(
                     Some(g) => g,
                     None => local_graphs
                         .entry(fid)
-                        .or_insert_with(|| build_fn_graphs(module, &assumed_of, fid)),
+                        .or_insert_with(|| build_fn_graphs(cfgs, &assumed_of, fid)),
                 };
                 let view = SummaryView { callgraph, slots: &slots, local: &local, own_scc: i };
                 let (s, converged) = summarize_function(
@@ -895,17 +898,20 @@ fn summary_eq(a: &Summary, b: &Summary) -> bool {
 
 /// Loop-invariant per-function inputs to summarization.
 struct FnGraphs {
-    cfg: Cfg,
     cd: ControlDeps,
     assumed: Scope,
 }
 
-fn build_fn_graphs(module: &Module, assumed_of: &HashMap<FuncId, Scope>, fid: FuncId) -> FnGraphs {
-    let func = module.function(fid);
-    let cfg = Cfg::build(func);
-    let pdom = PostDomTree::build(func, &cfg);
-    let cd = ControlDeps::build(func, &cfg, &pdom);
-    FnGraphs { cfg, cd, assumed: assumed_of.get(&fid).cloned().unwrap_or_default() }
+fn build_fn_graphs(
+    cfgs: &[Option<Cfg>],
+    assumed_of: &HashMap<FuncId, Scope>,
+    fid: FuncId,
+) -> FnGraphs {
+    let cfg = cfgs[fid.0 as usize].as_ref().expect("function has blocks");
+    FnGraphs {
+        cd: ControlDeps::build(cfg),
+        assumed: assumed_of.get(&fid).cloned().unwrap_or_default(),
+    }
 }
 
 /// Callee-summary lookup for [`summarize_function`]: in-SCC members come
@@ -969,7 +975,7 @@ fn summarize_function(
     if func.blocks.is_empty() {
         return (s, true);
     }
-    let FnGraphs { cfg, cd, assumed } = graphs;
+    let FnGraphs { cd, assumed } = graphs;
 
     let local_assumed_params = scope::assumed_params(func);
 
@@ -993,9 +999,6 @@ fn summarize_function(
         if config.track_control_dependence {
             let mut new_ctl: HashMap<BlockId, SymSet> = HashMap::new();
             for (bid, block) in func.iter_blocks() {
-                if !cfg.is_reachable(bid) {
-                    continue;
-                }
                 let cond = match &block.terminator {
                     Terminator::CondBr { cond, .. } => Some(cond),
                     Terminator::Switch { value, .. } => Some(value),

@@ -31,9 +31,9 @@ use crate::report::{
 };
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
-use safeflow_dataflow::{ControlDeps, PostDomTree};
 use safeflow_ir::{
-    BlockId, Callee, Cfg, FuncId, Function, InstId, InstKind, Module, Terminator, Value,
+    BlockId, Callee, Cfg, ControlDeps, FuncId, Function, InstId, InstKind, Module, Terminator,
+    Value,
 };
 use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_util::metrics::{Class, Metrics};
@@ -204,7 +204,8 @@ pub struct TaintResults {
 }
 
 /// Runs the context-sensitive phase-3 engine under the compiled policy
-/// `table`.
+/// `table`. `cfgs` holds each function's CFG, indexed by `FuncId` (`None`
+/// for prototypes).
 ///
 /// When `config.budget` sets explicit bounds (fixpoint rounds, function
 /// size, or the wall-clock `deadline`), scopes exceeding them degrade
@@ -217,6 +218,7 @@ pub fn analyze_taint(
     regions: &RegionMap,
     shm: &ShmPointers,
     pt: &PointsTo,
+    cfgs: &[Option<Cfg>],
     config: &AnalysisConfig,
     table: &LabelTable,
     deadline: Option<Instant>,
@@ -228,6 +230,7 @@ pub fn analyze_taint(
         regions,
         shm,
         pt,
+        cfgs,
         config,
         table,
         memo: HashMap::new(),
@@ -236,7 +239,7 @@ pub fn analyze_taint(
         noncore_sockets: scope::find_noncore_sockets(module, regions),
         own_scopes,
         notes,
-        cfg_cache: HashMap::new(),
+        control_deps: HashMap::new(),
         obj_dirty: false,
         deadline,
         degraded: BTreeMap::new(),
@@ -354,6 +357,8 @@ struct Engine<'a> {
     regions: &'a RegionMap,
     shm: &'a ShmPointers,
     pt: &'a PointsTo,
+    /// Each function's CFG, indexed by `FuncId` (`None` for prototypes).
+    cfgs: &'a [Option<Cfg>],
     config: &'a AnalysisConfig,
     table: &'a LabelTable,
     memo: HashMap<(FuncId, Ctx), Outcome>,
@@ -365,7 +370,8 @@ struct Engine<'a> {
     /// Each function's own assume/declassify scope.
     own_scopes: HashMap<FuncId, Scope>,
     notes: Vec<String>,
-    cfg_cache: HashMap<FuncId, (Cfg, ControlDeps)>,
+    /// Control dependences of the functions analyzed so far.
+    control_deps: HashMap<FuncId, ControlDeps>,
     /// Set when a memory-object taint was raised; forces another local
     /// round so earlier loads observe it.
     obj_dirty: bool,
@@ -463,13 +469,6 @@ impl<'a> Engine<'a> {
                 );
             }
         }
-        self.cfg_cache.entry(fid).or_insert_with(|| {
-            let cfg = Cfg::build(func);
-            let pdom = PostDomTree::build(func, &cfg);
-            let cd = ControlDeps::build(func, &cfg, &pdom);
-            (cfg, cd)
-        });
-
         // Locally-assumed objects for the §3.4.3 extension: assume core
         // (or declassify) on a *local/param* pointer exempts loads through
         // it in this function only.
@@ -491,12 +490,12 @@ impl<'a> Engine<'a> {
             self.stat_function_rounds += 1;
             // Recompute control-taint of blocks from tainted branches.
             if self.config.track_control_dependence {
-                let (cfg, cd) = self.cfg_cache.get(&fid).unwrap();
+                let cfgs = self.cfgs;
+                let cd = self.control_deps.entry(fid).or_insert_with(|| {
+                    ControlDeps::build(cfgs[fid.0 as usize].as_ref().expect("function has blocks"))
+                });
                 let mut new_ctl: HashMap<BlockId, Taint> = HashMap::new();
                 for (bid, block) in func.iter_blocks() {
-                    if !cfg.is_reachable(bid) {
-                        continue;
-                    }
                     let cond = match &block.terminator {
                         Terminator::CondBr { cond, .. } => Some(cond),
                         Terminator::Switch { value, .. } => Some(value),

@@ -1,7 +1,6 @@
 //! Monorepo-scale workload generator: hundreds of translation units,
 //! 100k+ LOC, deep shared-header call graphs, and config-macro
-//! conditionals — the standing stress corpus for the `sfbench` workloads
-//! and the `bench-frontend` monorepo column.
+//! conditionals — the standing stress corpus for the `sfbench` workloads.
 //!
 //! The layout imitates generated embedded control code organized as a
 //! monorepo:

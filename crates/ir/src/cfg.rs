@@ -35,22 +35,55 @@ impl Cfg {
                 preds[succ.0 as usize].push(bid);
             }
         }
-        // Postorder DFS from entry.
+        Cfg::ordered_from(preds, succs, func.entry())
+    }
+
+    /// The reverse of this CFG, for post-dominators: every edge flipped,
+    /// plus a virtual exit node `BlockId(self.len())` with an edge to each
+    /// reachable block that has no successors. Its reverse postorder runs
+    /// from the virtual exit, so a block "reachable" in the result is one
+    /// that reaches an exit here. Blocks unreachable from the entry get no
+    /// edges.
+    pub(crate) fn reverse(&self) -> Cfg {
+        let n = self.len();
+        let exit = BlockId(n as u32);
+        let mut preds = vec![Vec::new(); n + 1];
+        let mut succs = vec![Vec::new(); n + 1];
+        for (b, out) in self.succs.iter().enumerate() {
+            let bid = BlockId(b as u32);
+            if !self.is_reachable(bid) {
+                continue;
+            }
+            for &s in out {
+                succs[s.0 as usize].push(bid);
+                preds[b].push(s);
+            }
+            if out.is_empty() {
+                succs[n].push(bid);
+                preds[b].push(exit);
+            }
+        }
+        Cfg::ordered_from(preds, succs, exit)
+    }
+
+    /// Completes a CFG with the reverse postorder of a depth-first walk from
+    /// `root`.
+    fn ordered_from(preds: Vec<Vec<BlockId>>, succs: Vec<Vec<BlockId>>, root: BlockId) -> Cfg {
+        let n = succs.len();
         let mut post = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0=unvisited, 1=in-progress, 2=done
-        let mut stack: Vec<(BlockId, usize)> = vec![(func.entry(), 0)];
-        state[0] = 1;
+        let mut visited = vec![false; n];
+        let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
+        visited[root.0 as usize] = true;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
             let ss = &succs[b.0 as usize];
             if *i < ss.len() {
                 let next = ss[*i];
                 *i += 1;
-                if state[next.0 as usize] == 0 {
-                    state[next.0 as usize] = 1;
+                if !visited[next.0 as usize] {
+                    visited[next.0 as usize] = true;
                     stack.push((next, 0));
                 }
             } else {
-                state[b.0 as usize] = 2;
                 post.push(b);
                 stack.pop();
             }

@@ -1,5 +1,7 @@
-//! Dominator tree and dominance frontiers (Cooper–Harvey–Kennedy), used by
-//! SSA construction and by control-dependence analysis.
+//! Dominators and post-dominators by one Cooper–Harvey–Kennedy core:
+//! dominators of the forward CFG serve SSA construction and loop
+//! detection, dominators of the reverse CFG (post-dominators) serve
+//! control dependence.
 
 use crate::cfg::Cfg;
 use crate::module::BlockId;
@@ -20,36 +22,7 @@ impl DomTree {
     /// Computes dominators and dominance frontiers for `cfg`.
     pub fn build(cfg: &Cfg) -> DomTree {
         let n = cfg.len();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        if n == 0 || cfg.rpo.is_empty() {
-            return DomTree { idom, children: vec![Vec::new(); n], frontier: vec![Vec::new(); n] };
-        }
-        let entry = cfg.rpo[0];
-        idom[entry.0 as usize] = Some(entry);
-
-        // Iterate to fixpoint over reverse postorder (CHK algorithm).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in cfg.rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in cfg.preds_of(b) {
-                    if idom[p.0 as usize].is_none() {
-                        continue; // predecessor not yet processed / unreachable
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &cfg.rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b.0 as usize] != Some(ni) {
-                        idom[b.0 as usize] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
+        let idom = immediate_dominators(cfg);
 
         let mut children = vec![Vec::new(); n];
         for (b, d) in idom.iter().enumerate() {
@@ -93,16 +66,7 @@ impl DomTree {
 
     /// Whether `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.0 as usize] {
-                Some(d) if d != cur => cur = d,
-                _ => return false,
-            }
-        }
+        is_ancestor(&self.idom, a, b)
     }
 
     /// The immediate dominator of `b` (`None` for the entry and unreachable
@@ -113,6 +77,76 @@ impl DomTree {
             _ => None,
         }
     }
+}
+
+/// Post-dominator tree: the dominators of the reverse CFG, rooted at a
+/// virtual exit that every returning block flows into.
+///
+/// Required by control dependence (paper §3.3: errors are reported when
+/// critical data is *control* dependent on unsafe values).
+#[derive(Debug, Clone)]
+pub struct PostDomTree {
+    /// `ipdom[b]` = immediate post-dominator of block `b`; `None` for
+    /// blocks that cannot reach an exit. The last entry is the virtual
+    /// exit, its own immediate post-dominator.
+    ipdom: Vec<Option<BlockId>>,
+}
+
+impl PostDomTree {
+    /// Computes the post-dominators of `cfg`.
+    pub fn build(cfg: &Cfg) -> PostDomTree {
+        PostDomTree { ipdom: immediate_dominators(&cfg.reverse()) }
+    }
+
+    /// The virtual exit, `BlockId(n)` for a CFG of `n` blocks.
+    pub fn virtual_exit(&self) -> BlockId {
+        BlockId(self.ipdom.len() as u32 - 1)
+    }
+
+    /// Immediate post-dominator of `b`: a block, the
+    /// [virtual exit](Self::virtual_exit), or `None` when `b` cannot reach
+    /// an exit.
+    pub fn immediate(&self, b: BlockId) -> Option<BlockId> {
+        self.ipdom[b.0 as usize]
+    }
+
+    /// Whether `a` post-dominates `b` (reflexive). Only the virtual exit
+    /// post-dominates a block that cannot reach an exit.
+    pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
+        is_ancestor(&self.ipdom, a, b)
+    }
+}
+
+/// Immediate dominators over `cfg`'s reverse postorder (Cooper, Harvey,
+/// Kennedy: "A Simple, Fast Dominance Algorithm"). The root, `cfg.rpo[0]`,
+/// is its own immediate dominator; blocks outside `cfg.rpo` get `None`.
+fn immediate_dominators(cfg: &Cfg) -> Vec<Option<BlockId>> {
+    let mut idom: Vec<Option<BlockId>> = vec![None; cfg.len()];
+    let Some(&root) = cfg.rpo.first() else { return idom };
+    idom[root.0 as usize] = Some(root);
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in cfg.rpo.iter().skip(1) {
+            let mut new_idom: Option<BlockId> = None;
+            for &p in cfg.preds_of(b) {
+                if idom[p.0 as usize].is_none() {
+                    continue; // predecessor not yet processed / unreachable
+                }
+                new_idom = Some(match new_idom {
+                    None => p,
+                    Some(cur) => intersect(&idom, &cfg.rpo_index, p, cur),
+                });
+            }
+            if let Some(ni) = new_idom {
+                if idom[b.0 as usize] != Some(ni) {
+                    idom[b.0 as usize] = Some(ni);
+                    changed = true;
+                }
+            }
+        }
+    }
+    idom
 }
 
 fn intersect(
@@ -132,11 +166,27 @@ fn intersect(
     a
 }
 
+/// Whether `a` is `b` or an ancestor of `b` in the tree `idom`.
+fn is_ancestor(idom: &[Option<BlockId>], a: BlockId, mut b: BlockId) -> bool {
+    loop {
+        if b == a {
+            return true;
+        }
+        match idom[b.0 as usize] {
+            Some(d) if d != b => b = d,
+            _ => return false,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_module;
     use crate::module::{BasicBlock, Function, Terminator, Value};
     use crate::types::Type;
+    use safeflow_syntax::diag::Diagnostics;
+    use safeflow_syntax::parse_source;
     use safeflow_syntax::span::Span;
 
     fn block(term: Terminator) -> BasicBlock {
@@ -234,5 +284,55 @@ mod tests {
         let dom = DomTree::build(&cfg);
         assert_eq!(dom.immediate_dominator(BlockId(1)), None);
         assert!(!dom.dominates(BlockId(0), BlockId(1)));
+    }
+
+    fn post_dominators(src: &str) -> (Function, Cfg, PostDomTree) {
+        let pr = parse_source("t.c", src);
+        assert!(!pr.diags.has_errors());
+        let m = build_module(&pr.unit, &mut Diagnostics::new());
+        let f = m.function(m.function_by_name("f").unwrap()).clone();
+        let cfg = Cfg::build(&f);
+        let p = PostDomTree::build(&cfg);
+        (f, cfg, p)
+    }
+
+    #[test]
+    fn diamond_join_postdominates_arms() {
+        let (f, cfg, p) =
+            post_dominators("int f(int x) { int r; if (x) r = 1; else r = 2; return r; }");
+        // Find the join (the block with 2 preds).
+        let join = f.iter_blocks().map(|(b, _)| b).find(|&b| cfg.preds_of(b).len() == 2).unwrap();
+        for &arm in cfg.preds_of(join) {
+            assert!(p.post_dominates(join, arm), "join must post-dominate arm {arm}");
+        }
+        // The arms do not post-dominate the entry.
+        for &arm in cfg.preds_of(join) {
+            assert!(!p.post_dominates(arm, f.entry()));
+        }
+        assert!(p.post_dominates(join, f.entry()));
+    }
+
+    #[test]
+    fn single_block_postdominated_by_exit() {
+        let (f, _, p) = post_dominators("int f(void) { return 1; }");
+        assert_eq!(p.immediate(f.entry()), Some(p.virtual_exit()));
+    }
+
+    #[test]
+    fn loop_exit_postdominates_header() {
+        let (f, cfg, p) =
+            post_dominators("int f(int n) { int s = 0; while (n > 0) { s += n; n--; } return s; }");
+        // Exit block = the one with Ret.
+        let exit = f
+            .iter_blocks()
+            .find(|(_, b)| matches!(b.terminator, Terminator::Ret(_)))
+            .map(|(b, _)| b)
+            .unwrap();
+        // Header = the 2-pred block.
+        let header = f.iter_blocks().map(|(b, _)| b).find(|&b| cfg.preds_of(b).len() == 2).unwrap();
+        assert!(p.post_dominates(exit, header));
+        // The loop body does not post-dominate the header.
+        let body = cfg.succs_of(header).iter().copied().find(|&b| b != exit).unwrap();
+        assert!(!p.post_dominates(body, header));
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Typed SSA intermediate representation for the SafeFlow analysis
 //! (DSN 2006). Stands in for the LLVM 1.x substrate the paper used: a typed
-//! CFG IR with SSA form, dominators, loop analysis, and a call graph with
-//! SCC condensation.
+//! CFG IR with SSA form, dominators and post-dominators, control
+//! dependence, loop analysis, and a call graph with SCC condensation.
 //!
 //! Pipeline: [`lower::lower`] (AST → IR) → [`ssa::promote_module`]
-//! (mem2reg) → analyses ([`mod@cfg`], [`dom`], [`loops`], [`callgraph`]).
+//! (mem2reg) → analyses ([`mod@cfg`], [`dom`], [`controldep`], [`loops`],
+//! [`callgraph`]).
 //!
 //! # Examples
 //!
@@ -26,6 +27,7 @@
 
 pub mod callgraph;
 pub mod cfg;
+pub mod controldep;
 pub mod dom;
 pub mod loops;
 pub mod lower;
@@ -37,7 +39,8 @@ pub mod verify;
 
 pub use callgraph::CallGraph;
 pub use cfg::Cfg;
-pub use dom::DomTree;
+pub use controldep::ControlDeps;
+pub use dom::{DomTree, PostDomTree};
 pub use module::{
     BasicBlock, BinOp, BlockId, Callee, CastKind, CmpOp, FuncId, Function, Global, GlobalId, Inst,
     InstId, InstKind, IrParam, Module, Terminator, Value,

@@ -38,14 +38,14 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     if func.blocks.is_empty() {
         return 0;
     }
-    clear_unreachable_blocks(func);
-    let cfg = Cfg::build(func);
-    let dom = DomTree::build(&cfg);
+    let mut cfg = Cfg::build(func);
+    clear_unreachable_blocks(func, &mut cfg);
 
     let promotable = find_promotable(func);
     if promotable.is_empty() {
         return 0;
     }
+    let dom = DomTree::build(&cfg);
 
     // ---- φ placement ----------------------------------------------------
     // def_blocks[a] = blocks storing to alloca a. Ordered maps/sets
@@ -202,14 +202,19 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
 }
 
 /// Replaces bodies of unreachable blocks with empty `Unreachable` stubs so
-/// later passes can ignore them.
-fn clear_unreachable_blocks(func: &mut Function) {
-    let cfg = Cfg::build(func);
+/// later passes can ignore them, and removes their edges from `cfg` (the
+/// CFG of `func`), which then matches the cleared function.
+fn clear_unreachable_blocks(func: &mut Function, cfg: &mut Cfg) {
     for (i, block) in func.blocks.iter_mut().enumerate() {
         if !cfg.is_reachable(BlockId(i as u32)) {
             block.insts.clear();
             block.terminator = Terminator::Unreachable;
+            cfg.succs[i].clear();
         }
+    }
+    let rpo_index = &cfg.rpo_index;
+    for preds in &mut cfg.preds {
+        preds.retain(|p| rpo_index[p.0 as usize] != usize::MAX);
     }
 }
 

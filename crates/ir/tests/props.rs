@@ -2,7 +2,9 @@
 //! must lower cleanly, and the result must satisfy the verifier's SSA and
 //! CFG invariants — before and after mem2reg.
 
-use safeflow_ir::{lower::lower, ssa::promote_module, verify::verify_module, Cfg, DomTree};
+use safeflow_ir::{
+    lower::lower, ssa::promote_module, verify::verify_module, BlockId, Cfg, DomTree, PostDomTree,
+};
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::parse_source;
 use safeflow_util::prop::{run_cases, Gen};
@@ -161,7 +163,33 @@ fn lower_and_ssa_preserve_invariants() {
     });
 }
 
-/// Dominator facts are consistent with reachability on generated CFGs.
+/// Blocks reachable from `from` along `cfg`'s edges without passing
+/// through `removed` (nothing is reachable when `from` is removed).
+fn reachable_without(cfg: &Cfg, from: BlockId, removed: BlockId) -> Vec<bool> {
+    let mut seen = vec![false; cfg.len()];
+    let mut work = vec![from];
+    while let Some(b) = work.pop() {
+        if b == removed || seen[b.0 as usize] {
+            continue;
+        }
+        seen[b.0 as usize] = true;
+        work.extend(cfg.succs_of(b).iter().copied());
+    }
+    seen
+}
+
+/// Whether a path from `from` reaches a block without successors (an
+/// exit) while avoiding `removed`.
+fn reaches_exit_without(cfg: &Cfg, from: BlockId, removed: BlockId) -> bool {
+    let seen = reachable_without(cfg, from, removed);
+    cfg.rpo.iter().any(|&b| seen[b.0 as usize] && cfg.succs_of(b).is_empty())
+}
+
+/// Dominator and post-dominator facts agree with their definitions on
+/// generated CFGs: `a` dominates `b` when `b` is unreachable from the
+/// entry once `a` is removed, and `a` post-dominates `b` when no exit is
+/// reachable from `b` once `a` is removed. A block that reaches no exit
+/// has no post-dominator.
 #[test]
 fn dominators_consistent() {
     run_cases(128, |g| {
@@ -181,20 +209,36 @@ fn dominators_consistent() {
             }
             let cfg = Cfg::build(f);
             let dom = DomTree::build(&cfg);
-            // The entry dominates every reachable block; nothing dominates
-            // the entry except itself.
-            for &b in &cfg.rpo {
-                assert!(dom.dominates(f.entry(), b));
-                if b != f.entry() {
-                    assert!(!dom.dominates(b, f.entry()));
-                }
-            }
+            let pdom = PostDomTree::build(&cfg);
             // idom is a strict ancestor in RPO.
             for &b in &cfg.rpo {
                 if let Some(d) = dom.immediate_dominator(b) {
                     assert!(
                         cfg.rpo_index[d.0 as usize] < cfg.rpo_index[b.0 as usize],
                         "idom must precede in RPO"
+                    );
+                }
+            }
+            let no_block = BlockId(cfg.len() as u32);
+            for &b in &cfg.rpo {
+                let reaches_exit = reaches_exit_without(&cfg, b, no_block);
+                assert_eq!(pdom.immediate(b).is_some(), reaches_exit, "ipdom of {b} on:\n{src}");
+            }
+            for &a in &cfg.rpo {
+                let from_entry = reachable_without(&cfg, f.entry(), a);
+                for &b in &cfg.rpo {
+                    assert_eq!(
+                        dom.dominates(a, b),
+                        !from_entry[b.0 as usize],
+                        "dominates({a}, {b}) on:\n{src}"
+                    );
+                    let expected = a == b
+                        || (reaches_exit_without(&cfg, b, no_block)
+                            && !reaches_exit_without(&cfg, b, a));
+                    assert_eq!(
+                        pdom.post_dominates(a, b),
+                        expected,
+                        "post_dominates({a}, {b}) on:\n{src}"
                     );
                 }
             }
