@@ -33,6 +33,14 @@
 //! version nor the pointer width (hence no `#[derive(Hash)]`). The walkers
 //! match every variant without a wildcard arm, so a new IR variant cannot
 //! compile until it is hashed.
+//!
+//! The per-value facts are read by index: [`ShmPointers`] and
+//! [`PointsTo`] keep them in dense per-function tables
+//! ([`safeflow_ir::FuncTable`]), so a lookup for a parameter, an
+//! instruction result or an operand hashes nothing and clones nothing, and
+//! a value without facts reads as the shared empty set. The FNV state is
+//! fed the same bytes as ever; `tests::pinned_scc_hashes` holds the keys of
+//! the corpus programs fixed.
 
 use crate::config::AnalysisConfig;
 use crate::regions::RegionMap;
@@ -591,10 +599,12 @@ mod tests {
     use super::*;
     use crate::regions::extract_regions;
     use crate::shmptr::identify_shm_pointers;
+    use safeflow_corpus::monorepo::{generate_monorepo, MonorepoParams};
     use safeflow_ir::{build_module, BasicBlock, BinOp, BlockId, CastKind, CmpOp, Function};
     use safeflow_ir::{Inst, InstId, IrParam, StructId};
     use safeflow_syntax::diag::Diagnostics;
     use safeflow_syntax::parse_source;
+    use safeflow_syntax::pp::VirtualFs;
     use safeflow_syntax::span::FileId;
     use std::collections::BTreeMap;
 
@@ -939,5 +949,205 @@ mod tests {
         let c = env_hash(&m, &regions, &reordered, &BTreeSet::new());
         assert_ne!(a, b, "a declared policy must invalidate summaries");
         assert_eq!(b, c, "declaration order must not");
+    }
+    /// The live SCC keys of one summary-engine run over `main` in `fs`.
+    fn live_keys(fs: &VirtualFs, main: &str) -> Vec<u64> {
+        let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
+        analyzer.analyze_program(main, fs).expect("program analyzes");
+        let keys = lock_recover(&analyzer.cache.live).clone();
+        keys
+    }
+
+    /// Content keys pinned bit for bit. `function_sig` folds in every
+    /// shm-pointer and points-to fact of every value, `ObjId` numbering
+    /// included, so these literals also pin phase 1 and the points-to
+    /// solver: a change to either, to the IR, or to the hashing shows up
+    /// here, and stores written before it stop hitting.
+    #[test]
+    fn pinned_scc_hashes() {
+        const IP: [u64; 46] = [
+            0xf8db12e2268f2327,
+            0x047cd5dbb8a20cf2,
+            0x6a7360428ca9d96b,
+            0xfccfeb5227af2119,
+            0xd8fd8fe9d25e3f69,
+            0x3b22377595231d45,
+            0xffb071d15e3ab52f,
+            0x3467f1e389601847,
+            0x75085f8dfbac9c17,
+            0x4cc4d8982337bbac,
+            0xf55b4ba0967c07ae,
+            0x07d37383d3c40a6b,
+            0xab5200e323300ebd,
+            0xcb4e62f382f6e402,
+            0x888b69a7e845f6a1,
+            0xd1df062e21f924b7,
+            0x1fc26e10c2b2f1f5,
+            0xa8dc2c676b84db47,
+            0xa7595615a2eb29cd,
+            0x0f14a780b7d165c4,
+            0x8dc96f3fc149d55f,
+            0x35698b1f55a25367,
+            0xc28795c01051be21,
+            0x506f907035bdef37,
+            0x21d89275a376cba8,
+            0x65fa73a8b8b0ccf2,
+            0x7e49e65fdf964894,
+            0xbf43ad3963526577,
+            0xc173cf63489586e0,
+            0xe9377b6b4ae0e515,
+            0x5c3cc57108f229f6,
+            0xf9789585c169c1d9,
+            0xd05541f9bad78825,
+            0x7cdf8dbd48f31949,
+            0x517e94a0cacbef25,
+            0x46042e3fe8d4e00b,
+            0x976d7585efe4b6b3,
+            0x8cb57a8d3d258f49,
+            0x28815ada52ab1a87,
+            0x3f4d9f554f953db6,
+            0xda98e27a95270a77,
+            0x3feaf86ec7f4a3df,
+            0xbaabf72f15cc53c6,
+            0x546c4a163fb555d7,
+            0x450b1453d680d5bb,
+            0x7e40d5b7619ddc6c,
+        ];
+        const GENERIC: [u64; 45] = [
+            0x5a338568d0dab5e4,
+            0x4f8d8b7ad38b7a1e,
+            0x1a0321a879e402cb,
+            0x5b025ec84e23bcef,
+            0x9e08a46ddb8c291e,
+            0x1be0ddeec4fb0720,
+            0x17133d55d0edf575,
+            0x45313d3e70397394,
+            0x948431dfc813c43e,
+            0xf46a4c45eff02c93,
+            0xa82d460fa149cecb,
+            0x94797ca0c0fc4ee3,
+            0x0e4b53a85eaf1208,
+            0xd932ee06081bc737,
+            0xfc362e865a4075aa,
+            0x83ed4c90ae0fad15,
+            0x851df656b4685dbc,
+            0x2909b9ddc3ea96eb,
+            0x4329210022baa9db,
+            0xf9d1bcb4d0b4525d,
+            0xf03b4751141a4f31,
+            0x5e25b1278f657a17,
+            0x62006a52f5e7d047,
+            0x74a1686e769f6210,
+            0xe444aa227042c577,
+            0xceaf1d2523250f9a,
+            0x713f8e4851136e22,
+            0xeac7e8be1643bb48,
+            0x5f0971bb9c56426b,
+            0x72eb76ad47368bf5,
+            0x4352c6f4d85b2628,
+            0x6250ddc4e9849f22,
+            0x4e870e8d9715f9d0,
+            0x8fb98832e4ff806d,
+            0x6b4bed7b9caa6634,
+            0xa01d68f5be89de12,
+            0xe49df7f61490561d,
+            0x79388eed62dc691a,
+            0x29d21323596c59fc,
+            0x833a5996d77da98e,
+            0x188f5ccb803c4658,
+            0x81d172096f1e7bb9,
+            0xc21362aecac3699d,
+            0x2713487a3b7d2888,
+            0xb483945c07df72bb,
+        ];
+        const DOUBLE_IP: [u64; 42] = [
+            0xcd8395bcde0e2617,
+            0x0b4c327d2ed12bb3,
+            0x5e2caaeaa7320a82,
+            0x5bfc44b8cdb5d996,
+            0xf61bc97be7600353,
+            0x33c844d48b03d149,
+            0x83fc35b95a870aa4,
+            0x8106997420926026,
+            0x12cd505b784f87f9,
+            0x8bff387f3079bed1,
+            0x5137e1f4022b4760,
+            0x7e3d738da59839e7,
+            0x9bad6b60f1412a8d,
+            0x4a076e9c5ca53ff3,
+            0x56bf8d0b1f51b3f4,
+            0x8224fef2e2b7d30e,
+            0xac80c66c7600f445,
+            0xa7974f70aece0b92,
+            0x58a16b89b9c27e8e,
+            0x35f5a13723e7c1a3,
+            0xb844b29c70792ecc,
+            0xfdecb0c98f916976,
+            0xb13f0a6572abc026,
+            0x88c12c7ba68d5713,
+            0x943aae1990794a9c,
+            0x7861450a528d4d7b,
+            0xd0d98587ba0c7c3b,
+            0x8310e6532026b6c7,
+            0x22f154774b8dc3c7,
+            0x775710fd674c4744,
+            0x4210bbcc4b2faf4d,
+            0x249c395671c84d7f,
+            0xe4bea4b98ee4440d,
+            0x75f8d9714741f7c9,
+            0xf8c7b2165b3604cb,
+            0x6a53aa3aa0e55cff,
+            0x205e3cef44f4a84d,
+            0x2ba8d1a2b84f116b,
+            0x108f27b0b655fec4,
+            0x1bd545d50971d2af,
+            0x924fdd14bc71b1b8,
+            0xd632d626d4a9c191,
+        ];
+        const FIG2: [u64; 4] =
+            [0x27a223552d32ed37, 0x3712a84bf5d6a655, 0x9a6a1785c34e13c0, 0x36b3ce0a8b55bd99];
+        const MONOREPO_SMALL: [u64; 25] = [
+            0xed0520f30cfb2c10,
+            0xebf619cedaba4d45,
+            0x024cf0e3fe8e58b7,
+            0x20c4f43372139a71,
+            0x0295517e2a1dd62b,
+            0xcbf5680a6a320d52,
+            0xb8df00df9b436c8e,
+            0x144a7907730977fd,
+            0xfb184da1287b26bb,
+            0x43255401225f80c6,
+            0x9eb1f22d35ca86dd,
+            0xe1e38f729f9563fd,
+            0xbe1e57c07353304f,
+            0xa99a0a598a601819,
+            0xc99eca3a8270850a,
+            0x180b0799c442908d,
+            0x9a22b19da1322179,
+            0x4497a789b6bbb7dd,
+            0xcb260f619f876e8e,
+            0xdf415ddd155a53d5,
+            0xfb99ed5fcf19a76f,
+            0x42ebefd738d5eb40,
+            0xe4f2e7fe14f9bb46,
+            0xe3fcd1630e7a190c,
+            0x4ebd0a76fed4a56d,
+        ];
+
+        let single = |file: &str, src: &str| {
+            let mut fs = VirtualFs::new();
+            fs.add(file, src);
+            live_keys(&fs, file)
+        };
+        let systems = safeflow_corpus::systems();
+        for (system, pinned) in systems.iter().zip([&IP[..], &GENERIC[..], &DOUBLE_IP[..]]) {
+            assert_eq!(single(system.core_file, system.core_source), pinned, "{}", system.name);
+        }
+        assert_eq!(single("fig2.c", safeflow_corpus::figure2_example()), FIG2);
+        let mut fs = VirtualFs::new();
+        for (name, text) in generate_monorepo(MonorepoParams::small()) {
+            fs.add(name, text);
+        }
+        assert_eq!(live_keys(&fs, "main.c"), MONOREPO_SMALL);
     }
 }

@@ -90,7 +90,9 @@ pub use safeflow_util::json::Json;
 pub use safeflow_util::metrics::MetricsSnapshot;
 pub use session::{AnalysisSession, SessionOutcome, SessionRun};
 
-use safeflow_ir::{build_module, CallGraph, Cfg, Module};
+use safeflow_ir::lower::lower;
+use safeflow_ir::ssa::promote_module;
+use safeflow_ir::{CallGraph, Cfg, Module};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::{Diagnostics, SourceMap, VirtualFs};
 use safeflow_util::lock_recover;
@@ -415,6 +417,10 @@ impl Analyzer {
 
     /// Analyzes `main_name` from `fs`, resolving `#include`s against `fs`.
     ///
+    /// The frontend is timed into the run's metrics alongside the analysis
+    /// phases: `phase.parse` (preprocess, lex and parse), `phase.lower`
+    /// and `phase.ssa`.
+    ///
     /// # Errors
     ///
     /// Returns [`AnalysisError`] when the source fails to parse or lower.
@@ -423,17 +429,21 @@ impl Analyzer {
         main_name: &str,
         fs: &VirtualFs,
     ) -> Result<AnalysisResult, AnalysisError> {
-        let parsed = safeflow_syntax::parse_program_jobs(main_name, fs, self.config.jobs.max(1));
+        let metrics = Metrics::new();
+        let parsed = metrics.time("phase.parse", || {
+            safeflow_syntax::parse_program_jobs(main_name, fs, self.config.jobs.max(1))
+        });
         let mut diags = parsed.diags;
         let sources = parsed.sources;
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        let module = build_module(&parsed.unit, &mut diags);
+        let mut module = metrics.time("phase.lower", || lower(&parsed.unit, &mut diags));
+        metrics.time("phase.ssa", || promote_module(&mut module));
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        let report = self.analyze_module(&module, &mut diags);
+        let report = self.run_phases(&module, &mut diags, metrics);
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
@@ -447,9 +457,18 @@ impl Analyzer {
     /// and surface as [`Degradation`] entries on the report (see
     /// [`AnalysisReport::exit_code`]).
     pub fn analyze_module(&self, module: &Module, diags: &mut Diagnostics) -> AnalysisReport {
-        // Fresh registry per run: `work`-class counters must reflect this
-        // run's cache state alone (see `safeflow_util::metrics`).
-        let metrics = Metrics::new();
+        self.run_phases(module, diags, Metrics::new())
+    }
+
+    /// [`Analyzer::analyze_module`], recording into `metrics`: a fresh
+    /// registry per run, so `work`-class counters reflect this run's cache
+    /// state alone (see `safeflow_util::metrics`).
+    fn run_phases(
+        &self,
+        module: &Module,
+        diags: &mut Diagnostics,
+        metrics: Metrics,
+    ) -> AnalysisReport {
         metrics.add_many(Class::Counter, &[("module.functions", module.functions.len() as u64)]);
         // One wall-clock deadline for the whole run (the only
         // machine-dependent budget; determinism tests never set it).

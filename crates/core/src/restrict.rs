@@ -353,7 +353,7 @@ fn check_p2_in(
     let mut shm_slots: HashSet<InstId> = HashSet::new();
     for (iid, inst) in func.iter_insts() {
         if matches!(inst.kind, InstKind::Alloca { .. })
-            && !shm.regions_of(fid, &Value::Inst(iid)).is_empty()
+            && !shm.regions_of_ref(fid, &Value::Inst(iid)).is_empty()
         {
             shm_slots.insert(iid);
         }
@@ -413,7 +413,7 @@ fn check_p3_in(
     let func = module.function(fid);
     for (_, inst) in func.iter_insts() {
         let InstKind::Cast { kind, value } = &inst.kind else { continue };
-        if shm.regions_of(fid, value).is_empty() {
+        if shm.regions_of_ref(fid, value).is_empty() {
             continue;
         }
         match kind {
@@ -662,7 +662,7 @@ fn check_arrays_in(
 
     for (iid, inst) in func.iter_insts() {
         let InstKind::ElemAddr { base, index } = &inst.kind else { continue };
-        let facts = shm.regions_of(fid, base);
+        let facts = shm.regions_of_ref(fid, base);
         if facts.is_empty() {
             continue;
         }
@@ -672,7 +672,7 @@ fn check_arrays_in(
         }
         // Determine the bound: an array field inside the region, or the
         // region itself as an array.
-        let (bound, base_offset) = match array_bound(module, func, base, regions, &facts) {
+        let (bound, base_offset) = match array_bound(module, func, base, regions, facts) {
             Some(b) => b,
             None => continue,
         };

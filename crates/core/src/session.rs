@@ -20,6 +20,10 @@
 //! bookkeeping lands in `Work`-class metrics, which the warm/cold
 //! comparison strips by definition. Degraded runs (exit code ≥ 3) are
 //! never persisted, and an armed fault plan disables the store entirely.
+//!
+//! An analyzed check also times its report rendering (`report.render_ns`)
+//! and its store save (`store.save_ns`) next to the analyzer's phase
+//! timings, all in the volatile `timings_ns` section.
 
 use crate::store::{config_hash, manifest_key, ReplayEntry, SummaryStore};
 use crate::{AnalysisConfig, AnalysisError, AnalysisResult, Analyzer, Json, MetricsSnapshot};
@@ -219,15 +223,21 @@ impl AnalysisSession {
             metrics.work.insert("store.lock_busy".to_string(), 1);
         }
 
+        let render_start = Instant::now();
+        let rendered = result.render();
+        let render_ns = render_start.elapsed().as_nanos() as u64;
+        metrics.timings_ns.insert("report.render_ns".to_string(), render_ns);
+
         // 3. Persist clean results (degraded ones are never stored: their
         // output is not a pure function of the inputs).
         if exit_code < 3 {
             if let (Some(key), Some(store)) = (key, self.store.as_mut()) {
+                let save_start = Instant::now();
                 let entry = ReplayEntry {
                     exit_code,
                     counters: metrics.counters.clone(),
                     report_json: result.report.to_json(&result.sources).render(),
-                    rendered: result.render(),
+                    rendered: rendered.clone(),
                     schema: result.report.schema().to_string(),
                 };
                 let stats = store.save(key, entry, self.analyzer.cache_export_live())?;
@@ -235,6 +245,8 @@ impl AnalysisSession {
                 metrics
                     .work
                     .insert("store.sccs_invalidated".to_string(), stats.sccs_invalidated as u64);
+                let save_ns = save_start.elapsed().as_nanos() as u64;
+                metrics.timings_ns.insert("store.save_ns".to_string(), save_ns);
             }
         } else if self.strict {
             let degradations = result.report.degradations.clone();
@@ -250,7 +262,7 @@ impl AnalysisSession {
         Ok(SessionOutcome {
             run: SessionRun::Analyzed,
             exit_code,
-            rendered: result.render(),
+            rendered,
             report_json,
             metrics,
             result: Some(result),

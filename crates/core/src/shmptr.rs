@@ -13,8 +13,10 @@
 //! reason about derived pointers, and degrades to `None` otherwise.
 
 use crate::regions::{RegionId, RegionMap};
-use safeflow_ir::{Callee, FuncId, GlobalId, InstId, InstKind, Module, Terminator, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use safeflow_ir::{
+    Callee, FuncId, FuncTable, GlobalId, InstId, InstKind, Module, Terminator, Value,
+};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A region-pointer fact: which region, and at which constant *element*
 /// offset from the region base (when known).
@@ -47,7 +49,7 @@ impl RegionPtr {
 }
 
 /// Where a region-pointer fact can attach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Key {
     Inst(FuncId, InstId),
     Param(FuncId, u32),
@@ -55,10 +57,19 @@ enum Key {
     Global(GlobalId),
 }
 
+static NONE: BTreeSet<RegionPtr> = BTreeSet::new();
+
 /// Results of phase 1.
+///
+/// Parameter and instruction-result facts sit in a dense
+/// [`FuncTable`]; return facts per [`FuncId`] and global-contents facts
+/// per [`GlobalId`] in plain vectors. Every lookup is an index, and a value
+/// without facts reads as the shared empty set.
 #[derive(Debug, Default)]
 pub struct ShmPointers {
-    sets: HashMap<Key, BTreeSet<RegionPtr>>,
+    values: FuncTable<BTreeSet<RegionPtr>>,
+    rets: Vec<BTreeSet<RegionPtr>>,
+    globals: Vec<BTreeSet<RegionPtr>>,
     /// Stores of region pointers into memory that is not a named global
     /// variable — collected here for the P2 check in phase 2:
     /// `(function, store inst, offending pointers)`.
@@ -66,52 +77,57 @@ pub struct ShmPointers {
 }
 
 impl ShmPointers {
-    /// Region pointers held by `value` inside `func`.
-    pub fn regions_of(&self, func: FuncId, value: &Value) -> BTreeSet<RegionPtr> {
-        self.regions_of_ref(func, value).clone()
+    fn new(module: &Module) -> ShmPointers {
+        ShmPointers {
+            values: FuncTable::new(module),
+            rets: vec![BTreeSet::new(); module.functions.len()],
+            globals: vec![BTreeSet::new(); module.globals.len()],
+            escaping_stores: Vec::new(),
+        }
     }
 
-    /// Borrowing form of [`ShmPointers::regions_of`].
+    /// Region pointers held by `value` inside `func`.
     pub fn regions_of_ref(&self, func: FuncId, value: &Value) -> &BTreeSet<RegionPtr> {
-        static NONE: BTreeSet<RegionPtr> = BTreeSet::new();
-        let key = match value {
-            Value::Inst(id) => Key::Inst(func, *id),
-            Value::Param(i) => Key::Param(func, *i),
-            // The *address* of a region global is not itself a region
-            // pointer; its contents are.
-            _ => return &NONE,
-        };
-        self.sets.get(&key).unwrap_or(&NONE)
+        // The *address* of a region global is not itself a region pointer;
+        // its contents are.
+        self.values.get(func, value)
     }
 
     /// Region pointers stored in global `g`.
-    pub fn global_regions(&self, g: GlobalId) -> BTreeSet<RegionPtr> {
-        self.get(Key::Global(g))
+    pub fn global_regions(&self, g: GlobalId) -> &BTreeSet<RegionPtr> {
+        self.globals.get(g.0 as usize).unwrap_or(&NONE)
     }
 
     /// Region pointers returned by `f`.
-    pub fn return_regions(&self, f: FuncId) -> BTreeSet<RegionPtr> {
-        self.get(Key::Ret(f))
+    pub fn return_regions(&self, f: FuncId) -> &BTreeSet<RegionPtr> {
+        self.rets.get(f.0 as usize).unwrap_or(&NONE)
     }
 
     /// Whether `value` may point into shared memory.
     pub fn is_shm_ptr(&self, func: FuncId, value: &Value) -> bool {
-        !self.regions_of(func, value).is_empty()
+        !self.regions_of_ref(func, value).is_empty()
     }
 
-    fn get(&self, k: Key) -> BTreeSet<RegionPtr> {
-        self.sets.get(&k).cloned().unwrap_or_default()
-    }
-
-    fn extend(&mut self, k: Key, ptrs: impl IntoIterator<Item = RegionPtr>) -> bool {
-        let set = self.sets.entry(k).or_default();
+    /// Adds `ptrs` to `k`'s facts; whether the set changed.
+    fn extend(&mut self, k: Key, ptrs: &[RegionPtr]) -> bool {
+        if ptrs.is_empty() {
+            return false;
+        }
+        let set = match k {
+            Key::Inst(f, i) => self.values.inst_mut(f, i),
+            Key::Param(f, i) => self.values.param_mut(f, i),
+            Key::Ret(f) => &mut self.rets[f.0 as usize],
+            Key::Global(g) => &mut self.globals[g.0 as usize],
+        };
         let before = set.len();
+        set.extend(ptrs.iter().copied());
+        if set.len() == before {
+            // Nothing new, and the set was widened when it last grew.
+            return false;
+        }
         // Collapse: keep at most one unknown-offset fact per region, and if
         // a region accumulates many distinct offsets, widen to unknown to
         // guarantee termination.
-        for p in ptrs {
-            set.insert(p);
-        }
         let mut by_region: BTreeMap<RegionId, usize> = BTreeMap::new();
         for p in set.iter() {
             *by_region.entry(p.region).or_default() += 1;
@@ -128,12 +144,15 @@ impl ShmPointers {
 
 /// Runs phase 1 over the whole module.
 pub fn identify_shm_pointers(module: &Module, regions: &RegionMap) -> ShmPointers {
-    let mut sp = ShmPointers::default();
+    let mut sp = ShmPointers::new(module);
     // Seed: each region global holds a base pointer to its region.
     for r in regions.iter() {
-        sp.extend(Key::Global(r.global), [RegionPtr::base(r.id)]);
+        sp.extend(Key::Global(r.global), &[RegionPtr::base(r.id)]);
     }
 
+    // The facts being propagated, copied out of the table they are read
+    // from so the one they flow into can be written.
+    let mut facts: Vec<RegionPtr> = Vec::new();
     let defs: Vec<FuncId> = module.definitions().collect();
     let mut changed = true;
     let mut rounds = 0;
@@ -153,23 +172,20 @@ pub fn identify_shm_pointers(module: &Module, regions: &RegionMap) -> ShmPointer
             }
             for (iid, inst) in func.iter_insts() {
                 let this = Key::Inst(fid, iid);
+                facts.clear();
                 match &inst.kind {
                     InstKind::Load { ptr } => match ptr {
                         Value::Global(g) => {
-                            let facts = sp.get(Key::Global(*g));
-                            if sp.extend(this, facts) {
-                                changed = true;
-                            }
+                            facts.extend(sp.global_regions(*g));
+                            changed |= sp.extend(this, &facts);
                         }
                         Value::Inst(pid)
                             if matches!(func.inst(*pid).kind, InstKind::Alloca { .. }) =>
                         {
                             // Address-taken local variable slot: facts were
                             // attached to the alloca by the Store case.
-                            let facts = sp.get(Key::Inst(fid, *pid));
-                            if !facts.is_empty() && sp.extend(this, facts) {
-                                changed = true;
-                            }
+                            facts.extend(sp.values.inst(fid, *pid));
+                            changed |= sp.extend(this, &facts);
                         }
                         _ => {
                             // A load through a region pointer yields shm
@@ -180,20 +196,12 @@ pub fn identify_shm_pointers(module: &Module, regions: &RegionMap) -> ShmPointer
                         }
                     },
                     InstKind::Store { ptr, value } => {
-                        let vfacts = match value {
-                            Value::Inst(id) => sp.get(Key::Inst(fid, *id)),
-                            Value::Param(i) => sp.get(Key::Param(fid, *i)),
-                            _ => BTreeSet::new(),
-                        };
-                        if vfacts.is_empty() {
+                        facts.extend(sp.regions_of_ref(fid, value));
+                        if facts.is_empty() {
                             continue;
                         }
                         match ptr {
-                            Value::Global(g) => {
-                                if sp.extend(Key::Global(*g), vfacts) {
-                                    changed = true;
-                                }
-                            }
+                            Value::Global(g) => changed |= sp.extend(Key::Global(*g), &facts),
                             Value::Inst(pid)
                                 if matches!(func.inst(*pid).kind, InstKind::Alloca { .. }) =>
                             {
@@ -201,9 +209,7 @@ pub fn identify_shm_pointers(module: &Module, regions: &RegionMap) -> ShmPointer
                                 // still a named variable; propagate through
                                 // the slot by attaching facts to the alloca's
                                 // loads via the alloca key itself.
-                                if sp.extend(Key::Inst(fid, *pid), vfacts) {
-                                    changed = true;
-                                }
+                                changed |= sp.extend(Key::Inst(fid, *pid), &facts);
                             }
                             _ => {
                                 // Region pointer stored into arbitrary
@@ -216,68 +222,52 @@ pub fn identify_shm_pointers(module: &Module, regions: &RegionMap) -> ShmPointer
                         }
                     }
                     InstKind::ElemAddr { base, index } => {
-                        let facts = sp.regions_of(fid, base);
-                        if facts.is_empty() {
-                            continue;
-                        }
                         let delta = index.as_const_int();
-                        let shifted: Vec<RegionPtr> =
-                            facts.into_iter().map(|p| p.shifted(delta)).collect();
-                        if sp.extend(this, shifted) {
-                            changed = true;
-                        }
+                        facts.extend(sp.regions_of_ref(fid, base).iter().map(|p| p.shifted(delta)));
+                        changed |= sp.extend(this, &facts);
                     }
                     InstKind::FieldAddr { base, .. } => {
                         // A field pointer stays inside the region; the
                         // element offset no longer tracks whole elements.
-                        let facts: Vec<RegionPtr> = sp
-                            .regions_of(fid, base)
-                            .into_iter()
-                            .map(|p| if p.offset == Some(0) { p } else { p.unknown_offset() })
-                            .collect();
-                        if !facts.is_empty() && sp.extend(this, facts) {
-                            changed = true;
-                        }
+                        facts.extend(sp.regions_of_ref(fid, base).iter().map(|&p| {
+                            if p.offset == Some(0) {
+                                p
+                            } else {
+                                p.unknown_offset()
+                            }
+                        }));
+                        changed |= sp.extend(this, &facts);
                     }
                     InstKind::Cast { value, .. } if inst.ty.is_ptr() => {
-                        let facts = sp.regions_of(fid, value);
-                        if !facts.is_empty() && sp.extend(this, facts) {
-                            changed = true;
-                        }
+                        facts.extend(sp.regions_of_ref(fid, value));
+                        changed |= sp.extend(this, &facts);
                     }
                     InstKind::Phi { incoming } => {
-                        let mut facts = BTreeSet::new();
                         for (_, v) in incoming {
-                            facts.extend(sp.regions_of(fid, v));
+                            facts.extend(sp.regions_of_ref(fid, v));
                         }
-                        if !facts.is_empty() && sp.extend(this, facts) {
-                            changed = true;
-                        }
+                        changed |= sp.extend(this, &facts);
                     }
                     InstKind::Call { callee: Callee::Local(target), args }
                         if module.function(*target).is_definition =>
                     {
                         for (i, arg) in args.iter().enumerate() {
-                            let facts = sp.regions_of(fid, arg);
-                            if !facts.is_empty() && sp.extend(Key::Param(*target, i as u32), facts)
-                            {
-                                changed = true;
-                            }
+                            facts.clear();
+                            facts.extend(sp.regions_of_ref(fid, arg));
+                            changed |= sp.extend(Key::Param(*target, i as u32), &facts);
                         }
-                        let rets = sp.get(Key::Ret(*target));
-                        if !rets.is_empty() && sp.extend(this, rets) {
-                            changed = true;
-                        }
+                        facts.clear();
+                        facts.extend(sp.return_regions(*target));
+                        changed |= sp.extend(this, &facts);
                     }
                     _ => {}
                 }
             }
             for (_, block) in func.iter_blocks() {
                 if let Terminator::Ret(Some(v)) = &block.terminator {
-                    let facts = sp.regions_of(fid, v);
-                    if !facts.is_empty() && sp.extend(Key::Ret(fid), facts) {
-                        changed = true;
-                    }
+                    facts.clear();
+                    facts.extend(sp.regions_of_ref(fid, v));
+                    changed |= sp.extend(Key::Ret(fid), &facts);
                 }
             }
         }
@@ -333,7 +323,7 @@ mod tests {
         let mut found = false;
         for (iid, inst) in f.iter_insts() {
             if matches!(inst.kind, InstKind::Load { ptr: Value::Global(_) }) {
-                let facts = sp.regions_of(fid, &Value::Inst(iid));
+                let facts = sp.regions_of_ref(fid, &Value::Inst(iid));
                 if facts.iter().any(|p| p.region == nc.id && p.offset == Some(0)) {
                     found = true;
                 }
@@ -356,7 +346,7 @@ mod tests {
         let pick = m.function_by_name("pick").unwrap();
         let nc = regions.iter().find(|r| r.name == "noncoreCtrl").unwrap();
         // pick's param and return both carry the region.
-        assert!(sp.get(Key::Param(pick, 0)).iter().any(|p| p.region == nc.id));
+        assert!(sp.regions_of_ref(pick, &Value::Param(0)).iter().any(|p| p.region == nc.id));
         assert!(sp.return_regions(pick).iter().any(|p| p.region == nc.id));
     }
 
@@ -371,7 +361,7 @@ mod tests {
         let mut found = false;
         for (iid, inst) in f.iter_insts() {
             if matches!(inst.kind, InstKind::ElemAddr { .. }) {
-                for p in sp.regions_of(fid, &Value::Inst(iid)) {
+                for p in sp.regions_of_ref(fid, &Value::Inst(iid)) {
                     if p.region == fb.id && p.offset == Some(1) {
                         found = true;
                     }
@@ -408,6 +398,20 @@ mod tests {
         let alias_g = m.global_by_name("alias").unwrap();
         let nc = regions.iter().find(|r| r.name == "noncoreCtrl").unwrap();
         assert!(sp.global_regions(alias_g).iter().any(|p| p.region == nc.id));
+    }
+
+    #[test]
+    fn more_than_eight_offsets_widen_to_an_unknown_offset() {
+        let mut sp = ShmPointers::default();
+        let (f, i) = (FuncId(0), InstId(0));
+        let at = |offset| RegionPtr { region: RegionId(0), offset };
+        assert!(!sp.extend(Key::Inst(f, i), &[]), "no facts, no change");
+        let eight: Vec<RegionPtr> = (0..8).map(|o| at(Some(o))).collect();
+        assert!(sp.extend(Key::Inst(f, i), &eight));
+        assert!(!sp.extend(Key::Inst(f, i), &eight[..3]), "nothing new, no change");
+        assert_eq!(sp.values.inst(f, i).len(), 8);
+        assert!(sp.extend(Key::Inst(f, i), &[at(Some(8))]));
+        assert_eq!(sp.values.inst(f, i), &BTreeSet::from([at(None)]));
     }
 
     #[test]

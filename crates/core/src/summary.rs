@@ -592,7 +592,7 @@ pub(crate) fn analyze_summaries(
                 _ => Vec::new(),
             };
             for ptr in targets {
-                for o in pt.points_to(fid, ptr) {
+                for o in pt.points_to_ref(fid, ptr).iter() {
                     obj_writes.entry(o).or_default().insert(data_fact(Sym::Unknown));
                 }
             }
@@ -785,7 +785,7 @@ pub(crate) fn analyze_summaries(
                     if scope::derives_from_assumed_param(func, ptr, &local_assumed_params, 0) {
                         continue;
                     }
-                    for fact in shm.regions_of(fid, ptr) {
+                    for &fact in shm.regions_of_ref(fid, ptr) {
                         let region = regions.region(fact.region);
                         let declared = table.region_source_mask(fact.region.0, region.noncore);
                         let effective =
@@ -1036,7 +1036,7 @@ fn summarize_function(
                     InstKind::Load { ptr } => {
                         let locally_assumed =
                             scope::derives_from_assumed_param(func, ptr, &local_assumed_params, 0);
-                        for fact in shm.regions_of(fid, ptr) {
+                        for &fact in shm.regions_of_ref(fid, ptr) {
                             let region = regions.region(fact.region);
                             let declared = table.region_source_mask(fact.region.0, region.noncore);
                             if declared == 0 || locally_assumed {
@@ -1060,7 +1060,7 @@ fn summarize_function(
                         }
                         set.extend(value_set(ptr, &vals));
                         if !locally_assumed {
-                            for o in pt.points_to(fid, ptr) {
+                            for o in pt.points_to_ref(fid, ptr).iter() {
                                 set.insert(data_fact(Sym::Obj(o)));
                                 let base = pt.base_of(o);
                                 if base != o {
@@ -1073,7 +1073,7 @@ fn summarize_function(
                         let mut vset = value_set(value, &vals);
                         vset.extend(ctl_here.iter().copied());
                         if !vset.is_empty() {
-                            for o in pt.points_to(fid, ptr) {
+                            for o in pt.points_to_ref(fid, ptr).iter() {
                                 s.obj_writes.entry(o).or_default().extend(vset.iter().copied());
                             }
                         }
@@ -1125,7 +1125,7 @@ fn summarize_function(
                                     });
                                     if sock_noncore {
                                         if let Some(buf) = args.get(spec.buf_arg) {
-                                            for o in pt.points_to(fid, buf) {
+                                            for o in pt.points_to_ref(fid, buf).iter() {
                                                 s.obj_writes
                                                     .entry(o)
                                                     .or_default()

@@ -548,7 +548,7 @@ impl<'a> Engine<'a> {
                                 0,
                             );
                             // Region source?
-                            for fact in self.shm.regions_of(fid, ptr) {
+                            for &fact in self.shm.regions_of_ref(fid, ptr) {
                                 let region = self.regions.region(fact.region);
                                 let declared =
                                     self.table.region_source_mask(fact.region.0, region.noncore);
@@ -584,7 +584,7 @@ impl<'a> Engine<'a> {
                             // object taint does not apply.
                             t.join(&value_taint(ptr, &taints, ctx));
                             if !locally_assumed {
-                                for o in self.pt.points_to(fid, ptr) {
+                                for o in self.pt.points_to_ref(fid, ptr).iter() {
                                     if let Some(ot) = self.obj_taint.get(&o) {
                                         t.join(ot);
                                     }
@@ -605,7 +605,7 @@ impl<'a> Engine<'a> {
                             let mut vt = value_taint(value, &taints, ctx);
                             vt.join(&ctl_here);
                             if !vt.val.is_bot() {
-                                for o in self.pt.points_to(fid, ptr) {
+                                for o in self.pt.points_to_ref(fid, ptr).iter() {
                                     let desc = self.pt.describe(self.module, o);
                                     let e = self.obj_taint.entry(o).or_insert_with(Taint::clean);
                                     if e.join(&Taint {
@@ -762,7 +762,7 @@ impl<'a> Engine<'a> {
         for (_, inst) in func.iter_insts() {
             match &inst.kind {
                 InstKind::Load { ptr } => {
-                    for fact in self.shm.regions_of(fid, ptr) {
+                    for &fact in self.shm.regions_of_ref(fid, ptr) {
                         let region = self.regions.region(fact.region);
                         let declared = self.table.region_source_mask(fact.region.0, region.noncore);
                         if declared == 0 {
@@ -782,7 +782,7 @@ impl<'a> Engine<'a> {
                     }
                 }
                 InstKind::Store { ptr, .. } => {
-                    for o in self.pt.points_to(fid, ptr) {
+                    for o in self.pt.points_to_ref(fid, ptr).iter() {
                         let e = self.obj_taint.entry(o).or_insert_with(Taint::clean);
                         if e.join(&Taint::at(TaintVal::explicit_at(top), Some(origin.clone()))) {
                             self.obj_dirty = true;
@@ -833,7 +833,7 @@ impl<'a> Engine<'a> {
                         for spec in &self.config.recv_functions {
                             if spec.name == *name {
                                 if let Some(buf) = args.get(spec.buf_arg) {
-                                    for o in self.pt.points_to(fid, buf) {
+                                    for o in self.pt.points_to_ref(fid, buf).iter() {
                                         let e =
                                             self.obj_taint.entry(o).or_insert_with(Taint::clean);
                                         if e.join(&Taint::at(
@@ -918,7 +918,7 @@ impl<'a> Engine<'a> {
                                 format!("`{name}` received non-core data in `{}`", func.name),
                                 inst.span,
                             );
-                            for o in self.pt.points_to(fid, buf) {
+                            for o in self.pt.points_to_ref(fid, buf).iter() {
                                 let e = self.obj_taint.entry(o).or_insert_with(Taint::clean);
                                 if e.join(&Taint::at(
                                     TaintVal::explicit_at(self.table.top()),

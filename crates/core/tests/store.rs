@@ -206,6 +206,37 @@ fn editing_one_unit_reanalyzes_only_the_dirty_region() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An analyzed check times its own layers, frontend, rendering and store
+/// save included; a replayed one only its total. All of it lives in
+/// `timings_ns`, which every byte-identity comparison strips.
+#[test]
+fn analyzed_checks_time_their_frontend_render_and_save() {
+    let dir = store_dir("timings");
+    let fs = two_unit_fs(UTIL_C);
+    let mut session = AnalysisSession::with_store(config(1), &dir).unwrap();
+    let cold = session.check("core.c", &fs).unwrap();
+    assert_eq!(cold.run, SessionRun::Analyzed);
+    for key in [
+        "phase.parse",
+        "phase.lower",
+        "phase.ssa",
+        "phase.shmptr",
+        "phase.points_to",
+        "phase.value_flow",
+        "engine.scc_hash_ns",
+        "report.render_ns",
+        "store.save_ns",
+        "session.check_ns",
+    ] {
+        assert!(cold.metrics.timings_ns.contains_key(key), "analyzed check lacks `{key}`");
+    }
+    let warm = session.check("core.c", &fs).unwrap();
+    assert_eq!(warm.run, SessionRun::Replayed);
+    let keys: Vec<&str> = warm.metrics.timings_ns.keys().map(String::as_str).collect();
+    assert_eq!(keys, ["session.check_ns"], "a replay parses, renders and saves nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_or_truncated_store_degrades_to_cold_run() {
     let dir = store_dir("corrupt");

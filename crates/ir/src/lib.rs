@@ -3,11 +3,13 @@
 //! Typed SSA intermediate representation for the SafeFlow analysis
 //! (DSN 2006). Stands in for the LLVM 1.x substrate the paper used: a typed
 //! CFG IR with SSA form, dominators and post-dominators, control
-//! dependence, loop analysis, and a call graph with SCC condensation.
+//! dependence, loop analysis, a call graph with SCC condensation, and
+//! dense per-value fact tables for the analyses built on top.
 //!
 //! Pipeline: [`lower::lower`] (AST → IR) → [`ssa::promote_module`]
 //! (mem2reg) → analyses ([`mod@cfg`], [`dom`], [`controldep`], [`loops`],
-//! [`callgraph`]).
+//! [`callgraph`]). Analyses built on the IR keep per-value results in a
+//! [`facts::FuncTable`].
 //!
 //! # Examples
 //!
@@ -29,6 +31,7 @@ pub mod callgraph;
 pub mod cfg;
 pub mod controldep;
 pub mod dom;
+pub mod facts;
 pub mod loops;
 pub mod lower;
 pub mod module;
@@ -41,6 +44,7 @@ pub use callgraph::CallGraph;
 pub use cfg::Cfg;
 pub use controldep::ControlDeps;
 pub use dom::{DomTree, PostDomTree};
+pub use facts::FuncTable;
 pub use module::{
     BasicBlock, BinOp, BlockId, Callee, CastKind, CmpOp, FuncId, Function, Global, GlobalId, Inst,
     InstId, InstKind, IrParam, Module, Terminator, Value,

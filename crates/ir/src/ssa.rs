@@ -13,7 +13,7 @@ use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::module::*;
 use crate::types::Type;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Promotes eligible allocas in every defined function of `module`.
 ///
@@ -42,7 +42,8 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     clear_unreachable_blocks(func, &mut cfg);
 
     let promotable = find_promotable(func);
-    if promotable.is_empty() {
+    let promoted = promotable.iter().filter(|&&p| p).count();
+    if promoted == 0 {
         return 0;
     }
     let dom = DomTree::build(&cfg);
@@ -56,15 +57,16 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     for (bid, block) in func.iter_blocks() {
         for &iid in &block.insts {
             if let InstKind::Store { ptr: Value::Inst(a), .. } = &func.inst(iid).kind {
-                if promotable.contains(a) {
+                if promotable[a.0 as usize] {
                     def_blocks.entry(*a).or_default().insert(bid);
                 }
             }
         }
     }
 
-    // phis[(block, alloca)] = phi inst id.
-    let mut phis: BTreeMap<(BlockId, InstId), InstId> = BTreeMap::new();
+    // phis[block] = (alloca, φ inst) pairs in ascending alloca order, as
+    // the allocas are visited in that order.
+    let mut phis: Vec<Vec<(InstId, InstId)>> = vec![Vec::new(); func.blocks.len()];
     for (&alloca, defs) in &def_blocks {
         let ty = match &func.inst(alloca).kind {
             InstKind::Alloca { ty, .. } => ty.clone(),
@@ -89,7 +91,7 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
                     span: func.inst(alloca).span,
                 });
                 func.blocks[df.0 as usize].insts.insert(0, phi_id);
-                phis.insert((df, alloca), phi_id);
+                phis[df.0 as usize].push((alloca, phi_id));
                 if considered.insert(df) {
                     work.push(df);
                 }
@@ -98,17 +100,19 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     }
 
     // ---- renaming walk ----------------------------------------------------
-    let mut stacks: HashMap<InstId, Vec<Value>> = HashMap::new();
-    for &a in &promotable {
-        stacks.insert(a, Vec::new());
-    }
-    // Replacement map for removed loads.
-    let mut replace: HashMap<InstId, Value> = HashMap::new();
-    // Instructions to delete from block lists.
-    let mut dead: HashSet<InstId> = HashSet::new();
-    for &a in &promotable {
-        dead.insert(a); // the alloca itself
-    }
+    // All indexed by `InstId`: each promoted alloca's stack of current
+    // values, the replacement of each removed load, and the instructions
+    // to delete from block lists (the promoted allocas themselves first).
+    let n = func.insts.len();
+    let mut dead = promotable.clone();
+    dead.resize(n, false);
+    let mut rename = Rename {
+        promotable: &promotable,
+        phis: &phis,
+        stacks: vec![Vec::new(); promotable.len()],
+        replace: vec![None; n],
+        dead,
+    };
 
     // Iterative DFS over the dominator tree.
     struct Frame {
@@ -118,17 +122,7 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     }
     let entry = func.entry();
     let mut frames = vec![Frame { block: entry, child_idx: 0, pushed: Vec::new() }];
-    rename_block(
-        func,
-        &cfg,
-        entry,
-        &promotable,
-        &phis,
-        &mut stacks,
-        &mut replace,
-        &mut dead,
-        &mut frames.last_mut().unwrap().pushed,
-    );
+    rename.block(func, &cfg, entry, &mut frames.last_mut().unwrap().pushed);
 
     while !frames.is_empty() {
         let top = frames.len() - 1;
@@ -142,23 +136,13 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
                 continue;
             }
             let mut pushed = Vec::new();
-            rename_block(
-                func,
-                &cfg,
-                child,
-                &promotable,
-                &phis,
-                &mut stacks,
-                &mut replace,
-                &mut dead,
-                &mut pushed,
-            );
+            rename.block(func, &cfg, child, &mut pushed);
             frames.push(Frame { block: child, child_idx: 0, pushed });
         } else {
             // Pop: undo stack pushes.
             let frame = frames.pop().unwrap();
             for a in frame.pushed {
-                stacks.get_mut(&a).unwrap().pop();
+                rename.stacks[a.0 as usize].pop();
             }
         }
     }
@@ -167,18 +151,20 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     // Remove dead instructions from block lists and rewrite any remaining
     // operand references through the replacement map (phi incoming values
     // were already resolved during renaming).
+    let Rename { replace, dead, .. } = rename;
     for block in &mut func.blocks {
-        block.insts.retain(|i| !dead.contains(i));
+        block.insts.retain(|i| !dead[i.0 as usize]);
     }
-    let resolve = |v: &Value, replace: &HashMap<InstId, Value>| -> Value {
+    let replaced = replace.iter().filter(|r| r.is_some()).count();
+    let resolve = |v: &Value| -> Value {
         let mut cur = v.clone();
         let mut guard = 0;
         while let Value::Inst(id) = cur {
-            match replace.get(&id) {
+            match &replace[id.0 as usize] {
                 Some(next) => {
                     cur = next.clone();
                     guard += 1;
-                    if guard > replace.len() + 1 {
+                    if guard > replaced + 1 {
                         break;
                     }
                 }
@@ -189,16 +175,16 @@ pub fn promote_to_ssa(func: &mut Function) -> usize {
     };
     for inst in &mut func.insts {
         for op in inst.kind.operands_mut() {
-            *op = resolve(op, &replace);
+            *op = resolve(op);
         }
     }
     for block in &mut func.blocks {
         for op in block.terminator.operands_mut() {
-            *op = resolve(op, &replace);
+            *op = resolve(op);
         }
     }
 
-    promotable.len()
+    promoted
 }
 
 /// Replaces bodies of unreachable blocks with empty `Unreachable` stubs so
@@ -218,74 +204,76 @@ fn clear_unreachable_blocks(func: &mut Function, cfg: &mut Cfg) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rename_block(
-    func: &mut Function,
-    cfg: &Cfg,
-    block: BlockId,
-    promotable: &HashSet<InstId>,
-    phis: &BTreeMap<(BlockId, InstId), InstId>,
-    stacks: &mut HashMap<InstId, Vec<Value>>,
-    replace: &mut HashMap<InstId, Value>,
-    dead: &mut HashSet<InstId>,
-    pushed: &mut Vec<InstId>,
-) {
-    // φ-defs first: they become the current value of their variable.
-    for (&(b, a), &phi) in phis.iter() {
-        if b == block {
-            stacks.get_mut(&a).unwrap().push(Value::Inst(phi));
+/// The renaming walk's state, indexed by `InstId`.
+struct Rename<'a> {
+    /// Which allocas are promoted (shorter than the φ-extended function).
+    promotable: &'a [bool],
+    /// Per block, its (alloca, φ) pairs in ascending alloca order.
+    phis: &'a [Vec<(InstId, InstId)>],
+    /// Per promoted alloca, its current values, innermost last.
+    stacks: Vec<Vec<Value>>,
+    /// The value that replaces each removed load.
+    replace: Vec<Option<Value>>,
+    /// Instructions to delete from block lists.
+    dead: Vec<bool>,
+}
+
+impl Rename<'_> {
+    fn is_promotable(&self, a: InstId) -> bool {
+        self.promotable.get(a.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Rewrites `op` through the replacement map.
+    fn rewrite(&self, op: &mut Value) {
+        if let Value::Inst(id) = op {
+            if let Some(v) = &self.replace[id.0 as usize] {
+                *op = v.clone();
+            }
+        }
+    }
+
+    /// Renames `block`, recording in `pushed` each alloca whose stack it
+    /// pushed.
+    fn block(&mut self, func: &mut Function, cfg: &Cfg, block: BlockId, pushed: &mut Vec<InstId>) {
+        // φ-defs first: they become the current value of their variable.
+        for &(a, phi) in &self.phis[block.0 as usize] {
+            self.stacks[a.0 as usize].push(Value::Inst(phi));
             pushed.push(a);
         }
-    }
 
-    let inst_ids: Vec<InstId> = func.blocks[block.0 as usize].insts.clone();
-    for iid in inst_ids {
-        // Rewrite operands through the replacement map first.
-        let kind = &mut func.insts[iid.0 as usize].kind;
-        for op in kind.operands_mut() {
-            if let Value::Inst(id) = op {
-                if let Some(v) = replace.get(id) {
-                    *op = v.clone();
+        for i in 0..func.blocks[block.0 as usize].insts.len() {
+            let iid = func.blocks[block.0 as usize].insts[i];
+            // Rewrite operands through the replacement map first.
+            for op in func.insts[iid.0 as usize].kind.operands_mut() {
+                self.rewrite(op);
+            }
+            match &func.insts[iid.0 as usize].kind {
+                InstKind::Load { ptr: Value::Inst(a) } if self.is_promotable(*a) => {
+                    let current = self.stacks[a.0 as usize]
+                        .last()
+                        .cloned()
+                        .unwrap_or_else(|| undef_value(&func.insts[iid.0 as usize].ty));
+                    self.replace[iid.0 as usize] = Some(current);
+                    self.dead[iid.0 as usize] = true;
                 }
-            }
-        }
-        match &func.insts[iid.0 as usize].kind {
-            InstKind::Load { ptr: Value::Inst(a) } if promotable.contains(a) => {
-                let current = stacks[a]
-                    .last()
-                    .cloned()
-                    .unwrap_or_else(|| undef_value(&func.insts[iid.0 as usize].ty));
-                replace.insert(iid, current);
-                dead.insert(iid);
-            }
-            InstKind::Store { ptr: Value::Inst(a), value } if promotable.contains(a) => {
-                let a = *a;
-                let v = value.clone();
-                stacks.get_mut(&a).unwrap().push(v);
-                pushed.push(a);
-                dead.insert(iid);
-            }
-            _ => {}
-        }
-    }
-
-    // Rewrite terminator operands.
-    {
-        let term = &mut func.blocks[block.0 as usize].terminator;
-        for op in term.operands_mut() {
-            if let Value::Inst(id) = op {
-                if let Some(v) = replace.get(id) {
-                    *op = v.clone();
+                InstKind::Store { ptr: Value::Inst(a), value } if self.is_promotable(*a) => {
+                    self.stacks[a.0 as usize].push(value.clone());
+                    pushed.push(*a);
+                    self.dead[iid.0 as usize] = true;
                 }
+                _ => {}
             }
         }
-    }
 
-    // Fill φ incoming in successors with our current values.
-    for &succ in cfg.succs_of(block) {
-        for (&(b, a), &phi) in phis.iter() {
-            if b == succ {
-                let current = stacks[&a]
+        // Rewrite terminator operands.
+        for op in func.blocks[block.0 as usize].terminator.operands_mut() {
+            self.rewrite(op);
+        }
+
+        // Fill φ incoming in successors with our current values.
+        for &succ in cfg.succs_of(block) {
+            for &(a, phi) in &self.phis[succ.0 as usize] {
+                let current = self.stacks[a.0 as usize]
                     .last()
                     .cloned()
                     .unwrap_or_else(|| undef_value(&func.insts[phi.0 as usize].ty));
@@ -306,41 +294,34 @@ fn undef_value(ty: &Type) -> Value {
     }
 }
 
-/// Allocas whose address is only used by loads and stores (as the pointer).
-fn find_promotable(func: &Function) -> HashSet<InstId> {
-    let mut allocas: HashSet<InstId> = HashSet::new();
+/// Allocas whose address is only used by loads and stores (as the
+/// pointer), as a flag per `InstId`.
+fn find_promotable(func: &Function) -> Vec<bool> {
+    let mut allocas = vec![false; func.insts.len()];
     for (iid, inst) in func.iter_insts() {
         if let InstKind::Alloca { ty, .. } = &inst.kind {
             if ty.is_scalar() {
-                allocas.insert(iid);
+                allocas[iid.0 as usize] = true;
             }
         }
     }
+    let mut disqualify = |v: &Value| {
+        if let Value::Inst(id) = v {
+            allocas[id.0 as usize] = false;
+        }
+    };
     // Disqualify allocas used outside load/store-pointer position.
     for (_, inst) in func.iter_insts() {
         match &inst.kind {
             InstKind::Load { ptr: Value::Inst(_) } => {}
-            InstKind::Store { ptr: Value::Inst(p), value } => {
-                // Storing the *address itself* somewhere disqualifies it.
-                if let Value::Inst(v) = value {
-                    allocas.remove(v);
-                }
-                let _ = p;
-            }
-            other => {
-                for op in other.operands() {
-                    if let Value::Inst(id) = op {
-                        allocas.remove(id);
-                    }
-                }
-            }
+            // Storing the *address itself* somewhere disqualifies it.
+            InstKind::Store { ptr: Value::Inst(_), value } => disqualify(value),
+            other => other.for_each_operand(&mut disqualify),
         }
     }
     for (_, block) in func.iter_blocks() {
         for op in block.terminator.operands() {
-            if let Value::Inst(id) = op {
-                allocas.remove(id);
-            }
+            disqualify(op);
         }
     }
     allocas

@@ -31,7 +31,7 @@
 
 #![warn(missing_docs)]
 
-use safeflow_ir::{Callee, FuncId, GlobalId, InstId, InstKind, Module, Value};
+use safeflow_ir::{Callee, FuncId, FuncTable, GlobalId, InstId, InstKind, Module, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Interned id of an abstract memory object.
@@ -62,7 +62,7 @@ pub enum Obj {
 /// Ordered so the solver visits copy edges in a stable order: field objects
 /// are interned lazily *during* solving, so `ObjId` numbering (and with it
 /// the summary-cache content hashes) must not depend on map iteration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum VarKey {
     Inst(FuncId, InstId),
     Param(FuncId, u32),
@@ -84,6 +84,7 @@ pub enum PointsToRef<'a> {
 
 impl<'a> PointsToRef<'a> {
     /// Number of objects.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             PointsToRef::Set(s) => s.len(),
@@ -92,11 +93,13 @@ impl<'a> PointsToRef<'a> {
     }
 
     /// Whether the set is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The objects in ascending order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = ObjId> + 'a {
         let (set, one) = match *self {
             PointsToRef::Set(s) => (Some(s), None),
@@ -107,11 +110,23 @@ impl<'a> PointsToRef<'a> {
 }
 
 /// Results of the points-to analysis.
+///
+/// Parameter and instruction-result sets sit in a dense [`FuncTable`],
+/// merged returns per [`FuncId`], object contents per [`ObjId`] and each
+/// global's object per [`GlobalId`] in plain vectors, so no lookup hashes.
+/// Only interning a memory object probes a map. The per-value accessors are
+/// `#[inline]`: the content hash and both engines call them per operand.
 #[derive(Debug)]
 pub struct PointsTo {
     objects: Vec<Obj>,
     obj_ids: HashMap<Obj, ObjId>,
-    sets: HashMap<VarKey, BTreeSet<ObjId>>,
+    /// The object of each global, indexed by [`GlobalId`].
+    global_objs: Vec<ObjId>,
+    values: FuncTable<BTreeSet<ObjId>>,
+    rets: Vec<BTreeSet<ObjId>>,
+    /// Pointer contents, indexed by [`ObjId`]: one entry per interned
+    /// object.
+    contents: Vec<BTreeSet<ObjId>>,
     escaped: BTreeSet<ObjId>,
 }
 
@@ -122,7 +137,10 @@ impl PointsTo {
             pt: PointsTo {
                 objects: Vec::new(),
                 obj_ids: HashMap::new(),
-                sets: HashMap::new(),
+                global_objs: Vec::new(),
+                values: FuncTable::new(module),
+                rets: vec![BTreeSet::new(); module.functions.len()],
+                contents: Vec::new(),
                 escaped: BTreeSet::new(),
             },
             edges: BTreeMap::new(),
@@ -143,11 +161,13 @@ impl PointsTo {
         }
         let id = ObjId(self.objects.len() as u32);
         self.objects.push(o.clone());
+        self.contents.push(BTreeSet::new());
         self.obj_ids.insert(o, id);
         id
     }
 
     /// The object stored under `id`.
+    #[inline]
     pub fn object(&self, id: ObjId) -> &Obj {
         &self.objects[id.0 as usize]
     }
@@ -158,6 +178,7 @@ impl PointsTo {
     }
 
     /// The base object of `id` with field derivations stripped.
+    #[inline]
     pub fn base_of(&self, mut id: ObjId) -> ObjId {
         loop {
             match self.object(id) {
@@ -167,36 +188,27 @@ impl PointsTo {
         }
     }
 
-    /// Points-to set of `value` as seen in `func` (empty for non-pointers).
-    pub fn points_to(&self, func: FuncId, value: &Value) -> BTreeSet<ObjId> {
-        self.points_to_ref(func, value).iter().collect()
-    }
-
-    /// Borrowing form of [`PointsTo::points_to`]: the same objects in the
-    /// same ascending order, without cloning a set.
+    /// Points-to set of `value` as seen in `func` (empty for non-pointers),
+    /// in ascending order.
+    #[inline]
     pub fn points_to_ref(&self, func: FuncId, value: &Value) -> PointsToRef<'_> {
-        let key = match value {
-            Value::Inst(id) => VarKey::Inst(func, *id),
-            Value::Param(i) => VarKey::Param(func, *i),
-            Value::Global(g) => {
-                return match self.obj_ids.get(&Obj::Global(*g)) {
-                    Some(&id) => PointsToRef::One(id),
-                    None => PointsToRef::Set(&NO_OBJECTS),
-                }
-            }
-            _ => return PointsToRef::Set(&NO_OBJECTS),
-        };
-        PointsToRef::Set(self.sets.get(&key).unwrap_or(&NO_OBJECTS))
+        match value {
+            Value::Global(g) => match self.global_objs.get(g.0 as usize) {
+                Some(&id) => PointsToRef::One(id),
+                None => PointsToRef::Set(&NO_OBJECTS),
+            },
+            _ => PointsToRef::Set(self.values.get(func, value)),
+        }
     }
 
     /// Points-to set of `func`'s merged return value.
-    pub fn return_points_to(&self, func: FuncId) -> BTreeSet<ObjId> {
-        self.lookup(VarKey::Ret(func))
+    pub fn return_points_to(&self, func: FuncId) -> &BTreeSet<ObjId> {
+        self.rets.get(func.0 as usize).unwrap_or(&NO_OBJECTS)
     }
 
     /// The pointer contents of object `o` (what loads from `o` may yield).
-    pub fn contents(&self, o: ObjId) -> BTreeSet<ObjId> {
-        self.lookup(VarKey::Contents(o))
+    pub fn contents(&self, o: ObjId) -> &BTreeSet<ObjId> {
+        &self.contents[o.0 as usize]
     }
 
     /// Whether `o`'s address escaped into an external function.
@@ -229,8 +241,24 @@ impl PointsTo {
         seen
     }
 
-    fn lookup(&self, key: VarKey) -> BTreeSet<ObjId> {
-        self.sets.get(&key).cloned().unwrap_or_default()
+    /// The solved set of constraint variable `key`.
+    fn set(&self, key: VarKey) -> &BTreeSet<ObjId> {
+        match key {
+            VarKey::Inst(f, i) => self.values.inst(f, i),
+            VarKey::Param(f, i) => self.values.param(f, i),
+            VarKey::Ret(f) => self.return_points_to(f),
+            VarKey::Contents(o) => self.contents(o),
+        }
+    }
+
+    /// The set of `key`, for inserting.
+    fn set_mut(&mut self, key: VarKey) -> &mut BTreeSet<ObjId> {
+        match key {
+            VarKey::Inst(f, i) => self.values.inst_mut(f, i),
+            VarKey::Param(f, i) => self.values.param_mut(f, i),
+            VarKey::Ret(f) => &mut self.rets[f.0 as usize],
+            VarKey::Contents(o) => &mut self.contents[o.0 as usize],
+        }
     }
 
     /// Human-readable description of an object.
@@ -296,7 +324,11 @@ impl Analyzer {
 
     fn add_obj(&mut self, var: VarKey, obj: Obj) {
         let id = self.pt.intern(obj);
-        self.pt.sets.entry(var).or_default().insert(id);
+        self.pt.set_mut(var).insert(id);
+    }
+
+    fn global_obj(&self, g: GlobalId) -> ObjId {
+        self.pt.global_objs[g.0 as usize]
     }
 
     /// Copies pts(value) into `dst`.
@@ -304,7 +336,10 @@ impl Analyzer {
         match value {
             Value::Inst(id) => self.add_edge(VarKey::Inst(func, *id), dst),
             Value::Param(i) => self.add_edge(VarKey::Param(func, *i), dst),
-            Value::Global(g) => self.add_obj(dst, Obj::Global(*g)),
+            Value::Global(g) => {
+                let o = self.global_obj(*g);
+                self.pt.set_mut(dst).insert(o);
+            }
             _ => {}
         }
     }
@@ -323,7 +358,8 @@ impl Analyzer {
         // targets for the taint analysis even when no pointer constraints
         // mention them).
         for (i, _) in module.globals.iter().enumerate() {
-            self.pt.intern(Obj::Global(GlobalId(i as u32)));
+            let o = self.pt.intern(Obj::Global(GlobalId(i as u32)));
+            self.pt.global_objs.push(o);
         }
         for fid in module.definitions() {
             let func = module.function(fid);
@@ -353,7 +389,7 @@ impl Analyzer {
                                 }
                                 None => {
                                     if let Value::Global(g) = ptr {
-                                        let o = self.pt.intern(Obj::Global(*g));
+                                        let o = self.global_obj(*g);
                                         self.add_edge(VarKey::Contents(o), this);
                                     }
                                 }
@@ -380,7 +416,7 @@ impl Analyzer {
                                 }
                                 None => {
                                     if let Value::Global(g) = ptr {
-                                        let o = self.pt.intern(Obj::Global(*g));
+                                        let o = self.global_obj(*g);
                                         self.value_into(fid, value, VarKey::Contents(o));
                                     }
                                 }
@@ -415,7 +451,7 @@ impl Analyzer {
                                         Some(k) => self.extern_args.push(k),
                                         None => {
                                             if let Value::Global(g) = arg {
-                                                let o = self.pt.intern(Obj::Global(*g));
+                                                let o = self.global_obj(*g);
                                                 self.pt.escaped.insert(o);
                                             }
                                         }
@@ -439,6 +475,12 @@ impl Analyzer {
     }
 
     fn solve(&mut self) {
+        // The constraint edges are fixed before solving; flattened once,
+        // in the deterministic `VarKey` order.
+        let edges: Vec<(VarKey, VarKey)> =
+            self.edges.iter().flat_map(|(f, tos)| tos.iter().map(move |t| (*f, *t))).collect();
+        // Sets copied out of the tables so another set can be written.
+        let (mut src, mut add): (Vec<ObjId>, Vec<ObjId>) = (Vec::new(), Vec::new());
         let mut changed = true;
         let mut guard = 0usize;
         while changed {
@@ -448,99 +490,81 @@ impl Analyzer {
                 break; // defensive: should converge long before this
             }
             // Copy edges.
-            let edges: Vec<(VarKey, VarKey)> =
-                self.edges.iter().flat_map(|(f, tos)| tos.iter().map(move |t| (*f, *t))).collect();
-            for (from, to) in edges {
-                let src = self.pt.sets.get(&from).cloned().unwrap_or_default();
-                if src.is_empty() {
-                    continue;
-                }
-                let dst = self.pt.sets.entry(to).or_default();
-                let before = dst.len();
-                dst.extend(src.iter().copied());
-                if dst.len() != before {
-                    changed = true;
-                }
+            for &(from, to) in &edges {
+                src.clear();
+                src.extend(self.pt.set(from));
+                changed |= self.union_into(to, &src);
             }
             // Field derivations.
-            let fes = self.field_edges.clone();
-            for (fid, iid, base, sid, field) in fes {
-                let base_set = match &base {
-                    Value::Inst(id) => self.pt.lookup(VarKey::Inst(fid, *id)),
-                    Value::Param(i) => self.pt.lookup(VarKey::Param(fid, *i)),
-                    Value::Global(g) => {
-                        let o = self.pt.intern(Obj::Global(*g));
-                        std::iter::once(o).collect()
-                    }
-                    _ => BTreeSet::new(),
-                };
-                for b in base_set {
+            for i in 0..self.field_edges.len() {
+                let (fid, iid, ref base, sid, field) = self.field_edges[i];
+                src.clear();
+                match base {
+                    Value::Global(g) => src.push(self.global_obj(*g)),
+                    _ => src.extend(self.pt.values.get(fid, base)),
+                }
+                for &b in &src {
                     let fo = if matches!(self.pt.object(b), Obj::Unknown) {
                         b
                     } else {
                         self.pt.intern(Obj::Field(b, sid, field))
                     };
-                    let dst = self.pt.sets.entry(VarKey::Inst(fid, iid)).or_default();
-                    if dst.insert(fo) {
-                        changed = true;
-                    }
+                    changed |= self.pt.values.inst_mut(fid, iid).insert(fo);
                 }
             }
             // Complex loads.
             for i in 0..self.complex_loads.len() {
-                let (dst, src) = (self.complex_loads[i].dst, self.complex_loads[i].src);
-                let ptr_set = self.pt.lookup(src);
-                for o in ptr_set {
-                    let mut add = self.pt.lookup(VarKey::Contents(o));
+                let (dst, ptr) = (self.complex_loads[i].dst, self.complex_loads[i].src);
+                src.clear();
+                src.extend(self.pt.set(ptr));
+                for &o in &src {
+                    add.clear();
+                    add.extend(self.pt.contents(o));
                     if self.pt.is_escaped(o) {
-                        add.insert(self.pt.intern(Obj::Unknown));
+                        add.push(self.pt.intern(Obj::Unknown));
                     }
-                    if add.is_empty() {
-                        continue;
-                    }
-                    let dset = self.pt.sets.entry(dst).or_default();
-                    let before = dset.len();
-                    dset.extend(add);
-                    if dset.len() != before {
-                        changed = true;
-                    }
+                    changed |= self.union_into(dst, &add);
                 }
             }
             // Complex stores.
             for i in 0..self.complex_stores.len() {
-                let (dst_ptr, src) = (self.complex_stores[i].dst_ptr, self.complex_stores[i].src);
-                let ptr_set = self.pt.lookup(dst_ptr);
-                let val_set = self.pt.lookup(src);
-                if val_set.is_empty() {
-                    continue;
-                }
-                for o in ptr_set {
-                    let cset = self.pt.sets.entry(VarKey::Contents(o)).or_default();
-                    let before = cset.len();
-                    cset.extend(val_set.iter().copied());
-                    if cset.len() != before {
-                        changed = true;
-                    }
+                let (dst_ptr, val) = (self.complex_stores[i].dst_ptr, self.complex_stores[i].src);
+                src.clear();
+                src.extend(self.pt.set(dst_ptr));
+                add.clear();
+                add.extend(self.pt.set(val));
+                for &o in &src {
+                    changed |= self.union_into(VarKey::Contents(o), &add);
                 }
             }
             // Escape propagation.
-            let roots: Vec<VarKey> = self.extern_args.clone();
-            for k in roots {
-                for o in self.pt.lookup(k) {
-                    if self.pt.escaped.insert(o) {
-                        changed = true;
-                    }
-                }
+            src.clear();
+            for &k in &self.extern_args {
+                src.extend(self.pt.set(k));
             }
-            let escaped: Vec<ObjId> = self.pt.escaped.iter().copied().collect();
-            for o in escaped {
-                for c in self.pt.lookup(VarKey::Contents(o)) {
-                    if self.pt.escaped.insert(c) {
-                        changed = true;
-                    }
+            for &o in &src {
+                changed |= self.pt.escaped.insert(o);
+            }
+            src.clear();
+            src.extend(&self.pt.escaped);
+            for &o in &src {
+                for &c in &self.pt.contents[o.0 as usize] {
+                    changed |= self.pt.escaped.insert(c);
                 }
             }
         }
+    }
+
+    /// Adds `objs` to `key`'s set; whether it grew. Leaves an unwritten
+    /// slot unwritten when `objs` is empty.
+    fn union_into(&mut self, key: VarKey, objs: &[ObjId]) -> bool {
+        if objs.is_empty() {
+            return false;
+        }
+        let set = self.pt.set_mut(key);
+        let before = set.len();
+        set.extend(objs.iter().copied());
+        set.len() != before
     }
 }
 
@@ -609,7 +633,7 @@ mod tests {
         let mut found = false;
         for (_, inst) in f.iter_insts() {
             if let InstKind::FieldAddr { base, .. } = &inst.kind {
-                for o in pt.points_to(use_fid, base) {
+                for o in pt.points_to_ref(use_fid, base).iter() {
                     if pt.describe(&m, o).contains("shmat") {
                         found = true;
                     }
