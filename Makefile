@@ -158,6 +158,14 @@ smoke: lint build test oracle-smoke serve-smoke policy-smoke
 	$(SAFEFLOW) --engine summary --inject scc:0 --jobs 8 --fig2 > /tmp/safeflow-smoke-fault-j8.txt; \
 	  test $$? -eq 3
 	cmp /tmp/safeflow-smoke-fault-j1.txt /tmp/safeflow-smoke-fault-j8.txt
+	# Same for a panic in every restriction check (phase 2's pool tasks):
+	# each of fig2's three checked functions degrades, at any thread count.
+	$(SAFEFLOW) --inject solver:panic --jobs 1 --fig2 > /tmp/safeflow-smoke-solver-j1.txt; \
+	  test $$? -eq 3
+	$(SAFEFLOW) --inject solver:panic --jobs 8 --fig2 > /tmp/safeflow-smoke-solver-j8.txt; \
+	  test $$? -eq 3
+	cmp /tmp/safeflow-smoke-solver-j1.txt /tmp/safeflow-smoke-solver-j8.txt
+	test "$$(grep -c 'restriction checks panicked' /tmp/safeflow-smoke-solver-j1.txt)" -eq 3
 	# Incremental sessions: a warm no-change `check` run against a store
 	# must replay the cold run's report byte-for-byte at any --jobs.
 	rm -rf /tmp/safeflow-smoke-store /tmp/safeflow-smoke-src

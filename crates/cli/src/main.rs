@@ -203,35 +203,16 @@ fn run() -> ExitCode {
             "--engine" => {
                 i += 1;
                 engine_set = true;
-                match args.get(i).map(String::as_str) {
-                    Some("summary") => engine = Engine::Summary,
-                    Some("context") | Some("context-sensitive") => {
-                        engine = Engine::ContextSensitive
-                    }
-                    other => {
-                        return usage_error(&format!(
-                            "unknown engine {other:?} (use `summary` or `context`)"
-                        ))
-                    }
+                match parse_engine(args.get(i)) {
+                    Ok(e) => engine = e,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--jobs" | "-j" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("auto") => jobs = safeflow_util::pool::default_jobs(),
-                    Some(n) => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = n,
-                        _ => {
-                            return usage_error(&format!(
-                                "--jobs takes a positive integer or `auto`, got {n:?}"
-                            ))
-                        }
-                    },
-                    None => {
-                        return usage_error(
-                            "--jobs requires an argument (a thread count or `auto`)",
-                        )
-                    }
+                match parse_jobs(args.get(i)) {
+                    Ok(n) => jobs = n,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--help" | "-h" => {
@@ -421,21 +402,9 @@ fn run_oracle(args: &[String]) -> ExitCode {
             }
             "--jobs" | "-j" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("auto") => opts.jobs = safeflow_util::pool::default_jobs(),
-                    Some(n) => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => opts.jobs = n,
-                        _ => {
-                            return usage_error(&format!(
-                                "--jobs takes a positive integer or `auto`, got {n:?}"
-                            ))
-                        }
-                    },
-                    None => {
-                        return usage_error(
-                            "--jobs requires an argument (a thread count or `auto`)",
-                        )
-                    }
+                match parse_jobs(args.get(i)) {
+                    Ok(n) => opts.jobs = n,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--help" | "-h" => {
@@ -494,6 +463,27 @@ fn parse_budget(spec: &str, budget: &mut Budget) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Parses the argument of `--jobs`: a positive thread count or `auto`.
+fn parse_jobs(arg: Option<&String>) -> Result<usize, String> {
+    match arg.map(String::as_str) {
+        Some("auto") => Ok(safeflow_util::pool::default_jobs()),
+        Some(n) => match n.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("--jobs takes a positive integer or `auto`, got {n:?}")),
+        },
+        None => Err("--jobs requires an argument (a thread count or `auto`)".to_string()),
+    }
+}
+
+/// Parses the argument of `--engine`: `summary` or `context`.
+fn parse_engine(arg: Option<&String>) -> Result<Engine, String> {
+    match arg.map(String::as_str) {
+        Some("summary") => Ok(Engine::Summary),
+        Some("context") | Some("context-sensitive") => Ok(Engine::ContextSensitive),
+        other => Err(format!("unknown engine {other:?} (use `summary` or `context`)")),
+    }
 }
 
 /// Parses an `--inject` spec: `SITE[:KEY][:KIND]` where SITE is

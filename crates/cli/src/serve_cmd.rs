@@ -135,27 +135,16 @@ pub fn run_serve(args: &[String]) -> ExitCode {
             "--shutdown" => action_shutdown = true,
             "--engine" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("summary") => engine = Engine::Summary,
-                    Some("context") | Some("context-sensitive") => {
-                        engine = Engine::ContextSensitive
-                    }
-                    other => {
-                        return usage_error(&format!(
-                            "unknown engine {other:?} (use `summary` or `context`)"
-                        ))
-                    }
+                match crate::parse_engine(args.get(i)) {
+                    Ok(e) => engine = e,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--jobs" | "-j" => {
                 i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("auto") => jobs = safeflow_util::pool::default_jobs(),
-                    Some(n) => match n.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = n,
-                        _ => return usage_error("--jobs takes a positive integer or `auto`"),
-                    },
-                    None => return usage_error("--jobs requires an argument"),
+                match crate::parse_jobs(args.get(i)) {
+                    Ok(n) => jobs = n,
+                    Err(e) => return usage_error(&e),
                 }
             }
             "--budget" => {

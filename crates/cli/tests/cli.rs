@@ -153,6 +153,24 @@ fn jobs_zero_exits_2_and_prints_usage() {
     assert!(err.contains("USAGE"), "{err}");
 }
 
+/// `--jobs` has one parser: the plain run, `check`, `oracle` and `serve`
+/// reject a zero thread count with the same one-line error.
+#[test]
+fn jobs_zero_is_the_same_error_in_every_subcommand() {
+    let expected = "safeflow: --jobs takes a positive integer or `auto`, got \"0\"";
+    for args in [
+        &["--jobs", "0", "--fig2"][..],
+        &["check", "--jobs", "0", "f.c"],
+        &["oracle", "--jobs", "0"],
+        &["serve", "--jobs", "0"],
+    ] {
+        let out = safeflow().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().next(), Some(expected), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn trailing_value_flags_exit_2_and_print_usage() {
     for flag in ["--budget", "--inject", "--fault-seed", "--jobs", "--engine", "--format"] {

@@ -299,8 +299,8 @@ impl AnalyzerBuilder {
 /// environment) hash identically to a previous run, their summaries are
 /// replayed instead of recomputed — see [`crate::engine`] and
 /// [`Analyzer::cache_stats`]. With `config.jobs > 1` the summary and
-/// restriction phases run on a work-stealing thread pool; reports are
-/// identical for every worker count.
+/// restriction phases run on a thread pool with one ready queue; reports
+/// are identical for every worker count.
 #[derive(Debug, Default)]
 pub struct Analyzer {
     config: AnalysisConfig,

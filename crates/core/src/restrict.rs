@@ -26,10 +26,8 @@ use safeflow_ir::{
 use safeflow_solver::{Entailment, LinExpr, SolveStats, SolverLimits, System, Var};
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
-use safeflow_util::pool::{panic_message, run_map_observed, PoolStats};
+use safeflow_util::pool::{run_map, PoolStats};
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Per-function check/solver tallies, merged in definition order after the
@@ -91,47 +89,43 @@ pub fn check_restrictions(
 
     let defs: Vec<FuncId> = module.definitions().collect();
     let pool_stats = PoolStats::default();
-    let per_fn = run_map_observed(config.jobs.max(1), defs.len(), &pool_stats, |i| {
+    let per_fn = run_map(config.jobs, defs.len(), &pool_stats, |i| {
         let fid = defs[i];
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut vs = Vec::new();
-            let mut budget_notes: Vec<String> = Vec::new();
-            let mut fs = FnCheckStats::default();
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    budget_notes
-                        .push("wall-clock deadline exceeded before restriction checks".into());
-                    return (vs, budget_notes, fs);
-                }
+        let mut vs = Vec::new();
+        let mut budget_notes: Vec<String> = Vec::new();
+        let mut fs = FnCheckStats::default();
+        if let Some(d) = deadline {
+            if Instant::now() >= d {
+                budget_notes.push("wall-clock deadline exceeded before restriction checks".into());
+                return (vs, budget_notes, fs);
             }
-            let cfg = cfgs[fid.0 as usize].as_ref();
-            check_p1_in(
-                module,
-                shm,
-                cfg,
-                &touches,
-                &config.dealloc_functions,
-                &config.entry,
-                fid,
-                &mut vs,
-            );
-            check_p2_in(module, shm, fid, &mut vs);
-            check_p3_in(module, shm, &shminit_reachable, fid, &mut vs);
-            check_arrays_in(
-                module,
-                regions,
-                shm,
-                cfg,
-                &shminit_reachable,
-                fid,
-                config,
-                &mut vs,
-                &mut budget_notes,
-                &mut fs,
-            );
-            (vs, budget_notes, fs)
-        }))
-        .map_err(|p| panic_message(&*p))
+        }
+        let cfg = cfgs[fid.0 as usize].as_ref();
+        check_p1_in(
+            module,
+            shm,
+            cfg,
+            &touches,
+            &config.dealloc_functions,
+            &config.entry,
+            fid,
+            &mut vs,
+        );
+        check_p2_in(module, shm, fid, &mut vs);
+        check_p3_in(module, shm, &shminit_reachable, fid, &mut vs);
+        check_arrays_in(
+            module,
+            regions,
+            shm,
+            cfg,
+            &shminit_reachable,
+            fid,
+            config,
+            &mut vs,
+            &mut budget_notes,
+            &mut fs,
+        );
+        (vs, budget_notes, fs)
     });
 
     // Merge in definition order (independent of the worker schedule); the
@@ -159,10 +153,10 @@ pub fn check_restrictions(
                     });
                 }
             }
-            Err(msg) => degradations.push(Degradation {
+            Err(p) => degradations.push(Degradation {
                 kind: DegradationKind::InternalError,
                 functions: vec![name],
-                detail: format!("restriction checks panicked: {msg}"),
+                detail: format!("restriction checks panicked: {}", p.message),
             }),
         }
     }
@@ -178,15 +172,7 @@ pub fn check_restrictions(
             ("solver.early_exits", totals.solve.early_exits),
         ],
     );
-    metrics.add_many(
-        Class::Sched,
-        &[
-            ("pool.restrict.tasks", pool_stats.tasks.load(Ordering::Relaxed)),
-            ("pool.restrict.steals", pool_stats.steals.load(Ordering::Relaxed)),
-            ("pool.restrict.max_queue_depth", pool_stats.max_queue_depth.load(Ordering::Relaxed)),
-        ],
-    );
-    metrics.record_ns("pool.restrict.busy_ns", pool_stats.busy_ns.load(Ordering::Relaxed));
+    pool_stats.record(metrics, "pool.restrict");
     (out, degradations)
 }
 
@@ -644,7 +630,7 @@ fn check_arrays_in(
     // Per-function Omega step pool, shared by every bounds obligation in
     // the function. The solver fault site keys on the function id, so an
     // injected fault lands on the same function at any thread count (a
-    // Panic unwinds into the per-function `catch_unwind`; a
+    // Panic is contained by the pool as that function's `TaskPanic`; a
     // BudgetExhaustion empties the step pool).
     let mut limits = SolverLimits::default();
     if let Some(steps) = config.budget.solver_steps {

@@ -43,9 +43,8 @@ use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
-use safeflow_util::pool::{run_dag_isolated_observed, run_map_observed, PoolStats};
+use safeflow_util::pool::{run_dag, run_map, PoolStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -350,10 +349,14 @@ pub(crate) fn analyze_summaries(
             func.is_definition && !func.is_shminit() && !func.blocks.is_empty()
         })
         .collect();
-    let built = run_map_observed(jobs, need.len(), &pool_stats, |i| {
-        build_fn_graphs(cfgs, &assumed_of, need[i])
-    });
-    let graphs: HashMap<FuncId, FnGraphs> = need.iter().copied().zip(built).collect();
+    // A graph-building panic cannot degrade: re-raise the lowest-index one.
+    let built =
+        run_map(jobs, need.len(), &pool_stats, |i| build_fn_graphs(cfgs, &assumed_of, need[i]));
+    let graphs: HashMap<FuncId, FnGraphs> = need
+        .iter()
+        .copied()
+        .zip(built.into_iter().map(|r| r.unwrap_or_else(|p| panic!("{}", p.message))))
+        .collect();
 
     // Bottom-up over SCCs on the dependency-DAG pool; independent SCCs run
     // concurrently, each publishing its members' summaries (in member
@@ -364,7 +367,7 @@ pub(crate) fn analyze_summaries(
     // influenced by a degraded scope (its own budget ran out, or a
     // dependency was degraded) and must not be cached — the content hash
     // cannot tell a clean result from a degraded one. A slot left *unset*
-    // means the task panicked (contained by `run_dag_isolated`); readers
+    // means the task panicked (the pool returns its `TaskPanic`); readers
     // substitute [`Summary::top`].
     let slots: Vec<SccSlot> = (0..callgraph.sccs.len()).map(|_| OnceLock::new()).collect();
     let publish_top = |i: usize| {
@@ -491,21 +494,13 @@ pub(crate) fn analyze_summaries(
         let _ = slots[i].set((arc, dep_tainted));
         None
     };
-    let task_results = run_dag_isolated_observed(jobs, &deps, &pool_stats, |i| {
+    let task_results = run_dag(jobs, &deps, &pool_stats, |i| {
         let t0 = Instant::now();
         let out = scc_body(i);
         metrics.observe("summary.scc_ns", t0.elapsed().as_nanos() as u64);
         out
     });
-    metrics.add_many(
-        Class::Sched,
-        &[
-            ("pool.summary.tasks", pool_stats.tasks.load(Ordering::Relaxed)),
-            ("pool.summary.steals", pool_stats.steals.load(Ordering::Relaxed)),
-            ("pool.summary.max_queue_depth", pool_stats.max_queue_depth.load(Ordering::Relaxed)),
-        ],
-    );
-    metrics.record_ns("pool.summary.busy_ns", pool_stats.busy_ns.load(Ordering::Relaxed));
+    pool_stats.record(metrics, "pool.summary");
 
     // Degradation records: one per SCC that panicked (contained) or ran
     // out of budget. These SCCs also get the conservative re-collection

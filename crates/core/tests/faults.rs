@@ -47,21 +47,24 @@ fn render_with(config: &AnalysisConfig, file: &str, src: &str) -> (String, u8) {
 
 #[test]
 fn contained_panic_is_deterministic_across_thread_counts() {
-    // Panic in *every* SCC task: the worst case for scheduling-dependent
-    // output, since all containment paths fire at once.
-    let plan = FaultPlan::new().with_fault(FaultSite::SccAnalysis, None, FaultKind::Panic);
-    for (name, file, src) in corpus() {
-        let base = AnalysisConfig::with_engine(Engine::Summary).with_fault_plan(plan.clone());
-        let (want, code) = render_with(&base.clone().with_jobs(1), &file, &src);
-        assert_eq!(code, 3, "{name}: contained panic must exit 3");
-        assert!(want.contains("DEGRADED RUN"), "{name}:\n{want}");
-        for jobs in [4usize, 8] {
-            let (got, got_code) = render_with(&base.clone().with_jobs(jobs), &file, &src);
-            assert_eq!(got_code, 3, "{name} at --jobs {jobs}");
-            assert_eq!(
-                got, want,
-                "{name}: degraded report differs between --jobs 1 and --jobs {jobs}"
-            );
+    // Panic in *every* SCC task, then in every restriction check's solver
+    // setup: the worst case for scheduling-dependent output, since all
+    // containment paths of one pool run fire at once.
+    for site in [FaultSite::SccAnalysis, FaultSite::Solver] {
+        let plan = FaultPlan::new().with_fault(site, None, FaultKind::Panic);
+        for (name, file, src) in corpus() {
+            let base = AnalysisConfig::with_engine(Engine::Summary).with_fault_plan(plan.clone());
+            let (want, code) = render_with(&base.clone().with_jobs(1), &file, &src);
+            assert_eq!(code, 3, "{name} {site:?}: contained panic must exit 3");
+            assert!(want.contains("DEGRADED RUN"), "{name} {site:?}:\n{want}");
+            for jobs in [4usize, 8] {
+                let (got, got_code) = render_with(&base.clone().with_jobs(jobs), &file, &src);
+                assert_eq!(got_code, 3, "{name} {site:?} at --jobs {jobs}");
+                assert_eq!(
+                    got, want,
+                    "{name} {site:?}: degraded report differs between --jobs 1 and --jobs {jobs}"
+                );
+            }
         }
     }
 }

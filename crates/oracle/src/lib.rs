@@ -3,7 +3,7 @@
 //! Differential + metamorphic testing of the optimized analysis engines.
 //!
 //! PRs 1–4 stacked three aggressive layers on top of the reference
-//! semantics: work-stealing parallel SCC scheduling, content-hashed
+//! semantics: parallel SCC scheduling, content-hashed
 //! summary caching, and persistent-store incremental replay. This crate
 //! keeps them honest. For every seed it generates an annotation-bearing,
 //! (possibly) multi-translation-unit program

@@ -141,12 +141,16 @@ fn zero_capacity_queue_sheds_with_overloaded() {
 fn identical_queued_requests_coalesce() {
     // One worker; a slow job occupies it while two identical requests
     // queue behind it — the second must attach to the first. The slow job
-    // is grown until the window is wide enough (keeps the test honest on
-    // very fast machines without sleeping for seconds on slow ones).
+    // doubles in size on each attempt until it outlasts the 100 ms head
+    // start plus the followers' arrival (keeps the test honest on very
+    // fast machines without sleeping for seconds on slow ones).
     for attempt in 0..5u32 {
         let opts = ServeOptions { workers: 1, ..default_opts() };
         let handle = start(opts);
-        let slow = slow_files(100 + attempt);
+        let regions = 128 << attempt;
+        let core =
+            generate_core(SyntheticParams { regions, monitors: regions, depth: 12, branches: 3 });
+        let slow = vec![(format!("slow{}.c", 100 + attempt), core)];
         let dup = fig2_files();
 
         let addr = handle.addr().to_string();

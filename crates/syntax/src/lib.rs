@@ -49,6 +49,8 @@ pub use pp::VirtualFs;
 pub use source::SourceMap;
 pub use span::{FileId, Span};
 
+use safeflow_util::pool;
+
 /// Everything produced by parsing one program.
 #[derive(Debug)]
 pub struct ParseResult {
@@ -119,14 +121,18 @@ pub fn parse_program_jobs(main_name: &str, fs: &VirtualFs, jobs: usize) -> Parse
     // Lex each file on the pool. Per-file diagnostics are collected
     // separately and spliced in at the file's first inclusion, matching
     // the sequential preprocessor's emission order.
-    let lexed = safeflow_util::pool::run_map(jobs.max(1), names.len(), |i| {
+    // A lexer panic cannot degrade: re-raise the lowest-index one.
+    let lexed = pool::run_map(jobs, names.len(), &pool::PoolStats::default(), |i| {
         let mut file_diags = Diagnostics::new();
         let tokens = lexer::lex(ids[i], fs.get(names[i]).unwrap_or_default(), &mut file_diags);
         let diags = if file_diags.is_empty() { None } else { Some(file_diags) };
         pp::LexedFile { tokens, diags }
     });
-    let mut cache: std::collections::HashMap<String, pp::LexedFile> =
-        names.iter().map(|n| n.to_string()).zip(lexed).collect();
+    let mut cache: std::collections::HashMap<String, pp::LexedFile> = names
+        .iter()
+        .map(|n| n.to_string())
+        .zip(lexed.into_iter().map(|r| r.unwrap_or_else(|p| panic!("{}", p.message))))
+        .collect();
 
     let tokens = pp::preprocess_with_cache(main_name, fs, &mut sources, &mut diags, &mut cache);
     let unit = parser::parse(tokens, &mut sources, &mut diags);

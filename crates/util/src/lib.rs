@@ -13,10 +13,10 @@
 //! * [`intern`] — `Symbol(u32)` string interning for the zero-copy
 //!   frontend (owned deterministic [`intern::Interner`] plus a
 //!   process-global instance behind [`intern::Symbol::intern`]);
-//! * [`pool`] — a work-stealing thread pool with dependency-DAG
-//!   scheduling, used by the parallel analysis engine to run call-graph
-//!   SCCs concurrently, with per-task panic containment
-//!   ([`pool::PoolPolicy`]);
+//! * [`pool`] — a thread pool with dependency-DAG scheduling over one
+//!   shared ready queue, used by the parallel analysis engine to run
+//!   call-graph SCCs concurrently; a panicking task is contained as a
+//!   [`pool::TaskPanic`] in its result slot;
 //! * [`prop`] — a miniature deterministic property-test harness
 //!   (seeded-case loops with seed reporting on failure);
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`]) for
@@ -52,7 +52,5 @@ pub use hash::Fnv64;
 pub use intern::{Interner, Symbol};
 pub use json::Json;
 pub use metrics::{Class, Histogram, Metrics, MetricsSnapshot};
-pub use pool::{
-    lock_recover, run_dag, run_dag_isolated, run_map, PoolPolicy, PoolStats, TaskPanic,
-};
+pub use pool::{lock_recover, run_dag, run_map, PoolStats, TaskPanic};
 pub use rng::SplitMix64;

@@ -13,8 +13,8 @@
 //!   cache state: a warm summary cache skips recomputation, so these move
 //!   between cold and warm runs (cache hits/misses, summarize calls,
 //!   summary fixpoint rounds).
-//! * [`Class::Sched`] — schedule-dependent: steals, queue depths,
-//!   per-worker busy time. Never compared across runs.
+//! * [`Class::Sched`] — schedule-dependent: pool tasks, ready-queue depths,
+//!   busy time summed over workers. Never compared across runs.
 //!
 //! Wall-clock spans ([`Metrics::time`]) and histograms
 //! ([`Metrics::observe`]) land in their own sections (`timings_ns`,
