@@ -7,7 +7,7 @@
 CARGO ?= cargo
 SAFEFLOW = target/release/safeflow
 
-.PHONY: all help build test lint bench sfbench bench-serve smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
+.PHONY: all help build test lint bench sfbench bench-check bench-serve smoke serve-smoke policy-smoke require-release oracle-smoke oracle-deep metrics-demo incremental-demo fuzz-smoke golden clean
 
 # One line per target; kept in sync by hand when targets change.
 help:
@@ -18,6 +18,8 @@ help:
 	@echo "  bench            paper-evaluation benches (cargo bench)"
 	@echo "  sfbench          BENCHMARK.json workload W (default cold), traced"
 	@echo "                   per-layer run, seed 1, 20 s"
+	@echo "  bench-check      exact work counters of the benchmark corpus"
+	@echo "                   (cold and two one-line edits) against pinned values"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
 	@echo "  oracle-smoke     64-seed differential oracle (CI gate)"
@@ -58,6 +60,13 @@ W ?= cold
 sfbench:
 	$(CARGO) run --release --offline --manifest-path sfbench/Cargo.toml -- \
 	  --workload $(W) --seed 1 --seconds 20 --trace 1
+
+# The benchmark's work counters (SCCs hashed, summaries recomputed,
+# functions restriction-checked, solver calls, store invalidations) are pure
+# functions of its input, so they are gated exactly, where wall time cannot
+# be. A change that lowers one on purpose updates the pinned value.
+bench-check:
+	$(CARGO) test --release -q -p safeflow --test monorepo bench_corpus_work_counters_are_pinned
 
 # Daemon latency trajectory: warm-path (store replay) vs cold-path p50/p99
 # over loopback, plus a 4x-overload shedding drill against a bounded

@@ -1150,4 +1150,58 @@ mod tests {
         }
         assert_eq!(live_keys(&fs, "main.c"), MONOREPO_SMALL);
     }
+
+    /// One FNV-64 fold of the live SCC table of a summary-engine run over
+    /// `main` in `fs`: each entry's key, member count and encoded member
+    /// summaries, in `export_live` order — the bytes the store's SCC table
+    /// holds.
+    fn live_summary_fold(fs: &VirtualFs, main: &str) -> u64 {
+        use std::hash::Hasher;
+        let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
+        analyzer.analyze_program(main, fs).expect("program analyzes");
+        let mut h = Fnv64::new();
+        let mut bytes = Vec::new();
+        for (key, summaries) in analyzer.cache.export_live() {
+            h.write_u64(key);
+            h.write_u32(summaries.len() as u32);
+            for s in summaries.iter() {
+                bytes.clear();
+                s.encode(&mut bytes);
+                h.write(&bytes);
+            }
+        }
+        h.finish()
+    }
+
+    /// The summaries themselves, pinned through their store encoding: a
+    /// change to the fact-set representation or to the engine's iteration
+    /// that moved a summary, or the bytes a store holds for it, shows up
+    /// here.
+    #[test]
+    fn pinned_summary_bytes() {
+        let single = |file: &str, src: &str| {
+            let mut fs = VirtualFs::new();
+            fs.add(file, src);
+            live_summary_fold(&fs, file)
+        };
+        let systems = safeflow_corpus::systems();
+        let mut got: Vec<(&str, u64)> = systems
+            .iter()
+            .map(|system| (system.name, single(system.core_file, system.core_source)))
+            .collect();
+        got.push(("fig2", single("fig2.c", safeflow_corpus::figure2_example())));
+        let mut fs = VirtualFs::new();
+        for (name, text) in generate_monorepo(MonorepoParams::small()) {
+            fs.add(name, text);
+        }
+        got.push(("monorepo small", live_summary_fold(&fs, "main.c")));
+        let pinned: [(&str, u64); 5] = [
+            ("IP", 0x623b6b5540278a1d),
+            ("Generic Simplex", 0x2c4852a07154a865),
+            ("Double IP", 0xa44a4ec7a6bbb433),
+            ("fig2", 0x8342bcde89c3aeca),
+            ("monorepo small", 0xdc2813b6c0187d8e),
+        ];
+        assert_eq!(got, pinned);
+    }
 }

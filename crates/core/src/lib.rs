@@ -418,8 +418,8 @@ impl Analyzer {
     /// Analyzes `main_name` from `fs`, resolving `#include`s against `fs`.
     ///
     /// The frontend is timed into the run's metrics alongside the analysis
-    /// phases: `phase.parse` (preprocess, lex and parse), `phase.lower`
-    /// and `phase.ssa`.
+    /// phases: `phase.preprocess` (lex and preprocess), `phase.parse`,
+    /// `phase.lower` and `phase.ssa`.
     ///
     /// # Errors
     ///
@@ -429,10 +429,13 @@ impl Analyzer {
         main_name: &str,
         fs: &VirtualFs,
     ) -> Result<AnalysisResult, AnalysisError> {
+        let deadline = self.deadline();
         let metrics = Metrics::new();
-        let parsed = metrics.time("phase.parse", || {
-            safeflow_syntax::parse_program_jobs(main_name, fs, self.config.jobs.max(1))
+        let preprocessed = metrics.time("phase.preprocess", || {
+            safeflow_syntax::preprocess_program_jobs(main_name, fs, self.config.jobs.max(1))
         });
+        let parsed =
+            metrics.time("phase.parse", || safeflow_syntax::parse_preprocessed(preprocessed));
         let mut diags = parsed.diags;
         let sources = parsed.sources;
         if diags.has_errors() {
@@ -443,7 +446,7 @@ impl Analyzer {
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        let report = self.run_phases(&module, &mut diags, metrics);
+        let report = self.run_phases(&module, &mut diags, metrics, deadline);
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
@@ -457,7 +460,15 @@ impl Analyzer {
     /// and surface as [`Degradation`] entries on the report (see
     /// [`AnalysisReport::exit_code`]).
     pub fn analyze_module(&self, module: &Module, diags: &mut Diagnostics) -> AnalysisReport {
-        self.run_phases(module, diags, Metrics::new())
+        self.run_phases(module, diags, Metrics::new(), self.deadline())
+    }
+
+    /// The run's one wall-clock deadline (the only machine-dependent
+    /// budget; determinism tests never set it), counted from the start of
+    /// the run: the frontend's time counts against it too.
+    fn deadline(&self) -> Option<std::time::Instant> {
+        let ms = self.config.budget.deadline_ms?;
+        Some(std::time::Instant::now() + std::time::Duration::from_millis(ms))
     }
 
     /// [`Analyzer::analyze_module`], recording into `metrics`: a fresh
@@ -468,15 +479,9 @@ impl Analyzer {
         module: &Module,
         diags: &mut Diagnostics,
         metrics: Metrics,
+        deadline: Option<std::time::Instant>,
     ) -> AnalysisReport {
         metrics.add_many(Class::Counter, &[("module.functions", module.functions.len() as u64)]);
-        // One wall-clock deadline for the whole run (the only
-        // machine-dependent budget; determinism tests never set it).
-        let deadline = self
-            .config
-            .budget
-            .deadline_ms
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
         // Region model + static InitCheck (§3.2.1).
         let regions = metrics.time("phase.regions", || {
             regions::extract_regions(module, &self.config.shm_attach_functions, diags)

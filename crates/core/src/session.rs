@@ -23,7 +23,9 @@
 //!
 //! An analyzed check also times its report rendering (`report.render_ns`)
 //! and its store save (`store.save_ns`) next to the analyzer's phase
-//! timings, all in the volatile `timings_ns` section.
+//! timings, all in the volatile `timings_ns` section. Every check of a
+//! session with a store, analyzed or replayed, carries the time the session
+//! took to open and decode that store (`store.load_ns`).
 
 use crate::store::{config_hash, manifest_key, ReplayEntry, SummaryStore};
 use crate::{AnalysisConfig, AnalysisError, AnalysisResult, Analyzer, Json, MetricsSnapshot};
@@ -67,6 +69,8 @@ pub struct SessionOutcome {
 pub struct AnalysisSession {
     analyzer: Analyzer,
     store: Option<SummaryStore>,
+    /// Opening and decoding the store, and seeding the cache from it.
+    store_load_ns: Option<u64>,
     replay_enabled: bool,
     strict: bool,
 }
@@ -78,6 +82,7 @@ impl AnalysisSession {
         AnalysisSession {
             analyzer: Analyzer::new(config),
             store: None,
+            store_load_ns: None,
             replay_enabled: true,
             strict: false,
         }
@@ -94,6 +99,7 @@ impl AnalysisSession {
         config: AnalysisConfig,
         dir: &Path,
     ) -> Result<AnalysisSession, AnalysisError> {
+        let t0 = Instant::now();
         let store = SummaryStore::open(dir)?;
         let mut session = AnalysisSession::new(config);
         // Seed the in-memory cache immediately: stale entries are keyed by
@@ -102,6 +108,7 @@ impl AnalysisSession {
             session.analyzer.cache_seed(store.scc_entries());
         }
         session.store = Some(store);
+        session.store_load_ns = Some(t0.elapsed().as_nanos() as u64);
         Ok(session)
     }
 
@@ -208,6 +215,7 @@ impl AnalysisSession {
         let result = self.analyzer.analyze_program(root, fs)?;
         let exit_code = result.report.exit_code();
         let mut metrics = self.analyzer.last_metrics();
+        self.record_store_load(&mut metrics);
         if usable {
             if let Some(store) = &self.store {
                 metrics.work.insert("store.manifest_hits".to_string(), 0);
@@ -269,11 +277,18 @@ impl AnalysisSession {
         })
     }
 
+    fn record_store_load(&self, metrics: &mut MetricsSnapshot) {
+        if let Some(ns) = self.store_load_ns {
+            metrics.timings_ns.insert("store.load_ns".to_string(), ns);
+        }
+    }
+
     /// Builds a replayed outcome from a stored manifest entry: counters
     /// verbatim (they are cache-state-invariant by definition), store
     /// bookkeeping as `Work`, empty schedule sections.
     fn replay(&self, entry: ReplayEntry, report: Json, t0: Instant) -> SessionOutcome {
         let mut metrics = MetricsSnapshot { counters: entry.counters, ..Default::default() };
+        self.record_store_load(&mut metrics);
         metrics.work.insert("store.manifest_hits".to_string(), 1);
         metrics.work.insert("store.manifest_misses".to_string(), 0);
         let loaded = self.store.as_ref().map(|s| s.scc_count()).unwrap_or(0) as u64;

@@ -36,14 +36,13 @@ use crate::report::{
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use crate::taint::{TaintResults, TaintVal};
-use safeflow_ir::{
-    BlockId, CallGraph, Cfg, ControlDeps, FuncId, InstId, InstKind, Module, Terminator, Value,
-};
+use safeflow_ir::{CallGraph, Cfg, ControlDeps, FuncId, InstKind, Module, Terminator, Value};
 use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
 use safeflow_util::pool::{run_dag, run_map, PoolStats};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -80,16 +79,109 @@ struct Fact {
     relabel: Option<u64>,
 }
 
-type SymSet = BTreeSet<Fact>;
+/// A set of facts: a vector kept sorted by `Fact`'s `Ord` and free of
+/// duplicates. It iterates in the order a `BTreeSet<Fact>` would, so a
+/// summary encodes to the same bytes, and merging one set into another is a
+/// linear merge that allocates only when the target outgrows its capacity.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct SymSet(Vec<Fact>);
+
+impl SymSet {
+    /// Adds `fact`; `true` when it was not already present.
+    fn insert(&mut self, fact: Fact) -> bool {
+        match self.0.binary_search(&fact) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, fact);
+                true
+            }
+        }
+    }
+
+    /// Adds every fact of `facts` in any order; `true` when the set grew.
+    fn extend(&mut self, facts: impl IntoIterator<Item = Fact>) -> bool {
+        facts.into_iter().fold(false, |grew, f| self.insert(f) | grew)
+    }
+
+    /// Merges the sorted, duplicate-free `other` in place; `true` when the
+    /// set grew. Counts the missing facts first, then merges from the back
+    /// into the grown tail, so nothing moves twice.
+    fn union(&mut self, other: &[Fact]) -> bool {
+        if self.0.is_empty() {
+            self.0.extend_from_slice(other);
+            return !other.is_empty();
+        }
+        let (mut i, mut missing) = (0, 0);
+        for f in other {
+            while i < self.0.len() && self.0[i] < *f {
+                i += 1;
+            }
+            if i == self.0.len() || self.0[i] != *f {
+                missing += 1;
+            }
+        }
+        if missing == 0 {
+            return false;
+        }
+        // `a` facts of the old set and `b` of `other` are left to place;
+        // the write position `w` meets `a` once the last missing one is in.
+        let (mut a, mut b) = (self.0.len(), other.len());
+        let v = &mut self.0;
+        v.resize(a + missing, other[0]);
+        let mut w = v.len();
+        while b > 0 {
+            w -= 1;
+            if a > 0 && v[a - 1] >= other[b - 1] {
+                if v[a - 1] == other[b - 1] {
+                    b -= 1;
+                }
+                a -= 1;
+                v[w] = v[a];
+            } else {
+                b -= 1;
+                v[w] = other[b];
+            }
+        }
+        true
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Turns every fact into a control fact (the flow is via a branch on
+    /// it), keeping the set sorted and duplicate-free.
+    fn promote(&mut self) {
+        if self.0.iter().all(|f| f.ctl) {
+            return;
+        }
+        for f in &mut self.0 {
+            f.ctl = true;
+        }
+        self.0.sort_unstable();
+        self.0.dedup();
+    }
+}
+
+impl<'a> IntoIterator for &'a SymSet {
+    type Item = &'a Fact;
+    type IntoIter = std::slice::Iter<'a, Fact>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl std::ops::Deref for SymSet {
+    type Target = [Fact];
+    fn deref(&self) -> &[Fact] {
+        &self.0
+    }
+}
 
 /// Published result of one SCC task: the members' summaries (in SCC member
 /// order) plus whether a degraded dependency tainted them (tainted results
 /// are never cached).
 type SccSlot = OnceLock<(Arc<Vec<Summary>>, bool)>;
-
-fn promote_ctl(set: &SymSet) -> SymSet {
-    set.iter().map(|f| Fact { ctl: true, ..*f }).collect()
-}
 
 /// A data-flow fact with no relabel — the overwhelmingly common case.
 fn data_fact(sym: Sym) -> Fact {
@@ -97,11 +189,11 @@ fn data_fact(sym: Sym) -> Fact {
 }
 
 /// A recorded sink (assert or critical call argument) with the sources
-/// reaching it.
+/// reaching it. The names are shared, not copied, when a caller inlines it.
 #[derive(Debug, Clone)]
 struct Sink {
-    critical: String,
-    function: String,
+    critical: Arc<str>,
+    function: Arc<str>,
     span: Span,
     sources: SymSet,
 }
@@ -115,7 +207,7 @@ pub(crate) struct Summary {
     /// — already filtered by this function's own assume scope; `relabel`
     /// carries the declassified-to mask when a scope lowered (but did not
     /// clear) the read's label.
-    region_reads: Vec<(Span, RegionId, String, Option<u64>)>,
+    region_reads: Vec<(Span, RegionId, Arc<str>, Option<u64>)>,
     /// Sinks observed in this function or inlined from callees.
     sinks: Vec<Sink>,
     /// Sources written into memory objects.
@@ -192,8 +284,9 @@ impl Summary {
             }
         }
         fn get_set(r: &mut crate::store::ByteReader<'_>) -> Option<SymSet> {
-            let mut set = SymSet::new();
-            for _ in 0..r.seq_len()? {
+            let n = r.seq_len()?;
+            let mut facts = Vec::with_capacity(n);
+            for _ in 0..n {
                 let tag = r.u8()?;
                 let payload = r.u32()?;
                 let sym = match tag {
@@ -206,9 +299,15 @@ impl Summary {
                 };
                 let ctl = r.u8()? != 0;
                 let relabel = get_relabel(r)?;
-                set.insert(Fact { sym, ctl, relabel });
+                facts.push(Fact { sym, ctl, relabel });
             }
-            Some(set)
+            // `encode` writes a set in order; anything else is normalized
+            // as a set would be.
+            if !facts.windows(2).all(|w| w[0] < w[1]) {
+                facts.sort_unstable();
+                facts.dedup();
+            }
+            Some(SymSet(facts))
         }
         fn get_span(r: &mut crate::store::ByteReader<'_>) -> Option<Span> {
             let file = safeflow_syntax::span::FileId(r.u32()?);
@@ -223,14 +322,14 @@ impl Summary {
         for _ in 0..r.seq_len()? {
             let span = get_span(r)?;
             let region = RegionId(r.u32()?);
-            let func = r.str()?;
+            let func = r.str_ref()?.into();
             let relabel = get_relabel(r)?;
             region_reads.push((span, region, func, relabel));
         }
         let mut sinks = Vec::new();
         for _ in 0..r.seq_len()? {
-            let critical = r.str()?;
-            let function = r.str()?;
+            let critical = r.str_ref()?.into();
+            let function = r.str_ref()?.into();
             let span = get_span(r)?;
             let sources = get_set(r)?;
             sinks.push(Sink { critical, function, span, sources });
@@ -250,7 +349,7 @@ impl Summary {
     /// recovered separately by the degraded-scope sweep, which scans the
     /// raw IR instead of trusting a summary that was never computed.
     fn top() -> Summary {
-        Summary { ret: std::iter::once(data_fact(Sym::Unknown)).collect(), ..Summary::default() }
+        Summary { ret: SymSet(vec![data_fact(Sym::Unknown)]), ..Summary::default() }
     }
 }
 
@@ -350,8 +449,9 @@ pub(crate) fn analyze_summaries(
         })
         .collect();
     // A graph-building panic cannot degrade: re-raise the lowest-index one.
-    let built =
-        run_map(jobs, need.len(), &pool_stats, |i| build_fn_graphs(cfgs, &assumed_of, need[i]));
+    let built = run_map(jobs, need.len(), &pool_stats, |i| {
+        build_fn_graphs(module, cfgs, &assumed_of, need[i])
+    });
     let graphs: HashMap<FuncId, FnGraphs> = need
         .iter()
         .copied()
@@ -436,7 +536,7 @@ pub(crate) fn analyze_summaries(
                     Some(g) => g,
                     None => local_graphs
                         .entry(fid)
-                        .or_insert_with(|| build_fn_graphs(cfgs, &assumed_of, fid)),
+                        .or_insert_with(|| build_fn_graphs(module, cfgs, &assumed_of, fid)),
                 };
                 let view = SummaryView { callgraph, slots: &slots, local: &local, own_scc: i };
                 let (s, converged) = summarize_function(
@@ -532,20 +632,13 @@ pub(crate) fn analyze_summaries(
         }
     }
 
-    let mut summaries: HashMap<FuncId, Summary> = HashMap::new();
+    let top = Summary::top();
+    let mut summaries: HashMap<FuncId, &Summary> = HashMap::new();
     for (i, scc) in callgraph.sccs.iter().enumerate() {
         match slots[i].get() {
-            Some((arc, _)) => {
-                for (k, &fid) in scc.iter().enumerate() {
-                    summaries.insert(fid, arc[k].clone());
-                }
-            }
+            Some((arc, _)) => summaries.extend(scc.iter().copied().zip(arc.iter())),
             // Panicked task: conservative top for every member.
-            None => {
-                for &fid in scc {
-                    summaries.insert(fid, Summary::top());
-                }
-            }
+            None => summaries.extend(scc.iter().map(|&fid| (fid, &top))),
         }
     }
 
@@ -555,7 +648,7 @@ pub(crate) fn analyze_summaries(
     let mut obj_writes: BTreeMap<ObjId, SymSet> = BTreeMap::new();
     for s in summaries.values() {
         for (o, set) in &s.obj_writes {
-            obj_writes.entry(*o).or_default().extend(set.iter().copied());
+            obj_writes.entry(*o).or_default().union(set);
         }
     }
     // Degraded members have top summaries with *no* obj_writes — their
@@ -670,12 +763,14 @@ pub(crate) fn analyze_summaries(
                 continue;
             }
             let region_name = regions.region(*rid).name.clone();
-            warnings.entry((in_func.clone(), span.lo, span.hi, *rid)).or_insert_with(|| Warning {
-                function: in_func.clone(),
-                region: *rid,
-                region_name,
-                span: *span,
-                label: table.finding_label(effective),
+            warnings.entry((in_func.to_string(), span.lo, span.hi, *rid)).or_insert_with(|| {
+                Warning {
+                    function: in_func.to_string(),
+                    region: *rid,
+                    region_name,
+                    span: *span,
+                    label: table.finding_label(effective),
+                }
             });
         }
         for sink in &s.sinks {
@@ -686,7 +781,7 @@ pub(crate) fn analyze_summaries(
                 .implicit_critical_calls
                 .iter()
                 .rev()
-                .find(|c| sink.critical == format!("{}:arg{}", c.name, c.arg))
+                .find(|c| *sink.critical == format!("{}:arg{}", c.name, c.arg))
                 .map_or(0, |c| table.clearance(c));
             let mut worst: Option<(bool, Option<RegionId>, u64)> = None; // (ctl_only, region, leak)
             for f in &sink.sources {
@@ -713,8 +808,12 @@ pub(crate) fn analyze_summaries(
                 });
             }
             if let Some((ctl_only, reg, leak_mask)) = worst {
-                let key =
-                    (sink.function.clone(), sink.span.lo, sink.span.hi, sink.critical.clone());
+                let key = (
+                    sink.function.to_string(),
+                    sink.span.lo,
+                    sink.span.hi,
+                    sink.critical.to_string(),
+                );
                 let source_desc = match reg {
                     Some(r) => {
                         let name = &regions.region(r).name;
@@ -730,8 +829,8 @@ pub(crate) fn analyze_summaries(
                     None => "unmonitored non-core input".to_string(),
                 };
                 let e = ErrorDependency {
-                    critical: sink.critical.clone(),
-                    function: sink.function.clone(),
+                    critical: sink.critical.to_string(),
+                    function: sink.function.to_string(),
                     span: sink.span,
                     kind: if ctl_only { DependencyKind::ControlOnly } else { DependencyKind::Data },
                     label: table.finding_label(leak_mask),
@@ -895,17 +994,25 @@ fn summary_eq(a: &Summary, b: &Summary) -> bool {
 struct FnGraphs {
     cd: ControlDeps,
     assumed: Scope,
+    /// Parameters the function's own annotations assume core.
+    assumed_params: BTreeSet<u32>,
+    /// The function's name, shared by every region read and sink it records.
+    name: Arc<str>,
 }
 
 fn build_fn_graphs(
+    module: &Module,
     cfgs: &[Option<Cfg>],
     assumed_of: &HashMap<FuncId, Scope>,
     fid: FuncId,
 ) -> FnGraphs {
     let cfg = cfgs[fid.0 as usize].as_ref().expect("function has blocks");
+    let func = module.function(fid);
     FnGraphs {
         cd: ControlDeps::build(cfg),
         assumed: assumed_of.get(&fid).cloned().unwrap_or_default(),
+        assumed_params: scope::assumed_params(func),
+        name: func.name.as_str().into(),
     }
 }
 
@@ -926,10 +1033,12 @@ struct SummaryView<'a> {
     own_scc: usize,
 }
 
-impl SummaryView<'_> {
-    fn get(&self, f: FuncId) -> Option<Summary> {
+impl<'a> SummaryView<'a> {
+    /// The callee's summary, borrowed from the fixpoint state or the
+    /// published slot; owned only as a poisoned dependency's top.
+    fn get(&self, f: FuncId) -> Option<Cow<'a, Summary>> {
         if let Some(s) = self.local.get(&f) {
-            return Some(s.clone());
+            return Some(Cow::Borrowed(s));
         }
         let &scc = self.callgraph.scc_of.get(&f)?;
         if scc == self.own_scc {
@@ -939,18 +1048,51 @@ impl SummaryView<'_> {
         match self.slots[scc].get() {
             Some((published, _)) => {
                 let pos = self.callgraph.sccs[scc].iter().position(|&m| m == f)?;
-                published.get(pos).cloned()
+                published.get(pos).map(Cow::Borrowed)
             }
             // Dependency SCC poisoned by a contained panic.
-            None => Some(Summary::top()),
+            None => Some(Cow::Owned(Summary::top())),
         }
     }
+}
+
+/// The facts of one function's SSA values: one set per `InstId`, and for a
+/// parameter its own symbol.
+struct ValueFacts {
+    insts: Vec<SymSet>,
+    params: Vec<Fact>,
+}
+
+impl ValueFacts {
+    fn of(&self, v: &Value) -> &[Fact] {
+        match *v {
+            Value::Inst(id) => self.insts.get(id.0 as usize).map_or(&[], |s| s),
+            Value::Param(i) => self.params.get(i as usize).map_or(&[], std::slice::from_ref),
+            _ => &[],
+        }
+    }
+}
+
+/// The sources reaching a sink: a value's facts plus the control facts of
+/// the sink's block.
+fn sink_sources(value: &[Fact], ctl: &[Fact]) -> SymSet {
+    let mut set = SymSet::default();
+    set.union(value);
+    set.union(ctl);
+    set
 }
 
 /// Summarizes one function body, iterating its local dataflow to a
 /// fixpoint (capped at `rounds_cap`). The second return value is `false`
 /// when the cap stopped the iteration before convergence — callers with
 /// an explicit [`crate::config::Budget::fixpoint_rounds`] degrade the SCC.
+///
+/// Every fact table is dense and merged in place: operands are read by
+/// borrowing their sets, and one scratch set collects each instruction's
+/// (or branch condition's) facts before they are merged into its slot.
+/// Block control facts are control facts by construction (a condition's
+/// set is promoted before it is recorded), so merging them needs no
+/// further promotion.
 #[allow(clippy::too_many_arguments)]
 fn summarize_function(
     module: &Module,
@@ -970,20 +1112,16 @@ fn summarize_function(
     if func.blocks.is_empty() {
         return (s, true);
     }
-    let FnGraphs { cd, assumed } = graphs;
+    let FnGraphs { cd, assumed, assumed_params, name } = graphs;
 
-    let local_assumed_params = scope::assumed_params(func);
-
-    let mut vals: HashMap<InstId, SymSet> = HashMap::new();
-    let mut block_ctl: HashMap<BlockId, SymSet> = HashMap::new();
-
-    let value_set = |v: &Value, vals: &HashMap<InstId, SymSet>| -> SymSet {
-        match v {
-            Value::Inst(id) => vals.get(id).cloned().unwrap_or_default(),
-            Value::Param(i) => std::iter::once(data_fact(Sym::Param(*i))).collect(),
-            _ => SymSet::new(),
-        }
+    let mut vals = ValueFacts {
+        insts: vec![SymSet::default(); func.insts.len()],
+        params: (0..func.params.len() as u32).map(|i| data_fact(Sym::Param(i))).collect(),
     };
+    let mut block_ctl = vec![SymSet::default(); func.blocks.len()];
+    // Control facts found in a round, merged into `block_ctl` after it.
+    let mut new_ctl = vec![SymSet::default(); func.blocks.len()];
+    let mut set = SymSet::default();
 
     let mut converged = false;
     for _round in 0..rounds_cap {
@@ -992,7 +1130,6 @@ fn summarize_function(
 
         // Control facts from branches over symbolic values.
         if config.track_control_dependence {
-            let mut new_ctl: HashMap<BlockId, SymSet> = HashMap::new();
             for (bid, block) in func.iter_blocks() {
                 let cond = match &block.terminator {
                     Terminator::CondBr { cond, .. } => Some(cond),
@@ -1000,37 +1137,32 @@ fn summarize_function(
                     _ => None,
                 };
                 let Some(cond) = cond else { continue };
-                let mut set = value_set(cond, &vals);
-                if let Some(c) = block_ctl.get(&bid) {
-                    set.extend(c.iter().copied());
-                }
+                set.clear();
+                set.union(vals.of(cond));
+                set.union(&block_ctl[bid.0 as usize]);
                 if set.is_empty() {
                     continue;
                 }
-                let ctl_set = promote_ctl(&set);
+                set.promote();
                 for &dep in cd.controlled_by(bid) {
-                    new_ctl.entry(dep).or_default().extend(ctl_set.iter().copied());
+                    new_ctl[dep.0 as usize].union(&set);
                 }
             }
-            for (b, set) in new_ctl {
-                let e = block_ctl.entry(b).or_default();
-                let before = e.len();
-                e.extend(set);
-                if e.len() != before {
-                    changed = true;
-                }
+            for (ctl, found) in block_ctl.iter_mut().zip(&mut new_ctl) {
+                changed |= ctl.union(found);
+                found.clear();
             }
         }
 
         for (bid, block) in func.iter_blocks() {
-            let ctl_here = block_ctl.get(&bid).cloned().unwrap_or_default();
+            let ctl_here = &block_ctl[bid.0 as usize];
             for &iid in &block.insts {
                 let inst = func.inst(iid);
-                let mut set = SymSet::new();
+                set.clear();
                 match &inst.kind {
                     InstKind::Load { ptr } => {
                         let locally_assumed =
-                            scope::derives_from_assumed_param(func, ptr, &local_assumed_params, 0);
+                            scope::derives_from_assumed_param(func, ptr, assumed_params, 0);
                         for &fact in shm.regions_of_ref(fid, ptr) {
                             let region = regions.region(fact.region);
                             let declared = table.region_source_mask(fact.region.0, region.noncore);
@@ -1045,15 +1177,10 @@ fn summarize_function(
                                 continue;
                             }
                             let relabel = (effective != declared).then_some(effective);
-                            s.region_reads.push((
-                                inst.span,
-                                fact.region,
-                                func.name.clone(),
-                                relabel,
-                            ));
+                            s.region_reads.push((inst.span, fact.region, name.clone(), relabel));
                             set.insert(Fact { sym: Sym::Region(fact.region), ctl: false, relabel });
                         }
-                        set.extend(value_set(ptr, &vals));
+                        set.union(vals.of(ptr));
                         if !locally_assumed {
                             for o in pt.points_to_ref(fid, ptr).iter() {
                                 set.insert(data_fact(Sym::Obj(o)));
@@ -1065,56 +1192,60 @@ fn summarize_function(
                         }
                     }
                     InstKind::Store { ptr, value } => {
-                        let mut vset = value_set(value, &vals);
-                        vset.extend(ctl_here.iter().copied());
-                        if !vset.is_empty() {
+                        let value = vals.of(value);
+                        if !value.is_empty() || !ctl_here.is_empty() {
                             for o in pt.points_to_ref(fid, ptr).iter() {
-                                s.obj_writes.entry(o).or_default().extend(vset.iter().copied());
+                                let written = s.obj_writes.entry(o).or_default();
+                                written.union(value);
+                                written.union(ctl_here);
                             }
                         }
                     }
                     InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                        set.extend(value_set(lhs, &vals));
-                        set.extend(value_set(rhs, &vals));
+                        set.union(vals.of(lhs));
+                        set.union(vals.of(rhs));
                     }
-                    InstKind::Cast { value, .. } => set.extend(value_set(value, &vals)),
-                    InstKind::FieldAddr { base, .. } => set.extend(value_set(base, &vals)),
+                    InstKind::Cast { value, .. } => {
+                        set.union(vals.of(value));
+                    }
+                    InstKind::FieldAddr { base, .. } => {
+                        set.union(vals.of(base));
+                    }
                     InstKind::ElemAddr { base, index } => {
-                        set.extend(value_set(base, &vals));
-                        set.extend(value_set(index, &vals));
+                        set.union(vals.of(base));
+                        set.union(vals.of(index));
                     }
                     InstKind::Phi { incoming } => {
                         // Values plus implicit flow from the branches that
                         // decided which predecessor ran.
                         for (pred, v) in incoming {
-                            set.extend(value_set(v, &vals));
-                            if let Some(ctl) = block_ctl.get(pred) {
-                                set.extend(promote_ctl(ctl));
+                            set.union(vals.of(v));
+                            if let Some(ctl) = block_ctl.get(pred.0 as usize) {
+                                set.union(ctl);
                             }
                         }
                     }
                     InstKind::Call { callee, args } => {
-                        if let Some(name) = module.external_callee_name(callee) {
-                            let name = name.to_string();
+                        if let Some(callee_name) = module.external_callee_name(callee) {
                             for call in &config.implicit_critical_calls {
-                                let (cname, argi) = (&call.name, &call.arg);
-                                if *cname == name {
-                                    if let Some(arg) = args.get(*argi) {
-                                        let mut aset = value_set(arg, &vals);
-                                        aset.extend(ctl_here.iter().copied());
-                                        if !aset.is_empty() {
-                                            s.sinks.push(Sink {
-                                                critical: format!("{name}:arg{argi}"),
-                                                function: func.name.clone(),
-                                                span: inst.span,
-                                                sources: aset,
-                                            });
-                                        }
+                                if call.name != callee_name {
+                                    continue;
+                                }
+                                if let Some(arg) = args.get(call.arg) {
+                                    let sources = sink_sources(vals.of(arg), ctl_here);
+                                    if !sources.is_empty() {
+                                        s.sinks.push(Sink {
+                                            critical: format!("{callee_name}:arg{}", call.arg)
+                                                .into(),
+                                            function: name.clone(),
+                                            span: inst.span,
+                                            sources,
+                                        });
                                     }
                                 }
                             }
                             for spec in &config.recv_functions {
-                                if spec.name == name {
+                                if spec.name == callee_name {
                                     let sock_noncore = args.get(spec.sock_arg).is_some_and(|a| {
                                         scope::socket_is_noncore(func, a, noncore_sockets)
                                     });
@@ -1153,15 +1284,18 @@ fn summarize_function(
                                     Some((eff != declared).then_some(eff))
                                 }
                             };
-                            let subst = |set: &SymSet| -> SymSet {
-                                let mut out = SymSet::new();
-                                for f in set {
+                            // Adds the callee-side `facts` to `out` in this
+                            // caller's terms.
+                            let subst = |facts: &SymSet, out: &mut SymSet| {
+                                for f in facts {
                                     match f.sym {
                                         Sym::Param(i) => {
                                             if let Some(arg) = args.get(i as usize) {
-                                                for af in value_set(arg, &vals) {
-                                                    out.insert(Fact { ctl: af.ctl || f.ctl, ..af });
-                                                }
+                                                let ctl = |af: &Fact| Fact {
+                                                    ctl: af.ctl || f.ctl,
+                                                    ..*af
+                                                };
+                                                out.extend(vals.of(arg).iter().map(ctl));
                                             }
                                         }
                                         // Monitored or declassified by this
@@ -1177,7 +1311,6 @@ fn summarize_function(
                                         }
                                     }
                                 }
-                                out
                             };
                             // Region reads surviving this caller's scope.
                             for (span, r, in_func, relabel) in &callee_sum.region_reads {
@@ -1191,53 +1324,44 @@ fn summarize_function(
                             // carry taint across the call (matching the
                             // context-sensitive engine's §3.3 semantics).
                             for sink in &callee_sum.sinks {
+                                let mut sources = SymSet::default();
+                                subst(&sink.sources, &mut sources);
                                 s.sinks.push(Sink {
                                     critical: sink.critical.clone(),
                                     function: sink.function.clone(),
                                     span: sink.span,
-                                    sources: subst(&sink.sources),
+                                    sources,
                                 });
                             }
-                            for (o, wset) in &callee_sum.obj_writes {
-                                let sub = subst(wset);
-                                s.obj_writes.entry(*o).or_default().extend(sub);
+                            for (o, written) in &callee_sum.obj_writes {
+                                subst(written, s.obj_writes.entry(*o).or_default());
                             }
-                            set.extend(subst(&callee_sum.ret));
-                            set.extend(promote_ctl(&ctl_here));
+                            subst(&callee_sum.ret, &mut set);
+                            set.union(ctl_here);
                         }
                     }
                     InstKind::AssertSafe { var, value } => {
-                        let mut aset = value_set(value, &vals);
-                        aset.extend(ctl_here.iter().copied());
-                        if !aset.is_empty() {
+                        let sources = sink_sources(vals.of(value), ctl_here);
+                        if !sources.is_empty() {
                             s.sinks.push(Sink {
-                                critical: var.clone(),
-                                function: func.name.clone(),
+                                critical: var.as_str().into(),
+                                function: name.clone(),
                                 span: inst.span,
-                                sources: aset,
+                                sources,
                             });
                         }
                     }
                     InstKind::Alloca { .. } => {}
                 }
-                if !set.is_empty() {
-                    let e = vals.entry(iid).or_default();
-                    let before = e.len();
-                    e.extend(set);
-                    if e.len() != before {
-                        changed = true;
-                    }
-                }
+                changed |= vals.insts[iid.0 as usize].union(&set);
             }
         }
 
         // Return set.
         for (bid, block) in func.iter_blocks() {
             if let Terminator::Ret(Some(v)) = &block.terminator {
-                s.ret.extend(value_set(v, &vals));
-                if let Some(ctl) = block_ctl.get(&bid) {
-                    s.ret.extend(ctl.iter().copied());
-                }
+                s.ret.union(vals.of(v));
+                s.ret.union(&block_ctl[bid.0 as usize]);
             }
         }
 
@@ -1247,4 +1371,66 @@ fn summarize_function(
         }
     }
     (s, converged)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use safeflow_util::prop::{run_cases, Gen};
+
+    /// A fact from a small universe, so that random sets overlap: every
+    /// `Sym` kind, both flow kinds, with and without a relabel mask.
+    fn fact(g: &mut Gen) -> Fact {
+        let n = g.usize(0, 3) as u32;
+        let sym = match g.usize(0, 5) {
+            0 => Sym::Param(n),
+            1 => Sym::Region(RegionId(n)),
+            2 => Sym::Obj(ObjId(n)),
+            3 => Sym::Recv,
+            _ => Sym::Unknown,
+        };
+        let relabel = g.chance(0.3).then(|| g.usize(1, 4) as u64);
+        Fact { sym, ctl: g.bool(), relabel }
+    }
+
+    /// Every operation of the sorted-vector set agrees with a `BTreeSet`
+    /// model: same iteration order, same length, and the same grew /
+    /// did-not-grow answer at every step (promotion never grows a set; it
+    /// may merge two facts into one).
+    #[test]
+    fn sym_set_matches_a_btree_set() {
+        run_cases(256, |g| {
+            let mut set = SymSet::default();
+            let mut model: BTreeSet<Fact> = BTreeSet::new();
+            for step in 0..g.usize(1, 40) {
+                let before = model.len();
+                let grew = match g.usize(0, 4) {
+                    0 => {
+                        let f = fact(g);
+                        model.insert(f);
+                        set.insert(f)
+                    }
+                    1 => {
+                        let other: BTreeSet<Fact> = (0..g.usize(0, 12)).map(|_| fact(g)).collect();
+                        let other: Vec<Fact> = other.into_iter().collect();
+                        model.extend(other.iter().copied());
+                        set.union(&other)
+                    }
+                    2 => {
+                        let facts: Vec<Fact> = (0..g.usize(0, 12)).map(|_| fact(g)).collect();
+                        model.extend(facts.iter().copied());
+                        set.extend(facts)
+                    }
+                    _ => {
+                        model = model.iter().map(|f| Fact { ctl: true, ..*f }).collect();
+                        set.promote();
+                        false
+                    }
+                };
+                assert_eq!(set.len(), model.len(), "step {step}: length");
+                assert!(set.iter().eq(model.iter()), "step {step}: order");
+                assert_eq!(grew, model.len() > before, "step {step}: grew");
+            }
+        });
+    }
 }

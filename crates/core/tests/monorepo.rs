@@ -3,7 +3,7 @@
 //! parallel parse, lower, analyze — with byte-identical reports at every
 //! `--jobs` value, like every other corpus program.
 
-use safeflow::{AnalysisConfig, Analyzer, Engine};
+use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Engine, MetricsSnapshot};
 use safeflow_corpus::monorepo::{generate_monorepo, total_loc, MonorepoParams};
 use safeflow_ir::CallGraph;
 use safeflow_syntax::pp::VirtualFs;
@@ -107,4 +107,66 @@ fn config_macros_select_real_code() {
     let a = parse(&to_fs(&base));
     let b = parse(&to_fs(&flipped));
     assert_ne!(a, b, "CFG_FEATURE_0 must gate real program text");
+}
+
+/// The benchmark's corpus: the 146-unit bench preset with shorter units and
+/// the generated config macros.
+fn bench_corpus() -> VirtualFs {
+    load(MonorepoParams { stages: 3, branches: 6, ..MonorepoParams::bench() }).0
+}
+
+/// Asserts a check's work counters, reading the `work` section first and
+/// `counters` second, as the benchmark does.
+fn assert_work(stage: &str, metrics: &MetricsSnapshot, want: &[(&str, u64)]) {
+    for &(key, want) in want {
+        let got = metrics.work.get(key).or(metrics.counters.get(key)).copied().unwrap_or(0);
+        assert_eq!(
+            got, want,
+            "{stage}: work counter `{key}` is {got}, pinned at {want}. A change that \
+             lowers it on purpose updates the value here; one that raises it regressed"
+        );
+    }
+}
+
+/// The work the benchmark's checks do is a pure function of the input, so
+/// it is gated exactly where wall time cannot be: a cold check, then
+/// store-backed checks after a one-comment-line edit to a leaf-side unit
+/// (`pkg0`, which many packages call into) and a top-side one (`pkg11`).
+#[test]
+fn bench_corpus_work_counters_are_pinned() {
+    let config = AnalysisConfig::builder().engine(Engine::Summary).jobs(1).build_config();
+    let mut fs = bench_corpus();
+    let cold = AnalysisSession::new(config.clone()).check("main.c", &fs).expect("corpus checks");
+    assert_work(
+        "cold",
+        &cold.metrics,
+        &[
+            ("engine.sccs_hashed", 418),
+            ("summary.cache_misses", 418),
+            ("summary.summarize_calls", 417),
+            ("summary.fixpoint_rounds", 418),
+            ("restrict.functions_checked", 418),
+            ("restrict.solver_calls", 0),
+        ],
+    );
+
+    let dir = std::env::temp_dir().join(format!("safeflow-bench-counters-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut session = AnalysisSession::with_store(config, &dir).expect("store opens");
+    session.check("main.c", &fs).expect("corpus checks");
+    for (unit, dirty) in [("pkg0/unit0.c", 49), ("pkg11/unit0.c", 5)] {
+        let text = format!("/* edit */\n{}", fs.get(unit).expect("unit exists"));
+        fs.add(unit, text);
+        let edited = session.check("main.c", &fs).expect("corpus checks");
+        assert_work(
+            unit,
+            &edited.metrics,
+            &[
+                ("summary.cache_misses", dirty),
+                ("summary.summarize_calls", dirty),
+                ("store.sccs_invalidated", dirty),
+            ],
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

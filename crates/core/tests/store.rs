@@ -217,6 +217,8 @@ fn analyzed_checks_time_their_frontend_render_and_save() {
     let cold = session.check("core.c", &fs).unwrap();
     assert_eq!(cold.run, SessionRun::Analyzed);
     for key in [
+        "store.load_ns",
+        "phase.preprocess",
         "phase.parse",
         "phase.lower",
         "phase.ssa",
@@ -233,7 +235,13 @@ fn analyzed_checks_time_their_frontend_render_and_save() {
     let warm = session.check("core.c", &fs).unwrap();
     assert_eq!(warm.run, SessionRun::Replayed);
     let keys: Vec<&str> = warm.metrics.timings_ns.keys().map(String::as_str).collect();
-    assert_eq!(keys, ["session.check_ns"], "a replay parses, renders and saves nothing");
+    assert_eq!(
+        keys,
+        ["session.check_ns", "store.load_ns"],
+        "a replay loads the store, and parses, renders and saves nothing"
+    );
+    let storeless = AnalysisSession::new(config(1)).check("core.c", &fs).unwrap();
+    assert!(!storeless.metrics.timings_ns.contains_key("store.load_ns"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -35,6 +35,7 @@ use safeflow_corpus::oracle_gen::{
 };
 use safeflow_syntax::VirtualFs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The optimized configurations the oracle checks against the reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,10 +227,14 @@ fn run_doc(analyzer: &Analyzer, files: &[(String, String)]) -> String {
     }
 }
 
-/// A per-seed scratch directory for store-backed configurations. Unique
-/// per process and seed so parallel test binaries never collide.
+/// A scratch directory for one store-backed comparison. Unique per
+/// process and per call, so neither parallel test binaries nor two oracle
+/// runs in one process that visit the same seed share a store.
 fn scratch_dir(seed: u64, tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("safeflow-oracle-{}-{seed}-{tag}", std::process::id()))
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("safeflow-oracle-{}-{call}-{seed}-{tag}", std::process::id());
+    std::env::temp_dir().join(name)
 }
 
 /// Runs one optimized configuration over `shape` and returns the stripped

@@ -612,11 +612,12 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
 
     // 2. Injected mid-request faults (deterministic, keyed by the stable
     // request hash): a panic exercises containment below; budget
-    // exhaustion forces the remaining deadline to the floor so the run
-    // degrades through the ordinary budget machinery.
+    // exhaustion sets a deadline that has already passed when the run
+    // starts, so it degrades through the ordinary budget machinery however
+    // fast the analysis is.
     if let Some(plan) = &shared.opts.fault_plan {
         match plan.fault_at(FaultSite::ServeRequest, job.key) {
-            Some(FaultKind::BudgetExhaustion) => remaining_ms = Some(1),
+            Some(FaultKind::BudgetExhaustion) => remaining_ms = Some(0),
             Some(FaultKind::Panic) => {
                 // Raise inside the contained section below.
             }

@@ -98,7 +98,7 @@ pub fn parse_program(main_name: &str, fs: &VirtualFs) -> ParseResult {
 }
 
 /// [`parse_program`] with `jobs` worker threads lexing the files of `fs`
-/// in parallel.
+/// in parallel: [`preprocess_program_jobs`] then [`parse_preprocessed`].
 ///
 /// The result is byte-identical for every `jobs` value: `FileId`s are
 /// assigned by registering all files of `fs` in sorted-name order before
@@ -107,6 +107,22 @@ pub fn parse_program(main_name: &str, fs: &VirtualFs) -> ParseResult {
 /// diagnostic order — replays sequentially over the pre-lexed token
 /// streams.
 pub fn parse_program_jobs(main_name: &str, fs: &VirtualFs, jobs: usize) -> ParseResult {
+    parse_preprocessed(preprocess_program_jobs(main_name, fs, jobs))
+}
+
+/// A program lexed and preprocessed into one token stream, ready for
+/// [`parse_preprocessed`]. The two halves of [`parse_program_jobs`] are
+/// separate so that a caller can time them apart.
+#[derive(Debug)]
+pub struct Preprocessed {
+    tokens: Vec<token::Token>,
+    sources: SourceMap,
+    diags: Diagnostics,
+}
+
+/// Lexes every file of `fs` on `jobs` worker threads, then preprocesses
+/// `main_name` over the lexed files (see [`parse_program_jobs`]).
+pub fn preprocess_program_jobs(main_name: &str, fs: &VirtualFs, jobs: usize) -> Preprocessed {
     let mut sources = SourceMap::new();
     let mut diags = Diagnostics::new();
 
@@ -135,6 +151,12 @@ pub fn parse_program_jobs(main_name: &str, fs: &VirtualFs, jobs: usize) -> Parse
         .collect();
 
     let tokens = pp::preprocess_with_cache(main_name, fs, &mut sources, &mut diags, &mut cache);
+    Preprocessed { tokens, sources, diags }
+}
+
+/// Parses a preprocessed program into its translation unit.
+pub fn parse_preprocessed(pre: Preprocessed) -> ParseResult {
+    let Preprocessed { tokens, mut sources, mut diags } = pre;
     let unit = parser::parse(tokens, &mut sources, &mut diags);
     ParseResult { unit, sources, diags }
 }

@@ -46,9 +46,14 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Option<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn str_ref(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        std::str::from_utf8(bytes).ok()
     }
 
     /// A `u32` length that must be plausible against the remaining buffer,
