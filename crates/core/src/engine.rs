@@ -723,7 +723,7 @@ mod tests {
         let block = |insts: Vec<u32>, terminator| BasicBlock {
             insts: insts.into_iter().map(InstId).collect(),
             terminator,
-            name: String::new(),
+            name: "".into(),
         };
         #[rustfmt::skip]
         let blocks = vec![
@@ -772,9 +772,15 @@ mod tests {
         fn k(f: &mut Function, i: usize) -> &mut InstKind {
             &mut f.insts[i].kind
         }
-        /// Operand `n` of instruction `i`.
-        fn op(f: &mut Function, i: usize, n: usize) -> &mut Value {
-            f.insts[i].kind.operands_mut().swap_remove(n)
+        /// Sets operand `n` of instruction `i` to `v`.
+        fn op(f: &mut Function, i: usize, n: usize, v: Value) {
+            let mut at = 0;
+            f.insts[i].kind.for_each_operand_mut(|o| {
+                if at == n {
+                    *o = v.clone();
+                }
+                at += 1;
+            });
         }
         fn t(f: &mut Function, b: usize) -> &mut Terminator {
             &mut f.blocks[b].terminator
@@ -807,38 +813,38 @@ mod tests {
             ("pointee type", |f| if let InstKind::Alloca { ty: Type::Array(e, _), .. } = k(f, 0) { **e = Type::Struct(StructId(0)).ptr_to() }),
             ("struct type id", |f| f.insts[0].ty = Type::Struct(StructId(1))),
             ("alloca name", |f| if let InstKind::Alloca { name, .. } = k(f, 0) { name.push('2') }),
-            ("param -> inst operand", |f| *op(f, 1, 0) = Value::Inst(InstId(0))),
-            ("param -> global operand", |f| *op(f, 1, 0) = Value::Global(GlobalId(0))),
-            ("param index", |f| *op(f, 1, 0) = Value::Param(1)),
-            ("inst id", |f| *op(f, 2, 0) = Value::Inst(InstId(3))),
-            ("integer constant", |f| *op(f, 2, 1) = Value::i32(6)),
-            ("integer constant width", |f| *op(f, 2, 1) = Value::ConstInt(5, Type::int64())),
-            ("integer constant sign", |f| *op(f, 2, 1) = Value::ConstInt(5, Type::Int { bits: 32, signed: false })),
-            ("integer -> null constant", |f| *op(f, 2, 1) = Value::ConstNull(Type::int32())),
+            ("param -> inst operand", |f| op(f, 1, 0, Value::Inst(InstId(0)))),
+            ("param -> global operand", |f| op(f, 1, 0, Value::Global(GlobalId(0)))),
+            ("param index", |f| op(f, 1, 0, Value::Param(1))),
+            ("inst id", |f| op(f, 2, 0, Value::Inst(InstId(3)))),
+            ("integer constant", |f| op(f, 2, 1, Value::i32(6))),
+            ("integer constant width", |f| op(f, 2, 1, Value::ConstInt(5, Type::int64()))),
+            ("integer constant sign", |f| op(f, 2, 1, Value::ConstInt(5, Type::Int { bits: 32, signed: false }))),
+            ("integer -> null constant", |f| op(f, 2, 1, Value::ConstNull(Type::int32()))),
             ("field struct", |f| if let InstKind::FieldAddr { struct_id, .. } = k(f, 3) { *struct_id = StructId(1) }),
             ("field index", |f| if let InstKind::FieldAddr { field, .. } = k(f, 3) { *field = 2 }),
-            ("field base", |f| *op(f, 3, 0) = Value::Inst(InstId(0))),
-            ("element base", |f| *op(f, 4, 0) = Value::Param(0)),
-            ("element index", |f| *op(f, 4, 1) = Value::ConstInt(3, Type::int64())),
+            ("field base", |f| op(f, 3, 0, Value::Inst(InstId(0)))),
+            ("element base", |f| op(f, 4, 0, Value::Param(0))),
+            ("element index", |f| op(f, 4, 1, Value::ConstInt(3, Type::int64()))),
             ("binary operator", |f| if let InstKind::Bin { op, .. } = k(f, 5) { *op = BinOp::Sub }),
-            ("binary lhs", |f| *op(f, 5, 0) = Value::Inst(InstId(2))),
-            ("float constant bits", |f| *op(f, 5, 1) = Value::ConstFloat(2.5, Type::f64())),
-            ("float constant width", |f| *op(f, 5, 1) = Value::ConstFloat(1.5, Type::f32())),
+            ("binary lhs", |f| op(f, 5, 0, Value::Inst(InstId(2)))),
+            ("float constant bits", |f| op(f, 5, 1, Value::ConstFloat(2.5, Type::f64()))),
+            ("float constant width", |f| op(f, 5, 1, Value::ConstFloat(1.5, Type::f32()))),
             ("operands swapped", |f| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5) { std::mem::swap(lhs, rhs) }),
             ("bin -> cmp", |f| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5).clone() { *k(f, 5) = InstKind::Cmp { op: CmpOp::Eq, lhs, rhs } }),
             ("compare operator", |f| if let InstKind::Cmp { op, .. } = k(f, 6) { *op = CmpOp::Le }),
-            ("null pointer type", |f| *op(f, 6, 1) = Value::ConstNull(Type::int8().ptr_to())),
+            ("null pointer type", |f| op(f, 6, 1, Value::ConstNull(Type::int8().ptr_to()))),
             ("cast kind", |f| if let InstKind::Cast { kind, .. } = k(f, 7) { *kind = CastKind::IntToInt }),
-            ("global id", |f| *op(f, 7, 0) = Value::Global(GlobalId(1))),
+            ("global id", |f| op(f, 7, 0, Value::Global(GlobalId(1)))),
             ("local callee id", |f| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::Local(FuncId(1)) }),
             ("local -> external callee", |f| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::External("f".into()) }),
             ("call argument dropped", |f| if let InstKind::Call { args, .. } = k(f, 8) { args.pop(); }),
             ("call arguments reordered", |f| if let InstKind::Call { args, .. } = k(f, 8) { args.reverse() }),
             ("asserted name", |f| if let InstKind::AssertSafe { var, .. } = k(f, 9) { *var = "y".into() }),
-            ("asserted value", |f| *op(f, 9, 0) = Value::Inst(InstId(1))),
+            ("asserted value", |f| op(f, 9, 0, Value::Inst(InstId(1)))),
             ("external callee name", |f| if let InstKind::Call { callee: Callee::External(n), .. } = k(f, 10) { n.push_str("pg") }),
             ("phi incoming block", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming[0].0 = BlockId(0) }),
-            ("phi incoming value", |f| *op(f, 11, 1) = Value::i32(1)),
+            ("phi incoming value", |f| op(f, 11, 1, Value::i32(1))),
             ("phi arm dropped", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming.pop(); }),
             ("instruction moved to another block", |f| if let Some(id) = f.blocks[0].insts.pop() { f.blocks[2].insts.push(id) }),
             ("branch condition", |f| if let Terminator::CondBr { cond, .. } = t(f, 0) { *cond = Value::Inst(InstId(1)) }),
@@ -871,7 +877,7 @@ mod tests {
         // Floats are keyed by their bits, so even `0.0` and `-0.0` differ.
         let with_float = |c: f64| {
             let mut f = base_fn.clone();
-            *op(&mut f, 5, 1) = Value::ConstFloat(c, Type::f64());
+            op(&mut f, 5, 1, Value::ConstFloat(c, Type::f64()));
             bare_sig(&f)
         };
         assert_ne!(with_float(0.0), with_float(-0.0));

@@ -365,13 +365,7 @@ fn check_p2_in(
                     offending = true;
                 }
             }
-            other => {
-                for op in other.operands() {
-                    if bad_use(op, false) {
-                        offending = true;
-                    }
-                }
-            }
+            other => other.for_each_operand(|op| offending |= bad_use(op, false)),
         }
         if offending {
             out.push(RestrictionViolation {

@@ -9,6 +9,7 @@
 use crate::types::{StructId, Type, TypeTable};
 use safeflow_syntax::annot::Annotation;
 use safeflow_syntax::span::Span;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -220,15 +221,7 @@ pub enum InstKind {
 }
 
 impl InstKind {
-    /// Operands read by this instruction.
-    pub fn operands(&self) -> Vec<&Value> {
-        let mut ops = Vec::new();
-        self.for_each_operand(|v| ops.push(v));
-        ops
-    }
-
-    /// Calls `f` on each operand read by this instruction, in order,
-    /// without collecting them into a `Vec`.
+    /// Calls `f` on each operand read by this instruction, in order.
     pub fn for_each_operand<'a>(&'a self, mut f: impl FnMut(&'a Value)) {
         match self {
             InstKind::Alloca { .. } => {}
@@ -252,19 +245,29 @@ impl InstKind {
         }
     }
 
-    /// Mutable operand access (used by SSA rewriting).
-    pub fn operands_mut(&mut self) -> Vec<&mut Value> {
+    /// Calls `f` on each operand read by this instruction, in the order of
+    /// [`InstKind::for_each_operand`], with mutable access (used by SSA
+    /// rewriting).
+    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Value)) {
         match self {
-            InstKind::Alloca { .. } => vec![],
-            InstKind::Load { ptr } => vec![ptr],
-            InstKind::Store { ptr, value } => vec![ptr, value],
-            InstKind::FieldAddr { base, .. } => vec![base],
-            InstKind::ElemAddr { base, index } => vec![base, index],
-            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-            InstKind::Cast { value, .. } => vec![value],
-            InstKind::Call { args, .. } => args.iter_mut().collect(),
-            InstKind::Phi { incoming } => incoming.iter_mut().map(|(_, v)| v).collect(),
-            InstKind::AssertSafe { value, .. } => vec![value],
+            InstKind::Alloca { .. } => {}
+            InstKind::Load { ptr } => f(ptr),
+            InstKind::Store { ptr, value } => {
+                f(ptr);
+                f(value);
+            }
+            InstKind::FieldAddr { base, .. } => f(base),
+            InstKind::ElemAddr { base, index } => {
+                f(base);
+                f(index);
+            }
+            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            InstKind::Cast { value, .. } | InstKind::AssertSafe { value, .. } => f(value),
+            InstKind::Call { args, .. } => args.iter_mut().for_each(f),
+            InstKind::Phi { incoming } => incoming.iter_mut().for_each(|(_, v)| f(v)),
         }
     }
 
@@ -304,37 +307,36 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks in order.
-    pub fn successors(&self) -> Vec<BlockId> {
+    /// Successor blocks in order: a switch's cases, then its default.
+    /// Two arms branching to one block yield it twice.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (cases, fixed): (&[(i64, BlockId)], [Option<BlockId>; 2]) = match self {
+            Terminator::Br(b) => (&[], [Some(*b), None]),
+            Terminator::CondBr { then_bb, else_bb, .. } => (&[], [Some(*then_bb), Some(*else_bb)]),
+            Terminator::Switch { cases, default, .. } => (cases, [Some(*default), None]),
+            Terminator::Ret(_) | Terminator::Unreachable => (&[], [None, None]),
+        };
+        cases.iter().map(|&(_, b)| b).chain(fixed.into_iter().flatten())
+    }
+
+    /// Calls `f` on the value the terminator reads, if any.
+    pub fn for_each_operand<'a>(&'a self, f: impl FnOnce(&'a Value)) {
         match self {
-            Terminator::Br(b) => vec![*b],
-            Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-            Terminator::Switch { cases, default, .. } => {
-                let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
-            }
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
+            Terminator::CondBr { cond: v, .. }
+            | Terminator::Switch { value: v, .. }
+            | Terminator::Ret(Some(v)) => f(v),
+            Terminator::Br(_) | Terminator::Ret(None) | Terminator::Unreachable => {}
         }
     }
 
-    /// Values read by the terminator.
-    pub fn operands(&self) -> Vec<&Value> {
+    /// Calls `f` on the value the terminator reads, if any, with mutable
+    /// access.
+    pub fn for_each_operand_mut(&mut self, f: impl FnOnce(&mut Value)) {
         match self {
-            Terminator::CondBr { cond, .. } => vec![cond],
-            Terminator::Switch { value, .. } => vec![value],
-            Terminator::Ret(Some(v)) => vec![v],
-            _ => vec![],
-        }
-    }
-
-    /// Mutable access to values read by the terminator.
-    pub fn operands_mut(&mut self) -> Vec<&mut Value> {
-        match self {
-            Terminator::CondBr { cond, .. } => vec![cond],
-            Terminator::Switch { value, .. } => vec![value],
-            Terminator::Ret(Some(v)) => vec![v],
-            _ => vec![],
+            Terminator::CondBr { cond: v, .. }
+            | Terminator::Switch { value: v, .. }
+            | Terminator::Ret(Some(v)) => f(v),
+            Terminator::Br(_) | Terminator::Ret(None) | Terminator::Unreachable => {}
         }
     }
 }
@@ -346,8 +348,9 @@ pub struct BasicBlock {
     pub insts: Vec<InstId>,
     /// The block terminator.
     pub terminator: Terminator,
-    /// Debug name (e.g. `while.cond`).
-    pub name: String,
+    /// Debug name (e.g. `while.cond`). Only a switch's `switch.case{i}`
+    /// arms are built at run time; every other name is a literal.
+    pub name: Cow<'static, str>,
 }
 
 /// A function parameter.
@@ -632,19 +635,24 @@ mod tests {
             cases: vec![(1, BlockId(1)), (2, BlockId(2))],
             default: BlockId(3),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2), BlockId(3)]);
-        assert!(Terminator::Ret(None).successors().is_empty());
+        assert_eq!(t.successors().collect::<Vec<_>>(), [BlockId(1), BlockId(2), BlockId(3)]);
+        assert_eq!(Terminator::Ret(None).successors().count(), 0);
     }
 
     #[test]
     fn inst_operand_enumeration() {
+        let count = |k: &InstKind| {
+            let mut n = 0;
+            k.for_each_operand(|_| n += 1);
+            n
+        };
         let k = InstKind::Bin { op: BinOp::Add, lhs: Value::i32(1), rhs: Value::i32(2) };
-        assert_eq!(k.operands().len(), 2);
+        assert_eq!(count(&k), 2);
         let call = InstKind::Call {
             callee: Callee::External("kill".into()),
             args: vec![Value::i32(1), Value::i32(9)],
         };
-        assert_eq!(call.operands().len(), 2);
+        assert_eq!(count(&call), 2);
         assert!(call.has_side_effects());
         assert!(!k.has_side_effects());
     }

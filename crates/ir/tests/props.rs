@@ -3,10 +3,12 @@
 //! CFG invariants — before and after mem2reg.
 
 use safeflow_ir::{
-    lower::lower, ssa::promote_module, verify::verify_module, BlockId, Cfg, DomTree, PostDomTree,
+    lower::lower, ssa::promote_module, verify::verify_module, BasicBlock, BlockId, Cfg, DomTree,
+    Function, PostDomTree, Terminator, Type, Value,
 };
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::parse_source;
+use safeflow_syntax::span::Span;
 use safeflow_util::prop::{run_cases, Gen};
 
 /// A tiny statement-level program generator: straight-line arithmetic,
@@ -242,6 +244,114 @@ fn dominators_consistent() {
                     );
                 }
             }
+        }
+    });
+}
+
+/// A function of 1 to 12 blocks with random terminators: branches,
+/// two-way branches, switches whose arms may share a target (duplicate
+/// edges), returns and unreachable stubs, so some blocks are unreachable
+/// and some reach no exit.
+fn gen_cfg_function(g: &mut Gen) -> Function {
+    let n = g.usize(1, 13);
+    let target = |g: &mut Gen| BlockId(g.usize(0, n) as u32);
+    let blocks = (0..n)
+        .map(|_| {
+            let terminator = match g.usize(0, 5) {
+                0 => Terminator::Br(target(g)),
+                1 => Terminator::CondBr {
+                    cond: Value::i32(1),
+                    then_bb: target(g),
+                    else_bb: target(g),
+                },
+                2 => Terminator::Switch {
+                    value: Value::i32(0),
+                    cases: (0..g.usize(0, 4)).map(|c| (c as i64, target(g))).collect(),
+                    default: target(g),
+                },
+                3 => Terminator::Ret(None),
+                _ => Terminator::Unreachable,
+            };
+            BasicBlock { insts: vec![], terminator, name: "".into() }
+        })
+        .collect();
+    Function {
+        name: "f".into(),
+        ret: Type::Void,
+        params: vec![],
+        varargs: false,
+        insts: vec![],
+        blocks,
+        annotations: vec![],
+        is_definition: true,
+        span: Span::dummy(),
+    }
+}
+
+/// The flat CFG and dominator-tree layout hold exactly the lists a naive
+/// edge-list construction gives, element for element: successors in
+/// terminator order, predecessors in ascending order once per edge (a
+/// switch's duplicate arms included), the reverse CFG as post-dominators
+/// see it, and each block's dominator-tree children as the grouping of
+/// `idom`.
+#[test]
+fn cfg_layout_matches_naive_edge_lists() {
+    run_cases(256, |g| {
+        let f = gen_cfg_function(g);
+        let n = f.blocks.len();
+        let cfg = Cfg::build(&f);
+
+        let succs: Vec<Vec<BlockId>> =
+            f.blocks.iter().map(|b| b.terminator.successors().collect()).collect();
+        let mut preds = vec![Vec::new(); n];
+        for (b, out) in succs.iter().enumerate() {
+            for s in out {
+                preds[s.0 as usize].push(BlockId(b as u32));
+            }
+        }
+        for b in (0..n as u32).map(BlockId) {
+            assert_eq!(cfg.succs_of(b), succs[b.0 as usize], "succs of {b} in {f:?}");
+            assert_eq!(cfg.preds_of(b), preds[b.0 as usize], "preds of {b} in {f:?}");
+        }
+
+        // The reverse CFG: every edge out of a reachable block flipped,
+        // and a virtual exit `n` branching to each reachable block without
+        // successors.
+        let exit = BlockId(n as u32);
+        let mut rev_succs = vec![Vec::new(); n + 1];
+        let mut rev_preds = vec![Vec::new(); n + 1];
+        for (b, out) in succs.iter().enumerate() {
+            let bid = BlockId(b as u32);
+            if !cfg.is_reachable(bid) {
+                continue;
+            }
+            for &s in out {
+                rev_succs[s.0 as usize].push(bid);
+                rev_preds[b].push(s);
+            }
+            if out.is_empty() {
+                rev_succs[n].push(bid);
+                rev_preds[b].push(exit);
+            }
+        }
+        let rev = cfg.reverse();
+        assert_eq!(rev.len(), n + 1);
+        assert_eq!(rev.rpo.first(), Some(&exit));
+        for b in (0..=n as u32).map(BlockId) {
+            assert_eq!(rev.succs_of(b), rev_succs[b.0 as usize], "reverse succs of {b} in {f:?}");
+            assert_eq!(rev.preds_of(b), rev_preds[b.0 as usize], "reverse preds of {b} in {f:?}");
+        }
+
+        let dom = DomTree::build(&cfg);
+        let mut children = vec![Vec::new(); n];
+        for (b, d) in dom.idom.iter().enumerate() {
+            match *d {
+                Some(d) if d.0 as usize != b => children[d.0 as usize].push(BlockId(b as u32)),
+                _ => {}
+            }
+        }
+        for b in (0..n as u32).map(BlockId) {
+            assert_eq!(dom.children(b), children[b.0 as usize], "children of {b} in {f:?}");
         }
     });
 }

@@ -19,8 +19,8 @@ use crate::diag::Diagnostics;
 use crate::source::SourceMap;
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
+use safeflow_util::hash::FnvSet;
 use safeflow_util::Symbol;
-use std::collections::HashSet;
 
 /// Parses a preprocessed token stream into a translation unit.
 ///
@@ -32,12 +32,12 @@ pub fn parse(
     diags: &mut Diagnostics,
 ) -> TranslationUnit {
     let mut parser = Parser {
+        ast: Ast::for_tokens(tokens.len()),
         tokens,
         pos: 0,
         sources,
         diags,
-        ast: Ast::default(),
-        typedefs: HashSet::new(),
+        typedefs: FnvSet::default(),
         anon_counter: 0,
         hoisted: Vec::new(),
         pending_fn: None,
@@ -53,7 +53,7 @@ struct Parser<'a> {
     diags: &'a mut Diagnostics,
     /// Node arena for the unit being built.
     ast: Ast,
-    typedefs: HashSet<Symbol>,
+    typedefs: FnvSet<Symbol>,
     anon_counter: u32,
     /// Struct/enum definitions encountered inline, hoisted before the
     /// current item.

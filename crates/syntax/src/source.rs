@@ -16,7 +16,8 @@ pub struct SourceFile {
 
 impl SourceFile {
     fn new(name: String, text: String) -> Self {
-        let mut line_starts = vec![0u32];
+        let mut line_starts = Vec::with_capacity(1 + text.bytes().filter(|&b| b == b'\n').count());
+        line_starts.push(0);
         for (i, b) in text.bytes().enumerate() {
             if b == b'\n' {
                 line_starts.push(i as u32 + 1);

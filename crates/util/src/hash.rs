@@ -6,7 +6,16 @@
 //! fast on the short keys the analysis hashes (IR instruction streams,
 //! names, id lists), and bit-stable forever.
 
-use std::hash::Hasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` hashed with [`Fnv64`] instead of SipHash: for short keys
+/// the program makes itself (interned symbols, ids), where SipHash's
+/// resistance to crafted collisions buys nothing and its cost shows.
+pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv64>>;
+
+/// A `HashSet` hashed with [`Fnv64`]; see [`FnvMap`].
+pub type FnvSet<K> = HashSet<K, BuildHasherDefault<Fnv64>>;
 
 /// 64-bit FNV-1a hasher. Implements [`std::hash::Hasher`] so `#[derive(Hash)]`
 /// types can feed it directly.

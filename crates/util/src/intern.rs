@@ -23,9 +23,7 @@
 //! repeat costs only the lookup.
 
 use crate::arena::Bump;
-use crate::hash::Fnv64;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::hash::FnvMap;
 use std::sync::{Mutex, OnceLock};
 
 /// An interned string key. `Copy`, 4 bytes, O(1) equality.
@@ -89,22 +87,6 @@ impl PartialEq<str> for Symbol {
 impl PartialEq<&str> for Symbol {
     fn eq(&self, other: &&str) -> bool {
         self.as_str() == *other
-    }
-}
-
-/// FNV-backed `HashMap` so lookups don't pay SipHash on short keys.
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
-
-/// `Hasher` adapter over [`Fnv64`] (the `Default` impl `HashMap` needs).
-#[derive(Default)]
-pub struct FnvHasher(Fnv64);
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0.value()
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
     }
 }
 
