@@ -308,6 +308,50 @@ fn control_only_dependency_classified() {
     }
 }
 
+/// Arms that assign the same constant still join at a φ, and the φ carries
+/// the branch's control label: `r` stays control-dependent on the non-core
+/// flag. An SSA construction that folded the trivial φ `φ(1, 1)` into the
+/// constant (Braun et al.'s on-the-fly SSA does) would lose this finding.
+#[test]
+fn identical_constant_arms_stay_control_only() {
+    let src = r#"
+        typedef struct { int flag; } Config;
+        Config *cfg;
+        void *shmat(int shmid, void *addr, int flags);
+        void sendControl(int output);
+
+        void initComm(void)
+        /** SafeFlow Annotation shminit */
+        {
+            cfg = (Config *) shmat(0, 0, 0);
+            /** SafeFlow Annotation
+                assume(shmvar(cfg, sizeof(Config)))
+                assume(noncore(cfg))
+            */
+        }
+
+        int main() {
+            int r;
+            initComm();
+            if (cfg->flag) r = 1; else r = 1;
+            /** SafeFlow Annotation assert(safe(r)) */
+            sendControl(r);
+            return 0;
+        }
+    "#;
+    for engine in [Engine::ContextSensitive, Engine::Summary] {
+        let result = analyze_with(engine, src);
+        let kinds: Vec<DependencyKind> =
+            result.report.errors.iter().filter(|e| e.critical == "r").map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [DependencyKind::ControlOnly],
+            "{engine:?}: the φ of identical arms keeps its control label:\n{}",
+            result.render()
+        );
+    }
+}
+
 /// Monitored reads are safe: the full monitor pattern produces no warnings
 /// and no errors.
 #[test]
