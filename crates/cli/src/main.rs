@@ -21,8 +21,8 @@
 //! `DEGRADED RUN` block naming the affected functions.
 
 use safeflow::{
-    AnalysisConfig, AnalysisSession, Analyzer, Budget, CriticalCall, Engine, FaultKind, FaultPlan,
-    FaultSite, ImplicitFlowMode, RecvSpec,
+    AnalysisConfig, AnalysisError, AnalysisSession, Analyzer, Budget, CriticalCall, Engine,
+    FaultKind, FaultPlan, FaultSite, ImplicitFlowMode, MetricsSnapshot, RecvSpec, SessionOutcome,
 };
 use safeflow_corpus::{systems, System};
 use safeflow_syntax::VirtualFs;
@@ -267,16 +267,15 @@ fn run() -> ExitCode {
         return run_table1(&config, &out);
     }
     if fig2 {
-        return run_source(&config, "figure2.c", safeflow_corpus::figure2_example(), &out);
+        let mut fs = VirtualFs::new();
+        fs.add("figure2.c", safeflow_corpus::figure2_example());
+        return run_check(config, store_dir, &out, |s| s.check("figure2.c", &fs));
     }
     if files.is_empty() {
         print_help();
         return ExitCode::from(2);
     }
-    if check_mode {
-        return run_check(config, &files, store_dir, &out);
-    }
-    run_files(&config, &files, &out)
+    run_check(config, store_dir, &out, |s| s.check_files(&files))
 }
 
 /// Parses a `--critical-call` spec: `NAME:ARG[:LABEL]` (zero-based
@@ -318,13 +317,13 @@ fn parse_recv(spec: &str) -> Result<RecvSpec, String> {
     Ok(RecvSpec::new(*name, sock, buf))
 }
 
-/// The `check` subcommand: one incremental session over the input files,
-/// replaying from or saving to the persistent store when `--store` is set.
+/// Plain runs and the `check` subcommand: one session check, replaying
+/// from or saving to the persistent store when `--store` is set.
 fn run_check(
     config: AnalysisConfig,
-    files: &[String],
     store_dir: Option<String>,
     out: &OutputOpts,
+    check: impl FnOnce(&mut AnalysisSession) -> Result<SessionOutcome, AnalysisError>,
 ) -> ExitCode {
     let mut session = match &store_dir {
         Some(dir) => match AnalysisSession::with_store(config, std::path::Path::new(dir)) {
@@ -341,7 +340,7 @@ fn run_check(
     if out.dot {
         session.set_replay(false);
     }
-    match session.check_files(files) {
+    match check(&mut session) {
         Ok(outcome) => {
             if out.format_json {
                 println!("{}", outcome.report_json.render());
@@ -353,14 +352,7 @@ fn run_check(
                     emit_dot(result);
                 }
             }
-            match out.metrics {
-                Some(MetricsOut::Text) => {
-                    println!("-- metrics --");
-                    print!("{}", outcome.metrics.render_text());
-                }
-                Some(MetricsOut::Json) => println!("{}", outcome.metrics.to_json().render()),
-                None => {}
-            }
+            print_metrics(&outcome.metrics, out);
             ExitCode::from(outcome.exit_code)
         }
         Err(e) => {
@@ -640,57 +632,15 @@ fn print_help() {
     );
 }
 
-/// Renders one completed analysis according to `out`, returning the
-/// report's exit code.
-fn emit_result(
-    analyzer: &Analyzer,
-    result: &safeflow::AnalysisResult,
-    out: &OutputOpts,
-) -> ExitCode {
-    if out.format_json {
-        println!("{}", analyzer.report_json(result).render());
-    } else {
-        print!("{}", result.render());
-    }
-    if out.dot {
-        emit_dot(result);
-    }
-    emit_metrics(analyzer, out);
-    ExitCode::from(result.report.exit_code())
-}
-
-/// Prints the last run's metrics when `--metrics` asked for them.
-fn emit_metrics(analyzer: &Analyzer, out: &OutputOpts) {
+/// Prints `metrics` when `--metrics` asked for them.
+fn print_metrics(metrics: &MetricsSnapshot, out: &OutputOpts) {
     match out.metrics {
         Some(MetricsOut::Text) => {
             println!("-- metrics --");
-            print!("{}", analyzer.last_metrics().render_text());
+            print!("{}", metrics.render_text());
         }
-        Some(MetricsOut::Json) => println!("{}", analyzer.last_metrics().to_json().render()),
+        Some(MetricsOut::Json) => println!("{}", metrics.to_json().render()),
         None => {}
-    }
-}
-
-fn run_files(config: &AnalysisConfig, files: &[String], out: &OutputOpts) -> ExitCode {
-    let mut fs = VirtualFs::new();
-    for f in files {
-        match std::fs::read_to_string(f) {
-            Ok(text) => {
-                fs.add(f.as_str(), text);
-            }
-            Err(e) => {
-                eprintln!("cannot read {f}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let analyzer = Analyzer::new(config.clone());
-    match analyzer.analyze_program(&files[0], &fs) {
-        Ok(result) => emit_result(&analyzer, &result, out),
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
     }
 }
 
@@ -700,17 +650,6 @@ fn emit_dot(result: &safeflow::AnalysisResult) {
     for (i, e) in result.report.errors.iter().enumerate() {
         println!("// value-flow graph {} for critical `{}`", i + 1, e.critical);
         print!("{}", safeflow::flowgraph::error_to_dot(e, &result.sources));
-    }
-}
-
-fn run_source(config: &AnalysisConfig, name: &str, src: &str, out: &OutputOpts) -> ExitCode {
-    let analyzer = Analyzer::new(config.clone());
-    match analyzer.analyze_source(name, src) {
-        Ok(result) => emit_result(&analyzer, &result, out),
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
     }
 }
 
@@ -731,6 +670,7 @@ fn run_table1(config: &AnalysisConfig, out: &OutputOpts) -> ExitCode {
     );
     let analyzer = Analyzer::new(config.clone());
     let mut ok = true;
+    let mut sample = None;
     for system in systems() {
         match analyzer.analyze_source(system.core_file, system.core_source) {
             Ok(result) => {
@@ -766,6 +706,7 @@ fn run_table1(config: &AnalysisConfig, out: &OutputOpts) -> ExitCode {
                     ok = false;
                 }
                 print_defects(&system, r);
+                sample = Some(result.metrics);
             }
             Err(e) => {
                 eprintln!("{}: analysis failed:\n{e}", system.name);
@@ -776,7 +717,9 @@ fn run_table1(config: &AnalysisConfig, out: &OutputOpts) -> ExitCode {
     println!("\nfinding counts {} the paper's Table 1", if ok { "MATCH" } else { "DO NOT MATCH" });
     // With --metrics: the registry is per-run, so this shows the last
     // corpus system analyzed — a representative sample for the demo.
-    emit_metrics(&analyzer, out);
+    if let Some(metrics) = &sample {
+        print_metrics(metrics, out);
+    }
     if ok {
         ExitCode::SUCCESS
     } else {

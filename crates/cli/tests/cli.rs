@@ -97,11 +97,21 @@ fn plain_run_and_check_print_the_same_frontend_warnings() {
     let path = path.to_str().unwrap();
     let plain = safeflow().arg(path).output().expect("runs");
     let check = safeflow().args(["check", "--engine", "context", path]).output().expect("runs");
+    let json = ["--format", "json", "--metrics=json", path];
+    let plain_json = safeflow().args(json).output().expect("runs");
+    let check_json =
+        safeflow().args(["check", "--engine", "context"]).args(json).output().expect("runs");
     let _ = std::fs::remove_dir_all(&dir);
     let text = String::from_utf8_lossy(&plain.stdout);
     assert!(text.contains("warning: too many arguments to `f`"), "{text}");
     assert_eq!(text, String::from_utf8_lossy(&check.stdout));
     assert_eq!(plain.status.code(), check.status.code());
+    // One check path serves both modes: their documents differ only in
+    // volatile numbers.
+    let plain_json = strip_volatile_sections(&String::from_utf8_lossy(&plain_json.stdout));
+    assert!(plain_json.contains("\"module.functions\": 2"), "{plain_json}");
+    assert!(!plain_json.contains("timings_ns"), "{plain_json}");
+    assert_eq!(plain_json, strip_volatile_sections(&String::from_utf8_lossy(&check_json.stdout)));
 }
 
 #[test]
@@ -209,19 +219,21 @@ fn metrics_json_flag_emits_sections() {
 /// printer, so a line-based scan is exact.
 fn strip_volatile_sections(doc: &str) -> String {
     let mut out = String::new();
-    let mut skipping = false;
+    // The indentation of the section being skipped, whose closing brace
+    // sits at the same depth.
+    let mut skipping: Option<&str> = None;
     for line in doc.lines() {
-        if skipping {
-            if line == "    }," || line == "    }" {
-                skipping = false;
+        if let Some(indent) = skipping {
+            if line.strip_prefix(indent).is_some_and(|rest| rest == "}," || rest == "}") {
+                skipping = None;
             }
             continue;
         }
         let trimmed = line.trim_start();
-        if line.starts_with("    \"")
-            && ["\"sched\":", "\"dist\":", "\"timings_ns\":"].iter().any(|s| trimmed.starts_with(s))
-        {
-            skipping = !trimmed.ends_with("{},") && !trimmed.ends_with("{}");
+        if ["\"sched\":", "\"dist\":", "\"timings_ns\":"].iter().any(|s| trimmed.starts_with(s)) {
+            if !trimmed.ends_with("{},") && !trimmed.ends_with("{}") {
+                skipping = Some(&line[..line.len() - trimmed.len()]);
+            }
             continue;
         }
         out.push_str(line);

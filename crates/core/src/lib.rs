@@ -95,9 +95,7 @@ use safeflow_ir::ssa::promote_module;
 use safeflow_ir::{CallGraph, Cfg, Module};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::{Diagnostics, SourceMap, VirtualFs};
-use safeflow_util::lock_recover;
 use safeflow_util::metrics::{Class, Metrics};
-use std::sync::Mutex;
 
 /// A completed analysis: the report plus everything needed to render it.
 #[derive(Debug)]
@@ -111,6 +109,10 @@ pub struct AnalysisResult {
     pub diags: Diagnostics,
     /// The lowered module, for tooling (value-flow graph dumps etc.).
     pub module: Module,
+    /// The run's metrics: a fresh registry per run, so `work`-class
+    /// counters reflect that run's cache state alone — see
+    /// [`safeflow_util::metrics`] for the determinism classes.
+    pub metrics: MetricsSnapshot,
 }
 
 impl AnalysisResult {
@@ -305,17 +307,12 @@ impl AnalyzerBuilder {
 pub struct Analyzer {
     config: AnalysisConfig,
     cache: engine::SummaryCache,
-    last_metrics: Mutex<MetricsSnapshot>,
 }
 
 impl Analyzer {
     /// Creates an analyzer with `config`.
     pub fn new(config: AnalysisConfig) -> Analyzer {
-        Analyzer {
-            config,
-            cache: engine::SummaryCache::default(),
-            last_metrics: Mutex::new(MetricsSnapshot::default()),
-        }
+        Analyzer { config, cache: engine::SummaryCache::default() }
     }
 
     /// The active configuration.
@@ -337,60 +334,55 @@ impl Analyzer {
         self.cache.stats()
     }
 
-    /// The metrics recorded by the most recent [`Analyzer::analyze_module`]
-    /// run (empty before the first run). Each run starts from a fresh
-    /// registry, so `work`-class counters reflect that run's cache state
-    /// alone — see [`safeflow_util::metrics`] for the determinism classes.
-    pub fn last_metrics(&self) -> MetricsSnapshot {
-        lock_recover(&self.last_metrics).clone()
-    }
-
-    /// Composes the full machine-readable report for `result` (which must
-    /// come from this analyzer's most recent run): findings, configured
-    /// budget limits, cumulative cache stats, and the run's metrics, in
-    /// one stable schema — `safeflow-report-v1` for default-policy runs
-    /// (frozen), `safeflow-report-v2` when a label policy is in effect
-    /// (see [`AnalysisReport::schema`]).
+    /// Composes the full machine-readable report for `result`: findings,
+    /// configured budget limits, cumulative cache stats, and the run's own
+    /// [`AnalysisResult::metrics`], in one stable schema —
+    /// `safeflow-report-v1` for default-policy runs (frozen),
+    /// `safeflow-report-v2` when a label policy is in effect (see
+    /// [`AnalysisReport::schema`]).
     ///
     /// Everything except the `metrics.sched`, `metrics.dist`, and
     /// `metrics.timings_ns` sections is byte-identical across `--jobs`
     /// counts; comparing cache-warm against cache-cold runs additionally
     /// excludes `metrics.work` and `cache`.
     pub fn report_json(&self, result: &AnalysisResult) -> Json {
-        self.report_json_with(result, &self.last_metrics())
+        let report = &result.report;
+        self.report_document(
+            report.schema(),
+            report.exit_code(),
+            report.to_json(&result.sources),
+            &result.metrics,
+        )
     }
 
-    /// [`Analyzer::report_json`] with an explicit metrics snapshot —
-    /// sessions use this to fold their store bookkeeping into the
-    /// document's `metrics` object.
-    pub fn report_json_with(&self, result: &AnalysisResult, metrics: &MetricsSnapshot) -> Json {
-        let mut o = Json::obj();
-        o.set("schema", result.report.schema());
-        o.set("exit_code", u64::from(result.report.exit_code()));
-        o.set("report", result.report.to_json(&result.sources));
-        o.set("budget", self.budget_json());
-        o.set("cache", self.cache_json());
-        o.set("metrics", metrics.to_json());
-        o
-    }
-
-    /// The `budget` section of the report document.
-    pub(crate) fn budget_json(&self) -> Json {
-        let mut budget = Json::obj();
-        budget.set("solver_steps", self.config.budget.solver_steps);
-        budget.set("fixpoint_rounds", self.config.budget.fixpoint_rounds);
-        budget.set("max_function_insts", self.config.budget.max_function_insts);
-        budget.set("deadline_ms", self.config.budget.deadline_ms);
-        budget
-    }
-
-    /// The `cache` section of the report document (cumulative stats).
-    pub(crate) fn cache_json(&self) -> Json {
+    /// The report document's one layout, shared by analyzed and replayed
+    /// runs.
+    pub(crate) fn report_document(
+        &self,
+        schema: &str,
+        exit_code: u8,
+        report: Json,
+        metrics: &MetricsSnapshot,
+    ) -> Json {
+        let budget = &self.config.budget;
+        let mut budget_json = Json::obj();
+        budget_json.set("solver_steps", budget.solver_steps);
+        budget_json.set("fixpoint_rounds", budget.fixpoint_rounds);
+        budget_json.set("max_function_insts", budget.max_function_insts);
+        budget_json.set("deadline_ms", budget.deadline_ms);
         let cs = self.cache_stats();
         let mut cache = Json::obj();
         cache.set("hits", cs.hits);
         cache.set("misses", cs.misses);
-        cache
+
+        let mut o = Json::obj();
+        o.set("schema", schema);
+        o.set("exit_code", u64::from(exit_code));
+        o.set("report", report);
+        o.set("budget", budget_json);
+        o.set("cache", cache);
+        o.set("metrics", metrics.to_json());
+        o
     }
 
     /// Seeds the in-memory summary cache from a persistent store (no
@@ -446,11 +438,11 @@ impl Analyzer {
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        let report = self.run_phases(&module, &mut diags, metrics, deadline);
+        let (report, metrics) = self.run_phases(&module, &mut diags, metrics, deadline);
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        Ok(AnalysisResult { report, sources, diags, module })
+        Ok(AnalysisResult { report, sources, diags, module, metrics })
     }
 
     /// Runs the three analysis phases over an already-lowered module.
@@ -460,7 +452,7 @@ impl Analyzer {
     /// and surface as [`Degradation`] entries on the report (see
     /// [`AnalysisReport::exit_code`]).
     pub fn analyze_module(&self, module: &Module, diags: &mut Diagnostics) -> AnalysisReport {
-        self.run_phases(module, diags, Metrics::new(), self.deadline())
+        self.run_phases(module, diags, Metrics::new(), self.deadline()).0
     }
 
     /// The run's one wall-clock deadline (the only machine-dependent
@@ -471,16 +463,15 @@ impl Analyzer {
         Some(std::time::Instant::now() + std::time::Duration::from_millis(ms))
     }
 
-    /// [`Analyzer::analyze_module`], recording into `metrics`: a fresh
-    /// registry per run, so `work`-class counters reflect this run's cache
-    /// state alone (see `safeflow_util::metrics`).
+    /// [`Analyzer::analyze_module`], recording into `metrics` (a fresh
+    /// registry per run) and returning its snapshot with the report.
     fn run_phases(
         &self,
         module: &Module,
         diags: &mut Diagnostics,
         metrics: Metrics,
         deadline: Option<std::time::Instant>,
-    ) -> AnalysisReport {
+    ) -> (AnalysisReport, MetricsSnapshot) {
         metrics.add_many(Class::Counter, &[("module.functions", module.functions.len() as u64)]);
         // Region model + static InitCheck (§3.2.1).
         let regions = metrics.time("phase.regions", || {
@@ -604,39 +595,6 @@ impl Analyzer {
                 ("report.degradations", report.degradations.len() as u64),
             ],
         );
-        *lock_recover(&self.last_metrics) = metrics.snapshot();
-        report
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn last_metrics_survives_a_poisoned_lock() {
-        let analyzer = Analyzer::new(AnalysisConfig::default());
-        let mut fs = VirtualFs::new();
-        fs.add("main.c", "int main() { return 0; }");
-        analyzer.analyze_program("main.c", &fs).unwrap();
-        let before = analyzer.last_metrics();
-        assert!(!before.counters.is_empty());
-
-        // A panic while the lock is held, as a contained panic elsewhere
-        // in a long-lived process would leave it.
-        std::thread::scope(|s| {
-            let _ = s
-                .spawn(|| {
-                    let _guard = analyzer.last_metrics.lock();
-                    panic!("poisoning the lock on purpose");
-                })
-                .join();
-        });
-        assert!(analyzer.last_metrics.is_poisoned());
-
-        assert_eq!(analyzer.last_metrics().counters, before.counters);
-        fs.add("main.c", "int f(int x) { return x; } int main() { return f(1); }");
-        analyzer.analyze_program("main.c", &fs).unwrap();
-        assert_ne!(analyzer.last_metrics().counters, before.counters, "the next run still records");
+        (report, metrics.snapshot())
     }
 }

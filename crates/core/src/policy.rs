@@ -412,12 +412,6 @@ impl LabelTable {
         self.region_labels.get(&region).copied().unwrap_or(self.top)
     }
 
-    /// The declared channel label name of a region, if any.
-    pub fn region_label_name(&self, region: u32) -> Option<&str> {
-        let mask = *self.region_labels.get(&region)?;
-        self.atoms.iter().find(|n| self.masks[n.as_str()] == mask).map(|s| s.as_str())
-    }
-
     /// Whether the policy allows declassifying `from`-labeled data to
     /// `to`: an exact declared pair, or a pair it subsumes (`from ⊑
     /// declared-from` and `declared-to ⊑ to` would be unsound; we require

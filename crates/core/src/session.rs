@@ -146,11 +146,6 @@ impl AnalysisSession {
         self.store.as_ref().is_some_and(|s| s.lock_busy())
     }
 
-    /// The wrapped analyzer.
-    pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
-    }
-
     /// An armed fault plan makes results non-reproducible, so it disables
     /// persistence wholesale (replay and save).
     fn store_usable(&self) -> bool {
@@ -212,10 +207,14 @@ impl AnalysisSession {
         }
 
         // 2. Full run over a store-seeded cache.
-        let result = self.analyzer.analyze_program(root, fs)?;
+        let mut result = self.analyzer.analyze_program(root, fs)?;
         let exit_code = result.report.exit_code();
-        let mut metrics = self.analyzer.last_metrics();
-        self.record_store_load(&mut metrics);
+        let render_start = Instant::now();
+        let rendered = result.render();
+        let render_ns = render_start.elapsed().as_nanos() as u64;
+        let metrics = &mut result.metrics;
+        metrics.timings_ns.insert("report.render_ns".to_string(), render_ns);
+        self.record_store_load(metrics);
         if usable {
             if let Some(store) = &self.store {
                 metrics.work.insert("store.manifest_hits".to_string(), 0);
@@ -230,11 +229,6 @@ impl AnalysisSession {
             // deliberately cold (no replay, no seed, no save).
             metrics.work.insert("store.lock_busy".to_string(), 1);
         }
-
-        let render_start = Instant::now();
-        let rendered = result.render();
-        let render_ns = render_start.elapsed().as_nanos() as u64;
-        metrics.timings_ns.insert("report.render_ns".to_string(), render_ns);
 
         // 3. Persist clean results (degraded ones are never stored: their
         // output is not a pure function of the inputs).
@@ -266,13 +260,12 @@ impl AnalysisSession {
         }
         metrics.timings_ns.insert("session.check_ns".to_string(), t0.elapsed().as_nanos() as u64);
 
-        let report_json = self.analyzer.report_json_with(&result, &metrics);
         Ok(SessionOutcome {
             run: SessionRun::Analyzed,
             exit_code,
             rendered,
-            report_json,
-            metrics,
+            report_json: self.analyzer.report_json(&result),
+            metrics: result.metrics.clone(),
             result: Some(result),
         })
     }
@@ -295,18 +288,13 @@ impl AnalysisSession {
         metrics.work.insert("store.sccs_loaded".to_string(), loaded);
         metrics.timings_ns.insert("session.check_ns".to_string(), t0.elapsed().as_nanos() as u64);
 
-        let mut doc = Json::obj();
-        doc.set("schema", entry.schema.as_str());
-        doc.set("exit_code", u64::from(entry.exit_code));
-        doc.set("report", report);
-        doc.set("budget", self.analyzer.budget_json());
-        doc.set("cache", self.analyzer.cache_json());
-        doc.set("metrics", metrics.to_json());
+        let report_json =
+            self.analyzer.report_document(&entry.schema, entry.exit_code, report, &metrics);
         SessionOutcome {
             run: SessionRun::Replayed,
             exit_code: entry.exit_code,
             rendered: entry.rendered,
-            report_json: doc,
+            report_json,
             metrics,
             result: None,
         }

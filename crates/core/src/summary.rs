@@ -41,7 +41,7 @@ use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
-use safeflow_util::pool::{run_dag, run_map, PoolStats};
+use safeflow_util::pool::{run_dag, PoolStats};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -434,30 +434,6 @@ pub(crate) fn analyze_summaries(
     let jobs = config.jobs.max(1);
     let pool_stats = PoolStats::default();
 
-    // Per-function graphs are loop-invariant; build them concurrently, and
-    // only for functions whose SCC actually needs recomputation — on a
-    // fully warm cache this builds nothing.
-    let need: Vec<FuncId> = callgraph
-        .sccs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| cached[*i].is_none())
-        .flat_map(|(_, scc)| scc.iter().copied())
-        .filter(|&fid| {
-            let func = module.function(fid);
-            func.is_definition && !func.is_shminit() && !func.blocks.is_empty()
-        })
-        .collect();
-    // A graph-building panic cannot degrade: re-raise the lowest-index one.
-    let built = run_map(jobs, need.len(), &pool_stats, |i| {
-        build_fn_graphs(module, cfgs, &assumed_of, need[i])
-    });
-    let graphs: HashMap<FuncId, FnGraphs> = need
-        .iter()
-        .copied()
-        .zip(built.into_iter().map(|r| r.unwrap_or_else(|p| panic!("{}", p.message))))
-        .collect();
-
     // Bottom-up over SCCs on the dependency-DAG pool; independent SCCs run
     // concurrently, each publishing its members' summaries (in member
     // order) into a slot its dependents read. Iteration to fixpoint stays
@@ -513,7 +489,9 @@ pub(crate) fn analyze_summaries(
             }
         }
         let mut local: HashMap<FuncId, Summary> = HashMap::new();
-        let mut local_graphs: HashMap<FuncId, FnGraphs> = HashMap::new();
+        // Each member's graphs are loop-invariant: built on first use,
+        // kept for later rounds.
+        let mut graphs: HashMap<FuncId, FnGraphs> = HashMap::new();
         let one_round = scc.len() == 1 && !callgraph.is_recursive(scc[0]);
         let mut changed = true;
         let mut rounds = 0;
@@ -529,15 +507,9 @@ pub(crate) fn analyze_summaries(
                     local.entry(fid).or_default();
                     continue;
                 }
-                // `graphs` covers cache-miss SCCs; a cache-hit SCC forced
-                // to recompute by a tainted dependency builds its graphs
-                // here (deterministic either way).
-                let g = match graphs.get(&fid) {
-                    Some(g) => g,
-                    None => local_graphs
-                        .entry(fid)
-                        .or_insert_with(|| build_fn_graphs(module, cfgs, &assumed_of, fid)),
-                };
+                let g = graphs
+                    .entry(fid)
+                    .or_insert_with(|| build_fn_graphs(module, cfgs, &assumed_of, fid));
                 let view = SummaryView { callgraph, slots: &slots, local: &local, own_scc: i };
                 let (s, converged) = summarize_function(
                     module,

@@ -41,20 +41,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The historical two-point taint lattice: `Clean < Control < Data`.
-/// Kept as a compatibility view of [`TaintVal`]; the engine itself now
-/// tracks label masks.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TaintKind {
-    /// Not influenced by unmonitored non-core values.
-    Clean,
-    /// Influenced only via control dependence.
-    Control,
-    /// Data-dependent on an unmonitored non-core value.
-    Data,
-}
-
 /// A point of the label lattice with explicit and implicit flow tracked
 /// separately: `explicit` is the join of labels that flowed into the
 /// value through data edges, `implicit` the join of labels that only
@@ -114,17 +100,6 @@ impl TaintVal {
     pub fn as_implicit(self) -> TaintVal {
         TaintVal { explicit: 0, implicit: self.explicit | self.implicit }
     }
-
-    /// The two-point compatibility view.
-    pub fn kind(&self) -> TaintKind {
-        if self.explicit != 0 {
-            TaintKind::Data
-        } else if self.implicit != 0 {
-            TaintKind::Control
-        } else {
-            TaintKind::Clean
-        }
-    }
 }
 
 /// A taint fact with provenance.
@@ -143,11 +118,6 @@ impl Taint {
 
     fn at(val: TaintVal, origin: Option<Arc<FlowNode>>) -> Taint {
         Taint { val, origin }
-    }
-
-    /// The two-point compatibility view of the value.
-    pub fn kind(&self) -> TaintKind {
-        self.val.kind()
     }
 
     /// Joins `other` in, replacing the origin only when `other` strictly
@@ -1014,9 +984,9 @@ mod tests {
         let control = TaintVal::implicit_at(1);
         let data = TaintVal::explicit_at(1);
         assert!(clean < control && control < data);
-        assert_eq!(clean.kind(), TaintKind::Clean);
-        assert_eq!(control.kind(), TaintKind::Control);
-        assert_eq!(data.kind(), TaintKind::Data);
+        assert_eq!((clean.explicit(), clean.implicit()), (0, 0));
+        assert_eq!((control.explicit(), control.implicit()), (0, 1));
+        assert_eq!((data.explicit(), data.implicit()), (1, 0));
         // data beats control: joining normalizes the implicit mask away.
         assert_eq!(control.join(data), data);
         assert_eq!(data.join(control), data);

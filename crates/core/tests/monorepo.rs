@@ -60,7 +60,7 @@ fn non_recursive_singletons_are_summarized_once() {
         .definitions()
         .filter(|&f| !module.function(f).is_shminit() && !module.function(f).blocks.is_empty())
         .count() as u64;
-    let metrics = analyzer.last_metrics();
+    let metrics = &result.metrics;
     assert_eq!(metrics.work["summary.summarize_calls"], summarized);
     assert_eq!(metrics.work["summary.fixpoint_rounds"], metrics.counters["summary.sccs"]);
 }

@@ -33,11 +33,12 @@ fn corpus_programs() -> Vec<(String, String)> {
     progs
 }
 
-fn run_once(engine: Engine, jobs: usize, file: &str, src: &str) -> (Analyzer, MetricsSnapshot) {
+fn run_once(engine: Engine, jobs: usize, file: &str, src: &str) -> MetricsSnapshot {
     let analyzer = Analyzer::new(AnalysisConfig::with_engine(engine).with_jobs(jobs));
-    analyzer.analyze_source(file, src).unwrap_or_else(|e| panic!("{file} must analyze: {e}"));
-    let snapshot = analyzer.last_metrics();
-    (analyzer, snapshot)
+    analyzer
+        .analyze_source(file, src)
+        .unwrap_or_else(|e| panic!("{file} must analyze: {e}"))
+        .metrics
 }
 
 /// The deterministic metric sections: (counters, work).
@@ -49,12 +50,12 @@ fn deterministic_sections(s: &MetricsSnapshot) -> (BTreeMap<String, u64>, BTreeM
 fn counters_and_work_metrics_identical_across_thread_counts() {
     for (file, src) in corpus_programs() {
         for engine in [Engine::ContextSensitive, Engine::Summary] {
-            let (_, reference) = run_once(engine, 1, &file, &src);
+            let reference = run_once(engine, 1, &file, &src);
             assert!(!reference.counters.is_empty(), "{file} ({engine:?}) recorded no counters");
             let reference = deterministic_sections(&reference);
             for jobs in [1usize, 4, 8] {
                 for round in 0..2 {
-                    let (_, got) = run_once(engine, jobs, &file, &src);
+                    let got = run_once(engine, jobs, &file, &src);
                     assert_eq!(
                         deterministic_sections(&got),
                         reference,
@@ -70,10 +71,8 @@ fn counters_and_work_metrics_identical_across_thread_counts() {
 fn warm_cache_preserves_counters_and_moves_work_to_hits() {
     for (file, src) in corpus_programs() {
         let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(4));
-        analyzer.analyze_source(&file, &src).unwrap();
-        let cold = analyzer.last_metrics();
-        analyzer.analyze_source(&file, &src).unwrap();
-        let warm = analyzer.last_metrics();
+        let cold = analyzer.analyze_source(&file, &src).unwrap().metrics;
+        let warm = analyzer.analyze_source(&file, &src).unwrap().metrics;
 
         assert_eq!(cold.counters, warm.counters, "{file}: counters must not move with cache state");
         assert_eq!(cold.work["summary.cache_hits"], 0, "{file}: first run cannot hit the cache");
@@ -87,6 +86,21 @@ fn warm_cache_preserves_counters_and_moves_work_to_hits() {
             "{file}: probe count moved with cache state"
         );
     }
+}
+
+#[test]
+fn a_result_keeps_its_own_metrics_after_later_runs() {
+    let analyzer = Analyzer::new(AnalysisConfig::default());
+    let first = analyzer.analyze_source("one.c", "int main() { return 0; }").unwrap();
+    let three = "int f(int x) { return x; } int g(int x) { return f(x); } \
+                 int main() { return g(1); }";
+    let second = analyzer.analyze_source("three.c", three).unwrap();
+    assert_eq!(second.metrics.counters["module.functions"], 3);
+
+    assert_eq!(first.metrics.counters["module.functions"], 1);
+    let doc = analyzer.report_json(&first);
+    let functions = doc.get("metrics").and_then(|m| m.get("counters")?.get("module.functions"));
+    assert_eq!(functions, Some(&Json::UInt(1)), "the document must report its own run");
 }
 
 /// Removes the named sections from the document's `metrics` object, plus

@@ -72,16 +72,6 @@ impl CallGraph {
         CallGraph { callees, callers, externals, sccs, scc_of }
     }
 
-    /// SCCs in bottom-up order (every callee SCC precedes its caller SCCs).
-    pub fn bottom_up(&self) -> impl Iterator<Item = &Vec<FuncId>> {
-        self.sccs.iter()
-    }
-
-    /// SCCs in top-down order (callers first).
-    pub fn top_down(&self) -> impl Iterator<Item = &Vec<FuncId>> {
-        self.sccs.iter().rev()
-    }
-
     /// The condensation DAG as a dependency list over SCC indices:
     /// `deps[i]` are the SCC indices that SCC `i` calls into (excluding
     /// itself), sorted ascending and deduplicated. Because [`CallGraph::sccs`]

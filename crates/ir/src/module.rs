@@ -402,11 +402,6 @@ impl Function {
         &self.blocks[id.0 as usize]
     }
 
-    /// Mutable access to the block under `id`.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
-        &mut self.blocks[id.0 as usize]
-    }
-
     /// The entry block id.
     pub fn entry(&self) -> BlockId {
         BlockId(0)

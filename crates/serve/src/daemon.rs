@@ -42,7 +42,6 @@ use safeflow_util::metrics::{Class, Metrics, MetricsSnapshot};
 use safeflow_util::pool::{lock_recover, panic_message};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hasher;
-use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -759,15 +758,6 @@ fn dirty_roots(shared: &Shared) -> Vec<Vec<String>> {
         }
     }
     dirty
-}
-
-/// Reads everything the peer sends until EOF, for tests that need to see
-/// a torn frame from the client side.
-#[doc(hidden)]
-pub fn drain_stream(stream: &mut TcpStream) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let _ = stream.read_to_end(&mut buf);
-    buf
 }
 
 #[cfg(test)]

@@ -87,12 +87,6 @@ impl SharedBus {
         let off = r.offset + idx;
         self.cells[off] = value;
     }
-
-    /// Reads a whole region.
-    pub fn read_region(&self, name: &str) -> Vec<f64> {
-        let r = &self.regions[name];
-        self.cells[r.offset..r.offset + r.len].to_vec()
-    }
 }
 
 impl Default for SharedBus {

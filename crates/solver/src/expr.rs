@@ -66,11 +66,6 @@ impl LinExpr {
         self.terms.len()
     }
 
-    /// Whether the expression is a constant.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
-    }
-
     /// Adds `c·v` in place.
     pub fn add_term(&mut self, v: Var, c: i64) {
         let entry = self.terms.entry(v).or_insert(0);

@@ -135,11 +135,6 @@ impl System {
         self.names.len()
     }
 
-    /// Number of constraints added.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Adds `lhs >= rhs`.
     pub fn add_ge(&mut self, lhs: LinExpr, rhs: LinExpr) {
         self.constraints.push(C::Ge(lhs - rhs));

@@ -150,11 +150,6 @@ impl Diagnostics {
     pub fn render_all(&self, sources: &SourceMap) -> String {
         self.items.iter().map(|d| d.render(sources)).collect::<Vec<_>>().join("\n")
     }
-
-    /// Consumes the sink, returning the diagnostics.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
-    }
 }
 
 #[cfg(test)]
