@@ -35,17 +35,15 @@ fn main() {
 
     // Warm path: same analyzer, unchanged source — every summary replays.
     let warm_analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary));
-    warm_analyzer.analyze_source("wide.c", &src).expect("prime");
-    let primed = warm_analyzer.cache_stats();
+    let primed = warm_analyzer.analyze_source("wide.c", &src).expect("prime");
+    let primed = primed.metrics.work["summary.cache_misses"];
+    let mut replayed = 0;
     h.bench("parallel/summary_warm/jobs1", 10, || {
         let result = warm_analyzer.analyze_source("wide.c", &src).expect("analyzes");
+        let work = &result.metrics.work;
+        assert_eq!(work["summary.cache_misses"], 0, "warm runs must not re-summarize");
+        replayed += work["summary.cache_hits"];
         black_box(result.report.warnings.len())
     });
-    let after = warm_analyzer.cache_stats();
-    assert_eq!(after.misses, primed.misses, "warm runs must not re-summarize");
-    println!(
-        "parallel/cache: {} summaries primed, {} replayed across warm runs",
-        primed.misses,
-        after.hits - primed.hits
-    );
+    println!("parallel/cache: {primed} summaries primed, {replayed} replayed across warm runs");
 }

@@ -73,19 +73,14 @@ fn usage_error(msg: &str) -> ExitCode {
 
 fn run() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = Engine::ContextSensitive;
+    let mut flags = AnalysisFlags::default();
     let mut files: Vec<String> = Vec::new();
     let mut table1 = false;
     let mut fig2 = false;
     let mut out = OutputOpts::default();
-    let mut jobs = 1usize;
-    let mut budget = Budget::unlimited();
-    let mut injects: Vec<(FaultSite, Option<u64>, FaultKind)> = Vec::new();
-    let mut fault_seed: Option<(u64, f64)> = None;
     let mut criticals: Vec<CriticalCall> = Vec::new();
     let mut recvs: Vec<RecvSpec> = Vec::new();
     let mut store_dir: Option<String> = None;
-    let mut engine_set = false;
     let mut implicit_flow: Option<ImplicitFlowMode> = None;
 
     // `check` and `oracle` are subcommands: they must come first, before
@@ -105,6 +100,14 @@ fn run() -> ExitCode {
 
     let mut i = 0;
     while i < args.len() {
+        match flags.parse(&args, &mut i) {
+            Ok(true) => {
+                i += 1;
+                continue;
+            }
+            Ok(false) => {}
+            Err(code) => return code,
+        }
         match args[i].as_str() {
             "--table1" => table1 = true,
             "--fig2" => fig2 = true,
@@ -122,35 +125,6 @@ fn run() -> ExitCode {
                         ))
                     }
                     None => return usage_error("--format requires an argument (json or text)"),
-                }
-            }
-            "--budget" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--budget requires an argument (e.g. solver-steps=1000)");
-                };
-                if let Err(e) = parse_budget(spec, &mut budget) {
-                    return usage_error(&format!("--budget: {e}"));
-                }
-            }
-            "--inject" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--inject requires an argument (SITE[:KEY][:KIND])");
-                };
-                match parse_inject(spec) {
-                    Ok(rule) => injects.push(rule),
-                    Err(e) => return usage_error(&format!("--inject: {e}")),
-                }
-            }
-            "--fault-seed" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--fault-seed requires an argument (SEED[:RATE])");
-                };
-                match parse_fault_seed(spec) {
-                    Ok(sr) => fault_seed = Some(sr),
-                    Err(e) => return usage_error(&format!("--fault-seed: {e}")),
                 }
             }
             "--store" => {
@@ -200,21 +174,6 @@ fn run() -> ExitCode {
                     Err(e) => return usage_error(&format!("--recv: {e}")),
                 }
             }
-            "--engine" => {
-                i += 1;
-                engine_set = true;
-                match parse_engine(args.get(i)) {
-                    Ok(e) => engine = e,
-                    Err(e) => return usage_error(&e),
-                }
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match parse_jobs(args.get(i)) {
-                    Ok(n) => jobs = n,
-                    Err(e) => return usage_error(&e),
-                }
-            }
             "--help" | "-h" => {
                 print_help();
                 return ExitCode::SUCCESS;
@@ -227,13 +186,24 @@ fn run() -> ExitCode {
         i += 1;
     }
 
+    if flags
+        .injects
+        .iter()
+        .any(|(s, ..)| matches!(s, FaultSite::ServeRequest | FaultSite::ServeFrame))
+    {
+        return usage_error(
+            "serve-request/serve-frame injection sites only apply to the `serve` subcommand",
+        );
+    }
     // `check` defaults to the summary engine: only it populates the
     // per-SCC store. An explicit `--engine context` still works (the
     // whole-program replay manifest is engine-agnostic).
-    if check_mode && !engine_set {
-        engine = Engine::Summary;
-    }
-    let mut builder = AnalysisConfig::builder().engine(engine).jobs(jobs).budget(budget);
+    let default_engine = if check_mode { Engine::Summary } else { Engine::ContextSensitive };
+    let fault_plan = flags.fault_plan();
+    let mut builder = AnalysisConfig::builder()
+        .engine(flags.engine.unwrap_or(default_engine))
+        .jobs(flags.jobs)
+        .budget(flags.budget);
     if let Some(mode) = implicit_flow {
         builder = builder.implicit_flow(mode);
     }
@@ -243,19 +213,7 @@ fn run() -> ExitCode {
     for spec in recvs {
         builder = builder.recv_function(spec);
     }
-    if injects.iter().any(|(s, ..)| matches!(s, FaultSite::ServeRequest | FaultSite::ServeFrame)) {
-        return usage_error(
-            "serve-request/serve-frame injection sites only apply to the `serve` subcommand",
-        );
-    }
-    if fault_seed.is_some() || !injects.is_empty() {
-        let mut plan = match fault_seed {
-            Some((seed, rate)) => FaultPlan::seeded(seed, rate),
-            None => FaultPlan::new(),
-        };
-        for (site, key, kind) in injects {
-            plan = plan.with_fault(site, key, kind);
-        }
+    if let Some(plan) = fault_plan {
         builder = builder.fault_plan(plan);
     }
     let config = builder.build_config();
@@ -276,6 +234,79 @@ fn run() -> ExitCode {
         return ExitCode::from(2);
     }
     run_check(config, store_dir, &out, |s| s.check_files(&files))
+}
+
+/// The analysis flags the plain CLI and `serve` share: `--engine`,
+/// `--jobs`/`-j`, `--budget`, `--inject` and `--fault-seed`.
+#[derive(Debug)]
+struct AnalysisFlags {
+    /// `None` leaves the choice to the caller's default engine.
+    engine: Option<Engine>,
+    jobs: usize,
+    budget: Budget,
+    injects: Vec<(FaultSite, Option<u64>, FaultKind)>,
+    fault_seed: Option<(u64, f64)>,
+}
+
+impl Default for AnalysisFlags {
+    fn default() -> AnalysisFlags {
+        AnalysisFlags {
+            engine: None,
+            jobs: 1,
+            budget: Budget::unlimited(),
+            injects: Vec::new(),
+            fault_seed: None,
+        }
+    }
+}
+
+impl AnalysisFlags {
+    /// Consumes `args[*i]` when it is one of the shared flags, leaving `*i`
+    /// on its last argument: `Ok(true)` when it was one, `Ok(false)` when
+    /// it is the caller's to parse, and the usage error's exit code when
+    /// its value is missing or malformed.
+    fn parse(&mut self, args: &[String], i: &mut usize) -> Result<bool, ExitCode> {
+        let flag = args[*i].as_str();
+        if !matches!(flag, "--engine" | "--jobs" | "-j" | "--budget" | "--inject" | "--fault-seed")
+        {
+            return Ok(false);
+        }
+        *i += 1;
+        let value = args.get(*i);
+        let spec =
+            |example: &str| value.ok_or_else(|| format!("{flag} requires an argument ({example})"));
+        let parsed = match flag {
+            "--engine" => parse_engine(value).map(|e| self.engine = Some(e)),
+            "--jobs" | "-j" => parse_jobs(value).map(|n| self.jobs = n),
+            "--budget" => spec("e.g. solver-steps=1000").and_then(|s| {
+                parse_budget(s, &mut self.budget).map_err(|e| format!("--budget: {e}"))
+            }),
+            "--inject" => spec("SITE[:KEY][:KIND]")
+                .and_then(|s| parse_inject(s).map_err(|e| format!("--inject: {e}")))
+                .map(|rule| self.injects.push(rule)),
+            _ => spec("SEED[:RATE]")
+                .and_then(|s| parse_fault_seed(s).map_err(|e| format!("--fault-seed: {e}")))
+                .map(|sr| self.fault_seed = Some(sr)),
+        };
+        parsed.map(|()| true).map_err(|e| usage_error(&e))
+    }
+
+    /// The fault plan `--inject` and `--fault-seed` describe, if either
+    /// was given.
+    fn fault_plan(&self) -> Option<FaultPlan> {
+        if self.fault_seed.is_none() && self.injects.is_empty() {
+            return None;
+        }
+        let plan = match self.fault_seed {
+            Some((seed, rate)) => FaultPlan::seeded(seed, rate),
+            None => FaultPlan::new(),
+        };
+        Some(
+            self.injects
+                .iter()
+                .fold(plan, |plan, &(site, key, kind)| plan.with_fault(site, key, kind)),
+        )
+    }
 }
 
 /// Parses a `--critical-call` spec: `NAME:ARG[:LABEL]` (zero-based

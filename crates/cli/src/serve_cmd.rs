@@ -6,8 +6,8 @@
 //! daemon and maps its response status back onto the CLI exit-code
 //! contract.
 
-use crate::usage_error;
-use safeflow::{AnalysisConfig, Budget, Engine, FaultKind, FaultPlan, FaultSite};
+use crate::{usage_error, AnalysisFlags};
+use safeflow::{AnalysisConfig, Engine, FaultSite};
 use safeflow_serve::{Client, Daemon, ServeOptions, Status};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,17 +57,21 @@ pub fn run_serve(args: &[String]) -> ExitCode {
     let mut io_timeout_ms = 10_000u64;
     let mut watch_poll_ms: Option<u64> = None;
     let mut dump_metrics = false;
-    let mut engine = Engine::Summary;
-    let mut jobs = 1usize;
-    let mut budget = Budget::unlimited();
-    let mut injects: Vec<(FaultSite, Option<u64>, FaultKind)> = Vec::new();
-    let mut fault_seed: Option<(u64, f64)> = None;
+    let mut flags = AnalysisFlags::default();
     let mut action_ping = false;
     let mut action_shutdown = false;
     let mut files: Vec<String> = Vec::new();
 
     let mut i = 0;
     while i < args.len() {
+        match flags.parse(args, &mut i) {
+            Ok(true) => {
+                i += 1;
+                continue;
+            }
+            Ok(false) => {}
+            Err(code) => return code,
+        }
         match args[i].as_str() {
             "--listen" => {
                 i += 1;
@@ -133,49 +137,6 @@ pub fn run_serve(args: &[String]) -> ExitCode {
             "--metrics" => dump_metrics = true,
             "--ping" => action_ping = true,
             "--shutdown" => action_shutdown = true,
-            "--engine" => {
-                i += 1;
-                match crate::parse_engine(args.get(i)) {
-                    Ok(e) => engine = e,
-                    Err(e) => return usage_error(&e),
-                }
-            }
-            "--jobs" | "-j" => {
-                i += 1;
-                match crate::parse_jobs(args.get(i)) {
-                    Ok(n) => jobs = n,
-                    Err(e) => return usage_error(&e),
-                }
-            }
-            "--budget" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--budget requires an argument (e.g. deadline-ms=500)");
-                };
-                if let Err(e) = crate::parse_budget(spec, &mut budget) {
-                    return usage_error(&format!("--budget: {e}"));
-                }
-            }
-            "--inject" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--inject requires an argument (SITE[:KEY][:KIND])");
-                };
-                match crate::parse_inject(spec) {
-                    Ok(rule) => injects.push(rule),
-                    Err(e) => return usage_error(&format!("--inject: {e}")),
-                }
-            }
-            "--fault-seed" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--fault-seed requires an argument (SEED[:RATE])");
-                };
-                match crate::parse_fault_seed(spec) {
-                    Ok(sr) => fault_seed = Some(sr),
-                    Err(e) => return usage_error(&format!("--fault-seed: {e}")),
-                }
-            }
             flag if flag.starts_with('-') => {
                 return usage_error(&format!("serve: unknown flag `{flag}` (try --help)"));
             }
@@ -210,27 +171,22 @@ pub fn run_serve(args: &[String]) -> ExitCode {
     // Serve sites go to the protocol-layer plan; engine sites would
     // disable the store (and with it the whole warm path) in every
     // resident session, so refuse them here.
-    if injects.iter().any(|(s, ..)| !matches!(s, FaultSite::ServeRequest | FaultSite::ServeFrame)) {
+    if flags
+        .injects
+        .iter()
+        .any(|(s, ..)| !matches!(s, FaultSite::ServeRequest | FaultSite::ServeFrame))
+    {
         return usage_error(
             "serve only accepts serve-request/serve-frame injection sites \
              (engine sites would disable the resident store)",
         );
     }
-    let fault_plan = if fault_seed.is_some() || !injects.is_empty() {
-        let mut plan = match fault_seed {
-            Some((seed, rate)) => FaultPlan::seeded(seed, rate),
-            None => FaultPlan::new(),
-        };
-        for (site, key, kind) in injects {
-            plan = plan.with_fault(site, key, kind);
-        }
-        Some(plan)
-    } else {
-        None
-    };
-
-    let analysis =
-        AnalysisConfig::builder().engine(engine).jobs(jobs).budget(budget).build_config();
+    let fault_plan = flags.fault_plan();
+    let analysis = AnalysisConfig::builder()
+        .engine(flags.engine.unwrap_or(Engine::Summary))
+        .jobs(flags.jobs)
+        .budget(flags.budget)
+        .build_config();
     let opts = ServeOptions {
         analysis,
         store_dir: store_dir.map(std::path::PathBuf::from),

@@ -15,8 +15,12 @@
 //!   fixpoint; editing one function invalidates exactly its own SCC and
 //!   the SCCs of its (transitive) callers, so a warm re-analysis
 //!   re-summarizes nothing and an incremental one re-summarizes only the
-//!   affected chain. [`CacheStats`] counts hits/misses per member function
-//!   so tests can assert both properties.
+//!   affected chain. The reuse is a value, not a shared map: each run reads
+//!   the previous run's [`SccTable`] and returns its own, holding one entry
+//!   per distinct live key — this run's clean result, or else the previous
+//!   table's entry under that key. Its `summary.cache_hits` and
+//!   `summary.cache_misses` work metrics count per member function, so
+//!   tests can assert both properties.
 //!
 //! The hash deliberately covers everything `summarize_function` reads:
 //! instruction kinds/types/spans, terminators, annotations, parameters,
@@ -52,100 +56,16 @@ use safeflow_points_to::PointsTo;
 use safeflow_syntax::annot::{AnnExpr, Annotation};
 use safeflow_syntax::span::Span;
 use safeflow_util::hash::Fnv64;
-use safeflow_util::lock_recover;
 use safeflow_util::metrics::{Class, Metrics};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Summary-cache effectiveness counters, cumulative over every analysis
-/// run through one [`crate::Analyzer`].
-///
-/// Counts are per *function*: replaying a cached SCC of three members
-/// records three hits. A fully warm re-analysis of an unchanged program
-/// therefore shows `hits` grow by exactly the previous run's `misses`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Function summaries replayed from the cache.
-    pub hits: usize,
-    /// Function summaries that had to be computed.
-    pub misses: usize,
-}
-
-/// Content-addressed store of per-SCC summary vectors (member order), keyed
-/// by the chained content hash. Shared across worker threads and across
-/// repeated `analyze_*` calls on one `Analyzer`.
-///
-/// Both mutexes are taken with [`lock_recover`]: every critical section is
-/// a single map or vector operation, so a panic elsewhere (a contained SCC
-/// fault) cannot leave them torn, and it must not disable the cache for the
-/// rest of the session.
-#[derive(Debug, Default)]
-pub(crate) struct SummaryCache {
-    map: Mutex<HashMap<u64, Arc<Vec<Summary>>>>,
-    /// Keys of the most recent run's SCCs — the *live* set. The session
-    /// persists exactly these ([`SummaryCache::export_live`]); entries
-    /// outside it are history (stale content hashes) and are dropped from
-    /// the on-disk store at save time.
-    live: Mutex<Vec<u64>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl SummaryCache {
-    /// Pre-populates the cache from a persistent store without touching
-    /// the hit/miss counters: seeded entries only count when a run
-    /// actually probes them.
-    pub(crate) fn seed(&self, entries: Vec<(u64, Arc<Vec<Summary>>)>) {
-        let mut map = lock_recover(&self.map);
-        for (key, summaries) in entries {
-            map.entry(key).or_insert(summaries);
-        }
-    }
-
-    /// Declares the current run's SCC hash set as live (replacing the
-    /// previous set). Called once per summary-engine run.
-    pub(crate) fn set_live(&self, keys: &[u64]) {
-        *lock_recover(&self.live) = keys.to_vec();
-    }
-
-    /// The cached entries for the live key set, in live-set order — what a
-    /// clean run may persist. SCCs whose computation degraded were never
-    /// inserted, so they are simply absent.
-    pub(crate) fn export_live(&self) -> Vec<(u64, Arc<Vec<Summary>>)> {
-        let map = lock_recover(&self.map);
-        let mut seen = std::collections::HashSet::new();
-        lock_recover(&self.live)
-            .iter()
-            .filter(|&&k| seen.insert(k))
-            .filter_map(|&k| map.get(&k).map(|v| (k, v.clone())))
-            .collect()
-    }
-
-    /// Probes for an SCC's summaries, tallying `members` hits or misses.
-    pub(crate) fn get(&self, key: u64, members: usize) -> Option<Arc<Vec<Summary>>> {
-        let found = lock_recover(&self.map).get(&key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(members, Ordering::Relaxed),
-            None => self.misses.fetch_add(members, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Stores a freshly computed SCC result.
-    pub(crate) fn insert(&self, key: u64, summaries: Arc<Vec<Summary>>) {
-        lock_recover(&self.map).insert(key, summaries);
-    }
-
-    /// Current counters.
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
+/// The summary table of one summary-engine run: one entry per distinct
+/// live SCC content key, in SCC order, holding that SCC's member summaries
+/// (member order). It is a plain value: a run reads the previous run's
+/// table and returns its own, and the store encodes exactly this.
+pub(crate) type SccTable = Vec<(u64, Arc<Vec<Summary>>)>;
 
 /// One content hash per SCC of `callgraph`, chained bottom-up: `deps` must
 /// be `callgraph.scc_dependencies()` (every dependency index precedes its
@@ -883,27 +803,37 @@ mod tests {
         assert_ne!(with_float(0.0), with_float(-0.0));
     }
 
+    /// The analyzer's one mutex guards its summary table. A panic while
+    /// it is held poisons it; later runs must still read the table, hit,
+    /// and swap in their own.
     #[test]
     fn summary_cache_survives_a_poisoned_lock() {
-        let cache = SummaryCache::default();
-        cache.insert(1, Arc::new(vec![Summary::default()]));
+        let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
+        analyzer.analyze_source("t.c", PROG).expect("cold run");
+        let cold = analyzer.scc_table();
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
-                let _map = cache.map.lock().unwrap();
-                let _live = cache.live.lock().unwrap();
-                panic!("poison the summary cache");
+                let _table = analyzer.sccs.lock().unwrap();
+                panic!("poison the summary table");
             });
             assert!(holder.join().is_err());
         });
-        assert!(cache.map.is_poisoned() && cache.live.is_poisoned());
-        cache.seed(vec![(2, Arc::new(vec![Summary::default()]))]);
-        cache.set_live(&[1, 2, 3]);
-        assert!(cache.get(1, 1).is_some());
-        assert!(cache.get(3, 1).is_none());
-        cache.insert(3, Arc::new(vec![Summary::default()]));
-        let live: Vec<u64> = cache.export_live().iter().map(|(k, _)| *k).collect();
-        assert_eq!(live, vec![1, 2, 3]);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert!(analyzer.sccs.is_poisoned());
+        let keys = |table: &SccTable| table.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        let work = |src: &str| {
+            let result = analyzer.analyze_source("t.c", src).expect("program analyzes");
+            let work = &result.metrics.work;
+            (work["summary.cache_hits"], work["summary.cache_misses"])
+        };
+
+        assert_eq!(work(PROG), (4, 0));
+        let warm = analyzer.scc_table();
+        assert!(!Arc::ptr_eq(&warm, &cold), "the warm run swaps in its own table");
+        assert_eq!(keys(&warm), keys(&cold));
+        assert_eq!(work(&PROG.replace("x + 1", "x + 2")), (1, 3));
+        let edited = analyzer.scc_table();
+        assert_eq!(edited.len(), 4);
+        assert_eq!(keys(&edited).iter().filter(|k| keys(&cold).contains(k)).count(), 1);
     }
 
     #[test]
@@ -960,8 +890,7 @@ mod tests {
     fn live_keys(fs: &VirtualFs, main: &str) -> Vec<u64> {
         let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
         analyzer.analyze_program(main, fs).expect("program analyzes");
-        let keys = lock_recover(&analyzer.cache.live).clone();
-        keys
+        analyzer.scc_table().iter().map(|(k, _)| *k).collect()
     }
 
     /// Content keys pinned bit for bit. `function_sig` folds in every
@@ -1159,16 +1088,15 @@ mod tests {
 
     /// One FNV-64 fold of the live SCC table of a summary-engine run over
     /// `main` in `fs`: each entry's key, member count and encoded member
-    /// summaries, in `export_live` order — the bytes the store's SCC table
-    /// holds.
+    /// summaries, in table order — the bytes the store's SCC table holds.
     fn live_summary_fold(fs: &VirtualFs, main: &str) -> u64 {
         use std::hash::Hasher;
         let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
         analyzer.analyze_program(main, fs).expect("program analyzes");
         let mut h = Fnv64::new();
         let mut bytes = Vec::new();
-        for (key, summaries) in analyzer.cache.export_live() {
-            h.write_u64(key);
+        for (key, summaries) in analyzer.scc_table().iter() {
+            h.write_u64(*key);
             h.write_u32(summaries.len() as u32);
             for s in summaries.iter() {
                 bytes.clear();

@@ -78,7 +78,6 @@ pub mod summary;
 pub mod taint;
 
 pub use config::{AnalysisConfig, AnalyzerBuilder, Budget, CriticalCall, Engine, RecvSpec};
-pub use engine::CacheStats;
 pub use policy::{ImplicitFlowMode, LabelDecl, LabelTable, Policy, PolicyBuilder, MAX_LABELS};
 pub use regions::{Region, RegionId, RegionMap};
 pub use report::{
@@ -95,7 +94,9 @@ use safeflow_ir::ssa::promote_module;
 use safeflow_ir::{CallGraph, Cfg, Module};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::{Diagnostics, SourceMap, VirtualFs};
+use safeflow_util::lock_recover;
 use safeflow_util::metrics::{Class, Metrics};
+use std::sync::{Arc, Mutex};
 
 /// A completed analysis: the report plus everything needed to render it.
 #[derive(Debug)]
@@ -296,23 +297,28 @@ impl AnalyzerBuilder {
 /// Construct with a config, then call [`Analyzer::analyze_source`] (single
 /// file) or [`Analyzer::analyze_program`] (multi-file with `#include`s).
 ///
-/// The analyzer keeps a content-hashed summary cache across calls: when
-/// the summary engine re-analyzes a program whose functions (and analysis
-/// environment) hash identically to a previous run, their summaries are
-/// replayed instead of recomputed — see [`crate::engine`] and
-/// [`Analyzer::cache_stats`]. With `config.jobs > 1` the summary and
-/// restriction phases run on a thread pool with one ready queue; reports
-/// are identical for every worker count.
+/// The analyzer keeps the last summary-engine run's content-keyed summary
+/// table: when the summary engine re-analyzes a program whose functions
+/// (and analysis environment) hash identically to that run's, their
+/// summaries are replayed instead of recomputed — see [`crate::engine`].
+/// Each run reports its own hits and misses as the `summary.cache_hits` and
+/// `summary.cache_misses` work metrics of [`AnalysisResult::metrics`]. With
+/// `config.jobs > 1` the summary and restriction phases run on a thread
+/// pool with one ready queue; reports are identical for every worker count.
 #[derive(Debug, Default)]
 pub struct Analyzer {
     config: AnalysisConfig,
-    cache: engine::SummaryCache,
+    /// The last run's summary table, swapped whole at the end of each run
+    /// (empty after a context-sensitive run, which uses no summaries).
+    /// Taken with [`lock_recover`]: each critical section is one `Arc`
+    /// clone or one swap, so a panic elsewhere cannot leave it torn.
+    pub(crate) sccs: Mutex<Arc<engine::SccTable>>,
 }
 
 impl Analyzer {
     /// Creates an analyzer with `config`.
     pub fn new(config: AnalysisConfig) -> Analyzer {
-        Analyzer { config, cache: engine::SummaryCache::default() }
+        Analyzer { config, sccs: Mutex::default() }
     }
 
     /// The active configuration.
@@ -322,21 +328,19 @@ impl Analyzer {
 
     /// Mutable access to the configuration, e.g. to arm a
     /// [`FaultPlan`] or tighten the [`Budget`] between runs while keeping
-    /// the summary cache warm.
+    /// the summary table warm.
     pub fn config_mut(&mut self) -> &mut AnalysisConfig {
         &mut self.config
     }
 
-    /// Summary-cache hit/miss counters, cumulative over every analysis
-    /// this analyzer has run (the context-sensitive engine does not use
-    /// the cache and never moves them).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+    /// The last run's summary table.
+    pub(crate) fn scc_table(&self) -> Arc<engine::SccTable> {
+        lock_recover(&self.sccs).clone()
     }
 
     /// Composes the full machine-readable report for `result`: findings,
-    /// configured budget limits, cumulative cache stats, and the run's own
-    /// [`AnalysisResult::metrics`], in one stable schema —
+    /// configured budget limits, the run's summary-cache hits and misses,
+    /// and the run's own [`AnalysisResult::metrics`], in one stable schema —
     /// `safeflow-report-v1` for default-policy runs (frozen),
     /// `safeflow-report-v2` when a label policy is in effect (see
     /// [`AnalysisReport::schema`]).
@@ -370,10 +374,10 @@ impl Analyzer {
         budget_json.set("fixpoint_rounds", budget.fixpoint_rounds);
         budget_json.set("max_function_insts", budget.max_function_insts);
         budget_json.set("deadline_ms", budget.deadline_ms);
-        let cs = self.cache_stats();
         let mut cache = Json::obj();
-        cache.set("hits", cs.hits);
-        cache.set("misses", cs.misses);
+        for (key, metric) in [("hits", "summary.cache_hits"), ("misses", "summary.cache_misses")] {
+            cache.set(key, metrics.work.get(metric).copied().unwrap_or(0));
+        }
 
         let mut o = Json::obj();
         o.set("schema", schema);
@@ -383,17 +387,6 @@ impl Analyzer {
         o.set("cache", cache);
         o.set("metrics", metrics.to_json());
         o
-    }
-
-    /// Seeds the in-memory summary cache from a persistent store (no
-    /// effect on hit/miss stats until a run probes the entries).
-    pub(crate) fn cache_seed(&self, entries: Vec<(u64, std::sync::Arc<Vec<summary::Summary>>)>) {
-        self.cache.seed(entries);
-    }
-
-    /// Exports the most recent run's live summary entries for persistence.
-    pub(crate) fn cache_export_live(&self) -> Vec<(u64, std::sync::Arc<Vec<summary::Summary>>)> {
-        self.cache.export_live()
     }
 
     /// Analyzes a single self-contained source file.
@@ -502,18 +495,21 @@ impl Analyzer {
         });
         // Phase 3: warnings + critical-data value flow.
         let pt = metrics.time("phase.points_to", || PointsTo::analyze(module));
-        let results = metrics.time("phase.value_flow", || match self.config.engine {
-            Engine::ContextSensitive => taint::analyze_taint(
-                module,
-                &regions,
-                &shm,
-                &pt,
-                &cfgs,
-                &self.config,
-                &table,
-                deadline,
-                &metrics,
-            ),
+        let (results, sccs) = metrics.time("phase.value_flow", || match self.config.engine {
+            Engine::ContextSensitive => {
+                let results = taint::analyze_taint(
+                    module,
+                    &regions,
+                    &shm,
+                    &pt,
+                    &cfgs,
+                    &self.config,
+                    &table,
+                    deadline,
+                    &metrics,
+                );
+                (results, engine::SccTable::new())
+            }
             Engine::Summary => summary::analyze_summaries(
                 module,
                 &regions,
@@ -523,11 +519,12 @@ impl Analyzer {
                 &cfgs,
                 &self.config,
                 &table,
-                &self.cache,
+                &self.scc_table(),
                 deadline,
                 &metrics,
             ),
         });
+        *lock_recover(&self.sccs) = Arc::new(sccs);
         degradations.extend(results.degradations.iter().cloned());
 
         // Count every annotation fact bound anywhere in the module.

@@ -17,6 +17,7 @@ use crate::regions::RegionId;
 use safeflow_syntax::source::SourceMap;
 use safeflow_syntax::span::Span;
 use safeflow_util::json::Json;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -101,6 +102,44 @@ pub struct ErrorDependency {
     /// Value-flow path from the unmonitored access to the critical datum
     /// (the triage aid the paper's users inspected manually).
     pub flow: Option<Arc<FlowNode>>,
+}
+
+/// An engine's findings, collected under the one deduplication rule both
+/// phase-3 engines share: the first warning per (function, span, region)
+/// wins, and per (function, span, critical) the error with the worst
+/// [`DependencyKind`] wins (the first one on a tie). Both come out in key
+/// order.
+#[derive(Debug, Default)]
+pub(crate) struct Findings {
+    warnings: BTreeMap<(String, u32, u32, RegionId), Warning>,
+    errors: BTreeMap<(String, u32, u32, String), ErrorDependency>,
+}
+
+impl Findings {
+    /// Records `w` unless its site already has a warning.
+    pub(crate) fn warn(&mut self, w: Warning) {
+        let key = (w.function.clone(), w.span.lo, w.span.hi, w.region);
+        self.warnings.entry(key).or_insert(w);
+    }
+
+    /// Records `e` unless its site already has an error at least as bad.
+    pub(crate) fn error(&mut self, e: ErrorDependency) {
+        let key = (e.function.clone(), e.span.lo, e.span.hi, e.critical.clone());
+        match self.errors.entry(key) {
+            Entry::Occupied(mut prev) if e.kind > prev.get().kind => {
+                prev.insert(e);
+            }
+            Entry::Occupied(_) => {}
+            Entry::Vacant(slot) => {
+                slot.insert(e);
+            }
+        }
+    }
+
+    /// The warnings and the errors, each in key order.
+    pub(crate) fn into_parts(self) -> (Vec<Warning>, Vec<ErrorDependency>) {
+        (self.warnings.into_values().collect(), self.errors.into_values().collect())
+    }
 }
 
 /// Which restriction a violation breaks. The derived order (`P1 < P2 <

@@ -8,11 +8,12 @@
 //!    configuration hash to a stored manifest, the session replays the
 //!    stored report without parsing anything (`run == Replayed`, zero SCCs
 //!    re-analyzed).
-//! 2. **Incremental re-analysis** — otherwise the in-memory summary cache
-//!    is seeded from the store's per-SCC table and the full pipeline runs;
-//!    unchanged SCCs hit the cache, the dirty region (edited SCCs plus
-//!    their transitive dependents in the call graph) recomputes, and the
-//!    re-linked whole-program report is saved back.
+//! 2. **Incremental re-analysis** — otherwise the full pipeline runs
+//!    against the analyzer's summary table, which the store's per-SCC table
+//!    seeded when the session opened; unchanged SCCs hit, the dirty region
+//!    (edited SCCs plus their transitive dependents in the call graph)
+//!    recomputes, and the re-linked whole-program report is saved back
+//!    with the run's own table.
 //!
 //! Replayed and analyzed runs produce byte-identical reports (stripped per
 //! the observability contract): the manifest stores the cold run's
@@ -31,6 +32,7 @@ use crate::store::{config_hash, manifest_key, ReplayEntry, SummaryStore};
 use crate::{AnalysisConfig, AnalysisError, AnalysisResult, Analyzer, Json, MetricsSnapshot};
 use safeflow_syntax::VirtualFs;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How a [`SessionOutcome`] was produced.
@@ -69,7 +71,8 @@ pub struct SessionOutcome {
 pub struct AnalysisSession {
     analyzer: Analyzer,
     store: Option<SummaryStore>,
-    /// Opening and decoding the store, and seeding the cache from it.
+    /// Opening and decoding the store, and seeding the summary table from
+    /// it.
     store_load_ns: Option<u64>,
     replay_enabled: bool,
     strict: bool,
@@ -77,7 +80,7 @@ pub struct AnalysisSession {
 
 impl AnalysisSession {
     /// A session without persistence: every check is a cold run (modulo
-    /// the in-memory summary cache, which persists across checks).
+    /// the analyzer's summary table, which each check hands to the next).
     pub fn new(config: AnalysisConfig) -> AnalysisSession {
         AnalysisSession {
             analyzer: Analyzer::new(config),
@@ -100,20 +103,21 @@ impl AnalysisSession {
         dir: &Path,
     ) -> Result<AnalysisSession, AnalysisError> {
         let t0 = Instant::now();
-        let store = SummaryStore::open(dir)?;
+        let (store, sccs) = SummaryStore::open(dir)?;
         let mut session = AnalysisSession::new(config);
-        // Seed the in-memory cache immediately: stale entries are keyed by
-        // content hashes that will simply never match again.
+        // Hand the stored table to the analyzer as its last run's: stale
+        // entries are keyed by content hashes that will simply never match
+        // again.
         if session.store_usable() {
-            session.analyzer.cache_seed(store.scc_entries());
+            session.analyzer.sccs = Arc::new(sccs).into();
         }
         session.store = Some(store);
         session.store_load_ns = Some(t0.elapsed().as_nanos() as u64);
         Ok(session)
     }
 
-    /// Disables (or re-enables) whole-program manifest replay; summaries
-    /// still seed the cache. Used when the caller needs a real
+    /// Disables (or re-enables) whole-program manifest replay; stored
+    /// summaries are still reused. Used when the caller needs a real
     /// [`AnalysisResult`] every time (e.g. `--dot` output).
     pub fn set_replay(&mut self, on: bool) {
         self.replay_enabled = on;
@@ -206,7 +210,7 @@ impl AnalysisSession {
             }
         }
 
-        // 2. Full run over a store-seeded cache.
+        // 2. Full run over the store-seeded summary table.
         let mut result = self.analyzer.analyze_program(root, fs)?;
         let exit_code = result.report.exit_code();
         let render_start = Instant::now();
@@ -242,7 +246,7 @@ impl AnalysisSession {
                     rendered: rendered.clone(),
                     schema: result.report.schema().to_string(),
                 };
-                let stats = store.save(key, entry, self.analyzer.cache_export_live())?;
+                let stats = store.save(key, entry, &self.analyzer.scc_table())?;
                 metrics.work.insert("store.sccs_saved".to_string(), stats.sccs_saved as u64);
                 metrics
                     .work

@@ -9,12 +9,14 @@
 //!   changed, so the session replays the stored report (text, JSON subtree,
 //!   exit code, `Counter`-class metrics) without parsing a single file —
 //!   zero SCCs re-analyzed.
-//! * **SCC summaries** — per-SCC function-summary vectors keyed by the
-//!   engine's Merkle content hashes ([`crate::engine::scc_hashes`]). When
-//!   some inputs changed, the session seeds the in-memory
-//!   [`crate::engine::SummaryCache`] from this table before analyzing;
-//!   unchanged SCCs hit, the dirty region (the edited SCCs plus their
-//!   transitive dependents, whose chained hashes moved) recomputes.
+//! * **SCC summaries** — the last clean run's [`crate::engine::SccTable`]:
+//!   per-SCC function-summary vectors keyed by the engine's Merkle content
+//!   hashes ([`crate::engine::scc_hashes`]). [`SummaryStore::open`] hands
+//!   the decoded table to the session, whose analyzer reads it as its last
+//!   run's; when some inputs changed, unchanged SCCs hit and the dirty
+//!   region (the edited SCCs plus their transitive dependents, whose
+//!   chained hashes moved) recomputes. The store itself keeps only the
+//!   table's keys, for the load and invalidation counts.
 //!
 //! The invalidation rule is entirely carried by the keys: an edit changes a
 //! content hash, the stale entry simply never matches again and is dropped
@@ -26,10 +28,11 @@
 //! [`AnalysisError::Store`].
 //!
 //! Degraded results (contained panics, exhausted budgets, injected faults)
-//! are never written: the summary engine already refuses to cache tainted
-//! SCCs, and the session skips the manifest save for any run whose exit
-//! code signals degradation.
+//! are never written: a tainted SCC never enters the summary engine's
+//! table, and the session skips the save for any run whose exit code
+//! signals degradation.
 
+use crate::engine::SccTable;
 use crate::summary::Summary;
 use crate::AnalysisError;
 use safeflow_util::hash::Fnv64;
@@ -91,7 +94,8 @@ pub(crate) struct SaveStats {
 pub(crate) struct SummaryStore {
     path: PathBuf,
     manifests: Vec<(u64, ReplayEntry)>,
-    sccs: Vec<(u64, Arc<Vec<Summary>>)>,
+    /// The keys of the SCC table on disk.
+    scc_keys: Vec<u64>,
     /// `true` when a store file existed but failed validation (bad magic /
     /// version / checksum / truncation) and was ignored.
     load_rejected: bool,
@@ -114,7 +118,10 @@ impl SummaryStore {
     /// **detached**: empty tables, [`SummaryStore::lock_busy`] set, and
     /// every save a no-op — the caller degrades to a cold run instead of
     /// racing the writer.
-    pub(crate) fn open(dir: &Path) -> Result<SummaryStore, AnalysisError> {
+    ///
+    /// Returns the store with the decoded SCC table, which the caller
+    /// owns from here on.
+    pub(crate) fn open(dir: &Path) -> Result<(SummaryStore, SccTable), AnalysisError> {
         std::fs::create_dir_all(dir).map_err(|e| AnalysisError::Store {
             context: format!("creating store directory `{}`", dir.display()),
             source: Some(e),
@@ -124,7 +131,7 @@ impl SummaryStore {
         let mut store = SummaryStore {
             path,
             manifests: Vec::new(),
-            sccs: Vec::new(),
+            scc_keys: Vec::new(),
             load_rejected: false,
             lock,
         };
@@ -133,13 +140,15 @@ impl SummaryStore {
             // file (a torn read is impossible — writes are atomic renames —
             // but replaying while the owner invalidates is still a
             // coherence hazard). Detached = cold.
-            return Ok(store);
+            return Ok((store, SccTable::new()));
         }
+        let mut sccs = SccTable::new();
         match std::fs::read(&store.path) {
             Ok(bytes) => match decode_store(&bytes) {
-                Some((manifests, sccs)) => {
+                Some((manifests, table)) => {
                     store.manifests = manifests;
-                    store.sccs = sccs;
+                    store.scc_keys = table.iter().map(|(k, _)| *k).collect();
+                    sccs = table;
                 }
                 None => store.load_rejected = true,
             },
@@ -148,7 +157,7 @@ impl SummaryStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(_) => store.load_rejected = true,
         }
-        Ok(store)
+        Ok((store, sccs))
     }
 
     /// Whether an existing store file was ignored as invalid.
@@ -162,9 +171,9 @@ impl SummaryStore {
         self.lock.is_none()
     }
 
-    /// Number of SCC entries loaded from disk.
+    /// Number of SCC entries on disk.
     pub(crate) fn scc_count(&self) -> usize {
-        self.sccs.len()
+        self.scc_keys.len()
     }
 
     /// The replay entry under `key`, if any.
@@ -172,20 +181,15 @@ impl SummaryStore {
         self.manifests.iter().find(|(k, _)| *k == key).map(|(_, e)| e)
     }
 
-    /// All loaded SCC entries, for seeding the in-memory cache.
-    pub(crate) fn scc_entries(&self) -> Vec<(u64, Arc<Vec<Summary>>)> {
-        self.sccs.clone()
-    }
-
     /// Records a finished clean run and writes the store file atomically
-    /// (temp file + rename). `live_sccs` is the current run's live summary
-    /// set — it *replaces* the SCC table, dropping entries the run no
-    /// longer reaches (the invalidation count in the returned stats).
+    /// (temp file + rename). `sccs` is the run's summary table — it
+    /// *replaces* the SCC table, dropping entries the run no longer reaches
+    /// (the invalidation count in the returned stats).
     pub(crate) fn save(
         &mut self,
         manifest_key: u64,
         entry: ReplayEntry,
-        live_sccs: Vec<(u64, Arc<Vec<Summary>>)>,
+        sccs: &SccTable,
     ) -> Result<SaveStats, AnalysisError> {
         if self.lock_busy() {
             // Detached store: another live process owns the directory.
@@ -193,10 +197,10 @@ impl SummaryStore {
             // (the caller's run was cold anyway).
             return Ok(SaveStats::default());
         }
-        let live: HashSet<u64> = live_sccs.iter().map(|(k, _)| *k).collect();
+        let live: HashSet<u64> = sccs.iter().map(|(k, _)| *k).collect();
         let stats = SaveStats {
-            sccs_saved: live_sccs.len(),
-            sccs_invalidated: self.sccs.iter().filter(|(k, _)| !live.contains(k)).count(),
+            sccs_saved: sccs.len(),
+            sccs_invalidated: self.scc_keys.iter().filter(|k| !live.contains(k)).count(),
         };
         self.manifests.retain(|(k, _)| *k != manifest_key);
         self.manifests.push((manifest_key, entry));
@@ -204,9 +208,9 @@ impl SummaryStore {
             let excess = self.manifests.len() - MAX_MANIFESTS;
             self.manifests.drain(..excess);
         }
-        self.sccs = live_sccs;
+        self.scc_keys = sccs.iter().map(|(k, _)| *k).collect();
 
-        let bytes = encode_store(&self.manifests, &self.sccs);
+        let bytes = encode_store(&self.manifests, sccs);
         let tmp = self.path.with_extension("tmp");
         std::fs::write(&tmp, &bytes).map_err(|e| AnalysisError::Store {
             context: format!("writing `{}`", tmp.display()),
@@ -297,7 +301,7 @@ pub(crate) fn manifest_key(config_hash: u64, root: &str, files: &[(String, Strin
 
 // --------------------------------------------------------------- encoding
 
-fn encode_store(manifests: &[(u64, ReplayEntry)], sccs: &[(u64, Arc<Vec<Summary>>)]) -> Vec<u8> {
+fn encode_store(manifests: &[(u64, ReplayEntry)], sccs: &SccTable) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, STORE_VERSION);
@@ -327,7 +331,7 @@ fn encode_store(manifests: &[(u64, ReplayEntry)], sccs: &[(u64, Arc<Vec<Summary>
     out
 }
 
-type Tables = (Vec<(u64, ReplayEntry)>, Vec<(u64, Arc<Vec<Summary>>)>);
+type Tables = (Vec<(u64, ReplayEntry)>, SccTable);
 
 fn decode_store(bytes: &[u8]) -> Option<Tables> {
     // Checksum covers everything before the trailing 8 bytes.
@@ -404,13 +408,13 @@ mod tests {
     #[test]
     fn round_trips_through_disk() {
         let dir = tmp_dir("roundtrip");
-        let mut store = SummaryStore::open(&dir).unwrap();
+        let mut store = SummaryStore::open(&dir).unwrap().0;
         assert!(!store.load_rejected());
         assert_eq!(store.manifest(7), None);
-        store.save(7, sample_entry(), Vec::new()).unwrap();
+        store.save(7, sample_entry(), &Vec::new()).unwrap();
         drop(store); // release the writer lock before reopening
 
-        let store2 = SummaryStore::open(&dir).unwrap();
+        let store2 = SummaryStore::open(&dir).unwrap().0;
         assert!(!store2.load_rejected());
         assert_eq!(store2.manifest(7), Some(&sample_entry()));
         assert_eq!(store2.manifest(8), None);
@@ -420,8 +424,8 @@ mod tests {
     #[test]
     fn corrupt_or_truncated_files_are_rejected_not_fatal() {
         let dir = tmp_dir("corrupt");
-        let mut store = SummaryStore::open(&dir).unwrap();
-        store.save(7, sample_entry(), Vec::new()).unwrap();
+        let mut store = SummaryStore::open(&dir).unwrap().0;
+        store.save(7, sample_entry(), &Vec::new()).unwrap();
         drop(store); // release the writer lock before reopening
         let path = dir.join(STORE_FILE);
         let good = std::fs::read(&path).unwrap();
@@ -431,14 +435,14 @@ mod tests {
             let mut bad = good.clone();
             bad[i] ^= 0x5a;
             std::fs::write(&path, &bad).unwrap();
-            let s = SummaryStore::open(&dir).unwrap();
+            let s = SummaryStore::open(&dir).unwrap().0;
             assert!(s.load_rejected(), "flipped byte {i} must reject");
             assert_eq!(s.manifest(7), None);
         }
         // Truncations at every prefix length.
         for cut in [0usize, 3, MAGIC.len(), good.len() / 2, good.len() - 1] {
             std::fs::write(&path, &good[..cut]).unwrap();
-            let s = SummaryStore::open(&dir).unwrap();
+            let s = SummaryStore::open(&dir).unwrap().0;
             assert!(s.manifest(7).is_none(), "truncation to {cut} bytes must come up empty");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -447,8 +451,8 @@ mod tests {
     #[test]
     fn version_mismatch_invalidates_everything() {
         let dir = tmp_dir("version");
-        let mut store = SummaryStore::open(&dir).unwrap();
-        store.save(7, sample_entry(), Vec::new()).unwrap();
+        let mut store = SummaryStore::open(&dir).unwrap().0;
+        store.save(7, sample_entry(), &Vec::new()).unwrap();
         drop(store); // release the writer lock before reopening
         let path = dir.join(STORE_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -461,7 +465,7 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
-        let s = SummaryStore::open(&dir).unwrap();
+        let s = SummaryStore::open(&dir).unwrap().0;
         assert!(s.load_rejected());
         assert_eq!(s.manifest(7), None);
         assert_eq!(s.scc_count(), 0);
@@ -471,24 +475,25 @@ mod tests {
     #[test]
     fn save_replaces_sccs_and_counts_invalidations() {
         let dir = tmp_dir("invalidate");
-        let mut store = SummaryStore::open(&dir).unwrap();
+        let mut store = SummaryStore::open(&dir).unwrap().0;
         let one = vec![(1u64, Arc::new(vec![Summary::default()]))];
-        store.save(7, sample_entry(), one).unwrap();
+        store.save(7, sample_entry(), &one).unwrap();
         drop(store); // release the writer lock before reopening
 
-        let mut store = SummaryStore::open(&dir).unwrap();
+        let mut store = SummaryStore::open(&dir).unwrap().0;
         assert_eq!(store.scc_count(), 1);
         let two = vec![
             (2u64, Arc::new(vec![Summary::default()])),
             (3u64, Arc::new(vec![Summary::default()])),
         ];
-        let stats = store.save(8, sample_entry(), two).unwrap();
+        let stats = store.save(8, sample_entry(), &two).unwrap();
         assert_eq!(stats.sccs_saved, 2);
         assert_eq!(stats.sccs_invalidated, 1, "key 1 is no longer live");
         drop(store); // release the writer lock before reopening
 
-        let store = SummaryStore::open(&dir).unwrap();
+        let (store, sccs) = SummaryStore::open(&dir).unwrap();
         assert_eq!(store.scc_count(), 2);
+        assert_eq!(sccs.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [2, 3]);
         // Both manifests are retained (bounded by MAX_MANIFESTS).
         assert!(store.manifest(7).is_some());
         assert!(store.manifest(8).is_some());
@@ -542,22 +547,22 @@ mod tests {
     #[test]
     fn second_opener_detaches_while_lock_held() {
         let dir = tmp_dir("lock");
-        let mut owner = SummaryStore::open(&dir).unwrap();
+        let mut owner = SummaryStore::open(&dir).unwrap().0;
         assert!(!owner.lock_busy());
-        owner.save(7, sample_entry(), Vec::new()).unwrap();
+        owner.save(7, sample_entry(), &Vec::new()).unwrap();
 
         // Same process, second open file description: the advisory lock
         // is still exclusive, so the racer comes up detached and cold.
-        let mut racer = SummaryStore::open(&dir).unwrap();
+        let mut racer = SummaryStore::open(&dir).unwrap().0;
         assert!(racer.lock_busy(), "concurrent opener must detect the held lock");
         assert_eq!(racer.manifest(7), None, "detached store reads nothing");
         assert_eq!(racer.scc_count(), 0);
         // Detached saves are silent no-ops: the owner's file is untouched.
-        let stats = racer.save(8, sample_entry(), Vec::new()).unwrap();
+        let stats = racer.save(8, sample_entry(), &Vec::new()).unwrap();
         assert_eq!(stats, SaveStats::default());
 
         drop(owner);
-        let reopened = SummaryStore::open(&dir).unwrap();
+        let reopened = SummaryStore::open(&dir).unwrap().0;
         assert!(!reopened.lock_busy(), "lock must release with the owner");
         assert_eq!(reopened.manifest(7), Some(&sample_entry()));
         assert_eq!(reopened.manifest(8), None, "the detached save must not have landed");

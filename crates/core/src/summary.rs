@@ -27,11 +27,11 @@
 //! clearance is ⊥, so summaries and findings are byte-identical.
 
 use crate::config::AnalysisConfig;
-use crate::engine::SummaryCache;
+use crate::engine::SccTable;
 use crate::policy::LabelTable;
 use crate::regions::{RegionId, RegionMap};
 use crate::report::{
-    Degradation, DegradationKind, DependencyKind, ErrorDependency, FlowNode, Warning,
+    Degradation, DegradationKind, DependencyKind, ErrorDependency, Findings, FlowNode, Warning,
 };
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
@@ -43,7 +43,7 @@ use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
 use safeflow_util::pool::{run_dag, PoolStats};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -178,10 +178,19 @@ impl std::ops::Deref for SymSet {
     }
 }
 
-/// Published result of one SCC task: the members' summaries (in SCC member
-/// order) plus whether a degraded dependency tainted them (tainted results
-/// are never cached).
-type SccSlot = OnceLock<(Arc<Vec<Summary>>, bool)>;
+/// Published result of one SCC task.
+struct SccOut {
+    /// The members' summaries, in SCC member order.
+    summaries: Arc<Vec<Summary>>,
+    /// A degraded scope influenced them: dependents recompute against them
+    /// rather than replay a prior result.
+    tainted: bool,
+    /// They enter the run's [`SccTable`]: clean, and not refused by an
+    /// injected summary-cache fault.
+    keep: bool,
+}
+
+type SccSlot = OnceLock<SccOut>;
 
 /// A data-flow fact with no relabel — the overwhelmingly common case.
 fn data_fact(sym: Sym) -> Fact {
@@ -357,20 +366,22 @@ impl Summary {
 /// context-sensitive engine.
 ///
 /// Independent call-graph SCCs are summarized concurrently on
-/// `config.jobs` worker threads, and each SCC's summaries are served from
-/// `cache` when its content hash matches a prior run (see
-/// [`crate::engine`]). Results are bit-identical for every `jobs` value
-/// and for warm vs cold caches. An SCC iterates its members to a fixpoint,
-/// except a singleton whose member does not call itself: its summary never
-/// reads itself, so a second round would only reproduce the first, and it
-/// stops after one.
+/// `config.jobs` worker threads, and each SCC's summaries are replayed from
+/// `prior`, the previous run's table, when its content hash matches there
+/// (see [`crate::engine`]). Returns the results with this run's own table:
+/// one entry per distinct live key, this run's clean result or else
+/// `prior`'s entry under that key. Results are bit-identical for every
+/// `jobs` value and for warm vs cold tables. An SCC iterates its members to
+/// a fixpoint, except a singleton whose member does not call itself: its
+/// summary never reads itself, so a second round would only reproduce the
+/// first, and it stops after one.
 ///
 /// A panic inside one SCC's task (or an exhausted budget) degrades that
 /// SCC — and only it — to conservative top: independent SCCs complete,
 /// callers analyze against an unknown callee, the degraded scope's own
 /// sites are re-collected conservatively from its IR, and the report
 /// carries a [`Degradation`] naming the affected functions. Degraded
-/// summaries are never written to the cache.
+/// summaries never enter the returned table.
 ///
 /// `callgraph` must be `CallGraph::build(module)` and `cfgs` each
 /// function's CFG, indexed by `FuncId` (`None` for prototypes); the caller
@@ -385,18 +396,18 @@ pub(crate) fn analyze_summaries(
     cfgs: &[Option<Cfg>],
     config: &AnalysisConfig,
     table: &LabelTable,
-    cache: &SummaryCache,
+    prior: &SccTable,
     deadline: Option<Instant>,
     metrics: &Metrics,
-) -> TaintResults {
+) -> (TaintResults, SccTable) {
     let noncore_sockets = scope::find_noncore_sockets(module, regions);
     // Assume scopes first: they feed the report's init-check notes on
     // *every* run (cache-warm included) and are part of each function's
     // cache key.
     let (assumed_of, mut notes) = scope::own_scopes(module, regions, shm, table);
 
-    // Content hashes chained bottom-up over the SCC DAG, then one cache
-    // probe per SCC (counters tally per member function).
+    // Content hashes chained bottom-up over the SCC DAG, then one probe of
+    // the prior table per SCC (counters tally per member function).
     let deps = callgraph.scc_dependencies();
     let hashes = crate::engine::scc_hashes(
         module,
@@ -410,12 +421,12 @@ pub(crate) fn analyze_summaries(
         &assumed_of,
         metrics,
     );
-    cache.set_live(&hashes);
-    let cached: Vec<Option<Arc<Vec<Summary>>>> =
-        callgraph.sccs.iter().enumerate().map(|(i, scc)| cache.get(hashes[i], scc.len())).collect();
+    let prior: HashMap<u64, &Arc<Vec<Summary>>> = prior.iter().map(|(k, v)| (*k, v)).collect();
+    let cached: Vec<Option<&Arc<Vec<Summary>>>> =
+        hashes.iter().map(|key| prior.get(key).copied()).collect();
     // Per-run cache effectiveness: probes are a pure function of the
     // program (counter class); how they split into hits and misses moves
-    // with cache state (work class).
+    // with the prior table (work class).
     let (mut run_hits, mut run_misses) = (0u64, 0u64);
     for (i, c) in cached.iter().enumerate() {
         let members = callgraph.sccs[i].len() as u64;
@@ -441,14 +452,14 @@ pub(crate) fn analyze_summaries(
     //
     // Each slot carries a `tainted` flag: `true` means the summaries were
     // influenced by a degraded scope (its own budget ran out, or a
-    // dependency was degraded) and must not be cached — the content hash
-    // cannot tell a clean result from a degraded one. A slot left *unset*
-    // means the task panicked (the pool returns its `TaskPanic`); readers
-    // substitute [`Summary::top`].
+    // dependency was degraded) and must not enter the table — the content
+    // hash cannot tell a clean result from a degraded one. A slot left
+    // *unset* means the task panicked (the pool returns its `TaskPanic`);
+    // readers substitute [`Summary::top`].
     let slots: Vec<SccSlot> = (0..callgraph.sccs.len()).map(|_| OnceLock::new()).collect();
     let publish_top = |i: usize| {
-        let tops = Arc::new(vec![Summary::top(); callgraph.sccs[i].len()]);
-        let _ = slots[i].set((tops, true));
+        let summaries = Arc::new(vec![Summary::top(); callgraph.sccs[i].len()]);
+        let _ = slots[i].set(SccOut { summaries, tainted: true, keep: false });
     };
     let rounds_cap = config.budget.fixpoint_rounds.map(|r| r.max(1) as usize).unwrap_or(16);
     let scc_body = |i: usize| -> Option<String> {
@@ -478,13 +489,13 @@ pub(crate) fn analyze_summaries(
             }
         }
         // A degraded dependency poisons this SCC's result too: recompute
-        // against the tops (never replay the cache — the cached value was
+        // against the tops (never replay the prior table — its value was
         // computed against clean callees and would make warm degraded runs
-        // differ from cold ones) and keep the result out of the cache.
-        let dep_tainted = deps[i].iter().any(|&d| slots[d].get().map(|(_, t)| *t).unwrap_or(true));
+        // differ from cold ones) and keep the result out of the table.
+        let dep_tainted = deps[i].iter().any(|&d| slots[d].get().is_none_or(|out| out.tainted));
         if !dep_tainted {
-            if let Some(hit) = &cached[i] {
-                let _ = slots[i].set((hit.clone(), false));
+            if let Some(hit) = cached[i] {
+                let _ = slots[i].set(SccOut { summaries: hit.clone(), tainted: false, keep: true });
                 return None;
             }
         }
@@ -551,19 +562,16 @@ pub(crate) fn analyze_summaries(
         }
         let computed: Vec<Summary> =
             scc.iter().map(|fid| local.remove(fid).unwrap_or_default()).collect();
-        let arc = Arc::new(computed);
-        let mut cache_ok = !dep_tainted;
-        if let Some(plan) = &config.fault_plan {
-            // Injected cache fault: a panic here leaves the slot unset
-            // (poisoning the SCC); a budget fault just bypasses the insert.
-            if plan.trip(FaultSite::SummaryCache, i as u64) {
-                cache_ok = false;
-            }
-        }
-        if cache_ok {
-            cache.insert(hashes[i], arc.clone());
-        }
-        let _ = slots[i].set((arc, dep_tainted));
+        // Injected cache fault: a panic here leaves the slot unset
+        // (poisoning the SCC); a budget fault just keeps the result out of
+        // the table.
+        let refused =
+            config.fault_plan.as_ref().is_some_and(|p| p.trip(FaultSite::SummaryCache, i as u64));
+        let _ = slots[i].set(SccOut {
+            summaries: Arc::new(computed),
+            tainted: dep_tainted,
+            keep: !dep_tainted && !refused,
+        });
         None
     };
     let task_results = run_dag(jobs, &deps, &pool_stats, |i| {
@@ -608,11 +616,24 @@ pub(crate) fn analyze_summaries(
     let mut summaries: HashMap<FuncId, &Summary> = HashMap::new();
     for (i, scc) in callgraph.sccs.iter().enumerate() {
         match slots[i].get() {
-            Some((arc, _)) => summaries.extend(scc.iter().copied().zip(arc.iter())),
+            Some(out) => summaries.extend(scc.iter().copied().zip(out.summaries.iter())),
             // Panicked task: conservative top for every member.
             None => summaries.extend(scc.iter().map(|&fid| (fid, &top))),
         }
     }
+
+    // This run's table: per distinct key, the clean result it published,
+    // or else the prior entry (a panicked, degraded or refused SCC).
+    let mut seen = HashSet::new();
+    let scc_table: SccTable = hashes
+        .iter()
+        .enumerate()
+        .filter(|&(_, key)| seen.insert(*key))
+        .filter_map(|(i, &key)| match slots[i].get() {
+            Some(out) if out.keep => Some((key, out.summaries.clone())),
+            _ => cached[i].map(|prior| (key, prior.clone())),
+        })
+        .collect();
 
     // Module-wide object taint: fixpoint over aggregated object writes.
     // An object is unsafe if a non-parameter unsafe source flows into it
@@ -718,8 +739,7 @@ pub(crate) fn analyze_summaries(
         }
     }
 
-    let mut warnings: BTreeMap<(String, u32, u32, RegionId), Warning> = BTreeMap::new();
-    let mut errors: BTreeMap<(String, u32, u32, String), ErrorDependency> = BTreeMap::new();
+    let mut findings = Findings::default();
     for fid in roots {
         let func = module.function(fid);
         if func.is_shminit() {
@@ -734,15 +754,12 @@ pub(crate) fn analyze_summaries(
             if effective == 0 {
                 continue;
             }
-            let region_name = regions.region(*rid).name.clone();
-            warnings.entry((in_func.to_string(), span.lo, span.hi, *rid)).or_insert_with(|| {
-                Warning {
-                    function: in_func.to_string(),
-                    region: *rid,
-                    region_name,
-                    span: *span,
-                    label: table.finding_label(effective),
-                }
+            findings.warn(Warning {
+                function: in_func.to_string(),
+                region: *rid,
+                region_name: regions.region(*rid).name.clone(),
+                span: *span,
+                label: table.finding_label(effective),
             });
         }
         for sink in &s.sinks {
@@ -780,12 +797,6 @@ pub(crate) fn analyze_summaries(
                 });
             }
             if let Some((ctl_only, reg, leak_mask)) = worst {
-                let key = (
-                    sink.function.to_string(),
-                    sink.span.lo,
-                    sink.span.hi,
-                    sink.critical.to_string(),
-                );
                 let source_desc = match reg {
                     Some(r) => {
                         let name = &regions.region(r).name;
@@ -800,7 +811,7 @@ pub(crate) fn analyze_summaries(
                     }
                     None => "unmonitored non-core input".to_string(),
                 };
-                let e = ErrorDependency {
+                findings.error(ErrorDependency {
                     critical: sink.critical.to_string(),
                     function: sink.function.to_string(),
                     span: sink.span,
@@ -811,17 +822,7 @@ pub(crate) fn analyze_summaries(
                         sink.span,
                         FlowNode::source(source_desc, sink.span),
                     )),
-                };
-                match errors.get_mut(&key) {
-                    Some(prev) => {
-                        if e.kind > prev.kind {
-                            *prev = e;
-                        }
-                    }
-                    None => {
-                        errors.insert(key, e);
-                    }
-                }
+                });
             }
         }
     }
@@ -859,20 +860,18 @@ pub(crate) fn analyze_summaries(
                         if effective == 0 {
                             continue;
                         }
-                        warnings
-                            .entry((func.name.clone(), inst.span.lo, inst.span.hi, fact.region))
-                            .or_insert_with(|| Warning {
-                                function: func.name.clone(),
-                                region: fact.region,
-                                region_name: region.name.clone(),
-                                span: inst.span,
-                                label: table.finding_label(effective),
-                            });
+                        findings.warn(Warning {
+                            function: func.name.clone(),
+                            region: fact.region,
+                            region_name: region.name.clone(),
+                            span: inst.span,
+                            label: table.finding_label(effective),
+                        });
                     }
                 }
                 InstKind::AssertSafe { var, .. } => {
                     push_conservative_error(
-                        &mut errors,
+                        &mut findings,
                         var.clone(),
                         func,
                         inst.span,
@@ -891,7 +890,7 @@ pub(crate) fn analyze_summaries(
                                     continue;
                                 }
                                 push_conservative_error(
-                                    &mut errors,
+                                    &mut findings,
                                     format!("{name}:arg{argi}"),
                                     func,
                                     inst.span,
@@ -908,27 +907,23 @@ pub(crate) fn analyze_summaries(
 
     notes.sort();
     notes.dedup();
-    TaintResults {
-        warnings: warnings.into_values().collect(),
-        errors: errors.into_values().collect(),
-        notes,
-        contexts_analyzed: summaries.len(),
-        degradations,
-    }
+    let (warnings, errors) = findings.into_parts();
+    let results =
+        TaintResults { warnings, errors, notes, contexts_analyzed: summaries.len(), degradations };
+    (results, scc_table)
 }
 
 /// Records a worst-case (`Data`) error for a sink inside a degraded scope:
 /// the analysis that would have decided whether unsafe data reaches it is
 /// gone, so it is reported as reached — loud, never a silent pass.
 fn push_conservative_error(
-    errors: &mut BTreeMap<(String, u32, u32, String), ErrorDependency>,
+    findings: &mut Findings,
     critical: String,
     func: &safeflow_ir::Function,
     span: Span,
     label: Option<String>,
 ) {
-    let key = (func.name.clone(), span.lo, span.hi, critical.clone());
-    let e = ErrorDependency {
+    findings.error(ErrorDependency {
         critical,
         function: func.name.clone(),
         span,
@@ -938,17 +933,7 @@ fn push_conservative_error(
             format!("analysis of `{}` (or a function it reaches) degraded; conservatively assumed unsafe", func.name),
             span,
         )),
-    };
-    match errors.get_mut(&key) {
-        Some(prev) => {
-            if e.kind > prev.kind {
-                *prev = e;
-            }
-        }
-        None => {
-            errors.insert(key, e);
-        }
-    }
+    });
 }
 
 fn summary_eq(a: &Summary, b: &Summary) -> bool {
@@ -1018,9 +1003,9 @@ impl<'a> SummaryView<'a> {
             return None;
         }
         match self.slots[scc].get() {
-            Some((published, _)) => {
+            Some(published) => {
                 let pos = self.callgraph.sccs[scc].iter().position(|&m| m == f)?;
-                published.get(pos).map(Cow::Borrowed)
+                published.summaries.get(pos).map(Cow::Borrowed)
             }
             // Dependency SCC poisoned by a contained panic.
             None => Some(Cow::Owned(Summary::top())),

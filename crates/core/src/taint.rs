@@ -25,9 +25,9 @@
 
 use crate::config::AnalysisConfig;
 use crate::policy::LabelTable;
-use crate::regions::{RegionId, RegionMap};
+use crate::regions::RegionMap;
 use crate::report::{
-    Degradation, DegradationKind, DependencyKind, ErrorDependency, FlowNode, Warning,
+    Degradation, DegradationKind, DependencyKind, ErrorDependency, Findings, FlowNode, Warning,
 };
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
@@ -270,27 +270,13 @@ pub fn analyze_taint(
     }
 
     // Aggregate + dedupe.
-    let mut warnings: BTreeMap<(String, u32, u32, RegionId), Warning> = BTreeMap::new();
-    let mut errors: BTreeMap<(String, u32, u32, String), ErrorDependency> = BTreeMap::new();
+    let mut findings = Findings::default();
     for outcome in eng.memo.values() {
         for w in &outcome.warnings {
-            warnings
-                .entry((w.function.clone(), w.span.lo, w.span.hi, w.region))
-                .or_insert_with(|| w.clone());
+            findings.warn(w.clone());
         }
         for e in &outcome.errors {
-            let key = (e.function.clone(), e.span.lo, e.span.hi, e.critical.clone());
-            match errors.get_mut(&key) {
-                Some(prev) => {
-                    // Keep the worst kind.
-                    if e.kind > prev.kind {
-                        *prev = e.clone();
-                    }
-                }
-                None => {
-                    errors.insert(key, e.clone());
-                }
-            }
+            findings.error(e.clone());
         }
     }
     eng.notes.sort();
@@ -313,9 +299,10 @@ pub fn analyze_taint(
             ("taint.vfg_nodes_visited", eng.stat_insts_visited),
         ],
     );
+    let (warnings, errors) = findings.into_parts();
     TaintResults {
-        warnings: warnings.into_values().collect(),
-        errors: errors.into_values().collect(),
+        warnings,
+        errors,
         notes: eng.notes,
         contexts_analyzed: eng.memo.len(),
         degradations,

@@ -90,17 +90,23 @@ fn warm_cache_preserves_counters_and_moves_work_to_hits() {
 
 #[test]
 fn a_result_keeps_its_own_metrics_after_later_runs() {
-    let analyzer = Analyzer::new(AnalysisConfig::default());
-    let first = analyzer.analyze_source("one.c", "int main() { return 0; }").unwrap();
-    let three = "int f(int x) { return x; } int g(int x) { return f(x); } \
-                 int main() { return g(1); }";
-    let second = analyzer.analyze_source("three.c", three).unwrap();
-    assert_eq!(second.metrics.counters["module.functions"], 3);
+    for engine in [Engine::ContextSensitive, Engine::Summary] {
+        let analyzer = Analyzer::new(AnalysisConfig::with_engine(engine));
+        let first = analyzer.analyze_source("one.c", "int main() { return 0; }").unwrap();
+        let before = analyzer.report_json(&first).render();
+        let three = "int f(int x) { return x; } int g(int x) { return f(x); } \
+                     int main() { return g(1); }";
+        let second = analyzer.analyze_source("three.c", three).unwrap();
+        assert_eq!(second.metrics.counters["module.functions"], 3);
 
-    assert_eq!(first.metrics.counters["module.functions"], 1);
-    let doc = analyzer.report_json(&first);
-    let functions = doc.get("metrics").and_then(|m| m.get("counters")?.get("module.functions"));
-    assert_eq!(functions, Some(&Json::UInt(1)), "the document must report its own run");
+        assert_eq!(first.metrics.counters["module.functions"], 1);
+        let doc = analyzer.report_json(&first);
+        let functions = doc.get("metrics").and_then(|m| m.get("counters")?.get("module.functions"));
+        assert_eq!(functions, Some(&Json::UInt(1)), "the document must report its own run");
+        // The whole document, `cache` section included, is the first run's
+        // alone: a later run on the same analyzer changes none of its bytes.
+        assert_eq!(doc.render(), before, "{engine:?}: a later run moved the first document");
+    }
 }
 
 /// Removes the named sections from the document's `metrics` object, plus

@@ -7,10 +7,17 @@
 //! reports exactly those sites — under both engines.
 //!
 //! The summary cache rides the same generator: a cache-warm re-analysis
-//! must reproduce the cold report byte-for-byte with zero re-summarizations.
+//! must reproduce the cold report byte-for-byte with zero re-summarizations,
+//! counted by each run's own `summary.cache_*` work metrics.
 
-use safeflow::{AnalysisConfig, Analyzer, Engine};
+use safeflow::{AnalysisConfig, AnalysisResult, Analyzer, Engine};
 use safeflow_util::prop::{run_cases, Gen};
+
+/// The run's own summary-cache `(hits, misses)`, counted per function.
+fn cache_work(result: &AnalysisResult) -> (u64, u64) {
+    let work = &result.metrics.work;
+    (work["summary.cache_hits"], work["summary.cache_misses"])
+}
 
 /// Shape of one generated access function.
 #[derive(Debug, Clone)]
@@ -215,18 +222,18 @@ fn cache_warm_reanalysis_is_identical_and_free() {
             let analyzer =
                 Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(jobs));
             let cold = analyzer.analyze_source("gen.c", &src).expect("cold analyzes");
-            let stats_cold = analyzer.cache_stats();
-            assert_eq!(stats_cold.hits, 0, "first run over an empty cache has no hits");
-            assert!(stats_cold.misses > 0, "cold run must summarize something");
+            let (cold_hits, cold_misses) = cache_work(&cold);
+            assert_eq!(cold_hits, 0, "first run over an empty cache has no hits");
+            assert!(cold_misses > 0, "cold run must summarize something");
 
             let warm = analyzer.analyze_source("gen.c", &src).expect("warm analyzes");
-            let stats_warm = analyzer.cache_stats();
+            let (warm_hits, warm_misses) = cache_work(&warm);
             assert_eq!(
-                stats_warm.misses, stats_cold.misses,
+                warm_misses, 0,
                 "warm run re-summarized a function (jobs = {jobs}) on:\n{src}"
             );
             assert_eq!(
-                stats_warm.hits, stats_cold.misses,
+                warm_hits, cold_misses,
                 "warm run must hit once per summarized function (jobs = {jobs})"
             );
             assert_eq!(
@@ -266,28 +273,23 @@ fn cache_invalidation_is_limited_to_the_mutated_chain() {
         int main() { return mid(4) + other(5); }
     "#;
     let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary));
-    analyzer.analyze_source("t.c", base).expect("base analyzes");
-    let cold = analyzer.cache_stats();
-    assert_eq!(cold.hits, 0);
-    assert_eq!(cold.misses, 4, "four functions summarized cold");
+    let run = |src: &str| cache_work(&analyzer.analyze_source("t.c", src).expect("analyzes"));
+    assert_eq!(run(base), (0, 4), "four functions summarized cold");
 
     // Mutate a constant inside `leaf` (same byte length, so spans of the
     // other functions are untouched): `leaf`, `mid`, `main` must be
     // re-summarized; `other` must replay from the cache.
     let edited = base.replace("x + 1", "x + 7");
     assert_ne!(base, edited);
-    analyzer.analyze_source("t.c", &edited).expect("edited analyzes");
-    let warm = analyzer.cache_stats();
-    assert_eq!(warm.hits - cold.hits, 1, "`other` alone should hit");
-    assert_eq!(
-        warm.misses - cold.misses,
-        3,
-        "`leaf` and its caller chain (`mid`, `main`) should miss"
-    );
+    let (hits, misses) = run(&edited);
+    assert_eq!(hits, 1, "`other` alone should hit");
+    assert_eq!(misses, 3, "`leaf` and its caller chain (`mid`, `main`) should miss");
 
     // Re-analyzing the edited program again is now fully warm.
-    analyzer.analyze_source("t.c", &edited).expect("re-analyzes");
-    let warm2 = analyzer.cache_stats();
-    assert_eq!(warm2.misses, warm.misses);
-    assert_eq!(warm2.hits - warm.hits, 4);
+    assert_eq!(run(&edited), (4, 0));
+
+    // The analyzer keeps what a store keeps — the last run's live table,
+    // not every summary it ever computed — so going back to `base`
+    // replays only `other` and re-summarizes `base`'s own chain.
+    assert_eq!(run(base), (1, 3), "only `other` survives from the edited run's table");
 }
