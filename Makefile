@@ -156,7 +156,9 @@ policy-smoke: require-release
 # engine's corpus reports must be byte-identical at --jobs 1 and --jobs 8.
 # (The `--format json` byte-identity contract, with volatile metric
 # sections stripped, is covered by crates/core/tests/observability.rs.)
-smoke: lint build test oracle-smoke serve-smoke policy-smoke
+# incremental-demo is the CLI-level check that a session hands its summary
+# table to the store and back: an edit hits the stored summaries.
+smoke: lint build test oracle-smoke serve-smoke policy-smoke incremental-demo
 	@$(MAKE) --no-print-directory require-release
 	$(SAFEFLOW) --engine summary --jobs 1 --fig2 > /tmp/safeflow-smoke-j1.txt || true
 	$(SAFEFLOW) --engine summary --jobs 8 --fig2 > /tmp/safeflow-smoke-j8.txt || true

@@ -5,12 +5,14 @@
 //! independent call-chain families, so the SCC condensation offers real
 //! parallelism to the summary engine and the per-function restriction
 //! checks. Cold runs construct a fresh `Analyzer` per iteration (empty
-//! cache); the warm run reuses one `Analyzer` so every SCC replays from
-//! the cache.
+//! cache); the warm run checks in one storeless `AnalysisSession`, whose
+//! checks each run over the last one's summary table, so every SCC
+//! replays from the cache.
 
-use safeflow::{AnalysisConfig, Analyzer, Engine};
+use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Engine};
 use safeflow_bench::Harness;
 use safeflow_corpus::synthetic::{generate_wide, WideParams};
+use safeflow_syntax::VirtualFs;
 use std::hint::black_box;
 
 fn main() {
@@ -33,17 +35,19 @@ fn main() {
         });
     }
 
-    // Warm path: same analyzer, unchanged source — every summary replays.
-    let warm_analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary));
-    let primed = warm_analyzer.analyze_source("wide.c", &src).expect("prime");
+    // Warm path: same session, unchanged source — every summary replays.
+    let mut fs = VirtualFs::new();
+    fs.add("wide.c", src.as_str());
+    let mut warm_session = AnalysisSession::new(AnalysisConfig::with_engine(Engine::Summary));
+    let primed = warm_session.check("wide.c", &fs).expect("prime");
     let primed = primed.metrics.work["summary.cache_misses"];
     let mut replayed = 0;
     h.bench("parallel/summary_warm/jobs1", 10, || {
-        let result = warm_analyzer.analyze_source("wide.c", &src).expect("analyzes");
-        let work = &result.metrics.work;
+        let outcome = warm_session.check("wide.c", &fs).expect("analyzes");
+        let work = &outcome.metrics.work;
         assert_eq!(work["summary.cache_misses"], 0, "warm runs must not re-summarize");
         replayed += work["summary.cache_hits"];
-        black_box(result.report.warnings.len())
+        black_box(outcome.exit_code)
     });
     println!("parallel/cache: {primed} summaries primed, {replayed} replayed across warm runs");
 }

@@ -803,37 +803,85 @@ mod tests {
         assert_ne!(with_float(0.0), with_float(-0.0));
     }
 
-    /// The analyzer's one mutex guards its summary table. A panic while
-    /// it is held poisons it; later runs must still read the table, hit,
-    /// and swap in their own.
-    #[test]
-    fn summary_cache_survives_a_poisoned_lock() {
-        let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
-        analyzer.analyze_source("t.c", PROG).expect("cold run");
-        let cold = analyzer.scc_table();
-        std::thread::scope(|s| {
-            let holder = s.spawn(|| {
-                let _table = analyzer.sccs.lock().unwrap();
-                panic!("poison the summary table");
-            });
-            assert!(holder.join().is_err());
-        });
-        assert!(analyzer.sccs.is_poisoned());
-        let keys = |table: &SccTable| table.iter().map(|(k, _)| *k).collect::<Vec<_>>();
-        let work = |src: &str| {
-            let result = analyzer.analyze_source("t.c", src).expect("program analyzes");
-            let work = &result.metrics.work;
-            (work["summary.cache_hits"], work["summary.cache_misses"])
-        };
+    /// One summary-engine run of `main` in `fs` under `config`, over the
+    /// `prior` table: the result and the run's own table.
+    fn run_over(
+        config: &AnalysisConfig,
+        fs: &VirtualFs,
+        main: &str,
+        prior: &SccTable,
+    ) -> (crate::AnalysisResult, SccTable) {
+        crate::Analyzer::new(config.clone()).run(main, fs, prior).expect("program analyzes")
+    }
 
-        assert_eq!(work(PROG), (4, 0));
-        let warm = analyzer.scc_table();
-        assert!(!Arc::ptr_eq(&warm, &cold), "the warm run swaps in its own table");
+    /// A run reads the table it is handed and returns its own: a warm run
+    /// hits every SCC and keeps the same keys, and an edit re-summarizes
+    /// `leaf`'s caller chain into a table of one entry per live key, of
+    /// which only `other`'s is the cold run's.
+    #[test]
+    fn summary_table_passes_from_run_to_run() {
+        let config = AnalysisConfig::with_engine(crate::Engine::Summary);
+        let run = |src: &str, prior: &SccTable| {
+            let mut fs = VirtualFs::new();
+            fs.add("t.c", src);
+            let (result, table) = run_over(&config, &fs, "t.c", prior);
+            let work = &result.metrics.work;
+            ((work["summary.cache_hits"], work["summary.cache_misses"]), table)
+        };
+        let keys = |table: &SccTable| table.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+
+        let (work, cold) = run(PROG, &SccTable::new());
+        assert_eq!(work, (0, 4));
+        let (work, warm) = run(PROG, &cold);
+        assert_eq!(work, (4, 0));
         assert_eq!(keys(&warm), keys(&cold));
-        assert_eq!(work(&PROG.replace("x + 1", "x + 2")), (1, 3));
-        let edited = analyzer.scc_table();
+        let (work, edited) = run(&PROG.replace("x + 1", "x + 2"), &warm);
+        assert_eq!(work, (1, 3));
         assert_eq!(edited.len(), 4);
         assert_eq!(keys(&edited).iter().filter(|k| keys(&cold).contains(k)).count(), 1);
+    }
+
+    /// A degraded run leaves no poisoned summary in the table it returns,
+    /// and a degraded run over a warm table matches one over an empty
+    /// table: tainted dependents recompute instead of replaying.
+    #[test]
+    fn poisoned_cache_entries_are_never_reused() {
+        use crate::{FaultKind, FaultPlan, FaultSite};
+        let mut fs = VirtualFs::new();
+        fs.add("figure2.c", safeflow_corpus::figure2_example());
+        let run =
+            |config: &AnalysisConfig, prior: &SccTable| run_over(config, &fs, "figure2.c", prior);
+        let config = AnalysisConfig::with_engine(crate::Engine::Summary);
+
+        // 1. Clean run, empty table.
+        let (clean, table) = run(&config, &SccTable::new());
+        let clean = clean.render();
+
+        // 2. Degraded run over the warm table: every SCC that computes a
+        //    summary is forbidden from caching it, and SCC 0's task panics.
+        let armed = config.clone().with_fault_plan(
+            FaultPlan::panic_at(FaultSite::SccAnalysis, 0).with_fault(
+                FaultSite::SummaryCache,
+                None,
+                FaultKind::Panic,
+            ),
+        );
+        let (degraded, table) = run(&armed, &table);
+        assert_eq!(degraded.report.exit_code(), 3);
+        assert!(degraded.render().contains("DEGRADED RUN"));
+
+        // 3. Disarmed, over the degraded run's table: the report must be
+        //    the clean one byte for byte. Had a top/poisoned summary
+        //    leaked into the table, findings would change here.
+        let (replay, table) = run(&config, &table);
+        assert_eq!(replay.render(), clean, "a degraded run must not poison the summary table");
+
+        // 4. A degraded run over the (clean) warm table must match the
+        //    same degraded run over an empty one.
+        let armed = config.with_fault_plan(FaultPlan::panic_at(FaultSite::SccAnalysis, 0));
+        let warm = run(&armed, &table).0.render();
+        let cold = run(&armed, &SccTable::new()).0.render();
+        assert_eq!(warm, cold, "warm-table and empty-table degraded runs must agree");
     }
 
     #[test]
@@ -888,9 +936,8 @@ mod tests {
     }
     /// The live SCC keys of one summary-engine run over `main` in `fs`.
     fn live_keys(fs: &VirtualFs, main: &str) -> Vec<u64> {
-        let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
-        analyzer.analyze_program(main, fs).expect("program analyzes");
-        analyzer.scc_table().iter().map(|(k, _)| *k).collect()
+        let config = AnalysisConfig::with_engine(crate::Engine::Summary);
+        run_over(&config, fs, main, &SccTable::new()).1.iter().map(|(k, _)| *k).collect()
     }
 
     /// Content keys pinned bit for bit. `function_sig` folds in every
@@ -1091,11 +1138,11 @@ mod tests {
     /// summaries, in table order — the bytes the store's SCC table holds.
     fn live_summary_fold(fs: &VirtualFs, main: &str) -> u64 {
         use std::hash::Hasher;
-        let analyzer = crate::Analyzer::new(AnalysisConfig::with_engine(crate::Engine::Summary));
-        analyzer.analyze_program(main, fs).expect("program analyzes");
+        let config = AnalysisConfig::with_engine(crate::Engine::Summary);
+        let (_, table) = run_over(&config, fs, main, &SccTable::new());
         let mut h = Fnv64::new();
         let mut bytes = Vec::new();
-        for (key, summaries) in analyzer.scc_table().iter() {
+        for (key, summaries) in table.iter() {
             h.write_u64(*key);
             h.write_u32(summaries.len() as u32);
             for s in summaries.iter() {

@@ -94,9 +94,7 @@ use safeflow_ir::ssa::promote_module;
 use safeflow_ir::{CallGraph, Cfg, Module};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::{Diagnostics, SourceMap, VirtualFs};
-use safeflow_util::lock_recover;
 use safeflow_util::metrics::{Class, Metrics};
-use std::sync::{Arc, Mutex};
 
 /// A completed analysis: the report plus everything needed to render it.
 #[derive(Debug)]
@@ -162,20 +160,6 @@ pub enum AnalysisError {
         /// The underlying I/O error, when one exists.
         source: Option<std::io::Error>,
     },
-    /// A strict-mode session run degraded because a resource budget was
-    /// exhausted (exit code 3 territory).
-    #[non_exhaustive]
-    Budget {
-        /// The degradations the run reported.
-        degradations: Vec<Degradation>,
-    },
-    /// A strict-mode session run degraded because an analysis fault was
-    /// contained (exit code 4 territory).
-    #[non_exhaustive]
-    Fault {
-        /// The degradations the run reported.
-        degradations: Vec<Degradation>,
-    },
 }
 
 impl AnalysisError {
@@ -185,13 +169,6 @@ impl AnalysisError {
             AnalysisError::Parse { diags, .. } => Some(diags),
             _ => None,
         }
-    }
-
-    fn degradation_summary(degradations: &[Degradation]) -> String {
-        let mut kinds: Vec<String> = degradations.iter().map(|d| format!("{:?}", d.kind)).collect();
-        kinds.sort();
-        kinds.dedup();
-        kinds.join(", ")
     }
 }
 
@@ -208,16 +185,6 @@ impl std::fmt::Display for AnalysisError {
                 Some(e) => write!(f, "summary store: {context}: {e}"),
                 None => write!(f, "summary store: {context}"),
             },
-            AnalysisError::Budget { degradations } => write!(
-                f,
-                "analysis degraded: budget exhausted ({})",
-                AnalysisError::degradation_summary(degradations)
-            ),
-            AnalysisError::Fault { degradations } => write!(
-                f,
-                "analysis degraded: fault contained ({})",
-                AnalysisError::degradation_summary(degradations)
-            ),
         }
     }
 }
@@ -297,45 +264,30 @@ impl AnalyzerBuilder {
 /// Construct with a config, then call [`Analyzer::analyze_source`] (single
 /// file) or [`Analyzer::analyze_program`] (multi-file with `#include`s).
 ///
-/// The analyzer keeps the last summary-engine run's content-keyed summary
-/// table: when the summary engine re-analyzes a program whose functions
-/// (and analysis environment) hash identically to that run's, their
-/// summaries are replayed instead of recomputed — see [`crate::engine`].
-/// Each run reports its own hits and misses as the `summary.cache_hits` and
-/// `summary.cache_misses` work metrics of [`AnalysisResult::metrics`]. With
-/// `config.jobs > 1` the summary and restriction phases run on a thread
-/// pool with one ready queue; reports are identical for every worker count.
+/// The analyzer holds its configuration and nothing else, so a run is a
+/// pure function of the configuration and the program: each run starts
+/// from an empty summary table. Summary reuse across runs is an
+/// [`AnalysisSession`]'s job — the session keeps the last run's
+/// content-keyed table (see [`crate::engine`]) and hands it to the next
+/// check. Each run reports its own hits and misses as the
+/// `summary.cache_hits` and `summary.cache_misses` work metrics of
+/// [`AnalysisResult::metrics`]. With `config.jobs > 1` the summary and
+/// restriction phases run on a thread pool with one ready queue; reports
+/// are identical for every worker count.
 #[derive(Debug, Default)]
 pub struct Analyzer {
     config: AnalysisConfig,
-    /// The last run's summary table, swapped whole at the end of each run
-    /// (empty after a context-sensitive run, which uses no summaries).
-    /// Taken with [`lock_recover`]: each critical section is one `Arc`
-    /// clone or one swap, so a panic elsewhere cannot leave it torn.
-    pub(crate) sccs: Mutex<Arc<engine::SccTable>>,
 }
 
 impl Analyzer {
     /// Creates an analyzer with `config`.
     pub fn new(config: AnalysisConfig) -> Analyzer {
-        Analyzer { config, sccs: Mutex::default() }
+        Analyzer { config }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &AnalysisConfig {
         &self.config
-    }
-
-    /// Mutable access to the configuration, e.g. to arm a
-    /// [`FaultPlan`] or tighten the [`Budget`] between runs while keeping
-    /// the summary table warm.
-    pub fn config_mut(&mut self) -> &mut AnalysisConfig {
-        &mut self.config
-    }
-
-    /// The last run's summary table.
-    pub(crate) fn scc_table(&self) -> Arc<engine::SccTable> {
-        lock_recover(&self.sccs).clone()
     }
 
     /// Composes the full machine-readable report for `result`: findings,
@@ -414,7 +366,31 @@ impl Analyzer {
         main_name: &str,
         fs: &VirtualFs,
     ) -> Result<AnalysisResult, AnalysisError> {
-        let deadline = self.deadline();
+        Ok(self.run(main_name, fs, &engine::SccTable::new())?.0)
+    }
+
+    /// [`Analyzer::analyze_program`] over `prior`, the summary table of an
+    /// earlier run: returns the result with this run's own table (empty
+    /// after a context-sensitive run, which uses no summaries).
+    ///
+    /// Failures inside the phases do not abort the run: contained panics
+    /// and exhausted budgets degrade the affected scopes conservatively
+    /// and surface as [`Degradation`] entries on the report (see
+    /// [`AnalysisReport::exit_code`]).
+    pub(crate) fn run(
+        &self,
+        main_name: &str,
+        fs: &VirtualFs,
+        prior: &engine::SccTable,
+    ) -> Result<(AnalysisResult, engine::SccTable), AnalysisError> {
+        // The run's one wall-clock deadline (the only machine-dependent
+        // budget; determinism tests never set it), counted from the start
+        // of the run: the frontend's time counts against it too.
+        let deadline = self
+            .config
+            .budget
+            .deadline_ms
+            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
         let metrics = Metrics::new();
         let preprocessed = metrics.time("phase.preprocess", || {
             safeflow_syntax::preprocess_program_jobs(main_name, fs, self.config.jobs.max(1))
@@ -431,40 +407,25 @@ impl Analyzer {
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        let (report, metrics) = self.run_phases(&module, &mut diags, metrics, deadline);
+        let (report, metrics, sccs) =
+            self.run_phases(&module, &mut diags, metrics, deadline, prior);
         if diags.has_errors() {
             return Err(AnalysisError::Parse { diags, sources });
         }
-        Ok(AnalysisResult { report, sources, diags, module, metrics })
+        Ok((AnalysisResult { report, sources, diags, module, metrics }, sccs))
     }
 
-    /// Runs the three analysis phases over an already-lowered module.
-    ///
-    /// Failures inside the phases do not abort the run: contained panics
-    /// and exhausted budgets degrade the affected scopes conservatively
-    /// and surface as [`Degradation`] entries on the report (see
-    /// [`AnalysisReport::exit_code`]).
-    pub fn analyze_module(&self, module: &Module, diags: &mut Diagnostics) -> AnalysisReport {
-        self.run_phases(module, diags, Metrics::new(), self.deadline()).0
-    }
-
-    /// The run's one wall-clock deadline (the only machine-dependent
-    /// budget; determinism tests never set it), counted from the start of
-    /// the run: the frontend's time counts against it too.
-    fn deadline(&self) -> Option<std::time::Instant> {
-        let ms = self.config.budget.deadline_ms?;
-        Some(std::time::Instant::now() + std::time::Duration::from_millis(ms))
-    }
-
-    /// [`Analyzer::analyze_module`], recording into `metrics` (a fresh
-    /// registry per run) and returning its snapshot with the report.
+    /// The three analysis phases over the lowered module, recording into
+    /// `metrics` (a fresh registry per run) and returning its snapshot and
+    /// the run's summary table with the report.
     fn run_phases(
         &self,
         module: &Module,
         diags: &mut Diagnostics,
         metrics: Metrics,
         deadline: Option<std::time::Instant>,
-    ) -> (AnalysisReport, MetricsSnapshot) {
+        prior: &engine::SccTable,
+    ) -> (AnalysisReport, MetricsSnapshot, engine::SccTable) {
         metrics.add_many(Class::Counter, &[("module.functions", module.functions.len() as u64)]);
         // Region model + static InitCheck (§3.2.1).
         let regions = metrics.time("phase.regions", || {
@@ -519,12 +480,11 @@ impl Analyzer {
                 &cfgs,
                 &self.config,
                 &table,
-                &self.scc_table(),
+                prior,
                 deadline,
                 &metrics,
             ),
         });
-        *lock_recover(&self.sccs) = Arc::new(sccs);
         degradations.extend(results.degradations.iter().cloned());
 
         // Count every annotation fact bound anywhere in the module.
@@ -592,6 +552,6 @@ impl Analyzer {
                 ("report.degradations", report.degradations.len() as u64),
             ],
         );
-        (report, metrics.snapshot())
+        (report, metrics.snapshot(), sccs)
     }
 }

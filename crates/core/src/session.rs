@@ -1,19 +1,21 @@
 //! Multi-translation-unit analysis sessions with incremental re-analysis.
 //!
-//! An [`AnalysisSession`] wraps an [`Analyzer`] and (optionally) a
-//! persistent [`crate::store`] directory, and drives whole-program checks
-//! over a set of input files:
+//! An [`AnalysisSession`] wraps a stateless [`Analyzer`], the summary
+//! table of its last check and (optionally) a persistent [`crate::store`]
+//! directory, and drives whole-program checks over a set of input files.
+//! The session is the one place a summary table lives between runs:
 //!
 //! 1. **Exact replay** — when every input file, the root, and the
 //!    configuration hash to a stored manifest, the session replays the
 //!    stored report without parsing anything (`run == Replayed`, zero SCCs
 //!    re-analyzed).
 //! 2. **Incremental re-analysis** — otherwise the full pipeline runs
-//!    against the analyzer's summary table, which the store's per-SCC table
-//!    seeded when the session opened; unchanged SCCs hit, the dirty region
-//!    (edited SCCs plus their transitive dependents in the call graph)
-//!    recomputes, and the re-linked whole-program report is saved back
-//!    with the run's own table.
+//!    against the session's summary table (the store's per-SCC table when
+//!    the session opened, afterwards the last check's); unchanged SCCs hit,
+//!    the dirty region (edited SCCs plus their transitive dependents in the
+//!    call graph) recomputes, and the session keeps the run's own table and
+//!    saves it back with the re-linked whole-program report. A check that
+//!    returns an error leaves the table as it was.
 //!
 //! Replayed and analyzed runs produce byte-identical reports (stripped per
 //! the observability contract): the manifest stores the cold run's
@@ -22,17 +24,18 @@
 //! comparison strips by definition. Degraded runs (exit code ≥ 3) are
 //! never persisted, and an armed fault plan disables the store entirely.
 //!
-//! An analyzed check also times its report rendering (`report.render_ns`)
-//! and its store save (`store.save_ns`) next to the analyzer's phase
-//! timings, all in the volatile `timings_ns` section. Every check of a
+//! An analyzed check also times its report rendering (`report.render_ns`:
+//! the text, and the JSON subtree that both the document and the store
+//! entry take) and its store save (`store.save_ns`) next to the analyzer's
+//! phase timings, all in the volatile `timings_ns` section. Every check of a
 //! session with a store, analyzed or replayed, carries the time the session
 //! took to open and decode that store (`store.load_ns`).
 
+use crate::engine::SccTable;
 use crate::store::{config_hash, manifest_key, ReplayEntry, SummaryStore};
 use crate::{AnalysisConfig, AnalysisError, AnalysisResult, Analyzer, Json, MetricsSnapshot};
 use safeflow_syntax::VirtualFs;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// How a [`SessionOutcome`] was produced.
@@ -65,29 +68,33 @@ pub struct SessionOutcome {
     pub result: Option<AnalysisResult>,
 }
 
-/// A multi-file analysis session: an analyzer plus an optional persistent
-/// summary store. See the module docs for the incremental protocol.
+/// A multi-file analysis session: an analyzer, the last check's summary
+/// table, and an optional persistent summary store. See the module docs for
+/// the incremental protocol.
 #[derive(Debug)]
 pub struct AnalysisSession {
     analyzer: Analyzer,
+    /// The last analyzed check's summary table, or the store's until the
+    /// first one: the prior table of the next check.
+    sccs: SccTable,
     store: Option<SummaryStore>,
     /// Opening and decoding the store, and seeding the summary table from
     /// it.
     store_load_ns: Option<u64>,
     replay_enabled: bool,
-    strict: bool,
 }
 
 impl AnalysisSession {
-    /// A session without persistence: every check is a cold run (modulo
-    /// the analyzer's summary table, which each check hands to the next).
+    /// A session without persistence. Its first check starts from an empty
+    /// summary table; each later check reuses the summaries of the last
+    /// analyzed one.
     pub fn new(config: AnalysisConfig) -> AnalysisSession {
         AnalysisSession {
             analyzer: Analyzer::new(config),
+            sccs: SccTable::new(),
             store: None,
             store_load_ns: None,
             replay_enabled: true,
-            strict: false,
         }
     }
 
@@ -105,11 +112,10 @@ impl AnalysisSession {
         let t0 = Instant::now();
         let (store, sccs) = SummaryStore::open(dir)?;
         let mut session = AnalysisSession::new(config);
-        // Hand the stored table to the analyzer as its last run's: stale
-        // entries are keyed by content hashes that will simply never match
-        // again.
+        // The stored table is the first check's prior table: stale entries
+        // are keyed by content hashes that will simply never match again.
         if session.store_usable() {
-            session.analyzer.sccs = Arc::new(sccs).into();
+            session.sccs = sccs;
         }
         session.store = Some(store);
         session.store_load_ns = Some(t0.elapsed().as_nanos() as u64);
@@ -123,13 +129,6 @@ impl AnalysisSession {
         self.replay_enabled = on;
     }
 
-    /// In strict mode, degraded runs (exit codes 3/4) return
-    /// [`AnalysisError::Budget`] / [`AnalysisError::Fault`] instead of a
-    /// degraded outcome.
-    pub fn set_strict(&mut self, on: bool) {
-        self.strict = on;
-    }
-
     /// Sets (or clears) the wall-clock deadline for subsequent checks.
     ///
     /// This is the per-request deadline hook used by `safeflow serve`: a
@@ -139,7 +138,7 @@ impl AnalysisSession {
     /// persisted — so varying this between checks cannot defeat warm
     /// replay.
     pub fn set_deadline_ms(&mut self, ms: Option<u64>) {
-        self.analyzer.config_mut().budget.deadline_ms = ms;
+        self.analyzer.config.budget.deadline_ms = ms;
     }
 
     /// Whether another live process held the store's writer lock when this
@@ -179,10 +178,9 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::Parse`] when the input fails to parse or lower,
-    /// [`AnalysisError::Store`] when the store cannot be written, and in
-    /// strict mode [`AnalysisError::Budget`] / [`AnalysisError::Fault`]
-    /// for degraded runs.
+    /// [`AnalysisError::Parse`] when the input fails to parse or lower, and
+    /// [`AnalysisError::Store`] when the store cannot be written. Either
+    /// way the session's summary table stays as it was.
     pub fn check(&mut self, root: &str, fs: &VirtualFs) -> Result<SessionOutcome, AnalysisError> {
         let t0 = Instant::now();
         let usable = self.store_usable() && self.store.is_some() && !self.store_lock_busy();
@@ -210,11 +208,12 @@ impl AnalysisSession {
             }
         }
 
-        // 2. Full run over the store-seeded summary table.
-        let mut result = self.analyzer.analyze_program(root, fs)?;
+        // 2. Full run over the session's summary table.
+        let (mut result, sccs) = self.analyzer.run(root, fs, &self.sccs)?;
         let exit_code = result.report.exit_code();
         let render_start = Instant::now();
         let rendered = result.render();
+        let report = result.report.to_json(&result.sources);
         let render_ns = render_start.elapsed().as_nanos() as u64;
         let metrics = &mut result.metrics;
         metrics.timings_ns.insert("report.render_ns".to_string(), render_ns);
@@ -242,11 +241,11 @@ impl AnalysisSession {
                 let entry = ReplayEntry {
                     exit_code,
                     counters: metrics.counters.clone(),
-                    report_json: result.report.to_json(&result.sources).render(),
+                    report_json: report.render(),
                     rendered: rendered.clone(),
                     schema: result.report.schema().to_string(),
                 };
-                let stats = store.save(key, entry, &self.analyzer.scc_table())?;
+                let stats = store.save(key, entry, &sccs)?;
                 metrics.work.insert("store.sccs_saved".to_string(), stats.sccs_saved as u64);
                 metrics
                     .work
@@ -254,21 +253,16 @@ impl AnalysisSession {
                 let save_ns = save_start.elapsed().as_nanos() as u64;
                 metrics.timings_ns.insert("store.save_ns".to_string(), save_ns);
             }
-        } else if self.strict {
-            let degradations = result.report.degradations.clone();
-            return Err(if exit_code == 4 {
-                AnalysisError::Budget { degradations }
-            } else {
-                AnalysisError::Fault { degradations }
-            });
         }
+        self.sccs = sccs;
         metrics.timings_ns.insert("session.check_ns".to_string(), t0.elapsed().as_nanos() as u64);
 
+        let schema = result.report.schema();
         Ok(SessionOutcome {
             run: SessionRun::Analyzed,
             exit_code,
             rendered,
-            report_json: self.analyzer.report_json(&result),
+            report_json: self.analyzer.report_document(schema, exit_code, report, &result.metrics),
             metrics: result.metrics.clone(),
             result: Some(result),
         })

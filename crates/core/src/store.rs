@@ -12,8 +12,8 @@
 //! * **SCC summaries** — the last clean run's [`crate::engine::SccTable`]:
 //!   per-SCC function-summary vectors keyed by the engine's Merkle content
 //!   hashes ([`crate::engine::scc_hashes`]). [`SummaryStore::open`] hands
-//!   the decoded table to the session, whose analyzer reads it as its last
-//!   run's; when some inputs changed, unchanged SCCs hit and the dirty
+//!   the decoded table to the session, which owns it as the prior table of
+//!   its first check; when some inputs changed, unchanged SCCs hit and the dirty
 //!   region (the edited SCCs plus their transitive dependents, whose
 //!   chained hashes moved) recomputes. The store itself keeps only the
 //!   table's keys, for the load and invalidation counts.

@@ -7,9 +7,10 @@
 //! program whose SCC fan actually exercises concurrent scheduling) under
 //! both engines, several iterations per thread count.
 
-use safeflow::{AnalysisConfig, Analyzer, Engine};
+use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Engine};
 use safeflow_corpus::synthetic::{generate_wide, WideParams};
 use safeflow_corpus::{figure2_example, systems};
+use safeflow_syntax::VirtualFs;
 
 /// Every corpus program the suite locks down, as (name, source) pairs.
 fn corpus_programs() -> Vec<(String, String)> {
@@ -53,20 +54,22 @@ fn reports_are_identical_across_thread_counts() {
     }
 }
 
-/// Re-analysis on one `Analyzer` (warm summary cache) is also
-/// byte-identical to the cold run at every thread count.
+/// Re-analysis in one session (each check over the summary table of the
+/// last) is also byte-identical to the cold run at every thread count.
 #[test]
 fn warm_cache_reports_match_cold_at_every_thread_count() {
     for (file, src) in corpus_programs() {
         let reference = render(Engine::Summary, 1, &file, &src);
         for jobs in [1usize, 4, 8] {
-            let analyzer =
-                Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(jobs));
+            let mut session =
+                AnalysisSession::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(jobs));
+            let mut fs = VirtualFs::new();
+            fs.add(file.as_str(), src.as_str());
             for round in 0..3 {
-                let got = analyzer
-                    .analyze_source(&file, &src)
+                let got = session
+                    .check(&file, &fs)
                     .unwrap_or_else(|e| panic!("{file} must analyze: {e}"))
-                    .render();
+                    .rendered;
                 assert_eq!(got, reference, "{file} warm run diverged at jobs={jobs} round={round}");
             }
         }

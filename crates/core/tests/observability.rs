@@ -14,9 +14,12 @@
 //! the corpus produces (balanced quotes and braces — the diagnostics
 //! correctness sweep's property test).
 
-use safeflow::{AnalysisConfig, Analyzer, Engine, Json, MetricsSnapshot};
+use safeflow::{
+    AnalysisConfig, AnalysisSession, Analyzer, Engine, Json, MetricsSnapshot, SessionOutcome,
+};
 use safeflow_corpus::synthetic::{generate_wide, WideParams};
 use safeflow_corpus::{figure2_example, systems};
+use safeflow_syntax::VirtualFs;
 use std::collections::BTreeMap;
 
 /// Every corpus program the suite locks down, as (name, source) pairs.
@@ -39,6 +42,14 @@ fn run_once(engine: Engine, jobs: usize, file: &str, src: &str) -> MetricsSnapsh
         .analyze_source(file, src)
         .unwrap_or_else(|e| panic!("{file} must analyze: {e}"))
         .metrics
+}
+
+/// Checks the single file `file` holding `src` on `session`: a session's
+/// later checks run over the summary table its last check left (warm).
+fn check(session: &mut AnalysisSession, file: &str, src: &str) -> SessionOutcome {
+    let mut fs = VirtualFs::new();
+    fs.add(file, src);
+    session.check(file, &fs).unwrap_or_else(|e| panic!("{file} must analyze: {e}"))
 }
 
 /// The deterministic metric sections: (counters, work).
@@ -70,9 +81,10 @@ fn counters_and_work_metrics_identical_across_thread_counts() {
 #[test]
 fn warm_cache_preserves_counters_and_moves_work_to_hits() {
     for (file, src) in corpus_programs() {
-        let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(4));
-        let cold = analyzer.analyze_source(&file, &src).unwrap().metrics;
-        let warm = analyzer.analyze_source(&file, &src).unwrap().metrics;
+        let mut session =
+            AnalysisSession::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(4));
+        let cold = check(&mut session, &file, &src).metrics;
+        let warm = check(&mut session, &file, &src).metrics;
 
         assert_eq!(cold.counters, warm.counters, "{file}: counters must not move with cache state");
         assert_eq!(cold.work["summary.cache_hits"], 0, "{file}: first run cannot hit the cache");
@@ -151,11 +163,11 @@ fn report_json_identical_across_thread_counts() {
 #[test]
 fn report_json_identical_across_cache_states() {
     for (file, src) in corpus_programs() {
-        let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(4));
+        let mut session =
+            AnalysisSession::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(4));
         let docs: Vec<String> = (0..2)
             .map(|_| {
-                let result = analyzer.analyze_source(&file, &src).unwrap();
-                let mut doc = analyzer.report_json(&result);
+                let mut doc = check(&mut session, &file, &src).report_json;
                 strip(&mut doc, &["sched", "dist", "timings_ns", "work"], &["cache"]);
                 doc.render()
             })

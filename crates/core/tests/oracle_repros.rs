@@ -77,11 +77,11 @@ fn parallel_matches_reference_on_every_repro() {
 fn warm_cache_matches_reference_on_every_repro() {
     for (name, src) in repros() {
         let expected = stripped_doc(&reference_doc(&name, &src), true);
-        let analyzer = Analyzer::new(AnalysisConfig::reference());
+        let mut session = AnalysisSession::new(AnalysisConfig::reference());
         let fs = fs_of(&name, &src);
-        analyzer.analyze_program(&name, &fs).expect("cold run analyzes");
-        let warm = analyzer.analyze_program(&name, &fs).expect("warm run analyzes");
-        let actual = stripped_doc(&analyzer.report_json(&warm).render(), true);
+        session.check(&name, &fs).expect("cold run analyzes");
+        let warm = session.check(&name, &fs).expect("warm run analyzes");
+        let actual = stripped_doc(&warm.report_json.render(), true);
         assert_eq!(actual, expected, "{name} diverged on the cache-warm run");
     }
 }

@@ -6,17 +6,26 @@
 //! with a *known* set of unmonitored non-core reads and check the analyzer
 //! reports exactly those sites — under both engines.
 //!
-//! The summary cache rides the same generator: a cache-warm re-analysis
-//! must reproduce the cold report byte-for-byte with zero re-summarizations,
-//! counted by each run's own `summary.cache_*` work metrics.
+//! The summary cache rides the same generator: a cache-warm re-analysis —
+//! a session's second check, over the table its first check left — must
+//! reproduce the cold report byte-for-byte with zero re-summarizations,
+//! counted by each check's own `summary.cache_*` work metrics.
 
-use safeflow::{AnalysisConfig, AnalysisResult, Analyzer, Engine};
+use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Engine, SessionOutcome};
+use safeflow_syntax::VirtualFs;
 use safeflow_util::prop::{run_cases, Gen};
 
-/// The run's own summary-cache `(hits, misses)`, counted per function.
-fn cache_work(result: &AnalysisResult) -> (u64, u64) {
-    let work = &result.metrics.work;
+/// The check's own summary-cache `(hits, misses)`, counted per function.
+fn cache_work(outcome: &SessionOutcome) -> (u64, u64) {
+    let work = &outcome.metrics.work;
     (work["summary.cache_hits"], work["summary.cache_misses"])
+}
+
+/// Checks the single file `name` holding `src` on `session`.
+fn check(session: &mut AnalysisSession, name: &str, src: &str) -> SessionOutcome {
+    let mut fs = VirtualFs::new();
+    fs.add(name, src);
+    session.check(name, &fs).unwrap_or_else(|e| panic!("{name} must analyze: {e}"))
 }
 
 /// Shape of one generated access function.
@@ -219,14 +228,14 @@ fn cache_warm_reanalysis_is_identical_and_free() {
         let spec = gen_spec(g);
         let src = render_program(&spec);
         for jobs in [1, 4] {
-            let analyzer =
-                Analyzer::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(jobs));
-            let cold = analyzer.analyze_source("gen.c", &src).expect("cold analyzes");
+            let mut session =
+                AnalysisSession::new(AnalysisConfig::with_engine(Engine::Summary).with_jobs(jobs));
+            let cold = check(&mut session, "gen.c", &src);
             let (cold_hits, cold_misses) = cache_work(&cold);
             assert_eq!(cold_hits, 0, "first run over an empty cache has no hits");
             assert!(cold_misses > 0, "cold run must summarize something");
 
-            let warm = analyzer.analyze_source("gen.c", &src).expect("warm analyzes");
+            let warm = check(&mut session, "gen.c", &src);
             let (warm_hits, warm_misses) = cache_work(&warm);
             assert_eq!(
                 warm_misses, 0,
@@ -237,8 +246,7 @@ fn cache_warm_reanalysis_is_identical_and_free() {
                 "warm run must hit once per summarized function (jobs = {jobs})"
             );
             assert_eq!(
-                cold.render(),
-                warm.render(),
+                cold.rendered, warm.rendered,
                 "cache-warm report differs (jobs = {jobs}) on:\n{src}"
             );
         }
@@ -252,12 +260,13 @@ fn cache_warm_report_matches_ground_truth() {
     run_cases(48, |g| {
         let spec = gen_spec(g);
         let src = render_program(&spec);
-        let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary));
-        let _ = analyzer.analyze_source("gen.c", &src).expect("cold");
-        let warm = analyzer.analyze_source("gen.c", &src).expect("warm");
-        assert_eq!(warm.report.warnings.len(), expected_warnings(&spec), "{}", warm.render());
-        let has_total_error = warm.report.errors.iter().any(|e| e.critical == "total");
-        assert_eq!(has_total_error, expect_assert_error(&spec), "{}", warm.render());
+        let mut session = AnalysisSession::new(AnalysisConfig::with_engine(Engine::Summary));
+        check(&mut session, "gen.c", &src);
+        let warm = check(&mut session, "gen.c", &src);
+        let report = &warm.result.as_ref().expect("a storeless check analyzes").report;
+        assert_eq!(report.warnings.len(), expected_warnings(&spec), "{}", warm.rendered);
+        let has_total_error = report.errors.iter().any(|e| e.critical == "total");
+        assert_eq!(has_total_error, expect_assert_error(&spec), "{}", warm.rendered);
     });
 }
 
@@ -272,8 +281,8 @@ fn cache_invalidation_is_limited_to_the_mutated_chain() {
         int other(int x) { return x - 3; }
         int main() { return mid(4) + other(5); }
     "#;
-    let analyzer = Analyzer::new(AnalysisConfig::with_engine(Engine::Summary));
-    let run = |src: &str| cache_work(&analyzer.analyze_source("t.c", src).expect("analyzes"));
+    let mut session = AnalysisSession::new(AnalysisConfig::with_engine(Engine::Summary));
+    let mut run = |src: &str| cache_work(&check(&mut session, "t.c", src));
     assert_eq!(run(base), (0, 4), "four functions summarized cold");
 
     // Mutate a constant inside `leaf` (same byte length, so spans of the
@@ -288,7 +297,7 @@ fn cache_invalidation_is_limited_to_the_mutated_chain() {
     // Re-analyzing the edited program again is now fully warm.
     assert_eq!(run(&edited), (4, 0));
 
-    // The analyzer keeps what a store keeps — the last run's live table,
+    // The session keeps what a store keeps — the last run's live table,
     // not every summary it ever computed — so going back to `base`
     // replays only `other` and re-summarizes `base`'s own chain.
     assert_eq!(run(base), (1, 3), "only `other` survives from the edited run's table");

@@ -8,8 +8,9 @@
 //! * a corrupt/truncated store file degrades to a cold run (never a
 //!   panic, never a stale result);
 //! * a store-version mismatch invalidates everything;
-//! * degraded runs are never persisted, and strict mode turns them into
-//!   typed [`AnalysisError`] variants.
+//! * degraded runs are never persisted;
+//! * a session, store or not, hands its summary table from one check to
+//!   the next, and a failed check leaves it in place.
 
 use safeflow::{
     AnalysisConfig, AnalysisError, AnalysisSession, Engine, FaultKind, FaultPlan, FaultSite, Json,
@@ -369,16 +370,37 @@ fn degraded_runs_are_never_persisted_and_fault_plans_disable_the_store() {
     // The armed plan disables persistence wholesale: no store file exists.
     assert!(!dir.join("safeflow-store.bin").exists(), "degraded results must not be stored");
     assert_eq!(outcome.metrics.work.get("store.manifest_misses"), None);
-
-    // Strict mode surfaces the degradation as a typed error with the
-    // degradations attached.
-    let mut strict = AnalysisSession::with_store(degraded_config, &dir).unwrap();
-    strict.set_strict(true);
-    match strict.check("core.c", &fs) {
-        Err(AnalysisError::Budget { degradations, .. }) => assert!(!degradations.is_empty()),
-        other => panic!("expected AnalysisError::Budget, got {other:?}"),
-    }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A storeless session owns the summary table between checks: the second
+/// check of one program re-summarizes nothing and renders the same report,
+/// and a failed check leaves the table as it was — one that fails to parse,
+/// and one whose annotation error surfaces only after the phases have run.
+#[test]
+fn a_storeless_session_keeps_its_table_across_checks_and_failures() {
+    let fs = two_unit_fs(UTIL_C);
+    let mut unparsable = VirtualFs::new();
+    unparsable.add("bad.c", "int main( { return 0; }");
+    let mut bad_region = two_unit_fs(UTIL_C);
+    bad_region.add("core.c", CORE_C.replace("sizeof(SHMData))", "0)"));
+    let mut session = AnalysisSession::new(config(1));
+    let misses = |o: &safeflow::SessionOutcome| o.metrics.work["summary.cache_misses"];
+
+    let cold = session.check("core.c", &fs).unwrap();
+    assert!(misses(&cold) > 0, "the first check summarizes from an empty table");
+    let warm = session.check("core.c", &fs).unwrap();
+    assert_eq!(warm.run, SessionRun::Analyzed);
+    assert_eq!(misses(&warm), 0, "the second check reuses the first one's table");
+    assert_eq!(warm.rendered, cold.rendered);
+
+    for (root, failing) in [("bad.c", &unparsable), ("core.c", &bad_region)] {
+        let err = session.check(root, failing).unwrap_err();
+        assert!(matches!(err, AnalysisError::Parse { .. }), "{root}: {err}");
+        let after = session.check("core.c", &fs).unwrap();
+        assert_eq!(misses(&after), 0, "{root}: a failed check must leave the table in place");
+        assert_eq!(after.rendered, cold.rendered);
+    }
 }
 
 #[test]

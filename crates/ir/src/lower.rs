@@ -6,7 +6,7 @@
 //!    and function signatures are registered so that forward references
 //!    resolve and every direct call site can be bound to a [`FuncId`].
 //! 2. **Bodies**: each function body is lowered to a CFG. All locals start
-//!    as `Alloca` slots; [`crate::ssa::promote_to_ssa`] later promotes the
+//!    as `Alloca` slots; [`crate::ssa::promote_module`] later promotes the
 //!    address-never-taken scalars to φ-joined SSA values.
 //!
 //! `assert(safe(x))` annotations lower to [`InstKind::AssertSafe`] anchors;

@@ -14,23 +14,16 @@ use crate::dom::DomTree;
 use crate::module::*;
 use crate::types::Type;
 
-/// Promotes eligible allocas in every defined function of `module`.
-///
-/// Returns the total number of promoted slots.
-pub fn promote_module(module: &mut Module) -> usize {
-    let ids: Vec<FuncId> = module.definitions().collect();
-    let (mut graphs, mut scratch) = (Graphs::default(), Scratch::default());
-    ids.into_iter().map(|id| promote(module.function_mut(id), &mut graphs, &mut scratch)).sum()
-}
-
-/// Promotes eligible allocas in `func` to SSA values. Returns how many
-/// slots were promoted.
+/// Promotes eligible allocas in every defined function of `module` to SSA
+/// values. Returns the total number of promoted slots.
 ///
 /// An alloca is eligible when its type is scalar and its address is used
 /// *only* as the pointer operand of loads and stores — exactly the slots
 /// whose address never escapes.
-pub fn promote_to_ssa(func: &mut Function) -> usize {
-    promote(func, &mut Graphs::default(), &mut Scratch::default())
+pub fn promote_module(module: &mut Module) -> usize {
+    let ids: Vec<FuncId> = module.definitions().collect();
+    let (mut graphs, mut scratch) = (Graphs::default(), Scratch::default());
+    ids.into_iter().map(|id| promote(module.function_mut(id), &mut graphs, &mut scratch)).sum()
 }
 
 /// The CFG, dominator tree and dominance frontiers of the function being

@@ -4,9 +4,10 @@
 //! Sha — *Static Analysis to Enforce Safe Value Flow in Embedded Control
 //! Systems*, DSN 2006).
 //!
-//! The pipeline is: [`pp::preprocess`] (includes, object macros,
-//! conditionals) → [`lexer::lex`] (tokens, SafeFlow annotation comments) →
-//! [`parser::parse`] (AST with attached [`annot::Annotation`]s).
+//! The pipeline is: [`preprocess_program_jobs`] ([`lexer::lex`] over every
+//! file — tokens, SafeFlow annotation comments — then [`pp`]: includes,
+//! macros, conditionals) → [`parser::parse`] (AST with attached
+//! [`annot::Annotation`]s).
 //!
 //! # Examples
 //!
@@ -150,7 +151,7 @@ pub fn preprocess_program_jobs(main_name: &str, fs: &VirtualFs, jobs: usize) -> 
         .zip(lexed.into_iter().map(|r| r.unwrap_or_else(|p| panic!("{}", p.message))))
         .collect();
 
-    let tokens = pp::preprocess_with_cache(main_name, fs, &mut sources, &mut diags, &mut cache);
+    let tokens = pp::preprocess_with_cache(main_name, &mut sources, &mut diags, &mut cache);
     Preprocessed { tokens, sources, diags }
 }
 

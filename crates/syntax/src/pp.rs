@@ -112,29 +112,16 @@ pub(crate) struct LexedFile {
     pub(crate) diags: Option<Diagnostics>,
 }
 
-/// Runs the preprocessor on `main_name` (looked up in `fs`), returning the
-/// fully expanded token stream (ending in a single `Eof`).
+/// Runs the preprocessor on `main_name` over `cache`, the program's files
+/// pre-lexed by [`crate::preprocess_program_jobs`] (each with its
+/// registered `FileId`), returning the fully expanded token stream (ending
+/// in a single `Eof`). An `#include` of a file not in `cache` is diagnosed
+/// as not found; problems are reported to `diags`.
 ///
-/// All files touched are registered in `sources`; problems are reported to
-/// `diags`.
-pub fn preprocess(
-    main_name: &str,
-    fs: &VirtualFs,
-    sources: &mut SourceMap,
-    diags: &mut Diagnostics,
-) -> Vec<Token> {
-    let mut cache = HashMap::new();
-    preprocess_with_cache(main_name, fs, sources, diags, &mut cache)
-}
-
-/// [`preprocess`] over pre-lexed files: any file present in `cache` reuses
-/// its registered `FileId` and token stream instead of being re-lexed at
-/// inclusion time. This is the hook parallel translation-unit parsing uses
-/// — lexing happens on the worker pool, while inclusion/expansion order
-/// (and therefore diagnostic order) stays exactly sequential.
+/// Lexing happens on the worker pool, while inclusion/expansion order (and
+/// therefore diagnostic order) stays exactly sequential.
 pub(crate) fn preprocess_with_cache(
     main_name: &str,
-    fs: &VirtualFs,
     sources: &mut SourceMap,
     diags: &mut Diagnostics,
     cache: &mut HashMap<String, LexedFile>,
@@ -144,7 +131,6 @@ pub(crate) fn preprocess_with_cache(
     // growth or an unguarded re-inclusion outgrows it.
     let lexed: usize = cache.values().map(|f| f.tokens.len()).sum();
     let mut pp = Preprocessor {
-        fs,
         sources,
         diags,
         cache,
@@ -165,7 +151,6 @@ pub(crate) fn preprocess_with_cache(
 }
 
 struct Preprocessor<'a> {
-    fs: &'a VirtualFs,
     sources: &'a mut SourceMap,
     diags: &'a mut Diagnostics,
     cache: &'a mut HashMap<String, LexedFile>,
@@ -233,26 +218,17 @@ impl<'a> Preprocessor<'a> {
             self.diags.error(include_span, "#include nesting too deep");
             return;
         }
-        // A cached file reuses its pre-registered FileId and token stream
-        // (taken and restored around processing — tokens are `Copy` but the
-        // vector itself must survive repeated inclusion); an uncached file
-        // is registered and lexed here, as the sequential path always did.
-        let (tokens, cached) = match self.cache.get_mut(name) {
-            Some(f) => {
-                if let Some(d) = f.diags.take() {
-                    self.diags.append(d);
-                }
-                (std::mem::take(&mut f.tokens), true)
-            }
-            None => {
-                let Some(text) = self.fs.get(name) else {
-                    self.diags.error(include_span, format!("included file \"{name}\" not found"));
-                    return;
-                };
-                let file_id = self.sources.add_file(name, text);
-                (lex(file_id, text, self.diags), false)
-            }
+        // A file reuses its pre-registered FileId and token stream (taken
+        // and restored around processing — tokens are `Copy` but the vector
+        // itself must survive repeated inclusion).
+        let Some(f) = self.cache.get_mut(name) else {
+            self.diags.error(include_span, format!("included file \"{name}\" not found"));
+            return;
         };
+        if let Some(d) = f.diags.take() {
+            self.diags.append(d);
+        }
+        let tokens = std::mem::take(&mut f.tokens);
         self.include_stack.push(name.to_string());
 
         let mut conds: Vec<CondState> = Vec::new();
@@ -287,10 +263,8 @@ impl<'a> Preprocessor<'a> {
             self.diags.error(include_span, format!("unterminated #if/#ifdef in \"{name}\""));
         }
         self.include_stack.pop();
-        if cached {
-            if let Some(f) = self.cache.get_mut(name) {
-                f.tokens = tokens;
-            }
+        if let Some(f) = self.cache.get_mut(name) {
+            f.tokens = tokens;
         }
     }
 
@@ -973,10 +947,8 @@ mod tests {
         for (n, t) in files {
             fs.add(*n, *t);
         }
-        let mut sources = SourceMap::new();
-        let mut diags = Diagnostics::new();
-        let toks = preprocess(main, &fs, &mut sources, &mut diags);
-        (toks.into_iter().map(|t| t.kind).collect(), diags)
+        let pre = crate::preprocess_program_jobs(main, &fs, 1);
+        (pre.tokens.into_iter().map(|t| t.kind).collect(), pre.diags)
     }
 
     fn idents(toks: &[TokenKind]) -> Vec<String> {
