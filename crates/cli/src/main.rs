@@ -22,7 +22,8 @@
 
 use safeflow::{
     AnalysisConfig, AnalysisError, AnalysisSession, Analyzer, Budget, CriticalCall, Engine,
-    FaultKind, FaultPlan, FaultSite, ImplicitFlowMode, MetricsSnapshot, RecvSpec, SessionOutcome,
+    FaultKind, FaultPlan, FaultSite, ImplicitFlowMode, Json, MetricsSnapshot, RecvSpec,
+    SessionOutcome,
 };
 use safeflow_corpus::{systems, System};
 use safeflow_syntax::VirtualFs;
@@ -67,7 +68,7 @@ struct OutputOpts {
 /// stderr, then exit code 2 (unusable input).
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("safeflow: {msg}");
-    eprintln!("\n{USAGE}");
+    eprintln!("\n{USAGE}\n(run `safeflow --help` for the full option list)");
     ExitCode::from(2)
 }
 
@@ -78,10 +79,7 @@ fn run() -> ExitCode {
     let mut table1 = false;
     let mut fig2 = false;
     let mut out = OutputOpts::default();
-    let mut criticals: Vec<CriticalCall> = Vec::new();
-    let mut recvs: Vec<RecvSpec> = Vec::new();
     let mut store_dir: Option<String> = None;
-    let mut implicit_flow: Option<ImplicitFlowMode> = None;
 
     // `check` and `oracle` are subcommands: they must come first, before
     // any file.
@@ -134,46 +132,6 @@ fn run() -> ExitCode {
                     None => return usage_error("--store requires a directory argument"),
                 }
             }
-            "--critical-call" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--critical-call requires an argument (NAME:ARG[:LABEL])");
-                };
-                match parse_critical(spec) {
-                    Ok(c) => criticals.push(c),
-                    Err(e) => return usage_error(&format!("--critical-call: {e}")),
-                }
-            }
-            "--implicit-flow" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some(mode) => match ImplicitFlowMode::parse(mode) {
-                        Some(m) => implicit_flow = Some(m),
-                        None => {
-                            return usage_error(&format!(
-                                "unknown implicit-flow mode `{mode}` \
-                                 (use strict, taint-only, or report-separately)"
-                            ))
-                        }
-                    },
-                    None => {
-                        return usage_error(
-                            "--implicit-flow requires an argument \
-                             (strict, taint-only, or report-separately)",
-                        )
-                    }
-                }
-            }
-            "--recv" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    return usage_error("--recv requires an argument (NAME:SOCK_ARG:BUF_ARG)");
-                };
-                match parse_recv(spec) {
-                    Ok(r) => recvs.push(r),
-                    Err(e) => return usage_error(&format!("--recv: {e}")),
-                }
-            }
             "--help" | "-h" => {
                 print_help();
                 return ExitCode::SUCCESS;
@@ -199,24 +157,8 @@ fn run() -> ExitCode {
     // per-SCC store. An explicit `--engine context` still works (the
     // whole-program replay manifest is engine-agnostic).
     let default_engine = if check_mode { Engine::Summary } else { Engine::ContextSensitive };
-    let fault_plan = flags.fault_plan();
-    let mut builder = AnalysisConfig::builder()
-        .engine(flags.engine.unwrap_or(default_engine))
-        .jobs(flags.jobs)
-        .budget(flags.budget);
-    if let Some(mode) = implicit_flow {
-        builder = builder.implicit_flow(mode);
-    }
-    for call in criticals {
-        builder = builder.critical_call(call);
-    }
-    for spec in recvs {
-        builder = builder.recv_function(spec);
-    }
-    if let Some(plan) = fault_plan {
-        builder = builder.fault_plan(plan);
-    }
-    let config = builder.build_config();
+    let mut config = flags.config(default_engine);
+    config.fault_plan = flags.fault_plan();
 
     if store_dir.is_some() && !check_mode {
         return usage_error("--store only applies to the `check` subcommand");
@@ -237,13 +179,17 @@ fn run() -> ExitCode {
 }
 
 /// The analysis flags the plain CLI and `serve` share: `--engine`,
-/// `--jobs`/`-j`, `--budget`, `--inject` and `--fault-seed`.
+/// `--jobs`/`-j`, `--budget`, `--critical-call`, `--recv`,
+/// `--implicit-flow`, `--inject` and `--fault-seed`.
 #[derive(Debug)]
 struct AnalysisFlags {
     /// `None` leaves the choice to the caller's default engine.
     engine: Option<Engine>,
     jobs: usize,
     budget: Budget,
+    criticals: Vec<CriticalCall>,
+    recvs: Vec<RecvSpec>,
+    implicit_flow: Option<ImplicitFlowMode>,
     injects: Vec<(FaultSite, Option<u64>, FaultKind)>,
     fault_seed: Option<(u64, f64)>,
 }
@@ -254,6 +200,9 @@ impl Default for AnalysisFlags {
             engine: None,
             jobs: 1,
             budget: Budget::unlimited(),
+            criticals: Vec::new(),
+            recvs: Vec::new(),
+            implicit_flow: None,
             injects: Vec::new(),
             fault_seed: None,
         }
@@ -267,12 +216,7 @@ impl AnalysisFlags {
     /// its value is missing or malformed.
     fn parse(&mut self, args: &[String], i: &mut usize) -> Result<bool, ExitCode> {
         let flag = args[*i].as_str();
-        if !matches!(flag, "--engine" | "--jobs" | "-j" | "--budget" | "--inject" | "--fault-seed")
-        {
-            return Ok(false);
-        }
-        *i += 1;
-        let value = args.get(*i);
+        let value = args.get(*i + 1);
         let spec =
             |example: &str| value.ok_or_else(|| format!("{flag} requires an argument ({example})"));
         let parsed = match flag {
@@ -281,14 +225,52 @@ impl AnalysisFlags {
             "--budget" => spec("e.g. solver-steps=1000").and_then(|s| {
                 parse_budget(s, &mut self.budget).map_err(|e| format!("--budget: {e}"))
             }),
+            "--critical-call" => spec("NAME:ARG[:LABEL]")
+                .and_then(|s| parse_critical(s).map_err(|e| format!("--critical-call: {e}")))
+                .map(|call| self.criticals.push(call)),
+            "--recv" => spec("NAME:SOCK_ARG:BUF_ARG")
+                .and_then(|s| parse_recv(s).map_err(|e| format!("--recv: {e}")))
+                .map(|recv| self.recvs.push(recv)),
+            "--implicit-flow" => spec("strict, taint-only, or report-separately")
+                .and_then(|m| {
+                    ImplicitFlowMode::parse(m).ok_or_else(|| {
+                        format!(
+                            "unknown implicit-flow mode `{m}` \
+                             (use strict, taint-only, or report-separately)"
+                        )
+                    })
+                })
+                .map(|mode| self.implicit_flow = Some(mode)),
             "--inject" => spec("SITE[:KEY][:KIND]")
                 .and_then(|s| parse_inject(s).map_err(|e| format!("--inject: {e}")))
                 .map(|rule| self.injects.push(rule)),
-            _ => spec("SEED[:RATE]")
+            "--fault-seed" => spec("SEED[:RATE]")
                 .and_then(|s| parse_fault_seed(s).map_err(|e| format!("--fault-seed: {e}")))
                 .map(|sr| self.fault_seed = Some(sr)),
+            _ => return Ok(false),
         };
+        *i += 1;
         parsed.map(|()| true).map_err(|e| usage_error(&e))
+    }
+
+    /// The analysis configuration these flags describe, with
+    /// `default_engine` unless `--engine` chose one. It carries no fault
+    /// plan: the caller decides where `--inject` sites apply.
+    fn config(&self, default_engine: Engine) -> AnalysisConfig {
+        let mut builder = AnalysisConfig::builder()
+            .engine(self.engine.unwrap_or(default_engine))
+            .jobs(self.jobs)
+            .budget(self.budget.clone());
+        if let Some(mode) = self.implicit_flow {
+            builder = builder.implicit_flow(mode);
+        }
+        for call in &self.criticals {
+            builder = builder.critical_call(call.clone());
+        }
+        for spec in &self.recvs {
+            builder = builder.recv_function(spec.clone());
+        }
+        builder.build_config()
     }
 
     /// The fault plan `--inject` and `--fault-seed` describe, if either
@@ -366,11 +348,6 @@ fn run_check(
         },
         None => AnalysisSession::new(config),
     };
-    // DOT output needs a lowered module, which a replayed run never
-    // builds; keep the summary seeding, skip the manifest shortcut.
-    if out.dot {
-        session.set_replay(false);
-    }
     match check(&mut session) {
         Ok(outcome) => {
             if out.format_json {
@@ -379,9 +356,7 @@ fn run_check(
                 print!("{}", outcome.rendered);
             }
             if out.dot {
-                if let Some(result) = &outcome.result {
-                    emit_dot(result);
-                }
+                emit_dot(&outcome.report_json);
             }
             print_metrics(&outcome.metrics, out);
             ExitCode::from(outcome.exit_code)
@@ -573,20 +548,13 @@ const USAGE: &str = "USAGE:\n\
      \x20 safeflow serve [--listen ADDR] [--store DIR] [--watch[=MS]] ...\n\
      \x20 safeflow serve --connect ADDR FILE.c ... | --ping | --shutdown\n\
      \x20 safeflow oracle --seeds A..B [--minimize] [--repro-dir DIR] [--jobs N]\n\
-     \x20 safeflow --table1 | --fig2\n\
-     (run `safeflow --help` for the full option list)";
+     \x20 safeflow --table1 | --fig2";
 
 fn print_help() {
     println!(
         "safeflow — static analysis enforcing safe value flow (DSN 2006)\n\
          \n\
-         USAGE:\n\
-         \x20 safeflow [OPTIONS] FILE.c [FILE2.c ...]\n\
-         \x20 safeflow check [OPTIONS] FILE.c [FILE2.c ...] [--store DIR]\n\
-         \x20 safeflow serve [--listen ADDR] [--store DIR] [--watch[=MS]] ...\n\
-         \x20 safeflow serve --connect ADDR FILE.c ... | --ping | --shutdown\n\
-         \x20 safeflow oracle --seeds A..B [--minimize] [--repro-dir DIR] [--jobs N]\n\
-         \x20 safeflow --table1 | --fig2\n\
+         {USAGE}\n\
          \n\
          The `check` subcommand runs an incremental session: with --store,\n\
          prior per-SCC summaries are loaded from DIR, only changed SCCs\n\
@@ -595,12 +563,16 @@ fn print_help() {
          `check` defaults to the summary engine.\n\
          \n\
          The `serve` subcommand keeps analysis sessions resident in a\n\
-         loopback daemon so repeat checks answer at warm-path latency:\n\
+         loopback daemon so repeat checks answer at warm-path latency.\n\
+         It takes --engine (default: summary), --jobs, --budget,\n\
+         --critical-call, --recv and --implicit-flow as under OPTIONS, plus:\n\
          \x20 --listen ADDR:PORT      bind address (default 127.0.0.1:0)\n\
          \x20 --port-file PATH        write the bound address atomically\n\
-         \x20 --workers N             request workers (default 2)\n\
-         \x20 --queue N               admission queue bound (default 32);\n\
-         \x20                         a full queue sheds with `Overloaded`\n\
+         \x20 --workers N             checks that run at once (default 2);\n\
+         \x20                         each runs on its client's connection\n\
+         \x20 --queue N               checks that may wait to start\n\
+         \x20                         (default 32); one more sheds with\n\
+         \x20                         `Overloaded`\n\
          \x20 --deadline-ms N         default per-request deadline; overruns\n\
          \x20                         degrade (exit-4 path), never hang\n\
          \x20 --io-timeout-ms N       socket timeout / slow-client guard\n\
@@ -675,12 +647,20 @@ fn print_metrics(metrics: &MetricsSnapshot, out: &OutputOpts) {
     }
 }
 
-/// Prints one DOT digraph per reported error (the paper's value-flow graph
-/// triage aid, §4).
-fn emit_dot(result: &safeflow::AnalysisResult) {
-    for (i, e) in result.report.errors.iter().enumerate() {
-        println!("// value-flow graph {} for critical `{}`", i + 1, e.critical);
-        print!("{}", safeflow::flowgraph::error_to_dot(e, &result.sources));
+/// Prints one DOT digraph per error of a report document (the paper's
+/// value-flow graph triage aid, §4).
+fn emit_dot(document: &Json) {
+    let errors = match document.get("report").and_then(|r| r.get("errors")) {
+        Some(Json::Arr(errors)) => errors.as_slice(),
+        _ => &[],
+    };
+    for (i, e) in errors.iter().enumerate() {
+        let critical = match e.get("critical") {
+            Some(Json::Str(c)) => c.as_str(),
+            _ => "",
+        };
+        println!("// value-flow graph {} for critical `{critical}`", i + 1);
+        print!("{}", safeflow::flowgraph::error_to_dot(e));
     }
 }
 

@@ -1,13 +1,13 @@
 //! The `serve` subcommand: run (or talk to) the resident analysis daemon.
 //!
 //! Daemon mode binds a loopback socket and serves check requests until a
-//! shutdown frame or SIGTERM/SIGINT, draining the admission queue before
+//! shutdown frame or SIGTERM/SIGINT, answering every admitted check before
 //! exiting. Client mode (`--connect`) sends one request to a running
 //! daemon and maps its response status back onto the CLI exit-code
 //! contract.
 
 use crate::{usage_error, AnalysisFlags};
-use safeflow::{AnalysisConfig, Engine, FaultSite};
+use safeflow::{Engine, FaultSite};
 use safeflow_serve::{Client, Daemon, ServeOptions, Status};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -181,21 +181,15 @@ pub fn run_serve(args: &[String]) -> ExitCode {
              (engine sites would disable the resident store)",
         );
     }
-    let fault_plan = flags.fault_plan();
-    let analysis = AnalysisConfig::builder()
-        .engine(flags.engine.unwrap_or(Engine::Summary))
-        .jobs(flags.jobs)
-        .budget(flags.budget)
-        .build_config();
     let opts = ServeOptions {
-        analysis,
+        analysis: flags.config(Engine::Summary),
         store_dir: store_dir.map(std::path::PathBuf::from),
         workers,
         queue_capacity: queue,
         default_deadline_ms: deadline_ms,
         io_timeout_ms,
         watch_poll_ms,
-        fault_plan,
+        fault_plan: flags.fault_plan(),
     };
 
     install_term_handler();

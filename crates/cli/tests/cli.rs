@@ -122,6 +122,58 @@ fn dot_flag_emits_graphviz() {
 }
 
 #[test]
+fn dot_is_drawn_from_a_replayed_run_too() {
+    let dir = std::env::temp_dir().join(format!("safeflow_cli_dot_replay_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("kill.c");
+    std::fs::write(
+        &path,
+        r#"
+        typedef struct { int pid; } Ctl;
+        Ctl *nc;
+        void *shmat(int a, void *b, int c);
+        void kill(int pid, int sig);
+        void init(void)
+        /** SafeFlow Annotation shminit */
+        {
+            nc = (Ctl *) shmat(0, 0, 0);
+            /** SafeFlow Annotation
+                assume(shmvar(nc, sizeof(Ctl)))
+                assume(noncore(nc))
+            */
+        }
+        int main() { int pid; init(); pid = nc->pid; kill(pid, 9); return 0; }
+        "#,
+    )
+    .unwrap();
+    let store = dir.join("store");
+    let run = || {
+        let out = safeflow()
+            .arg("check")
+            .arg(&path)
+            .arg("--store")
+            .arg(&store)
+            .args(["--dot", "--metrics=json"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+        // The report, then the DOT graphs, then the metrics document.
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let (report, metrics) = text.split_once("\n{\n").expect("a metrics document");
+        let dot = &report[report.find("// value-flow graph").expect("a DOT graph")..];
+        (dot.to_string(), metrics.to_string())
+    };
+    let (cold_dot, cold_metrics) = run();
+    let (warm_dot, warm_metrics) = run();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(cold_metrics.contains("\"store.manifest_hits\": 0"), "{cold_metrics}");
+    assert!(warm_metrics.contains("\"store.manifest_hits\": 1"), "{warm_metrics}");
+    assert!(cold_dot.contains("digraph valueflow") && cold_dot.contains("n0 -> n1"), "{cold_dot}");
+    assert_eq!(warm_dot, cold_dot, "a replayed run draws the same graphs");
+}
+
+#[test]
 fn unknown_flag_exits_2_and_prints_usage() {
     let out = safeflow().arg("--bogus").output().expect("runs");
     assert_eq!(out.status.code(), Some(2));

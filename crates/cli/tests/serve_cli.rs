@@ -160,3 +160,54 @@ fn engine_mode_rejects_serve_fault_sites() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("serve"), "{err}");
 }
+
+#[test]
+fn serve_takes_the_analysis_flags_of_check() {
+    let tmp = Temp::new("flags");
+    let prog = tmp.root.join("reboot.c");
+    // The mode argument of `reboot` is critical only under the flag.
+    std::fs::write(
+        &prog,
+        r#"
+        typedef struct { int mode; } SHMData;
+        SHMData *noncoreCtrl;
+        void *shmat(int shmid, void *addr, int flags);
+        void reboot(int magic, int mode);
+
+        void initComm(void)
+        /** SafeFlow Annotation shminit */
+        {
+            noncoreCtrl = (SHMData *) shmat(0, 0, 0);
+            /** SafeFlow Annotation
+                assume(shmvar(noncoreCtrl, sizeof(SHMData)))
+                assume(noncore(noncoreCtrl))
+            */
+        }
+
+        int main() {
+            int mode;
+            initComm();
+            mode = noncoreCtrl->mode;
+            reboot(0, mode);
+            return 0;
+        }
+        "#,
+    )
+    .unwrap();
+    let flag = ["--critical-call", "reboot:1"];
+    let one_shot = safeflow().arg("check").args(flag).arg(&prog).output().expect("one-shot runs");
+    assert_eq!(one_shot.status.code(), Some(2), "the flag makes `reboot:arg1` an error");
+
+    let (mut daemon, addr) = spawn_daemon(&tmp, &flag);
+    let via_daemon =
+        safeflow().args(["serve", "--connect", &addr]).arg(&prog).output().expect("client runs");
+    assert_eq!(via_daemon.status.code(), one_shot.status.code(), "exit codes must agree");
+    assert_eq!(
+        String::from_utf8_lossy(&via_daemon.stdout),
+        String::from_utf8_lossy(&one_shot.stdout),
+        "daemon-served report must be byte-identical to one-shot check"
+    );
+    let down = safeflow().args(["serve", "--connect", &addr, "--shutdown"]).output().unwrap();
+    assert_eq!(down.status.code(), Some(0), "{}", String::from_utf8_lossy(&down.stderr));
+    assert!(daemon.wait().expect("daemon exits").success());
+}

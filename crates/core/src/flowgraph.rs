@@ -4,13 +4,17 @@
 //! flow graphs manually" (§1) and that false positives are "manually
 //! identified with the aid of the value flow graphs representing the flow
 //! of values from unmonitored non-core values to the critical data" (§4).
-//! This module renders those graphs — per error as Graphviz DOT, and a
-//! plain-text digest of all flows in a report.
+//! This module renders those graphs, one Graphviz DOT digraph per error,
+//! from the report document, so a replayed run draws them as well as an
+//! analyzed one.
 
-use crate::report::{AnalysisReport, ErrorDependency};
-use safeflow_syntax::source::SourceMap;
+use crate::Json;
 
-/// Renders one error's value-flow path as a Graphviz DOT digraph.
+/// Renders one error's value-flow path as a Graphviz DOT digraph. `error`
+/// is one element of the `errors` array of a report's JSON form
+/// ([`crate::AnalysisReport::to_json`], the `report` member of the report
+/// document): its `critical`, `function` and `flow` members (each flow
+/// step a `what` and a `location`) are drawn.
 ///
 /// # Examples
 ///
@@ -44,22 +48,31 @@ use safeflow_syntax::source::SourceMap;
 /// let result = Analyzer::new(AnalysisConfig::default())
 ///     .analyze_source("t.c", src)
 ///     .unwrap();
-/// let dot = error_to_dot(&result.report.errors[0], &result.sources);
+/// let report = result.report.to_json(&result.sources);
+/// let Some(safeflow::Json::Arr(errors)) = report.get("errors") else { panic!() };
+/// let dot = error_to_dot(&errors[0]);
 /// assert!(dot.starts_with("digraph"));
 /// assert!(dot.contains("->"));
 /// ```
-pub fn error_to_dot(error: &ErrorDependency, sources: &SourceMap) -> String {
+pub fn error_to_dot(error: &Json) -> String {
     let mut out = String::from("digraph valueflow {\n");
     out.push_str("  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n");
-    let path = error.flow.as_ref().map(|f| f.path()).unwrap_or_default();
+    let path = match error.get("flow") {
+        Some(Json::Arr(steps)) => steps.as_slice(),
+        _ => &[],
+    };
     if path.is_empty() {
         out.push_str(&format!(
             "  sink [label=\"{}\", style=filled, fillcolor=\"#ffdddd\"];\n",
-            escape(&format!("critical `{}` in `{}`", error.critical, error.function))
+            escape(&format!(
+                "critical `{}` in `{}`",
+                str_member(error, "critical"),
+                str_member(error, "function")
+            ))
         ));
     }
-    for (i, (what, span)) in path.iter().enumerate() {
-        let loc = sources.describe(*span);
+    for (i, step) in path.iter().enumerate() {
+        let (what, loc) = (str_member(step, "what"), str_member(step, "location"));
         let color = if i == 0 {
             ", style=filled, fillcolor=\"#ffeecc\"" // source
         } else if i + 1 == path.len() {
@@ -67,7 +80,7 @@ pub fn error_to_dot(error: &ErrorDependency, sources: &SourceMap) -> String {
         } else {
             ""
         };
-        out.push_str(&format!("  n{i} [label=\"{}\\n{}\"{color}];\n", escape(what), escape(&loc)));
+        out.push_str(&format!("  n{i} [label=\"{}\\n{}\"{color}];\n", escape(what), escape(loc)));
         if i > 0 {
             out.push_str(&format!("  n{} -> n{};\n", i - 1, i));
         }
@@ -76,27 +89,12 @@ pub fn error_to_dot(error: &ErrorDependency, sources: &SourceMap) -> String {
     out
 }
 
-/// Plain-text digest of every error's flow in a report, for terminal triage.
-pub fn report_flows(report: &AnalysisReport, sources: &SourceMap) -> String {
-    let mut out = String::new();
-    for (i, e) in report.errors.iter().enumerate() {
-        out.push_str(&format!(
-            "[{}] critical `{}` in `{}` ({:?})\n",
-            i + 1,
-            e.critical,
-            e.function,
-            e.kind
-        ));
-        match &e.flow {
-            Some(flow) => {
-                for (what, span) in flow.path() {
-                    out.push_str(&format!("      {} [{}]\n", what, sources.describe(span)));
-                }
-            }
-            None => out.push_str("      (no recorded path)\n"),
-        }
+/// The string member `key` of a JSON object, or `""`.
+fn str_member<'a>(obj: &'a Json, key: &str) -> &'a str {
+    match obj.get(key) {
+        Some(Json::Str(s)) => s,
+        _ => "",
     }
-    out
 }
 
 /// Escapes a string for use inside a double-quoted DOT label: backslash,
@@ -148,22 +146,21 @@ mod tests {
         }
     "#;
 
+    /// The DOT of the first error in `SRC`'s report.
+    fn first_error_dot() -> String {
+        let result = Analyzer::new(AnalysisConfig::default()).analyze_source("t.c", SRC).unwrap();
+        let report = result.report.to_json(&result.sources);
+        let Some(Json::Arr(errors)) = report.get("errors") else { panic!("no errors array") };
+        error_to_dot(&errors[0])
+    }
+
     #[test]
     fn dot_contains_source_and_sink() {
-        let result = Analyzer::new(AnalysisConfig::default()).analyze_source("t.c", SRC).unwrap();
-        let dot = error_to_dot(&result.report.errors[0], &result.sources);
+        let dot = first_error_dot();
         assert!(dot.contains("digraph valueflow"));
         assert!(dot.contains("non-core"), "{dot}");
         assert!(dot.contains("assert(safe(out))"), "{dot}");
         assert!(dot.contains("n0 -> n1"));
-    }
-
-    #[test]
-    fn report_flows_lists_every_error() {
-        let result = Analyzer::new(AnalysisConfig::default()).analyze_source("t.c", SRC).unwrap();
-        let text = report_flows(&result.report, &result.sources);
-        assert!(text.contains("[1] critical `out`"));
-        assert!(text.contains("unmonitored read"));
     }
 
     /// Counts quote characters that actually delimit strings, honoring
@@ -187,8 +184,7 @@ mod tests {
     #[test]
     fn dot_escapes_quotes() {
         // Labels contain backtick-quoted names; ensure output stays valid.
-        let result = Analyzer::new(AnalysisConfig::default()).analyze_source("t.c", SRC).unwrap();
-        let dot = error_to_dot(&result.report.errors[0], &result.sources);
+        let dot = first_error_dot();
         // No raw unescaped quote inside a label.
         for line in dot.lines() {
             assert!(delimiter_quotes(line).is_multiple_of(2), "unbalanced quotes in {line}");

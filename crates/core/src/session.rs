@@ -81,7 +81,6 @@ pub struct AnalysisSession {
     /// Opening and decoding the store, and seeding the summary table from
     /// it.
     store_load_ns: Option<u64>,
-    replay_enabled: bool,
 }
 
 impl AnalysisSession {
@@ -94,7 +93,6 @@ impl AnalysisSession {
             sccs: SccTable::new(),
             store: None,
             store_load_ns: None,
-            replay_enabled: true,
         }
     }
 
@@ -120,13 +118,6 @@ impl AnalysisSession {
         session.store = Some(store);
         session.store_load_ns = Some(t0.elapsed().as_nanos() as u64);
         Ok(session)
-    }
-
-    /// Disables (or re-enables) whole-program manifest replay; stored
-    /// summaries are still reused. Used when the caller needs a real
-    /// [`AnalysisResult`] every time (e.g. `--dot` output).
-    pub fn set_replay(&mut self, on: bool) {
-        self.replay_enabled = on;
     }
 
     /// Sets (or clears) the wall-clock deadline for subsequent checks.
@@ -194,17 +185,15 @@ impl AnalysisSession {
         });
 
         // 1. Exact whole-program replay.
-        if self.replay_enabled {
-            if let (Some(key), Some(store)) = (key, self.store.as_ref()) {
-                if let Some(entry) = store.manifest(key) {
-                    if let Ok(report) = Json::parse(&entry.report_json) {
-                        return Ok(self.replay(entry.clone(), report, t0));
-                    }
-                    // A stored subtree that fails to re-parse means the
-                    // entry is unusable; fall through to a full run that
-                    // will overwrite it. (Unreachable in practice — the
-                    // file is checksummed — but never trust the disk.)
+        if let (Some(key), Some(store)) = (key, self.store.as_ref()) {
+            if let Some(entry) = store.manifest(key) {
+                if let Ok(report) = Json::parse(&entry.report_json) {
+                    return Ok(self.replay(entry.clone(), report, t0));
                 }
+                // A stored subtree that fails to re-parse means the
+                // entry is unusable; fall through to a full run that
+                // will overwrite it. (Unreachable in practice — the
+                // file is checksummed — but never trust the disk.)
             }
         }
 

@@ -223,9 +223,14 @@ fn error_to_dot_is_well_formed_for_every_corpus_error() {
         for engine in [Engine::ContextSensitive, Engine::Summary] {
             let analyzer = Analyzer::new(AnalysisConfig::with_engine(engine));
             let result = analyzer.analyze_source(&file, &src).unwrap();
-            for e in &result.report.errors {
+            let report = result.report.to_json(&result.sources);
+            let Some(Json::Arr(errors)) = report.get("errors") else {
+                panic!("{file} ({engine:?}): the report has no errors array")
+            };
+            assert_eq!(errors.len(), result.report.errors.len());
+            for e in errors {
                 errors_seen += 1;
-                let dot = safeflow::flowgraph::error_to_dot(e, &result.sources);
+                let dot = safeflow::flowgraph::error_to_dot(e);
                 assert!(
                     dot.starts_with("digraph "),
                     "{file} ({engine:?}): DOT must start with a digraph header:\n{dot}"

@@ -87,8 +87,8 @@ impl Client {
         self.round_trip(&Request::Metrics)
     }
 
-    /// Requests a graceful drain; the response arrives after the queue
-    /// empties.
+    /// Requests a graceful drain; the response arrives once no admitted
+    /// check waits or runs.
     ///
     /// # Errors
     ///

@@ -1,37 +1,44 @@
 //! The resident analysis daemon.
 //!
-//! One [`Daemon`] owns a TCP listener (loopback), a bounded admission
-//! queue, a pool of request workers, and a map of per-root resident
-//! [`AnalysisSession`]s. The robustness contract, piece by piece:
+//! One [`Daemon`] owns a TCP listener (loopback), one admission gate, and
+//! a map of per-root resident [`AnalysisSession`]s. Each connection has its
+//! own thread, and a check runs on the thread that received it: the gate
+//! (one mutex, one condvar) decides when it may start. A check is admitted
+//! with a ticket, waits until its ticket is next and fewer than `workers`
+//! checks run, runs, and answers. Watch re-checks pass the same gate on the
+//! watch thread. The robustness contract, piece by piece:
 //!
 //! * **Deadlines** — every check carries a deadline (its own or the server
-//!   default). Expiry *in the queue* answers [`Status::Timeout`] without
-//!   running; expiry *mid-run* rides PR 2's budget machinery (the session
-//!   deadline is set to the remaining time), so the analysis degrades
-//!   conservatively to exit code 4 instead of hanging.
-//! * **Backpressure** — the admission queue is bounded; a full queue
-//!   answers [`Status::Overloaded`] immediately. The daemon sheds load,
-//!   it never buffers without bound.
-//! * **Coalescing** — concurrent checks of identical inputs (same stable
-//!   request hash) attach to the in-flight leader and share its result;
-//!   followers are marked [`RunKind::Coalesced`].
+//!   default). A deadline that passes *before the check's turn* answers
+//!   [`Status::Timeout`] without running; expiry *mid-run* rides the
+//!   budget machinery (the session deadline is set to the remaining time),
+//!   so the analysis degrades conservatively to exit code 4 instead of
+//!   hanging.
+//! * **Backpressure** — at most `queue_capacity` admitted checks wait for
+//!   their turn; one more answers [`Status::Overloaded`] immediately. The
+//!   daemon sheds load, it never buffers without bound.
+//! * **Coalescing** — a check whose inputs match (same stable request hash)
+//!   a waiting, not yet started check attaches to it and shares its
+//!   result; followers are marked [`RunKind::Coalesced`]. A leader stops
+//!   taking followers when it starts, so no follower is answered from
+//!   files read before it arrived.
 //! * **Panic isolation** — each request runs under `catch_unwind`. A
 //!   poisoned request answers status 3 (the exit-code contract's
 //!   "internal error") and the affected session is discarded; the store's
 //!   clean state survives, so the next request for that root warms back
 //!   up from disk.
-//! * **Crash safety** — sessions persist through the PR 4 store (atomic
+//! * **Crash safety** — sessions persist through the summary store (atomic
 //!   temp-file + rename writes, checksummed reads, advisory writer lock).
 //!   A SIGKILLed daemon leaves nothing torn: the OS drops the lock, a new
 //!   daemon replays warm from the store.
 //! * **Graceful drain** — a [`Request::Shutdown`] frame (or the CLI's
 //!   SIGTERM handler calling [`DaemonHandle::begin_shutdown`]) stops
-//!   admission, finishes the queue, answers the shutdown request, and
-//!   exits with a final metrics snapshot.
+//!   admission, waits until no admitted check waits or runs, answers the
+//!   shutdown request, and exits with a final metrics snapshot.
 //! * **Watch mode** — with a poll interval configured, roots registered by
-//!   [`Request::CheckPaths`] are re-checked through the same admission
-//!   queue whenever an input file's mtime or length moves, keeping the
-//!   store warm so the next client request replays.
+//!   [`Request::CheckPaths`] are re-checked through the same gate whenever
+//!   an input file's mtime or length moves, keeping the store warm so the
+//!   next client request replays.
 
 use crate::proto::{self, Request, Response, RunKind, Status};
 use safeflow::{AnalysisConfig, AnalysisSession, SessionRun};
@@ -40,13 +47,12 @@ use safeflow_util::fault::{FaultKind, FaultPlan, FaultSite};
 use safeflow_util::hash::Fnv64;
 use safeflow_util::metrics::{Class, Metrics, MetricsSnapshot};
 use safeflow_util::pool::{lock_recover, panic_message};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::Hasher;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Configuration for a [`Daemon`].
@@ -61,10 +67,12 @@ pub struct ServeOptions {
     /// subdirectory. `None` = memory-only sessions (still warm across
     /// requests, cold across restarts).
     pub store_dir: Option<PathBuf>,
-    /// Request-execution worker threads (distinct from the analysis
-    /// config's `jobs`, which sizes the per-run SCC pool).
+    /// Checks that run at once, each on the thread of the connection that
+    /// sent it (distinct from the analysis config's `jobs`, which sizes
+    /// the per-run SCC pool).
     pub workers: usize,
-    /// Admission-queue capacity; a full queue sheds with `Overloaded`.
+    /// Admitted checks that may wait to start; one more sheds with
+    /// `Overloaded`.
     pub queue_capacity: usize,
     /// Default per-request deadline (ms); `None` = no deadline unless the
     /// request carries one.
@@ -124,26 +132,20 @@ pub fn paths_key(paths: &[String]) -> u64 {
     h.finish()
 }
 
-/// One queued check request.
-struct Job {
-    /// Stable coalescing hash of the request contents.
-    key: u64,
-    kind: CheckKind,
-    /// Absolute queue deadline, if any.
-    deadline: Option<Instant>,
-    /// Milliseconds granted (for the mid-run budget handoff).
-    deadline_ms: Option<u64>,
-    enqueued: Instant,
-    /// Response channels: the leader first, coalesced followers after.
-    /// Empty for internal (watch) re-checks.
-    waiters: Vec<std::sync::mpsc::Sender<Response>>,
-}
-
-/// What a job analyzes.
-#[derive(Clone)]
+/// What a check analyzes.
 enum CheckKind {
     Inline { root: String, files: Vec<(String, String)> },
     Paths { paths: Vec<String> },
+}
+
+impl CheckKind {
+    /// The stable coalescing key.
+    fn key(&self) -> u64 {
+        match self {
+            CheckKind::Inline { root, files } => inline_key(root, files),
+            CheckKind::Paths { paths } => paths_key(paths),
+        }
+    }
 }
 
 /// A root registered for watch-mode re-checking: its paths and the
@@ -153,30 +155,35 @@ struct WatchedRoot {
     fingerprints: Vec<Option<(SystemTime, u64)>>,
 }
 
-/// Queue + lifecycle state shared by every daemon thread.
+/// State shared by every daemon thread.
 struct Shared {
     opts: ServeOptions,
-    queue: Mutex<QueueState>,
-    /// Signaled on enqueue and on shutdown.
-    work: Condvar,
-    /// Signaled when the queue drains during shutdown.
-    drained: Condvar,
-    shutting_down: AtomicBool,
+    gate: Mutex<Gate>,
+    /// Signaled whenever a check starts or finishes.
+    gate_changed: Condvar,
     metrics: Metrics,
     /// root name → its resident session, created lazily. The per-entry
     /// mutex serializes concurrent checks of the same root; different
     /// roots analyze concurrently.
     sessions: Mutex<HashMap<String, Arc<Mutex<AnalysisSession>>>>,
-    /// Live (queued or running) jobs by coalescing key.
-    live: Mutex<HashMap<u64, Arc<Mutex<Option<Job>>>>>,
     watched: Mutex<HashMap<String, WatchedRoot>>,
 }
 
-struct QueueState {
-    jobs: VecDeque<Arc<Mutex<Option<Job>>>>,
-    /// Jobs admitted but not yet completed (queued + running). Drain
-    /// completion means this is zero with an empty queue.
-    in_flight: usize,
+/// The admission gate every check passes, guarded by [`Shared::gate`].
+#[derive(Default)]
+struct Gate {
+    /// Admitted checks that have not started (at most `queue_capacity`).
+    waiting: usize,
+    /// Checks running now (at most `workers`).
+    running: usize,
+    /// The ticket the next admitted check takes.
+    next_ticket: u64,
+    /// The ticket that starts next: checks start in admission order.
+    next_start: u64,
+    shutting_down: bool,
+    /// Coalescing key → result cell of the waiting (not yet started)
+    /// leader with that key.
+    leaders: HashMap<u64, Arc<OnceLock<Response>>>,
 }
 
 /// A running daemon: bound address plus the thread handles needed to wait
@@ -192,8 +199,8 @@ pub struct Daemon;
 
 impl Daemon {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop, workers, and (if configured) the watch
-    /// poller. Returns immediately with a [`DaemonHandle`].
+    /// starts the accept loop and (if configured) the watch poller.
+    /// Returns immediately with a [`DaemonHandle`].
     ///
     /// # Errors
     ///
@@ -202,7 +209,6 @@ impl Daemon {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let workers = opts.workers.max(1);
         let watch_poll = opts.watch_poll_ms;
         let shared = Arc::new(Shared::new(opts));
 
@@ -213,14 +219,6 @@ impl Daemon {
                 std::thread::Builder::new()
                     .name("serve-accept".into())
                     .spawn(move || accept_loop(listener, shared))?,
-            );
-        }
-        for w in 0..workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{w}"))
-                    .spawn(move || worker_loop(shared))?,
             );
         }
         if let Some(poll_ms) = watch_poll {
@@ -242,14 +240,14 @@ impl DaemonHandle {
     }
 
     /// Initiates a graceful drain from outside the protocol (the CLI's
-    /// SIGTERM path): admission stops, queued work finishes, threads exit.
+    /// SIGTERM path): admission stops, admitted checks finish, threads exit.
     pub fn begin_shutdown(&self) {
         self.shared.begin_shutdown();
     }
 
     /// `true` once a shutdown (frame or signal) has been initiated.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
+        self.shared.shutting_down()
     }
 
     /// Waits for the daemon to finish draining and returns the final
@@ -259,6 +257,7 @@ impl DaemonHandle {
         for t in self.threads {
             let _ = t.join();
         }
+        self.shared.drain();
         self.shared.metrics.snapshot()
     }
 }
@@ -267,86 +266,39 @@ impl Shared {
     fn new(opts: ServeOptions) -> Shared {
         Shared {
             opts,
-            queue: Mutex::new(QueueState { jobs: VecDeque::new(), in_flight: 0 }),
-            work: Condvar::new(),
-            drained: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
+            gate: Mutex::new(Gate::default()),
+            gate_changed: Condvar::new(),
             metrics: Metrics::new(),
             sessions: Mutex::new(HashMap::new()),
-            live: Mutex::new(HashMap::new()),
             watched: Mutex::new(HashMap::new()),
         }
     }
 
     fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        let _g = lock_recover(&self.queue);
-        self.work.notify_all();
-        self.drained.notify_all();
+        lock_recover(&self.gate).shutting_down = true;
     }
 
-    /// Computes the stable coalescing key for a check.
-    fn coalesce_key(&self, kind: &CheckKind) -> u64 {
-        match kind {
-            CheckKind::Inline { root, files } => inline_key(root, files),
-            CheckKind::Paths { paths } => paths_key(paths),
-        }
+    fn shutting_down(&self) -> bool {
+        lock_recover(&self.gate).shutting_down
     }
 
-    /// Admits a check into the queue (or coalesces it onto an identical
-    /// live job). `Err(status)` = shed (`Overloaded`/`ShuttingDown`).
-    /// `with_waiter` = false enqueues an internal watch re-check with no
-    /// response channel.
-    fn submit(
+    /// Waits on the gate until `ready` holds.
+    fn wait_until<'a>(
         &self,
-        kind: CheckKind,
-        deadline_ms: Option<u64>,
-        with_waiter: bool,
-    ) -> Result<Option<std::sync::mpsc::Receiver<Response>>, Status> {
-        if self.shutting_down.load(Ordering::SeqCst) {
-            return Err(Status::ShuttingDown);
+        mut gate: MutexGuard<'a, Gate>,
+        ready: impl Fn(&Gate) -> bool,
+    ) -> MutexGuard<'a, Gate> {
+        while !ready(&gate) {
+            gate = self.gate_changed.wait(gate).unwrap_or_else(PoisonError::into_inner);
         }
-        let key = self.coalesce_key(&kind);
-        let (tx, rx) = std::sync::mpsc::channel();
+        gate
+    }
 
-        // Coalesce onto a live identical job if one exists.
-        if with_waiter {
-            let live = lock_recover(&self.live);
-            if let Some(slot) = live.get(&key) {
-                let mut job = lock_recover(slot);
-                if let Some(job) = job.as_mut() {
-                    job.waiters.push(tx);
-                    self.metrics.add(Class::Sched, "serve.coalesced", 1);
-                    return Ok(Some(rx));
-                }
-            }
-        }
-
-        let mut q = lock_recover(&self.queue);
-        if q.jobs.len() >= self.opts.queue_capacity {
-            self.metrics.add(Class::Sched, "serve.shed_overloaded", 1);
-            return Err(Status::Overloaded);
-        }
-        let now = Instant::now();
-        let job = Job {
-            key,
-            kind,
-            deadline: deadline_ms.map(|ms| now + Duration::from_millis(ms)),
-            deadline_ms,
-            enqueued: now,
-            waiters: if with_waiter { vec![tx] } else { Vec::new() },
-        };
-        let slot = Arc::new(Mutex::new(Some(job)));
-        q.jobs.push_back(Arc::clone(&slot));
-        q.in_flight += 1;
-        self.metrics.observe("serve.queue_depth", q.jobs.len() as u64);
-        // Publish to the live map before releasing the queue lock, so a
-        // worker can never pop-and-retire this job before it is visible
-        // to coalescers (which would strand a closed slot in the map).
-        lock_recover(&self.live).insert(key, slot);
-        drop(q);
-        self.work.notify_one();
-        Ok(with_waiter.then_some(rx))
+    /// Waits until no admitted check waits or runs. Called after
+    /// [`Shared::begin_shutdown`], when nothing new can be admitted, so an
+    /// empty gate stays empty.
+    fn drain(&self) {
+        drop(self.wait_until(lock_recover(&self.gate), |g| g.waiting + g.running == 0));
     }
 
     /// The resident session for `root`, created (and store-attached) on
@@ -381,7 +333,7 @@ impl Shared {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        if shared.shutting_down() {
             return;
         }
         match listener.accept() {
@@ -437,7 +389,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
 }
 
 /// Handles one decoded request; `false` = close the connection.
-fn serve_request(stream: &mut TcpStream, shared: &Arc<Shared>, req: Request) -> bool {
+fn serve_request(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
     shared.metrics.add(Class::Sched, "serve.requests", 1);
     match req {
         Request::Ping => {
@@ -451,61 +403,42 @@ fn serve_request(stream: &mut TcpStream, shared: &Arc<Shared>, req: Request) -> 
         }
         Request::Shutdown => {
             shared.begin_shutdown();
-            // Wait for the queue to drain so the client knows every
-            // admitted request was answered.
-            let mut q = lock_recover(&shared.queue);
-            while q.in_flight > 0 {
-                q = shared.drained.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-            drop(q);
+            // Answer only once every admitted check has been answered.
+            shared.drain();
             let resp = Response::message(Status::ShuttingDown, "drained");
             let _ = write_response(stream, shared, 0, &resp);
             false
         }
         Request::Check { root, files, deadline_ms } => {
             let kind = CheckKind::Inline { root, files };
-            dispatch_check(stream, shared, kind, deadline_ms)
+            answer_check(stream, shared, kind, deadline_ms)
         }
         Request::CheckPaths { paths, deadline_ms } => {
             if paths.is_empty() {
                 let resp = Response::message(Status::BadRequest, "no input paths");
                 return write_response(stream, shared, 0, &resp).is_ok();
             }
-            let kind = CheckKind::Paths { paths };
-            dispatch_check(stream, shared, kind, deadline_ms)
+            answer_check(stream, shared, CheckKind::Paths { paths }, deadline_ms)
         }
     }
 }
 
-fn dispatch_check(
+/// Runs a client's check (`deadline_ms` 0 = the server default) and writes
+/// its answer.
+fn answer_check(
     stream: &mut TcpStream,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     kind: CheckKind,
     deadline_ms: u64,
 ) -> bool {
-    let key = shared.coalesce_key(&kind);
-    let deadline = match deadline_ms {
+    let ms = match deadline_ms {
         0 => shared.opts.default_deadline_ms,
         ms => Some(ms),
     };
-    match shared.submit(kind, deadline, true) {
-        Ok(Some(rx)) => match rx.recv() {
-            Ok(resp) => write_response(stream, shared, key, &resp).is_ok(),
-            // Worker side hung up without responding (cannot happen under
-            // normal operation; be defensive anyway).
-            Err(_) => false,
-        },
-        Ok(None) => unreachable!("submit(with_waiter = true) always returns a receiver"),
-        Err(status) => {
-            let msg = match status {
-                Status::Overloaded => "admission queue full, request shed",
-                Status::ShuttingDown => "daemon is draining",
-                _ => "rejected",
-            };
-            let resp = Response::message(status, msg);
-            write_response(stream, shared, key, &resp).is_ok()
-        }
-    }
+    let deadline = ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let key = kind.key();
+    let resp = check(shared, key, &kind, deadline);
+    write_response(stream, shared, key, &resp).is_ok()
 }
 
 /// Writes `resp` as one frame, honoring an armed [`FaultSite::ServeFrame`]
@@ -543,68 +476,78 @@ fn write_response(
     proto::write_frame(stream, &body)
 }
 
-// ------------------------------------------------------------ worker side
+// ------------------------------------------------------------- check side
 
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let slot = {
-            let mut q = lock_recover(&shared.queue);
-            loop {
-                if let Some(slot) = q.jobs.pop_front() {
-                    break slot;
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        // Take the job out of its slot: from here on, late coalescers see
-        // a closed slot and enqueue fresh.
-        let job = lock_recover(&slot).take();
-        let Some(job) = job else {
-            finish_one(&shared);
-            continue;
-        };
-        let response = execute_job(&shared, &job);
-        lock_recover(&shared.live).remove(&job.key);
-        let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
-        shared.metrics.observe("serve.wait_ns", queue_ns);
-        for (i, tx) in job.waiters.iter().enumerate() {
-            let mut resp = response.clone();
-            resp.queue_ns = queue_ns;
-            if i > 0 && resp.run != RunKind::None {
-                resp.run = RunKind::Coalesced;
-            }
-            let _ = tx.send(resp);
+/// One check's whole lifecycle, on the calling thread: admission through
+/// the gate (shed, refused while draining, or attached to a waiting
+/// identical check), its turn, the run, and the answer. `key` is
+/// `kind.key()`.
+fn check(shared: &Shared, key: u64, kind: &CheckKind, deadline: Option<Instant>) -> Response {
+    let admitted = Instant::now();
+    let mut gate = lock_recover(&shared.gate);
+    if gate.shutting_down {
+        return Response::message(Status::ShuttingDown, "daemon is draining");
+    }
+    if let Some(cell) = gate.leaders.get(&key).cloned() {
+        shared.metrics.add(Class::Sched, "serve.coalesced", 1);
+        drop(shared.wait_until(gate, |_| cell.get().is_some()));
+        let mut resp = cell.get().expect("the leader published its response").clone();
+        if resp.run != RunKind::None {
+            resp.run = RunKind::Coalesced;
         }
-        finish_one(&shared);
+        return resp;
     }
+    if gate.waiting >= shared.opts.queue_capacity {
+        shared.metrics.add(Class::Sched, "serve.shed_overloaded", 1);
+        return Response::message(Status::Overloaded, "admission queue full, request shed");
+    }
+    let ticket = gate.next_ticket;
+    gate.next_ticket += 1;
+    gate.waiting += 1;
+    shared.metrics.observe("serve.queue_depth", gate.waiting as u64);
+    let cell = Arc::new(OnceLock::new());
+    gate.leaders.insert(key, Arc::clone(&cell));
+
+    let workers = shared.opts.workers.max(1);
+    let mut gate = shared.wait_until(gate, |g| g.next_start == ticket && g.running < workers);
+    let queue_ns = admitted.elapsed().as_nanos() as u64;
+    gate.next_start += 1;
+    gate.waiting -= 1;
+    gate.running += 1;
+    // An identical check that arrives from here on is admitted on its own:
+    // its files may have changed after this run read them.
+    gate.leaders.remove(&key);
+    drop(gate);
+    shared.gate_changed.notify_all();
+    shared.metrics.observe("serve.wait_ns", queue_ns);
+    // When the CPUs are busy, connections accepted after this one may not
+    // have reached the gate yet and would sit in the OS run queue behind
+    // this check, an unbounded queue that never sheds. Yielding once lets
+    // them reach the gate first, to wait or be shed.
+    std::thread::yield_now();
+
+    let mut resp = execute_check(shared, key, kind, deadline);
+    resp.queue_ns = queue_ns;
+    let _ = cell.set(resp.clone());
+    lock_recover(&shared.gate).running -= 1;
+    shared.gate_changed.notify_all();
+    resp
 }
 
-/// Marks one admitted job complete, waking drain waiters at zero.
-fn finish_one(shared: &Shared) {
-    let mut q = lock_recover(&shared.queue);
-    q.in_flight -= 1;
-    if q.in_flight == 0 {
-        shared.drained.notify_all();
-    }
-}
-
-fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
+fn execute_check(
+    shared: &Shared,
+    key: u64,
+    kind: &CheckKind,
+    deadline: Option<Instant>,
+) -> Response {
     // 1. Queue-expiry: a request whose deadline passed while waiting is
     // answered Timeout without burning analysis time on it.
     let now = Instant::now();
-    let mut remaining_ms = job.deadline_ms;
-    if let Some(deadline) = job.deadline {
+    let mut remaining_ms = None;
+    if let Some(deadline) = deadline {
         if now >= deadline {
             shared.metrics.add(Class::Sched, "serve.timeouts", 1);
-            return Response {
-                status: Status::Timeout,
-                rendered: "deadline expired while queued".into(),
-                queue_ns: job.enqueued.elapsed().as_nanos() as u64,
-                ..Response::default()
-            };
+            return Response::message(Status::Timeout, "deadline expired while queued");
         }
         remaining_ms = Some(((deadline - now).as_millis() as u64).max(1));
     }
@@ -615,7 +558,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
     // starts, so it degrades through the ordinary budget machinery however
     // fast the analysis is.
     if let Some(plan) = &shared.opts.fault_plan {
-        match plan.fault_at(FaultSite::ServeRequest, job.key) {
+        match plan.fault_at(FaultSite::ServeRequest, key) {
             Some(FaultKind::BudgetExhaustion) => remaining_ms = Some(0),
             Some(FaultKind::Panic) => {
                 // Raise inside the contained section below.
@@ -624,7 +567,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
         }
     }
 
-    let root = match &job.kind {
+    let root = match kind {
         CheckKind::Inline { root, .. } => root.clone(),
         CheckKind::Paths { paths } => paths[0].clone(),
     };
@@ -638,13 +581,12 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(plan) = &shared.opts.fault_plan {
                 // Deterministic mid-request panic, inside containment.
-                if matches!(plan.fault_at(FaultSite::ServeRequest, job.key), Some(FaultKind::Panic))
-                {
-                    panic!("injected fault: panic at ServeRequest (key {})", job.key);
+                if matches!(plan.fault_at(FaultSite::ServeRequest, key), Some(FaultKind::Panic)) {
+                    panic!("injected fault: panic at ServeRequest (key {key})");
                 }
             }
             session.set_deadline_ms(remaining_ms);
-            match &job.kind {
+            match kind {
                 CheckKind::Inline { root, files } => {
                     let mut fs = VirtualFs::new();
                     for (name, content) in files {
@@ -664,7 +606,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
             if outcome.exit_code == 4 {
                 shared.metrics.add(Class::Sched, "serve.deadline_degraded", 1);
             }
-            if let CheckKind::Paths { paths } = &job.kind {
+            if let CheckKind::Paths { paths } = kind {
                 register_watch(shared, paths);
             }
             Response {
@@ -675,7 +617,7 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) -> Response {
                     SessionRun::Analyzed => RunKind::Analyzed,
                     SessionRun::Replayed => RunKind::Replayed,
                 },
-                queue_ns: 0, // filled by the caller per waiter
+                queue_ns: 0, // filled in by `check`
                 run_ns,
             }
         }
@@ -728,15 +670,17 @@ fn watch_loop(shared: Arc<Shared>, poll_ms: u64) {
     let interval = Duration::from_millis(poll_ms.max(10));
     loop {
         std::thread::sleep(interval);
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        if shared.shutting_down() {
             return;
         }
         for paths in dirty_roots(&shared) {
-            // Dirty roots go through the same bounded admission queue as
-            // client traffic; under overload the re-check is skipped this
-            // round and the next poll retries.
+            // Dirty roots pass the same gate as client traffic; under
+            // overload the re-check is skipped this round and the next
+            // poll retries.
             shared.metrics.add(Class::Sched, "serve.watch_rechecks", 1);
-            if shared.submit(CheckKind::Paths { paths }, None, false).is_err() {
+            let kind = CheckKind::Paths { paths };
+            let status = check(&shared, kind.key(), &kind, None).status;
+            if matches!(status, Status::Overloaded | Status::ShuttingDown) {
                 shared.metrics.add(Class::Sched, "serve.watch_shed", 1);
             }
         }
@@ -788,34 +732,47 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &shared.session_for("a.c")), "eviction still rebuilds");
     }
 
+    fn until(cond: impl Fn() -> bool) {
+        while !cond() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn poisoned_queue_still_admits_and_executes() {
-        let shared = Arc::new(Shared::new(ServeOptions::default()));
-        poison(&shared.queue);
-        poison(&shared.live);
-        let kind = || CheckKind::Inline {
+        let shared = Arc::new(Shared::new(ServeOptions { workers: 1, ..ServeOptions::default() }));
+        poison(&shared.gate);
+        let kind = CheckKind::Inline {
             root: "main.c".to_string(),
             files: vec![("main.c".to_string(), "int main() { return 0; }".to_string())],
         };
-        let rx = shared.submit(kind(), None, true).expect("admitted").expect("has a waiter");
-        let slot = lock_recover(&shared.live).values().next().cloned().expect("the job is live");
-        poison(&slot);
-        let follower = shared.submit(kind(), None, true).expect("admitted").expect("has a waiter");
-        assert_eq!(lock_recover(&shared.queue).in_flight, 1, "the second submit coalesced");
-
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(shared))
+        let key = kind.key();
+        let kind = Arc::new(kind);
+        let spawn_check = || {
+            let (shared, kind) = (Arc::clone(&shared), Arc::clone(&kind));
+            std::thread::spawn(move || check(&shared, key, &kind, None))
         };
-        let resp = rx.recv().expect("the worker answers");
+        // Occupy the one run slot so the leader has to wait for its turn.
+        lock_recover(&shared.gate).running = 1;
+        let leader = spawn_check();
+        until(|| lock_recover(&shared.gate).leaders.contains_key(&key));
+        let follower = spawn_check();
+        until(|| shared.metrics.snapshot().sched.contains_key("serve.coalesced"));
+        assert_eq!(lock_recover(&shared.gate).waiting, 1, "the second check coalesced");
+        lock_recover(&shared.gate).running = 0;
+        shared.gate_changed.notify_all();
+
+        let resp = leader.join().expect("the leader answers");
         assert_eq!(resp.status, Status::Clean);
-        let resp = follower.recv().expect("the follower is answered too");
+        assert_eq!(resp.run, RunKind::Analyzed);
+        let resp = follower.join().expect("the follower is answered too");
         assert_eq!(resp.status, Status::Clean);
         assert_eq!(resp.run, RunKind::Coalesced);
         shared.begin_shutdown();
-        worker.join().expect("worker exits on shutdown");
-        assert_eq!(lock_recover(&shared.queue).in_flight, 0);
-        assert!(lock_recover(&shared.live).is_empty());
+        shared.drain();
+        let gate = lock_recover(&shared.gate);
+        assert_eq!((gate.waiting, gate.running), (0, 0));
+        assert!(gate.leaders.is_empty());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`proto`] — the versioned, length-prefixed frame protocol. Response
 //!   statuses 0–4 mirror the CLI exit-code contract exactly; 5–8 are
 //!   service-level outcomes (timeout, overload, bad request, draining).
-//! * [`daemon`] — the server: bounded admission queue, per-request
-//!   deadlines and panic containment, request coalescing, graceful drain,
+//! * [`daemon`] — the server: checks run on their connection's thread
+//!   behind one bounded admission gate, with per-request deadlines and
+//!   panic containment, request coalescing, graceful drain,
 //!   optional mtime watching, and deterministic protocol-level fault
 //!   injection for the recovery drills.
 //! * [`client`] — a minimal blocking client used by the CLI and tests.

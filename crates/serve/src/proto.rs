@@ -214,8 +214,8 @@ pub enum Request {
     Ping,
     /// A snapshot of the daemon's metrics registry, as a JSON document.
     Metrics,
-    /// Begin a graceful drain: stop admitting, finish the queue, respond
-    /// once the last queued request completed, then exit.
+    /// Begin a graceful drain: stop admitting, respond once every admitted
+    /// check has finished, then exit.
     Shutdown,
 }
 
@@ -234,7 +234,7 @@ pub struct Response {
     pub report_json: String,
     /// How the result was produced.
     pub run: RunKind,
-    /// Nanoseconds the request waited in the admission queue.
+    /// Nanoseconds from the request's admission until its check started.
     pub queue_ns: u64,
     /// Nanoseconds the analysis ran (0 for replays shed, ping, ...).
     pub run_ns: u64,

@@ -137,42 +137,41 @@ fn zero_capacity_queue_sheds_with_overloaded() {
     assert!(snapshot.sched.get("serve.shed_overloaded").copied().unwrap_or(0) >= 1);
 }
 
+/// A program whose check occupies a worker for a visible stretch: it
+/// doubles on each attempt, so a test retrying with a larger one stays
+/// honest on very fast machines without sleeping for seconds on slow ones.
+fn blocker_files(attempt: u32) -> Vec<(String, String)> {
+    let regions = 128 << attempt;
+    let core =
+        generate_core(SyntheticParams { regions, monitors: regions, depth: 12, branches: 3 });
+    vec![(format!("slow{}.c", 100 + attempt), core)]
+}
+
+/// Starts checking `files` on its own connection.
+fn spawn_check(
+    handle: &DaemonHandle,
+    files: Vec<(String, String)>,
+    deadline_ms: u64,
+) -> std::thread::JoinHandle<proto::Response> {
+    let addr = handle.addr().to_string();
+    std::thread::spawn(move || {
+        let name = files[0].0.clone();
+        Client::connect(&addr, 60_000).unwrap().check(&name, &files, deadline_ms).unwrap()
+    })
+}
+
 #[test]
 fn identical_queued_requests_coalesce() {
-    // One worker; a slow job occupies it while two identical requests
-    // queue behind it — the second must attach to the first. The slow job
+    // One worker; a slow check occupies it while two identical checks
+    // wait behind it — the second must attach to the first. The slow check
     // doubles in size on each attempt until it outlasts the 100 ms head
-    // start plus the followers' arrival (keeps the test honest on very
-    // fast machines without sleeping for seconds on slow ones).
+    // start plus the followers' arrival.
     for attempt in 0..5u32 {
-        let opts = ServeOptions { workers: 1, ..default_opts() };
-        let handle = start(opts);
-        let regions = 128 << attempt;
-        let core =
-            generate_core(SyntheticParams { regions, monitors: regions, depth: 12, branches: 3 });
-        let slow = vec![(format!("slow{}.c", 100 + attempt), core)];
-        let dup = fig2_files();
-
-        let addr = handle.addr().to_string();
-        let blocker = {
-            let addr = addr.clone();
-            let slow = slow.clone();
-            std::thread::spawn(move || {
-                let name = slow[0].0.clone();
-                Client::connect(&addr, 60_000).unwrap().check(&name, &slow, 0).unwrap()
-            })
-        };
-        // Give the blocker time to enter the worker.
+        let handle = start(ServeOptions { workers: 1, ..default_opts() });
+        let blocker = spawn_check(&handle, blocker_files(attempt), 0);
+        // Give the blocker time to start.
         std::thread::sleep(Duration::from_millis(100));
-        let followers: Vec<_> = (0..2)
-            .map(|_| {
-                let addr = addr.clone();
-                let dup = dup.clone();
-                std::thread::spawn(move || {
-                    Client::connect(&addr, 60_000).unwrap().check("figure2.c", &dup, 0).unwrap()
-                })
-            })
-            .collect();
+        let followers: Vec<_> = (0..2).map(|_| spawn_check(&handle, fig2_files(), 0)).collect();
         let blocked = blocker.join().unwrap();
         assert!(blocked.status.is_report());
         let resps: Vec<_> = followers.into_iter().map(|f| f.join().unwrap()).collect();
@@ -184,6 +183,43 @@ fn identical_queued_requests_coalesce() {
         }
     }
     panic!("identical queued requests never coalesced in 5 attempts");
+}
+
+#[test]
+fn deadline_passing_in_the_queue_answers_timeout_without_running() {
+    // One worker; a check with a 20 ms deadline queues behind a slow one,
+    // so its deadline passes before its turn comes.
+    for attempt in 0..5u32 {
+        let handle = start(ServeOptions { workers: 1, ..default_opts() });
+        let blocker = spawn_check(&handle, blocker_files(attempt), 0);
+        std::thread::sleep(Duration::from_millis(100));
+        let queued = spawn_check(&handle, fig2_files(), 20).join().unwrap();
+        let blocked = blocker.join().unwrap();
+        assert!(blocked.status.is_report());
+        let snapshot = shutdown(handle);
+        if queued.status == Status::Timeout {
+            assert_eq!(queued.run, RunKind::None, "an expired check never runs");
+            assert_eq!(snapshot.sched.get("serve.timeouts").copied(), Some(1));
+            return;
+        }
+        // The blocker finished before the deadline passed: retry larger.
+        assert!(queued.status.is_report(), "got {:?}", queued.status);
+    }
+    panic!("the queued check never expired behind the blocker in 5 attempts");
+}
+
+#[test]
+fn queue_time_excludes_run_time() {
+    let handle = start(default_opts());
+    let resp = client(&handle).check("slow3.c", &slow_files(3), 0).unwrap();
+    assert!(resp.status.is_report());
+    assert!(
+        resp.queue_ns < resp.run_ns,
+        "an idle daemon starts a check at once: queued {} ns, ran {} ns",
+        resp.queue_ns,
+        resp.run_ns
+    );
+    shutdown(handle);
 }
 
 #[test]
