@@ -110,6 +110,9 @@ fn plain_run_and_check_print_the_same_frontend_warnings() {
     // volatile numbers.
     let plain_json = strip_volatile_sections(&String::from_utf8_lossy(&plain_json.stdout));
     assert!(plain_json.contains("\"module.functions\": 2"), "{plain_json}");
+    // The document carries the frontend warnings the text prints.
+    assert!(plain_json.contains("\"diagnostics\": [\n"), "{plain_json}");
+    assert!(plain_json.contains("warning: too many arguments to `f`"), "{plain_json}");
     assert!(!plain_json.contains("timings_ns"), "{plain_json}");
     assert_eq!(plain_json, strip_volatile_sections(&String::from_utf8_lossy(&check_json.stdout)));
 }
