@@ -49,7 +49,7 @@ use safeflow_util::metrics::{Class, Metrics, MetricsSnapshot};
 use safeflow_util::pool::{lock_recover, panic_message};
 use std::collections::HashMap;
 use std::hash::Hasher;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -158,6 +158,9 @@ struct WatchedRoot {
 /// State shared by every daemon thread.
 struct Shared {
     opts: ServeOptions,
+    /// Where the listener accepts: shutdown connects here once to wake the
+    /// blocked `accept`.
+    wake_addr: SocketAddr,
     gate: Mutex<Gate>,
     /// Signaled whenever a check starts or finishes.
     gate_changed: Condvar,
@@ -207,10 +210,9 @@ impl Daemon {
     /// I/O errors binding the listener.
     pub fn start(opts: ServeOptions, addr: &str) -> std::io::Result<DaemonHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let watch_poll = opts.watch_poll_ms;
-        let shared = Arc::new(Shared::new(opts));
+        let shared = Arc::new(Shared::new(opts, local));
 
         let mut threads = Vec::new();
         {
@@ -263,9 +265,18 @@ impl DaemonHandle {
 }
 
 impl Shared {
-    fn new(opts: ServeOptions) -> Shared {
+    fn new(opts: ServeOptions, listen_addr: SocketAddr) -> Shared {
+        // A listener bound to the unspecified address accepts on loopback.
+        let mut wake_addr = listen_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Shared {
             opts,
+            wake_addr,
             gate: Mutex::new(Gate::default()),
             gate_changed: Condvar::new(),
             metrics: Metrics::new(),
@@ -274,8 +285,16 @@ impl Shared {
         }
     }
 
+    /// Stops admission and wakes the accept loop, which blocks in
+    /// `accept`, with one loopback self-connect. Both happen under the gate
+    /// lock, and only the first call connects: the listener is still open
+    /// then, because the accept loop only returns once it sees the flag.
     fn begin_shutdown(&self) {
-        lock_recover(&self.gate).shutting_down = true;
+        let mut gate = lock_recover(&self.gate);
+        if !gate.shutting_down {
+            gate.shutting_down = true;
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     fn shutting_down(&self) -> bool {
@@ -332,12 +351,13 @@ impl Shared {
 // ------------------------------------------------------------ accept side
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
+    for stream in listener.incoming() {
+        // A shutdown's own wake-up connection lands here too.
         if shared.shutting_down() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match stream {
+            Ok(stream) => {
                 let shared = Arc::clone(&shared);
                 // Connection threads are detached: they die with the
                 // process, and every blocking read carries the io timeout.
@@ -345,9 +365,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     .name("serve-conn".into())
                     .spawn(move || handle_connection(stream, shared));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // A failed accept (say, out of file descriptors) fails again at
+            // once until a connection closes: pause rather than spin.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -708,6 +727,11 @@ fn dirty_roots(shared: &Shared) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
 
+    /// Shared state with no listener behind it.
+    fn shared(opts: ServeOptions) -> Shared {
+        Shared::new(opts, SocketAddr::from((Ipv4Addr::LOCALHOST, 0)))
+    }
+
     /// Poisons `m` the way a contained panic would: a thread panics while
     /// holding the guard.
     fn poison<T: Send>(m: &Mutex<T>) {
@@ -724,7 +748,7 @@ mod tests {
 
     #[test]
     fn poisoned_session_map_still_serves_and_evicts() {
-        let shared = Shared::new(ServeOptions::default());
+        let shared = shared(ServeOptions::default());
         let first = shared.session_for("a.c");
         poison(&shared.sessions);
         assert!(Arc::ptr_eq(&first, &shared.session_for("a.c")), "resident session survives");
@@ -740,7 +764,7 @@ mod tests {
 
     #[test]
     fn poisoned_queue_still_admits_and_executes() {
-        let shared = Arc::new(Shared::new(ServeOptions { workers: 1, ..ServeOptions::default() }));
+        let shared = Arc::new(shared(ServeOptions { workers: 1, ..ServeOptions::default() }));
         poison(&shared.gate);
         let kind = CheckKind::Inline {
             root: "main.c".to_string(),
@@ -783,8 +807,7 @@ mod tests {
         let path = dir.join("main.c");
         std::fs::write(&path, "int main() { return 0; }\n").unwrap();
         let paths = vec![path.to_string_lossy().into_owned()];
-        let shared =
-            Shared::new(ServeOptions { watch_poll_ms: Some(10), ..ServeOptions::default() });
+        let shared = shared(ServeOptions { watch_poll_ms: Some(10), ..ServeOptions::default() });
         poison(&shared.watched);
         register_watch(&shared, &paths);
         assert!(dirty_roots(&shared).is_empty(), "an unchanged root is clean");

@@ -344,6 +344,22 @@ fn drain_refuses_new_work_but_answers_it_politely() {
     handle.wait();
 }
 
+/// `safeflow serve --connect` opens a fresh connection per request, so
+/// the accept loop must hand each one to its thread at once: it blocks in
+/// `accept` instead of polling an idle listener.
+#[test]
+fn fresh_connections_are_answered_without_an_accept_delay() {
+    let handle = start(default_opts());
+    assert_eq!(client(&handle).ping().unwrap().status, Status::Clean, "warm-up");
+    let t0 = std::time::Instant::now();
+    for _ in 0..10 {
+        assert_eq!(client(&handle).ping().unwrap().status, Status::Clean);
+    }
+    let elapsed = t0.elapsed();
+    assert!(elapsed < Duration::from_millis(150), "10 fresh-connection pings took {elapsed:?}");
+    shutdown(handle);
+}
+
 #[test]
 fn shutdown_frame_drains_and_stops_the_daemon() {
     let dir = tmp_dir("shutdown-frame");
