@@ -135,6 +135,10 @@ pub fn run_serve(args: &[String]) -> ExitCode {
                 _ => return usage_error("--watch=MS takes a positive poll interval"),
             },
             "--metrics" => dump_metrics = true,
+            "--help" | "-h" => {
+                crate::print_help();
+                return ExitCode::SUCCESS;
+            }
             "--ping" => action_ping = true,
             "--shutdown" => action_shutdown = true,
             flag if flag.starts_with('-') => {

@@ -146,6 +146,16 @@ fn sigterm_drains_the_daemon() {
 }
 
 #[test]
+fn serve_help_prints_the_help_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = safeflow().args(["serve", flag]).output().expect("runs");
+        assert_eq!(out.status.code(), Some(0), "serve {flag}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("--connect ADDR"), "serve {flag}: {text}");
+    }
+}
+
+#[test]
 fn serve_rejects_engine_fault_sites() {
     let out = safeflow().args(["serve", "--inject", "scc:0"]).output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
