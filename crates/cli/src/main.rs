@@ -650,15 +650,9 @@ fn print_metrics(metrics: &MetricsSnapshot, out: &OutputOpts) {
 /// Prints one DOT digraph per error of a report document (the paper's
 /// value-flow graph triage aid, §4).
 fn emit_dot(document: &Json) {
-    let errors = match document.get("report").and_then(|r| r.get("errors")) {
-        Some(Json::Arr(errors)) => errors.as_slice(),
-        _ => &[],
-    };
+    let errors = document.get("report").map(|r| r.arr_member("errors")).unwrap_or_default();
     for (i, e) in errors.iter().enumerate() {
-        let critical = match e.get("critical") {
-            Some(Json::Str(c)) => c.as_str(),
-            _ => "",
-        };
+        let critical = e.str_member("critical");
         println!("// value-flow graph {} for critical `{critical}`", i + 1);
         print!("{}", safeflow::flowgraph::error_to_dot(e));
     }

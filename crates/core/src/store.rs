@@ -6,9 +6,10 @@
 //! * **Replay manifests** — whole-program entries keyed by a hash over the
 //!   store version, the analysis configuration, the root file name, and
 //!   every input file's name + content hash. An exact match means *nothing*
-//!   changed, so the session replays the stored report (text, JSON subtree,
-//!   exit code, `Counter`-class metrics) without parsing a single file —
-//!   zero SCCs re-analyzed.
+//!   changed, so the session replays the stored report (the report
+//!   document's `report` subtree, exit code, `Counter`-class metrics,
+//!   schema id) without parsing a single file — zero SCCs re-analyzed.
+//!   The text report is one more view of that subtree, drawn on replay.
 //! * **SCC summaries** — the last clean run's [`crate::engine::SccTable`]:
 //!   per-SCC function-summary vectors keyed by the engine's Merkle content
 //!   hashes ([`crate::engine::scc_hashes`]). [`SummaryStore::open`] hands
@@ -50,7 +51,9 @@ pub(crate) use safeflow_util::wire::{put_str, put_u32, put_u64, put_u8, ByteRead
 /// v2: label-lattice policies — summary facts carry relabel masks,
 /// replay manifests carry the report schema, and the config hash covers
 /// the normalized policy and critical-call clearances.
-pub const STORE_VERSION: u32 = 2;
+/// v3: replay manifests keep the report subtree alone; the text report is
+/// rendered from it.
+pub const STORE_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"SFSTORE\0";
 const STORE_FILE: &str = "safeflow-store.bin";
@@ -70,10 +73,9 @@ pub(crate) struct ReplayEntry {
     /// definition, so replaying them verbatim preserves the warm/cold
     /// metrics contract.
     pub counters: BTreeMap<String, u64>,
-    /// The rendered `report` subtree of the report document.
+    /// The rendered `report` subtree of the report document; replay draws
+    /// the text report from it too.
     pub report_json: String,
-    /// The rendered human-readable report.
-    pub rendered: String,
     /// The schema identifier of the stored document (`safeflow-report-v1`
     /// or `safeflow-report-v2`): per program, not per config — annotations
     /// can declare labels — so replay must restore it verbatim.
@@ -315,7 +317,6 @@ fn encode_store(manifests: &[(u64, ReplayEntry)], sccs: &SccTable) -> Vec<u8> {
             put_u64(&mut out, *v);
         }
         put_str(&mut out, &e.report_json);
-        put_str(&mut out, &e.rendered);
         put_str(&mut out, &e.schema);
     }
     put_u32(&mut out, sccs.len() as u32);
@@ -361,9 +362,8 @@ fn decode_store(bytes: &[u8]) -> Option<Tables> {
             counters.insert(k, v);
         }
         let report_json = r.str()?;
-        let rendered = r.str()?;
         let schema = r.str()?;
-        manifests.push((key, ReplayEntry { exit_code, counters, report_json, rendered, schema }));
+        manifests.push((key, ReplayEntry { exit_code, counters, report_json, schema }));
     }
     let mut sccs = Vec::new();
     for _ in 0..r.seq_len()? {
@@ -400,7 +400,6 @@ mod tests {
             exit_code: 2,
             counters,
             report_json: "{\"errors\": []}".to_string(),
-            rendered: "SafeFlow report\n".to_string(),
             schema: "safeflow-report-v1".to_string(),
         }
     }

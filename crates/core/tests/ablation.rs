@@ -88,7 +88,7 @@ fn context_cap_degrades_gracefully() {
     let cfg = AnalysisConfig { max_contexts: 2, ..AnalysisConfig::default() };
     let result = Analyzer::new(cfg).analyze_source("syn.c", &src).expect("analyzes");
     // Per-function cap: at most (cap + 1 merged) contexts per function.
-    let n_functions = result.module.functions.len();
+    let n_functions = result.metrics.counters["module.functions"] as usize;
     assert!(
         result.report.contexts_analyzed <= n_functions * 3,
         "contexts {} vs {} functions",

@@ -172,7 +172,7 @@ fn crlf_repro_diagnostics_anchor_inside_annotations() {
     assert!(src.contains('\t'), "fixture must keep its tab indentation");
     let analyzer = Analyzer::new(AnalysisConfig::reference());
     let result = analyzer.analyze_program(&name, &fs_of(&name, &src)).expect("analyzes");
-    let rendered = result.report.render(&result.sources);
+    let rendered = result.render();
     // Every location the report prints must cite a line that exists.
     let lines = src.lines().count();
     for loc in rendered.split(&format!("{name}:")).skip(1) {

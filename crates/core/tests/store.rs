@@ -130,6 +130,34 @@ fn warm_and_cold_runs_are_byte_identical_across_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A replayed check draws its text from the stored report subtree, so it
+/// prints the analyzed text byte for byte: the v2 label lines of a labeled
+/// program, and the frontend warnings of a program that has some.
+#[test]
+fn replayed_text_matches_analyzed_text_with_labels_and_diagnostics() {
+    let policy = include_str!("../../../examples/policy/mixed_criticality.c");
+    let arity = "int f(int a) { return a; }\nint main() { return f(1, 2); }\n";
+    for (name, src, needle) in [
+        ("mixed_criticality.c", policy, "(label `"),
+        ("arity.c", arity, "warning: too many arguments to `f`"),
+    ] {
+        for engine in [Engine::Summary, Engine::ContextSensitive] {
+            let dir = store_dir(&format!("replay-text-{engine:?}-{name}"));
+            let mut fs = VirtualFs::new();
+            fs.add(name, src);
+            let config = AnalysisConfig::with_engine(engine);
+            let mut session = AnalysisSession::with_store(config, &dir).unwrap();
+            let cold = session.check(name, &fs).unwrap();
+            let warm = session.check(name, &fs).unwrap();
+            assert_eq!(cold.run, SessionRun::Analyzed, "{name} ({engine:?})");
+            assert_eq!(warm.run, SessionRun::Replayed, "{name} ({engine:?})");
+            assert!(cold.rendered.contains(needle), "{name} ({engine:?}):\n{}", cold.rendered);
+            assert_eq!(warm.rendered, cold.rendered, "{name} ({engine:?})");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
 #[test]
 fn flag_order_does_not_affect_warm_hit_behavior_or_report_bytes() {
     use safeflow::{CriticalCall, RecvSpec};
@@ -239,7 +267,7 @@ fn analyzed_checks_time_their_frontend_render_and_save() {
     assert_eq!(
         keys,
         ["session.check_ns", "store.load_ns"],
-        "a replay loads the store, and parses, renders and saves nothing"
+        "a replay loads the store, and parses, analyzes and saves nothing"
     );
     let storeless = AnalysisSession::new(config(1)).check("core.c", &fs).unwrap();
     assert!(!storeless.metrics.timings_ns.contains_key("store.load_ns"));

@@ -39,11 +39,34 @@ impl Json {
         }
     }
 
-    /// Looks up a member of an object (testing convenience).
+    /// Looks up a member of an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// The string, when this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The string member `key` of an object, or `""` when it is missing or
+    /// not a string: the lenient read a report renderer wants.
+    pub fn str_member(&self, key: &str) -> &str {
+        self.get(key).and_then(Json::as_str).unwrap_or_default()
+    }
+
+    /// The elements of the array member `key` of an object, or none when
+    /// it is missing or not an array.
+    pub fn arr_member(&self, key: &str) -> &[Json] {
+        match self.get(key) {
+            Some(Json::Arr(items)) => items,
+            _ => &[],
         }
     }
 
@@ -480,6 +503,18 @@ mod tests {
         assert_eq!(o.render(), "{\n  \"z\": 1,\n  \"a\": 2\n}");
         assert_eq!(o.get("a"), Some(&Json::UInt(2)));
         assert_eq!(o.get("missing"), None);
+    }
+
+    #[test]
+    fn lenient_member_reads() {
+        let mut o = Json::obj();
+        o.set("s", "text");
+        o.set("n", 2u64);
+        o.set("list", vec![Json::from("x"), Json::from(1u64)]);
+        assert_eq!(o.str_member("s"), "text");
+        assert_eq!(o.str_member("n"), "", "a number is not a string");
+        assert_eq!(o.arr_member("list").iter().filter_map(Json::as_str).collect::<Vec<_>>(), ["x"]);
+        assert!(o.arr_member("s").is_empty() && o.arr_member("missing").is_empty());
     }
 
     #[test]

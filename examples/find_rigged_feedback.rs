@@ -21,21 +21,25 @@ fn main() {
         .analyze_source(system.core_file, system.core_source)
         .expect("corpus system analyzes");
 
-    let rigged = result
+    let at = result
         .report
         .errors
         .iter()
-        .find(|e| e.critical == "uOut")
+        .position(|e| e.critical == "uOut")
         .expect("the rigged-feedback defect is reported");
+    let rigged = &result.report.errors[at];
     println!(
         "SafeFlow error: critical `{}` in `{}` — {:?} dependency",
         rigged.critical, rigged.function, rigged.kind
     );
     assert_eq!(rigged.kind, DependencyKind::Data);
-    if let Some(flow) = &rigged.flow {
+    // The report document holds the same error at the same index, with
+    // every location on its value-flow path resolved.
+    let flow = result.report_json.arr_member("errors")[at].arr_member("flow");
+    if !flow.is_empty() {
         println!("value-flow path:");
-        for (what, span) in flow.path() {
-            println!("  - {} [{}]", what, result.sources.describe(span));
+        for step in flow {
+            println!("  - {} [{}]", step.str_member("what"), step.str_member("location"));
         }
     }
     println!(

@@ -18,7 +18,7 @@ fn main() {
         .expect("the running example parses and lowers cleanly");
 
     println!("=== SafeFlow on the paper's Figure 2 ===\n");
-    print!("{}", result.report.render(&result.sources));
+    print!("{}", result.render());
 
     println!("\n=== What happened ===");
     println!(
@@ -27,26 +27,31 @@ fn main() {
     );
     println!("- `decision` assumes core(noncoreCtrl) — its reads of noncoreCtrl are monitored;");
     println!("- but `checkSafety` dereferences `feedback`, which is NOT in the assumed set:");
-    for w in &result.report.warnings {
+    // Locations come from the report document, where the run resolved
+    // every span against its sources.
+    for w in result.report_json.arr_member("warnings") {
         println!(
             "    warning at {}: unmonitored read of `{}` in `{}`",
-            result.sources.describe(w.span),
-            w.region_name,
-            w.function
+            w.str_member("location"),
+            w.str_member("region"),
+            w.str_member("function")
         );
     }
     println!("- the assert(safe(output)) in main therefore fails — the paper's worked example:");
-    for e in &result.report.errors {
-        println!("    error: `{}` in `{}` ({:?} dependency)", e.critical, e.function, e.kind);
-        if let Some(flow) = &e.flow {
-            for (i, (what, span)) in flow.path().iter().enumerate() {
-                println!(
-                    "      {} {} [{}]",
-                    if i == 0 { "source:" } else { "  then:" },
-                    what,
-                    result.sources.describe(*span)
-                );
-            }
+    for e in result.report_json.arr_member("errors") {
+        println!(
+            "    error: `{}` in `{}` ({} dependency)",
+            e.str_member("critical"),
+            e.str_member("function"),
+            e.str_member("kind")
+        );
+        for (i, step) in e.arr_member("flow").iter().enumerate() {
+            println!(
+                "      {} {} [{}]",
+                if i == 0 { "source:" } else { "  then:" },
+                step.str_member("what"),
+                step.str_member("location")
+            );
         }
     }
     println!(
