@@ -19,8 +19,10 @@ help:
 	@echo "  sfbench          BENCHMARK.json workload W (default cold), traced"
 	@echo "                   per-layer run, seed 1, 20 s"
 	@echo "  bench-check      exact work counters of the benchmark corpus"
-	@echo "                   (cold and two one-line edits) against pinned values,"
-	@echo "                   and the frontend's allocation budget on it"
+	@echo "                   (cold and two one-line edits; SCCs hashed,"
+	@echo "                   summaries and body passes, restriction checks,"
+	@echo "                   solver calls, store invalidations) against pinned"
+	@echo "                   values, and the frontend's allocation budget on it"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
 	@echo "  oracle-smoke     64-seed differential oracle (CI gate)"
@@ -62,12 +64,12 @@ sfbench:
 	$(CARGO) run --release --offline --manifest-path sfbench/Cargo.toml -- \
 	  --workload $(W) --seed 1 --seconds 20 --trace 1
 
-# The benchmark's work counters (SCCs hashed, summaries recomputed,
-# functions restriction-checked, solver calls, store invalidations) are pure
-# functions of its input, so they are gated exactly, where wall time cannot
-# be. A change that lowers one on purpose updates the pinned value. The
-# frontend's allocation counts on the same corpus are exact too, and are
-# held under a budget.
+# The benchmark's work counters (SCCs hashed, summaries recomputed, passes
+# over function bodies, functions restriction-checked, solver calls, store
+# invalidations) are pure functions of its input, so they are gated
+# exactly, where wall time cannot be. A change that lowers one on purpose
+# updates the pinned value. The frontend's allocation counts on the same
+# corpus are exact too, and are held under a budget.
 bench-check:
 	$(CARGO) test --release -q -p safeflow --test monorepo bench_corpus_work_counters_are_pinned
 	$(CARGO) test --release -q -p safeflow --test frontend_allocs

@@ -36,7 +36,9 @@ use crate::report::{
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use crate::taint::{TaintResults, TaintVal};
-use safeflow_ir::{CallGraph, Cfg, ControlDeps, FuncId, InstKind, Module, Terminator, Value};
+use safeflow_ir::{
+    BlockId, CallGraph, Cfg, ControlDeps, FuncId, InstKind, Module, Terminator, Value,
+};
 use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
@@ -507,6 +509,7 @@ pub(crate) fn analyze_summaries(
         let mut changed = true;
         let mut rounds = 0;
         let mut summarize_calls = 0u64;
+        let mut body_passes = 0u64;
         let mut inner_converged = true;
         while changed && rounds < rounds_cap {
             changed = false;
@@ -522,7 +525,7 @@ pub(crate) fn analyze_summaries(
                     .entry(fid)
                     .or_insert_with(|| build_fn_graphs(module, cfgs, &assumed_of, fid));
                 let view = SummaryView { callgraph, slots: &slots, local: &local, own_scc: i };
-                let (s, converged) = summarize_function(
+                let (s, passes, converged) = summarize_function(
                     module,
                     regions,
                     shm,
@@ -536,6 +539,7 @@ pub(crate) fn analyze_summaries(
                     rounds_cap,
                 );
                 summarize_calls += 1;
+                body_passes += passes;
                 inner_converged &= converged;
                 let prev = local.get(&fid);
                 if prev.map(|p| !summary_eq(p, &s)).unwrap_or(true) {
@@ -552,6 +556,7 @@ pub(crate) fn analyze_summaries(
             &[
                 ("summary.fixpoint_rounds", rounds as u64),
                 ("summary.summarize_calls", summarize_calls),
+                ("summary.body_passes", body_passes),
             ],
         );
         // Non-convergence only degrades under an *explicit* cap: the
@@ -948,7 +953,8 @@ fn summary_eq(a: &Summary, b: &Summary) -> bool {
 }
 
 /// Loop-invariant per-function inputs to summarization.
-struct FnGraphs {
+struct FnGraphs<'a> {
+    cfg: &'a Cfg,
     cd: ControlDeps,
     assumed: Scope,
     /// Parameters the function's own annotations assume core.
@@ -957,15 +963,16 @@ struct FnGraphs {
     name: Arc<str>,
 }
 
-fn build_fn_graphs(
+fn build_fn_graphs<'a>(
     module: &Module,
-    cfgs: &[Option<Cfg>],
+    cfgs: &'a [Option<Cfg>],
     assumed_of: &HashMap<FuncId, Scope>,
     fid: FuncId,
-) -> FnGraphs {
+) -> FnGraphs<'a> {
     let cfg = cfgs[fid.0 as usize].as_ref().expect("function has blocks");
     let func = module.function(fid);
     FnGraphs {
+        cfg,
         cd: ControlDeps::build(cfg),
         assumed: assumed_of.get(&fid).cloned().unwrap_or_default(),
         assumed_params: scope::assumed_params(func),
@@ -1039,10 +1046,20 @@ fn sink_sources(value: &[Fact], ctl: &[Fact]) -> SymSet {
     set
 }
 
-/// Summarizes one function body, iterating its local dataflow to a
-/// fixpoint (capped at `rounds_cap`). The second return value is `false`
-/// when the cap stopped the iteration before convergence — callers with
-/// an explicit [`crate::config::Budget::fixpoint_rounds`] degrade the SCC.
+/// Summarizes one function body. Returns the summary, the number of passes
+/// made over the body, and whether they reached the fixpoint: `false` when
+/// `rounds_cap` passes stopped the iteration first — callers with an
+/// explicit [`crate::config::Budget::fixpoint_rounds`] degrade the SCC.
+///
+/// A pass walks the reachable blocks in reverse postorder, then any
+/// unreachable ones in index order, and merges a branch's (promoted)
+/// condition facts into the blocks it controls as soon as it reaches the
+/// branch. In a body with no back edge and no unreachable block, every
+/// operand, φ predecessor and controlling branch comes before its readers in
+/// that walk, so the first pass already computes the least fixpoint and is
+/// the only one. Any other body repeats the pass until it changes nothing.
+/// Region reads and sinks come out in block-index order whatever the walk,
+/// so the summary's bytes do not depend on it.
 ///
 /// Every fact table is dense and merged in place: operands are read by
 /// borrowing their sets, and one scratch set collects each instruction's
@@ -1063,55 +1080,36 @@ fn summarize_function(
     fid: FuncId,
     graphs: &FnGraphs,
     rounds_cap: usize,
-) -> (Summary, bool) {
+) -> (Summary, u64, bool) {
     let func = module.function(fid);
     let mut s = Summary::default();
     if func.blocks.is_empty() {
-        return (s, true);
+        return (s, 0, true);
     }
-    let FnGraphs { cd, assumed, assumed_params, name } = graphs;
+    let FnGraphs { cfg, cd, assumed, assumed_params, name } = graphs;
+    let one_pass = !cfg.has_back_edge() && cfg.rpo.len() == cfg.len();
+    let unreachable = (0..cfg.len() as u32).map(BlockId).filter(|&b| !cfg.is_reachable(b));
+    let walk = cfg.rpo.iter().copied().chain(unreachable);
 
     let mut vals = ValueFacts {
         insts: vec![SymSet::default(); func.insts.len()],
         params: (0..func.params.len() as u32).map(|i| data_fact(Sym::Param(i))).collect(),
     };
     let mut block_ctl = vec![SymSet::default(); func.blocks.len()];
-    // Control facts found in a round, merged into `block_ctl` after it.
-    let mut new_ctl = vec![SymSet::default(); func.blocks.len()];
     let mut set = SymSet::default();
+    // The block that recorded each of a pass's region reads and sinks.
+    let (mut read_blocks, mut sink_blocks) = (Vec::new(), Vec::new());
 
-    let mut converged = false;
-    for _round in 0..rounds_cap {
+    let (mut passes, mut converged) = (0, false);
+    while passes < rounds_cap && !converged {
+        passes += 1;
         let mut changed = false;
         s = Summary::default();
+        read_blocks.clear();
+        sink_blocks.clear();
 
-        // Control facts from branches over symbolic values.
-        if config.track_control_dependence {
-            for (bid, block) in func.iter_blocks() {
-                let cond = match &block.terminator {
-                    Terminator::CondBr { cond, .. } => Some(cond),
-                    Terminator::Switch { value, .. } => Some(value),
-                    _ => None,
-                };
-                let Some(cond) = cond else { continue };
-                set.clear();
-                set.union(vals.of(cond));
-                set.union(&block_ctl[bid.0 as usize]);
-                if set.is_empty() {
-                    continue;
-                }
-                set.promote();
-                for &dep in cd.controlled_by(bid) {
-                    new_ctl[dep.0 as usize].union(&set);
-                }
-            }
-            for (ctl, found) in block_ctl.iter_mut().zip(&mut new_ctl) {
-                changed |= ctl.union(found);
-                found.clear();
-            }
-        }
-
-        for (bid, block) in func.iter_blocks() {
+        for bid in walk.clone() {
+            let block = func.block(bid);
             let ctl_here = &block_ctl[bid.0 as usize];
             for &iid in &block.insts {
                 let inst = func.inst(iid);
@@ -1312,28 +1310,222 @@ fn summarize_function(
                 }
                 changed |= vals.insts[iid.0 as usize].union(&set);
             }
-        }
+            read_blocks.resize(s.region_reads.len(), bid);
+            sink_blocks.resize(s.sinks.len(), bid);
 
-        // Return set.
-        for (bid, block) in func.iter_blocks() {
-            if let Terminator::Ret(Some(v)) = &block.terminator {
-                s.ret.union(vals.of(v));
-                s.ret.union(&block_ctl[bid.0 as usize]);
+            // A branch over symbolic values controls the blocks it decides.
+            if !config.track_control_dependence {
+                continue;
+            }
+            let cond = match &block.terminator {
+                Terminator::CondBr { cond, .. } => cond,
+                Terminator::Switch { value, .. } => value,
+                _ => continue,
+            };
+            set.clear();
+            set.union(vals.of(cond));
+            set.union(&block_ctl[bid.0 as usize]);
+            if set.is_empty() {
+                continue;
+            }
+            set.promote();
+            for &dep in cd.controlled_by(bid) {
+                changed |= block_ctl[dep.0 as usize].union(&set);
             }
         }
+        converged = one_pass || !changed;
+    }
 
-        if !changed {
-            converged = true;
-            break;
+    s.region_reads = in_block_order(std::mem::take(&mut s.region_reads), &read_blocks);
+    s.sinks = in_block_order(std::mem::take(&mut s.sinks), &sink_blocks);
+    for (bid, block) in func.iter_blocks() {
+        if let Terminator::Ret(Some(v)) = &block.terminator {
+            s.ret.union(vals.of(v));
+            s.ret.union(&block_ctl[bid.0 as usize]);
         }
     }
-    (s, converged)
+    (s, passes as u64, converged)
+}
+
+/// `items` in block-index order, where `blocks[i]` is the block that
+/// recorded `items[i]`; the items of one block keep their order.
+fn in_block_order<T>(items: Vec<T>, blocks: &[BlockId]) -> Vec<T> {
+    if blocks.is_sorted() {
+        return items;
+    }
+    let mut tagged: Vec<(BlockId, T)> = blocks.iter().copied().zip(items).collect();
+    tagged.sort_by_key(|&(bid, _)| bid);
+    tagged.into_iter().map(|(_, item)| item).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Analyzer, Engine};
+    use safeflow_ir::{lower, ssa};
+    use safeflow_syntax::diag::Diagnostics;
+    use safeflow_syntax::parse_source;
     use safeflow_util::prop::{run_cases, Gen};
+
+    /// A non-core shared region `reg` with four fields, for the body-walk
+    /// tests below.
+    const SHM_PRELUDE: &str = r#"
+        typedef struct { int a; int b; int c; int d; } Shm;
+        Shm *reg;
+        void *shmat(int shmid, void *addr, int flags);
+        void init(void)
+        /** SafeFlow Annotation shminit */
+        {
+            reg = (Shm *) shmat(0, 0, 0);
+            /** SafeFlow Annotation
+                assume(shmvar(reg, sizeof(Shm)))
+                assume(noncore(reg))
+            */
+        }
+    "#;
+
+    /// Summarizes `name`, which must call no function of the program, under
+    /// the default configuration, in the program's IR as lowered and, when
+    /// `promote`, in SSA form as the analyzer runs it. Returns the module,
+    /// the function, its CFG, its summary and the passes made over its body.
+    fn summarize_alone(
+        src: &str,
+        name: &str,
+        promote: bool,
+    ) -> (Module, FuncId, Cfg, Summary, u64) {
+        let pr = parse_source("t.c", src);
+        assert!(!pr.diags.has_errors(), "{:?}", pr.diags);
+        let mut diags = Diagnostics::new();
+        let mut module = lower::lower(&pr.unit, &mut diags);
+        if promote {
+            ssa::promote_module(&mut module);
+        }
+        let config = AnalysisConfig::default();
+        let regions =
+            crate::regions::extract_regions(&module, &config.shm_attach_functions, &mut diags);
+        let (table, _) = crate::compile_policy(&config, &module, &regions);
+        let shm = crate::shmptr::identify_shm_pointers(&module, &regions);
+        let pt = PointsTo::analyze(&module);
+        let callgraph = CallGraph::build(&module);
+        let cfgs: Vec<Option<Cfg>> = module
+            .functions
+            .iter()
+            .map(|f| (!f.blocks.is_empty()).then(|| Cfg::build(f)))
+            .collect();
+        let (assumed_of, _) = scope::own_scopes(&module, &regions, &shm, &table);
+        let sockets = scope::find_noncore_sockets(&module, &regions);
+        let fid = module.function_by_name(name).expect("function exists");
+        let graphs = build_fn_graphs(&module, &cfgs, &assumed_of, fid);
+        let local = HashMap::new();
+        let view = SummaryView { callgraph: &callgraph, slots: &[], local: &local, own_scc: 0 };
+        let (summary, passes, converged) = summarize_function(
+            &module, &regions, &shm, &pt, &config, &table, &sockets, &view, fid, &graphs, 16,
+        );
+        assert!(converged);
+        let cfg = cfgs[fid.0 as usize].clone().expect("function has blocks");
+        (module, fid, cfg, summary, passes)
+    }
+
+    /// The block holding the instruction at `span` in `func`.
+    fn block_at(func: &safeflow_ir::Function, span: Span) -> BlockId {
+        func.iter_blocks()
+            .find(|(_, b)| b.insts.iter().any(|&i| func.inst(i).span == span))
+            .map(|(bid, _)| bid)
+            .expect("span is an instruction of the function")
+    }
+
+    /// Warning and error keys of a whole-program run under `engine`.
+    fn finding_keys(engine: Engine, src: &str) -> (Vec<(String, Span)>, Vec<String>) {
+        let report = Analyzer::new(AnalysisConfig::with_engine(engine))
+            .analyze_source("t.c", src)
+            .expect("analyzes")
+            .report;
+        let warnings = report.warnings.iter().map(|w| (w.function.clone(), w.span)).collect();
+        let errors = report
+            .errors
+            .iter()
+            .map(|e| format!("{} in {} at {:?}: {:?}", e.critical, e.function, e.span, e.kind))
+            .collect();
+        (warnings, errors)
+    }
+
+    /// An `if` nested in a then-arm: the lowering numbers the outer merge
+    /// block before the nested arms, so reverse postorder is not index
+    /// order. One pass settles the loop-free body, even though the assert
+    /// at the outer merge reads a value from the nested arm, and its region
+    /// reads and sinks still come out in block-index order.
+    #[test]
+    fn reads_and_sinks_come_out_in_block_order() {
+        let src = format!(
+            "{SHM_PRELUDE}{}",
+            r#"
+            int step(int x) {
+                int r = 0;
+                int k = reg->a;
+                if (x) {
+                    int u = reg->b;
+                    if (u > 0) {
+                        r = reg->c;
+                        /** SafeFlow Annotation assert(safe(u)) */
+                    }
+                }
+                /** SafeFlow Annotation assert(safe(r)) */
+                return r + k + reg->d;
+            }
+            int main() { init(); return step(1); }
+            "#
+        );
+        let (module, fid, cfg, summary, passes) = summarize_alone(&src, "step", true);
+        let func = module.function(fid);
+        assert!(!cfg.rpo.is_sorted(), "reverse postorder is index order: {:?}", cfg.rpo);
+        assert_eq!(passes, 1);
+
+        let read_blocks: Vec<BlockId> =
+            summary.region_reads.iter().map(|r| block_at(func, r.0)).collect();
+        let sink_blocks: Vec<BlockId> =
+            summary.sinks.iter().map(|k| block_at(func, k.span)).collect();
+        assert_eq!(read_blocks.len(), 4, "{:?}", summary.region_reads);
+        assert_eq!(sink_blocks.len(), 2, "{:?}", summary.sinks);
+        assert!(read_blocks.is_sorted(), "{read_blocks:?}");
+        assert!(sink_blocks.is_sorted(), "{sink_blocks:?}");
+        // The walk met them in another order, so the re-sort is exercised.
+        let in_walk = |blocks: &[BlockId]| blocks.is_sorted_by_key(|b| cfg.rpo_index[b.0 as usize]);
+        assert!(!in_walk(&read_blocks) || !in_walk(&sink_blocks));
+
+        let (cs, sm) =
+            (finding_keys(Engine::ContextSensitive, &src), finding_keys(Engine::Summary, &src));
+        assert_eq!(cs, sm);
+        assert_eq!(sm.1.len(), 2, "{:?}", sm.1);
+    }
+
+    /// A block unreachable from the entry is still summarized: its region
+    /// read is recorded, and the body takes a confirming pass. SSA empties
+    /// such blocks, so this runs on the IR as lowered.
+    #[test]
+    fn unreachable_block_keeps_its_region_read() {
+        let src = format!(
+            "{SHM_PRELUDE}{}",
+            r#"
+            int tail(int x) {
+                int r = reg->a + x;
+                return r;
+                r = reg->b;
+                return r;
+            }
+            int main() { init(); return tail(1); }
+            "#
+        );
+        let (module, fid, cfg, summary, passes) = summarize_alone(&src, "tail", false);
+        let func = module.function(fid);
+        let dead: Vec<BlockId> =
+            func.iter_blocks().map(|(b, _)| b).filter(|&b| !cfg.is_reachable(b)).collect();
+        assert!(!dead.is_empty(), "the lowering drops the statements after `return`");
+        let read_blocks: Vec<BlockId> =
+            summary.region_reads.iter().map(|r| block_at(func, r.0)).collect();
+        assert_eq!(read_blocks.len(), 2, "{:?}", summary.region_reads);
+        assert!(read_blocks.iter().any(|b| dead.contains(b)), "{read_blocks:?}");
+        assert_eq!(passes, 2);
+    }
 
     /// A fact from a small universe, so that random sets overlap: every
     /// `Sym` kind, both flow kinds, with and without a relabel mask.

@@ -131,6 +131,54 @@ fn one_round_budget_degrades_recursion_but_not_a_settled_leaf() {
 }
 
 #[test]
+fn one_round_budget_settles_a_loop_free_body_but_not_a_tainted_loop() {
+    // One pass over a loop-free body reaches its fixpoint, even where a
+    // branch on an unmonitored read gates an assert: `gate` does not
+    // degrade and its error stands. A loop whose φ carries the read needs a
+    // confirming pass, so `accumulate` still degrades.
+    let src = r#"
+        typedef struct { int mode; int gain; } Cmd;
+        Cmd *cmd;
+        void *shmat(int shmid, void *addr, int flags);
+        void initComm(void)
+        /** SafeFlow Annotation shminit */
+        {
+            cmd = (Cmd *) shmat(0, 0, 0);
+            /** SafeFlow Annotation
+                assume(shmvar(cmd, sizeof(Cmd)))
+                assume(noncore(cmd))
+            */
+        }
+        int gate(int out) {
+            if (cmd->mode > 0)
+                out = 0;
+            /** SafeFlow Annotation assert(safe(out)) */
+            return out;
+        }
+        int accumulate(int n) {
+            int acc = 0;
+            int i;
+            for (i = 0; i < n; i++)
+                acc = acc + cmd->gain;
+            return acc;
+        }
+        int main() { initComm(); return gate(1) + accumulate(4); }
+    "#;
+    let budget = Budget { fixpoint_rounds: Some(1), ..Budget::unlimited() };
+    let config = AnalysisConfig::with_engine(Engine::Summary).with_budget(budget);
+    let report = Analyzer::new(config).analyze_source("passes.c", src).expect("analyzes").report;
+    let degraded = degraded_functions(&report);
+    assert!(degraded.contains("accumulate"), "tainted loop must degrade: {degraded:?}");
+    assert!(!degraded.contains("gate"), "loop-free body degraded: {degraded:?}");
+    assert!(
+        report.errors.iter().any(|e| e.function == "gate" && e.critical == "out"),
+        "the gated assert keeps its error: {:?}",
+        report.errors
+    );
+    assert_eq!(report.exit_code(), 4);
+}
+
+#[test]
 fn injected_solver_exhaustion_marks_bounds_unproven() {
     // Exhaust the solver step pool everywhere: A1 obligations degrade to
     // "unproven" violations instead of silently passing.

@@ -152,6 +152,7 @@ fn bench_corpus_work_counters_are_pinned() {
             ("engine.sccs_hashed", 418),
             ("summary.cache_misses", 418),
             ("summary.summarize_calls", 417),
+            ("summary.body_passes", 417),
             ("summary.fixpoint_rounds", 418),
             ("restrict.functions_checked", 418),
             ("restrict.solver_calls", 0),
@@ -172,6 +173,7 @@ fn bench_corpus_work_counters_are_pinned() {
             &[
                 ("summary.cache_misses", dirty),
                 ("summary.summarize_calls", dirty),
+                ("summary.body_passes", dirty),
                 ("store.sccs_invalidated", dirty),
             ],
         );

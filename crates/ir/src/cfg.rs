@@ -100,6 +100,17 @@ impl Cfg {
         self.rpo_index[b.0 as usize] != usize::MAX
     }
 
+    /// Whether the blocks reachable from the entry contain a cycle: some
+    /// edge out of a reachable block leads back to that block or to one
+    /// before it in reverse postorder. Without one, a walk in reverse
+    /// postorder meets every block after all of its reachable predecessors.
+    pub fn has_back_edge(&self) -> bool {
+        self.rpo
+            .iter()
+            .enumerate()
+            .any(|(at, &b)| self.succs_of(b).iter().any(|s| self.rpo_index[s.0 as usize] <= at))
+    }
+
     /// Predecessors of `b`.
     pub fn preds_of(&self, b: BlockId) -> &[BlockId] {
         self.preds.get(b)
@@ -238,6 +249,7 @@ mod tests {
         assert_eq!(cfg.rpo[0], BlockId(0));
         assert_eq!(*cfg.rpo.last().unwrap(), BlockId(3));
         assert!(cfg.is_reachable(BlockId(2)));
+        assert!(!cfg.has_back_edge());
     }
 
     #[test]
@@ -272,5 +284,19 @@ mod tests {
         assert!(pos(0) < pos(1));
         assert!(pos(1) < pos(2));
         assert_eq!(cfg.preds_of(BlockId(1)).len(), 2);
+        assert!(cfg.has_back_edge());
+    }
+
+    #[test]
+    fn self_loop_is_a_back_edge_but_a_dead_one_is_not() {
+        let spin = func_with_blocks(vec![block("entry", Terminator::Br(BlockId(0)))]);
+        assert!(Cfg::build(&spin).has_back_edge());
+        // The cycle 1 -> 2 -> 1 is unreachable from the entry.
+        let dead = func_with_blocks(vec![
+            block("entry", Terminator::Ret(None)),
+            block("a", Terminator::Br(BlockId(2))),
+            block("b", Terminator::Br(BlockId(1))),
+        ]);
+        assert!(!Cfg::build(&dead).has_back_edge());
     }
 }
