@@ -19,7 +19,7 @@ use safeflow_syntax::ast;
 use safeflow_syntax::ast::{TypeExprKind, UnOp};
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::span::Span;
-use safeflow_util::hash::FnvMap;
+use safeflow_util::hash::StableMap;
 use safeflow_util::Symbol;
 use std::borrow::Cow;
 
@@ -32,8 +32,8 @@ pub fn lower(unit: &ast::TranslationUnit, diags: &mut Diagnostics) -> Module {
     let mut lw = Lowerer {
         module: Module::new(),
         ast: &unit.ast,
-        typedefs: FnvMap::default(),
-        enum_consts: FnvMap::default(),
+        typedefs: StableMap::default(),
+        enum_consts: StableMap::default(),
         diags,
         str_counter: 0,
         bufs: BodyBuffers::default(),
@@ -53,8 +53,8 @@ struct Lowerer<'u, 'd> {
     module: Module,
     /// Node arena of the unit being lowered.
     ast: &'u ast::Ast,
-    typedefs: FnvMap<Symbol, Type>,
-    enum_consts: FnvMap<Symbol, i64>,
+    typedefs: StableMap<Symbol, Type>,
+    enum_consts: StableMap<Symbol, i64>,
     diags: &'d mut Diagnostics,
     str_counter: u32,
     /// Buffers each function body is lowered into, kept for the next one.

@@ -19,7 +19,7 @@ use crate::diag::Diagnostics;
 use crate::source::SourceMap;
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
-use safeflow_util::hash::FnvSet;
+use safeflow_util::hash::StableSet;
 use safeflow_util::Symbol;
 
 /// Parses a preprocessed token stream into a translation unit.
@@ -37,7 +37,7 @@ pub fn parse(
         pos: 0,
         sources,
         diags,
-        typedefs: FnvSet::default(),
+        typedefs: StableSet::default(),
         anon_counter: 0,
         hoisted: Vec::new(),
         pending_fn: None,
@@ -53,7 +53,7 @@ struct Parser<'a> {
     diags: &'a mut Diagnostics,
     /// Node arena for the unit being built.
     ast: Ast,
-    typedefs: FnvSet<Symbol>,
+    typedefs: StableSet<Symbol>,
     anon_counter: u32,
     /// Struct/enum definitions encountered inline, hoisted before the
     /// current item.

@@ -19,11 +19,11 @@
 //!   through [`Symbol::as_str`].
 //!
 //! Storage lives in a [`crate::arena::Bump`], so interning a novel string
-//! costs one bump-copy and a [`crate::hash::Fnv64`]-hashed map insert; a
+//! costs one bump-copy and a [`crate::hash::StableHasher`]-hashed map insert; a
 //! repeat costs only the lookup.
 
 use crate::arena::Bump;
-use crate::hash::FnvMap;
+use crate::hash::StableMap;
 use std::sync::{Mutex, OnceLock};
 
 /// An interned string key. `Copy`, 4 bytes, O(1) equality.
@@ -96,7 +96,7 @@ pub struct Interner {
     arena: Bump,
     /// Keys borrow from `arena`; the `'static` is an internal lifetime
     /// erasure, never exposed — see the SAFETY note in [`Interner::intern`].
-    lookup: FnvMap<&'static str, u32>,
+    lookup: StableMap<&'static str, u32>,
     strings: Vec<&'static str>,
 }
 
