@@ -139,7 +139,9 @@ fn assert_work(stage: &str, metrics: &MetricsSnapshot, want: &[(&str, u64)]) {
 /// The work the benchmark's checks do is a pure function of the input, so
 /// it is gated exactly where wall time cannot be: a cold check, then
 /// store-backed checks after a one-comment-line edit to a leaf-side unit
-/// (`pkg0`, which many packages call into) and a top-side one (`pkg11`).
+/// (`pkg0`, which many packages call into) and a top-side one (`pkg11`),
+/// in a session reopened over the stored corpus, whose replay of the
+/// unchanged corpus decodes no summary.
 #[test]
 fn bench_corpus_work_counters_are_pinned() {
     let config = AnalysisConfig::builder().engine(Engine::Summary).jobs(1).build_config();
@@ -161,9 +163,19 @@ fn bench_corpus_work_counters_are_pinned() {
 
     let dir = std::env::temp_dir().join(format!("safeflow-bench-counters-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut session = AnalysisSession::with_store(config, &dir).expect("store opens");
+    let mut session = AnalysisSession::with_store(config.clone(), &dir).expect("store opens");
     session.check("main.c", &fs).expect("corpus checks");
-    for (unit, dirty) in [("pkg0/unit0.c", 49), ("pkg11/unit0.c", 5)] {
+    drop(session); // release the store's writer lock before reopening
+                   // A reopened session replays the unchanged corpus without decoding a
+                   // summary, and decodes the stored table on its first analyzed check.
+    let mut session = AnalysisSession::with_store(config, &dir).expect("store reopens");
+    let replayed = session.check("main.c", &fs).expect("corpus replays");
+    assert_work(
+        "replay",
+        &replayed.metrics,
+        &[("store.manifest_hits", 1), ("store.sccs_loaded", 418), ("store.sccs_decoded", 0)],
+    );
+    for (unit, dirty, decoded) in [("pkg0/unit0.c", 49, 418), ("pkg11/unit0.c", 5, 0)] {
         let text = format!("/* edit */\n{}", fs.get(unit).expect("unit exists"));
         fs.add(unit, text);
         let edited = session.check("main.c", &fs).expect("corpus checks");
@@ -175,6 +187,7 @@ fn bench_corpus_work_counters_are_pinned() {
                 ("summary.summarize_calls", dirty),
                 ("summary.body_passes", dirty),
                 ("store.sccs_invalidated", dirty),
+                ("store.sccs_decoded", decoded),
             ],
         );
     }

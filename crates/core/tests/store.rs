@@ -235,6 +235,77 @@ fn editing_one_unit_reanalyzes_only_the_dirty_region() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A replay reads no summary: the store keeps its SCC table encoded. The
+/// first analyzed check of a reopened session decodes all of it into its
+/// prior table, and a later check decodes nothing more.
+#[test]
+fn stored_summaries_are_decoded_only_when_a_check_analyzes() {
+    let dir = store_dir("lazy");
+    let fs = two_unit_fs(UTIL_C);
+    let cold = AnalysisSession::with_store(config(1), &dir).unwrap().check("core.c", &fs).unwrap();
+    assert_eq!(cold.metrics.work["store.sccs_decoded"], 0, "a fresh store holds nothing");
+    let saved = cold.metrics.work["store.sccs_saved"];
+    assert!(saved >= 4, "expected at least 4 SCCs, got {saved}");
+
+    let mut session = AnalysisSession::with_store(config(1), &dir).unwrap();
+    let replayed = session.check("core.c", &fs).unwrap();
+    assert_eq!(replayed.run, SessionRun::Replayed);
+    assert_eq!(replayed.metrics.work["store.sccs_decoded"], 0);
+    assert_eq!(replayed.metrics.work["store.sccs_loaded"], saved);
+
+    let first = session.check("core.c", &two_unit_fs(&UTIL_C.replace("x + 1", "x + 2"))).unwrap();
+    assert_eq!(first.run, SessionRun::Analyzed);
+    assert_eq!(first.metrics.work["store.sccs_decoded"], saved);
+    assert_eq!(first.metrics.work["summary.cache_misses"], 2, "the decoded table seeds the run");
+    let second = session.check("core.c", &two_unit_fs(&UTIL_C.replace("x + 1", "x + 3"))).unwrap();
+    assert_eq!(second.run, SessionRun::Analyzed);
+    assert_eq!(second.metrics.work["store.sccs_decoded"], 0);
+    assert_eq!(second.metrics.work["summary.cache_misses"], 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store file whose checksum holds but whose SCC table does not decode
+/// passes open and still replays its whole manifests; the first analyzed
+/// check finds the damage, rejects the store and runs cold.
+#[test]
+fn malformed_stored_summaries_reject_the_store_when_a_check_analyzes() {
+    let dir = store_dir("malformed-sccs");
+    let fs = two_unit_fs(UTIL_C);
+    let cold = AnalysisSession::with_store(config(1), &dir).unwrap().check("core.c", &fs).unwrap();
+    // One byte of trailing garbage after the SCC table, re-checksummed.
+    let path = dir.join("safeflow-store.bin");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.truncate(bytes.len() - 8);
+    bytes.push(0);
+    let sum = safeflow_util::hash::hash_bytes(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let mut session = AnalysisSession::with_store(config(1), &dir).unwrap();
+    let replayed = session.check("core.c", &fs).unwrap();
+    assert_eq!(replayed.run, SessionRun::Replayed);
+    assert_eq!(replayed.rendered, cold.rendered);
+
+    let edited = two_unit_fs(&UTIL_C.replace("x + 1", "x + 2"));
+    let reference = AnalysisSession::new(config(1)).check("core.c", &edited).unwrap();
+    let outcome = session.check("core.c", &edited).unwrap();
+    assert_eq!(outcome.run, SessionRun::Analyzed);
+    assert_eq!(outcome.metrics.work.get("store.load_rejected"), Some(&1));
+    assert_eq!(outcome.metrics.work["store.sccs_loaded"], 0);
+    assert_eq!(outcome.metrics.work["store.sccs_decoded"], 0);
+    assert_eq!(outcome.metrics.work["summary.cache_hits"], 0, "nothing survives the rejection");
+    assert_eq!(outcome.rendered, reference.rendered);
+    assert_eq!(stripped(&outcome.report_json, true), stripped(&reference.report_json, true));
+    drop(session);
+
+    // The check rewrote the store whole.
+    let mut session = AnalysisSession::with_store(config(1), &dir).unwrap();
+    let warm = session.check("core.c", &edited).unwrap();
+    assert_eq!(warm.run, SessionRun::Replayed);
+    assert_eq!(warm.metrics.work.get("store.load_rejected"), None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An analyzed check times its own layers, frontend, rendering and store
 /// save included; a replayed one only its total. All of it lives in
 /// `timings_ns`, which every byte-identity comparison strips.

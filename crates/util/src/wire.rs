@@ -66,6 +66,11 @@ impl<'a> ByteReader<'a> {
         Some(n)
     }
 
+    /// Bytes consumed so far: where the next read starts.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// `true` once the cursor has consumed the whole buffer.
     pub fn done(&self) -> bool {
         self.pos == self.buf.len()
