@@ -79,7 +79,7 @@ struct Lexer<'a, 'd> {
     diags: &'d mut Diagnostics,
     /// Texts of this file already interned, so that a repeated identifier
     /// or directive skips the global interner and its lock: a
-    /// direct-mapped table indexed by the low bits of the text's FNV hash,
+    /// direct-mapped table indexed by the low bits of the text's stable hash,
     /// where a collision just replaces the slot.
     memo: [Option<(&'a str, Symbol)>; MEMO_SLOTS],
 }
