@@ -13,7 +13,9 @@
 //! * **violations** — breaches of the language restrictions P1–P3/A1–A2
 //!   (§3.2).
 
-use crate::regions::RegionId;
+use crate::policy::LabelTable;
+use crate::regions::{RegionId, RegionMap};
+use crate::taint::TaintVal;
 use safeflow_syntax::source::SourceMap;
 use safeflow_syntax::span::Span;
 use safeflow_syntax::Diagnostics;
@@ -105,41 +107,128 @@ pub struct ErrorDependency {
     pub flow: Option<Arc<FlowNode>>,
 }
 
-/// An engine's findings, collected under the one deduplication rule both
-/// phase-3 engines share: the first warning per (function, span, region)
-/// wins, and per (function, span, critical) the error with the worst
-/// [`DependencyKind`] wins (the first one on a tie). Both come out in key
-/// order.
+/// An engine's findings, collected under the one finding rule both phase-3
+/// engines share, whole runs and degraded scopes alike:
+///
+/// * a read of a non-core region at a label mask other than ⊥ is a
+///   warning;
+/// * a sink reached by a [`TaintVal`] leaks what lies above its clearance:
+///   the error is `Data` if any explicit flow leaks, `ControlOnly`
+///   otherwise, and its mask is the join of everything that leaks.
+///
+/// Findings at one site — (function, span, region) for a warning,
+/// (function, span, critical) for an error — merge: their masks join and
+/// the worst kind wins. The site keeps the flow of the last finding that
+/// raised its kind, or at the worst kind its mask, so the flow shows a
+/// source of the site's label whenever one source carries it all. The
+/// label is named once, by [`Findings::into_parts`], so it does not depend
+/// on which finding came first. Both lists come out in key order.
 #[derive(Debug, Default)]
 pub(crate) struct Findings {
-    warnings: BTreeMap<(String, u32, u32, RegionId), Warning>,
-    errors: BTreeMap<(String, u32, u32, String), ErrorDependency>,
+    warnings: BTreeMap<Site<RegionId>, (Span, u64)>,
+    errors: BTreeMap<Site<Arc<str>>, (ErrorDependency, u64)>,
 }
 
+/// A finding's site: its function, its span's bounds, and what it names.
+type Site<T> = (Arc<str>, u32, u32, T);
+
 impl Findings {
-    /// Records `w` unless its site already has a warning.
-    pub(crate) fn warn(&mut self, w: Warning) {
-        let key = (w.function.clone(), w.span.lo, w.span.hi, w.region);
-        self.warnings.entry(key).or_insert(w);
+    /// Records a read of `region` at label `mask` in `function`.
+    pub(crate) fn read(&mut self, function: &Arc<str>, region: RegionId, span: Span, mask: u64) {
+        if mask != 0 {
+            let key = (function.clone(), span.lo, span.hi, region);
+            self.warnings.entry(key).or_insert((span, 0)).1 |= mask;
+        }
     }
 
-    /// Records `e` unless its site already has an error at least as bad.
-    pub(crate) fn error(&mut self, e: ErrorDependency) {
-        let key = (e.function.clone(), e.span.lo, e.span.hi, e.critical.clone());
-        match self.errors.entry(key) {
-            Entry::Occupied(mut prev) if e.kind > prev.get().kind => {
-                prev.insert(e);
+    /// Records that `val` reaches the sink `critical` at `span` in
+    /// `function`, whose clearance is `clearance`. `flow` is built only if
+    /// this finding's flow is the one its site keeps.
+    pub(crate) fn reach(
+        &mut self,
+        function: &Arc<str>,
+        span: Span,
+        critical: &Arc<str>,
+        val: TaintVal,
+        clearance: u64,
+        flow: impl FnOnce() -> Option<Arc<FlowNode>>,
+    ) {
+        let (explicit, implicit) = (val.explicit() & !clearance, val.implicit() & !clearance);
+        let kind = match (explicit, implicit) {
+            (0, 0) => return,
+            (0, _) => DependencyKind::ControlOnly,
+            _ => DependencyKind::Data,
+        };
+        self.add_error(function, span, critical, kind, explicit | implicit, flow);
+    }
+
+    /// Joins one error of `kind` at `mask` into its site.
+    fn add_error(
+        &mut self,
+        function: &Arc<str>,
+        span: Span,
+        critical: &Arc<str>,
+        kind: DependencyKind,
+        mask: u64,
+        flow: impl FnOnce() -> Option<Arc<FlowNode>>,
+    ) {
+        match self.errors.entry((function.clone(), span.lo, span.hi, critical.clone())) {
+            Entry::Occupied(mut site) => {
+                let (e, joined) = site.get_mut();
+                if kind > e.kind || (kind == e.kind && mask & !*joined != 0) {
+                    (e.span, e.kind, e.flow) = (span, kind, flow());
+                }
+                *joined |= mask;
             }
-            Entry::Occupied(_) => {}
-            Entry::Vacant(slot) => {
-                slot.insert(e);
+            Entry::Vacant(site) => {
+                let (critical, function) = (critical.to_string(), function.to_string());
+                let flow = flow();
+                site.insert((
+                    ErrorDependency { critical, function, span, kind, label: None, flow },
+                    mask,
+                ));
             }
         }
     }
 
-    /// The warnings and the errors, each in key order.
-    pub(crate) fn into_parts(self) -> (Vec<Warning>, Vec<ErrorDependency>) {
-        (self.warnings.into_values().collect(), self.errors.into_values().collect())
+    /// Merges `other`'s findings into these, as if each had been recorded
+    /// here in `other`'s key order.
+    pub(crate) fn merge(&mut self, other: &Findings) {
+        for ((function, _, _, region), &(span, mask)) in &other.warnings {
+            self.read(function, *region, span, mask);
+        }
+        for ((function, _, _, critical), (e, mask)) in &other.errors {
+            self.add_error(function, e.span, critical, e.kind, *mask, || e.flow.clone());
+        }
+    }
+
+    /// The number of warning sites and of error sites.
+    pub(crate) fn len(&self) -> (usize, usize) {
+        (self.warnings.len(), self.errors.len())
+    }
+
+    /// The warnings and the errors, each in key order, labeled under
+    /// `table`: no label under the default two-point policy (which keeps
+    /// v1 reports byte-identical), else the name of the site's mask.
+    pub(crate) fn into_parts(
+        self,
+        table: &LabelTable,
+        regions: &RegionMap,
+    ) -> (Vec<Warning>, Vec<ErrorDependency>) {
+        let label = |mask: u64| (!table.is_default()).then(|| table.name_of(mask));
+        let warnings = self.warnings.into_iter().map(|((function, _, _, region), (span, mask))| {
+            let region_name = regions.region(region).name.clone();
+            Warning {
+                function: function.to_string(),
+                region,
+                region_name,
+                span,
+                label: label(mask),
+            }
+        });
+        let errors =
+            self.errors.into_values().map(|(e, mask)| ErrorDependency { label: label(mask), ..e });
+        (warnings.collect(), errors.collect())
     }
 }
 

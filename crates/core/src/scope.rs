@@ -246,17 +246,6 @@ pub(crate) fn socket_is_noncore(
 }
 
 impl LabelTable {
-    /// The label a finding at `mask` reports: `None` under the default
-    /// two-point policy (keeps historical reports byte-identical), the
-    /// mask's name otherwise.
-    pub(crate) fn finding_label(&self, mask: u64) -> Option<String> {
-        if self.is_default() {
-            None
-        } else {
-            Some(self.name_of(mask))
-        }
-    }
-
     /// The clearance mask of a critical call's argument: flows at or below
     /// it may reach the call. `trusted` (0) unless the config names a
     /// declared label; unknown names resolve to `trusted`, the most

@@ -60,7 +60,10 @@ pub(crate) use safeflow_util::wire::{put_str, put_u32, put_u64, put_u8, ByteRead
 /// rendered from it.
 /// v4: the word-at-a-time stable hash replaces FNV-1a, so every content
 /// key, manifest key and the file checksum changed; the layout did not.
-pub const STORE_VERSION: u32 = 4;
+/// v5: one finding rule labels a site by the join of every label reaching
+/// it, so stored labeled reports may name other labels; the layout did
+/// not change.
+pub const STORE_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"SFSTORE\0";
 const STORE_FILE: &str = "safeflow-store.bin";

@@ -14,9 +14,11 @@
 //! §3.1). One bottom-up pass over call-graph SCCs; summaries inside an SCC
 //! iterate to fixpoint.
 //!
-//! Must agree with [`crate::taint`] on findings; the integration suite and
-//! the `engine_scaling` bench compare them. Value-flow paths reported here
-//! are coarser (source → sink only) than the context-sensitive engine's.
+//! Must agree with [`crate::taint`] on findings: both report through
+//! [`Findings`], and the differential oracle's `context-engine`
+//! configuration compares them on every generated program. Value-flow
+//! paths reported here are coarser (source → sink only) than the
+//! context-sensitive engine's.
 //!
 //! Label-lattice policies generalize the summaries without changing their
 //! shape: region facts carry an optional *relabel* mask recording the
@@ -30,9 +32,7 @@ use crate::config::AnalysisConfig;
 use crate::engine::SccTable;
 use crate::policy::LabelTable;
 use crate::regions::{RegionId, RegionMap};
-use crate::report::{
-    Degradation, DegradationKind, DependencyKind, ErrorDependency, Findings, FlowNode, Warning,
-};
+use crate::report::{Degradation, DegradationKind, Findings, FlowNode};
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use crate::taint::{TaintResults, TaintVal};
@@ -756,16 +756,7 @@ pub(crate) fn analyze_summaries(
         // so iterate every function rather than only entry roots.
         for (span, rid, in_func, relabel) in &s.region_reads {
             let effective = relabel.unwrap_or_else(|| declared_mask(*rid));
-            if effective == 0 {
-                continue;
-            }
-            findings.warn(Warning {
-                function: in_func.to_string(),
-                region: *rid,
-                region_name: regions.region(*rid).name.clone(),
-                span: *span,
-                label: table.finding_label(effective),
-            });
+            findings.read(in_func, *rid, *span, effective);
         }
         for sink in &s.sinks {
             // Parameters of roots are clean; other sources decide. Flows
@@ -777,56 +768,27 @@ pub(crate) fn analyze_summaries(
                 .rev()
                 .find(|c| *sink.critical == format!("{}:arg{}", c.name, c.arg))
                 .map_or(0, |c| table.clearance(c));
-            let mut worst: Option<(bool, Option<RegionId>, u64)> = None; // (ctl_only, region, leak)
             for f in &sink.sources {
                 let v = source_val(f, &unsafe_objs);
-                let leak = TaintVal::new(v.explicit() & !clear, v.implicit() & !clear);
-                if leak.is_bot() {
-                    continue;
-                }
-                let ctl_only = leak.explicit() == 0;
-                let reg = match f.sym {
-                    Sym::Region(r) => Some(r),
-                    _ => None,
-                };
-                let mask = leak.explicit() | leak.implicit();
-                worst = Some(match worst {
-                    None => (ctl_only, reg, mask),
-                    Some((prev_ctl, prev_reg, prev_mask)) => {
-                        if prev_ctl && !ctl_only {
-                            (false, reg, mask)
-                        } else {
-                            (prev_ctl, prev_reg, prev_mask)
+                findings.reach(&sink.function, sink.span, &sink.critical, v, clear, || {
+                    let source_desc = match f.sym {
+                        Sym::Region(r) => {
+                            let name = &regions.region(r).name;
+                            if table.is_default() {
+                                format!("unmonitored read of non-core region `{name}`")
+                            } else {
+                                // The label the read reaches the sink with.
+                                let label = table.name_of(v.explicit() | v.implicit());
+                                format!("read of non-core region `{name}` (label `{label}`)")
+                            }
                         }
-                    }
-                });
-            }
-            if let Some((ctl_only, reg, leak_mask)) = worst {
-                let source_desc = match reg {
-                    Some(r) => {
-                        let name = &regions.region(r).name;
-                        if table.is_default() {
-                            format!("unmonitored read of non-core region `{name}`")
-                        } else {
-                            format!(
-                                "read of non-core region `{name}` (label `{}`)",
-                                table.name_of(declared_mask(r))
-                            )
-                        }
-                    }
-                    None => "unmonitored non-core input".to_string(),
-                };
-                findings.error(ErrorDependency {
-                    critical: sink.critical.to_string(),
-                    function: sink.function.to_string(),
-                    span: sink.span,
-                    kind: if ctl_only { DependencyKind::ControlOnly } else { DependencyKind::Data },
-                    label: table.finding_label(leak_mask),
-                    flow: Some(FlowNode::step(
+                        _ => "unmonitored non-core input".to_string(),
+                    };
+                    Some(FlowNode::step(
                         format!("reaches critical `{}`", sink.critical),
                         sink.span,
                         FlowNode::source(source_desc, sink.span),
-                    )),
+                    ))
                 });
             }
         }
@@ -837,18 +799,27 @@ pub(crate) fn analyze_summaries(
     // to roots only by bottom-up inlining). Re-collect them directly from
     // the IR of every function reachable from a degraded member —
     // unfiltered by caller assume scopes and with every sink treated as
-    // reached by unsafe data. Strictly a superset of what a clean run
-    // reports for those scopes: degraded runs add findings, never lose
+    // reached by unsafe data, so the analysis that would have decided it
+    // cannot turn into a silent pass. Strictly a superset of what a clean
+    // run reports for those scopes: degraded runs add findings, never lose
     // them.
     let mut swept: BTreeSet<FuncId> = BTreeSet::new();
     for &fid in &degraded_fns {
         swept.extend(callgraph.reachable_from(fid));
     }
+    let unsafe_top = TaintVal::explicit_at(table.top());
     for fid in swept {
         let func = module.function(fid);
         if !func.is_definition || func.is_shminit() || func.blocks.is_empty() {
             continue;
         }
+        let name: Arc<str> = func.name.as_str().into();
+        let degraded = |span: Span| {
+            Some(FlowNode::source(
+                format!("analysis of `{name}` (or a function it reaches) degraded; conservatively assumed unsafe"),
+                span,
+            ))
+        };
         let assumed = assumed_of.get(&fid).cloned().unwrap_or_default();
         let local_assumed_params = scope::assumed_params(func);
         for (_, inst) in func.iter_insts() {
@@ -858,48 +829,29 @@ pub(crate) fn analyze_summaries(
                         continue;
                     }
                     for &fact in shm.regions_of_ref(fid, ptr) {
-                        let region = regions.region(fact.region);
-                        let declared = table.region_source_mask(fact.region.0, region.noncore);
+                        let declared = declared_mask(fact.region);
                         let effective =
                             assumed.get(&fact.region).map(|&m| declared & m).unwrap_or(declared);
-                        if effective == 0 {
-                            continue;
-                        }
-                        findings.warn(Warning {
-                            function: func.name.clone(),
-                            region: fact.region,
-                            region_name: region.name.clone(),
-                            span: inst.span,
-                            label: table.finding_label(effective),
-                        });
+                        findings.read(&name, fact.region, inst.span, effective);
                     }
                 }
                 InstKind::AssertSafe { var, .. } => {
-                    push_conservative_error(
-                        &mut findings,
-                        var.clone(),
-                        func,
-                        inst.span,
-                        table.finding_label(table.top()),
-                    );
+                    findings.reach(&name, inst.span, &var.as_str().into(), unsafe_top, 0, || {
+                        degraded(inst.span)
+                    });
                 }
                 InstKind::Call { callee, args } => {
-                    if let Some(name) = module.external_callee_name(callee) {
+                    if let Some(callee_name) = module.external_callee_name(callee) {
                         for call in &config.implicit_critical_calls {
                             let (cname, argi) = (&call.name, &call.arg);
-                            if cname == name && args.get(*argi).is_some() {
-                                // Even conservative top is no leak when the
-                                // sink's clearance covers the whole lattice.
-                                let leak = table.top() & !table.clearance(call);
-                                if leak == 0 {
-                                    continue;
-                                }
-                                push_conservative_error(
-                                    &mut findings,
-                                    format!("{name}:arg{argi}"),
-                                    func,
+                            if cname == callee_name && args.get(*argi).is_some() {
+                                findings.reach(
+                                    &name,
                                     inst.span,
-                                    table.finding_label(leak),
+                                    &format!("{callee_name}:arg{argi}").into(),
+                                    unsafe_top,
+                                    table.clearance(call),
+                                    || degraded(inst.span),
                                 );
                             }
                         }
@@ -912,33 +864,10 @@ pub(crate) fn analyze_summaries(
 
     notes.sort();
     notes.dedup();
-    let (warnings, errors) = findings.into_parts();
+    let (warnings, errors) = findings.into_parts(table, regions);
     let results =
         TaintResults { warnings, errors, notes, contexts_analyzed: summaries.len(), degradations };
     (results, scc_table)
-}
-
-/// Records a worst-case (`Data`) error for a sink inside a degraded scope:
-/// the analysis that would have decided whether unsafe data reaches it is
-/// gone, so it is reported as reached — loud, never a silent pass.
-fn push_conservative_error(
-    findings: &mut Findings,
-    critical: String,
-    func: &safeflow_ir::Function,
-    span: Span,
-    label: Option<String>,
-) {
-    findings.error(ErrorDependency {
-        critical,
-        function: func.name.clone(),
-        span,
-        kind: DependencyKind::Data,
-        label,
-        flow: Some(FlowNode::source(
-            format!("analysis of `{}` (or a function it reaches) degraded; conservatively assumed unsafe", func.name),
-            span,
-        )),
-    });
 }
 
 fn summary_eq(a: &Summary, b: &Summary) -> bool {
@@ -1534,6 +1463,49 @@ mod tests {
         assert_eq!(read_blocks.len(), 2, "{:?}", summary.region_reads);
         assert!(read_blocks.iter().any(|b| dead.contains(b)), "{read_blocks:?}");
         assert_eq!(passes, 2);
+    }
+
+    /// One assert reached by two channels with incomparable labels: its
+    /// error is labeled by their join, not by whichever source the sink
+    /// lists first, and the context-sensitive engine agrees.
+    #[test]
+    fn a_sink_reached_by_two_labels_reports_their_join() {
+        let src = r#"
+            typedef struct { int v; int pad; } Blk;
+            Blk *regA;
+            Blk *regB;
+            void *shmat(int shmid, void *addr, int flags);
+            void init(void)
+            /** SafeFlow Annotation shminit */
+            {
+                char *cursor;
+                cursor = (char *) shmat(0, 0, 0);
+                regA = (Blk *) cursor;
+                regB = (Blk *) (cursor + sizeof(Blk));
+                /** SafeFlow Annotation
+                    assume(label(sensor_a))
+                    assume(label(sensor_b))
+                    assume(channel(regA, sizeof(Blk), sensor_a))
+                    assume(channel(regB, sizeof(Blk), sensor_b))
+                */
+            }
+            int main() {
+                int x;
+                init();
+                x = regA->v + regB->v;
+                /** SafeFlow Annotation assert(safe(x)) */
+                return x;
+            }
+        "#;
+        for engine in [Engine::Summary, Engine::ContextSensitive] {
+            let report = Analyzer::new(AnalysisConfig::with_engine(engine))
+                .analyze_source("t.c", src)
+                .expect("analyzes")
+                .report;
+            let labels: Vec<Option<&str>> =
+                report.errors.iter().map(|e| e.label.as_deref()).collect();
+            assert_eq!(labels, [Some("sensor_a+sensor_b")], "{engine:?}");
+        }
     }
 
     /// A fact from a small universe, so that random sets overlap: every

@@ -26,9 +26,7 @@
 use crate::config::AnalysisConfig;
 use crate::policy::LabelTable;
 use crate::regions::RegionMap;
-use crate::report::{
-    Degradation, DegradationKind, DependencyKind, ErrorDependency, Findings, FlowNode, Warning,
-};
+use crate::report::{Degradation, DegradationKind, ErrorDependency, Findings, FlowNode, Warning};
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use safeflow_ir::{
@@ -149,11 +147,10 @@ struct Ctx {
 }
 
 /// Result of analyzing one `(function, context)` pair.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Outcome {
     ret: Option<Taint>,
-    warnings: Vec<Warning>,
-    errors: Vec<ErrorDependency>,
+    findings: Findings,
 }
 
 /// Output of the phase-3 engine.
@@ -203,11 +200,12 @@ pub fn analyze_taint(
         cfgs,
         config,
         table,
-        memo: HashMap::new(),
+        memo: BTreeMap::new(),
         in_progress: BTreeSet::new(),
         obj_taint: BTreeMap::new(),
         noncore_sockets: scope::find_noncore_sockets(module, regions),
         own_scopes,
+        names: module.functions.iter().map(|f| Arc::from(f.name.as_str())).collect(),
         notes,
         control_deps: HashMap::new(),
         obj_dirty: false,
@@ -258,7 +256,8 @@ pub fn analyze_taint(
             .iter()
             .map(|((f, _), o)| {
                 let ret = o.ret.as_ref().map(|t| t.val).unwrap_or_default();
-                (f.0, ret.explicit(), ret.implicit(), o.warnings.len(), o.errors.len())
+                let (warnings, errors) = o.findings.len();
+                (f.0, ret.explicit(), ret.implicit(), warnings, errors)
             })
             .collect();
         sig.sort_unstable();
@@ -269,15 +268,11 @@ pub fn analyze_taint(
         }
     }
 
-    // Aggregate + dedupe.
+    // Every context's findings, merged in `(function, context)` order, so
+    // the flow a site keeps does not depend on how the memo was filled.
     let mut findings = Findings::default();
     for outcome in eng.memo.values() {
-        for w in &outcome.warnings {
-            findings.warn(w.clone());
-        }
-        for e in &outcome.errors {
-            findings.error(e.clone());
-        }
+        findings.merge(&outcome.findings);
     }
     eng.notes.sort();
     eng.notes.dedup();
@@ -299,7 +294,7 @@ pub fn analyze_taint(
             ("taint.vfg_nodes_visited", eng.stat_insts_visited),
         ],
     );
-    let (warnings, errors) = findings.into_parts();
+    let (warnings, errors) = findings.into_parts(table, regions);
     TaintResults {
         warnings,
         errors,
@@ -318,7 +313,7 @@ struct Engine<'a> {
     cfgs: &'a [Option<Cfg>],
     config: &'a AnalysisConfig,
     table: &'a LabelTable,
-    memo: HashMap<(FuncId, Ctx), Outcome>,
+    memo: BTreeMap<(FuncId, Ctx), Outcome>,
     in_progress: BTreeSet<FuncId>,
     /// Module-wide memory-object taint (flow-insensitive, like the paper's
     /// DSA-backed memory reasoning).
@@ -326,6 +321,8 @@ struct Engine<'a> {
     noncore_sockets: BTreeSet<safeflow_ir::GlobalId>,
     /// Each function's own assume/declassify scope.
     own_scopes: HashMap<FuncId, Scope>,
+    /// Each function's name, indexed by `FuncId`, as findings key it.
+    names: Vec<Arc<str>>,
     notes: Vec<String>,
     /// Control dependences of the functions analyzed so far.
     control_deps: HashMap<FuncId, ControlDeps>,
@@ -520,13 +517,8 @@ impl<'a> Engine<'a> {
                                 if effective == 0 {
                                     continue; // monitored / declassified to ⊥ (§2 rules)
                                 }
-                                outcome.warnings.push(Warning {
-                                    function: func.name.clone(),
-                                    region: fact.region,
-                                    region_name: region.name.clone(),
-                                    span: inst.span,
-                                    label: self.table.finding_label(effective),
-                                });
+                                let name = &self.names[fid.0 as usize];
+                                outcome.findings.read(name, fact.region, inst.span, effective);
                                 t.join(&Taint {
                                     val: TaintVal::explicit_at(effective),
                                     origin: Some(FlowNode::source(
@@ -622,27 +614,23 @@ impl<'a> Engine<'a> {
                         InstKind::AssertSafe { var, value } => {
                             let mut vt = value_taint(value, &taints, ctx);
                             vt.join(&ctl_here);
-                            if !vt.val.is_bot() {
-                                let leak = vt.val.explicit() | vt.val.implicit();
-                                outcome.errors.push(ErrorDependency {
-                                    critical: var.clone(),
-                                    function: func.name.clone(),
-                                    span: inst.span,
-                                    kind: if vt.val.explicit() != 0 {
-                                        DependencyKind::Data
-                                    } else {
-                                        DependencyKind::ControlOnly
-                                    },
-                                    label: self.table.finding_label(leak),
-                                    flow: vt.origin.map(|orig| {
+                            // An assert anchor has clearance ⊥.
+                            outcome.findings.reach(
+                                &self.names[fid.0 as usize],
+                                inst.span,
+                                &var.as_str().into(),
+                                vt.val,
+                                0,
+                                || {
+                                    vt.origin.map(|orig| {
                                         FlowNode::step(
                                             format!("assert(safe({var})) reached"),
                                             inst.span,
                                             orig,
                                         )
-                                    }),
-                                });
-                            }
+                                    })
+                                },
+                            );
                         }
                         InstKind::Alloca { .. } => {}
                     }
@@ -704,6 +692,7 @@ impl<'a> Engine<'a> {
     /// superset of anything the full analysis could report.
     fn conservative_outcome(&mut self, fid: FuncId, ctx: &Ctx, reason: String) -> Outcome {
         let func = self.module.function(fid);
+        let name = self.names[fid.0 as usize].clone();
         self.degraded
             .entry(func.name.clone())
             .or_insert((DegradationKind::BudgetExhausted, reason));
@@ -720,22 +709,13 @@ impl<'a> Engine<'a> {
             match &inst.kind {
                 InstKind::Load { ptr } => {
                     for &fact in self.shm.regions_of_ref(fid, ptr) {
-                        let region = self.regions.region(fact.region);
-                        let declared = self.table.region_source_mask(fact.region.0, region.noncore);
+                        let noncore = self.regions.region(fact.region).noncore;
+                        let declared = self.table.region_source_mask(fact.region.0, noncore);
                         if declared == 0 {
                             continue;
                         }
                         let effective = ctx.declass.get(&fact.region).copied().unwrap_or(declared);
-                        if effective == 0 {
-                            continue;
-                        }
-                        outcome.warnings.push(Warning {
-                            function: func.name.clone(),
-                            region: fact.region,
-                            region_name: region.name.clone(),
-                            span: inst.span,
-                            label: self.table.finding_label(effective),
-                        });
+                        outcome.findings.read(&name, fact.region, inst.span, effective);
                     }
                 }
                 InstKind::Store { ptr, .. } => {
@@ -747,14 +727,14 @@ impl<'a> Engine<'a> {
                     }
                 }
                 InstKind::AssertSafe { var, .. } => {
-                    outcome.errors.push(ErrorDependency {
-                        critical: var.clone(),
-                        function: func.name.clone(),
-                        span: inst.span,
-                        kind: DependencyKind::Data,
-                        label: self.table.finding_label(top),
-                        flow: Some(origin.clone()),
-                    });
+                    outcome.findings.reach(
+                        &name,
+                        inst.span,
+                        &var.as_str().into(),
+                        TaintVal::explicit_at(top),
+                        0,
+                        || Some(origin.clone()),
+                    );
                 }
                 InstKind::Call { callee, args } => {
                     // Local callees are still analyzed — in the worst-case
@@ -772,23 +752,22 @@ impl<'a> Engine<'a> {
                             self.analyze(*target, worst);
                         }
                     }
-                    if let Some(name) = self.module.external_callee_name(callee) {
+                    if let Some(callee_name) = self.module.external_callee_name(callee) {
                         for call in &self.config.implicit_critical_calls {
                             let (cname, argi) = (&call.name, &call.arg);
-                            let leak = top & !self.table.clearance(call);
-                            if cname == name && args.get(*argi).is_some() && leak != 0 {
-                                outcome.errors.push(ErrorDependency {
-                                    critical: format!("{name}:arg{argi}"),
-                                    function: func.name.clone(),
-                                    span: inst.span,
-                                    kind: DependencyKind::Data,
-                                    label: self.table.finding_label(leak),
-                                    flow: Some(origin.clone()),
-                                });
+                            if cname == callee_name && args.get(*argi).is_some() {
+                                outcome.findings.reach(
+                                    &name,
+                                    inst.span,
+                                    &format!("{callee_name}:arg{argi}").into(),
+                                    TaintVal::explicit_at(top),
+                                    self.table.clearance(call),
+                                    || Some(origin.clone()),
+                                );
                             }
                         }
                         for spec in &self.config.recv_functions {
-                            if spec.name == *name {
+                            if spec.name == *callee_name {
                                 if let Some(buf) = args.get(spec.buf_arg) {
                                     for o in self.pt.points_to_ref(fid, buf).iter() {
                                         let e =
@@ -836,29 +815,22 @@ impl<'a> Engine<'a> {
                     if let Some(arg) = args.get(*argi) {
                         let mut at = value_taint(arg, taints, ctx);
                         at.join(ctl_here);
-                        let clear = self.table.clearance(call);
-                        let leak_e = at.val.explicit() & !clear;
-                        let leak_i = at.val.implicit() & !clear;
-                        if leak_e | leak_i != 0 {
-                            outcome.errors.push(ErrorDependency {
-                                critical: format!("{name}:arg{argi}"),
-                                function: func.name.clone(),
-                                span: inst.span,
-                                kind: if leak_e != 0 {
-                                    DependencyKind::Data
-                                } else {
-                                    DependencyKind::ControlOnly
-                                },
-                                label: self.table.finding_label(leak_e | leak_i),
-                                flow: at.origin.map(|orig| {
+                        outcome.findings.reach(
+                            &self.names[fid.0 as usize],
+                            inst.span,
+                            &format!("{name}:arg{argi}").into(),
+                            at.val,
+                            self.table.clearance(call),
+                            || {
+                                at.origin.map(|orig| {
                                     FlowNode::step(
                                         format!("passed as critical argument {argi} of `{name}`"),
                                         inst.span,
                                         orig,
                                     )
-                                }),
-                            });
-                        }
+                                })
+                            },
+                        );
                     }
                 }
             }
