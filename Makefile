@@ -25,7 +25,7 @@ help:
 	@echo "                   values, and the frontend's allocation budget on it"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
-	@echo "  oracle-smoke     64-seed differential oracle (CI gate)"
+	@echo "  oracle-smoke     64-seed differential oracle, both engines (CI gate)"
 	@echo "  oracle-deep      512-seed oracle sweep with minimization"
 	@echo "  serve-smoke      daemon drill: 32 concurrent clients, injected"
 	@echo "                   fault, byte-identity vs one-shot CLI, SIGKILL"
@@ -113,13 +113,15 @@ fuzz-smoke:
 
 # Differential oracle, CI window: a fixed 64-seed sweep cross-checking
 # the parallel, warm-cache, store-replay, and incremental configurations
-# against the naive reference analyzer. Seeds draw macro-enabled shapes
-# (function-like macros, config conditionals) since ISSUE 8. Exit 0 =
+# against the naive reference analyzer, and the context-sensitive
+# engine's findings against the reference's (320 comparisons). Seeds
+# draw macro-enabled shapes (function-like macros, config conditionals)
+# since ISSUE 8. Exit 0 =
 # zero divergences; the oracle's own output is byte-identical across runs
 # and --jobs (locked by crates/cli/tests/cli.rs).
 oracle-smoke: require-release
 	$(SAFEFLOW) oracle --seeds 0..64
-	@echo "oracle-smoke OK: 64 seeds (incl. macro-enabled shapes), zero divergences"
+	@echo "oracle-smoke OK: 64 seeds (incl. macro-enabled shapes), 5 configurations incl. the context engine, zero divergences"
 
 # Wider overnight sweep with minimization: any divergence is shrunk and
 # written under /tmp/safeflow-oracle-repros for triage (promote keepers

@@ -590,7 +590,10 @@ fn print_help() {
          programs and cross-checks the parallel, warm-cache, store-replay,\n\
          and incremental engine configurations against the naive\n\
          reference analyzer; any report difference (modulo the observability\n\
-         contract's stripped sections) is a divergence. --minimize shrinks\n\
+         contract's stripped sections) is a divergence. The context-engine\n\
+         configuration runs the context-sensitive engine and must report\n\
+         the same findings (warnings, errors without their flows,\n\
+         violations) as the reference. --minimize shrinks\n\
          divergent programs; --repro-dir writes them out. Exit 0 = all\n\
          configurations agree, 2 = divergence.\n\
          \n\

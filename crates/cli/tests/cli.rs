@@ -352,7 +352,7 @@ fn oracle_subcommand_agrees_and_is_byte_identical_across_runs_and_jobs() {
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
     let first = run("1");
-    assert!(first.contains("32 seed(s), 128 comparison(s), 0 divergence(s)"), "{first}");
+    assert!(first.contains("32 seed(s), 160 comparison(s), 0 divergence(s)"), "{first}");
     // Byte-identical across repeated runs and across worker-thread counts
     // (the single-threaded reference included — parallel lexing must not
     // perturb FileIds or diagnostic order): the oracle's own output

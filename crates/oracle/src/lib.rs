@@ -19,18 +19,23 @@
 //! * **store-replay** — a persisted session replayed from its manifest;
 //! * **incremental** — a store populated from an edited *variant* of the
 //!   program, then the real program checked against it (dirty-region
-//!   re-analysis over a seeded cache).
+//!   re-analysis over a seeded cache);
+//! * **context-engine** — the other phase-3 engine, context-sensitive,
+//!   with the reference's other settings.
 //!
-//! A **divergence** is any difference in the `safeflow-report-v1` JSON
-//! document after stripping the sections the observability contract
+//! For the first four a **divergence** is any difference in the report
+//! JSON document after stripping the sections the observability contract
 //! exempts ([`stripped`]): `metrics.sched`/`dist`/`timings_ns` always, plus
 //! `metrics.work` and the top-level `cache` when the two sides differ in
-//! cache state. Divergences are minimized by shrinking the generator
-//! *shape* ([`minimize`]) and emitted as repro files.
+//! cache state. The two engines need only agree on their findings (the
+//! warnings, the errors without their flows, and the violations): their
+//! flows and work counts differ by design. Divergences are minimized by
+//! shrinking the generator *shape* ([`minimize`]) and emitted as repro
+//! files.
 
 #![warn(missing_docs)]
 
-use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Json, SessionRun};
+use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Engine, Json, SessionRun};
 use safeflow_corpus::oracle_gen::{
     generate, generate_variant, shape_for_seed, shrink_candidates, OracleShape,
 };
@@ -51,14 +56,18 @@ pub enum OracleConfig {
     /// A store populated from an edited variant, then the real program
     /// checked against it (dirty-region re-analysis).
     Incremental,
+    /// The context-sensitive engine with the reference's other settings;
+    /// only the findings are compared.
+    ContextEngine,
 }
 
 /// All configurations, in the fixed order the oracle runs them.
-pub const ALL_CONFIGS: [OracleConfig; 4] = [
+pub const ALL_CONFIGS: [OracleConfig; 5] = [
     OracleConfig::Parallel,
     OracleConfig::WarmCache,
     OracleConfig::StoreReplay,
     OracleConfig::Incremental,
+    OracleConfig::ContextEngine,
 ];
 
 impl OracleConfig {
@@ -69,13 +78,24 @@ impl OracleConfig {
             OracleConfig::WarmCache => "warm-cache",
             OracleConfig::StoreReplay => "store-replay",
             OracleConfig::Incremental => "incremental",
+            OracleConfig::ContextEngine => "context-engine",
         }
     }
 
-    /// Whether comparing this configuration against the reference crosses
-    /// cache states (which widens the stripping contract).
-    fn across_cache_states(self) -> bool {
-        !matches!(self, OracleConfig::Parallel)
+    /// The part of a report document this configuration must reproduce.
+    fn compared(self, doc: &str) -> String {
+        let Ok(json) = Json::parse(doc) else {
+            // An analysis-error string is compared as it is.
+            return doc.to_string();
+        };
+        match self {
+            OracleConfig::Parallel => stripped(&json, false),
+            // Cache bookkeeping is supposed to differ across cache states.
+            OracleConfig::WarmCache | OracleConfig::StoreReplay | OracleConfig::Incremental => {
+                stripped(&json, true)
+            }
+            OracleConfig::ContextEngine => findings_only(&json),
+        }
     }
 }
 
@@ -202,6 +222,28 @@ pub fn stripped(doc: &Json, across_cache_states: bool) -> String {
     doc.render()
 }
 
+/// The findings of a report document, the part both phase-3 engines must
+/// agree on: every warning (function, region, label, location), every
+/// error without its value-flow path (critical, function, kind, label,
+/// location) and every restriction violation.
+fn findings_only(doc: &Json) -> String {
+    let report = doc.get("report").unwrap_or(doc);
+    let mut out = Json::obj();
+    out.set("warnings", report.arr_member("warnings").to_vec());
+    let errors: Vec<Json> = report
+        .arr_member("errors")
+        .iter()
+        .map(|e| {
+            let mut e = e.clone();
+            e.remove("flow");
+            e
+        })
+        .collect();
+    out.set("errors", errors);
+    out.set("violations", report.arr_member("violations").to_vec());
+    out.render()
+}
+
 fn vfs(files: &[(String, String)]) -> VirtualFs {
     let mut fs = VirtualFs::new();
     for (name, text) in files {
@@ -248,8 +290,7 @@ fn compare_config(
     jobs: usize,
 ) -> (String, String) {
     let files = generate(shape);
-    let reference = reference_doc(&files);
-    let reference = stripped_str(&reference, config.across_cache_states());
+    let reference = config.compared(&reference_doc(&files));
     let actual = match config {
         OracleConfig::Parallel => {
             let analyzer = Analyzer::new(AnalysisConfig::reference().with_jobs(jobs.max(2)));
@@ -276,18 +317,13 @@ fn compare_config(
             let _ = std::fs::remove_dir_all(&dir);
             doc
         }
+        OracleConfig::ContextEngine => {
+            let config =
+                AnalysisConfig { engine: Engine::ContextSensitive, ..AnalysisConfig::reference() };
+            run_doc(&Analyzer::new(config), &files)
+        }
     };
-    let actual = stripped_str(&actual, config.across_cache_states());
-    (reference, actual)
-}
-
-/// Parses-and-strips when the document is JSON; passes error strings
-/// through untouched.
-fn stripped_str(doc: &str, across_cache_states: bool) -> String {
-    match Json::parse(doc) {
-        Ok(json) => stripped(&json, across_cache_states),
-        Err(_) => doc.to_string(),
-    }
+    (reference, config.compared(&actual))
 }
 
 fn store_replay_doc(files: &[(String, String)], dir: &Path) -> String {
@@ -457,7 +493,7 @@ mod tests {
     #[test]
     fn small_seed_window_has_no_divergences() {
         let report = run(&OracleOptions { seed_lo: 0, seed_hi: 6, ..Default::default() });
-        assert_eq!(report.comparisons, 24);
+        assert_eq!(report.comparisons, 30);
         assert!(
             report.divergences.is_empty(),
             "optimized engines diverged from reference:\n{}",
