@@ -96,7 +96,7 @@ impl Json {
     /// Returns [`JsonParseError`] (byte offset + reason) on malformed
     /// input.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -184,6 +184,8 @@ impl std::error::Error for JsonParseError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -355,12 +357,14 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy one (possibly multi-byte) UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte in one slice. Those are
+                    // ASCII, so the run ends on a character boundary.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -586,6 +590,19 @@ mod tests {
         assert!(Json::parse("18446744073709551616").is_err()); // u64::MAX + 1
         assert!(Json::parse("-9223372036854775809").is_err()); // i64::MIN - 1
         assert_eq!(Json::parse("-9223372036854775808").unwrap(), Json::Int(i64::MIN));
+    }
+
+    #[test]
+    fn parse_copies_long_and_multi_byte_strings_whole() {
+        let text = "ü€😀 \"quoted\" and \\ back\tslash ".repeat(8);
+        let long = "x".repeat(200 * 1024) + &text;
+        let mut doc = Json::obj();
+        doc.set("text", text.as_str());
+        doc.set("long", long.as_str());
+        doc.set("keys", vec![Json::from("é"), Json::from("")]);
+        let back = Json::parse(&doc.render()).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!(back.str_member("long").len(), long.len());
     }
 
     #[test]
