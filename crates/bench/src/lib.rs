@@ -9,7 +9,6 @@
 //! * `monitor_overhead` — simulation with and without run-time taint
 //!   tracking (S2, the zero-runtime-overhead motivation in §1);
 //! * `solver` — Omega-test obligations of A1/A2 shape (S3);
-//! * `frontend` — parse + lower + SSA cost on the corpus;
 //! * `parallel_scaling` — the parallel summary engine at 1/2/4/8 threads
 //!   (P1, see DESIGN.md "Parallel engine & caching").
 //!
