@@ -225,7 +225,7 @@ pub fn parse_annotation_body(
     sources: &mut SourceMap,
     diags: &mut Diagnostics,
 ) -> Vec<Annotation> {
-    let file = sources.add_file("<annotation>", body.to_string());
+    let file = sources.add_synthetic("<annotation>", body);
     let mut local = Diagnostics::new();
     let tokens = lex(file, body, &mut local);
     if local.has_errors() {
@@ -714,7 +714,7 @@ mod tests {
     /// real file — the end-to-end path the parser proper uses.
     fn parse_from_source(src: &str) -> (Vec<Annotation>, SourceMap) {
         let mut sources = SourceMap::new();
-        let file = sources.add_file("fixture.c", src.to_string());
+        let file = sources.add_file("fixture.c", src);
         let mut diags = Diagnostics::new();
         let toks = lex(file, src, &mut diags);
         let (body, span) = toks
@@ -748,7 +748,7 @@ mod tests {
         let (anns, sources) = parse_from_source(src);
         assert_eq!(anns.len(), 2);
         let f = sources.file(anns[0].span().file);
-        assert_eq!(f.name, "fixture.c");
+        assert_eq!(&*f.name, "fixture.c");
         // `assume` starts right after the tab on line 3: character column 2.
         assert_eq!(f.line_col(anns[0].span().lo), (3, 2));
         assert_eq!(f.line_col(anns[1].span().lo), (4, 2));
@@ -759,7 +759,7 @@ mod tests {
     fn annotation_syntax_errors_point_inside_the_annotation() {
         let src = "/** SafeFlow Annotation\r\n\tassume(noncore(42))\r\n*/";
         let mut sources = SourceMap::new();
-        let file = sources.add_file("bad.c", src.to_string());
+        let file = sources.add_file("bad.c", src);
         let mut diags = Diagnostics::new();
         let toks = lex(file, src, &mut diags);
         let (body, span) = toks

@@ -130,10 +130,8 @@ pub fn preprocess_program_jobs(main_name: &str, fs: &VirtualFs, jobs: usize) -> 
     // Register every file up front, sorted by name, so FileIds do not
     // depend on inclusion order or worker scheduling.
     let names = fs.names();
-    let ids: Vec<FileId> = names
-        .iter()
-        .map(|n| sources.add_file(n.to_string(), fs.get(n).unwrap_or_default().to_string()))
-        .collect();
+    let ids: Vec<FileId> =
+        names.iter().map(|n| sources.add_file(n, fs.get(n).unwrap_or_default())).collect();
 
     // Lex each file on the pool. Per-file diagnostics are collected
     // separately and spliced in at the file's first inclusion, matching

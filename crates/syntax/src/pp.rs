@@ -647,7 +647,7 @@ impl<'a> Preprocessor<'a> {
             );
             return;
         }
-        let mini = self.sources.add_file(format!("<macro {name}>"), body.to_string());
+        let mini = self.sources.add_synthetic(&format!("<macro {name}>"), body);
         let mut body_toks = lex(mini, body, self.diags);
         body_toks.retain(|t| t.kind != TokenKind::Eof);
         self.macros.insert(Symbol::intern(name), Rc::new(Macro { params, body: body_toks }));
@@ -662,7 +662,7 @@ impl<'a> Preprocessor<'a> {
             self.diags.error(span, "#if with no condition");
             return false;
         }
-        let mini = self.sources.add_file("<#if>", expr.to_string());
+        let mini = self.sources.add_synthetic("<#if>", expr);
         let mut toks = self.spare.take();
         lex_into(mini, expr, self.diags, &mut toks);
         toks.retain(|t| t.kind != TokenKind::Eof);

@@ -2,33 +2,43 @@
 //! human-readable line/column positions.
 
 use crate::span::{FileId, Span};
+use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// A single registered source file.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Display name (path or synthetic name like `<fig2.c>`).
-    pub name: String,
+    pub name: Arc<str>,
     /// Full file contents.
-    pub text: String,
-    /// Byte offsets at which each line starts (always contains 0).
-    line_starts: Vec<u32>,
+    pub text: Arc<str>,
+    /// Byte offsets at which each line starts (always contains 0), built
+    /// the first time a position in the file is resolved.
+    line_starts: OnceLock<Vec<u32>>,
 }
 
 impl SourceFile {
-    fn new(name: String, text: String) -> Self {
-        let mut line_starts = Vec::with_capacity(1 + text.bytes().filter(|&b| b == b'\n').count());
-        line_starts.push(0);
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
+    fn new(name: Arc<str>, text: Arc<str>) -> Self {
+        SourceFile { name, text, line_starts: OnceLock::new() }
+    }
+
+    fn line_starts(&self) -> &[u32] {
+        self.line_starts.get_or_init(|| {
+            let newlines = self.text.bytes().filter(|&b| b == b'\n').count();
+            let mut starts = Vec::with_capacity(1 + newlines);
+            starts.push(0);
+            for (i, b) in self.text.bytes().enumerate() {
+                if b == b'\n' {
+                    starts.push(i as u32 + 1);
+                }
             }
-        }
-        SourceFile { name, text, line_starts }
+            starts
+        })
     }
 
     /// 1-based line number containing byte offset `pos`.
     pub fn line_of(&self, pos: u32) -> u32 {
-        match self.line_starts.binary_search(&pos) {
+        match self.line_starts().binary_search(&pos) {
             Ok(i) => i as u32 + 1,
             Err(i) => i as u32,
         }
@@ -41,7 +51,7 @@ impl SourceFile {
     /// comments) render correctly in `file:line:col` descriptions.
     pub fn line_col(&self, pos: u32) -> (u32, u32) {
         let line = self.line_of(pos);
-        let start = self.line_starts[(line - 1) as usize];
+        let start = self.line_starts()[(line - 1) as usize];
         let col = match self.text.get(start as usize..pos as usize) {
             Some(prefix) => prefix.chars().count() as u32,
             // `pos` is past the end or inside a multi-byte sequence:
@@ -54,14 +64,15 @@ impl SourceFile {
     /// The text of 1-based line `line`, without the trailing newline.
     pub fn line_text(&self, line: u32) -> &str {
         let i = (line - 1) as usize;
-        let lo = self.line_starts[i] as usize;
-        let hi = self.line_starts.get(i + 1).map(|&h| h as usize).unwrap_or(self.text.len());
+        let starts = self.line_starts();
+        let lo = starts[i] as usize;
+        let hi = starts.get(i + 1).map(|&h| h as usize).unwrap_or(self.text.len());
         self.text[lo..hi].trim_end_matches(['\n', '\r'])
     }
 
     /// Number of lines in the file.
     pub fn line_count(&self) -> u32 {
-        self.line_starts.len() as u32
+        self.line_starts().len() as u32
     }
 }
 
@@ -81,6 +92,8 @@ impl SourceFile {
 #[derive(Debug, Default)]
 pub struct SourceMap {
     files: Vec<SourceFile>,
+    /// The names and texts of synthetic files, one copy of each.
+    shared: HashSet<Arc<str>>,
 }
 
 impl SourceMap {
@@ -90,9 +103,32 @@ impl SourceMap {
     }
 
     /// Registers a file and returns its id.
-    pub fn add_file(&mut self, name: impl Into<String>, text: impl Into<String>) -> FileId {
+    pub fn add_file(&mut self, name: &str, text: &str) -> FileId {
+        self.push(SourceFile::new(name.into(), text.into()))
+    }
+
+    /// Registers a synthetic file (a macro body, an `#if` condition or an
+    /// annotation, lexed on its own) and returns its id. A name or text
+    /// registered before is shared rather than copied, so a repeated one
+    /// costs its file's slot and nothing more.
+    pub fn add_synthetic(&mut self, name: &str, text: &str) -> FileId {
+        let (name, text) = (self.share(name), self.share(text));
+        self.push(SourceFile::new(name, text))
+    }
+
+    /// The shared copy of `s`, made on first use.
+    fn share(&mut self, s: &str) -> Arc<str> {
+        if let Some(known) = self.shared.get(s) {
+            return known.clone();
+        }
+        let s: Arc<str> = s.into();
+        self.shared.insert(s.clone());
+        s
+    }
+
+    fn push(&mut self, file: SourceFile) -> FileId {
         let id = FileId(self.files.len() as u32);
-        self.files.push(SourceFile::new(name.into(), text.into()));
+        self.files.push(file);
         id
     }
 
@@ -110,7 +146,7 @@ impl SourceMap {
         self.files
             .iter()
             .enumerate()
-            .find(|(_, f)| f.name == name)
+            .find(|(_, f)| *f.name == *name)
             .map(|(i, f)| (FileId(i as u32), f))
     }
 
@@ -203,7 +239,7 @@ mod tests {
         let id = sm.add_file("b.c", "x");
         let (found, f) = sm.file_by_name("b.c").unwrap();
         assert_eq!(found, id);
-        assert_eq!(f.text, "x");
+        assert_eq!(&*f.text, "x");
         assert!(sm.file_by_name("c.c").is_none());
     }
 
@@ -212,5 +248,21 @@ mod tests {
         let f = SourceFile::new("t".into(), "ab\r\ncd\r\n".into());
         assert_eq!(f.line_text(1), "ab");
         assert_eq!(f.line_text(2), "cd");
+    }
+
+    #[test]
+    fn synthetic_files_share_repeated_names_and_texts() {
+        let mut sm = SourceMap::new();
+        let real = sm.add_file("a.c", "#if X\n#endif\n");
+        let first = sm.add_synthetic("<#if>", "X");
+        let macro_body = sm.add_synthetic("<macro M>", "1 + 2");
+        let again = sm.add_synthetic("<#if>", "X");
+        // Every registration keeps its own id.
+        assert_eq!([real.0, first.0, macro_body.0, again.0], [0, 1, 2, 3]);
+        assert!(Arc::ptr_eq(&sm.file(first).name, &sm.file(again).name));
+        assert!(Arc::ptr_eq(&sm.file(first).text, &sm.file(again).text));
+        assert_eq!(&*sm.file(macro_body).name, "<macro M>");
+        assert_eq!(sm.describe(Span::new(macro_body, 4, 5)), "<macro M>:1:5");
+        assert_eq!(sm.snippet(Span::new(again, 0, 1)), "X");
     }
 }

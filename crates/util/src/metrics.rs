@@ -132,21 +132,20 @@ impl Metrics {
             Class::Sched => &mut inner.sched,
         };
         for &(key, n) in entries {
-            *map.entry(key.to_string()).or_insert(0) += n;
+            *slot(map, key) += n;
         }
     }
 
     /// Records one observation into the histogram `key` (the `dist`
     /// section; excluded from determinism comparisons).
     pub fn observe(&self, key: &str, value: u64) {
-        self.locked().dist.entry(key.to_string()).or_default().observe(value);
+        slot(&mut self.locked().dist, key).observe(value);
     }
 
     /// Adds `ns` nanoseconds to the span `key` (the `timings_ns`
     /// section; excluded from determinism comparisons).
     pub fn record_ns(&self, key: &str, ns: u64) {
-        let mut inner = self.locked();
-        *inner.timings_ns.entry(key.to_string()).or_insert(0) += ns;
+        *slot(&mut self.locked().timings_ns, key) += ns;
     }
 
     /// Times `f` and records the elapsed wall-clock under the span `key`.
@@ -168,6 +167,16 @@ impl Metrics {
             timings_ns: inner.timings_ns.clone(),
         }
     }
+}
+
+/// The value under `key` in `map`, inserted as the default first. Only a
+/// key's first insert allocates its `String`: later calls find it by
+/// `&str`.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
 }
 
 /// A point-in-time copy of a [`Metrics`] registry, ready to render.
