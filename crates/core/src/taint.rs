@@ -30,8 +30,8 @@ use crate::report::{Degradation, DegradationKind, ErrorDependency, Findings, Flo
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use safeflow_ir::{
-    BlockId, Callee, Cfg, ControlDeps, FuncId, Function, InstId, InstKind, Module, Terminator,
-    Value,
+    BlockId, Callee, Cfg, ControlDeps, FuncId, Function, InstId, InstKind, Module, PostDomTree,
+    Terminator, Value,
 };
 use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_util::metrics::{Class, Metrics};
@@ -208,6 +208,7 @@ pub fn analyze_taint(
         names: module.functions.iter().map(|f| Arc::from(f.name.as_str())).collect(),
         notes,
         control_deps: HashMap::new(),
+        pdom: PostDomTree::default(),
         obj_dirty: false,
         deadline,
         degraded: BTreeMap::new(),
@@ -326,6 +327,9 @@ struct Engine<'a> {
     notes: Vec<String>,
     /// Control dependences of the functions analyzed so far.
     control_deps: HashMap<FuncId, ControlDeps>,
+    /// Post-dominator buffers, reused for each function's control
+    /// dependences.
+    pdom: PostDomTree,
     /// Set when a memory-object taint was raised; forces another local
     /// round so earlier loads observe it.
     obj_dirty: bool,
@@ -444,9 +448,11 @@ impl<'a> Engine<'a> {
             self.stat_function_rounds += 1;
             // Recompute control-taint of blocks from tainted branches.
             if self.config.track_control_dependence {
-                let cfgs = self.cfgs;
+                let (cfgs, pdom) = (self.cfgs, &mut self.pdom);
                 let cd = self.control_deps.entry(fid).or_insert_with(|| {
-                    ControlDeps::build(cfgs[fid.0 as usize].as_ref().expect("function has blocks"))
+                    let mut cd = ControlDeps::default();
+                    cd.rebuild(cfgs[fid.0 as usize].as_ref().expect("function has blocks"), pdom);
+                    cd
                 });
                 let mut new_ctl: HashMap<BlockId, Taint> = HashMap::new();
                 for (bid, block) in func.iter_blocks() {

@@ -44,16 +44,15 @@ impl Cfg {
         self.order(func.entry());
     }
 
-    /// The reverse of this CFG, for post-dominators: every edge flipped,
-    /// plus a virtual exit node `BlockId(self.len())` with an edge to each
-    /// reachable block that has no successors. Its reverse postorder runs
-    /// from the virtual exit, so a block "reachable" in the result is one
-    /// that reaches an exit here. Blocks unreachable from the entry get no
-    /// edges.
-    pub fn reverse(&self) -> Cfg {
+    /// Makes `rev` the reverse of this CFG, reusing its buffers, for
+    /// post-dominators: every edge flipped, plus a virtual exit node
+    /// `BlockId(self.len())` with an edge to each reachable block that has
+    /// no successors. Its reverse postorder runs from the virtual exit, so
+    /// a block "reachable" in the result is one that reaches an exit here.
+    /// Blocks unreachable from the entry get no edges.
+    pub fn reverse_into(&self, rev: &mut Cfg) {
         let n = self.len();
         let exit = BlockId(n as u32);
-        let mut rev = Cfg::default();
         rev.preds.fill((0..n as u32 + 1).map(BlockId).map(|b| {
             let reachable = b != exit && self.is_reachable(b);
             let out = if reachable { self.succs_of(b) } else { &[] };
@@ -61,34 +60,43 @@ impl Cfg {
         }));
         rev.preds.transpose_into(n + 1, &mut rev.succs);
         rev.order(exit);
-        rev
     }
 
     /// Sets `rpo` and `rpo_index` from a depth-first walk of `succs` from
-    /// `root`.
+    /// `root`, with no buffer besides those two.
     fn order(&mut self, root: BlockId) {
-        // During the walk, `rpo_index` only marks visited blocks and `rpo`
-        // collects the postorder.
+        // During the walk, `rpo_index` holds each visited block's next
+        // successor to try, and `rpo` holds the postorder so far at its
+        // front and the DFS stack at its back, top of stack lowest. A block
+        // is on the stack or finished, never both, so the two never meet.
         const UNSEEN: usize = usize::MAX;
+        let n = self.succs.len();
         self.rpo_index.clear();
-        self.rpo_index.resize(self.succs.len(), UNSEEN);
+        self.rpo_index.resize(n, UNSEEN);
         self.rpo.clear();
-        let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
+        self.rpo.resize(n, root);
+        let (mut done, mut top) = (0, n - 1);
         self.rpo_index[root.0 as usize] = 0;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let ss = self.succs.get(b);
-            if *i < ss.len() {
-                let next = ss[*i];
-                *i += 1;
-                if self.rpo_index[next.0 as usize] == UNSEEN {
-                    self.rpo_index[next.0 as usize] = 0;
-                    stack.push((next, 0));
+        while top < n {
+            let b = self.rpo[top];
+            let i = self.rpo_index[b.0 as usize];
+            match self.succs.get(b).get(i) {
+                Some(&next) => {
+                    self.rpo_index[b.0 as usize] = i + 1;
+                    if self.rpo_index[next.0 as usize] == UNSEEN {
+                        self.rpo_index[next.0 as usize] = 0;
+                        top -= 1;
+                        self.rpo[top] = next;
+                    }
                 }
-            } else {
-                self.rpo.push(b);
-                stack.pop();
+                None => {
+                    top += 1;
+                    self.rpo[done] = b;
+                    done += 1;
+                }
             }
         }
+        self.rpo.truncate(done);
         self.rpo.reverse();
         for (i, b) in self.rpo.iter().enumerate() {
             self.rpo_index[b.0 as usize] = i;
@@ -142,10 +150,16 @@ pub(crate) struct BlockLists {
 }
 
 impl BlockLists {
-    /// Refills with one list per item of `lists`, in order.
-    pub(crate) fn fill<L: IntoIterator<Item = BlockId>>(&mut self, lists: impl Iterator<Item = L>) {
+    /// Refills with one list per item of `lists`, in order. `lists` runs
+    /// twice, once to size the buffers exactly and once to fill them.
+    pub(crate) fn fill<L: IntoIterator<Item = BlockId>>(
+        &mut self,
+        lists: impl Iterator<Item = L> + Clone,
+    ) {
         self.start.clear();
         self.items.clear();
+        self.start.reserve(lists.size_hint().0 + 1);
+        self.items.reserve(lists.clone().map(|l| l.into_iter().count()).sum());
         self.start.push(0);
         for list in lists {
             self.items.extend(list);
@@ -177,6 +191,34 @@ impl BlockLists {
         });
         start.copy_within(0..n, 1);
         start[0] = 0;
+    }
+
+    /// Refills with one list per block among `n`: `list(b, items)` appends
+    /// the items of `b`'s list to `items`, in any order and with repeats,
+    /// and the list keeps them sorted and once each.
+    pub(crate) fn fill_sorted(
+        &mut self,
+        n: usize,
+        mut list: impl FnMut(BlockId, &mut Vec<BlockId>),
+    ) {
+        self.start.clear();
+        self.items.clear();
+        self.start.reserve(n + 1);
+        self.start.push(0);
+        for b in (0..n as u32).map(BlockId) {
+            let at = self.items.len();
+            list(b, &mut self.items);
+            self.items[at..].sort_unstable();
+            let mut kept = at;
+            for i in at..self.items.len() {
+                if kept == at || self.items[i] != self.items[kept - 1] {
+                    self.items[kept] = self.items[i];
+                    kept += 1;
+                }
+            }
+            self.items.truncate(kept);
+            self.start.push(kept as u32);
+        }
     }
 
     /// Refills `out` with these lists with every `(owner, item)` pair

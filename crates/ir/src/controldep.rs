@@ -8,7 +8,7 @@
 //! on branches over unsafe values (paper §3.3/§3.4.1 — the source of the
 //! analysis's classified false positives).
 
-use crate::cfg::Cfg;
+use crate::cfg::{BlockLists, Cfg};
 use crate::dom::PostDomTree;
 use crate::module::BlockId;
 
@@ -30,24 +30,32 @@ use crate::module::BlockId;
 /// let then_arm = cfg.succs_of(func.entry())[0];
 /// assert!(cd.controlled_by(func.entry()).contains(&then_arm));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ControlDeps {
-    /// `controls[a]` = blocks control-dependent on `a`, ascending.
-    controls: Vec<Vec<BlockId>>,
+    /// The blocks control-dependent on each block, ascending: empty for
+    /// all but the reachable branch blocks.
+    controls: BlockLists,
 }
 
 impl ControlDeps {
     /// Computes the control dependences of the function whose CFG is `cfg`.
     pub fn build(cfg: &Cfg) -> ControlDeps {
-        let pdom = PostDomTree::build(cfg);
+        let mut cd = ControlDeps::default();
+        cd.rebuild(cfg, &mut PostDomTree::default());
+        cd
+    }
+
+    /// Makes these the control dependences of `cfg`, reusing their buffers
+    /// and building `cfg`'s post-dominators into `pdom`: a pass over many
+    /// functions keeps one of each.
+    pub fn rebuild(&mut self, cfg: &Cfg, pdom: &mut PostDomTree) {
+        pdom.rebuild(cfg);
         let exit = pdom.virtual_exit();
-        let mut controls: Vec<Vec<BlockId>> = vec![Vec::new(); cfg.len()];
-        for &a in &cfg.rpo {
+        self.controls.fill_sorted(cfg.len(), |a, controlled| {
             let succs = cfg.succs_of(a);
-            if succs.len() < 2 {
-                continue; // only branch points control anything
+            if succs.len() < 2 || !cfg.is_reachable(a) {
+                return; // only reachable branch points control anything
             }
-            let controlled = &mut controls[a.0 as usize];
             // Walk the post-dominator chain from each successor up to (but
             // not including) ipdom(a); every node on the way is
             // control-dependent on a — a itself too when a loop leads back
@@ -64,15 +72,12 @@ impl ControlDeps {
                     cur = pdom.immediate(c);
                 }
             }
-            controlled.sort();
-            controlled.dedup();
-        }
-        ControlDeps { controls }
+        });
     }
 
     /// Blocks whose execution is decided by `a`'s branch.
     pub fn controlled_by(&self, a: BlockId) -> &[BlockId] {
-        &self.controls[a.0 as usize]
+        self.controls.get(a)
     }
 }
 

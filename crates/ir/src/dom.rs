@@ -64,8 +64,11 @@ impl DomTree {
 ///
 /// Required by control dependence (paper §3.3: errors are reported when
 /// critical data is *control* dependent on unsafe values).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PostDomTree {
+    /// The reverse CFG these are the dominators of, kept so that a rebuild
+    /// reuses its buffers.
+    rev: Cfg,
     /// `ipdom[b]` = immediate post-dominator of block `b`; `None` for
     /// blocks that cannot reach an exit. The last entry is the virtual
     /// exit, its own immediate post-dominator.
@@ -75,9 +78,16 @@ pub struct PostDomTree {
 impl PostDomTree {
     /// Computes the post-dominators of `cfg`.
     pub fn build(cfg: &Cfg) -> PostDomTree {
-        let mut ipdom = Vec::new();
-        immediate_dominators(&cfg.reverse(), &mut ipdom);
-        PostDomTree { ipdom }
+        let mut pdom = PostDomTree::default();
+        pdom.rebuild(cfg);
+        pdom
+    }
+
+    /// Makes this the post-dominator tree of `cfg`, reusing its buffers: a
+    /// pass over many functions keeps one `PostDomTree`.
+    pub fn rebuild(&mut self, cfg: &Cfg) {
+        cfg.reverse_into(&mut self.rev);
+        immediate_dominators(&self.rev, &mut self.ipdom);
     }
 
     /// The virtual exit, `BlockId(n)` for a CFG of `n` blocks.

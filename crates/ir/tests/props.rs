@@ -3,13 +3,14 @@
 //! CFG invariants — before and after mem2reg.
 
 use safeflow_ir::{
-    lower::lower, ssa::promote_module, verify::verify_module, BasicBlock, BlockId, Cfg, DomTree,
-    Function, PostDomTree, Terminator, Type, Value,
+    lower::lower, ssa::promote_module, verify::verify_module, BasicBlock, BlockId, Cfg,
+    ControlDeps, DomTree, Function, PostDomTree, Terminator, Type, Value,
 };
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::parse_source;
 use safeflow_syntax::span::Span;
 use safeflow_util::prop::{run_cases, Gen};
+use std::cell::RefCell;
 
 /// A tiny statement-level program generator: straight-line arithmetic,
 /// nested ifs, while loops with bounded shapes, all over a fixed set of
@@ -288,18 +289,50 @@ fn gen_cfg_function(g: &mut Gen) -> Function {
     }
 }
 
+/// Reverse postorder of a recursive depth-first walk of `succs_of` from
+/// `root`, successors in order.
+fn naive_rpo(root: BlockId, n: usize, succs_of: impl Fn(BlockId) -> Vec<BlockId>) -> Vec<BlockId> {
+    fn visit(
+        b: BlockId,
+        seen: &mut [bool],
+        post: &mut Vec<BlockId>,
+        succs_of: &dyn Fn(BlockId) -> Vec<BlockId>,
+    ) {
+        seen[b.0 as usize] = true;
+        for s in succs_of(b) {
+            if !seen[s.0 as usize] {
+                visit(s, seen, post, succs_of);
+            }
+        }
+        post.push(b);
+    }
+    let mut post = Vec::new();
+    visit(root, &mut vec![false; n], &mut post, &succs_of);
+    post.reverse();
+    post
+}
+
 /// The flat CFG and dominator-tree layout hold exactly the lists a naive
 /// edge-list construction gives, element for element: successors in
 /// terminator order, predecessors in ascending order once per edge (a
-/// switch's duplicate arms included), the reverse CFG as post-dominators
-/// see it, and each block's dominator-tree children as the grouping of
-/// `idom`.
+/// switch's duplicate arms included), reverse postorders as a recursive
+/// walk visits them, the reverse CFG as post-dominators see it, and each
+/// block's dominator-tree children as the grouping of `idom`. The reverse
+/// CFG is built into one buffer reused across cases, so a rebuild over a
+/// larger or smaller graph must leave nothing behind.
 #[test]
 fn cfg_layout_matches_naive_edge_lists() {
+    let rev = RefCell::new(Cfg::default());
     run_cases(256, |g| {
         let f = gen_cfg_function(g);
         let n = f.blocks.len();
         let cfg = Cfg::build(&f);
+        let rpo = naive_rpo(f.entry(), n, |b| cfg.succs_of(b).to_vec());
+        assert_eq!(cfg.rpo, rpo, "rpo of {f:?}");
+        for b in (0..n as u32).map(BlockId) {
+            let at = rpo.iter().position(|&r| r == b).unwrap_or(usize::MAX);
+            assert_eq!(cfg.rpo_index[b.0 as usize], at, "rpo index of {b} in {f:?}");
+        }
 
         let succs: Vec<Vec<BlockId>> =
             f.blocks.iter().map(|b| b.terminator.successors().collect()).collect();
@@ -334,9 +367,10 @@ fn cfg_layout_matches_naive_edge_lists() {
                 rev_preds[b].push(exit);
             }
         }
-        let rev = cfg.reverse();
+        let rev = &mut *rev.borrow_mut();
+        cfg.reverse_into(rev);
         assert_eq!(rev.len(), n + 1);
-        assert_eq!(rev.rpo.first(), Some(&exit));
+        assert_eq!(rev.rpo, naive_rpo(exit, n + 1, |b| rev.succs_of(b).to_vec()));
         for b in (0..=n as u32).map(BlockId) {
             assert_eq!(rev.succs_of(b), rev_succs[b.0 as usize], "reverse succs of {b} in {f:?}");
             assert_eq!(rev.preds_of(b), rev_preds[b.0 as usize], "reverse preds of {b} in {f:?}");
@@ -352,6 +386,39 @@ fn cfg_layout_matches_naive_edge_lists() {
         }
         for b in (0..n as u32).map(BlockId) {
             assert_eq!(dom.children(b), children[b.0 as usize], "children of {b} in {f:?}");
+        }
+    });
+}
+
+/// The flat control dependence equals its definition on generated CFGs
+/// with unreachable blocks, self loops and duplicate switch edges: `b`
+/// depends on a reachable branch block `a` when `b` post-dominates some
+/// successor of `a` but does not strictly post-dominate `a`. The reference
+/// asks a fresh [`PostDomTree`] about every pair; the flat one is rebuilt
+/// into buffers reused across cases.
+#[test]
+fn control_deps_match_post_dominator_definition() {
+    let reused = RefCell::new((ControlDeps::default(), PostDomTree::default()));
+    run_cases(512, |g| {
+        let f = gen_cfg_function(g);
+        let n = f.blocks.len();
+        let cfg = Cfg::build(&f);
+        let pdom = PostDomTree::build(&cfg);
+        let (cd, scratch) = &mut *reused.borrow_mut();
+        cd.rebuild(&cfg, scratch);
+        for a in (0..n as u32).map(BlockId) {
+            let succs = cfg.succs_of(a);
+            let expected: Vec<BlockId> = (0..n as u32)
+                .map(BlockId)
+                .filter(|&b| {
+                    cfg.is_reachable(a)
+                        && succs.len() >= 2
+                        && succs.iter().any(|&s| pdom.post_dominates(b, s))
+                        && (b == a || !pdom.post_dominates(b, a))
+                })
+                .collect();
+            assert_eq!(cd.controlled_by(a), expected, "blocks controlled by {a} in {f:?}");
+            assert_eq!(ControlDeps::build(&cfg).controlled_by(a), expected, "fresh build, {a}");
         }
     });
 }
