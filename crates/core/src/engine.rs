@@ -1140,6 +1140,65 @@ mod tests {
         assert_eq!(live_keys(&fs, "main.c"), MONOREPO_SMALL);
     }
 
+    /// A panic contained in one SCC's task leaves every SCC that does not
+    /// depend on it with the summary bytes of a clean run, at any thread
+    /// count. The tasks share scratch buffers through a pool; a panicking
+    /// task drops the scratch it holds, so nothing of it reaches a later SCC.
+    #[test]
+    fn a_panicking_scc_leaves_independent_summaries_unchanged() {
+        use crate::{FaultPlan, FaultSite};
+        let mut fs = VirtualFs::new();
+        for (name, text) in generate_monorepo(MonorepoParams::small()) {
+            fs.add(name, text);
+        }
+        let parsed = safeflow_syntax::parse_preprocessed(safeflow_syntax::preprocess_program_jobs(
+            "main.c", &fs, 1,
+        ));
+        let module = safeflow_ir::lower::lower(&parsed.unit, &mut Diagnostics::new());
+        let deps = CallGraph::build(&module).scc_dependencies();
+        let n = deps.len();
+        // Each entry's key and encoded member summaries, in table order.
+        let encoded = |table: &SccTable| -> Vec<(u64, Vec<Vec<u8>>)> {
+            let encode = |s: &Summary| {
+                let mut bytes = Vec::new();
+                s.encode(&mut bytes);
+                bytes
+            };
+            table.iter().map(|(key, sums)| (*key, sums.iter().map(encode).collect())).collect()
+        };
+        // SCCs that some later SCC calls into: a panic there reaches more
+        // than its own task. The first, middle and last of them.
+        let called: Vec<usize> =
+            (0..n).filter(|&k| deps[k + 1..].iter().any(|d| d.contains(&k))).collect();
+        assert!(called.len() >= 3, "the program has a call DAG");
+        let faulty = [called[0], called[called.len() / 2], called[called.len() - 1]];
+        for jobs in [1, 4] {
+            let config = AnalysisConfig::with_engine(crate::Engine::Summary).with_jobs(jobs);
+            let clean = encoded(&run_over(&config, &fs, "main.c", &SccTable::new()).1);
+            assert_eq!(clean.len(), n, "every SCC has a key of its own, in SCC order");
+            for k in faulty {
+                // The faulty SCC and every SCC that calls into it, directly
+                // or not (dependencies come before their dependents).
+                let mut reached = vec![false; n];
+                for i in 0..n {
+                    reached[i] = i == k || deps[i].iter().any(|&d| reached[d]);
+                }
+                let armed = config
+                    .clone()
+                    .with_fault_plan(FaultPlan::panic_at(FaultSite::SccAnalysis, k as u64));
+                let (result, table) = run_over(&armed, &fs, "main.c", &SccTable::new());
+                assert_eq!(result.report.exit_code(), 3, "the panic degrades the run");
+                let expected: Vec<_> = clean
+                    .iter()
+                    .zip(&reached)
+                    .filter(|&(_, &reached)| !reached)
+                    .map(|(entry, _)| entry.clone())
+                    .collect();
+                assert_eq!(encoded(&table), expected, "panic at SCC {k}, jobs {jobs}");
+            }
+        }
+    }
+
     /// One stable-hash fold of the live SCC table of a summary-engine run over
     /// `main` in `fs`: each entry's key, member count and encoded member
     /// summaries, in table order — the bytes the store's SCC table holds.

@@ -37,16 +37,17 @@ use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
 use crate::taint::{TaintResults, TaintVal};
 use safeflow_ir::{
-    BlockId, CallGraph, Cfg, ControlDeps, FuncId, InstKind, Module, Terminator, Value,
+    BlockId, CallGraph, Cfg, ControlDeps, FuncId, Function, InstKind, Module, PostDomTree,
+    Terminator, Value,
 };
 use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
-use safeflow_util::pool::{run_dag, PoolStats};
+use safeflow_util::pool::{lock_recover, run_dag, PoolStats};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A symbolic taint source.
@@ -464,6 +465,11 @@ pub(crate) fn analyze_summaries(
         let _ = slots[i].set(SccOut { summaries, tainted: true, keep: false });
     };
     let rounds_cap = config.budget.fixpoint_rounds.map(|r| r.max(1) as usize).unwrap_or(16);
+    // Scratch for the tasks that compute an SCC: a task takes one and
+    // gives it back once its members are summarized. A task that panics
+    // drops its scratch, and every use clears what it reads, so nothing of
+    // one SCC reaches the next. The pool drops with the run.
+    let spares: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
     let scc_body = |i: usize| -> Option<String> {
         let scc = &callgraph.sccs[i];
         // Injected faults: a panic is contained by the pool (slot stays
@@ -501,10 +507,21 @@ pub(crate) fn analyze_summaries(
                 return None;
             }
         }
-        let mut local: HashMap<FuncId, Summary> = HashMap::new();
-        // Each member's graphs are loop-invariant: built on first use,
-        // kept for later rounds.
-        let mut graphs: HashMap<FuncId, FnGraphs> = HashMap::new();
+        let summarized = |fid: FuncId| {
+            let func = module.function(fid);
+            !func.is_shminit() && func.is_definition && !func.blocks.is_empty()
+        };
+        let mut scratch = lock_recover(&spares).pop().unwrap_or_default();
+        let Scratch { graphs, spare_cds, pdom, facts, local } = &mut scratch;
+        local.clear();
+        local.resize_with(scc.len(), || None);
+        // Each summarized member's graphs are loop-invariant: built once, in
+        // member order, and kept for later rounds.
+        spare_cds.extend(graphs.drain(..).map(|g| g.cd));
+        for &fid in scc.iter().filter(|&&fid| summarized(fid)) {
+            let cd = spare_cds.pop().unwrap_or_default();
+            graphs.push(build_fn_graphs(module, cfgs, &assumed_of, fid, cd, pdom));
+        }
         let one_round = scc.len() == 1 && !callgraph.is_recursive(scc[0]);
         let mut changed = true;
         let mut rounds = 0;
@@ -515,16 +532,14 @@ pub(crate) fn analyze_summaries(
             changed = false;
             rounds += 1;
             inner_converged = true;
-            for &fid in scc {
-                let func = module.function(fid);
-                if func.is_shminit() || !func.is_definition || func.blocks.is_empty() {
-                    local.entry(fid).or_default();
+            let mut member_graphs = graphs.iter();
+            for (at, &fid) in scc.iter().enumerate() {
+                if !summarized(fid) {
+                    local[at].get_or_insert_with(Summary::default);
                     continue;
                 }
-                let g = graphs
-                    .entry(fid)
-                    .or_insert_with(|| build_fn_graphs(module, cfgs, &assumed_of, fid));
-                let view = SummaryView { callgraph, slots: &slots, local: &local, own_scc: i };
+                let g = member_graphs.next().expect("graphs are built for every summarized member");
+                let view = SummaryView { callgraph, slots: &slots, local, own_scc: i };
                 let (s, passes, converged) = summarize_function(
                     module,
                     regions,
@@ -536,14 +551,15 @@ pub(crate) fn analyze_summaries(
                     &view,
                     fid,
                     g,
+                    facts,
                     rounds_cap,
                 );
                 summarize_calls += 1;
                 body_passes += passes;
                 inner_converged &= converged;
-                let prev = local.get(&fid);
-                if prev.map(|p| !summary_eq(p, &s)).unwrap_or(true) {
-                    local.insert(fid, s);
+                let slot = &mut local[at];
+                if slot.as_ref().is_none_or(|p| !summary_eq(p, &s)) {
+                    *slot = Some(s);
                     changed = true;
                 }
             }
@@ -551,6 +567,9 @@ pub(crate) fn analyze_summaries(
             // round it just ran is already the fixpoint.
             changed &= !one_round;
         }
+        let computed: Vec<Summary> =
+            local.iter_mut().map(|s| s.take().unwrap_or_default()).collect();
+        lock_recover(&spares).push(scratch);
         metrics.add_many(
             Class::Work,
             &[
@@ -565,8 +584,6 @@ pub(crate) fn analyze_summaries(
             publish_top(i);
             return Some(format!("summary fixpoint did not converge within {rounds_cap} round(s)"));
         }
-        let computed: Vec<Summary> =
-            scc.iter().map(|fid| local.remove(fid).unwrap_or_default()).collect();
         // Injected cache fault: a panic here leaves the slot unset
         // (poisoning the SCC); a budget fault just keeps the result out of
         // the table.
@@ -885,27 +902,96 @@ fn summary_eq(a: &Summary, b: &Summary) -> bool {
 struct FnGraphs<'a> {
     cfg: &'a Cfg,
     cd: ControlDeps,
-    assumed: Scope,
+    assumed: &'a Scope,
     /// Parameters the function's own annotations assume core.
     assumed_params: BTreeSet<u32>,
     /// The function's name, shared by every region read and sink it records.
     name: Arc<str>,
 }
 
+/// The scope of a function that assumes nothing.
+static NO_SCOPE: Scope = BTreeMap::new();
+
+/// The graphs of `fid`, its control dependences built into `cd`'s buffers
+/// and its post-dominators into `pdom`'s.
 fn build_fn_graphs<'a>(
     module: &Module,
     cfgs: &'a [Option<Cfg>],
-    assumed_of: &HashMap<FuncId, Scope>,
+    assumed_of: &'a HashMap<FuncId, Scope>,
     fid: FuncId,
+    mut cd: ControlDeps,
+    pdom: &mut PostDomTree,
 ) -> FnGraphs<'a> {
     let cfg = cfgs[fid.0 as usize].as_ref().expect("function has blocks");
     let func = module.function(fid);
+    cd.rebuild(cfg, pdom);
     FnGraphs {
         cfg,
-        cd: ControlDeps::build(cfg),
-        assumed: assumed_of.get(&fid).cloned().unwrap_or_default(),
+        cd,
+        assumed: assumed_of.get(&fid).unwrap_or(&NO_SCOPE),
         assumed_params: scope::assumed_params(func),
         name: func.name.as_str().into(),
+    }
+}
+
+/// The buffers one SCC task summarizes its members in, kept from one SCC
+/// to the next a task computes (see `analyze_summaries`).
+#[derive(Default)]
+struct Scratch<'a> {
+    /// The graphs of the SCC's summarized members, in member order.
+    graphs: Vec<FnGraphs<'a>>,
+    /// Control-dependence buffers of an earlier SCC's graphs, for reuse.
+    spare_cds: Vec<ControlDeps>,
+    /// Post-dominator buffers, for building control dependences.
+    pdom: PostDomTree,
+    facts: FactTables,
+    /// Each member's summary in the current fixpoint round, by position in
+    /// the SCC; `None` while pending.
+    local: Vec<Option<Summary>>,
+}
+
+/// The fact tables [`summarize_function`] works in. Each use clears them
+/// for its function; clearing keeps every set's capacity, so once a task
+/// has summarized a few functions their facts mostly fit the sets it has.
+#[derive(Default)]
+struct FactTables {
+    vals: ValueFacts,
+    /// Each block's control facts: the promoted conditions of the
+    /// branches that decide whether it runs.
+    block_ctl: Vec<SymSet>,
+    /// Sets beyond the current function's instructions and blocks, kept
+    /// for a larger one.
+    spare: Vec<SymSet>,
+    /// Collects one instruction's (or branch condition's) facts before
+    /// they are merged into its slot.
+    set: SymSet,
+    /// The block that recorded each of a pass's region reads and sinks.
+    read_blocks: Vec<BlockId>,
+    sink_blocks: Vec<BlockId>,
+}
+
+impl FactTables {
+    /// Empties the tables for `func`: one empty set per instruction and
+    /// per block, and each parameter's own symbol.
+    fn reset(&mut self, func: &Function) {
+        reset_sets(&mut self.vals.insts, func.insts.len(), &mut self.spare);
+        reset_sets(&mut self.block_ctl, func.blocks.len(), &mut self.spare);
+        self.vals.params.clear();
+        self.vals.params.extend((0..func.params.len() as u32).map(|i| data_fact(Sym::Param(i))));
+    }
+}
+
+/// Makes `sets` hold `n` empty sets, parking the sets beyond `n` in
+/// `spare` and drawing missing ones from it, so no set's capacity is lost.
+fn reset_sets(sets: &mut Vec<SymSet>, n: usize, spare: &mut Vec<SymSet>) {
+    if sets.len() > n {
+        spare.extend(sets.drain(n..));
+    }
+    sets.iter_mut().for_each(SymSet::clear);
+    while sets.len() < n {
+        let mut set = spare.pop().unwrap_or_default();
+        set.clear();
+        sets.push(set);
     }
 }
 
@@ -921,8 +1007,10 @@ fn build_fn_graphs<'a>(
 struct SummaryView<'a> {
     callgraph: &'a CallGraph,
     slots: &'a [SccSlot],
-    local: &'a HashMap<FuncId, Summary>,
-    /// Index of the SCC this view's task is computing.
+    /// The fixpoint state of the SCC this view's task is computing, by
+    /// member position.
+    local: &'a [Option<Summary>],
+    /// Index of that SCC.
     own_scc: usize,
 }
 
@@ -930,13 +1018,11 @@ impl<'a> SummaryView<'a> {
     /// The callee's summary, borrowed from the fixpoint state or the
     /// published slot; owned only as a poisoned dependency's top.
     fn get(&self, f: FuncId) -> Option<Cow<'a, Summary>> {
-        if let Some(s) = self.local.get(&f) {
-            return Some(Cow::Borrowed(s));
-        }
         let &scc = self.callgraph.scc_of.get(&f)?;
         if scc == self.own_scc {
-            // Same SCC, not yet computed this round: bottom seed.
-            return None;
+            // Same SCC: `None` while not yet computed (the bottom seed).
+            let pos = self.callgraph.sccs[scc].iter().position(|&m| m == f)?;
+            return self.local.get(pos)?.as_ref().map(Cow::Borrowed);
         }
         match self.slots[scc].get() {
             Some(published) => {
@@ -951,6 +1037,7 @@ impl<'a> SummaryView<'a> {
 
 /// The facts of one function's SSA values: one set per `InstId`, and for a
 /// parameter its own symbol.
+#[derive(Default)]
 struct ValueFacts {
     insts: Vec<SymSet>,
     params: Vec<Fact>,
@@ -991,9 +1078,10 @@ fn sink_sources(value: &[Fact], ctl: &[Fact]) -> SymSet {
 /// Region reads and sinks come out in block-index order whatever the walk,
 /// so the summary's bytes do not depend on it.
 ///
-/// Every fact table is dense and merged in place: operands are read by
-/// borrowing their sets, and one scratch set collects each instruction's
-/// (or branch condition's) facts before they are merged into its slot.
+/// Every fact table is dense, lives in `facts` and is merged in place:
+/// operands are read by borrowing their sets, and one scratch set collects
+/// each instruction's (or branch condition's) facts before they are merged
+/// into its slot.
 /// Block control facts are control facts by construction (a condition's
 /// set is promoted before it is recorded), so merging them needs no
 /// further promotion.
@@ -1009,6 +1097,7 @@ fn summarize_function(
     summaries: &SummaryView<'_>,
     fid: FuncId,
     graphs: &FnGraphs,
+    facts: &mut FactTables,
     rounds_cap: usize,
 ) -> (Summary, u64, bool) {
     let func = module.function(fid);
@@ -1029,14 +1118,8 @@ fn summarize_function(
     let one_pass = !cfg.has_back_edge() && unreachable.clone().next().is_none();
     let walk = cfg.rpo.iter().copied().chain(unreachable);
 
-    let mut vals = ValueFacts {
-        insts: vec![SymSet::default(); func.insts.len()],
-        params: (0..func.params.len() as u32).map(|i| data_fact(Sym::Param(i))).collect(),
-    };
-    let mut block_ctl = vec![SymSet::default(); func.blocks.len()];
-    let mut set = SymSet::default();
-    // The block that recorded each of a pass's region reads and sinks.
-    let (mut read_blocks, mut sink_blocks) = (Vec::new(), Vec::new());
+    facts.reset(func);
+    let FactTables { vals, block_ctl, set, read_blocks, sink_blocks, .. } = facts;
 
     let (mut passes, mut converged) = (0, false);
     while passes < rounds_cap && !converged {
@@ -1229,7 +1312,7 @@ fn summarize_function(
                             for (o, written) in &callee_sum.obj_writes {
                                 subst(written, s.obj_writes.entry(*o).or_default());
                             }
-                            subst(&callee_sum.ret, &mut set);
+                            subst(&callee_sum.ret, set);
                             set.union(ctl_here);
                         }
                     }
@@ -1246,7 +1329,7 @@ fn summarize_function(
                     }
                     InstKind::Alloca { .. } => {}
                 }
-                changed |= vals.insts[iid.0 as usize].union(&set);
+                changed |= vals.insts[iid.0 as usize].union(set);
             }
             read_blocks.resize(s.region_reads.len(), bid);
             sink_blocks.resize(s.sinks.len(), bid);
@@ -1268,14 +1351,14 @@ fn summarize_function(
             }
             set.promote();
             for &dep in cd.controlled_by(bid) {
-                changed |= block_ctl[dep.0 as usize].union(&set);
+                changed |= block_ctl[dep.0 as usize].union(set);
             }
         }
         converged = one_pass || !changed;
     }
 
-    s.region_reads = in_block_order(std::mem::take(&mut s.region_reads), &read_blocks);
-    s.sinks = in_block_order(std::mem::take(&mut s.sinks), &sink_blocks);
+    s.region_reads = in_block_order(std::mem::take(&mut s.region_reads), read_blocks);
+    s.sinks = in_block_order(std::mem::take(&mut s.sinks), sink_blocks);
     for (bid, block) in func.iter_blocks() {
         if let Terminator::Ret(Some(v)) = &block.terminator {
             s.ret.union(vals.of(v));
@@ -1353,11 +1436,28 @@ mod tests {
         let (assumed_of, _) = scope::own_scopes(&module, &regions, &shm, &table);
         let sockets = scope::find_noncore_sockets(&module, &regions);
         let fid = module.function_by_name(name).expect("function exists");
-        let graphs = build_fn_graphs(&module, &cfgs, &assumed_of, fid);
-        let local = HashMap::new();
-        let view = SummaryView { callgraph: &callgraph, slots: &[], local: &local, own_scc: 0 };
+        let graphs = build_fn_graphs(
+            &module,
+            &cfgs,
+            &assumed_of,
+            fid,
+            ControlDeps::default(),
+            &mut PostDomTree::default(),
+        );
+        let view = SummaryView { callgraph: &callgraph, slots: &[], local: &[], own_scc: 0 };
         let (summary, passes, converged) = summarize_function(
-            &module, &regions, &shm, &pt, &config, &table, &sockets, &view, fid, &graphs, 16,
+            &module,
+            &regions,
+            &shm,
+            &pt,
+            &config,
+            &table,
+            &sockets,
+            &view,
+            fid,
+            &graphs,
+            &mut FactTables::default(),
+            16,
         );
         assert!(converged);
         let cfg = cfgs[fid.0 as usize].clone().expect("function has blocks");

@@ -7,7 +7,7 @@
 //! program whose SCC fan actually exercises concurrent scheduling) under
 //! both engines, several iterations per thread count.
 
-use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Engine};
+use safeflow::{AnalysisConfig, AnalysisSession, Analyzer, Engine, Json};
 use safeflow_corpus::synthetic::{generate_wide, WideParams};
 use safeflow_corpus::{figure2_example, systems};
 use safeflow_syntax::VirtualFs;
@@ -72,6 +72,49 @@ fn warm_cache_reports_match_cold_at_every_thread_count() {
                     .rendered;
                 assert_eq!(got, reference, "{file} warm run diverged at jobs={jobs} round={round}");
             }
+        }
+    }
+}
+
+/// The report document with the sections that move with the schedule or
+/// the cache state stripped: its `cache` member and the metrics' `work`,
+/// `sched`, `dist` and `timings_ns` sections.
+fn cache_free(doc: &Json) -> String {
+    let mut doc = doc.clone();
+    let Json::Obj(members) = &mut doc else { panic!("the document is an object") };
+    members.retain(|(k, _)| k != "cache");
+    for (k, v) in members.iter_mut() {
+        if k == "metrics" {
+            let Json::Obj(sections) = v else { panic!("metrics is an object") };
+            sections.retain(|(k, _)| k == "counters");
+        }
+    }
+    doc.render()
+}
+
+/// One session checks program A, then B, then A again, and every document
+/// equals the one a fresh session gives, at one and at four workers. A
+/// check reuses its fact tables and graph buffers from one function to
+/// the next; a buffer that kept anything would move a later function's
+/// findings.
+#[test]
+fn checks_in_one_session_match_fresh_sessions() {
+    let programs = corpus_programs();
+    let ip = &programs[0];
+    let wide = programs.last().expect("the corpus has programs");
+    for jobs in [1usize, 4] {
+        let config = AnalysisConfig::with_engine(Engine::Summary).with_jobs(jobs);
+        let check = |session: &mut AnalysisSession, (file, src): &(String, String)| {
+            let mut fs = VirtualFs::new();
+            fs.add(file.as_str(), src.as_str());
+            let outcome =
+                session.check(file, &fs).unwrap_or_else(|e| panic!("{file} must analyze: {e}"));
+            cache_free(&outcome.report_json)
+        };
+        let mut session = AnalysisSession::new(config.clone());
+        for program in [ip, wide, ip] {
+            let fresh = check(&mut AnalysisSession::new(config.clone()), program);
+            assert_eq!(check(&mut session, program), fresh, "{} at jobs={jobs}", program.0);
         }
     }
 }
