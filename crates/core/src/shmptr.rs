@@ -16,7 +16,7 @@ use crate::regions::{RegionId, RegionMap};
 use safeflow_ir::{
     Callee, FuncId, FuncTable, GlobalId, InstId, InstKind, Module, Terminator, Value,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A region-pointer fact: which region, and at which constant *element*
 /// offset from the region base (when known).
@@ -128,18 +128,26 @@ impl ShmPointers {
         // Collapse: keep at most one unknown-offset fact per region, and if
         // a region accumulates many distinct offsets, widen to unknown to
         // guarantee termination.
-        let mut by_region: BTreeMap<RegionId, usize> = BTreeMap::new();
-        for p in set.iter() {
-            *by_region.entry(p.region).or_default() += 1;
-        }
-        for (r, n) in by_region {
-            if n > 8 {
-                set.retain(|p| p.region != r);
-                set.insert(RegionPtr { region: r, offset: None });
-            }
+        while let Some(r) = crowded_region(set) {
+            set.retain(|p| p.region != r);
+            set.insert(RegionPtr { region: r, offset: None });
         }
         set.len() != before
     }
+}
+
+/// The first region with more than 8 facts in `set`. The set orders its
+/// facts by region first, so each region's facts are adjacent.
+fn crowded_region(set: &BTreeSet<RegionPtr>) -> Option<RegionId> {
+    let (mut region, mut run) = (None, 0);
+    for p in set {
+        run = if region == Some(p.region) { run + 1 } else { 1 };
+        region = Some(p.region);
+        if run > 8 {
+            return region;
+        }
+    }
+    None
 }
 
 /// Runs phase 1 over the whole module.

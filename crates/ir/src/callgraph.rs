@@ -28,19 +28,20 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the call graph of all defined functions in `module`.
     pub fn build(module: &Module) -> CallGraph {
-        let mut callees: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
-        let mut callers: HashMap<FuncId, Vec<FuncId>> = HashMap::new();
-        let mut externals: HashMap<FuncId, Vec<String>> = HashMap::new();
         let defs: Vec<FuncId> = module.definitions().collect();
-        for &fid in &defs {
-            callees.entry(fid).or_default();
-            callers.entry(fid).or_default();
-            externals.entry(fid).or_default();
+        fn empty<T>(defs: &[FuncId]) -> HashMap<FuncId, Vec<T>> {
+            defs.iter().map(|&fid| (fid, Vec::new())).collect()
         }
+        let mut callees: HashMap<FuncId, Vec<FuncId>> = empty(&defs);
+        let mut callers: HashMap<FuncId, Vec<FuncId>> = empty(&defs);
+        let mut externals: HashMap<FuncId, Vec<String>> = empty(&defs);
+        // The callees seen so far in one function, cleared for the next.
+        let mut seen_local: HashSet<FuncId> = HashSet::new();
+        let mut seen_ext: HashSet<&str> = HashSet::new();
         for &fid in &defs {
             let func = module.function(fid);
-            let mut seen_local: HashSet<FuncId> = HashSet::new();
-            let mut seen_ext: HashSet<String> = HashSet::new();
+            seen_local.clear();
+            seen_ext.clear();
             for (_, inst) in func.iter_insts() {
                 if let InstKind::Call { callee, .. } = &inst.kind {
                     match callee {
@@ -53,14 +54,14 @@ impl CallGraph {
                                     callers.entry(*target).or_default().push(fid);
                                 }
                             } else {
-                                let name = module.function(*target).name.clone();
-                                if seen_ext.insert(name.clone()) {
-                                    externals.get_mut(&fid).unwrap().push(name);
+                                let name = &module.function(*target).name;
+                                if seen_ext.insert(name) {
+                                    externals.get_mut(&fid).unwrap().push(name.clone());
                                 }
                             }
                         }
                         Callee::External(name) => {
-                            if seen_ext.insert(name.clone()) {
+                            if seen_ext.insert(name) {
                                 externals.get_mut(&fid).unwrap().push(name.clone());
                             }
                         }
@@ -80,20 +81,18 @@ impl CallGraph {
     /// all of its dependencies are done, independent of its topological
     /// siblings.
     pub fn scc_dependencies(&self) -> Vec<Vec<usize>> {
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); self.sccs.len()];
-        for (i, scc) in self.sccs.iter().enumerate() {
-            let mut seen: HashSet<usize> = HashSet::new();
-            for f in scc {
-                for callee in &self.callees[f] {
-                    let j = self.scc_of[callee];
-                    if j != i && seen.insert(j) {
-                        deps[i].push(j);
-                    }
-                }
-            }
-            deps[i].sort_unstable();
-        }
-        deps
+        let deps_of = |(i, scc): (usize, &Vec<FuncId>)| {
+            let mut deps: Vec<usize> = scc
+                .iter()
+                .flat_map(|f| &self.callees[f])
+                .map(|callee| self.scc_of[callee])
+                .filter(|&j| j != i)
+                .collect();
+            deps.sort_unstable();
+            deps.dedup();
+            deps
+        };
+        self.sccs.iter().enumerate().map(deps_of).collect()
     }
 
     /// Whether `f` participates in recursion (self-loop or larger SCC).
@@ -139,7 +138,7 @@ fn tarjan(
     let mut index = 0u32;
     let mut stack: Vec<FuncId> = Vec::new();
     let mut sccs: Vec<Vec<FuncId>> = Vec::new();
-    let mut scc_of: HashMap<FuncId, usize> = HashMap::new();
+    let mut scc_of: HashMap<FuncId, usize> = HashMap::with_capacity(nodes.len());
 
     // Iterative DFS with explicit frames.
     enum Action {
@@ -147,11 +146,12 @@ fn tarjan(
         PostChild(FuncId, FuncId), // (parent, child)
         Finish(FuncId),
     }
+    let mut work: Vec<Action> = Vec::new();
     for &root in nodes {
         if state[&root].index.is_some() {
             continue;
         }
-        let mut work = vec![Action::Visit(root)];
+        work.push(Action::Visit(root));
         while let Some(action) = work.pop() {
             match action {
                 Action::Visit(v) => {

@@ -32,7 +32,7 @@
 #![warn(missing_docs)]
 
 use safeflow_ir::{Callee, FuncId, FuncTable, GlobalId, InstId, InstKind, Module, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Interned id of an abstract memory object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -143,7 +143,7 @@ impl PointsTo {
                 contents: Vec::new(),
                 escaped: BTreeSet::new(),
             },
-            edges: BTreeMap::new(),
+            edges: Vec::new(),
             field_edges: Vec::new(),
             complex_loads: Vec::new(),
             complex_stores: Vec::new(),
@@ -305,9 +305,9 @@ struct ComplexStore {
 
 struct Analyzer {
     pt: PointsTo,
-    /// Copy edges: pts(to) ⊇ pts(from), keyed in deterministic order (see
-    /// [`VarKey`]).
-    edges: BTreeMap<VarKey, Vec<VarKey>>,
+    /// Copy edges `(from, to)`: pts(to) ⊇ pts(from), in the order they
+    /// were added.
+    edges: Vec<(VarKey, VarKey)>,
     /// FieldAddr derivations: (func, result inst, base value, struct id,
     /// field index).
     field_edges: Vec<(FuncId, InstId, Value, u32, u32)>,
@@ -319,7 +319,7 @@ struct Analyzer {
 
 impl Analyzer {
     fn add_edge(&mut self, from: VarKey, to: VarKey) {
-        self.edges.entry(from).or_default().push(to);
+        self.edges.push((from, to));
     }
 
     fn add_obj(&mut self, var: VarKey, obj: Obj) {
@@ -475,10 +475,11 @@ impl Analyzer {
     }
 
     fn solve(&mut self) {
-        // The constraint edges are fixed before solving; flattened once,
-        // in the deterministic `VarKey` order.
-        let edges: Vec<(VarKey, VarKey)> =
-            self.edges.iter().flat_map(|(f, tos)| tos.iter().map(move |t| (*f, *t))).collect();
+        // The constraint edges are fixed before solving; visited in the
+        // deterministic `VarKey` order of their sources, and in the order
+        // they were added from one source (the sort is stable).
+        let mut edges = std::mem::take(&mut self.edges);
+        edges.sort_by_key(|&(from, _)| from);
         // Sets copied out of the tables so another set can be written.
         let (mut src, mut add): (Vec<ObjId>, Vec<ObjId>) = (Vec::new(), Vec::new());
         let mut changed = true;
