@@ -22,7 +22,8 @@ help:
 	@echo "                   (cold and two one-line edits; SCCs hashed,"
 	@echo "                   summaries and body passes, restriction checks,"
 	@echo "                   solver calls, store invalidations) against pinned"
-	@echo "                   values, and the frontend's allocation budget on it"
+	@echo "                   values, and the allocation budgets of the frontend"
+	@echo "                   and of a whole cold check on it"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
 	@echo "  oracle-smoke     64-seed differential oracle, both engines (CI gate)"
@@ -68,11 +69,13 @@ sfbench:
 # over function bodies, functions restriction-checked, solver calls, store
 # invalidations) are pure functions of its input, so they are gated
 # exactly, where wall time cannot be. A change that lowers one on purpose
-# updates the pinned value. The frontend's allocation counts on the same
-# corpus are exact too, and are held under a budget.
+# updates the pinned value. The allocation counts of the frontend and of a
+# whole cold check on the same corpus are exact too, and are held under a
+# budget.
 bench-check:
 	$(CARGO) test --release -q -p safeflow --test monorepo bench_corpus_work_counters_are_pinned
 	$(CARGO) test --release -q -p safeflow --test frontend_allocs
+	$(CARGO) test --release -q -p safeflow --test analysis_allocs
 
 # Daemon latency trajectory: warm-path (store replay) vs cold-path p50/p99
 # over loopback, plus a 4x-overload shedding drill against a bounded
