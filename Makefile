@@ -21,7 +21,8 @@ help:
 	@echo "  bench-check      exact work counters of the benchmark corpus"
 	@echo "                   (cold and two one-line edits; SCCs hashed,"
 	@echo "                   summaries and body passes, restriction checks,"
-	@echo "                   solver calls, store invalidations) against pinned"
+	@echo "                   solver calls, store invalidations; the context"
+	@echo "                   engine's contexts and body passes) against pinned"
 	@echo "                   values, and the allocation budgets of the frontend"
 	@echo "                   and of a whole cold check on it"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
@@ -67,13 +68,14 @@ sfbench:
 
 # The benchmark's work counters (SCCs hashed, summaries recomputed, passes
 # over function bodies, functions restriction-checked, solver calls, store
-# invalidations) are pure functions of its input, so they are gated
+# invalidations, and the context-sensitive engine's contexts, rounds and
+# body passes) are pure functions of its input, so they are gated
 # exactly, where wall time cannot be. A change that lowers one on purpose
 # updates the pinned value. The allocation counts of the frontend and of a
 # whole cold check on the same corpus are exact too, and are held under a
 # budget.
 bench-check:
-	$(CARGO) test --release -q -p safeflow --test monorepo bench_corpus_work_counters_are_pinned
+	$(CARGO) test --release -q -p safeflow --test monorepo bench_corpus_
 	$(CARGO) test --release -q -p safeflow --test frontend_allocs
 	$(CARGO) test --release -q -p safeflow --test analysis_allocs
 

@@ -3,8 +3,8 @@
 //! Measures the resident daemon's request latency over loopback — the
 //! warm path (manifest replay out of the store) against the cold path
 //! (full analysis of never-seen content) — and runs a 4× overload drill
-//! against a bounded admission queue, emitting `BENCH_serve.json` in the
-//! same trajectory-artifact family as `BENCH_pr6.json` (schema locked by
+//! against a bounded admission queue, emitting `BENCH_serve.json` (schema
+//! `safeflow-bench-trajectory-v1`, locked by
 //! `crates/bench/tests/bench_schema.rs`).
 //!
 //! Usage:

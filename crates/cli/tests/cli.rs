@@ -36,21 +36,23 @@ fn injected_scc_panic_is_contained_and_exits_3() {
     assert!(text.contains("internal error (contained)"), "{text}");
 }
 
-/// Under the summary engine a loop-free body settles in one pass, even
-/// when SSA left an empty stub of a dead block in it: Figure 2's
-/// `decision`, whose `if`/`else` returns on both arms, does not degrade
-/// under a one-round budget. `main` carries a loop and still does.
+/// Under either engine a loop-free body settles in one pass, even when SSA
+/// left an empty stub of a dead block in it: Figure 2's `decision`, whose
+/// `if`/`else` returns on both arms, does not degrade under a one-round
+/// budget. `main` carries a loop and still does.
 #[test]
 fn one_round_budget_settles_fig2_decision() {
-    let out = safeflow()
-        .args(["--engine", "summary", "--budget", "fixpoint-rounds=1", "--fig2"])
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(4), "main's loop still exhausts the budget");
-    let text = String::from_utf8_lossy(&out.stdout);
-    let degraded: Vec<&str> = text.lines().filter(|l| l.contains("budget exhausted")).collect();
-    assert_eq!(degraded.len(), 1, "{text}");
-    assert!(degraded[0].contains("(functions: main)"), "{text}");
+    for engine in ["summary", "context"] {
+        let out = safeflow()
+            .args(["--engine", engine, "--budget", "fixpoint-rounds=1", "--fig2"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(4), "{engine}: main's loop still exhausts the budget");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let degraded: Vec<&str> = text.lines().filter(|l| l.contains("budget exhausted")).collect();
+        assert_eq!(degraded.len(), 1, "{engine}: {text}");
+        assert!(degraded[0].contains("(functions: main)"), "{engine}: {text}");
+    }
 }
 
 #[test]

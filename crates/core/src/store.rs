@@ -63,7 +63,10 @@ pub(crate) use safeflow_util::wire::{put_str, put_u32, put_u64, put_u8, ByteRead
 /// v5: one finding rule labels a site by the join of every label reaching
 /// it, so stored labeled reports may name other labels; the layout did
 /// not change.
-pub const STORE_VERSION: u32 = 5;
+/// v6: the context-sensitive engine walks each body in the summary engine's
+/// order, so its stored manifests carry other `contexts_analyzed` values
+/// and `taint.*` counters; the layout did not change.
+pub const STORE_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"SFSTORE\0";
 const STORE_FILE: &str = "safeflow-store.bin";

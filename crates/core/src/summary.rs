@@ -1067,14 +1067,10 @@ fn sink_sources(value: &[Fact], ctl: &[Fact]) -> SymSet {
 /// `rounds_cap` passes stopped the iteration first — callers with an
 /// explicit [`crate::config::Budget::fixpoint_rounds`] degrade the SCC.
 ///
-/// A pass walks the reachable blocks in reverse postorder, then any
-/// unreachable ones in index order, and merges a branch's (promoted)
-/// condition facts into the blocks it controls as soon as it reaches the
-/// branch. In a body with no back edge and no unreachable block (an empty
-/// stub that SSA left of a dead block does not count), every
-/// operand, φ predecessor and controlling branch comes before its readers in
-/// that walk, so the first pass already computes the least fixpoint and is
-/// the only one. Any other body repeats the pass until it changes nothing.
+/// A pass walks the blocks in [`Cfg::body_walk`] order and merges a
+/// branch's (promoted) condition facts into the blocks it controls as soon
+/// as it reaches the branch. A body that order settles in one pass takes
+/// one; any other repeats the pass until it changes nothing.
 /// Region reads and sinks come out in block-index order whatever the walk,
 /// so the summary's bytes do not depend on it.
 ///
@@ -1106,17 +1102,7 @@ fn summarize_function(
         return (s, 0, true);
     }
     let FnGraphs { cfg, cd, assumed, assumed_params, name } = graphs;
-    // An unreachable block with no instructions and an `Unreachable`
-    // terminator (the stub SSA leaves of a dead block) adds no fact, so
-    // it neither joins the walk nor costs the body its single pass.
-    let adds_facts = |b: BlockId| {
-        let block = func.block(b);
-        !block.insts.is_empty() || !matches!(block.terminator, Terminator::Unreachable)
-    };
-    let unreachable =
-        (0..cfg.len() as u32).map(BlockId).filter(|&b| !cfg.is_reachable(b) && adds_facts(b));
-    let one_pass = !cfg.has_back_edge() && unreachable.clone().next().is_none();
-    let walk = cfg.rpo.iter().copied().chain(unreachable);
+    let (walk, one_pass) = cfg.body_walk(func);
 
     facts.reset(func);
     let FactTables { vals, block_ctl, set, read_blocks, sink_blocks, .. } = facts;

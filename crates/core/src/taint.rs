@@ -434,11 +434,22 @@ impl<'a> Engine<'a> {
 
         let mut taints: HashMap<InstId, Taint> = HashMap::new();
         let mut block_ctl: HashMap<BlockId, Taint> = HashMap::new();
+        let cfg = self.cfgs[fid.0 as usize].as_ref().expect("function has blocks");
+        let (walk, one_pass) = cfg.body_walk(func);
+        if self.config.track_control_dependence {
+            let pdom = &mut self.pdom;
+            self.control_deps.entry(fid).or_insert_with(|| {
+                let mut cd = ControlDeps::default();
+                cd.rebuild(cfg, pdom);
+                cd
+            });
+        }
 
-        // Iterate the function body to a local fixpoint (φ-loops, control
-        // taint feedback). The built-in bound of 16 rounds keeps its
-        // historical silent behavior; an explicit `fixpoint_rounds` budget
-        // degrades the function when the cap stops the iteration early.
+        // Walk the body to a local fixpoint (φ-loops, control taint over
+        // back edges, memory-object taint raised by a later store). The
+        // built-in bound of 16 rounds keeps its historical silent behavior;
+        // an explicit `fixpoint_rounds` budget degrades the function when
+        // the cap stops the iteration early.
         let rounds_cap =
             self.config.budget.fixpoint_rounds.map(|r| r.max(1) as usize).unwrap_or(16);
         let mut converged = false;
@@ -446,54 +457,8 @@ impl<'a> Engine<'a> {
             let mut changed = false;
             self.obj_dirty = false;
             self.stat_function_rounds += 1;
-            // Recompute control-taint of blocks from tainted branches.
-            if self.config.track_control_dependence {
-                let (cfgs, pdom) = (self.cfgs, &mut self.pdom);
-                let cd = self.control_deps.entry(fid).or_insert_with(|| {
-                    let mut cd = ControlDeps::default();
-                    cd.rebuild(cfgs[fid.0 as usize].as_ref().expect("function has blocks"), pdom);
-                    cd
-                });
-                let mut new_ctl: HashMap<BlockId, Taint> = HashMap::new();
-                for (bid, block) in func.iter_blocks() {
-                    let cond = match &block.terminator {
-                        Terminator::CondBr { cond, .. } => Some(cond),
-                        Terminator::Switch { value, .. } => Some(value),
-                        _ => None,
-                    };
-                    let Some(cond) = cond else { continue };
-                    let t = value_taint(cond, &taints, ctx);
-                    let t_all = join2(&t, block_ctl.get(&bid));
-                    if t_all.val.is_bot() {
-                        continue;
-                    }
-                    let branch_span = match cond {
-                        Value::Inst(id) => func.inst(*id).span,
-                        _ => func.span,
-                    };
-                    let ctl = Taint {
-                        val: t_all.val.as_implicit(),
-                        origin: Some(FlowNode::step(
-                            format!("branch in `{}` decided by unsafe value", func.name),
-                            branch_span,
-                            t_all.origin.clone().unwrap_or_else(|| {
-                                FlowNode::source("unsafe branch condition", func.span)
-                            }),
-                        )),
-                    };
-                    for &dep in cd.controlled_by(bid) {
-                        new_ctl.entry(dep).or_insert_with(Taint::clean).join(&ctl);
-                    }
-                }
-                for (b, t) in new_ctl {
-                    let e = block_ctl.entry(b).or_insert_with(Taint::clean);
-                    if e.join(&t) {
-                        changed = true;
-                    }
-                }
-            }
-
-            for (bid, block) in func.iter_blocks() {
+            for bid in walk.clone() {
+                let block = func.block(bid);
                 let ctl_here = block_ctl.get(&bid).cloned().unwrap_or_else(Taint::clean);
                 self.stat_insts_visited += block.insts.len() as u64;
                 for &iid in &block.insts {
@@ -647,6 +612,36 @@ impl<'a> Engine<'a> {
                         }
                     }
                 }
+
+                // A branch over a tainted value taints the blocks it decides.
+                let cond = match &block.terminator {
+                    _ if !self.config.track_control_dependence => continue,
+                    Terminator::CondBr { cond, .. } => cond,
+                    Terminator::Switch { value, .. } => value,
+                    _ => continue,
+                };
+                let mut t = value_taint(cond, &taints, ctx);
+                t.join(&ctl_here);
+                if t.val.is_bot() {
+                    continue;
+                }
+                let branch_span = match cond {
+                    Value::Inst(id) => func.inst(*id).span,
+                    _ => func.span,
+                };
+                let ctl = Taint {
+                    val: t.val.as_implicit(),
+                    origin: Some(FlowNode::step(
+                        format!("branch in `{}` decided by unsafe value", func.name),
+                        branch_span,
+                        t.origin.unwrap_or_else(|| {
+                            FlowNode::source("unsafe branch condition", func.span)
+                        }),
+                    )),
+                };
+                for &dep in self.control_deps[&fid].controlled_by(bid) {
+                    changed |= block_ctl.entry(dep).or_insert_with(Taint::clean).join(&ctl);
+                }
             }
 
             // Return taint.
@@ -671,7 +666,7 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            if !changed && !self.obj_dirty {
+            if (one_pass || !changed) && !self.obj_dirty {
                 converged = true;
                 break;
             }
@@ -931,17 +926,100 @@ fn value_taint(v: &Value, taints: &HashMap<InstId, Taint>, ctx: &Ctx) -> Taint {
     }
 }
 
-fn join2(a: &Taint, b: Option<&Taint>) -> Taint {
-    let mut t = a.clone();
-    if let Some(b) = b {
-        t.join(b);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnalysisResult, Analyzer, Engine};
+
+    /// A non-core shared region `reg` with four fields.
+    const SHM_PRELUDE: &str = r#"
+        typedef struct { int a; int b; int c; int d; } Shm;
+        Shm *reg;
+        void *shmat(int shmid, void *addr, int flags);
+        void init(void)
+        /** SafeFlow Annotation shminit */
+        {
+            reg = (Shm *) shmat(0, 0, 0);
+            /** SafeFlow Annotation
+                assume(shmvar(reg, sizeof(Shm)))
+                assume(noncore(reg))
+            */
+        }
+    "#;
+
+    fn analyze(engine: Engine, body: &str) -> AnalysisResult {
+        Analyzer::new(crate::AnalysisConfig::with_engine(engine))
+            .analyze_source("t.c", &format!("{SHM_PRELUDE}{body}"))
+            .expect("analyzes")
+    }
+
+    /// The context-sensitive engine's counter `key`.
+    fn counter(result: &AnalysisResult, key: &str) -> u64 {
+        result.metrics.counters[key]
+    }
+
+    /// The errors of a report, flows left out.
+    fn error_keys(result: &AnalysisResult) -> Vec<String> {
+        let errors = &result.report.errors;
+        errors.iter().map(|e| format!("{} in {}: {:?}", e.critical, e.function, e.kind)).collect()
+    }
+
+    /// An `if` nested in a then-arm: the lowering numbers the outer merge
+    /// block before the nested arms, so a walk in index order meets the
+    /// assert before the branch that taints `r`. In reverse postorder every
+    /// body here is settled by its first pass, so each context takes one
+    /// pass per module round.
+    #[test]
+    fn a_loop_free_body_is_walked_once_per_context() {
+        let result = analyze(
+            Engine::ContextSensitive,
+            r#"
+            int step(int x) {
+                int r = 0;
+                if (x) {
+                    int u = reg->b;
+                    if (u > 0) {
+                        r = 1;
+                    }
+                }
+                /** SafeFlow Annotation assert(safe(r)) */
+                return r;
+            }
+            int main() { init(); return step(1); }
+            "#,
+        );
+        let contexts = counter(&result, "taint.contexts");
+        let module_rounds = counter(&result, "taint.module_rounds");
+        assert_eq!(counter(&result, "taint.function_rounds"), contexts * module_rounds);
+        assert_eq!(error_keys(&result), ["r in step: ControlOnly"]);
+    }
+
+    /// A loop that carries a region read into `out` only over its back
+    /// edge: the first pass cannot see it, so the body is walked again until
+    /// nothing changes, and the error stands, as in the summary engine.
+    #[test]
+    fn a_body_with_a_loop_iterates_to_its_fixpoint() {
+        let body = r#"
+            int carry(int n) {
+                int prev = 0;
+                int out = 0;
+                int i;
+                for (i = 0; i < n; i++) {
+                    out = prev;
+                    prev = reg->a;
+                }
+                /** SafeFlow Annotation assert(safe(out)) */
+                return out;
+            }
+            int main() { init(); return carry(4); }
+            "#;
+        let result = analyze(Engine::ContextSensitive, body);
+        assert_eq!(error_keys(&result), ["out in carry: Data"]);
+        assert_eq!(error_keys(&result), error_keys(&analyze(Engine::Summary, body)));
+        let contexts = counter(&result, "taint.contexts");
+        let module_rounds = counter(&result, "taint.module_rounds");
+        assert!(counter(&result, "taint.function_rounds") > contexts * module_rounds);
+    }
 
     #[test]
     fn taintval_collapses_to_the_two_point_lattice() {

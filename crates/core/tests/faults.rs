@@ -165,17 +165,20 @@ fn one_round_budget_settles_a_loop_free_body_but_not_a_tainted_loop() {
         int main() { initComm(); return gate(1) + accumulate(4); }
     "#;
     let budget = Budget { fixpoint_rounds: Some(1), ..Budget::unlimited() };
-    let config = AnalysisConfig::with_engine(Engine::Summary).with_budget(budget);
-    let report = Analyzer::new(config).analyze_source("passes.c", src).expect("analyzes").report;
-    let degraded = degraded_functions(&report);
-    assert!(degraded.contains("accumulate"), "tainted loop must degrade: {degraded:?}");
-    assert!(!degraded.contains("gate"), "loop-free body degraded: {degraded:?}");
-    assert!(
-        report.errors.iter().any(|e| e.function == "gate" && e.critical == "out"),
-        "the gated assert keeps its error: {:?}",
-        report.errors
-    );
-    assert_eq!(report.exit_code(), 4);
+    for engine in [Engine::Summary, Engine::ContextSensitive] {
+        let config = AnalysisConfig::with_engine(engine).with_budget(budget.clone());
+        let report =
+            Analyzer::new(config).analyze_source("passes.c", src).expect("analyzes").report;
+        let degraded = degraded_functions(&report);
+        assert!(degraded.contains("accumulate"), "{engine:?}: tainted loop must degrade");
+        assert!(!degraded.contains("gate"), "{engine:?}: loop-free body degraded: {degraded:?}");
+        assert!(
+            report.errors.iter().any(|e| e.function == "gate" && e.critical == "out"),
+            "{engine:?}: the gated assert keeps its error: {:?}",
+            report.errors
+        );
+        assert_eq!(report.exit_code(), 4, "{engine:?}");
+    }
 }
 
 #[test]

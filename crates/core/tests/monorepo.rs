@@ -193,3 +193,24 @@ fn bench_corpus_work_counters_are_pinned() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The context-sensitive engine's work on the same corpus, cold: the
+/// contexts it analyzes, its module-level rounds, its passes over function
+/// bodies and the instructions those passes visit. Every body of the corpus
+/// is loop-free, so each context takes one pass per module round.
+#[test]
+fn bench_corpus_context_engine_work_is_pinned() {
+    let config = AnalysisConfig::builder().engine(Engine::ContextSensitive).jobs(1).build_config();
+    let cold =
+        AnalysisSession::new(config).check("main.c", &bench_corpus()).expect("corpus checks");
+    assert_work(
+        "context cold",
+        &cold.metrics,
+        &[
+            ("taint.contexts", 1_156),
+            ("taint.module_rounds", 2),
+            ("taint.function_rounds", 2_312),
+            ("taint.vfg_nodes_visited", 112_484),
+        ],
+    );
+}

@@ -306,8 +306,9 @@ fn malformed_stored_summaries_reject_the_store_when_a_check_analyzes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An analyzed check times its own layers, frontend, rendering and store
-/// save included; a replayed one only its total. All of it lives in
+/// An analyzed check times its own layers, frontend, the teardown of the
+/// AST and module, rendering and store save included; a replayed one only
+/// its total. All of it lives in
 /// `timings_ns`, which every byte-identity comparison strips.
 #[test]
 fn analyzed_checks_time_their_frontend_render_and_save() {
@@ -322,6 +323,7 @@ fn analyzed_checks_time_their_frontend_render_and_save() {
         "phase.parse",
         "phase.lower",
         "phase.ssa",
+        "phase.drop",
         "phase.shmptr",
         "phase.points_to",
         "phase.value_flow",

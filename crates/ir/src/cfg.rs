@@ -1,6 +1,6 @@
 //! Control-flow graph utilities: predecessor maps and traversal orders.
 
-use crate::module::{BlockId, Function};
+use crate::module::{BlockId, Function, Terminator};
 
 /// Predecessor/successor structure of a function's CFG, plus a cached
 /// reverse-postorder.
@@ -117,6 +117,25 @@ impl Cfg {
             .iter()
             .enumerate()
             .any(|(at, &b)| self.succs_of(b).iter().any(|s| self.rpo_index[s.0 as usize] <= at))
+    }
+
+    /// The order a forward pass walks `func`'s body in, and whether one pass
+    /// reaches the fixpoint. The order is reverse postorder, then the
+    /// unreachable blocks in index order, less the empty `Unreachable` stubs
+    /// that SSA leaves of dead blocks, which add no fact. With no back edge and
+    /// no unreachable block left, every operand, φ predecessor and
+    /// controlling branch comes before its readers. `func` is this CFG's.
+    pub fn body_walk<'a>(
+        &'a self,
+        func: &'a Function,
+    ) -> (impl Iterator<Item = BlockId> + Clone + 'a, bool) {
+        let unreachable = (0..self.len() as u32).map(BlockId).filter(move |&b| {
+            let block = func.block(b);
+            !self.is_reachable(b)
+                && (!block.insts.is_empty() || block.terminator != Terminator::Unreachable)
+        });
+        let one_pass = !self.has_back_edge() && unreachable.clone().next().is_none();
+        (self.rpo.iter().copied().chain(unreachable), one_pass)
     }
 
     /// Predecessors of `b`.
@@ -327,6 +346,40 @@ mod tests {
         assert!(pos(1) < pos(2));
         assert_eq!(cfg.preds_of(BlockId(1)).len(), 2);
         assert!(cfg.has_back_edge());
+    }
+
+    #[test]
+    fn body_walk_skips_dead_stubs_but_not_dead_blocks() {
+        // 0 -> 2, 1; 1 -> 3; 2 -> 3; 3 ret; 4 an empty dead stub.
+        let mut blocks = vec![
+            block(
+                "entry",
+                Terminator::CondBr {
+                    cond: Value::i32(1),
+                    then_bb: BlockId(2),
+                    else_bb: BlockId(1),
+                },
+            ),
+            block("else", Terminator::Br(BlockId(3))),
+            block("then", Terminator::Br(BlockId(3))),
+            block("join", Terminator::Ret(None)),
+            block("stub", Terminator::Unreachable),
+        ];
+        let f = func_with_blocks(blocks.clone());
+        let cfg = Cfg::build(&f);
+        let (walk, one_pass) = cfg.body_walk(&f);
+        assert_eq!(walk.collect::<Vec<_>>(), cfg.rpo);
+        assert!(one_pass);
+        // A dead block that returns can add facts: it is walked last, and
+        // the body takes more than one pass.
+        blocks[4].terminator = Terminator::Ret(None);
+        let f = func_with_blocks(blocks);
+        let cfg = Cfg::build(&f);
+        let (walk, one_pass) = cfg.body_walk(&f);
+        let walk: Vec<BlockId> = walk.collect();
+        assert_eq!(walk[..4], cfg.rpo[..]);
+        assert_eq!(walk[4..], [BlockId(4)]);
+        assert!(!one_pass);
     }
 
     #[test]

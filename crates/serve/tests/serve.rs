@@ -109,18 +109,25 @@ fn warm_restart_after_graceful_shutdown() {
 
 #[test]
 fn tight_deadline_degrades_instead_of_hanging() {
-    let handle = start(default_opts());
+    // A 1 ms deadline alone races the analysis, which a fast host finishes
+    // inside it. The budget fault on this request leaves it a deadline that
+    // has already passed when the run starts, so it takes the over-deadline
+    // path however fast the host is.
     let files = slow_files(1);
+    let plan = FaultPlan::exhaust_at(FaultSite::ServeRequest, inline_key("slow1.c", &files));
+    let handle = start(ServeOptions { fault_plan: Some(plan), ..default_opts() });
     let mut c = client(&handle);
     let resp = c.check("slow1.c", &files, 1).unwrap();
     assert!(
         matches!(resp.status, Status::Timeout | Status::DegradedBudget),
-        "a 1ms deadline on a heavy program must degrade, got {:?}",
+        "a request past its deadline must degrade, got {:?}",
         resp.status
     );
-    // The daemon is unharmed: the next (undeadlined) request succeeds.
+    // The daemon is unharmed: the next (undeadlined) request is served in
+    // full.
     let ok = c.check("figure2.c", &fig2_files(), 0).unwrap();
     assert!(ok.status.is_report());
+    assert_ne!(ok.status, Status::DegradedBudget);
     shutdown(handle);
 }
 
