@@ -24,6 +24,28 @@ fn fig2_reports_error_and_exits_nonzero() {
     assert!(text.contains("feedback"), "{text}");
 }
 
+/// The §3.4.1 ablation from the command line: `--implicit-flow taint-only`
+/// drops Figure 2's control-only `output` error, leaving its warnings, so
+/// the run exits 1 where the default run exits 2. Both engines agree.
+#[test]
+fn taint_only_ablation_drops_the_fig2_control_error() {
+    for engine in ["context", "summary"] {
+        let with = safeflow().args(["--engine", engine, "--fig2"]).output().expect("runs");
+        assert_eq!(with.status.code(), Some(2), "{engine}: the default run has an error");
+        let text = String::from_utf8_lossy(&with.stdout);
+        assert!(text.contains("critical `output`"), "{engine}: {text}");
+
+        let without = safeflow()
+            .args(["--engine", engine, "--fig2", "--implicit-flow", "taint-only"])
+            .output()
+            .expect("runs");
+        assert_eq!(without.status.code(), Some(1), "{engine}: warnings only");
+        let text = String::from_utf8_lossy(&without.stdout);
+        assert!(!text.contains("critical `output`"), "{engine}: {text}");
+        assert!(text.contains("warning: read of non-core region `feedback`"), "{engine}: {text}");
+    }
+}
+
 #[test]
 fn injected_scc_panic_is_contained_and_exits_3() {
     let out = safeflow()

@@ -110,6 +110,10 @@ pub enum Engine {
     Summary,
 }
 
+/// The entry point: the root of reachability for both phase-3 engines,
+/// and the function whose end restriction P1 lets shared memory live to.
+pub(crate) const ENTRY: &str = "main";
+
 /// Configuration of a SafeFlow run.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
@@ -118,24 +122,12 @@ pub struct AnalysisConfig {
     /// External calls whose arguments are implicitly critical. The paper
     /// treats the pid argument of `kill` this way (§3.1/§4).
     pub implicit_critical_calls: Vec<CriticalCall>,
-    /// External functions that deallocate shared memory (restriction P1).
-    pub dealloc_functions: Vec<String>,
-    /// External functions that allocate/attach shared memory segments
-    /// inside `shminit` functions.
-    pub shm_attach_functions: Vec<String>,
     /// Message-receive library calls for the §3.4.3 extension.
     pub recv_functions: Vec<RecvSpec>,
-    /// Entry point used for reachability and P1 ("end of main").
-    pub entry: String,
     /// Cap on distinct contexts analyzed *per function* before the
     /// context-sensitive engine merges into a single worst-case context
     /// (no inherited assumptions, tainted parameters — sound, imprecise).
     pub max_contexts: usize,
-    /// Whether branches on unsafe values taint what they control (paper
-    /// §3.3). Disabling this is the §3.4.1 ablation: every false positive
-    /// disappears — and so do real control-dependence errors like the
-    /// paper's Figure 2 finding. Default: on, as in the paper.
-    pub track_control_dependence: bool,
     /// Worker threads for the parallel phases (summary-engine SCC
     /// scheduling, per-function graph construction, restriction checks).
     /// `1` (the default) runs everything sequentially on the calling
@@ -156,12 +148,8 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             engine: Engine::ContextSensitive,
             implicit_critical_calls: vec![CriticalCall::new("kill", 0)],
-            dealloc_functions: vec!["shmdt".to_string(), "shmctl".to_string()],
-            shm_attach_functions: vec!["shmat".to_string()],
             recv_functions: vec![RecvSpec::new("recv", 0, 1), RecvSpec::new("read", 0, 1)],
-            entry: "main".to_string(),
             max_contexts: 512,
-            track_control_dependence: true,
             jobs: 1,
             budget: Budget::default(),
             fault_plan: None,
@@ -205,10 +193,6 @@ impl AnalysisConfig {
     pub fn normalized(mut self) -> Self {
         self.implicit_critical_calls.sort();
         self.implicit_critical_calls.dedup();
-        self.dealloc_functions.sort();
-        self.dealloc_functions.dedup();
-        self.shm_attach_functions.sort();
-        self.shm_attach_functions.dedup();
         self.recv_functions.sort();
         self.recv_functions.dedup();
         self.policy = self.policy.normalized();
@@ -270,21 +254,9 @@ impl AnalyzerBuilder {
         self
     }
 
-    /// Sets the entry-point function name.
-    pub fn entry(mut self, entry: impl Into<String>) -> Self {
-        self.config.entry = entry.into();
-        self
-    }
-
     /// Sets the per-function context cap for the context-sensitive engine.
     pub fn max_contexts(mut self, max: usize) -> Self {
         self.config.max_contexts = max.max(1);
-        self
-    }
-
-    /// Enables or disables control-dependence taint tracking (§3.4.1).
-    pub fn track_control_dependence(mut self, track: bool) -> Self {
-        self.config.track_control_dependence = track;
         self
     }
 
@@ -337,8 +309,8 @@ mod tests {
         let c = AnalysisConfig::default();
         assert_eq!(c.engine, Engine::ContextSensitive);
         assert!(c.implicit_critical_calls.contains(&CriticalCall::new("kill", 0)));
-        assert!(c.dealloc_functions.iter().any(|f| f == "shmdt"));
-        assert_eq!(c.entry, "main");
+        assert!(c.recv_functions.contains(&RecvSpec::new("recv", 0, 1)));
+        assert_eq!(ENTRY, "main");
     }
 
     #[test]
@@ -346,14 +318,12 @@ mod tests {
         let c = AnalysisConfig::builder()
             .engine(Engine::Summary)
             .jobs(0)
-            .entry("start")
             .budget(Budget { fixpoint_rounds: Some(7), ..Budget::default() })
             .critical_call(CriticalCall::new("reboot", 1))
             .recv_function(RecvSpec::new("recvfrom", 0, 1))
             .build_config();
         assert_eq!(c.engine, Engine::Summary);
         assert_eq!(c.jobs, 1, "jobs must clamp to 1");
-        assert_eq!(c.entry, "start");
         assert_eq!(c.budget.fixpoint_rounds, Some(7));
         assert!(c.implicit_critical_calls.contains(&CriticalCall::new("kill", 0)));
         assert!(c.implicit_critical_calls.contains(&CriticalCall::new("reboot", 1)));
@@ -364,7 +334,7 @@ mod tests {
     fn with_engine_overrides_only_engine() {
         let c = AnalysisConfig::with_engine(Engine::Summary);
         assert_eq!(c.engine, Engine::Summary);
-        assert_eq!(c.entry, "main");
+        assert_eq!(c.max_contexts, AnalysisConfig::default().max_contexts);
     }
 
     #[test]
@@ -391,8 +361,11 @@ mod tests {
     #[test]
     fn normalized_sorts_and_dedups_every_list() {
         let c = AnalysisConfig {
-            dealloc_functions: vec!["z".into(), "a".into(), "z".into()],
-            shm_attach_functions: vec!["shmat".into(), "attach2".into(), "attach2".into()],
+            recv_functions: vec![
+                RecvSpec::new("recv", 0, 1),
+                RecvSpec::new("read", 0, 1),
+                RecvSpec::new("recv", 0, 1),
+            ],
             implicit_critical_calls: vec![
                 CriticalCall::new("kill", 1),
                 CriticalCall::new("kill", 0),
@@ -400,8 +373,10 @@ mod tests {
             ..Default::default()
         }
         .normalized();
-        assert_eq!(c.dealloc_functions, vec!["a".to_string(), "z".to_string()]);
-        assert_eq!(c.shm_attach_functions, vec!["attach2".to_string(), "shmat".to_string()]);
+        assert_eq!(
+            c.recv_functions,
+            vec![RecvSpec::new("read", 0, 1), RecvSpec::new("recv", 0, 1)]
+        );
         assert_eq!(
             c.implicit_critical_calls,
             vec![CriticalCall::new("kill", 0), CriticalCall::new("kill", 1)]

@@ -147,15 +147,13 @@ fn env_hash(
     h.finish()
 }
 
-/// Folds in the configuration every summary reads: control-dependence
-/// tracking, the critical calls with their clearances, the recv specs, the
-/// normalized label policy and the entry point. Lists are hashed sorted
-/// and the policy normalized, because neither list order nor label
-/// declaration order is semantic: configs differing only there must share
-/// summaries and stored entries. [`crate::store::config_hash`] keys the
+/// Folds in the configuration every summary reads: the critical calls
+/// with their clearances, the recv specs and the normalized label policy.
+/// Lists are hashed sorted and the policy normalized, because neither list
+/// order nor label declaration order is semantic: configs differing only
+/// there must share summaries and stored entries. [`crate::store::config_hash`] keys the
 /// store with the same helper.
 pub(crate) fn hash_summary_config(h: &mut StableHasher, config: &AnalysisConfig) {
-    h.write_u8(config.track_control_dependence as u8);
     let mut calls: Vec<_> = config.implicit_critical_calls.iter().collect();
     calls.sort();
     for call in calls {
@@ -173,7 +171,6 @@ pub(crate) fn hash_summary_config(h: &mut StableHasher, config: &AnalysisConfig)
     let mut policy_bytes = Vec::new();
     config.policy.clone().normalized().encode_into(&mut policy_bytes);
     h.write(&policy_bytes);
-    h.write_str(&config.entry);
 }
 
 /// Content signature of one function: everything `summarize_function`
@@ -541,7 +538,7 @@ mod tests {
         let mut diags = Diagnostics::new();
         let m = build_module(&pr.unit, &mut diags);
         assert!(!diags.has_errors(), "{diags:?}");
-        let regions = extract_regions(&m, &["shmat".to_string()], &mut diags);
+        let regions = extract_regions(&m, &mut diags);
         let shm = identify_shm_pointers(&m, &regions);
         let pt = PointsTo::analyze(&m);
         let cg = CallGraph::build(&m);
@@ -896,10 +893,10 @@ mod tests {
         let pr = parse_source("t.c", PROG);
         let mut diags = Diagnostics::new();
         let m = build_module(&pr.unit, &mut diags);
-        let regions = extract_regions(&m, &["shmat".to_string()], &mut diags);
+        let regions = extract_regions(&m, &mut diags);
         let base = AnalysisConfig::default();
         let mut flipped = base.clone();
-        flipped.track_control_dependence = !base.track_control_dependence;
+        flipped.implicit_critical_calls.push(crate::CriticalCall::new("reboot", 1));
         let a = env_hash(&m, &regions, &base, &BTreeSet::new());
         let b = env_hash(&m, &regions, &flipped, &BTreeSet::new());
         assert_ne!(a, b);
@@ -912,7 +909,7 @@ mod tests {
         let pr = parse_source("t.c", PROG);
         let mut diags = Diagnostics::new();
         let m = build_module(&pr.unit, &mut diags);
-        let regions = extract_regions(&m, &["shmat".to_string()], &mut diags);
+        let regions = extract_regions(&m, &mut diags);
         let mut base = AnalysisConfig::default();
         base.implicit_critical_calls.push(crate::CriticalCall::new("reboot", 1));
         let mut shuffled = base.clone();
@@ -929,7 +926,7 @@ mod tests {
         let pr = parse_source("t.c", PROG);
         let mut diags = Diagnostics::new();
         let m = build_module(&pr.unit, &mut diags);
-        let regions = extract_regions(&m, &["shmat".to_string()], &mut diags);
+        let regions = extract_regions(&m, &mut diags);
         let base = AnalysisConfig::default();
         let mut labeled = base.clone();
         labeled.policy = Policy::builder().label("sensor_a").label("sensor_b").build();
@@ -955,172 +952,172 @@ mod tests {
     #[test]
     fn pinned_scc_hashes() {
         const IP: [u64; 46] = [
-            0xac67d3779eb43752,
-            0x83750c0238ed9603,
-            0xe9e3fc8f7dfbea87,
-            0x6187537b786e1b91,
-            0x10cecb2f99b7471d,
-            0x6cc8a5a6ff404c3a,
-            0x0618f6ab2dd2f43c,
-            0x22c95832f7bf275f,
-            0xba79bf44ee64d44a,
-            0x55b9f991aa44f545,
-            0x9be33f2b159e0103,
-            0x6b8c3c1e60a34690,
-            0x657ab2e5bc23566e,
-            0x52541383acb31b3e,
-            0xe1f5146d3d92f3a7,
-            0xf17a88ceb33b888f,
-            0x8302e99b0be9997e,
-            0x103b32670178f005,
-            0x88b0fc8b5bcda211,
-            0x7a7ba8c908d7b1b4,
-            0x457ebc637244e192,
-            0xae8d122cafac6e69,
-            0xa76a23580cd46987,
-            0xf91d4cb801465107,
-            0x2c91b7e8ae52eed0,
-            0xf6fcbe7ec1a38cb7,
-            0xa2508865ccaa4583,
-            0x4ab89d2cb820ddea,
-            0xef2dbb98edbd4002,
-            0x1d6b2cb90ec27ad8,
-            0xa3759247ac264779,
-            0xa93bcc3c56463e3f,
-            0xc8ca52dbf0d43784,
-            0x657b502c05b043dd,
-            0xaa068f05a4e75456,
-            0x1573ad684bb1fb51,
-            0x75fb546b7b754145,
-            0x2e8ffe521f1acd19,
-            0x141d6f8a57a09b1f,
-            0x21fc37ac3eb26d8b,
-            0xce78fd2ade6be8ec,
-            0x006209c1f94cd5ef,
-            0x7bbe7d88d9a18c90,
-            0x3f3d3e7329d7cf8c,
-            0x8e82ed1aa10d708a,
-            0xaeb8276e7f71e4c5,
+            0xfbeb7821cf1949ea,
+            0x74576e854979b5d8,
+            0x807eee9f0794468d,
+            0x77fa5ca94cf8715c,
+            0xb753d7eba093dda0,
+            0xd3db61a01f5226ad,
+            0xbd06caf9ba22ae99,
+            0xb3af4ecea6cdb6d6,
+            0x17365b012602407a,
+            0x77fa695feefb1806,
+            0xd2e2eb13deefce49,
+            0x42e23eacac7e17f9,
+            0xe20eb32c92834d47,
+            0x9f59a618c993b188,
+            0xbb92c9ff9771ad12,
+            0x802a69bdb6e87c4d,
+            0x5c4f364abf149cb0,
+            0xd9c1e822905e0b19,
+            0xd3afcf64d2f0c182,
+            0x3f1865bddd6d0f23,
+            0x405188a6673cc380,
+            0x586da2c6033d8903,
+            0x313a2b72178b9f38,
+            0x30b56d00fee3d25e,
+            0x9a65d9d3780b44d8,
+            0xc7e44a8b2f5e7ad2,
+            0xfdba49e606c4a4b0,
+            0x5d1ad4708d0edd91,
+            0x088e779568362fbd,
+            0x46857af46798d13b,
+            0x270c042378c32a47,
+            0xb168d2f27c1862a6,
+            0x11bf60d31460864e,
+            0x5002c45df6caa4f2,
+            0xb358f46a446cc1ac,
+            0x5fcbce23f37af702,
+            0x74f9ce22cb38a18c,
+            0x6d1fe8cbcd168f61,
+            0xa6ed8fd0ba353d2b,
+            0x39ede2484e400f14,
+            0x590cbb66c3a550ed,
+            0xa782497b46af7268,
+            0xe302f75acca18995,
+            0x5a43f3f0144cd0c1,
+            0x78c50af2345220b3,
+            0xf53835231f99c512,
         ];
         const GENERIC: [u64; 45] = [
-            0x2ef94c809628de55,
-            0xfa04710491567ab3,
-            0x5fbbcfa4a19bce46,
-            0x0a278d5ae069bcc1,
-            0x7770bb3f9d8e9f74,
-            0x21129293e1f28de3,
-            0x6f8d6aea5a43c43a,
-            0x6cd89ddb33ac35ea,
-            0x301181903627e54c,
-            0x6bb0d3b8b5ba8eea,
-            0xa36f5906b66c88c5,
-            0xb55939d1361dca93,
-            0x87ed3b80ffa0e0da,
-            0x489615e84527f5f9,
-            0x9930110326879dd6,
-            0x6bd04c4795f7aab8,
-            0x8d6510a9e82a36cf,
-            0xe7b6b7626d307fcb,
-            0x3c93d7fefa2ca3dc,
-            0x4bbdf4814e3ae063,
-            0x0aeae380ab3e7c60,
-            0x7cfdba6e6f19e79b,
-            0x81d8866aff657601,
-            0x661dfaaff57d0f79,
-            0xc44b8a9e6e50af0f,
-            0x263474b6028c1d9a,
-            0x6ba4a9a7821f4410,
-            0x9021c2a04264c860,
-            0xe897e89c72217a90,
-            0x675a5afc820846a2,
-            0x0b84c80dfd1d5d39,
-            0xd2bd95313e9bfe13,
-            0xb9cfc48d8676249a,
-            0x7c5fd586155fe053,
-            0x6f7629497f407bb6,
-            0x3754dbc2abcf805d,
-            0xfee342e42f36186b,
-            0x38e1e6102ed00c9c,
-            0xeacbb66720161128,
-            0x92a04104e68ecca7,
-            0x21259dbaac2cf44d,
-            0xe16344d3bcd47e20,
-            0xbbe8e8e4447ff0b5,
-            0xa05dd05c564054dd,
-            0x33e73b5677ac620e,
+            0xc0187fafcaf1c8e6,
+            0x7e40159771e83c0b,
+            0xf19ab3c65244ec18,
+            0x58cc629e783c0b69,
+            0x3674f4bf033c9220,
+            0x7ded5ac4f3d210b2,
+            0x56525e9946ac5687,
+            0xf9fec0fc54cf0779,
+            0x1c64f876453b25e4,
+            0x3c0130b7e2bf8a1a,
+            0xbccd50f69a15ffa9,
+            0xc3da0f114fbed360,
+            0x56a4ba9c16070a93,
+            0x78f32df6bfd98ab9,
+            0xb91045f85d8180c6,
+            0xa7c84a2ffa08bccf,
+            0x6d1e7eca8059c073,
+            0x7fa7b42c4abda9e0,
+            0xa870982d59fedb95,
+            0xf196a9cd3548d5cf,
+            0x94fa286b1bcb2265,
+            0xda91f6ef465cb1e1,
+            0x8d85967412ad438b,
+            0x29ffc7a1176c82d4,
+            0xc06fdddec8354655,
+            0xdab4e42cbead6385,
+            0x7c9088f48132120b,
+            0x207de23cfd3ad9cd,
+            0xea82ee34f554c974,
+            0xfaaccd25dad14179,
+            0x847fab66e9ef7db3,
+            0x24fab16c220dba5b,
+            0x6d038e135a9c0e21,
+            0xa0d21e769771e54e,
+            0x9c8f397918079910,
+            0x7acc9c3e85589763,
+            0x4ed47c25992f2855,
+            0xd10299ab282d219b,
+            0xfb630c33c496dcb6,
+            0xd97f909192089036,
+            0xb0975702a1fc5ec3,
+            0xad462b9c8a5441e2,
+            0x9d1ae698ac5861cd,
+            0x5ddd08dd17140cbe,
+            0x44c38d0ad7dd8150,
         ];
         const DOUBLE_IP: [u64; 42] = [
-            0xc6fc7051e1b4f873,
-            0x3c3743b639865e1d,
-            0xc61d2f767d541caf,
-            0x5610ffe6b34accb4,
-            0x1692ce1ce2d61857,
-            0x5f00ecf41d67cdeb,
-            0x739ce24f8a2554df,
-            0x67b3d9f882ffdcbc,
-            0xcc52ca0095606444,
-            0xf2b61e0b1386d64f,
-            0x980fcd52bca19787,
-            0x7130f850442dddb1,
-            0x221d9a59ebcd979c,
-            0xa4423e32cac7b33d,
-            0xce12f4579f9566d9,
-            0x9c1b3d48620abec3,
-            0x1db9de5fcaa81896,
-            0xc531f9896a907e46,
-            0xf5dd7c86ca39481e,
-            0x37755c87c7e79614,
-            0x0257ed709d448a23,
-            0x9cd45c52490e2ec2,
-            0x1fdd3e29b1b3a0d7,
-            0x6284630a091ce6a2,
-            0x027d0fb10eb400a8,
-            0x52058da478761867,
-            0x0c7ded32cf235ca3,
-            0x3a48a8178798b2c8,
-            0xc49a3c4c8293074b,
-            0x106db12126034966,
-            0xdb0ebe556e16d6c6,
-            0x92a2fd5cdbdf1716,
-            0x41e53ae99ecfe519,
-            0xb7915b06a099782f,
-            0xa4978fe2a3922054,
-            0x7c1a539ad476045e,
-            0xd48da86b1f8f86bf,
-            0x06d2607a2dd94a42,
-            0x050c7c6dd5fcbab7,
-            0x186a9ef526f4f20f,
-            0xc0e50afc90312e97,
-            0xbd1a8b2c8fd6283e,
+            0x5778b322e1557141,
+            0x2e9d0735e83d5e77,
+            0x646312e11b481d41,
+            0xe04750b2470eff2b,
+            0x82354f4d198df782,
+            0x3a08b99c74e21c33,
+            0xa191867fd11fe144,
+            0x04b1dd872d96adfb,
+            0x96b878abb118f736,
+            0x84eb29fd6ce6ea0b,
+            0x94b8c66110fbf4ca,
+            0x86571469082ccd62,
+            0xb111c4a4a86f477d,
+            0xf76efd939d3386ea,
+            0x19f1762f9438521e,
+            0x2cf9e5a7895d77de,
+            0x2ad83f875d7fc451,
+            0xbbd90c32c1b3b613,
+            0x7f70271528b80bb4,
+            0x2f25e53f95983f63,
+            0xf0757b7343480aa8,
+            0x7cb6f3915cef0de7,
+            0xcecffcf612bf8574,
+            0x8c43407e28da6d4f,
+            0x560f4249dfb9bf53,
+            0xa760252d5e439abd,
+            0xda617ad60680ac98,
+            0x059bf9a99ecabcde,
+            0x7aff42383590bbde,
+            0x4bb116b31d76e7c3,
+            0x9d5a462103bbb3b0,
+            0x4d17d3ce5e3c6ec1,
+            0xdc4b8ddfa0c3d3b1,
+            0xa6dc077d65a82ab2,
+            0x20cd89167cfb8895,
+            0x7fb28576285d8f43,
+            0x3d78b906bea0697a,
+            0x8c6d7b9fb0a68c98,
+            0xdc2147b648abe3ea,
+            0x7d7e400794eb4567,
+            0x22704648c5b22f22,
+            0x7e624a367cf06062,
         ];
         const FIG2: [u64; 4] =
-            [0x964da053ef005fa5, 0xf3775e436edd0234, 0x9b74442bd280dfd1, 0x04e17053e19a11e7];
+            [0x27dacd3d013d3bbf, 0x1974a6578fd33ede, 0xff38b87e7ad12b3e, 0x5b40c881d4ce3f22];
         const MONOREPO_SMALL: [u64; 25] = [
-            0x19680aee74848abe,
-            0x3299bbf7a0a3f34b,
-            0x019cbce92d0a409f,
-            0xa83bf0e9bb7550e1,
-            0x6ad1a8602d5f60aa,
-            0x429e65b543ca7050,
-            0x643580e9ffef2ee3,
-            0x1f6d982161682c6f,
-            0x2268ad3eae2b0abb,
-            0x1b3080d974f9a858,
-            0xb212349366972910,
-            0xc49cceca42d36ab5,
-            0x0466cf4dae66f3e8,
-            0x791c999dcd66a81e,
-            0x57cddee81593413f,
-            0x5c40ab5a4f80faab,
-            0x245575a480709adb,
-            0xb5f17e6254f5705c,
-            0x6b6ca225f90545f6,
-            0x9d05aedbebd8b303,
-            0x5dd3ba17e76be130,
-            0x7d3fce7c7767675d,
-            0x4d15ae852c4db10a,
-            0x314e5fe3dbd2d79b,
-            0x563a87cdef17229b,
+            0x1415ee62bbf8f26a,
+            0xb289dd8c716b601f,
+            0xeefea39eeba4c48c,
+            0x8909fca665da0d4a,
+            0x115700908ca47000,
+            0xcd4eb30602a978f4,
+            0x1998a7174267f2df,
+            0xc338f4e8fa7fc110,
+            0xa1a73b03c8bda792,
+            0x9ddea04fb8293efe,
+            0xc43f740f9e0ecd9b,
+            0xf508d82c95262254,
+            0xdcb4f99ba6335fe8,
+            0xbc87fd70cdaae222,
+            0xbd106eac62eb9579,
+            0xb61cdafc08600602,
+            0x889c4a8384322cbd,
+            0x4c76c6456914502a,
+            0xec0d9c77490e8021,
+            0x7965ca8aef864e1b,
+            0xe3c03f5658c32435,
+            0xb612fa2e64c59d25,
+            0x5f4bcb92d9146b8e,
+            0x333eec30cba2bd11,
+            0x4e43c745986c2fc8,
         ];
 
         let single = |file: &str, src: &str| {
@@ -1243,11 +1240,11 @@ mod tests {
         }
         got.push(("monorepo small", live_summary_fold(&fs, "main.c")));
         let pinned: [(&str, u64); 5] = [
-            ("IP", 0x2a9958a52c57db4b),
-            ("Generic Simplex", 0xf49d0957bfd0420f),
-            ("Double IP", 0x91a6e199ba490dfc),
-            ("fig2", 0xb4996c34fda191e7),
-            ("monorepo small", 0xbc2b6a8cc0d555b6),
+            ("IP", 0xe17e7d3194d6e210),
+            ("Generic Simplex", 0x1333551771b8bad7),
+            ("Double IP", 0xf638d625f7228f90),
+            ("fig2", 0x43a0beeefba49a3f),
+            ("monorepo small", 0xea7e02febdf5d36b),
         ];
         assert_eq!(got, pinned);
     }

@@ -431,9 +431,7 @@ impl Analyzer {
     ) -> (AnalysisReport, engine::SccTable) {
         metrics.add_many(Class::Counter, &[("module.functions", module.functions.len() as u64)]);
         // Region model + static InitCheck (§3.2.1).
-        let regions = metrics.time("phase.regions", || {
-            regions::extract_regions(module, &self.config.shm_attach_functions, diags)
-        });
+        let regions = metrics.time("phase.regions", || regions::extract_regions(module, diags));
         let (table, mut policy_notes) =
             metrics.time("phase.policy", || compile_policy(&self.config, module, &regions));
         // Phase 1: shared-memory pointer identification.

@@ -12,9 +12,7 @@
 //! same segment must not overlap, and must fit in the segment when its
 //! size is a known constant.
 
-use safeflow_ir::{
-    BinOp, Callee, FuncId, GlobalId, InstId, InstKind, Module, Terminator, Type, Value,
-};
+use safeflow_ir::{BinOp, FuncId, GlobalId, InstId, InstKind, Module, Terminator, Type, Value};
 use safeflow_syntax::annot::{AnnExpr, Annotation};
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::span::Span;
@@ -107,11 +105,7 @@ pub fn eval_ann_expr(module: &Module, e: &AnnExpr) -> Option<i64> {
 }
 
 /// Extracts regions from every `shminit` function of `module`.
-pub fn extract_regions(
-    module: &Module,
-    attach_functions: &[String],
-    diags: &mut Diagnostics,
-) -> RegionMap {
+pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
     let mut map = RegionMap::default();
     for fid in module.definitions() {
         let func = module.function(fid);
@@ -200,7 +194,7 @@ pub fn extract_regions(
             }
         }
         // Interpret the initializer to recover segment offsets.
-        interpret_init(module, fid, attach_functions, &mut map);
+        interpret_init(module, fid, &mut map);
     }
     run_init_check(module, &mut map);
     map
@@ -218,11 +212,15 @@ enum AbsVal {
     Other,
 }
 
+/// The external function that attaches a shared-memory segment (the
+/// System V API the paper's systems use).
+const ATTACH_FUNCTION: &str = "shmat";
+
 /// Interprets the (expected straight-line) body of a `shminit` function,
 /// recording for each region global the `(segment, offset)` it ends up
 /// pointing at. Branches/loops make affected values `Other` — offsets stay
 /// unknown, which the init check reports.
-fn interpret_init(module: &Module, fid: FuncId, attach_functions: &[String], map: &mut RegionMap) {
+fn interpret_init(module: &Module, fid: FuncId, map: &mut RegionMap) {
     let func = module.function(fid);
     let mut env: HashMap<InstId, AbsVal> = HashMap::new();
     let mut genv: HashMap<GlobalId, AbsVal> = HashMap::new();
@@ -250,19 +248,12 @@ fn interpret_init(module: &Module, fid: FuncId, attach_functions: &[String], map
         for &iid in &block.insts {
             let inst = func.inst(iid);
             match &inst.kind {
-                InstKind::Call { callee, .. } => {
-                    // Prototypes lower to `Callee::Local` without a body;
-                    // both spellings must resolve to the external name.
-                    let name = match callee {
-                        Callee::External(n) => Some(n.clone()),
-                        Callee::Local(f) if !module.function(*f).is_definition => {
-                            Some(module.function(*f).name.clone())
-                        }
-                        _ => None,
-                    };
-                    if name.is_some_and(|n| attach_functions.contains(&n)) {
-                        env.insert(iid, AbsVal::Seg(iid, 0));
-                    }
+                // Prototypes lower to `Callee::Local` without a body; both
+                // spellings resolve to the external name.
+                InstKind::Call { callee, .. }
+                    if module.external_callee_name(callee) == Some(ATTACH_FUNCTION) =>
+                {
+                    env.insert(iid, AbsVal::Seg(iid, 0));
                 }
                 InstKind::Cast { value, .. } => {
                     let v = resolve(value, &env, &genv);
@@ -382,7 +373,7 @@ mod tests {
         let mut diags = Diagnostics::new();
         let m = build_module(&pr.unit, &mut diags);
         assert!(!diags.has_errors(), "{diags:?}");
-        let map = extract_regions(&m, &["shmat".to_string()], &mut diags);
+        let map = extract_regions(&m, &mut diags);
         (m, map, diags)
     }
 

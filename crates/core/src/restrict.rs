@@ -15,7 +15,7 @@
 //! (§3.3 once says "restrictions P1–P4"; the paper only ever defines
 //! P1–P3, so we treat "P4" as a typo for P3.)
 
-use crate::config::AnalysisConfig;
+use crate::config::{AnalysisConfig, ENTRY};
 use crate::regions::RegionMap;
 use crate::report::{Degradation, DegradationKind, Restriction, RestrictionViolation};
 use crate::shmptr::ShmPointers;
@@ -101,16 +101,7 @@ pub fn check_restrictions(
             }
         }
         let cfg = cfgs[fid.0 as usize].as_ref();
-        check_p1_in(
-            module,
-            shm,
-            cfg,
-            &touches,
-            &config.dealloc_functions,
-            &config.entry,
-            fid,
-            &mut vs,
-        );
+        check_p1_in(module, shm, cfg, &touches, fid, &mut vs);
         check_p2_in(module, shm, fid, &mut vs);
         check_p3_in(module, shm, &shminit_reachable, fid, &mut vs);
         check_arrays_in(
@@ -231,14 +222,15 @@ fn shm_touching_functions(
     touches
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The external functions that deallocate shared memory (the System V
+/// API the paper's systems use).
+const DEALLOC_FUNCTIONS: [&str; 2] = ["shmdt", "shmctl"];
+
 fn check_p1_in(
     module: &Module,
     shm: &ShmPointers,
     cfg: Option<&Cfg>,
     touches: &HashSet<FuncId>,
-    dealloc_functions: &[String],
-    entry: &str,
     fid: FuncId,
     out: &mut Vec<RestrictionViolation>,
 ) {
@@ -249,15 +241,15 @@ fn check_p1_in(
             let inst = func.inst(iid);
             let InstKind::Call { callee, .. } = &inst.kind else { continue };
             let Some(name) = module.external_callee_name(callee) else { continue };
-            if !dealloc_functions.iter().any(|d| d == name) {
+            if !DEALLOC_FUNCTIONS.contains(&name) {
                 continue;
             }
-            if func.name != entry {
+            if func.name != ENTRY {
                 out.push(RestrictionViolation {
                     restriction: Restriction::P1,
                     function: func.name.clone(),
                     message: format!(
-                        "`{name}` deallocates shared memory outside `{entry}` (shared memory must live until the end of `{entry}`)"
+                        "`{name}` deallocates shared memory outside `{ENTRY}` (shared memory must live until the end of `{ENTRY}`)"
                     ),
                     span: inst.span,
                 });
@@ -769,7 +761,7 @@ mod tests {
         let mut diags = Diagnostics::new();
         let m = build_module(&pr.unit, &mut diags);
         assert!(!diags.has_errors(), "{diags:?}");
-        let regions = extract_regions(&m, &["shmat".to_string()], &mut diags);
+        let regions = extract_regions(&m, &mut diags);
         let shm = identify_shm_pointers(&m, &regions);
         let cg = CallGraph::build(&m);
         let config = AnalysisConfig::default();

@@ -297,7 +297,7 @@ mod tests {
         let mut diags = Diagnostics::new();
         let m = build_module(&pr.unit, &mut diags);
         assert!(!diags.has_errors(), "{diags:?}");
-        let regions = extract_regions(&m, &["shmat".to_string()], &mut diags);
+        let regions = extract_regions(&m, &mut diags);
         let sp = identify_shm_pointers(&m, &regions);
         (m, regions, sp)
     }

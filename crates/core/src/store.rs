@@ -318,18 +318,6 @@ pub(crate) fn config_hash(config: &crate::AnalysisConfig) -> u64 {
     });
     crate::engine::hash_summary_config(&mut h, config);
     h.write_usize(config.max_contexts);
-    // Sorted, like the summary inputs: flag order must not miss a warm
-    // replay.
-    let mut deallocs: Vec<_> = config.dealloc_functions.iter().collect();
-    deallocs.sort();
-    for name in deallocs {
-        h.write_str(name);
-    }
-    let mut attaches: Vec<_> = config.shm_attach_functions.iter().collect();
-    attaches.sort();
-    for name in attaches {
-        h.write_str(name);
-    }
     let b = &config.budget;
     h.write_u64(b.solver_steps.map(|v| v + 1).unwrap_or(0));
     h.write_u64(b.fixpoint_rounds.map(|v| v as u64 + 1).unwrap_or(0));
@@ -603,7 +591,7 @@ mod tests {
         assert_ne!(k, manifest_key(base, "a.c", [("a.c", "int y;"), ("b.h", "")]));
         assert_ne!(k, manifest_key(base, "a.c", [("a.c", "int x;"), ("c.h", "")]));
         assert_ne!(k, manifest_key(base, "b.h", files));
-        let other = config_hash(&AnalysisConfig::builder().entry("start").build_config());
+        let other = config_hash(&AnalysisConfig::builder().max_contexts(7).build_config());
         assert_ne!(k, manifest_key(other, "a.c", files));
     }
 
@@ -666,15 +654,11 @@ mod tests {
         let a = AnalysisConfig {
             implicit_critical_calls: vec![CriticalCall::new("kill", 0), CriticalCall::new("rb", 1)],
             recv_functions: vec![RecvSpec::new("recv", 0, 1), RecvSpec::new("read", 0, 1)],
-            dealloc_functions: vec!["shmdt".into(), "shmctl".into()],
-            shm_attach_functions: vec!["shmat".into(), "attach2".into()],
             ..Default::default()
         };
         let mut b = a.clone();
         b.implicit_critical_calls.reverse();
         b.recv_functions.reverse();
-        b.dealloc_functions.reverse();
-        b.shm_attach_functions.reverse();
         assert_eq!(config_hash(&a), config_hash(&b), "list order must not key the store");
         // Different *contents* still change the key.
         b.implicit_critical_calls.push(CriticalCall::new("abort", 0));

@@ -28,7 +28,7 @@
 //! (the fact is dropped, exactly the historical behavior) and every
 //! clearance is ⊥, so summaries and findings are byte-identical.
 
-use crate::config::AnalysisConfig;
+use crate::config::{AnalysisConfig, ENTRY};
 use crate::engine::SccTable;
 use crate::policy::LabelTable;
 use crate::regions::{RegionId, RegionMap};
@@ -748,7 +748,7 @@ pub(crate) fn analyze_summaries(
     // inlining, exactly like the context-sensitive engine's contexts.
     let mut roots: BTreeSet<FuncId> = BTreeSet::new();
     let reachable = module
-        .function_by_name(&config.entry)
+        .function_by_name(ENTRY)
         .filter(|e| module.function(*e).is_definition)
         .map(|e| {
             roots.insert(e);
@@ -1321,9 +1321,6 @@ fn summarize_function(
             sink_blocks.resize(s.sinks.len(), bid);
 
             // A branch over symbolic values controls the blocks it decides.
-            if !config.track_control_dependence {
-                continue;
-            }
             let cond = match &block.terminator {
                 Terminator::CondBr { cond, .. } => cond,
                 Terminator::Switch { value, .. } => value,
@@ -1408,8 +1405,7 @@ mod tests {
             ssa::promote_module(&mut module);
         }
         let config = AnalysisConfig::default();
-        let regions =
-            crate::regions::extract_regions(&module, &config.shm_attach_functions, &mut diags);
+        let regions = crate::regions::extract_regions(&module, &mut diags);
         let (table, _) = crate::compile_policy(&config, &module, &regions);
         let shm = crate::shmptr::identify_shm_pointers(&module, &regions);
         let pt = PointsTo::analyze(&module);

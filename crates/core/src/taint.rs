@@ -23,7 +23,7 @@
 //! every clearance is `trusted` (⊥), which collapses [`TaintVal`] to the
 //! paper's three-point `Clean < Control < Data` lattice byte-for-byte.
 
-use crate::config::AnalysisConfig;
+use crate::config::{AnalysisConfig, ENTRY};
 use crate::policy::LabelTable;
 use crate::regions::RegionMap;
 use crate::report::{Degradation, DegradationKind, ErrorDependency, Findings, FlowNode, Warning};
@@ -122,9 +122,15 @@ impl Taint {
     /// dominates the current value (preserving the historical
     /// worst-origin-wins provenance of the two-point engine).
     fn join(&mut self, other: &Taint) -> bool {
-        let joined = self.val.join(other.val);
-        if other.val > self.val {
-            self.origin = other.origin.clone();
+        self.join_with(other.val, || other.origin.clone())
+    }
+
+    /// [`Taint::join`] of `val`, building its origin only when it replaces
+    /// the current one.
+    fn join_with(&mut self, val: TaintVal, origin: impl FnOnce() -> Option<Arc<FlowNode>>) -> bool {
+        let joined = self.val.join(val);
+        if val > self.val {
+            self.origin = origin();
         }
         if joined != self.val {
             self.val = joined;
@@ -200,7 +206,7 @@ pub fn analyze_taint(
         cfgs,
         config,
         table,
-        memo: BTreeMap::new(),
+        memo: module.functions.iter().map(|_| BTreeMap::new()).collect(),
         in_progress: BTreeSet::new(),
         obj_taint: BTreeMap::new(),
         noncore_sockets: scope::find_noncore_sockets(module, regions),
@@ -226,25 +232,21 @@ pub fn analyze_taint(
     loop {
         rounds += 1;
         let before: Vec<TaintVal> = eng.obj_taint.values().map(|t| t.val).collect();
-        eng.memo.clear();
+        eng.memo.iter_mut().for_each(BTreeMap::clear);
 
         // Roots: entry function plus every defined function not reachable
         // from it (so warnings cover the whole component).
-        let entry = module.function_by_name(&config.entry);
-        let mut analyzed_roots: BTreeSet<FuncId> = BTreeSet::new();
-        if let Some(e) = entry {
+        if let Some(e) = module.function_by_name(ENTRY) {
             if module.function(e).is_definition {
                 let ctx = eng.base_ctx(e, &Scope::new(), &[]);
                 eng.analyze(e, ctx);
-                analyzed_roots.insert(e);
             }
         }
         for fid in module.definitions() {
             if module.function(fid).is_shminit() {
                 continue;
             }
-            let already = eng.memo.keys().any(|(f, _)| *f == fid);
-            if !already {
+            if eng.memo[fid.0 as usize].is_empty() {
                 let nparams = module.function(fid).params.len();
                 let ctx = eng.base_ctx(fid, &Scope::new(), &vec![TaintVal::bot(); nparams]);
                 eng.analyze(fid, ctx);
@@ -253,12 +255,11 @@ pub fn analyze_taint(
 
         let after: Vec<TaintVal> = eng.obj_taint.values().map(|t| t.val).collect();
         let mut sig: Vec<FnSig> = eng
-            .memo
-            .iter()
-            .map(|((f, _), o)| {
+            .outcomes()
+            .map(|(f, o)| {
                 let ret = o.ret.as_ref().map(|t| t.val).unwrap_or_default();
                 let (warnings, errors) = o.findings.len();
-                (f.0, ret.explicit(), ret.implicit(), warnings, errors)
+                (f, ret.explicit(), ret.implicit(), warnings, errors)
             })
             .collect();
         sig.sort_unstable();
@@ -272,7 +273,7 @@ pub fn analyze_taint(
     // Every context's findings, merged in `(function, context)` order, so
     // the flow a site keeps does not depend on how the memo was filled.
     let mut findings = Findings::default();
-    for outcome in eng.memo.values() {
+    for (_, outcome) in eng.outcomes() {
         findings.merge(&outcome.findings);
     }
     eng.notes.sort();
@@ -286,23 +287,18 @@ pub fn analyze_taint(
             detail: detail.clone(),
         })
         .collect();
+    let contexts_analyzed: usize = eng.memo.iter().map(BTreeMap::len).sum();
     metrics.add_many(
         Class::Counter,
         &[
             ("taint.module_rounds", rounds as u64),
-            ("taint.contexts", eng.memo.len() as u64),
+            ("taint.contexts", contexts_analyzed as u64),
             ("taint.function_rounds", eng.stat_function_rounds),
             ("taint.vfg_nodes_visited", eng.stat_insts_visited),
         ],
     );
     let (warnings, errors) = findings.into_parts(table, regions);
-    TaintResults {
-        warnings,
-        errors,
-        notes: eng.notes,
-        contexts_analyzed: eng.memo.len(),
-        degradations,
-    }
+    TaintResults { warnings, errors, notes: eng.notes, contexts_analyzed, degradations }
 }
 
 struct Engine<'a> {
@@ -314,7 +310,8 @@ struct Engine<'a> {
     cfgs: &'a [Option<Cfg>],
     config: &'a AnalysisConfig,
     table: &'a LabelTable,
-    memo: BTreeMap<(FuncId, Ctx), Outcome>,
+    /// Each function's analyzed contexts, indexed by `FuncId`.
+    memo: Vec<BTreeMap<Ctx, Outcome>>,
     in_progress: BTreeSet<FuncId>,
     /// Module-wide memory-object taint (flow-insensitive, like the paper's
     /// DSA-backed memory reasoning).
@@ -347,6 +344,12 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// Every analyzed `(function, context)` outcome, in `(FuncId, Ctx)`
+    /// order.
+    fn outcomes(&self) -> impl Iterator<Item = (u32, &Outcome)> {
+        (0u32..).zip(&self.memo).flat_map(|(f, ctxs)| ctxs.values().map(move |o| (f, o)))
+    }
+
     /// The flow-path source description for a region read at `mask`.
     fn read_source_desc(&self, region_name: &str, func_name: &str, mask: u64) -> String {
         if self.table.is_default() {
@@ -368,7 +371,7 @@ impl<'a> Engine<'a> {
     }
 
     fn analyze(&mut self, fid: FuncId, ctx: Ctx) -> Taint {
-        if let Some(out) = self.memo.get(&(fid, ctx.clone())) {
+        if let Some(out) = self.memo[fid.0 as usize].get(&ctx) {
             return out.ret.clone().unwrap_or_else(Taint::clean);
         }
         if self.in_progress.contains(&fid) {
@@ -380,8 +383,7 @@ impl<'a> Engine<'a> {
         // into a single worst-case context — no inherited assumptions and
         // fully tainted parameters. Sound (only adds taint), loses
         // precision.
-        let per_fn = self.memo.keys().filter(|(f, _)| *f == fid).count();
-        if per_fn >= self.config.max_contexts {
+        if self.memo[fid.0 as usize].len() >= self.config.max_contexts {
             let nparams = self.module.function(fid).params.len();
             let top = TaintVal::explicit_at(self.table.top());
             let merged = self.base_ctx(fid, &Scope::new(), &vec![top; nparams]);
@@ -393,7 +395,7 @@ impl<'a> Engine<'a> {
         let outcome = self.run_function(fid, &ctx);
         self.in_progress.remove(&fid);
         let ret = outcome.ret.clone().unwrap_or_else(Taint::clean);
-        self.memo.insert((fid, ctx), outcome);
+        self.memo[fid.0 as usize].insert(ctx, outcome);
         ret
     }
 
@@ -436,14 +438,12 @@ impl<'a> Engine<'a> {
         let mut block_ctl: HashMap<BlockId, Taint> = HashMap::new();
         let cfg = self.cfgs[fid.0 as usize].as_ref().expect("function has blocks");
         let (walk, one_pass) = cfg.body_walk(func);
-        if self.config.track_control_dependence {
-            let pdom = &mut self.pdom;
-            self.control_deps.entry(fid).or_insert_with(|| {
-                let mut cd = ControlDeps::default();
-                cd.rebuild(cfg, pdom);
-                cd
-            });
-        }
+        let pdom = &mut self.pdom;
+        self.control_deps.entry(fid).or_insert_with(|| {
+            let mut cd = ControlDeps::default();
+            cd.rebuild(cfg, pdom);
+            cd
+        });
 
         // Walk the body to a local fixpoint (φ-loops, control taint over
         // back edges, memory-object taint raised by a later store). The
@@ -526,17 +526,18 @@ impl<'a> Engine<'a> {
                             vt.join(&ctl_here);
                             if !vt.val.is_bot() {
                                 for o in self.pt.points_to_ref(fid, ptr).iter() {
-                                    let desc = self.pt.describe(self.module, o);
                                     let e = self.obj_taint.entry(o).or_insert_with(Taint::clean);
-                                    if e.join(&Taint {
-                                        val: vt.val,
-                                        origin: vt.origin.clone().map(|orig| {
+                                    if e.join_with(vt.val, || {
+                                        vt.origin.clone().map(|orig| {
                                             FlowNode::step(
-                                                format!("stored to {desc}"),
+                                                format!(
+                                                    "stored to {}",
+                                                    self.pt.describe(self.module, o)
+                                                ),
                                                 inst.span,
                                                 orig,
                                             )
-                                        }),
+                                        })
                                     }) {
                                         self.obj_dirty = true;
                                     }
@@ -615,7 +616,6 @@ impl<'a> Engine<'a> {
 
                 // A branch over a tainted value taints the blocks it decides.
                 let cond = match &block.terminator {
-                    _ if !self.config.track_control_dependence => continue,
                     Terminator::CondBr { cond, .. } => cond,
                     Terminator::Switch { value, .. } => value,
                     _ => continue,

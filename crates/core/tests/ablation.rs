@@ -1,17 +1,22 @@
-//! The §3.4.1 ablation: what happens when control-dependence propagation
-//! is switched off.
+//! The §3.4.1 ablation: what happens when control-dependence findings
+//! are dropped.
 //!
 //! The paper keeps control dependence despite its false positives because
 //! dropping it also drops *real* findings — Figure 2's own error is a
 //! control dependency ("the control dependence on the non-core
 //! configuration data reports an erroneous dependency" is the FP side;
 //! `decision`'s gated return is the true-positive side). This test
-//! quantifies both directions on the corpus.
+//! quantifies both directions on the corpus. The engines always track
+//! control dependence; the ablation is the `TaintOnly` implicit-flow mode,
+//! which drops control-only findings from the report.
 
-use safeflow::{AnalysisConfig, Analyzer, DependencyKind, Engine};
+use safeflow::{AnalysisConfig, Analyzer, DependencyKind, Engine, ImplicitFlowMode};
 
 fn config_without_control_deps(engine: Engine) -> AnalysisConfig {
-    AnalysisConfig { track_control_dependence: false, ..AnalysisConfig::with_engine(engine) }
+    AnalysisConfig::builder()
+        .engine(engine)
+        .implicit_flow(ImplicitFlowMode::TaintOnly)
+        .build_config()
 }
 
 /// Disabling control dependence removes every corpus false positive

@@ -3,13 +3,9 @@
 //! Module-wide points-to analysis standing in for the paper's use of Data
 //! Structure Analysis (DSA, paper reference 15): context-insensitive here, but
 //! field-sensitive and flow-insensitive, with a typed memory-object model.
-//! SafeFlow's phase 3 uses it for two things:
-//!
-//! * resolving which abstract memory objects an indirect load/store may
-//!   touch (so taint stored through one pointer is observed through an
-//!   alias), and
-//! * deciding whether unsafe data is reachable from critical pointer data
-//!   (§3.4.1).
+//! SafeFlow's phase 3 uses it to resolve which abstract memory objects an
+//! indirect load/store may touch, so taint stored through one pointer is
+//! observed through an alias.
 //!
 //! Array elements collapse into their base object, matching the paper's
 //! "array is treated as a single unit" rule.
@@ -214,31 +210,6 @@ impl PointsTo {
     /// Whether `o`'s address escaped into an external function.
     pub fn is_escaped(&self, o: ObjId) -> bool {
         self.escaped.contains(&o) || matches!(self.object(o), Obj::Unknown)
-    }
-
-    /// All objects transitively reachable from `roots` through pointer
-    /// contents and field children (the "unsafe data reachable from
-    /// critical pointer data" check, §3.4.1).
-    pub fn reachable(&self, roots: &BTreeSet<ObjId>) -> BTreeSet<ObjId> {
-        // Precompute field children.
-        let mut children: HashMap<ObjId, Vec<ObjId>> = HashMap::new();
-        for (i, obj) in self.objects.iter().enumerate() {
-            if let Obj::Field(parent, _, _) = obj {
-                children.entry(*parent).or_default().push(ObjId(i as u32));
-            }
-        }
-        let mut seen: BTreeSet<ObjId> = BTreeSet::new();
-        let mut work: Vec<ObjId> = roots.iter().copied().collect();
-        while let Some(o) = work.pop() {
-            if !seen.insert(o) {
-                continue;
-            }
-            work.extend(self.contents(o));
-            if let Some(kids) = children.get(&o) {
-                work.extend(kids.iter().copied());
-            }
-        }
-        seen
     }
 
     /// The solved set of constraint variable `key`.
@@ -686,26 +657,6 @@ mod tests {
             "contents written by an external callee must be Unknown: {:?}",
             ret.iter().map(|&o| pt.describe(&m, o)).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn reachability_through_contents() {
-        let (m, pt) = analyze(
-            r#"
-            int target;
-            int *mid;
-            void setup(void) { mid = &target; }
-            "#,
-        );
-        let mid_g = m.global_by_name("mid").unwrap();
-        let mid_obj = pt
-            .objects()
-            .find(|(_, o)| matches!(o, Obj::Global(g) if *g == mid_g))
-            .map(|(id, _)| id)
-            .unwrap();
-        let roots: BTreeSet<ObjId> = std::iter::once(mid_obj).collect();
-        let reach = pt.reachable(&roots);
-        assert!(reach.iter().any(|&o| pt.describe(&m, o).contains("global `target`")));
     }
 
     #[test]

@@ -167,17 +167,26 @@ fn spawn_check(
     })
 }
 
+/// Waits until the daemon has started a check: each check records its
+/// `serve.wait_ns` as it leaves the queue. The metrics request is on the
+/// control plane, so it bypasses the run gate the started check holds.
+fn until_a_check_started(handle: &DaemonHandle) {
+    let mut c = client(handle);
+    while !c.metrics().unwrap().report_json.contains("\"serve.wait_ns\"") {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn identical_queued_requests_coalesce() {
     // One worker; a slow check occupies it while two identical checks
     // wait behind it — the second must attach to the first. The slow check
-    // doubles in size on each attempt until it outlasts the 100 ms head
-    // start plus the followers' arrival.
+    // doubles in size on each attempt until it outlasts the followers'
+    // arrival.
     for attempt in 0..5u32 {
         let handle = start(ServeOptions { workers: 1, ..default_opts() });
         let blocker = spawn_check(&handle, blocker_files(attempt), 0);
-        // Give the blocker time to start.
-        std::thread::sleep(Duration::from_millis(100));
+        until_a_check_started(&handle);
         let followers: Vec<_> = (0..2).map(|_| spawn_check(&handle, fig2_files(), 0)).collect();
         let blocked = blocker.join().unwrap();
         assert!(blocked.status.is_report());
@@ -199,7 +208,7 @@ fn deadline_passing_in_the_queue_answers_timeout_without_running() {
     for attempt in 0..5u32 {
         let handle = start(ServeOptions { workers: 1, ..default_opts() });
         let blocker = spawn_check(&handle, blocker_files(attempt), 0);
-        std::thread::sleep(Duration::from_millis(100));
+        until_a_check_started(&handle);
         let queued = spawn_check(&handle, fig2_files(), 20).join().unwrap();
         let blocked = blocker.join().unwrap();
         assert!(blocked.status.is_report());

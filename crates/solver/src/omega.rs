@@ -54,37 +54,30 @@ const MAX_CONSTRAINTS: usize = 4096;
 /// Resource limits for a (sequence of) solver invocations.
 ///
 /// `max_steps` counts recursive `solve` activations and is shared across
-/// calls through the caller-owned step counter, so one pathological
-/// obligation cannot starve the rest of a run: when the pool is spent the
-/// solver answers [`Feasibility::Unknown`] instead of grinding on.
+/// calls through the caller-owned [`SolveStats::steps`] counter, so one
+/// pathological obligation cannot starve the rest of a run: when the pool
+/// is spent the solver answers [`Feasibility::Unknown`] instead of
+/// grinding on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverLimits {
     /// Total `solve` activations allowed across the shared step counter.
     pub max_steps: u64,
-    /// Recursion-depth cap (the historical built-in bound by default).
-    pub max_recursion: usize,
-    /// Constraint-count cap (the historical built-in bound by default).
-    pub max_constraints: usize,
 }
 
 impl Default for SolverLimits {
     fn default() -> SolverLimits {
-        SolverLimits {
-            max_steps: u64::MAX,
-            max_recursion: MAX_RECURSION,
-            max_constraints: MAX_CONSTRAINTS,
-        }
+        SolverLimits { max_steps: u64::MAX }
     }
 }
 
 impl SolverLimits {
-    /// Default limits with a step budget of `max_steps`.
+    /// Limits with a step budget of `max_steps`.
     pub fn steps(max_steps: u64) -> SolverLimits {
-        SolverLimits { max_steps, ..SolverLimits::default() }
+        SolverLimits { max_steps }
     }
 }
 
-/// Outcome of a budgeted entailment query (see [`System::implies_ge_within`]).
+/// Outcome of a budgeted entailment query (see [`System::implies_ge_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Entailment {
     /// The implication is proved (negation is infeasible).
@@ -100,10 +93,10 @@ pub enum Entailment {
 
 /// Aggregate work counters for a (sequence of) solver invocations.
 ///
-/// Like the step counter in [`System::check_within`], a `SolveStats` value
-/// is caller-owned and accumulates across calls, so one value can tally a
-/// whole run's solver work. All fields are deterministic functions of the
-/// queries issued (no wall-clock or scheduling influence).
+/// A `SolveStats` value is caller-owned and accumulates across calls, so
+/// one value can tally a whole run's solver work, and its `steps` spend
+/// one [`SolverLimits::max_steps`] pool. All fields are deterministic
+/// functions of the queries issued (no wall-clock or scheduling influence).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Recursive `solve` activations — the currency of the step budget.
@@ -162,24 +155,13 @@ impl System {
 
     /// Exact feasibility check.
     pub fn check(&self) -> Feasibility {
-        let mut steps = 0u64;
-        self.check_within(&SolverLimits::default(), &mut steps)
-    }
-
-    /// Feasibility check under explicit resource limits. `steps` is a
-    /// caller-owned counter accumulated across calls; when it exceeds
-    /// `limits.max_steps` the check (and any later check sharing the
-    /// counter) returns [`Feasibility::Unknown`].
-    pub fn check_within(&self, limits: &SolverLimits, steps: &mut u64) -> Feasibility {
-        let mut stats = SolveStats { steps: *steps, ..SolveStats::default() };
-        let r = self.check_stats(limits, &mut stats);
-        *steps = stats.steps;
-        r
+        self.check_stats(&SolverLimits::default(), &mut SolveStats::default())
     }
 
     /// Feasibility check under explicit resource limits, accumulating the
-    /// full work counters (a superset of [`System::check_within`]'s step
-    /// counter) into the caller-owned `stats`.
+    /// work counters into the caller-owned `stats`. When `stats.steps`
+    /// exceeds `limits.max_steps` the check (and any later check sharing
+    /// `stats`) returns [`Feasibility::Unknown`].
     pub fn check_stats(&self, limits: &SolverLimits, stats: &mut SolveStats) -> Feasibility {
         let mut next_var = self.names.len() as u32;
         solve(self.constraints.clone(), &mut next_var, 0, limits, stats)
@@ -207,36 +189,9 @@ impl System {
         neg.check() == Feasibility::Unsat
     }
 
-    /// Budgeted form of [`System::implies_ge`]: distinguishes "unproved"
+    /// Budgeted form of [`System::implies_ge`], spending from and counting
+    /// into `stats` like [`System::check_stats`]: distinguishes "unproved"
     /// from "step budget ran out". Both are conservative (not proved).
-    pub fn implies_ge_within(
-        &self,
-        lhs: LinExpr,
-        rhs: LinExpr,
-        limits: &SolverLimits,
-        steps: &mut u64,
-    ) -> Entailment {
-        let mut stats = SolveStats { steps: *steps, ..SolveStats::default() };
-        let r = self.implies_ge_stats(lhs, rhs, limits, &mut stats);
-        *steps = stats.steps;
-        r
-    }
-
-    /// Budgeted form of [`System::implies_lt`].
-    pub fn implies_lt_within(
-        &self,
-        lhs: LinExpr,
-        rhs: LinExpr,
-        limits: &SolverLimits,
-        steps: &mut u64,
-    ) -> Entailment {
-        let mut stats = SolveStats { steps: *steps, ..SolveStats::default() };
-        let r = self.implies_lt_stats(lhs, rhs, limits, &mut stats);
-        *steps = stats.steps;
-        r
-    }
-
-    /// [`System::implies_ge_within`] with full work counters.
     pub fn implies_ge_stats(
         &self,
         lhs: LinExpr,
@@ -249,7 +204,8 @@ impl System {
         entailment_of(neg.check_stats(limits, stats), limits, stats.steps)
     }
 
-    /// [`System::implies_lt_within`] with full work counters.
+    /// Budgeted form of [`System::implies_lt`] (see
+    /// [`System::implies_ge_stats`]).
     pub fn implies_lt_stats(
         &self,
         lhs: LinExpr,
@@ -301,7 +257,7 @@ fn solve(
         stats.early_exits += 1;
         return Feasibility::Unknown;
     }
-    if depth > limits.max_recursion || cs.len() > limits.max_constraints {
+    if depth > MAX_RECURSION || cs.len() > MAX_CONSTRAINTS {
         stats.early_exits += 1;
         return Feasibility::Unknown;
     }
@@ -746,14 +702,14 @@ mod tests {
     fn zero_step_budget_is_unknown() {
         let (mut s, v) = var_sys(1);
         s.add_ge(LinExpr::var(v[0]), LinExpr::constant(0));
-        let mut steps = 0u64;
-        assert_eq!(s.check_within(&SolverLimits::steps(0), &mut steps), Feasibility::Unknown);
+        let mut stats = SolveStats::default();
+        assert_eq!(s.check_stats(&SolverLimits::steps(0), &mut stats), Feasibility::Unknown);
         assert_eq!(
-            s.implies_ge_within(
+            s.implies_ge_stats(
                 LinExpr::var(v[0]),
                 LinExpr::constant(0),
                 &SolverLimits::steps(0),
-                &mut steps
+                &mut stats
             ),
             Entailment::BudgetExhausted
         );
@@ -767,16 +723,16 @@ mod tests {
         s.add_lt(LinExpr::var(i), LinExpr::var(n));
         s.add_eq(LinExpr::var(n), LinExpr::constant(16));
         let limits = SolverLimits::steps(1_000_000);
-        let mut steps = 0u64;
+        let mut stats = SolveStats::default();
         assert_eq!(
-            s.implies_lt_within(LinExpr::var(i), LinExpr::constant(16), &limits, &mut steps),
+            s.implies_lt_stats(LinExpr::var(i), LinExpr::constant(16), &limits, &mut stats),
             Entailment::Proved
         );
         assert_eq!(
-            s.implies_lt_within(LinExpr::var(i), LinExpr::constant(15), &limits, &mut steps),
+            s.implies_lt_stats(LinExpr::var(i), LinExpr::constant(15), &limits, &mut stats),
             Entailment::Unproved
         );
-        assert!(steps > 0 && steps < 1_000_000);
+        assert!(stats.steps > 0 && stats.steps < 1_000_000);
     }
 
     #[test]
@@ -786,9 +742,9 @@ mod tests {
         let (mut s, v) = var_sys(1);
         s.add_ge(LinExpr::var(v[0]), LinExpr::constant(0));
         let limits = SolverLimits::steps(5);
-        let mut steps = 100u64;
+        let mut stats = SolveStats { steps: 100, ..SolveStats::default() };
         assert_eq!(
-            s.implies_ge_within(LinExpr::var(v[0]), LinExpr::constant(0), &limits, &mut steps),
+            s.implies_ge_stats(LinExpr::var(v[0]), LinExpr::constant(0), &limits, &mut stats),
             Entailment::BudgetExhausted
         );
     }
@@ -855,8 +811,7 @@ mod tests {
         assert!(stats.eq_eliminations > 0, "{stats:?}");
         assert!(stats.fm_eliminations > 0, "{stats:?}");
         assert_eq!(stats.early_exits, 0, "{stats:?}");
-        // The stats-based entailment agrees with the steps-based one and
-        // spends from the same pool.
+        // The entailment query spends from the same pool.
         let before = stats.steps;
         assert_eq!(
             s.implies_lt_stats(
