@@ -29,7 +29,23 @@ use safeflow_corpus::{systems, System};
 use safeflow_syntax::VirtualFs;
 use std::process::ExitCode;
 
+/// `print!` through [`write_stdout`], the one way the CLI writes to stdout.
+macro_rules! out {
+    ($($arg:tt)*) => { crate::write_stdout(format_args!($($arg)*)) };
+}
+
 mod serve_cmd;
+
+/// Writes to stdout. A reader that stops early (`safeflow --table1 | head
+/// -1`) closes the pipe, which is no fault of the run: the write is
+/// dropped, nothing goes to stderr, and the run keeps its exit code.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
 
 fn main() -> ExitCode {
     // Last-resort containment: anything that escapes the analyzer's own
@@ -351,9 +367,9 @@ fn run_check(
     match check(&mut session) {
         Ok(outcome) => {
             if out.format_json {
-                println!("{}", outcome.report_json.render());
+                out!("{}\n", outcome.report_json.render());
             } else {
-                print!("{}", outcome.rendered);
+                out!("{}", outcome.rendered);
             }
             if out.dot {
                 emit_dot(&outcome.report_json);
@@ -417,7 +433,7 @@ fn run_oracle(args: &[String]) -> ExitCode {
         return usage_error("--seeds range is empty (use LO..HI with LO < HI)");
     }
     let report = safeflow_oracle::run(&opts);
-    print!("{}", report.render());
+    out!("{}", report.render());
     ExitCode::from(report.exit_code())
 }
 
@@ -551,7 +567,7 @@ const USAGE: &str = "USAGE:\n\
      \x20 safeflow --table1 | --fig2";
 
 fn print_help() {
-    println!(
+    out!(
         "safeflow — static analysis enforcing safe value flow (DSN 2006)\n\
          \n\
          {USAGE}\n\
@@ -634,7 +650,7 @@ fn print_help() {
          \n\
          EXIT CODES:\n\
          \x20 0 clean   1 warnings only   2 errors/violations or unusable input\n\
-         \x20 3 internal error (contained panic)   4 budget exhausted"
+         \x20 3 internal error (contained panic)   4 budget exhausted\n"
     );
 }
 
@@ -642,10 +658,10 @@ fn print_help() {
 fn print_metrics(metrics: &MetricsSnapshot, out: &OutputOpts) {
     match out.metrics {
         Some(MetricsOut::Text) => {
-            println!("-- metrics --");
-            print!("{}", metrics.render_text());
+            out!("-- metrics --\n");
+            out!("{}", metrics.render_text());
         }
-        Some(MetricsOut::Json) => println!("{}", metrics.to_json().render()),
+        Some(MetricsOut::Json) => out!("{}\n", metrics.to_json().render()),
         None => {}
     }
 }
@@ -656,17 +672,17 @@ fn emit_dot(document: &Json) {
     let errors = document.get("report").map(|r| r.arr_member("errors")).unwrap_or_default();
     for (i, e) in errors.iter().enumerate() {
         let critical = e.str_member("critical");
-        println!("// value-flow graph {} for critical `{critical}`", i + 1);
-        print!("{}", safeflow::flowgraph::error_to_dot(e));
+        out!("// value-flow graph {} for critical `{critical}`\n", i + 1);
+        out!("{}", safeflow::flowgraph::error_to_dot(e));
     }
 }
 
 /// Regenerates Table 1: one row per corpus system, paper numbers alongside
 /// measured numbers.
 fn run_table1(config: &AnalysisConfig, out: &OutputOpts) -> ExitCode {
-    println!("Table 1: Applying SafeFlow to Control Systems (paper -> measured)\n");
-    println!(
-        "{:<16} {:>13} {:>12} {:>12} {:>12} {:>10} {:>10} {:>8}",
+    out!("Table 1: Applying SafeFlow to Control Systems (paper -> measured)\n\n");
+    out!(
+        "{:<16} {:>13} {:>12} {:>12} {:>12} {:>10} {:>10} {:>8}\n",
         "System",
         "LOC(total)",
         "LOC(core)",
@@ -689,8 +705,8 @@ fn run_table1(config: &AnalysisConfig, out: &OutputOpts) -> ExitCode {
                     .filter(|e| system.defects.iter().any(|d| d.critical == e.critical))
                     .count();
                 let fps = r.errors.len() - confirmed;
-                println!(
-                    "{:<16} {:>6}>{:<6} {:>5}>{:<6} {:>5}>{:<6} {:>5}>{:<6} {:>4}>{:<5} {:>4}>{:<5} {:>3}>{:<4}",
+                out!(
+                    "{:<16} {:>6}>{:<6} {:>5}>{:<6} {:>5}>{:<6} {:>5}>{:<6} {:>4}>{:<5} {:>4}>{:<5} {:>3}>{:<4}\n",
                     system.name,
                     system.paper.loc_total,
                     system.total_loc(),
@@ -722,7 +738,7 @@ fn run_table1(config: &AnalysisConfig, out: &OutputOpts) -> ExitCode {
             }
         }
     }
-    println!("\nfinding counts {} the paper's Table 1", if ok { "MATCH" } else { "DO NOT MATCH" });
+    out!("\nfinding counts {} the paper's Table 1\n", if ok { "MATCH" } else { "DO NOT MATCH" });
     // With --metrics: the registry is per-run, so this shows the last
     // corpus system analyzed — a representative sample for the demo.
     if let Some(metrics) = &sample {
@@ -738,6 +754,6 @@ fn run_table1(config: &AnalysisConfig, out: &OutputOpts) -> ExitCode {
 fn print_defects(system: &System, report: &safeflow::AnalysisReport) {
     for defect in &system.defects {
         let found = report.errors.iter().any(|e| e.critical == defect.critical);
-        println!("    defect {:<26} [{}]", defect.id, if found { "FOUND" } else { "MISSED" },);
+        out!("    defect {:<26} [{}]\n", defect.id, if found { "FOUND" } else { "MISSED" },);
     }
 }

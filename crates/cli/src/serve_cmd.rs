@@ -213,7 +213,7 @@ pub fn run_serve(args: &[String]) -> ExitCode {
             let _ = std::fs::rename(&tmp, path);
         }
     }
-    println!("serve: listening on {addr}");
+    out!("serve: listening on {addr}\n");
 
     // Wait for a shutdown frame (observed via the handle) or a signal.
     loop {
@@ -227,10 +227,10 @@ pub fn run_serve(args: &[String]) -> ExitCode {
     }
     let snapshot = handle.wait();
     if dump_metrics {
-        println!("-- metrics --");
-        print!("{}", snapshot.render_text());
+        out!("-- metrics --\n");
+        out!("{}", snapshot.render_text());
     }
-    println!("serve: drained, exiting");
+    out!("serve: drained, exiting\n");
     ExitCode::SUCCESS
 }
 
@@ -259,16 +259,16 @@ fn run_client(
     match resp {
         Ok(resp) => {
             if !resp.rendered.is_empty() {
-                print!("{}", resp.rendered);
+                out!("{}", resp.rendered);
                 if !resp.rendered.ends_with('\n') {
-                    println!();
+                    out!("\n");
                 }
             }
             if resp.status == Status::Clean
                 && !resp.report_json.is_empty()
                 && resp.rendered == "metrics"
             {
-                println!("{}", resp.report_json);
+                out!("{}\n", resp.report_json);
             }
             let code = match resp.status as u8 {
                 c @ 0..=4 => c,

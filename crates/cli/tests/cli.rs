@@ -103,6 +103,68 @@ fn table1_matches_and_exits_zero() {
     }
 }
 
+/// A reader that closes the pipe early (`safeflow --table1 | head -1`)
+/// is no internal error: the run ends with the exit code it would have
+/// had, and says nothing on stderr.
+#[test]
+fn closed_stdout_keeps_the_exit_code() {
+    let unpiped = safeflow().arg("--table1").output().expect("runs");
+    let mut child = safeflow()
+        .arg("--table1")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), unpiped.status.code(), "{stderr}");
+    assert!(!stderr.contains("internal error"), "{stderr}");
+}
+
+/// The two diagnostics for annotation names that resolve to nothing a
+/// `shminit` fact can use: a `shmvar` on a local, and a `noncore` naming
+/// no global at all.
+#[test]
+fn unresolved_annotation_names_are_diagnosed() {
+    let dir = std::env::temp_dir().join(format!("safeflow_cli_names_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("names.c"),
+        "void *shmat(int shmid, void *addr, int flags);
+void init(void)
+/** SafeFlow Annotation shminit */
+{
+    int *local = (int *) shmat(0, 0, 0);
+    /** SafeFlow Annotation
+        assume(shmvar(local, 4))
+        assume(noncore(nosuchName))
+    */
+}
+int main() { init(); return 0; }
+",
+    )
+    .unwrap();
+    let expected = "\
+error: shmvar(local, ...): `local` is not a global pointer variable [names.c:7:9]
+       7 |         assume(shmvar(local, 4))
+         |         ^^^^^^^^^^^^^^^^^^^^^^^^
+warning: noncore(nosuchName): no such shared-memory region or descriptor; annotation ignored [names.c:8:9]
+       8 |         assume(noncore(nosuchName))
+         |         ^^^^^^^^^^^^^^^^^^^^^^^^^^^
+";
+    for engine in ["context", "summary"] {
+        let out = safeflow()
+            .args(["--engine", engine, "names.c"])
+            .current_dir(&dir)
+            .output()
+            .expect("runs");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), expected, "{engine}");
+        assert_eq!(out.status.code(), Some(2), "{engine}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn analyzes_file_from_disk() {
     let dir = std::env::temp_dir().join("safeflow_cli_test");

@@ -2,6 +2,7 @@
 
 use crate::policy::{ImplicitFlowMode, Policy};
 use safeflow_util::fault::FaultPlan;
+use safeflow_util::Symbol;
 
 /// Resource budgets for one analysis run.
 ///
@@ -113,6 +114,25 @@ pub enum Engine {
 /// The entry point: the root of reachability for both phase-3 engines,
 /// and the function whose end restriction P1 lets shared memory live to.
 pub(crate) const ENTRY: &str = "main";
+
+/// The configured call names, interned once per run so that phase 3
+/// matches calls by comparing symbols: each critical call with its
+/// function's name and the name of the sink it makes, `name:argN`; each
+/// receive spec with its function's name.
+pub(crate) struct CallNames<'a> {
+    pub(crate) critical: Vec<(&'a CriticalCall, Symbol, Symbol)>,
+    pub(crate) recv: Vec<(&'a RecvSpec, Symbol)>,
+}
+
+impl<'a> CallNames<'a> {
+    pub(crate) fn new(config: &'a AnalysisConfig) -> CallNames<'a> {
+        let critical = config.implicit_critical_calls.iter().map(|c| {
+            (c, Symbol::intern(&c.name), Symbol::intern(&format!("{}:arg{}", c.name, c.arg)))
+        });
+        let recv = config.recv_functions.iter().map(|r| (r, Symbol::intern(&r.name)));
+        CallNames { critical: critical.collect(), recv: recv.collect() }
+    }
+}
 
 /// Configuration of a SafeFlow run.
 #[derive(Debug, Clone)]

@@ -126,7 +126,7 @@ fn env_hash(
     let mut h = StableHasher::new();
     for r in regions.iter() {
         h.write_u32(r.id.0);
-        h.write_str(&r.name);
+        h.write_str(r.name.as_str());
         h.write_u32(r.global.0);
         h.write_u64(r.size);
         h.write_u64(r.elem_size);
@@ -141,7 +141,7 @@ fn env_hash(
     // Global names pin GlobalId assignments (socket detection reads loads
     // of globals by id).
     for g in &module.globals {
-        h.write_str(&g.name);
+        h.write_str(g.name.as_str());
     }
     hash_summary_config(&mut h, config);
     h.finish()
@@ -187,12 +187,12 @@ fn function_sig(
 ) -> u64 {
     let func = module.function(fid);
     let mut h = StableHasher::new();
-    h.write_str(&func.name);
+    h.write_str(func.name.as_str());
     hash_type(&mut h, &func.ret);
     h.write_u8(func.is_definition as u8);
     h.write_usize(func.params.len());
     for p in &func.params {
-        h.write_str(&p.name);
+        h.write_str(p.name.as_str());
         hash_type(&mut h, &p.ty);
     }
     h.write_usize(func.annotations.len());
@@ -321,7 +321,7 @@ fn hash_inst_kind(h: &mut StableHasher, kind: &InstKind) {
         InstKind::Alloca { ty, name } => {
             h.write_u8(0);
             hash_type(h, ty);
-            h.write_str(name);
+            h.write_str(name.as_str());
         }
         InstKind::Load { ptr } => {
             h.write_u8(1);
@@ -369,7 +369,7 @@ fn hash_inst_kind(h: &mut StableHasher, kind: &InstKind) {
                 }
                 Callee::External(name) => {
                     h.write_u8(1);
-                    h.write_str(name);
+                    h.write_str(name.as_str());
                 }
             }
             h.write_usize(args.len());
@@ -387,7 +387,7 @@ fn hash_inst_kind(h: &mut StableHasher, kind: &InstKind) {
         }
         InstKind::AssertSafe { var, value } => {
             h.write_u8(10);
-            h.write_str(var);
+            h.write_str(var.as_str());
             hash_value(h, value);
         }
     }
@@ -433,14 +433,14 @@ fn hash_annotation(h: &mut StableHasher, ann: &Annotation) {
     match ann {
         Annotation::AssumeCore { ptr, offset, size, span } => {
             h.write_u8(0);
-            h.write_str(ptr);
+            h.write_str(ptr.as_str());
             hash_ann_expr(h, offset);
             hash_ann_expr(h, size);
             hash_span(h, *span);
         }
         Annotation::AssertSafe { var, span } => {
             h.write_u8(1);
-            h.write_str(var);
+            h.write_str(var.as_str());
             hash_span(h, *span);
         }
         Annotation::ShmInit { span } => {
@@ -449,13 +449,13 @@ fn hash_annotation(h: &mut StableHasher, ann: &Annotation) {
         }
         Annotation::ShmVar { ptr, size, span } => {
             h.write_u8(3);
-            h.write_str(ptr);
+            h.write_str(ptr.as_str());
             hash_ann_expr(h, size);
             hash_span(h, *span);
         }
         Annotation::Noncore { target, span } => {
             h.write_u8(4);
-            h.write_str(target);
+            h.write_str(target.as_str());
             hash_span(h, *span);
         }
         Annotation::Label { name, below, span } => {
@@ -478,14 +478,14 @@ fn hash_annotation(h: &mut StableHasher, ann: &Annotation) {
         }
         Annotation::Channel { ptr, size, label, span } => {
             h.write_u8(7);
-            h.write_str(ptr);
+            h.write_str(ptr.as_str());
             hash_ann_expr(h, size);
             h.write_str(label);
             hash_span(h, *span);
         }
         Annotation::AssumeDeclassify { ptr, offset, size, to, span } => {
             h.write_u8(8);
-            h.write_str(ptr);
+            h.write_str(ptr.as_str());
             hash_ann_expr(h, offset);
             hash_ann_expr(h, size);
             h.write_str(to);
@@ -502,11 +502,11 @@ fn hash_ann_expr(h: &mut StableHasher, e: &AnnExpr) {
         }
         AnnExpr::Sizeof(name) => {
             h.write_u8(1);
-            return h.write_str(name);
+            return h.write_str(name.as_str());
         }
         AnnExpr::Ident(name) => {
             h.write_u8(2);
-            return h.write_str(name);
+            return h.write_str(name.as_str());
         }
         AnnExpr::Add(a, b) => (3, a, b),
         AnnExpr::Sub(a, b) => (4, a, b),
@@ -530,6 +530,7 @@ mod tests {
     use safeflow_syntax::parse_source;
     use safeflow_syntax::pp::VirtualFs;
     use safeflow_syntax::span::FileId;
+    use safeflow_util::Symbol;
     use std::collections::BTreeMap;
 
     fn hashes_for(src: &str) -> (Vec<String>, Vec<u64>) {
@@ -562,7 +563,7 @@ mod tests {
             .sccs
             .iter()
             .map(|scc| {
-                scc.iter().map(|&f| m.function(f).name.clone()).collect::<Vec<_>>().join("+")
+                scc.iter().map(|&f| m.function(f).name.as_str()).collect::<Vec<_>>().join("+")
             })
             .collect();
         (names, hs)
@@ -736,7 +737,7 @@ mod tests {
             ("nested pointer", |f| if let InstKind::Alloca { ty: Type::Array(e, _), .. } = k(f, 0) { **e = e.ptr_to() }),
             ("pointee type", |f| if let InstKind::Alloca { ty: Type::Array(e, _), .. } = k(f, 0) { **e = Type::Struct(StructId(0)).ptr_to() }),
             ("struct type id", |f| f.insts[0].ty = Type::Struct(StructId(1))),
-            ("alloca name", |f| if let InstKind::Alloca { name, .. } = k(f, 0) { name.push('2') }),
+            ("alloca name", |f| if let InstKind::Alloca { name, .. } = k(f, 0) { *name = Symbol::intern(&format!("{name}2")) }),
             ("param -> inst operand", |f| op(f, 1, 0, Value::Inst(InstId(0)))),
             ("param -> global operand", |f| op(f, 1, 0, Value::Global(GlobalId(0)))),
             ("param index", |f| op(f, 1, 0, Value::Param(1))),
@@ -766,7 +767,7 @@ mod tests {
             ("call arguments reordered", |f| if let InstKind::Call { args, .. } = k(f, 8) { args.reverse() }),
             ("asserted name", |f| if let InstKind::AssertSafe { var, .. } = k(f, 9) { *var = "y".into() }),
             ("asserted value", |f| op(f, 9, 0, Value::Inst(InstId(1)))),
-            ("external callee name", |f| if let InstKind::Call { callee: Callee::External(n), .. } = k(f, 10) { n.push_str("pg") }),
+            ("external callee name", |f| if let InstKind::Call { callee: Callee::External(n), .. } = k(f, 10) { *n = Symbol::intern(&format!("{n}pg")) }),
             ("phi incoming block", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming[0].0 = BlockId(0) }),
             ("phi incoming value", |f| op(f, 11, 1, Value::i32(1))),
             ("phi arm dropped", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming.pop(); }),

@@ -526,7 +526,7 @@ impl Analyzer {
                 .iter()
                 .map(|r| RegionInfo {
                     id: r.id,
-                    name: r.name.clone(),
+                    name: r.name.to_string(),
                     size: r.size,
                     noncore: r.noncore,
                     offset: r.offset,

@@ -16,6 +16,7 @@ use safeflow_ir::{BinOp, FuncId, GlobalId, InstId, InstKind, Module, Terminator,
 use safeflow_syntax::annot::{AnnExpr, Annotation};
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::span::Span;
+use safeflow_util::Symbol;
 use std::collections::HashMap;
 
 /// Identifier of a shared-memory region.
@@ -28,7 +29,7 @@ pub struct Region {
     /// Region id.
     pub id: RegionId,
     /// The pointer variable the `shmvar` annotation names.
-    pub name: String,
+    pub name: Symbol,
     /// The global pointer variable holding the region's base.
     pub global: GlobalId,
     /// Total size in bytes.
@@ -98,7 +99,7 @@ impl RegionMap {
 /// constant tables.
 pub fn eval_ann_expr(module: &Module, e: &AnnExpr) -> Option<i64> {
     e.eval(&|leaf| match leaf {
-        AnnExpr::Sizeof(name) => module.sizeof_name(name).map(|s| s as i64),
+        AnnExpr::Sizeof(name) => module.sizeof_name(*name).map(|s| s as i64),
         AnnExpr::Ident(name) => module.enum_consts.get(name).copied(),
         _ => None,
     })
@@ -107,6 +108,7 @@ pub fn eval_ann_expr(module: &Module, e: &AnnExpr) -> Option<i64> {
 /// Extracts regions from every `shminit` function of `module`.
 pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
     let mut map = RegionMap::default();
+    let attach = Symbol::intern(ATTACH_FUNCTION);
     for fid in module.definitions() {
         let func = module.function(fid);
         if !func.is_shminit() {
@@ -118,9 +120,9 @@ pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
         // `shmvar` + `noncore`).
         for ann in &func.annotations {
             let (fact, ptr, size, label, span) = match ann {
-                Annotation::ShmVar { ptr, size, span } => ("shmvar", ptr, size, None, span),
+                Annotation::ShmVar { ptr, size, span } => ("shmvar", *ptr, size, None, span),
                 Annotation::Channel { ptr, size, label, span } => {
-                    ("channel", ptr, size, Some(label.clone()), span)
+                    ("channel", *ptr, size, Some(label.clone()), span)
                 }
                 _ => continue,
             };
@@ -159,7 +161,7 @@ pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
                 let id = RegionId(map.regions.len() as u32);
                 map.regions.push(Region {
                     id,
-                    name: ptr.clone(),
+                    name: ptr,
                     global: gid,
                     size: size as u64,
                     elem_size,
@@ -177,13 +179,13 @@ pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
         // Second pass: noncore facts flip the flag.
         for ann in &func.annotations {
             if let Annotation::Noncore { target, span } = ann {
-                match module.global_by_name(target).and_then(|g| map.by_global(g)) {
+                match module.global_by_name(*target).and_then(|g| map.by_global(g)) {
                     Some(rid) => map.regions[rid.0 as usize].noncore = true,
                     None => {
                         // Socket descriptors (§3.4.3) are also declared with
                         // noncore(); only complain when the name is entirely
                         // unknown.
-                        if module.global_by_name(target).is_none() {
+                        if module.global_by_name(*target).is_none() {
                             diags.warning(
                                 *span,
                                 format!("noncore({target}): no such shared-memory region or descriptor; annotation ignored"),
@@ -194,7 +196,7 @@ pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
             }
         }
         // Interpret the initializer to recover segment offsets.
-        interpret_init(module, fid, &mut map);
+        interpret_init(module, fid, attach, &mut map);
     }
     run_init_check(module, &mut map);
     map
@@ -219,8 +221,9 @@ const ATTACH_FUNCTION: &str = "shmat";
 /// Interprets the (expected straight-line) body of a `shminit` function,
 /// recording for each region global the `(segment, offset)` it ends up
 /// pointing at. Branches/loops make affected values `Other` — offsets stay
-/// unknown, which the init check reports.
-fn interpret_init(module: &Module, fid: FuncId, map: &mut RegionMap) {
+/// unknown, which the init check reports. `attach` is [`ATTACH_FUNCTION`]
+/// interned.
+fn interpret_init(module: &Module, fid: FuncId, attach: Symbol, map: &mut RegionMap) {
     let func = module.function(fid);
     let mut env: HashMap<InstId, AbsVal> = HashMap::new();
     let mut genv: HashMap<GlobalId, AbsVal> = HashMap::new();
@@ -251,7 +254,7 @@ fn interpret_init(module: &Module, fid: FuncId, map: &mut RegionMap) {
                 // Prototypes lower to `Callee::Local` without a body; both
                 // spellings resolve to the external name.
                 InstKind::Call { callee, .. }
-                    if module.external_callee_name(callee) == Some(ATTACH_FUNCTION) =>
+                    if module.external_callee_name(callee) == Some(attach) =>
                 {
                     env.insert(iid, AbsVal::Seg(iid, 0));
                 }

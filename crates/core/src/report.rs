@@ -20,6 +20,7 @@ use safeflow_syntax::source::SourceMap;
 use safeflow_syntax::span::Span;
 use safeflow_syntax::Diagnostics;
 use safeflow_util::json::Json;
+use safeflow_util::Symbol;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
@@ -126,17 +127,18 @@ pub struct ErrorDependency {
 #[derive(Debug, Default)]
 pub(crate) struct Findings {
     warnings: BTreeMap<Site<RegionId>, (Span, u64)>,
-    errors: BTreeMap<Site<Arc<str>>, (ErrorDependency, u64)>,
+    errors: BTreeMap<Site<&'static str>, (ErrorDependency, u64)>,
 }
 
-/// A finding's site: its function, its span's bounds, and what it names.
-type Site<T> = (Arc<str>, u32, u32, T);
+/// A finding's site: its function, its span's bounds, and what it names,
+/// names as strings so that sites sort by name, never by symbol id.
+type Site<T> = (&'static str, u32, u32, T);
 
 impl Findings {
     /// Records a read of `region` at label `mask` in `function`.
-    pub(crate) fn read(&mut self, function: &Arc<str>, region: RegionId, span: Span, mask: u64) {
+    pub(crate) fn read(&mut self, function: Symbol, region: RegionId, span: Span, mask: u64) {
         if mask != 0 {
-            let key = (function.clone(), span.lo, span.hi, region);
+            let key = (function.as_str(), span.lo, span.hi, region);
             self.warnings.entry(key).or_insert((span, 0)).1 |= mask;
         }
     }
@@ -146,9 +148,9 @@ impl Findings {
     /// this finding's flow is the one its site keeps.
     pub(crate) fn reach(
         &mut self,
-        function: &Arc<str>,
+        function: Symbol,
         span: Span,
-        critical: &Arc<str>,
+        critical: Symbol,
         val: TaintVal,
         clearance: u64,
         flow: impl FnOnce() -> Option<Arc<FlowNode>>,
@@ -159,20 +161,21 @@ impl Findings {
             (0, _) => DependencyKind::ControlOnly,
             _ => DependencyKind::Data,
         };
-        self.add_error(function, span, critical, kind, explicit | implicit, flow);
+        let mask = explicit | implicit;
+        self.add_error(function.as_str(), span, critical.as_str(), kind, mask, flow);
     }
 
     /// Joins one error of `kind` at `mask` into its site.
     fn add_error(
         &mut self,
-        function: &Arc<str>,
+        function: &'static str,
         span: Span,
-        critical: &Arc<str>,
+        critical: &'static str,
         kind: DependencyKind,
         mask: u64,
         flow: impl FnOnce() -> Option<Arc<FlowNode>>,
     ) {
-        match self.errors.entry((function.clone(), span.lo, span.hi, critical.clone())) {
+        match self.errors.entry((function, span.lo, span.hi, critical)) {
             Entry::Occupied(mut site) => {
                 let (e, joined) = site.get_mut();
                 if kind > e.kind || (kind == e.kind && mask & !*joined != 0) {
@@ -194,10 +197,10 @@ impl Findings {
     /// Merges `other`'s findings into these, as if each had been recorded
     /// here in `other`'s key order.
     pub(crate) fn merge(&mut self, other: &Findings) {
-        for ((function, _, _, region), &(span, mask)) in &other.warnings {
-            self.read(function, *region, span, mask);
+        for (&key, &(span, mask)) in &other.warnings {
+            self.warnings.entry(key).or_insert((span, 0)).1 |= mask;
         }
-        for ((function, _, _, critical), (e, mask)) in &other.errors {
+        for (&(function, _, _, critical), (e, mask)) in &other.errors {
             self.add_error(function, e.span, critical, e.kind, *mask, || e.flow.clone());
         }
     }
@@ -217,7 +220,7 @@ impl Findings {
     ) -> (Vec<Warning>, Vec<ErrorDependency>) {
         let label = |mask: u64| (!table.is_default()).then(|| table.name_of(mask));
         let warnings = self.warnings.into_iter().map(|((function, _, _, region), (span, mask))| {
-            let region_name = regions.region(region).name.clone();
+            let region_name = regions.region(region).name.to_string();
             Warning {
                 function: function.to_string(),
                 region,

@@ -27,6 +27,7 @@ use safeflow_solver::{Entailment, LinExpr, SolveStats, SolverLimits, System, Var
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
 use safeflow_util::pool::{run_map, PoolStats};
+use safeflow_util::Symbol;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -73,6 +74,7 @@ pub fn check_restrictions(
 ) -> (Vec<RestrictionViolation>, Vec<Degradation>) {
     let shminit_reachable = shminit_reachable(module, callgraph);
     let touches = shm_touching_functions(module, shm, callgraph);
+    let p1_names = (Symbol::intern(ENTRY), DEALLOC_FUNCTIONS.map(Symbol::intern));
 
     // P2(a): region pointers stored into arbitrary memory (from phase 1).
     let mut out = Vec::new();
@@ -80,7 +82,7 @@ pub fn check_restrictions(
         let func = module.function(fid);
         out.push(RestrictionViolation {
             restriction: Restriction::P2,
-            function: func.name.clone(),
+            function: func.name.to_string(),
             message: "shared-memory pointer stored into memory (aliases a shm pointer through a memory location)"
                 .to_string(),
             span: func.inst(iid).span,
@@ -101,7 +103,7 @@ pub fn check_restrictions(
             }
         }
         let cfg = cfgs[fid.0 as usize].as_ref();
-        check_p1_in(module, shm, cfg, &touches, fid, &mut vs);
+        check_p1_in(module, shm, cfg, &touches, fid, p1_names, &mut vs);
         check_p2_in(module, shm, fid, &mut vs);
         check_p3_in(module, shm, &shminit_reachable, fid, &mut vs);
         check_arrays_in(
@@ -125,7 +127,7 @@ pub fn check_restrictions(
     let mut totals = FnCheckStats::default();
     let mut scanned: u64 = 0;
     for (i, r) in per_fn.into_iter().enumerate() {
-        let name = module.function(defs[i]).name.clone();
+        let name = module.function(defs[i]).name.to_string();
         match r {
             Ok((vs, notes, fs)) => {
                 scanned += 1;
@@ -226,12 +228,14 @@ fn shm_touching_functions(
 /// API the paper's systems use).
 const DEALLOC_FUNCTIONS: [&str; 2] = ["shmdt", "shmctl"];
 
+/// P1 in `fid`; `(entry, dealloc)` are [`ENTRY`] and [`DEALLOC_FUNCTIONS`] interned.
 fn check_p1_in(
     module: &Module,
     shm: &ShmPointers,
     cfg: Option<&Cfg>,
     touches: &HashSet<FuncId>,
     fid: FuncId,
+    (entry, dealloc): (Symbol, [Symbol; 2]),
     out: &mut Vec<RestrictionViolation>,
 ) {
     let func = module.function(fid);
@@ -241,13 +245,13 @@ fn check_p1_in(
             let inst = func.inst(iid);
             let InstKind::Call { callee, .. } = &inst.kind else { continue };
             let Some(name) = module.external_callee_name(callee) else { continue };
-            if !DEALLOC_FUNCTIONS.contains(&name) {
+            if !dealloc.contains(&name) {
                 continue;
             }
-            if func.name != ENTRY {
+            if func.name != entry {
                 out.push(RestrictionViolation {
                     restriction: Restriction::P1,
-                    function: func.name.clone(),
+                    function: func.name.to_string(),
                     message: format!(
                         "`{name}` deallocates shared memory outside `{ENTRY}` (shared memory must live until the end of `{ENTRY}`)"
                     ),
@@ -281,7 +285,7 @@ fn check_p1_in(
             if bad {
                 out.push(RestrictionViolation {
                     restriction: Restriction::P1,
-                    function: func.name.clone(),
+                    function: func.name.to_string(),
                     message: format!("shared memory may be accessed after `{name}` deallocates it"),
                     span: inst.span,
                 });
@@ -362,7 +366,7 @@ fn check_p2_in(
         if offending {
             out.push(RestrictionViolation {
                 restriction: Restriction::P2,
-                function: func.name.clone(),
+                function: func.name.to_string(),
                 message: "address of a shared-memory pointer variable is taken".to_string(),
                 span: inst.span,
             });
@@ -392,7 +396,7 @@ fn check_p3_in(
             CastKind::PtrToInt => {
                 out.push(RestrictionViolation {
                     restriction: Restriction::P3,
-                    function: func.name.clone(),
+                    function: func.name.to_string(),
                     message: "shared-memory pointer cast to an integer".to_string(),
                     span: inst.span,
                 });
@@ -408,7 +412,7 @@ fn check_p3_in(
                 {
                     out.push(RestrictionViolation {
                         restriction: Restriction::P3,
-                        function: func.name.clone(),
+                        function: func.name.to_string(),
                         message: format!(
                             "shared-memory pointer cast between incompatible types `{}` and `{}`",
                             module.types.display(&from),
@@ -657,7 +661,7 @@ fn check_arrays_in(
         let Some(idx) = ctx.as_affine(index, 0) else {
             out.push(RestrictionViolation {
                 restriction: Restriction::A2,
-                function: func.name.clone(),
+                function: func.name.to_string(),
                 message:
                     "shared-array index is not an affine expression of loop induction variables"
                         .to_string(),
@@ -680,7 +684,7 @@ fn check_arrays_in(
         if !lower_ok || !upper_ok {
             out.push(RestrictionViolation {
                 restriction: Restriction::A1,
-                function: func.name.clone(),
+                function: func.name.to_string(),
                 message: format!(
                     "cannot prove shared-array index within bounds [0, {bound}){}",
                     if hit_budget {

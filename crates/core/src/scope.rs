@@ -23,6 +23,7 @@ use crate::regions::{RegionId, RegionMap};
 use crate::shmptr::ShmPointers;
 use safeflow_ir::{FuncId, Function, GlobalId, InstKind, Module, Value};
 use safeflow_syntax::annot::Annotation;
+use safeflow_util::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A declassification scope: region → the label mask reads of it carry
@@ -73,7 +74,7 @@ fn own_scope(
             }
             _ => continue,
         };
-        let rids = resolve_pointer_name(module, regions, shm, fid, ptr);
+        let rids = resolve_pointer_name(module, regions, shm, fid, *ptr);
         if rids.is_empty() {
             notes.push(format!(
                 "assume({fact}({ptr}, ...)) in `{}` names no known shared-memory pointer; ignored",
@@ -150,7 +151,7 @@ fn resolve_pointer_name(
     regions: &RegionMap,
     shm: &ShmPointers,
     fid: FuncId,
-    name: &str,
+    name: Symbol,
 ) -> BTreeSet<RegionId> {
     if let Some(g) = module.global_by_name(name) {
         if let Some(r) = regions.by_global(g) {
@@ -217,7 +218,7 @@ pub(crate) fn find_noncore_sockets(module: &Module, regions: &RegionMap) -> BTre
     for fid in module.definitions() {
         for ann in &module.function(fid).annotations {
             if let Annotation::Noncore { target, .. } = ann {
-                if let Some(g) = module.global_by_name(target) {
+                if let Some(g) = module.global_by_name(*target) {
                     if regions.by_global(g).is_none() {
                         out.insert(g);
                     }

@@ -324,7 +324,7 @@ mod tests {
     fn load_of_region_global_is_region_ptr() {
         let (m, regions, sp) =
             setup(&format!("{PRELUDE}\nfloat use(void) {{ return noncoreCtrl->control; }}"));
-        let fid = m.function_by_name("use").unwrap();
+        let fid = m.function_by_name("use".into()).unwrap();
         let f = m.function(fid);
         let nc = regions.iter().find(|r| r.name == "noncoreCtrl").unwrap();
         // The load of the global yields a pointer to region noncoreCtrl.
@@ -351,7 +351,7 @@ mod tests {
             }}
             "#
         ));
-        let pick = m.function_by_name("pick").unwrap();
+        let pick = m.function_by_name("pick".into()).unwrap();
         let nc = regions.iter().find(|r| r.name == "noncoreCtrl").unwrap();
         // pick's param and return both carry the region.
         assert!(sp.regions_of_ref(pick, &Value::Param(0)).iter().any(|p| p.region == nc.id));
@@ -363,7 +363,7 @@ mod tests {
         let (m, regions, sp) = setup(&format!(
             "{PRELUDE}\nfloat use(void) {{ SHMData *p = feedback + 1; return p->control; }}"
         ));
-        let fid = m.function_by_name("use").unwrap();
+        let fid = m.function_by_name("use".into()).unwrap();
         let f = m.function(fid);
         let fb = regions.iter().find(|r| r.name == "feedback").unwrap();
         let mut found = false;
@@ -403,7 +403,7 @@ mod tests {
             "#
         ));
         assert!(sp.escaping_stores.is_empty());
-        let alias_g = m.global_by_name("alias").unwrap();
+        let alias_g = m.global_by_name("alias".into()).unwrap();
         let nc = regions.iter().find(|r| r.name == "noncoreCtrl").unwrap();
         assert!(sp.global_regions(alias_g).iter().any(|p| p.region == nc.id));
     }
@@ -425,7 +425,7 @@ mod tests {
     #[test]
     fn non_shm_pointers_have_no_facts() {
         let (m, _, sp) = setup(&format!("{PRELUDE}\nint local_only(int *p) {{ return *p; }}"));
-        let fid = m.function_by_name("local_only").unwrap();
+        let fid = m.function_by_name("local_only".into()).unwrap();
         assert!(!sp.is_shm_ptr(fid, &Value::Param(0)));
     }
 }

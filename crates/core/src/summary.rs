@@ -28,7 +28,7 @@
 //! (the fact is dropped, exactly the historical behavior) and every
 //! clearance is ⊥, so summaries and findings are byte-identical.
 
-use crate::config::{AnalysisConfig, ENTRY};
+use crate::config::{AnalysisConfig, CallNames, ENTRY};
 use crate::engine::SccTable;
 use crate::policy::LabelTable;
 use crate::regions::{RegionId, RegionMap};
@@ -45,6 +45,7 @@ use safeflow_syntax::span::Span;
 use safeflow_util::fault::FaultSite;
 use safeflow_util::metrics::{Class, Metrics};
 use safeflow_util::pool::{lock_recover, run_dag, PoolStats};
+use safeflow_util::Symbol;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -201,11 +202,11 @@ fn data_fact(sym: Sym) -> Fact {
 }
 
 /// A recorded sink (assert or critical call argument) with the sources
-/// reaching it. The names are shared, not copied, when a caller inlines it.
+/// reaching it.
 #[derive(Debug, Clone)]
 struct Sink {
-    critical: Arc<str>,
-    function: Arc<str>,
+    critical: Symbol,
+    function: Symbol,
     span: Span,
     sources: SymSet,
 }
@@ -219,7 +220,7 @@ pub(crate) struct Summary {
     /// — already filtered by this function's own assume scope; `relabel`
     /// carries the declassified-to mask when a scope lowered (but did not
     /// clear) the read's label.
-    region_reads: Vec<(Span, RegionId, Arc<str>, Option<u64>)>,
+    region_reads: Vec<(Span, RegionId, Symbol, Option<u64>)>,
     /// Sinks observed in this function or inlined from callees.
     sinks: Vec<Sink>,
     /// Sources written into memory objects.
@@ -268,13 +269,13 @@ impl Summary {
         for (span, region, func, relabel) in &self.region_reads {
             put_span(out, *span);
             put_u32(out, region.0);
-            put_str(out, func);
+            put_str(out, func.as_str());
             put_relabel(out, *relabel);
         }
         put_u32(out, self.sinks.len() as u32);
         for sink in &self.sinks {
-            put_str(out, &sink.critical);
-            put_str(out, &sink.function);
+            put_str(out, sink.critical.as_str());
+            put_str(out, sink.function.as_str());
             put_span(out, sink.span);
             put_set(out, &sink.sources);
         }
@@ -334,14 +335,14 @@ impl Summary {
         for _ in 0..r.seq_len()? {
             let span = get_span(r)?;
             let region = RegionId(r.u32()?);
-            let func = r.str_ref()?.into();
+            let func = Symbol::intern(r.str_ref()?);
             let relabel = get_relabel(r)?;
             region_reads.push((span, region, func, relabel));
         }
         let mut sinks = Vec::new();
         for _ in 0..r.seq_len()? {
-            let critical = r.str_ref()?.into();
-            let function = r.str_ref()?.into();
+            let critical = Symbol::intern(r.str_ref()?);
+            let function = Symbol::intern(r.str_ref()?);
             let span = get_span(r)?;
             let sources = get_set(r)?;
             sinks.push(Sink { critical, function, span, sources });
@@ -404,6 +405,7 @@ pub(crate) fn analyze_summaries(
     metrics: &Metrics,
 ) -> (TaintResults, SccTable) {
     let noncore_sockets = scope::find_noncore_sockets(module, regions);
+    let calls = CallNames::new(config);
     // Assume scopes first: they feed the report's init-check notes on
     // *every* run (cache-warm included) and are part of each function's
     // cache key.
@@ -545,7 +547,7 @@ pub(crate) fn analyze_summaries(
                     regions,
                     shm,
                     pt,
-                    config,
+                    &calls,
                     table,
                     &noncore_sockets,
                     &view,
@@ -610,7 +612,7 @@ pub(crate) fn analyze_summaries(
     let mut degradations: Vec<Degradation> = Vec::new();
     let mut degraded_sccs: Vec<usize> = Vec::new();
     let member_names = |i: usize| -> Vec<String> {
-        callgraph.sccs[i].iter().map(|&f| module.function(f).name.clone()).collect()
+        callgraph.sccs[i].iter().map(|&f| module.function(f).name.to_string()).collect()
     };
     for (i, r) in task_results.iter().enumerate() {
         match r {
@@ -684,11 +686,11 @@ pub(crate) fn analyze_summaries(
             let targets: Vec<&Value> = match &inst.kind {
                 InstKind::Store { ptr, .. } => vec![ptr],
                 InstKind::Call { callee, args } => match module.external_callee_name(callee) {
-                    Some(name) => config
-                        .recv_functions
+                    Some(name) => calls
+                        .recv
                         .iter()
-                        .filter(|spec| spec.name == *name)
-                        .filter_map(|spec| args.get(spec.buf_arg))
+                        .filter(|&&(_, recv)| recv == name)
+                        .filter_map(|(spec, _)| args.get(spec.buf_arg))
                         .collect(),
                     None => Vec::new(),
                 },
@@ -748,7 +750,7 @@ pub(crate) fn analyze_summaries(
     // inlining, exactly like the context-sensitive engine's contexts.
     let mut roots: BTreeSet<FuncId> = BTreeSet::new();
     let reachable = module
-        .function_by_name(ENTRY)
+        .function_by_name(Symbol::intern(ENTRY))
         .filter(|e| module.function(*e).is_definition)
         .map(|e| {
             roots.insert(e);
@@ -773,21 +775,21 @@ pub(crate) fn analyze_summaries(
         // so iterate every function rather than only entry roots.
         for (span, rid, in_func, relabel) in &s.region_reads {
             let effective = relabel.unwrap_or_else(|| declared_mask(*rid));
-            findings.read(in_func, *rid, *span, effective);
+            findings.read(*in_func, *rid, *span, effective);
         }
         for sink in &s.sinks {
             // Parameters of roots are clean; other sources decide. Flows
             // at or below a critical call's clearance may reach it; an
             // assert anchor (keyed by its variable) has clearance ⊥.
-            let clear = config
-                .implicit_critical_calls
+            let clear = calls
+                .critical
                 .iter()
                 .rev()
-                .find(|c| *sink.critical == format!("{}:arg{}", c.name, c.arg))
-                .map_or(0, |c| table.clearance(c));
+                .find(|&&(_, _, critical)| critical == sink.critical)
+                .map_or(0, |&(call, _, _)| table.clearance(call));
             for f in &sink.sources {
                 let v = source_val(f, &unsafe_objs);
-                findings.reach(&sink.function, sink.span, &sink.critical, v, clear, || {
+                findings.reach(sink.function, sink.span, sink.critical, v, clear, || {
                     let source_desc = match f.sym {
                         Sym::Region(r) => {
                             let name = &regions.region(r).name;
@@ -830,7 +832,7 @@ pub(crate) fn analyze_summaries(
         if !func.is_definition || func.is_shminit() || func.blocks.is_empty() {
             continue;
         }
-        let name: Arc<str> = func.name.as_str().into();
+        let name = func.name;
         let degraded = |span: Span| {
             Some(FlowNode::source(
                 format!("analysis of `{name}` (or a function it reaches) degraded; conservatively assumed unsafe"),
@@ -849,23 +851,20 @@ pub(crate) fn analyze_summaries(
                         let declared = declared_mask(fact.region);
                         let effective =
                             assumed.get(&fact.region).map(|&m| declared & m).unwrap_or(declared);
-                        findings.read(&name, fact.region, inst.span, effective);
+                        findings.read(name, fact.region, inst.span, effective);
                     }
                 }
                 InstKind::AssertSafe { var, .. } => {
-                    findings.reach(&name, inst.span, &var.as_str().into(), unsafe_top, 0, || {
-                        degraded(inst.span)
-                    });
+                    findings.reach(name, inst.span, *var, unsafe_top, 0, || degraded(inst.span));
                 }
                 InstKind::Call { callee, args } => {
                     if let Some(callee_name) = module.external_callee_name(callee) {
-                        for call in &config.implicit_critical_calls {
-                            let (cname, argi) = (&call.name, &call.arg);
-                            if cname == callee_name && args.get(*argi).is_some() {
+                        for &(call, cname, critical) in &calls.critical {
+                            if cname == callee_name && args.get(call.arg).is_some() {
                                 findings.reach(
-                                    &name,
+                                    name,
                                     inst.span,
-                                    &format!("{callee_name}:arg{argi}").into(),
+                                    critical,
                                     unsafe_top,
                                     table.clearance(call),
                                     || degraded(inst.span),
@@ -905,8 +904,6 @@ struct FnGraphs<'a> {
     assumed: &'a Scope,
     /// Parameters the function's own annotations assume core.
     assumed_params: BTreeSet<u32>,
-    /// The function's name, shared by every region read and sink it records.
-    name: Arc<str>,
 }
 
 /// The scope of a function that assumes nothing.
@@ -930,7 +927,6 @@ fn build_fn_graphs<'a>(
         cd,
         assumed: assumed_of.get(&fid).unwrap_or(&NO_SCOPE),
         assumed_params: scope::assumed_params(func),
-        name: func.name.as_str().into(),
     }
 }
 
@@ -1087,7 +1083,7 @@ fn summarize_function(
     regions: &RegionMap,
     shm: &ShmPointers,
     pt: &PointsTo,
-    config: &AnalysisConfig,
+    calls: &CallNames,
     table: &LabelTable,
     noncore_sockets: &BTreeSet<safeflow_ir::GlobalId>,
     summaries: &SummaryView<'_>,
@@ -1101,7 +1097,7 @@ fn summarize_function(
     if func.blocks.is_empty() {
         return (s, 0, true);
     }
-    let FnGraphs { cfg, cd, assumed, assumed_params, name } = graphs;
+    let FnGraphs { cfg, cd, assumed, assumed_params } = graphs;
     let (walk, one_pass) = cfg.body_walk(func);
 
     facts.reset(func);
@@ -1139,7 +1135,7 @@ fn summarize_function(
                                 continue;
                             }
                             let relabel = (effective != declared).then_some(effective);
-                            s.region_reads.push((inst.span, fact.region, name.clone(), relabel));
+                            s.region_reads.push((inst.span, fact.region, func.name, relabel));
                             set.insert(Fact { sym: Sym::Region(fact.region), ctl: false, relabel });
                         }
                         set.union(vals.of(ptr));
@@ -1189,25 +1185,24 @@ fn summarize_function(
                     }
                     InstKind::Call { callee, args } => {
                         if let Some(callee_name) = module.external_callee_name(callee) {
-                            for call in &config.implicit_critical_calls {
-                                if call.name != callee_name {
+                            for &(call, cname, critical) in &calls.critical {
+                                if cname != callee_name {
                                     continue;
                                 }
                                 if let Some(arg) = args.get(call.arg) {
                                     let sources = sink_sources(vals.of(arg), ctl_here);
                                     if !sources.is_empty() {
                                         s.sinks.push(Sink {
-                                            critical: format!("{callee_name}:arg{}", call.arg)
-                                                .into(),
-                                            function: name.clone(),
+                                            critical,
+                                            function: func.name,
                                             span: inst.span,
                                             sources,
                                         });
                                     }
                                 }
                             }
-                            for spec in &config.recv_functions {
-                                if spec.name == callee_name {
+                            for &(spec, recv) in &calls.recv {
+                                if recv == callee_name {
                                     let sock_noncore = args.get(spec.sock_arg).is_some_and(|a| {
                                         scope::socket_is_noncore(func, a, noncore_sockets)
                                     });
@@ -1277,7 +1272,7 @@ fn summarize_function(
                             // Region reads surviving this caller's scope.
                             for (span, r, in_func, relabel) in &callee_sum.region_reads {
                                 if let Some(relabel) = scope_relabel(*r, *relabel) {
-                                    s.region_reads.push((*span, *r, in_func.clone(), relabel));
+                                    s.region_reads.push((*span, *r, *in_func, relabel));
                                 }
                             }
                             // Note: the call site's own control dependence
@@ -1288,12 +1283,7 @@ fn summarize_function(
                             for sink in &callee_sum.sinks {
                                 let mut sources = SymSet::default();
                                 subst(&sink.sources, &mut sources);
-                                s.sinks.push(Sink {
-                                    critical: sink.critical.clone(),
-                                    function: sink.function.clone(),
-                                    span: sink.span,
-                                    sources,
-                                });
+                                s.sinks.push(Sink { sources, ..*sink });
                             }
                             for (o, written) in &callee_sum.obj_writes {
                                 subst(written, s.obj_writes.entry(*o).or_default());
@@ -1306,8 +1296,8 @@ fn summarize_function(
                         let sources = sink_sources(vals.of(value), ctl_here);
                         if !sources.is_empty() {
                             s.sinks.push(Sink {
-                                critical: var.as_str().into(),
-                                function: name.clone(),
+                                critical: *var,
+                                function: func.name,
                                 span: inst.span,
                                 sources,
                             });
@@ -1417,7 +1407,7 @@ mod tests {
             .collect();
         let (assumed_of, _) = scope::own_scopes(&module, &regions, &shm, &table);
         let sockets = scope::find_noncore_sockets(&module, &regions);
-        let fid = module.function_by_name(name).expect("function exists");
+        let fid = module.function_by_name(name.into()).expect("function exists");
         let graphs = build_fn_graphs(
             &module,
             &cfgs,
@@ -1432,7 +1422,7 @@ mod tests {
             &regions,
             &shm,
             &pt,
-            &config,
+            &CallNames::new(&config),
             &table,
             &sockets,
             &view,

@@ -23,7 +23,7 @@
 //! every clearance is `trusted` (⊥), which collapses [`TaintVal`] to the
 //! paper's three-point `Clean < Control < Data` lattice byte-for-byte.
 
-use crate::config::{AnalysisConfig, ENTRY};
+use crate::config::{AnalysisConfig, CallNames, ENTRY};
 use crate::policy::LabelTable;
 use crate::regions::RegionMap;
 use crate::report::{Degradation, DegradationKind, ErrorDependency, Findings, FlowNode, Warning};
@@ -35,6 +35,7 @@ use safeflow_ir::{
 };
 use safeflow_points_to::{ObjId, PointsTo};
 use safeflow_util::metrics::{Class, Metrics};
+use safeflow_util::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -211,7 +212,7 @@ pub fn analyze_taint(
         obj_taint: BTreeMap::new(),
         noncore_sockets: scope::find_noncore_sockets(module, regions),
         own_scopes,
-        names: module.functions.iter().map(|f| Arc::from(f.name.as_str())).collect(),
+        calls: CallNames::new(config),
         notes,
         control_deps: HashMap::new(),
         pdom: PostDomTree::default(),
@@ -229,6 +230,7 @@ pub fn analyze_taint(
     type FnSig = (u32, u64, u64, usize, usize);
     let mut rounds = 0;
     let mut prev_sig: Option<Vec<FnSig>> = None;
+    let entry = module.function_by_name(Symbol::intern(ENTRY));
     loop {
         rounds += 1;
         let before: Vec<TaintVal> = eng.obj_taint.values().map(|t| t.val).collect();
@@ -236,7 +238,7 @@ pub fn analyze_taint(
 
         // Roots: entry function plus every defined function not reachable
         // from it (so warnings cover the whole component).
-        if let Some(e) = module.function_by_name(ENTRY) {
+        if let Some(e) = entry {
             if module.function(e).is_definition {
                 let ctx = eng.base_ctx(e, &Scope::new(), &[]);
                 eng.analyze(e, ctx);
@@ -283,7 +285,7 @@ pub fn analyze_taint(
         .iter()
         .map(|(name, (kind, detail))| Degradation {
             kind: *kind,
-            functions: vec![name.clone()],
+            functions: vec![name.to_string()],
             detail: detail.clone(),
         })
         .collect();
@@ -319,8 +321,8 @@ struct Engine<'a> {
     noncore_sockets: BTreeSet<safeflow_ir::GlobalId>,
     /// Each function's own assume/declassify scope.
     own_scopes: HashMap<FuncId, Scope>,
-    /// Each function's name, indexed by `FuncId`, as findings key it.
-    names: Vec<Arc<str>>,
+    /// The configured call names, interned.
+    calls: CallNames<'a>,
     notes: Vec<String>,
     /// Control dependences of the functions analyzed so far.
     control_deps: HashMap<FuncId, ControlDeps>,
@@ -334,7 +336,7 @@ struct Engine<'a> {
     deadline: Option<Instant>,
     /// Functions whose analysis degraded, with why (keyed by name so the
     /// record survives the memo clears of the module-level fixpoint).
-    degraded: BTreeMap<String, (DegradationKind, String)>,
+    degraded: BTreeMap<&'static str, (DegradationKind, String)>,
     /// Local fixpoint rounds run, across every `(function, context)` and
     /// every module-level round (the engine is single-threaded, so this is
     /// deterministic).
@@ -351,7 +353,7 @@ impl<'a> Engine<'a> {
     }
 
     /// The flow-path source description for a region read at `mask`.
-    fn read_source_desc(&self, region_name: &str, func_name: &str, mask: u64) -> String {
+    fn read_source_desc(&self, region_name: Symbol, func_name: Symbol, mask: u64) -> String {
         if self.table.is_default() {
             format!("unmonitored read of non-core region `{region_name}` in `{func_name}`")
         } else {
@@ -488,12 +490,11 @@ impl<'a> Engine<'a> {
                                 if effective == 0 {
                                     continue; // monitored / declassified to ⊥ (§2 rules)
                                 }
-                                let name = &self.names[fid.0 as usize];
-                                outcome.findings.read(name, fact.region, inst.span, effective);
+                                outcome.findings.read(func.name, fact.region, inst.span, effective);
                                 t.join(&Taint {
                                     val: TaintVal::explicit_at(effective),
                                     origin: Some(FlowNode::source(
-                                        self.read_source_desc(&region.name, &func.name, effective),
+                                        self.read_source_desc(region.name, func.name, effective),
                                         inst.span,
                                     )),
                                 });
@@ -587,22 +588,15 @@ impl<'a> Engine<'a> {
                             let mut vt = value_taint(value, &taints, ctx);
                             vt.join(&ctl_here);
                             // An assert anchor has clearance ⊥.
-                            outcome.findings.reach(
-                                &self.names[fid.0 as usize],
-                                inst.span,
-                                &var.as_str().into(),
-                                vt.val,
-                                0,
-                                || {
-                                    vt.origin.map(|orig| {
-                                        FlowNode::step(
-                                            format!("assert(safe({var})) reached"),
-                                            inst.span,
-                                            orig,
-                                        )
-                                    })
-                                },
-                            );
+                            outcome.findings.reach(func.name, inst.span, *var, vt.val, 0, || {
+                                vt.origin.map(|orig| {
+                                    FlowNode::step(
+                                        format!("assert(safe({var})) reached"),
+                                        inst.span,
+                                        orig,
+                                    )
+                                })
+                            });
                         }
                         InstKind::Alloca { .. } => {}
                     }
@@ -693,10 +687,8 @@ impl<'a> Engine<'a> {
     /// superset of anything the full analysis could report.
     fn conservative_outcome(&mut self, fid: FuncId, ctx: &Ctx, reason: String) -> Outcome {
         let func = self.module.function(fid);
-        let name = self.names[fid.0 as usize].clone();
-        self.degraded
-            .entry(func.name.clone())
-            .or_insert((DegradationKind::BudgetExhausted, reason));
+        let name = func.name;
+        self.degraded.entry(name.as_str()).or_insert((DegradationKind::BudgetExhausted, reason));
         let origin = FlowNode::source(
             format!("analysis of `{}` degraded; conservatively assumed unsafe", func.name),
             func.span,
@@ -716,7 +708,7 @@ impl<'a> Engine<'a> {
                             continue;
                         }
                         let effective = ctx.declass.get(&fact.region).copied().unwrap_or(declared);
-                        outcome.findings.read(&name, fact.region, inst.span, effective);
+                        outcome.findings.read(name, fact.region, inst.span, effective);
                     }
                 }
                 InstKind::Store { ptr, .. } => {
@@ -729,9 +721,9 @@ impl<'a> Engine<'a> {
                 }
                 InstKind::AssertSafe { var, .. } => {
                     outcome.findings.reach(
-                        &name,
+                        name,
                         inst.span,
-                        &var.as_str().into(),
+                        *var,
                         TaintVal::explicit_at(top),
                         0,
                         || Some(origin.clone()),
@@ -754,21 +746,20 @@ impl<'a> Engine<'a> {
                         }
                     }
                     if let Some(callee_name) = self.module.external_callee_name(callee) {
-                        for call in &self.config.implicit_critical_calls {
-                            let (cname, argi) = (&call.name, &call.arg);
-                            if cname == callee_name && args.get(*argi).is_some() {
+                        for &(call, cname, critical) in &self.calls.critical {
+                            if cname == callee_name && args.get(call.arg).is_some() {
                                 outcome.findings.reach(
-                                    &name,
+                                    name,
                                     inst.span,
-                                    &format!("{callee_name}:arg{argi}").into(),
+                                    critical,
                                     TaintVal::explicit_at(top),
                                     self.table.clearance(call),
                                     || Some(origin.clone()),
                                 );
                             }
                         }
-                        for spec in &self.config.recv_functions {
-                            if spec.name == *callee_name {
+                        for &(spec, recv) in &self.calls.recv {
+                            if recv == callee_name {
                                 if let Some(buf) = args.get(spec.buf_arg) {
                                     for o in self.pt.points_to_ref(fid, buf).iter() {
                                         let e =
@@ -807,19 +798,18 @@ impl<'a> Engine<'a> {
         let inst = func.inst(iid);
         // External (or prototype-only) call?
         if let Some(name) = self.module.external_callee_name(callee) {
-            let name = name.to_string();
             // Implicit critical arguments (kill's pid), checked against
             // the call's clearance label (`trusted` by default).
-            for call in &self.config.implicit_critical_calls {
-                let (cname, argi) = (&call.name, &call.arg);
-                if *cname == name {
-                    if let Some(arg) = args.get(*argi) {
+            for &(call, cname, critical) in &self.calls.critical {
+                let argi = call.arg;
+                if cname == name {
+                    if let Some(arg) = args.get(argi) {
                         let mut at = value_taint(arg, taints, ctx);
                         at.join(ctl_here);
                         outcome.findings.reach(
-                            &self.names[fid.0 as usize],
+                            func.name,
                             inst.span,
-                            &format!("{name}:arg{argi}").into(),
+                            critical,
                             at.val,
                             self.table.clearance(call),
                             || {
@@ -837,8 +827,8 @@ impl<'a> Engine<'a> {
             }
             // recv-style calls over non-core sockets taint the buffer
             // (§3.4.3 extension).
-            for spec in &self.config.recv_functions {
-                if spec.name == name {
+            for &(spec, recv) in &self.calls.recv {
+                if recv == name {
                     let sock_noncore = args
                         .get(spec.sock_arg)
                         .is_some_and(|s| scope::socket_is_noncore(func, s, &self.noncore_sockets));

@@ -9,9 +9,9 @@
 //!
 //! Allocation counts are exact and do not depend on the host's load, so
 //! they gate the analysis's memory discipline where wall time cannot. The
-//! budget sits above the count the reused buffers give (43,573) and far
-//! below the one before them: a change that goes back to fresh fact tables
-//! or control dependences per function fails here.
+//! budget sits above the count the reused buffers and the interned IR names
+//! give (38,123) and far below the one before them: a change that goes back
+//! to fresh fact tables or control dependences per function fails here.
 
 use safeflow::{AnalysisConfig, AnalysisSession, Engine};
 use safeflow_corpus::monorepo::{generate_monorepo, MonorepoParams};

@@ -10,7 +10,8 @@
 //!
 //! The bounds sit above the counts the reused buffers give and far below
 //! the ones before them: a change that reintroduces a per-operand, per-
-//! frame or per-expansion allocation fails here.
+//! frame or per-expansion allocation, or an owned string per IR name,
+//! fails here.
 
 use safeflow_corpus::monorepo::{generate_monorepo, MonorepoParams};
 use safeflow_syntax::diag::Diagnostics;
@@ -83,12 +84,16 @@ fn frontend_allocations_stay_within_budget() {
     let (pre, preprocess) =
         allocations(|| safeflow_syntax::preprocess_program_jobs("main.c", &fs, 1));
     let parsed = safeflow_syntax::parse_preprocessed(pre);
-    let mut module = safeflow_ir::lower::lower(&parsed.unit, &mut Diagnostics::new());
+    let (mut module, lower) =
+        allocations(|| safeflow_ir::lower::lower(&parsed.unit, &mut Diagnostics::new()));
     let defined = module.definitions().count() as u64;
     let (_, promote) = allocations(|| safeflow_ir::ssa::promote_module(&mut module));
 
     // Before the pp buffers were reused: 34,671 allocations per pass.
     assert!(preprocess <= 6_000, "preprocessing made {preprocess} allocations, budget 6000");
+    // Before the IR named things by `Symbol`: 16,901 allocations, one
+    // `String` per function, parameter, alloca and global name among them.
+    assert!(lower <= 13_000, "lowering made {lower} allocations, budget 13000");
     // Before mem2reg's state was dense and reused: 141,880 allocations
     // over 418 functions, 339 per function.
     assert!(

@@ -5,6 +5,7 @@
 //! module provides those orders.
 
 use crate::module::{Callee, FuncId, InstKind, Module};
+use safeflow_util::Symbol;
 use std::collections::{HashMap, HashSet};
 
 /// The module's call graph over locally-defined functions, plus the set of
@@ -17,7 +18,7 @@ pub struct CallGraph {
     /// `callers[f]` = functions calling `f`.
     pub callers: HashMap<FuncId, Vec<FuncId>>,
     /// External function names each function calls.
-    pub externals: HashMap<FuncId, Vec<String>>,
+    pub externals: HashMap<FuncId, Vec<Symbol>>,
     /// SCCs in reverse topological order (callees before callers), i.e.
     /// bottom-up order.
     pub sccs: Vec<Vec<FuncId>>,
@@ -34,10 +35,10 @@ impl CallGraph {
         }
         let mut callees: HashMap<FuncId, Vec<FuncId>> = empty(&defs);
         let mut callers: HashMap<FuncId, Vec<FuncId>> = empty(&defs);
-        let mut externals: HashMap<FuncId, Vec<String>> = empty(&defs);
+        let mut externals: HashMap<FuncId, Vec<Symbol>> = empty(&defs);
         // The callees seen so far in one function, cleared for the next.
         let mut seen_local: HashSet<FuncId> = HashSet::new();
-        let mut seen_ext: HashSet<&str> = HashSet::new();
+        let mut seen_ext: HashSet<Symbol> = HashSet::new();
         for &fid in &defs {
             let func = module.function(fid);
             seen_local.clear();
@@ -54,15 +55,15 @@ impl CallGraph {
                                     callers.entry(*target).or_default().push(fid);
                                 }
                             } else {
-                                let name = &module.function(*target).name;
+                                let name = module.function(*target).name;
                                 if seen_ext.insert(name) {
-                                    externals.get_mut(&fid).unwrap().push(name.clone());
+                                    externals.get_mut(&fid).unwrap().push(name);
                                 }
                             }
                         }
                         Callee::External(name) => {
-                            if seen_ext.insert(name) {
-                                externals.get_mut(&fid).unwrap().push(name.clone());
+                            if seen_ext.insert(*name) {
+                                externals.get_mut(&fid).unwrap().push(*name);
                             }
                         }
                     }
@@ -234,9 +235,9 @@ mod tests {
         let (m, cg) = build(
             "int c(void) { return 1; }\nint b(void) { return c(); }\nint a(void) { return b(); }",
         );
-        let a = m.function_by_name("a").unwrap();
-        let b = m.function_by_name("b").unwrap();
-        let c = m.function_by_name("c").unwrap();
+        let a = m.function_by_name("a".into()).unwrap();
+        let b = m.function_by_name("b".into()).unwrap();
+        let c = m.function_by_name("c".into()).unwrap();
         let pos = |f| cg.sccs.iter().position(|s| s.contains(&f)).unwrap();
         assert!(pos(c) < pos(b));
         assert!(pos(b) < pos(a));
@@ -250,8 +251,8 @@ mod tests {
         let (m, cg) = build(
             "int odd(int n);\nint even(int n) { if (n == 0) return 1; return odd(n - 1); }\nint odd(int n) { if (n == 0) return 0; return even(n - 1); }",
         );
-        let even = m.function_by_name("even").unwrap();
-        let odd = m.function_by_name("odd").unwrap();
+        let even = m.function_by_name("even".into()).unwrap();
+        let odd = m.function_by_name("odd".into()).unwrap();
         assert_eq!(cg.scc_of[&even], cg.scc_of[&odd]);
         assert!(cg.is_recursive(even));
         assert!(cg.is_recursive(odd));
@@ -260,7 +261,7 @@ mod tests {
     #[test]
     fn self_recursion_detected() {
         let (m, cg) = build("int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }");
-        let f = m.function_by_name("fact").unwrap();
+        let f = m.function_by_name("fact".into()).unwrap();
         assert!(cg.is_recursive(f));
         assert_eq!(cg.sccs.iter().filter(|s| s.contains(&f)).count(), 1);
     }
@@ -269,9 +270,9 @@ mod tests {
     fn externals_and_prototypes_tracked() {
         let (m, cg) =
             build("void sendControl(float v);\nvoid f(void) { sendControl(1.0); tickle(); }");
-        let f = m.function_by_name("f").unwrap();
+        let f = m.function_by_name("f".into()).unwrap();
         let mut ext = cg.externals[&f].clone();
-        ext.sort();
+        ext.sort_by_key(|s| s.as_str());
         assert_eq!(ext, vec!["sendControl", "tickle"]);
         assert!(cg.callees[&f].is_empty());
     }
@@ -281,11 +282,11 @@ mod tests {
         let (m, cg) = build(
             "int d(void) { return 0; }\nint c(void) { return d(); }\nint b(void) { return 0; }\nint main() { return c(); }",
         );
-        let main = m.function_by_name("main").unwrap();
+        let main = m.function_by_name("main".into()).unwrap();
         let reach = cg.reachable_from(main);
-        assert!(reach.contains(&m.function_by_name("c").unwrap()));
-        assert!(reach.contains(&m.function_by_name("d").unwrap()));
-        assert!(!reach.contains(&m.function_by_name("b").unwrap()));
+        assert!(reach.contains(&m.function_by_name("c".into()).unwrap()));
+        assert!(reach.contains(&m.function_by_name("d".into()).unwrap()));
+        assert!(!reach.contains(&m.function_by_name("b".into()).unwrap()));
     }
 
     #[test]
@@ -302,10 +303,10 @@ mod tests {
             assert!(ds.windows(2).all(|w| w[0] < w[1]));
         }
         // main's SCC depends on mid's and the even/odd SCC, not the leaves.
-        let main = m.function_by_name("main").unwrap();
-        let mid = m.function_by_name("mid").unwrap();
-        let even = m.function_by_name("even").unwrap();
-        let leaf1 = m.function_by_name("leaf1").unwrap();
+        let main = m.function_by_name("main".into()).unwrap();
+        let mid = m.function_by_name("mid".into()).unwrap();
+        let even = m.function_by_name("even".into()).unwrap();
+        let leaf1 = m.function_by_name("leaf1".into()).unwrap();
         let main_deps = &deps[cg.scc_of[&main]];
         assert!(main_deps.contains(&cg.scc_of[&mid]));
         assert!(main_deps.contains(&cg.scc_of[&even]));
@@ -318,7 +319,7 @@ mod tests {
     #[test]
     fn duplicate_calls_deduplicated() {
         let (m, cg) = build("int g(void) { return 1; }\nint f(void) { return g() + g(); }");
-        let f = m.function_by_name("f").unwrap();
+        let f = m.function_by_name("f".into()).unwrap();
         assert_eq!(cg.callees[&f].len(), 1);
         let _ = Type::int32();
     }

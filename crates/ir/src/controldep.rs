@@ -23,7 +23,7 @@ use crate::module::BlockId;
 /// let pr = parse_source("d.c", "int f(int a) { int r = 0; if (a) r = 1; return r; }");
 /// let mut diags = Diagnostics::new();
 /// let module = build_module(&pr.unit, &mut diags);
-/// let func = module.function(module.function_by_name("f").unwrap());
+/// let func = module.function(module.function_by_name("f".into()).unwrap());
 /// let cfg = Cfg::build(func);
 /// let cd = ControlDeps::build(&cfg);
 /// // The `if` in the entry block decides whether the then-arm runs.
@@ -93,7 +93,7 @@ mod tests {
         let pr = parse_source("t.c", src);
         assert!(!pr.diags.has_errors());
         let m = build_module(&pr.unit, &mut Diagnostics::new());
-        let f = m.function(m.function_by_name("f").unwrap()).clone();
+        let f = m.function(m.function_by_name("f".into()).unwrap()).clone();
         let cfg = Cfg::build(&f);
         let cd = ControlDeps::build(&cfg);
         (f, cfg, cd)

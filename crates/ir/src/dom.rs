@@ -269,7 +269,7 @@ mod tests {
         let pr = parse_source("t.c", src);
         assert!(!pr.diags.has_errors());
         let m = build_module(&pr.unit, &mut Diagnostics::new());
-        let f = m.function(m.function_by_name("f").unwrap()).clone();
+        let f = m.function(m.function_by_name("f".into()).unwrap()).clone();
         let cfg = Cfg::build(&f);
         let p = PostDomTree::build(&cfg);
         (f, cfg, p)

@@ -216,7 +216,7 @@ mod tests {
         let mut m = lower(&pr.unit, &mut diags);
         assert!(!diags.has_errors());
         promote_module(&mut m);
-        let fid = m.function_by_name(fname).unwrap();
+        let fid = m.function_by_name(fname.into()).unwrap();
         let f = m.function(fid);
         let cfg = Cfg::build(f);
         let dom = DomTree::build(&cfg);

@@ -19,7 +19,6 @@ use safeflow_syntax::ast;
 use safeflow_syntax::ast::{TypeExprKind, UnOp};
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::span::Span;
-use safeflow_util::hash::StableMap;
 use safeflow_util::Symbol;
 use std::borrow::Cow;
 
@@ -32,20 +31,12 @@ pub fn lower(unit: &ast::TranslationUnit, diags: &mut Diagnostics) -> Module {
     let mut lw = Lowerer {
         module: Module::new(),
         ast: &unit.ast,
-        typedefs: StableMap::default(),
-        enum_consts: StableMap::default(),
         diags,
         str_counter: 0,
         bufs: BodyBuffers::default(),
     };
     lw.register_declarations(unit);
     lw.lower_bodies(unit);
-    // The module keeps name-keyed tables (annotation expressions resolve
-    // against them by string); convert from the interned keys once here.
-    lw.module.typedefs =
-        lw.typedefs.into_iter().map(|(k, v)| (k.as_str().to_string(), v)).collect();
-    lw.module.enum_consts =
-        lw.enum_consts.into_iter().map(|(k, v)| (k.as_str().to_string(), v)).collect();
     lw.module
 }
 
@@ -53,8 +44,6 @@ struct Lowerer<'u, 'd> {
     module: Module,
     /// Node arena of the unit being lowered.
     ast: &'u ast::Ast,
-    typedefs: StableMap<Symbol, Type>,
-    enum_consts: StableMap<Symbol, i64>,
     diags: &'d mut Diagnostics,
     str_counter: u32,
     /// Buffers each function body is lowered into, kept for the next one.
@@ -113,13 +102,10 @@ impl<'u, 'd> Lowerer<'u, 'd> {
             match item {
                 ast::Item::Struct(s) => {
                     // Declare first so self-referential pointers resolve.
-                    self.module.types.declare_struct(s.name.as_str(), s.is_union);
-                    let fields: Vec<(String, Type)> = s
-                        .fields
-                        .iter()
-                        .map(|f| (f.name.as_str().to_string(), self.resolve_type(f.ty)))
-                        .collect();
-                    self.module.types.define_struct(s.name.as_str(), fields, s.is_union);
+                    self.module.types.declare_struct(s.name, s.is_union);
+                    let fields: Vec<(Symbol, Type)> =
+                        s.fields.iter().map(|f| (f.name, self.resolve_type(f.ty))).collect();
+                    self.module.types.define_struct(s.name, fields, s.is_union);
                 }
                 ast::Item::Enum(e) => {
                     let mut next = 0i64;
@@ -137,18 +123,18 @@ impl<'u, 'd> Lowerer<'u, 'd> {
                             },
                             None => next,
                         };
-                        self.enum_consts.insert(*name, v);
+                        self.module.enum_consts.insert(*name, v);
                         next = v + 1;
                     }
                 }
                 ast::Item::Typedef(t) => {
                     let ty = self.resolve_type(t.ty);
-                    self.typedefs.insert(t.name, ty);
+                    self.module.typedefs.insert(t.name, ty);
                 }
                 ast::Item::Global(g) => {
                     let ty = self.resolve_type(g.ty);
                     self.module.add_global(Global {
-                        name: g.name.as_str().to_string(),
+                        name: g.name,
                         ty,
                         has_init: g.init.is_some(),
                         span: g.span,
@@ -159,13 +145,10 @@ impl<'u, 'd> Lowerer<'u, 'd> {
                     let params = f
                         .params
                         .iter()
-                        .map(|p| IrParam {
-                            name: p.name.as_str().to_string(),
-                            ty: self.resolve_type(p.ty),
-                        })
+                        .map(|p| IrParam { name: p.name, ty: self.resolve_type(p.ty) })
                         .collect();
                     self.module.add_function(Function {
-                        name: f.name.as_str().to_string(),
+                        name: f.name,
                         ret,
                         params,
                         varargs: f.varargs,
@@ -202,7 +185,7 @@ impl<'u, 'd> Lowerer<'u, 'd> {
             TypeExprKind::Long(s) => Type::Int { bits: 64, signed: s == ast::Signedness::Signed },
             TypeExprKind::Float => Type::f32(),
             TypeExprKind::Double => Type::f64(),
-            TypeExprKind::Named(n) => match self.typedefs.get(&n) {
+            TypeExprKind::Named(n) => match self.module.typedefs.get(&n) {
                 Some(t) => t.clone(),
                 None => {
                     self.diags.error(node.span, format!("unknown type name `{n}`"));
@@ -211,9 +194,9 @@ impl<'u, 'd> Lowerer<'u, 'd> {
             },
             TypeExprKind::Struct(tag) | TypeExprKind::Union(tag) => {
                 let is_union = matches!(node.kind, TypeExprKind::Union(_));
-                let id = self.module.types.struct_by_name(tag.as_str()).unwrap_or_else(|| {
+                let id = self.module.types.struct_by_name(tag).unwrap_or_else(|| {
                     // Forward reference: declare the tag.
-                    self.module.types.declare_struct(tag.as_str(), is_union)
+                    self.module.types.declare_struct(tag, is_union)
                 });
                 Type::Struct(id)
             }
@@ -250,7 +233,7 @@ impl<'u, 'd> Lowerer<'u, 'd> {
         match &self.ast.expr(e).kind {
             EK::IntLit(v) => Some(*v),
             EK::CharLit(v) => Some(*v),
-            EK::Ident(n) => self.enum_consts.get(n).copied(),
+            EK::Ident(n) => self.module.enum_consts.get(n).copied(),
             EK::Unary(UnOp::Neg, inner) => Some(-self.const_eval(*inner)?),
             EK::Unary(UnOp::Plus, inner) => self.const_eval(*inner),
             EK::Unary(UnOp::BitNot, inner) => Some(!self.const_eval(*inner)?),
@@ -309,7 +292,7 @@ impl<'u, 'd> Lowerer<'u, 'd> {
     // ---- function body lowering -------------------------------------------
 
     fn lower_function(&mut self, f: &ast::FuncDef) {
-        let fid = self.module.function_by_name(f.name.as_str()).expect("registered in pass 1");
+        let fid = self.module.function_by_name(f.name).expect("registered in pass 1");
         let ret = self.module.function(fid).ret.clone();
         let params = self.module.function(fid).params.clone();
 
@@ -333,20 +316,17 @@ impl<'u, 'd> Lowerer<'u, 'd> {
         // Spill parameters into allocas so they behave like C lvalues; SSA
         // promotion removes the indirection.
         for (i, p) in params.iter().enumerate() {
-            if p.name.is_empty() {
+            if p.name.as_str().is_empty() {
                 continue;
             }
-            let slot = fl.emit(
-                InstKind::Alloca { ty: p.ty.clone(), name: p.name.clone() },
-                p.ty.ptr_to(),
-                f.span,
-            );
+            let slot =
+                fl.emit(InstKind::Alloca { ty: p.ty.clone(), name: p.name }, p.ty.ptr_to(), f.span);
             fl.emit(
                 InstKind::Store { ptr: Value::Inst(slot), value: Value::Param(i as u32) },
                 Type::Void,
                 f.span,
             );
-            fl.declare(Symbol::intern(&p.name), LocalSlot { addr: slot, ty: p.ty.clone() });
+            fl.declare(p.name, LocalSlot { addr: slot, ty: p.ty.clone() });
         }
 
         let body = f.body.as_ref().expect("definition");
@@ -610,7 +590,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             Annotation::AssertSafe { var, .. } => {
                 // Anchor the assertion at this program point with the
                 // current value of `var`.
-                match self.lookup(Symbol::intern(var)) {
+                match self.lookup(*var) {
                     Some(slot) => {
                         let v = self.emit(
                             InstKind::Load { ptr: Value::Inst(slot.addr) },
@@ -618,14 +598,14 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                             span,
                         );
                         self.emit(
-                            InstKind::AssertSafe { var: var.clone(), value: Value::Inst(v) },
+                            InstKind::AssertSafe { var: *var, value: Value::Inst(v) },
                             Type::Void,
                             span,
                         );
                     }
                     None => {
                         // Maybe a global.
-                        match self.lw.module.global_by_name(var) {
+                        match self.lw.module.global_by_name(*var) {
                             Some(gid) => {
                                 let gty = self.lw.module.global(gid).ty.clone();
                                 let v = self.emit(
@@ -634,10 +614,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                                     span,
                                 );
                                 self.emit(
-                                    InstKind::AssertSafe {
-                                        var: var.clone(),
-                                        value: Value::Inst(v),
-                                    },
+                                    InstKind::AssertSafe { var: *var, value: Value::Inst(v) },
                                     Type::Void,
                                     span,
                                 );
@@ -699,11 +676,8 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
 
     fn lower_local_decl(&mut self, d: &ast::VarDecl) {
         let ty = self.lw.resolve_type(d.ty);
-        let slot = self.emit(
-            InstKind::Alloca { ty: ty.clone(), name: d.name.as_str().to_string() },
-            ty.ptr_to(),
-            d.span,
-        );
+        let slot =
+            self.emit(InstKind::Alloca { ty: ty.clone(), name: d.name }, ty.ptr_to(), d.span);
         self.declare(d.name, LocalSlot { addr: slot, ty: ty.clone() });
         if let Some(init) = d.init {
             self.lower_initializer(Value::Inst(slot), &ty, init, d.span);
@@ -805,7 +779,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             EK::StrLit(s) => self.lower_string_literal(s.as_str(), span),
             EK::Ident(n) => {
                 // Enum constant?
-                if let Some(&v) = self.lw.enum_consts.get(n) {
+                if let Some(&v) = self.lw.module.enum_consts.get(n) {
                     return (Value::ConstInt(v, Type::int32()), Type::int32());
                 }
                 match self.lower_lvalue(e) {
@@ -875,7 +849,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             EK::LogicalOr(l, r) => self.lower_short_circuit(*l, *r, false, span),
             EK::Assign { op, lhs, rhs } => self.lower_assign(op, *lhs, *rhs, span),
             EK::Conditional { cond, then, els } => self.lower_ternary(*cond, *then, *els, span),
-            EK::Call { callee, args } => self.lower_call(callee.as_str(), args, span),
+            EK::Call { callee, args } => self.lower_call(*callee, args, span),
             EK::Cast(te, inner) => {
                 let to = self.lw.resolve_type(*te);
                 let (v, from) = self.lower_rvalue(*inner);
@@ -968,7 +942,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
     }
 
     fn lower_string_literal(&mut self, s: &str, span: Span) -> (Value, Type) {
-        let name = format!("__str_{}", self.lw.str_counter);
+        let name = Symbol::intern(&format!("__str_{}", self.lw.str_counter));
         self.lw.str_counter += 1;
         let ty = Type::Array(Box::new(Type::int8()), s.len() as u64 + 1);
         let gid = self.lw.module.add_global(Global { name, ty, has_init: true, span });
@@ -994,10 +968,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 .lookup(*n)
                 .map(|s| s.ty)
                 .or_else(|| {
-                    self.lw
-                        .module
-                        .global_by_name(n.as_str())
-                        .map(|g| self.lw.module.global(g).ty.clone())
+                    self.lw.module.global_by_name(*n).map(|g| self.lw.module.global(g).ty.clone())
                 })
                 .unwrap_or_else(Type::int32),
             EK::Unary(UnOp::Deref, inner) => {
@@ -1011,7 +982,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 let st = if *arrow { bt.pointee().cloned().unwrap_or(Type::Void) } else { bt };
                 if let Type::Struct(sid) = st {
                     let layout = self.types().layout(sid);
-                    if let Some(i) = layout.field_index(field.as_str()) {
+                    if let Some(i) = layout.field_index(*field) {
                         return layout.fields[i].ty.clone();
                     }
                 }
@@ -1060,7 +1031,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 if let Some(slot) = self.lookup(*n) {
                     return Some(Place { addr: Value::Inst(slot.addr), ty: slot.ty });
                 }
-                if let Some(gid) = self.lw.module.global_by_name(n.as_str()) {
+                if let Some(gid) = self.lw.module.global_by_name(*n) {
                     let ty = self.lw.module.global(gid).ty.clone();
                     return Some(Place { addr: Value::Global(gid), ty });
                 }
@@ -1116,7 +1087,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 match struct_ty {
                     Type::Struct(sid) => {
                         let layout = self.types().layout(sid);
-                        match layout.field_index(field.as_str()) {
+                        match layout.field_index(*field) {
                             Some(i) => {
                                 let fty = layout.fields[i].ty.clone();
                                 let id = self.emit(
@@ -1131,7 +1102,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                                 Some(Place { addr: Value::Inst(id), ty: fty })
                             }
                             None => {
-                                let sname = self.types().layout(sid).name.clone();
+                                let sname = self.types().layout(sid).name;
                                 self.lw.diags.error(
                                     span,
                                     format!("struct `{sname}` has no field `{field}`"),
@@ -1436,7 +1407,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
         (value, place.ty)
     }
 
-    fn lower_call(&mut self, callee: &str, args: &[ast::ExprId], span: Span) -> (Value, Type) {
+    fn lower_call(&mut self, callee: Symbol, args: &[ast::ExprId], span: Span) -> (Value, Type) {
         let mut lowered = Vec::with_capacity(args.len());
         let target = self.lw.module.function_by_name(callee);
         let (callee_kind, ret_ty, param_tys, varargs) = match target {
@@ -1449,12 +1420,9 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                     f.varargs,
                 )
             }
-            None => (
-                Callee::External(callee.to_string()),
-                default_external_ret(callee),
-                Vec::new(),
-                true,
-            ),
+            None => {
+                (Callee::External(callee), default_external_ret(callee.as_str()), Vec::new(), true)
+            }
         };
         for (i, a) in args.iter().enumerate() {
             let a = *a;
@@ -1600,7 +1568,7 @@ mod tests {
     #[test]
     fn lower_simple_function() {
         let m = lower_ok("int add(int a, int b) { return a + b; }");
-        let fid = m.function_by_name("add").unwrap();
+        let fid = m.function_by_name("add".into()).unwrap();
         let f = m.function(fid);
         assert!(f.is_definition);
         assert_eq!(f.params.len(), 2);
@@ -1613,7 +1581,7 @@ mod tests {
     #[test]
     fn lower_if_produces_diamond() {
         let m = lower_ok("int f(int x) { if (x > 0) return 1; else return 2; }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         assert!(f.blocks.len() >= 3);
         assert!(matches!(f.blocks[0].terminator, Terminator::CondBr { .. }));
     }
@@ -1621,7 +1589,7 @@ mod tests {
     #[test]
     fn lower_while_loop_shape() {
         let m = lower_ok("int f(int n) { int s = 0; while (n > 0) { s += n; n--; } return s; }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         // entry, cond, body, exit
         assert!(f.blocks.len() >= 4);
         let names: Vec<_> = f.blocks.iter().map(|b| b.name.clone()).collect();
@@ -1634,7 +1602,7 @@ mod tests {
         let m = lower_ok(
             "typedef struct { float control; int valid; } D;\nfloat get(D *d) { return d->control; }",
         );
-        let f = m.function(m.function_by_name("get").unwrap());
+        let f = m.function(m.function_by_name("get".into()).unwrap());
         let has_field_addr =
             f.insts.iter().any(|i| matches!(i.kind, InstKind::FieldAddr { field: 0, .. }));
         assert!(has_field_addr);
@@ -1643,7 +1611,7 @@ mod tests {
     #[test]
     fn lower_array_indexing() {
         let m = lower_ok("int sum(int *a, int n) { int s = 0; int i; for (i = 0; i < n; i++) s += a[i]; return s; }");
-        let f = m.function(m.function_by_name("sum").unwrap());
+        let f = m.function(m.function_by_name("sum".into()).unwrap());
         let elem_addrs =
             f.insts.iter().filter(|i| matches!(i.kind, InstKind::ElemAddr { .. })).count();
         assert!(elem_addrs >= 1);
@@ -1652,7 +1620,7 @@ mod tests {
     #[test]
     fn lower_pointer_arithmetic_to_elem_addr() {
         let m = lower_ok("typedef struct { float c; } D;\nD *g;\nvoid f(void) { D *p = g + 1; }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         assert!(f.insts.iter().any(|i| matches!(i.kind, InstKind::ElemAddr { .. })));
     }
 
@@ -1660,7 +1628,7 @@ mod tests {
     fn lower_call_binds_local_and_external() {
         let m =
             lower_ok("int helper(int x) { return x; }\nvoid f(void) { helper(1); unknown_fn(2); }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         let mut local = 0;
         let mut external = 0;
         for inst in &f.insts {
@@ -1689,7 +1657,7 @@ mod tests {
             }
             "#,
         );
-        let f = m.function(m.function_by_name("step").unwrap());
+        let f = m.function(m.function_by_name("step".into()).unwrap());
         let anchor = f
             .insts
             .iter()
@@ -1710,7 +1678,7 @@ mod tests {
             }
             "#,
         );
-        let f = m.function(m.function_by_name("initComm").unwrap());
+        let f = m.function(m.function_by_name("initComm".into()).unwrap());
         assert!(f.is_shminit());
         assert!(f
             .annotations
@@ -1721,7 +1689,7 @@ mod tests {
     #[test]
     fn enum_constants_fold() {
         let m = lower_ok("enum M { A, B = 7 };\nint f(void) { return B; }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         assert!(matches!(f.blocks[0].terminator, Terminator::Ret(Some(Value::ConstInt(7, _)))));
     }
 
@@ -1729,21 +1697,21 @@ mod tests {
     fn sizeof_folds_to_constant() {
         let m =
             lower_ok("typedef struct { double a; int b; } T;\nlong f(void) { return sizeof(T); }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         assert!(matches!(f.blocks[0].terminator, Terminator::Ret(Some(Value::ConstInt(16, _)))));
     }
 
     #[test]
     fn short_circuit_creates_blocks() {
         let m = lower_ok("int f(int a, int b) { return a && b; }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         assert!(f.blocks.iter().any(|b| b.name == "and.rhs"));
     }
 
     #[test]
     fn ternary_merges_values() {
         let m = lower_ok("int f(int a) { return a > 0 ? a : 0 - a; }");
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         assert!(f.blocks.iter().any(|b| b.name == "sel.then"));
         assert!(f.blocks.iter().any(|b| b.name == "sel.end"));
     }
@@ -1753,7 +1721,7 @@ mod tests {
         let m = lower_ok(
             "int f(int x) { switch (x) { case 1: return 10; case 2: return 20; default: return 0; } }",
         );
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         let has_switch = f
             .blocks
             .iter()
@@ -1766,7 +1734,7 @@ mod tests {
         let m = lower_ok(
             "int f(int x) { int r = 0; switch (x) { case 1: r = 1; case 2: r = 2; break; } return r; }",
         );
-        let f = m.function(m.function_by_name("f").unwrap());
+        let f = m.function(m.function_by_name("f".into()).unwrap());
         // case0 must branch to case1 (fallthrough).
         let case0 = f.blocks.iter().position(|b| b.name == "switch.case0").unwrap();
         let case1 = f.blocks.iter().position(|b| b.name == "switch.case1").unwrap();
@@ -1776,15 +1744,15 @@ mod tests {
     #[test]
     fn string_literal_becomes_global() {
         let m = lower_ok(r#"void log2(char *s); void f(void) { log2("hi"); }"#);
-        assert!(m.globals.iter().any(|g| g.name.starts_with("__str_")));
+        assert!(m.globals.iter().any(|g| g.name.as_str().starts_with("__str_")));
     }
 
     #[test]
     fn globals_registered_with_types() {
         let m = lower_ok("typedef struct { float c; } D;\nD *noncoreCtrl;\nint counter = 3;");
-        let g = m.global(m.global_by_name("noncoreCtrl").unwrap());
+        let g = m.global(m.global_by_name("noncoreCtrl".into()).unwrap());
         assert!(g.ty.is_ptr());
-        let c = m.global(m.global_by_name("counter").unwrap());
+        let c = m.global(m.global_by_name("counter".into()).unwrap());
         assert!(c.has_init);
     }
 
@@ -1845,9 +1813,9 @@ mod tests {
             }
             "#,
         );
-        let dec = m.function(m.function_by_name("decision").unwrap());
+        let dec = m.function(m.function_by_name("decision".into()).unwrap());
         assert_eq!(dec.annotations.len(), 1);
-        let main = m.function(m.function_by_name("main").unwrap());
+        let main = m.function(m.function_by_name("main".into()).unwrap());
         assert!(main
             .insts
             .iter()

@@ -9,8 +9,9 @@
 use crate::types::{StructId, Type, TypeTable};
 use safeflow_syntax::annot::Annotation;
 use safeflow_syntax::span::Span;
+use safeflow_util::hash::StableMap;
+use safeflow_util::Symbol;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a function within a [`Module`].
@@ -120,7 +121,7 @@ pub enum Callee {
     /// A function defined (or prototyped) in this module.
     Local(FuncId),
     /// An external function known only by name (libc, shm runtime, ...).
-    External(String),
+    External(Symbol),
 }
 
 /// An instruction.
@@ -142,7 +143,7 @@ pub enum InstKind {
         /// Type of the slot.
         ty: Type,
         /// Source-level variable name (for diagnostics and annotations).
-        name: String,
+        name: Symbol,
     },
     /// Read through a pointer.
     Load {
@@ -214,7 +215,7 @@ pub enum InstKind {
     /// into the instruction stream at its program point (paper §3.1).
     AssertSafe {
         /// Source-level name of the asserted variable.
-        var: String,
+        var: Symbol,
         /// The value of `x` at this point.
         value: Value,
     },
@@ -357,7 +358,7 @@ pub struct BasicBlock {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrParam {
     /// Source name.
-    pub name: String,
+    pub name: Symbol,
     /// Resolved type.
     pub ty: Type,
 }
@@ -366,7 +367,7 @@ pub struct IrParam {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
-    pub name: String,
+    pub name: Symbol,
     /// Return type.
     pub ret: Type,
     /// Parameters.
@@ -437,7 +438,7 @@ impl Function {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Global {
     /// Name.
-    pub name: String,
+    pub name: Symbol,
     /// Value type (the global's address has type `ty*`).
     pub ty: Type,
     /// Whether an initializer was present (contents are irrelevant to the
@@ -458,12 +459,12 @@ pub struct Module {
     pub functions: Vec<Function>,
     /// Typedef names resolved during lowering (`SHMData` → its struct
     /// type); annotation expressions like `sizeof(SHMData)` resolve here.
-    pub typedefs: HashMap<String, Type>,
+    pub typedefs: StableMap<Symbol, Type>,
     /// Enum constants resolved during lowering; annotation expressions may
     /// name them.
-    pub enum_consts: HashMap<String, i64>,
-    func_by_name: HashMap<String, FuncId>,
-    global_by_name: HashMap<String, GlobalId>,
+    pub enum_consts: StableMap<Symbol, i64>,
+    func_by_name: StableMap<Symbol, FuncId>,
+    global_by_name: StableMap<Symbol, GlobalId>,
 }
 
 impl Module {
@@ -483,7 +484,7 @@ impl Module {
             return id;
         }
         let id = FuncId(self.functions.len() as u32);
-        self.func_by_name.insert(f.name.clone(), id);
+        self.func_by_name.insert(f.name, id);
         self.functions.push(f);
         id
     }
@@ -494,7 +495,7 @@ impl Module {
             return id;
         }
         let id = GlobalId(self.globals.len() as u32);
-        self.global_by_name.insert(g.name.clone(), id);
+        self.global_by_name.insert(g.name, id);
         self.globals.push(g);
         id
     }
@@ -510,8 +511,8 @@ impl Module {
     }
 
     /// Looks up a function id by name.
-    pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
-        self.func_by_name.get(name).copied()
+    pub fn function_by_name(&self, name: Symbol) -> Option<FuncId> {
+        self.func_by_name.get(&name).copied()
     }
 
     /// The global stored under `id`.
@@ -520,8 +521,8 @@ impl Module {
     }
 
     /// Looks up a global id by name.
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.global_by_name.get(name).copied()
+    pub fn global_by_name(&self, name: Symbol) -> Option<GlobalId> {
+        self.global_by_name.get(&name).copied()
     }
 
     /// Ids of all function definitions (with bodies).
@@ -537,24 +538,24 @@ impl Module {
     /// `Callee::External` and for calls bound to prototypes without bodies
     /// (the common case for libc/shm runtime functions declared in
     /// headers).
-    pub fn external_callee_name<'a>(&'a self, callee: &'a Callee) -> Option<&'a str> {
-        match callee {
+    pub fn external_callee_name(&self, callee: &Callee) -> Option<Symbol> {
+        match *callee {
             Callee::External(n) => Some(n),
-            Callee::Local(f) if !self.function(*f).is_definition => Some(&self.function(*f).name),
+            Callee::Local(f) if !self.function(f).is_definition => Some(self.function(f).name),
             _ => None,
         }
     }
 
     /// Resolves a type name as written in an annotation `sizeof(...)`:
     /// typedef names, struct tags, and primitive names all work.
-    pub fn sizeof_name(&self, name: &str) -> Option<u64> {
-        if let Some(t) = self.typedefs.get(name) {
+    pub fn sizeof_name(&self, name: Symbol) -> Option<u64> {
+        if let Some(t) = self.typedefs.get(&name) {
             return Some(self.types.size_of(t));
         }
         if let Some(id) = self.types.struct_by_name(name) {
             return Some(self.types.layout(id).size);
         }
-        match name {
+        match name.as_str() {
             "char" => Some(1),
             "short" => Some(2),
             "int" | "float" => Some(4),

@@ -452,7 +452,7 @@ mod tests {
     }
 
     fn func<'m>(m: &'m Module, name: &str) -> &'m Function {
-        m.function(m.function_by_name(name).unwrap())
+        m.function(m.function_by_name(name.into()).unwrap())
     }
 
     fn count_kind(f: &Function, pred: impl Fn(&InstKind) -> bool) -> usize {

@@ -5,7 +5,8 @@
 //! sizes and field offsets, which the shared-memory extent reasoning
 //! (`shmvar`/`assume(core(p, off, size))`) needs.
 
-use std::collections::HashMap;
+use safeflow_util::hash::StableMap;
+use safeflow_util::Symbol;
 use std::fmt;
 
 /// Identifier of a struct layout inside a [`TypeTable`].
@@ -130,7 +131,7 @@ impl fmt::Display for Type {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldLayout {
     /// Field name.
-    pub name: String,
+    pub name: Symbol,
     /// Field type.
     pub ty: Type,
     /// Byte offset from the start of the struct (0 for all union members).
@@ -141,7 +142,7 @@ pub struct FieldLayout {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructLayout {
     /// Tag name.
-    pub name: String,
+    pub name: Symbol,
     /// Fields in declaration order.
     pub fields: Vec<FieldLayout>,
     /// Total size in bytes (including padding).
@@ -154,7 +155,7 @@ pub struct StructLayout {
 
 impl StructLayout {
     /// Index of the field called `name`.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
+    pub fn field_index(&self, name: Symbol) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }
 }
@@ -171,7 +172,7 @@ impl StructLayout {
 ///
 /// let mut table = TypeTable::new();
 /// let id = table.define_struct(
-///     "Pair",
+///     "Pair".into(),
 ///     vec![("a".into(), Type::int8()), ("b".into(), Type::int32())],
 ///     false,
 /// );
@@ -182,7 +183,7 @@ impl StructLayout {
 #[derive(Debug, Default, Clone)]
 pub struct TypeTable {
     structs: Vec<StructLayout>,
-    by_name: HashMap<String, StructId>,
+    by_name: StableMap<Symbol, StructId>,
 }
 
 impl TypeTable {
@@ -195,22 +196,22 @@ impl TypeTable {
     /// computes its layout. Returns its id.
     pub fn define_struct(
         &mut self,
-        name: &str,
-        fields: Vec<(String, Type)>,
+        name: Symbol,
+        fields: Vec<(Symbol, Type)>,
         is_union: bool,
     ) -> StructId {
-        let id = match self.by_name.get(name) {
+        let id = match self.by_name.get(&name) {
             Some(&id) => id,
             None => {
                 let id = StructId(self.structs.len() as u32);
                 self.structs.push(StructLayout {
-                    name: name.to_string(),
+                    name,
                     fields: Vec::new(),
                     size: 0,
                     align: 1,
                     is_union,
                 });
-                self.by_name.insert(name.to_string(), id);
+                self.by_name.insert(name, id);
                 id
             }
         };
@@ -244,25 +245,19 @@ impl TypeTable {
     }
 
     /// Declares a struct tag without a body (forward declaration).
-    pub fn declare_struct(&mut self, name: &str, is_union: bool) -> StructId {
-        if let Some(&id) = self.by_name.get(name) {
+    pub fn declare_struct(&mut self, name: Symbol, is_union: bool) -> StructId {
+        if let Some(&id) = self.by_name.get(&name) {
             return id;
         }
         let id = StructId(self.structs.len() as u32);
-        self.structs.push(StructLayout {
-            name: name.to_string(),
-            fields: Vec::new(),
-            size: 0,
-            align: 1,
-            is_union,
-        });
-        self.by_name.insert(name.to_string(), id);
+        self.structs.push(StructLayout { name, fields: Vec::new(), size: 0, align: 1, is_union });
+        self.by_name.insert(name, id);
         id
     }
 
     /// Looks up a struct id by tag name.
-    pub fn struct_by_name(&self, name: &str) -> Option<StructId> {
-        self.by_name.get(name).copied()
+    pub fn struct_by_name(&self, name: Symbol) -> Option<StructId> {
+        self.by_name.get(&name).copied()
     }
 
     /// The layout of `id`.
@@ -356,7 +351,7 @@ mod tests {
     fn struct_layout_with_padding() {
         let mut t = TypeTable::new();
         let id = t.define_struct(
-            "Mixed",
+            "Mixed".into(),
             vec![
                 ("c".into(), Type::int8()),
                 ("d".into(), Type::f64()),
@@ -376,7 +371,7 @@ mod tests {
     fn union_layout() {
         let mut t = TypeTable::new();
         let id = t.define_struct(
-            "U",
+            "U".into(),
             vec![("i".into(), Type::int32()), ("d".into(), Type::f64())],
             true,
         );
@@ -390,9 +385,9 @@ mod tests {
     #[test]
     fn forward_declaration_then_definition() {
         let mut t = TypeTable::new();
-        let fwd = t.declare_struct("Node", false);
+        let fwd = t.declare_struct("Node".into(), false);
         let def = t.define_struct(
-            "Node",
+            "Node".into(),
             vec![("v".into(), Type::int32()), ("next".into(), Type::Struct(fwd).ptr_to())],
             false,
         );
@@ -403,24 +398,27 @@ mod tests {
     #[test]
     fn field_index_lookup() {
         let mut t = TypeTable::new();
-        let id =
-            t.define_struct("P", vec![("x".into(), Type::f32()), ("y".into(), Type::f32())], false);
-        assert_eq!(t.layout(id).field_index("y"), Some(1));
-        assert_eq!(t.layout(id).field_index("z"), None);
+        let id = t.define_struct(
+            "P".into(),
+            vec![("x".into(), Type::f32()), ("y".into(), Type::f32())],
+            false,
+        );
+        assert_eq!(t.layout(id).field_index("y".into()), Some(1));
+        assert_eq!(t.layout(id).field_index("z".into()), None);
     }
 
     #[test]
     fn empty_struct_has_nonzero_size() {
         let mut t = TypeTable::new();
-        let id = t.define_struct("E", vec![], false);
+        let id = t.define_struct("E".into(), vec![], false);
         assert!(t.layout(id).size >= 1);
     }
 
     #[test]
     fn pointee_compatibility_for_p3() {
         let mut t = TypeTable::new();
-        let a = t.define_struct("A", vec![("x".into(), Type::int32())], false);
-        let b = t.define_struct("B", vec![("x".into(), Type::int32())], false);
+        let a = t.define_struct("A".into(), vec![("x".into(), Type::int32())], false);
+        let b = t.define_struct("B".into(), vec![("x".into(), Type::int32())], false);
         assert!(t.compatible_pointees(&Type::Struct(a), &Type::Struct(a)));
         assert!(!t.compatible_pointees(&Type::Struct(a), &Type::Struct(b)));
         assert!(t.compatible_pointees(&Type::Void, &Type::Struct(a)));
@@ -430,7 +428,7 @@ mod tests {
     #[test]
     fn display_uses_struct_names() {
         let mut t = TypeTable::new();
-        let id = t.define_struct("SHMData", vec![("c".into(), Type::f32())], false);
+        let id = t.define_struct("SHMData".into(), vec![("c".into(), Type::f32())], false);
         assert_eq!(t.display(&Type::Struct(id).ptr_to()), "struct SHMData*");
         assert_eq!(t.display(&Type::int32()), "i32");
     }

@@ -36,7 +36,7 @@ pub fn verify_module(module: &Module) -> Vec<VerifyError> {
 
 fn verify_function(module: &Module, func: &Function, errors: &mut Vec<VerifyError>) {
     let fail = |errors: &mut Vec<VerifyError>, msg: String| {
-        errors.push(VerifyError { function: func.name.clone(), message: msg });
+        errors.push(VerifyError { function: func.name.to_string(), message: msg });
     };
 
     if func.blocks.is_empty() {
@@ -84,7 +84,7 @@ fn verify_function(module: &Module, func: &Function, errors: &mut Vec<VerifyErro
             Some(iid) => format!("{bid}/{iid}: {problem}"),
             None => format!("{bid}/terminator: {problem}"),
         };
-        errors.push(VerifyError { function: func.name.clone(), message });
+        errors.push(VerifyError { function: func.name.to_string(), message });
     };
     for (bid, block) in func.iter_blocks() {
         for &iid in &block.insts {
@@ -253,7 +253,7 @@ mod tests {
         let mut m = lower(&pr.unit, &mut diags);
         promote_module(&mut m);
         // Sabotage: drop one phi incoming edge.
-        let fid = m.function_by_name("f").unwrap();
+        let fid = m.function_by_name("f".into()).unwrap();
         let func = m.function_mut(fid);
         let phi_id = func
             .iter_insts()
@@ -273,7 +273,7 @@ mod tests {
         let pr = parse_source("t.c", "int f(void) { int x = 1; return x; }");
         let mut diags = Diagnostics::new();
         let mut m = lower(&pr.unit, &mut diags);
-        let fid = m.function_by_name("f").unwrap();
+        let fid = m.function_by_name("f".into()).unwrap();
         let func = m.function_mut(fid);
         // Sabotage: the store reads a parameter `f` does not have, and the
         // terminator returns a bogus instruction id.

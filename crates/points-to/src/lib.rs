@@ -21,7 +21,7 @@
 //! let mut diags = Diagnostics::new();
 //! let module = build_module(&pr.unit, &mut diags);
 //! let pt = PointsTo::analyze(&module);
-//! let f = module.function_by_name("take").unwrap();
+//! let f = module.function_by_name("take".into()).unwrap();
 //! assert_eq!(pt.return_points_to(f).len(), 1);
 //! ```
 
@@ -239,7 +239,7 @@ impl PointsTo {
             Obj::Stack(f, i) => {
                 let func = module.function(*f);
                 let name = match &func.inst(*i).kind {
-                    InstKind::Alloca { name, .. } => name.clone(),
+                    InstKind::Alloca { name, .. } => name.to_string(),
                     _ => format!("{i:?}"),
                 };
                 format!("local `{name}` in `{}`", func.name)
@@ -247,11 +247,11 @@ impl PointsTo {
             Obj::ExternRet(f, i) => {
                 let func = module.function(*f);
                 let callee = match &func.inst(*i).kind {
-                    InstKind::Call { callee: Callee::External(n), .. } => n.clone(),
+                    InstKind::Call { callee: Callee::External(n), .. } => n.as_str(),
                     InstKind::Call { callee: Callee::Local(lf), .. } => {
-                        module.function(*lf).name.clone()
+                        module.function(*lf).name.as_str()
                     }
-                    _ => "<extern>".to_string(),
+                    _ => "<extern>",
                 };
                 format!("memory returned by `{callee}` in `{}`", func.name)
             }
@@ -560,7 +560,7 @@ mod tests {
     #[test]
     fn address_of_global_points_to_global() {
         let (m, pt) = analyze("int g; int *take(void) { return &g; }");
-        let fid = m.function_by_name("take").unwrap();
+        let fid = m.function_by_name("take".into()).unwrap();
         let ret = pt.return_points_to(fid);
         assert_eq!(ret.len(), 1);
         let d = pt.describe(&m, *ret.iter().next().unwrap());
@@ -571,7 +571,7 @@ mod tests {
     fn pointer_flows_through_call() {
         let (m, pt) =
             analyze("int g;\nint *id(int *p) { return p; }\nint *f(void) { return id(&g); }");
-        let fid = m.function_by_name("f").unwrap();
+        let fid = m.function_by_name("f".into()).unwrap();
         let ret = pt.return_points_to(fid);
         assert!(ret.iter().any(|&o| pt.describe(&m, o).contains("global `g`")));
     }
@@ -581,7 +581,7 @@ mod tests {
         let (m, pt) = analyze(
             "void *shmat(int id, void *a, int f);\nvoid *f(void) { return shmat(0, 0, 0); }",
         );
-        let fid = m.function_by_name("f").unwrap();
+        let fid = m.function_by_name("f".into()).unwrap();
         let ret = pt.return_points_to(fid);
         assert_eq!(ret.len(), 1);
         let d = pt.describe(&m, *ret.iter().next().unwrap());
@@ -600,7 +600,7 @@ mod tests {
             float use(void) { return feedback->c; }
             "#,
         );
-        let use_fid = m.function_by_name("use").unwrap();
+        let use_fid = m.function_by_name("use".into()).unwrap();
         let f = m.function(use_fid);
         let mut found = false;
         for (_, inst) in f.iter_insts() {
@@ -626,7 +626,7 @@ mod tests {
             int *geta(void) { return p.a; }
             "#,
         );
-        let fid = m.function_by_name("geta").unwrap();
+        let fid = m.function_by_name("geta".into()).unwrap();
         let ret = pt.return_points_to(fid);
         let descs: Vec<String> = ret.iter().map(|&o| pt.describe(&m, o)).collect();
         assert!(descs.iter().any(|d| d.contains("global `x`")), "{descs:?}");
@@ -641,7 +641,7 @@ mod tests {
         let (m, pt) = analyze(
             "int g;\nint *arr[4];\nvoid set(int i) { arr[i] = &g; }\nint *get(int j) { return arr[j]; }",
         );
-        let fid = m.function_by_name("get").unwrap();
+        let fid = m.function_by_name("get".into()).unwrap();
         let ret = pt.return_points_to(fid);
         assert!(ret.iter().any(|&o| pt.describe(&m, o).contains("global `g`")));
     }
@@ -650,7 +650,7 @@ mod tests {
     fn escaped_pointer_contents_unknown() {
         let (m, pt) =
             analyze("void mystery(int **p);\nint *f(void) { int *q; mystery(&q); return q; }");
-        let fid = m.function_by_name("f").unwrap();
+        let fid = m.function_by_name("f".into()).unwrap();
         let ret = pt.return_points_to(fid);
         assert!(
             ret.iter().any(|&o| matches!(pt.object(o), Obj::Unknown)),
@@ -662,7 +662,7 @@ mod tests {
     #[test]
     fn locals_are_distinct_objects() {
         let (m, pt) = analyze("void g(int *p, int *q);\nvoid f(void) { int a; int b; g(&a, &b); }");
-        let fid = m.function_by_name("f").unwrap();
+        let fid = m.function_by_name("f".into()).unwrap();
         let stacks: Vec<ObjId> = pt
             .objects()
             .filter(|(_, o)| matches!(o, Obj::Stack(ff, _) if *ff == fid))

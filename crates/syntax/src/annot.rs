@@ -23,7 +23,9 @@
 //! (optionally above another), `declassifier` allows monitors to relabel
 //! between a declared pair, `channel` declares a non-core shared-memory
 //! channel endpoint carrying a declared label, and `assume(declassify(...))`
-//! is the labeled generalization of `assume(core(...))`.
+//! is the labeled generalization of `assume(core(...))`. Label names stay
+//! strings, as the configuration supplies labels too; other names are
+//! [`Symbol`]s.
 //!
 //! Multiple annotations may share a comment block. Size expressions are kept
 //! symbolic ([`AnnExpr`]) and evaluated later against the program's type
@@ -34,6 +36,7 @@ use crate::lexer::lex;
 use crate::source::SourceMap;
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
+use safeflow_util::Symbol;
 
 /// A symbolic constant expression inside an annotation.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,9 +44,9 @@ pub enum AnnExpr {
     /// Integer literal.
     Int(i64),
     /// `sizeof(TypeName)` / `sizeof(struct Tag)` — resolved during binding.
-    Sizeof(String),
+    Sizeof(Symbol),
     /// A named compile-time constant (e.g. an enum constant).
-    Ident(String),
+    Ident(Symbol),
     /// Sum.
     Add(Box<AnnExpr>, Box<AnnExpr>),
     /// Difference.
@@ -84,7 +87,7 @@ pub enum Annotation {
     /// `ptr` in `[offset, offset+size)` may be treated as core (paper §3.1).
     AssumeCore {
         /// Shared-memory pointer name (local or global).
-        ptr: String,
+        ptr: Symbol,
         /// Byte offset of the assumed-core extent.
         offset: AnnExpr,
         /// Byte length of the assumed-core extent.
@@ -96,7 +99,7 @@ pub enum Annotation {
     /// unmonitored non-core value (paper §3.1: critical data).
     AssertSafe {
         /// Asserted variable name.
-        var: String,
+        var: Symbol,
         /// Source location.
         span: Span,
     },
@@ -111,7 +114,7 @@ pub enum Annotation {
     /// (paper §3.2.1).
     ShmVar {
         /// Shared-memory pointer name.
-        ptr: String,
+        ptr: Symbol,
         /// Total byte size addressed through the pointer.
         size: AnnExpr,
         /// Source location.
@@ -121,7 +124,7 @@ pub enum Annotation {
     /// socket descriptor `x`, §3.4.3) may be written by non-core components.
     Noncore {
         /// Pointer or descriptor name.
-        target: String,
+        target: Symbol,
         /// Source location.
         span: Span,
     },
@@ -152,7 +155,7 @@ pub enum Annotation {
     /// labeled generalization of `shmvar` + `noncore`).
     Channel {
         /// Shared-memory pointer name.
-        ptr: String,
+        ptr: Symbol,
         /// Total byte size addressed through the pointer.
         size: AnnExpr,
         /// Declared channel label.
@@ -166,7 +169,7 @@ pub enum Annotation {
     /// matching `declassifier` in the policy).
     AssumeDeclassify {
         /// Shared-memory pointer name (local or global).
-        ptr: String,
+        ptr: Symbol,
         /// Byte offset of the declassified extent.
         offset: AnnExpr,
         /// Byte length of the declassified extent.
@@ -331,10 +334,10 @@ impl<'d> AnnParser<'d> {
         }
     }
 
-    fn expect_ident(&mut self) -> Option<String> {
+    fn expect_ident(&mut self) -> Option<Symbol> {
         let at = self.here();
         match self.bump() {
-            TokenKind::Ident(s) => Some(s.as_str().to_string()),
+            TokenKind::Ident(s) => Some(s),
             other => {
                 self.diags.error(
                     at,
@@ -421,17 +424,18 @@ impl<'d> AnnParser<'d> {
             }
             "label" => {
                 self.expect_punct(Punct::LParen).then_some(())?;
-                let name = self.expect_ident()?;
+                let name = self.expect_ident()?.to_string();
                 let below =
                     if self.eat_punct(Punct::Comma) { Some(self.expect_ident()?) } else { None };
                 self.expect_punct(Punct::RParen).then_some(())?;
+                let below = below.map(|b| b.to_string());
                 Some(Annotation::Label { name, below, span: self.span })
             }
             "declassifier" => {
                 self.expect_punct(Punct::LParen).then_some(())?;
-                let from = self.expect_ident()?;
+                let from = self.expect_ident()?.to_string();
                 self.expect_punct(Punct::Comma).then_some(())?;
-                let to = self.expect_ident()?;
+                let to = self.expect_ident()?.to_string();
                 self.expect_punct(Punct::RParen).then_some(())?;
                 Some(Annotation::Declassifier { from, to, span: self.span })
             }
@@ -441,7 +445,7 @@ impl<'d> AnnParser<'d> {
                 self.expect_punct(Punct::Comma).then_some(())?;
                 let size = self.parse_expr()?;
                 self.expect_punct(Punct::Comma).then_some(())?;
-                let label = self.expect_ident()?;
+                let label = self.expect_ident()?.to_string();
                 self.expect_punct(Punct::RParen).then_some(())?;
                 Some(Annotation::Channel { ptr, size, label, span: self.span })
             }
@@ -453,7 +457,7 @@ impl<'d> AnnParser<'d> {
                 self.expect_punct(Punct::Comma).then_some(())?;
                 let size = self.parse_expr()?;
                 self.expect_punct(Punct::Comma).then_some(())?;
-                let to = self.expect_ident()?;
+                let to = self.expect_ident()?.to_string();
                 self.expect_punct(Punct::RParen).then_some(())?;
                 Some(Annotation::AssumeDeclassify { ptr, offset, size, to, span: self.span })
             }
@@ -518,11 +522,11 @@ impl<'d> AnnParser<'d> {
                 // Accept `sizeof(Name)`, `sizeof(struct Tag)`, and primitive
                 // type names.
                 let name = match self.bump() {
-                    TokenKind::Ident(s) => s.as_str().to_string(),
+                    TokenKind::Ident(s) => s,
                     TokenKind::Keyword(Keyword::Struct) | TokenKind::Keyword(Keyword::Union) => {
                         self.expect_ident()?
                     }
-                    TokenKind::Keyword(k) => k.as_str().to_string(),
+                    TokenKind::Keyword(k) => Symbol::intern(k.as_str()),
                     other => {
                         self.diags.error(
                             self.here(),
@@ -534,7 +538,7 @@ impl<'d> AnnParser<'d> {
                 self.expect_punct(Punct::RParen).then_some(())?;
                 Some(AnnExpr::Sizeof(name))
             }
-            TokenKind::Ident(s) => Some(AnnExpr::Ident(s.as_str().to_string())),
+            TokenKind::Ident(s) => Some(AnnExpr::Ident(s)),
             other => {
                 self.diags.error(
                     self.here(),

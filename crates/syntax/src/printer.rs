@@ -500,7 +500,7 @@ fn ann_expr(e: &AnnExpr) -> String {
     match e {
         AnnExpr::Int(v) => v.to_string(),
         AnnExpr::Sizeof(n) => format!("sizeof({n})"),
-        AnnExpr::Ident(n) => n.clone(),
+        AnnExpr::Ident(n) => n.to_string(),
         AnnExpr::Add(a, b) => format!("({} + {})", ann_expr(a), ann_expr(b)),
         AnnExpr::Sub(a, b) => format!("({} - {})", ann_expr(a), ann_expr(b)),
         AnnExpr::Mul(a, b) => format!("({} * {})", ann_expr(a), ann_expr(b)),

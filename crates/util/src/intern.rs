@@ -31,7 +31,9 @@ use std::sync::{Mutex, OnceLock};
 /// Symbols obtained from [`Symbol::intern`] resolve via
 /// [`Symbol::as_str`]; symbols from an owned [`Interner`] resolve through
 /// that interner. The two id spaces are unrelated — do not mix them.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A symbol has no order (its id depends on interning order): sort by
+/// [`Symbol::as_str`]. `Debug` and `Display` print the string, never the id.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 
 impl Symbol {
@@ -40,7 +42,8 @@ impl Symbol {
         global().lock().expect("interner lock").intern(s)
     }
 
-    /// Resolves a globally-interned symbol.
+    /// Resolves a globally-interned symbol. Takes the global interner's
+    /// lock, so hot loops compare symbols rather than strings.
     ///
     /// The `'static` lifetime is real: the global interner's arena is
     /// never dropped.
@@ -60,9 +63,10 @@ impl Symbol {
     }
 }
 
+/// Prints exactly what the string's `Debug` prints, as a `String` field would.
 impl std::fmt::Debug for Symbol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Symbol({})", self.0)
+        std::fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -176,6 +180,13 @@ mod tests {
         let b = Symbol::intern("global_stability_probe");
         assert_eq!(a, b);
         assert_eq!(a.as_str(), "global_stability_probe");
+    }
+
+    #[test]
+    fn debug_prints_the_string() {
+        for s in ["feedback", "", "a\"b", "line\n", "back\\slash"] {
+            assert_eq!(format!("{:?}", Symbol::intern(s)), format!("{s:?}"));
+        }
     }
 
     #[test]
