@@ -24,7 +24,10 @@ help:
 	@echo "                   solver calls, store invalidations; the context"
 	@echo "                   engine's contexts and body passes) against pinned"
 	@echo "                   values, and the allocation budgets of the frontend"
-	@echo "                   and of a whole cold check on it"
+	@echo "                   and of a whole cold check on it, plus that check's"
+	@echo "                   peak-bytes budget (live heap above its input) and"
+	@echo "                   the growth of its peak bytes per LOC from 6 to 36"
+	@echo "                   branches per stage"
 	@echo "  bench-serve      daemon latency + overload drill -> BENCH_serve.json"
 	@echo "  fuzz-smoke       long parser/lexer robustness fuzz run"
 	@echo "  oracle-smoke     64-seed differential oracle, both engines (CI gate)"
@@ -73,7 +76,7 @@ sfbench:
 # exactly, where wall time cannot be. A change that lowers one on purpose
 # updates the pinned value. The allocation counts of the frontend and of a
 # whole cold check on the same corpus are exact too, and are held under a
-# budget.
+# budget, as are the check's peak live bytes.
 bench-check:
 	$(CARGO) test --release -q -p safeflow --test monorepo bench_corpus_
 	$(CARGO) test --release -q -p safeflow --test frontend_allocs

@@ -52,7 +52,10 @@ use crate::regions::RegionMap;
 use crate::scope::Scope;
 use crate::shmptr::ShmPointers;
 use crate::summary::Summary;
-use safeflow_ir::{CallGraph, Callee, FuncId, GlobalId, InstKind, Module, Terminator, Type, Value};
+use safeflow_ir::{
+    CallGraph, Callee, FuncId, GlobalId, InstKind, Module, Terminator, Type, TypeKind, TypeTable,
+    Value,
+};
 use safeflow_points_to::PointsTo;
 use safeflow_syntax::annot::{AnnExpr, Annotation};
 use safeflow_syntax::span::Span;
@@ -185,15 +188,15 @@ fn function_sig(
     fid: FuncId,
     assumed: Option<&Scope>,
 ) -> u64 {
-    let func = module.function(fid);
+    let (func, types) = (module.function(fid), &module.types);
     let mut h = StableHasher::new();
     h.write_str(func.name.as_str());
-    hash_type(&mut h, &func.ret);
+    hash_type(&mut h, types, func.ret);
     h.write_u8(func.is_definition as u8);
     h.write_usize(func.params.len());
     for p in &func.params {
         h.write_str(p.name.as_str());
-        hash_type(&mut h, &p.ty);
+        hash_type(&mut h, types, p.ty);
     }
     h.write_usize(func.annotations.len());
     for ann in &func.annotations {
@@ -217,14 +220,14 @@ fn function_sig(
         for &iid in &block.insts {
             let inst = func.inst(iid);
             h.write_u32(iid.0);
-            hash_inst_kind(&mut h, &inst.kind);
-            hash_type(&mut h, &inst.ty);
+            hash_inst_kind(&mut h, types, &inst.kind);
+            hash_type(&mut h, types, inst.ty);
             hash_span(&mut h, inst.span);
             hash_value_facts(&mut h, shm, pt, fid, &Value::Inst(iid));
             // Store/load targets have facts on their operands too.
             inst.kind.for_each_operand(|op| hash_value_facts(&mut h, shm, pt, fid, op));
         }
-        hash_terminator(&mut h, &block.terminator);
+        hash_terminator(&mut h, types, &block.terminator);
     }
     h.finish()
 }
@@ -257,35 +260,38 @@ fn hash_span(h: &mut StableHasher, span: Span) {
     h.write_u32(span.hi);
 }
 
-fn hash_type(h: &mut StableHasher, ty: &Type) {
-    match ty {
-        Type::Void => h.write_u8(0),
-        Type::Int { bits, signed } => {
+/// Folds in the structure of `ty`, read through `types`. A handle's index
+/// is never written: it depends on the order the module first used its
+/// types, so a key built from it would move with unrelated code.
+fn hash_type(h: &mut StableHasher, types: &TypeTable, ty: Type) {
+    match types.kind(ty) {
+        TypeKind::Void => h.write_u8(0),
+        TypeKind::Int { bits, signed } => {
             h.write_u8(1);
-            h.write_u8(*bits);
-            h.write_u8(*signed as u8);
+            h.write_u8(bits);
+            h.write_u8(signed as u8);
         }
-        Type::Float { bits } => {
+        TypeKind::Float { bits } => {
             h.write_u8(2);
-            h.write_u8(*bits);
+            h.write_u8(bits);
         }
-        Type::Ptr(pointee) => {
+        TypeKind::Ptr(pointee) => {
             h.write_u8(3);
-            hash_type(h, pointee);
+            hash_type(h, types, pointee);
         }
-        Type::Array(elem, len) => {
+        TypeKind::Array(elem, len) => {
             h.write_u8(4);
-            hash_type(h, elem);
-            h.write_u64(*len);
+            hash_type(h, types, elem);
+            h.write_u64(len);
         }
-        Type::Struct(id) => {
+        TypeKind::Struct(id) => {
             h.write_u8(5);
             h.write_u32(id.0);
         }
     }
 }
 
-fn hash_value(h: &mut StableHasher, v: &Value) {
+fn hash_value(h: &mut StableHasher, types: &TypeTable, v: &Value) {
     match v {
         Value::Inst(id) => {
             h.write_u8(0);
@@ -302,63 +308,63 @@ fn hash_value(h: &mut StableHasher, v: &Value) {
         Value::ConstInt(c, ty) => {
             h.write_u8(3);
             h.write_i64(*c);
-            hash_type(h, ty);
+            hash_type(h, types, *ty);
         }
         Value::ConstFloat(c, ty) => {
             h.write_u8(4);
             h.write_u64(c.to_bits());
-            hash_type(h, ty);
+            hash_type(h, types, *ty);
         }
         Value::ConstNull(ty) => {
             h.write_u8(5);
-            hash_type(h, ty);
+            hash_type(h, types, *ty);
         }
     }
 }
 
-fn hash_inst_kind(h: &mut StableHasher, kind: &InstKind) {
+fn hash_inst_kind(h: &mut StableHasher, types: &TypeTable, kind: &InstKind) {
     match kind {
         InstKind::Alloca { ty, name } => {
             h.write_u8(0);
-            hash_type(h, ty);
+            hash_type(h, types, *ty);
             h.write_str(name.as_str());
         }
         InstKind::Load { ptr } => {
             h.write_u8(1);
-            hash_value(h, ptr);
+            hash_value(h, types, ptr);
         }
         InstKind::Store { ptr, value } => {
             h.write_u8(2);
-            hash_value(h, ptr);
-            hash_value(h, value);
+            hash_value(h, types, ptr);
+            hash_value(h, types, value);
         }
         InstKind::FieldAddr { base, struct_id, field } => {
             h.write_u8(3);
-            hash_value(h, base);
+            hash_value(h, types, base);
             h.write_u32(struct_id.0);
             h.write_u32(*field);
         }
         InstKind::ElemAddr { base, index } => {
             h.write_u8(4);
-            hash_value(h, base);
-            hash_value(h, index);
+            hash_value(h, types, base);
+            hash_value(h, types, index);
         }
         InstKind::Bin { op, lhs, rhs } => {
             h.write_u8(5);
             h.write_u8(*op as u8);
-            hash_value(h, lhs);
-            hash_value(h, rhs);
+            hash_value(h, types, lhs);
+            hash_value(h, types, rhs);
         }
         InstKind::Cmp { op, lhs, rhs } => {
             h.write_u8(6);
             h.write_u8(*op as u8);
-            hash_value(h, lhs);
-            hash_value(h, rhs);
+            hash_value(h, types, lhs);
+            hash_value(h, types, rhs);
         }
         InstKind::Cast { kind, value } => {
             h.write_u8(7);
             h.write_u8(*kind as u8);
-            hash_value(h, value);
+            hash_value(h, types, value);
         }
         InstKind::Call { callee, args } => {
             h.write_u8(8);
@@ -374,7 +380,7 @@ fn hash_inst_kind(h: &mut StableHasher, kind: &InstKind) {
             }
             h.write_usize(args.len());
             for a in args {
-                hash_value(h, a);
+                hash_value(h, types, a);
             }
         }
         InstKind::Phi { incoming } => {
@@ -382,18 +388,18 @@ fn hash_inst_kind(h: &mut StableHasher, kind: &InstKind) {
             h.write_usize(incoming.len());
             for (b, v) in incoming {
                 h.write_u32(b.0);
-                hash_value(h, v);
+                hash_value(h, types, v);
             }
         }
         InstKind::AssertSafe { var, value } => {
             h.write_u8(10);
             h.write_str(var.as_str());
-            hash_value(h, value);
+            hash_value(h, types, value);
         }
     }
 }
 
-fn hash_terminator(h: &mut StableHasher, term: &Terminator) {
+fn hash_terminator(h: &mut StableHasher, types: &TypeTable, term: &Terminator) {
     match term {
         Terminator::Br(b) => {
             h.write_u8(0);
@@ -401,13 +407,13 @@ fn hash_terminator(h: &mut StableHasher, term: &Terminator) {
         }
         Terminator::CondBr { cond, then_bb, else_bb } => {
             h.write_u8(1);
-            hash_value(h, cond);
+            hash_value(h, types, cond);
             h.write_u32(then_bb.0);
             h.write_u32(else_bb.0);
         }
         Terminator::Switch { value, cases, default } => {
             h.write_u8(2);
-            hash_value(h, value);
+            hash_value(h, types, value);
             h.write_usize(cases.len());
             for (c, b) in cases {
                 h.write_i64(*c);
@@ -421,7 +427,7 @@ fn hash_terminator(h: &mut StableHasher, term: &Terminator) {
                 None => h.write_u8(0),
                 Some(v) => {
                     h.write_u8(1);
-                    hash_value(h, v);
+                    hash_value(h, types, v);
                 }
             }
         }
@@ -624,21 +630,23 @@ mod tests {
 
     /// A function with one instruction of every kind and one terminator
     /// of every kind, for the hash-sensitivity test.
-    fn every_variant() -> Function {
-        let p32 = Type::int32().ptr_to();
+    /// The types it uses are interned in `types`.
+    fn every_variant(types: &mut TypeTable) -> Function {
+        let p32 = types.ptr_to(Type::int32());
+        let buf = types.array_of(p32, 4);
         let (i, f64c) = (|n| Value::Inst(InstId(n)), Value::ConstFloat(1.5, Type::f64()));
         #[rustfmt::skip]
         let kinds = vec![
-            (InstKind::Alloca { ty: Type::Array(Box::new(p32.clone()), 4), name: "buf".into() }, p32.clone()),
+            (InstKind::Alloca { ty: buf, name: "buf".into() }, p32),
             (InstKind::Load { ptr: Value::Param(0) }, Type::int32()),
-            (InstKind::Store { ptr: i(0), value: Value::i32(5) }, Type::Void),
-            (InstKind::FieldAddr { base: Value::Param(0), struct_id: StructId(0), field: 1 }, p32.clone()),
-            (InstKind::ElemAddr { base: i(0), index: Value::ConstInt(2, Type::int64()) }, p32.clone()),
+            (InstKind::Store { ptr: i(0), value: Value::i32(5) }, Type::VOID),
+            (InstKind::FieldAddr { base: Value::Param(0), struct_id: StructId(0), field: 1 }, p32),
+            (InstKind::ElemAddr { base: i(0), index: Value::ConstInt(2, Type::int64()) }, p32),
             (InstKind::Bin { op: BinOp::Add, lhs: i(1), rhs: f64c }, Type::f64()),
             (InstKind::Cmp { op: CmpOp::Lt, lhs: i(5), rhs: Value::ConstNull(Type::void_ptr()) }, Type::int32()),
             (InstKind::Cast { kind: CastKind::IntToFloat, value: Value::Global(GlobalId(0)) }, Type::f32()),
             (InstKind::Call { callee: Callee::Local(FuncId(0)), args: vec![i(1), Value::Param(0)] }, Type::int32()),
-            (InstKind::AssertSafe { var: "x".into(), value: i(8) }, Type::Void),
+            (InstKind::AssertSafe { var: "x".into(), value: i(8) }, Type::VOID),
             (InstKind::Call { callee: Callee::External("kill".into()), args: vec![] }, Type::int32()),
             (InstKind::Phi { incoming: vec![(BlockId(1), i(1)), (BlockId(2), Value::i32(0))] }, Type::int32()),
         ];
@@ -678,10 +686,12 @@ mod tests {
         }
     }
 
-    /// `function_sig` of `func` over empty fact tables, so only the
-    /// structural walk can tell two functions apart.
-    fn bare_sig(func: &Function) -> u64 {
+    /// `function_sig` of `func`, whose types are interned in `types`, over
+    /// empty fact tables, so only the structural walk can tell two
+    /// functions apart.
+    fn bare_sig(func: &Function, types: &TypeTable) -> u64 {
         let mut m = Module::new();
+        m.types = types.clone();
         let fid = m.add_function(func.clone());
         let pt = PointsTo::analyze(&Module::new());
         function_sig(&m, &ShmPointers::default(), &pt, fid, None)
@@ -693,16 +703,29 @@ mod tests {
     /// declarator span either).
     #[test]
     fn every_ir_field_changes_the_function_sig() {
-        type Edit = fn(&mut Function);
+        type Edit = fn(&mut Function, &mut TypeTable);
         fn k(f: &mut Function, i: usize) -> &mut InstKind {
             &mut f.insts[i].kind
+        }
+        /// Rebuilds the type `[n x e]` of alloca 0 from `remake(e, n)`.
+        fn remake_array(
+            f: &mut Function,
+            t: &mut TypeTable,
+            remake: impl FnOnce(&mut TypeTable, Type, u64) -> (Type, u64),
+        ) {
+            if let InstKind::Alloca { ty, .. } = k(f, 0) {
+                if let TypeKind::Array(e, n) = t.kind(*ty) {
+                    let (e, n) = remake(t, e, n);
+                    *ty = t.array_of(e, n);
+                }
+            }
         }
         /// Sets operand `n` of instruction `i` to `v`.
         fn op(f: &mut Function, i: usize, n: usize, v: Value) {
             let mut at = 0;
             f.insts[i].kind.for_each_operand_mut(|o| {
                 if at == n {
-                    *o = v.clone();
+                    *o = v;
                 }
                 at += 1;
             });
@@ -714,86 +737,87 @@ mod tests {
         // match leaves the IR unchanged, which the loop below rejects.
         #[rustfmt::skip]
         let edits: &[(&str, Edit)] = &[
-            ("function name", |f| f.name = "g".into()),
-            ("return type", |f| f.ret = Type::int64()),
-            ("is_definition", |f| f.is_definition = false),
-            ("param name", |f| f.params[0].name = "q".into()),
-            ("param type", |f| f.params[0].ty = Type::int8().ptr_to()),
-            ("annotation kind", |f| f.annotations[0] = Annotation::ShmInit { span: f.annotations[0].span() }),
-            ("annotation span", |f| if let Annotation::AssumeCore { span, .. } = &mut f.annotations[0] { span.lo += 1 }),
-            ("annotation pointer", |f| if let Annotation::AssumeCore { ptr, .. } = &mut f.annotations[0] { *ptr = "q".into() }),
-            ("annotation constant", |f| if let Annotation::AssumeCore { offset, .. } = &mut f.annotations[0] { *offset = AnnExpr::Int(4) }),
-            ("annotation operator", |f| if let Annotation::AssumeCore { size, .. } = &mut f.annotations[0] {
+            ("function name", |f, _| f.name = "g".into()),
+            ("return type", |f, _| f.ret = Type::int64()),
+            ("is_definition", |f, _| f.is_definition = false),
+            ("param name", |f, _| f.params[0].name = "q".into()),
+            ("param type", |f, t| f.params[0].ty = t.ptr_to(Type::int8())),
+            ("annotation kind", |f, _| f.annotations[0] = Annotation::ShmInit { span: f.annotations[0].span() }),
+            ("annotation span", |f, _| if let Annotation::AssumeCore { span, .. } = &mut f.annotations[0] { span.lo += 1 }),
+            ("annotation pointer", |f, _| if let Annotation::AssumeCore { ptr, .. } = &mut f.annotations[0] { *ptr = "q".into() }),
+            ("annotation constant", |f, _| if let Annotation::AssumeCore { offset, .. } = &mut f.annotations[0] { *offset = AnnExpr::Int(4) }),
+            ("annotation operator", |f, _| if let Annotation::AssumeCore { size, .. } = &mut f.annotations[0] {
                 if let AnnExpr::Mul(a, b) = size.clone() { *size = AnnExpr::Add(a, b) }
             }),
-            ("annotation sizeof -> ident", |f| if let Annotation::AssumeCore { size, .. } = &mut f.annotations[0] {
+            ("annotation sizeof -> ident", |f, _| if let Annotation::AssumeCore { size, .. } = &mut f.annotations[0] {
                 if let AnnExpr::Mul(_, b) = size.clone() { *size = AnnExpr::Mul(Box::new(AnnExpr::Ident("int".into())), b) }
             }),
-            ("instruction type", |f| f.insts[1].ty = Type::int64()),
-            ("span file", |f| f.insts[1].span.file = FileId(1)),
-            ("span lo", |f| f.insts[1].span.lo += 1),
-            ("span hi", |f| f.insts[1].span.hi += 1),
-            ("array length", |f| if let InstKind::Alloca { ty: Type::Array(_, n), .. } = k(f, 0) { *n = 5 }),
-            ("nested pointer", |f| if let InstKind::Alloca { ty: Type::Array(e, _), .. } = k(f, 0) { **e = e.ptr_to() }),
-            ("pointee type", |f| if let InstKind::Alloca { ty: Type::Array(e, _), .. } = k(f, 0) { **e = Type::Struct(StructId(0)).ptr_to() }),
-            ("struct type id", |f| f.insts[0].ty = Type::Struct(StructId(1))),
-            ("alloca name", |f| if let InstKind::Alloca { name, .. } = k(f, 0) { *name = Symbol::intern(&format!("{name}2")) }),
-            ("param -> inst operand", |f| op(f, 1, 0, Value::Inst(InstId(0)))),
-            ("param -> global operand", |f| op(f, 1, 0, Value::Global(GlobalId(0)))),
-            ("param index", |f| op(f, 1, 0, Value::Param(1))),
-            ("inst id", |f| op(f, 2, 0, Value::Inst(InstId(3)))),
-            ("integer constant", |f| op(f, 2, 1, Value::i32(6))),
-            ("integer constant width", |f| op(f, 2, 1, Value::ConstInt(5, Type::int64()))),
-            ("integer constant sign", |f| op(f, 2, 1, Value::ConstInt(5, Type::Int { bits: 32, signed: false }))),
-            ("integer -> null constant", |f| op(f, 2, 1, Value::ConstNull(Type::int32()))),
-            ("field struct", |f| if let InstKind::FieldAddr { struct_id, .. } = k(f, 3) { *struct_id = StructId(1) }),
-            ("field index", |f| if let InstKind::FieldAddr { field, .. } = k(f, 3) { *field = 2 }),
-            ("field base", |f| op(f, 3, 0, Value::Inst(InstId(0)))),
-            ("element base", |f| op(f, 4, 0, Value::Param(0))),
-            ("element index", |f| op(f, 4, 1, Value::ConstInt(3, Type::int64()))),
-            ("binary operator", |f| if let InstKind::Bin { op, .. } = k(f, 5) { *op = BinOp::Sub }),
-            ("binary lhs", |f| op(f, 5, 0, Value::Inst(InstId(2)))),
-            ("float constant bits", |f| op(f, 5, 1, Value::ConstFloat(2.5, Type::f64()))),
-            ("float constant width", |f| op(f, 5, 1, Value::ConstFloat(1.5, Type::f32()))),
-            ("operands swapped", |f| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5) { std::mem::swap(lhs, rhs) }),
-            ("bin -> cmp", |f| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5).clone() { *k(f, 5) = InstKind::Cmp { op: CmpOp::Eq, lhs, rhs } }),
-            ("compare operator", |f| if let InstKind::Cmp { op, .. } = k(f, 6) { *op = CmpOp::Le }),
-            ("null pointer type", |f| op(f, 6, 1, Value::ConstNull(Type::int8().ptr_to()))),
-            ("cast kind", |f| if let InstKind::Cast { kind, .. } = k(f, 7) { *kind = CastKind::IntToInt }),
-            ("global id", |f| op(f, 7, 0, Value::Global(GlobalId(1)))),
-            ("local callee id", |f| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::Local(FuncId(1)) }),
-            ("local -> external callee", |f| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::External("f".into()) }),
-            ("call argument dropped", |f| if let InstKind::Call { args, .. } = k(f, 8) { args.pop(); }),
-            ("call arguments reordered", |f| if let InstKind::Call { args, .. } = k(f, 8) { args.reverse() }),
-            ("asserted name", |f| if let InstKind::AssertSafe { var, .. } = k(f, 9) { *var = "y".into() }),
-            ("asserted value", |f| op(f, 9, 0, Value::Inst(InstId(1)))),
-            ("external callee name", |f| if let InstKind::Call { callee: Callee::External(n), .. } = k(f, 10) { *n = Symbol::intern(&format!("{n}pg")) }),
-            ("phi incoming block", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming[0].0 = BlockId(0) }),
-            ("phi incoming value", |f| op(f, 11, 1, Value::i32(1))),
-            ("phi arm dropped", |f| if let InstKind::Phi { incoming } = k(f, 11) { incoming.pop(); }),
-            ("instruction moved to another block", |f| if let Some(id) = f.blocks[0].insts.pop() { f.blocks[2].insts.push(id) }),
-            ("branch condition", |f| if let Terminator::CondBr { cond, .. } = t(f, 0) { *cond = Value::Inst(InstId(1)) }),
-            ("branch then target", |f| if let Terminator::CondBr { then_bb, .. } = t(f, 0) { *then_bb = BlockId(3) }),
-            ("branch else target", |f| if let Terminator::CondBr { else_bb, .. } = t(f, 0) { *else_bb = BlockId(3) }),
-            ("switch value", |f| if let Terminator::Switch { value, .. } = t(f, 1) { *value = Value::Inst(InstId(5)) }),
-            ("switch case constant", |f| if let Terminator::Switch { cases, .. } = t(f, 1) { cases[1].0 = 3 }),
-            ("switch case target", |f| if let Terminator::Switch { cases, .. } = t(f, 1) { cases[0].1 = BlockId(3) }),
-            ("switch case dropped", |f| if let Terminator::Switch { cases, .. } = t(f, 1) { cases.pop(); }),
-            ("switch default", |f| if let Terminator::Switch { default, .. } = t(f, 1) { *default = BlockId(2) }),
-            ("jump target", |f| *t(f, 2) = Terminator::Br(BlockId(4))),
-            ("returned value", |f| *t(f, 3) = Terminator::Ret(Some(Value::Inst(InstId(1))))),
-            ("value return -> void return", |f| *t(f, 3) = Terminator::Ret(None)),
-            ("void return -> unreachable", |f| *t(f, 4) = Terminator::Unreachable),
-            ("unreachable -> jump", |f| *t(f, 5) = Terminator::Br(BlockId(0))),
+            ("instruction type", |f, _| f.insts[1].ty = Type::int64()),
+            ("span file", |f, _| f.insts[1].span.file = FileId(1)),
+            ("span lo", |f, _| f.insts[1].span.lo += 1),
+            ("span hi", |f, _| f.insts[1].span.hi += 1),
+            ("array length", |f, t| remake_array(f, t, |_, e, _| (e, 5))),
+            ("nested pointer", |f, t| remake_array(f, t, |t, e, n| (t.ptr_to(e), n))),
+            ("pointee type", |f, t| remake_array(f, t, |t, _, n| { let s = t.intern(TypeKind::Struct(StructId(0))); (t.ptr_to(s), n) })),
+            ("struct type id", |f, t| f.insts[0].ty = t.intern(TypeKind::Struct(StructId(1)))),
+            ("alloca name", |f, _| if let InstKind::Alloca { name, .. } = k(f, 0) { *name = Symbol::intern(&format!("{name}2")) }),
+            ("param -> inst operand", |f, _| op(f, 1, 0, Value::Inst(InstId(0)))),
+            ("param -> global operand", |f, _| op(f, 1, 0, Value::Global(GlobalId(0)))),
+            ("param index", |f, _| op(f, 1, 0, Value::Param(1))),
+            ("inst id", |f, _| op(f, 2, 0, Value::Inst(InstId(3)))),
+            ("integer constant", |f, _| op(f, 2, 1, Value::i32(6))),
+            ("integer constant width", |f, _| op(f, 2, 1, Value::ConstInt(5, Type::int64()))),
+            ("integer constant sign", |f, _| op(f, 2, 1, Value::ConstInt(5, Type::int(32, false)))),
+            ("integer -> null constant", |f, _| op(f, 2, 1, Value::ConstNull(Type::int32()))),
+            ("field struct", |f, _| if let InstKind::FieldAddr { struct_id, .. } = k(f, 3) { *struct_id = StructId(1) }),
+            ("field index", |f, _| if let InstKind::FieldAddr { field, .. } = k(f, 3) { *field = 2 }),
+            ("field base", |f, _| op(f, 3, 0, Value::Inst(InstId(0)))),
+            ("element base", |f, _| op(f, 4, 0, Value::Param(0))),
+            ("element index", |f, _| op(f, 4, 1, Value::ConstInt(3, Type::int64()))),
+            ("binary operator", |f, _| if let InstKind::Bin { op, .. } = k(f, 5) { *op = BinOp::Sub }),
+            ("binary lhs", |f, _| op(f, 5, 0, Value::Inst(InstId(2)))),
+            ("float constant bits", |f, _| op(f, 5, 1, Value::ConstFloat(2.5, Type::f64()))),
+            ("float constant width", |f, _| op(f, 5, 1, Value::ConstFloat(1.5, Type::f32()))),
+            ("operands swapped", |f, _| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5) { std::mem::swap(lhs, rhs) }),
+            ("bin -> cmp", |f, _| if let InstKind::Bin { lhs, rhs, .. } = k(f, 5).clone() { *k(f, 5) = InstKind::Cmp { op: CmpOp::Eq, lhs, rhs } }),
+            ("compare operator", |f, _| if let InstKind::Cmp { op, .. } = k(f, 6) { *op = CmpOp::Le }),
+            ("null pointer type", |f, t| op(f, 6, 1, Value::ConstNull(t.ptr_to(Type::int8())))),
+            ("cast kind", |f, _| if let InstKind::Cast { kind, .. } = k(f, 7) { *kind = CastKind::IntToInt }),
+            ("global id", |f, _| op(f, 7, 0, Value::Global(GlobalId(1)))),
+            ("local callee id", |f, _| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::Local(FuncId(1)) }),
+            ("local -> external callee", |f, _| if let InstKind::Call { callee, .. } = k(f, 8) { *callee = Callee::External("f".into()) }),
+            ("call argument dropped", |f, _| if let InstKind::Call { args, .. } = k(f, 8) { args.pop(); }),
+            ("call arguments reordered", |f, _| if let InstKind::Call { args, .. } = k(f, 8) { args.reverse() }),
+            ("asserted name", |f, _| if let InstKind::AssertSafe { var, .. } = k(f, 9) { *var = "y".into() }),
+            ("asserted value", |f, _| op(f, 9, 0, Value::Inst(InstId(1)))),
+            ("external callee name", |f, _| if let InstKind::Call { callee: Callee::External(n), .. } = k(f, 10) { *n = Symbol::intern(&format!("{n}pg")) }),
+            ("phi incoming block", |f, _| if let InstKind::Phi { incoming } = k(f, 11) { incoming[0].0 = BlockId(0) }),
+            ("phi incoming value", |f, _| op(f, 11, 1, Value::i32(1))),
+            ("phi arm dropped", |f, _| if let InstKind::Phi { incoming } = k(f, 11) { incoming.pop(); }),
+            ("instruction moved to another block", |f, _| if let Some(id) = f.blocks[0].insts.pop() { f.blocks[2].insts.push(id) }),
+            ("branch condition", |f, _| if let Terminator::CondBr { cond, .. } = t(f, 0) { *cond = Value::Inst(InstId(1)) }),
+            ("branch then target", |f, _| if let Terminator::CondBr { then_bb, .. } = t(f, 0) { *then_bb = BlockId(3) }),
+            ("branch else target", |f, _| if let Terminator::CondBr { else_bb, .. } = t(f, 0) { *else_bb = BlockId(3) }),
+            ("switch value", |f, _| if let Terminator::Switch { value, .. } = t(f, 1) { *value = Value::Inst(InstId(5)) }),
+            ("switch case constant", |f, _| if let Terminator::Switch { cases, .. } = t(f, 1) { cases[1].0 = 3 }),
+            ("switch case target", |f, _| if let Terminator::Switch { cases, .. } = t(f, 1) { cases[0].1 = BlockId(3) }),
+            ("switch case dropped", |f, _| if let Terminator::Switch { cases, .. } = t(f, 1) { cases.pop(); }),
+            ("switch default", |f, _| if let Terminator::Switch { default, .. } = t(f, 1) { *default = BlockId(2) }),
+            ("jump target", |f, _| *t(f, 2) = Terminator::Br(BlockId(4))),
+            ("returned value", |f, _| *t(f, 3) = Terminator::Ret(Some(Value::Inst(InstId(1))))),
+            ("value return -> void return", |f, _| *t(f, 3) = Terminator::Ret(None)),
+            ("void return -> unreachable", |f, _| *t(f, 4) = Terminator::Unreachable),
+            ("unreachable -> jump", |f, _| *t(f, 5) = Terminator::Br(BlockId(0))),
         ];
-        let base_fn = every_variant();
-        let base = bare_sig(&base_fn);
+        let mut types = TypeTable::new();
+        let base_fn = every_variant(&mut types);
+        let base = bare_sig(&base_fn, &types);
         let mut sigs = BTreeMap::new();
         for (name, edit) in edits {
             let mut f = base_fn.clone();
-            edit(&mut f);
+            edit(&mut f, &mut types);
             assert_ne!(f, base_fn, "{name}: the edit must change the IR");
-            let sig = bare_sig(&f);
+            let sig = bare_sig(&f, &types);
             assert_ne!(sig, base, "{name}: the edit did not reach function_sig");
             if let Some(other) = sigs.insert(sig, *name) {
                 panic!("`{name}` and `{other}` hash alike");
@@ -803,7 +827,7 @@ mod tests {
         let with_float = |c: f64| {
             let mut f = base_fn.clone();
             op(&mut f, 5, 1, Value::ConstFloat(c, Type::f64()));
-            bare_sig(&f)
+            bare_sig(&f, &types)
         };
         assert_ne!(with_float(0.0), with_float(-0.0));
     }

@@ -12,7 +12,7 @@
 //! same segment must not overlap, and must fit in the segment when its
 //! size is a known constant.
 
-use safeflow_ir::{BinOp, FuncId, GlobalId, InstId, InstKind, Module, Terminator, Type, Value};
+use safeflow_ir::{BinOp, FuncId, GlobalId, InstId, InstKind, Module, Terminator, Value};
 use safeflow_syntax::annot::{AnnExpr, Annotation};
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::span::Span;
@@ -134,8 +134,7 @@ pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
                     );
                     continue;
                 };
-                let gty = &module.global(gid).ty;
-                let Some(pointee) = gty.pointee() else {
+                let Some(pointee) = module.types.pointee(module.global(gid).ty) else {
                     diags.error(*span, format!("{fact}({ptr}, ...): `{ptr}` is not a pointer"));
                     continue;
                 };
@@ -154,10 +153,7 @@ pub fn extract_regions(module: &Module, diags: &mut Diagnostics) -> RegionMap {
                     diags.error(*span, format!("{fact}({ptr}, ...): region already declared"));
                     continue;
                 }
-                let elem_size = match pointee {
-                    Type::Void => 1,
-                    t => module.types.size_of(t).max(1),
-                };
+                let elem_size = module.types.size_of(pointee).max(1);
                 let id = RegionId(map.regions.len() as u32);
                 map.regions.push(Region {
                     id,
@@ -265,8 +261,11 @@ fn interpret_init(module: &Module, fid: FuncId, attach: Symbol, map: &mut Region
                 InstKind::ElemAddr { base, index } => {
                     let b = resolve(base, &env, &genv);
                     let i = resolve(index, &env, &genv);
-                    let elem =
-                        inst.ty.pointee().map(|t| module.types.size_of(t).max(1)).unwrap_or(1);
+                    let elem = module
+                        .types
+                        .pointee(inst.ty)
+                        .map(|t| module.types.size_of(t).max(1))
+                        .unwrap_or(1);
                     match (b, i) {
                         (AbsVal::Seg(s, off), AbsVal::Int(k)) => {
                             env.insert(iid, AbsVal::Seg(s, off + k * elem as i64));

@@ -21,7 +21,7 @@ use crate::report::{Degradation, DegradationKind, Restriction, RestrictionViolat
 use crate::shmptr::ShmPointers;
 use safeflow_ir::{
     loops::{find_loops, Loop},
-    CallGraph, CastKind, Cfg, DomTree, FuncId, Function, InstId, InstKind, Module, Type, Value,
+    CallGraph, CastKind, Cfg, DomTree, FuncId, Function, InstId, InstKind, Module, TypeKind, Value,
 };
 use safeflow_solver::{Entailment, LinExpr, SolveStats, SolverLimits, System, Var};
 use safeflow_util::fault::FaultSite;
@@ -403,20 +403,20 @@ fn check_p3_in(
             }
             CastKind::PtrToPtr => {
                 let from = module.value_type(func, value);
-                let (Some(fp), Some(tp)) = (from.pointee(), inst.ty.pointee()) else {
+                let (Some(fp), Some(tp)) =
+                    (module.types.pointee(from), module.types.pointee(inst.ty))
+                else {
                     continue;
                 };
-                if !module.types.compatible_pointees(fp, tp)
-                    && !matches!(fp, Type::Int { bits: 8, .. })
-                    && !matches!(tp, Type::Int { bits: 8, .. })
-                {
+                let is_byte = |t| matches!(module.types.kind(t), TypeKind::Int { bits: 8, .. });
+                if !module.types.compatible_pointees(fp, tp) && !is_byte(fp) && !is_byte(tp) {
                     out.push(RestrictionViolation {
                         restriction: Restriction::P3,
                         function: func.name.to_string(),
                         message: format!(
                             "shared-memory pointer cast between incompatible types `{}` and `{}`",
-                            module.types.display(&from),
-                            module.types.display(&inst.ty)
+                            module.types.display(from),
+                            module.types.display(inst.ty)
                         ),
                         span: inst.span,
                     });
@@ -721,9 +721,9 @@ fn array_bound(
             if index.as_const_int() == Some(0) {
                 if let Value::Inst(fid2) = inner {
                     if let InstKind::FieldAddr { struct_id, field, .. } = &func.inst(*fid2).kind {
-                        let fty = &module.types.layout(*struct_id).fields[*field as usize].ty;
-                        if let Type::Array(_, n) = fty {
-                            return Some((*n, 0));
+                        let fty = module.types.layout(*struct_id).fields[*field as usize].ty;
+                        if let TypeKind::Array(_, n) = module.types.kind(fty) {
+                            return Some((n, 0));
                         }
                     }
                 }

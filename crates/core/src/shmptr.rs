@@ -246,7 +246,7 @@ pub fn identify_shm_pointers(module: &Module, regions: &RegionMap) -> ShmPointer
                         }));
                         changed |= sp.extend(this, &facts);
                     }
-                    InstKind::Cast { value, .. } if inst.ty.is_ptr() => {
+                    InstKind::Cast { value, .. } if module.types.is_ptr(inst.ty) => {
                         facts.extend(sp.regions_of_ref(fid, value));
                         changed |= sp.extend(this, &facts);
                     }

@@ -5,11 +5,10 @@
 //! module provides those orders.
 
 use crate::module::{Callee, FuncId, InstKind, Module};
-use safeflow_util::Symbol;
 use std::collections::{HashMap, HashSet};
 
-/// The module's call graph over locally-defined functions, plus the set of
-/// external callees per function.
+/// The module's call graph over locally-defined functions. Calls to
+/// prototypes without bodies and to external names are not edges.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     /// `callees[f]` = locally-bound call targets of `f` (deduplicated, in
@@ -17,8 +16,6 @@ pub struct CallGraph {
     pub callees: HashMap<FuncId, Vec<FuncId>>,
     /// `callers[f]` = functions calling `f`.
     pub callers: HashMap<FuncId, Vec<FuncId>>,
-    /// External function names each function calls.
-    pub externals: HashMap<FuncId, Vec<Symbol>>,
     /// SCCs in reverse topological order (callees before callers), i.e.
     /// bottom-up order.
     pub sccs: Vec<Vec<FuncId>>,
@@ -35,43 +32,23 @@ impl CallGraph {
         }
         let mut callees: HashMap<FuncId, Vec<FuncId>> = empty(&defs);
         let mut callers: HashMap<FuncId, Vec<FuncId>> = empty(&defs);
-        let mut externals: HashMap<FuncId, Vec<Symbol>> = empty(&defs);
         // The callees seen so far in one function, cleared for the next.
-        let mut seen_local: HashSet<FuncId> = HashSet::new();
-        let mut seen_ext: HashSet<Symbol> = HashSet::new();
+        let mut seen: HashSet<FuncId> = HashSet::new();
         for &fid in &defs {
-            let func = module.function(fid);
-            seen_local.clear();
-            seen_ext.clear();
-            for (_, inst) in func.iter_insts() {
-                if let InstKind::Call { callee, .. } = &inst.kind {
-                    match callee {
-                        Callee::Local(target) => {
-                            // Calls to prototypes without bodies are treated
-                            // like external calls for graph purposes.
-                            if module.function(*target).is_definition {
-                                if seen_local.insert(*target) {
-                                    callees.get_mut(&fid).unwrap().push(*target);
-                                    callers.entry(*target).or_default().push(fid);
-                                }
-                            } else {
-                                let name = module.function(*target).name;
-                                if seen_ext.insert(name) {
-                                    externals.get_mut(&fid).unwrap().push(name);
-                                }
-                            }
-                        }
-                        Callee::External(name) => {
-                            if seen_ext.insert(*name) {
-                                externals.get_mut(&fid).unwrap().push(*name);
-                            }
-                        }
+            seen.clear();
+            for (_, inst) in module.function(fid).iter_insts() {
+                // Calls to prototypes without bodies are treated like
+                // external calls: they are not edges.
+                if let InstKind::Call { callee: Callee::Local(target), .. } = inst.kind {
+                    if module.function(target).is_definition && seen.insert(target) {
+                        callees.get_mut(&fid).unwrap().push(target);
+                        callers.entry(target).or_default().push(fid);
                     }
                 }
             }
         }
         let (sccs, scc_of) = tarjan(&defs, &callees);
-        CallGraph { callees, callers, externals, sccs, scc_of }
+        CallGraph { callees, callers, sccs, scc_of }
     }
 
     /// The condensation DAG as a dependency list over SCC indices:
@@ -267,14 +244,17 @@ mod tests {
     }
 
     #[test]
-    fn externals_and_prototypes_tracked() {
-        let (m, cg) =
-            build("void sendControl(float v);\nvoid f(void) { sendControl(1.0); tickle(); }");
+    fn calls_to_prototypes_are_not_callees() {
+        let (m, cg) = build(
+            "void sendControl(float v);\nint g(void) { return 1; }\nvoid f(void) { sendControl(1.0); tickle(); g(); }",
+        );
         let f = m.function_by_name("f".into()).unwrap();
-        let mut ext = cg.externals[&f].clone();
-        ext.sort_by_key(|s| s.as_str());
-        assert_eq!(ext, vec!["sendControl", "tickle"]);
-        assert!(cg.callees[&f].is_empty());
+        let g = m.function_by_name("g".into()).unwrap();
+        let send = m.function_by_name("sendControl".into()).unwrap();
+        assert_eq!(cg.callees[&f], vec![g]);
+        assert!(!cg.callers.contains_key(&send));
+        assert!(!cg.scc_of.contains_key(&send));
+        assert!(cg.sccs.iter().all(|scc| !scc.contains(&send)));
     }
 
     #[test]

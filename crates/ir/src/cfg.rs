@@ -277,7 +277,7 @@ mod tests {
     fn func_with_blocks(blocks: Vec<BasicBlock>) -> Function {
         Function {
             name: "t".into(),
-            ret: Type::Void,
+            ret: Type::VOID,
             params: vec![],
             varargs: false,
             insts: vec![],

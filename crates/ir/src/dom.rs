@@ -189,7 +189,7 @@ mod tests {
     fn func(blocks: Vec<BasicBlock>) -> Function {
         Function {
             name: "t".into(),
-            ret: Type::Void,
+            ret: Type::VOID,
             params: vec![],
             varargs: false,
             insts: vec![],

@@ -137,7 +137,7 @@ mod tests {
         let mut m = Module::new();
         m.add_function(Function {
             name: "f".into(),
-            ret: Type::Void,
+            ret: Type::VOID,
             params: vec![IrParam { name: "p".into(), ty: Type::int32() }],
             varargs: true,
             insts: Vec::new(),

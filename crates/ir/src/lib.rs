@@ -49,7 +49,7 @@ pub use module::{
     BasicBlock, BinOp, BlockId, Callee, CastKind, CmpOp, FuncId, Function, Global, GlobalId, Inst,
     InstId, InstKind, IrParam, Module, Terminator, Value,
 };
-pub use types::{FieldLayout, StructId, StructLayout, Type, TypeTable};
+pub use types::{FieldLayout, StructId, StructLayout, Type, TypeKind, TypeTable};
 
 use safeflow_syntax::diag::Diagnostics;
 use safeflow_syntax::TranslationUnit;

@@ -127,7 +127,7 @@ fn find_ivs(func: &Function, l: &Loop) -> Vec<InductionVar> {
             } else {
                 // Entry edge.
                 match &init {
-                    None => init = Some(v.clone()),
+                    None => init = Some(*v),
                     Some(prev) if prev == v => {}
                     _ => ok = false,
                 }
@@ -182,11 +182,7 @@ fn find_exit_test(func: &Function, l: &Loop) -> Option<ExitTest> {
     if then_in == else_in {
         return None; // not a rotated-exit loop shape we understand
     }
-    let (op, lhs, rhs) = if then_in {
-        (*op, lhs.clone(), rhs.clone())
-    } else {
-        (negate(*op), lhs.clone(), rhs.clone())
-    };
+    let (op, lhs, rhs) = if then_in { (*op, *lhs, *rhs) } else { (negate(*op), *lhs, *rhs) };
     Some(ExitTest { lhs, op, rhs })
 }
 

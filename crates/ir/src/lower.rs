@@ -13,7 +13,7 @@
 //! function-level annotations are copied onto the [`Function`].
 
 use crate::module::*;
-use crate::types::{Type, TypeTable};
+use crate::types::{Type, TypeKind, TypeTable};
 use safeflow_syntax::annot::Annotation;
 use safeflow_syntax::ast;
 use safeflow_syntax::ast::{TypeExprKind, UnOp};
@@ -178,15 +178,15 @@ impl<'u, 'd> Lowerer<'u, 'd> {
     fn resolve_type(&mut self, te: ast::TypeId) -> Type {
         let node = *self.ast.type_expr(te);
         match node.kind {
-            TypeExprKind::Void => Type::Void,
-            TypeExprKind::Char(s) => Type::Int { bits: 8, signed: s == ast::Signedness::Signed },
-            TypeExprKind::Short(s) => Type::Int { bits: 16, signed: s == ast::Signedness::Signed },
-            TypeExprKind::Int(s) => Type::Int { bits: 32, signed: s == ast::Signedness::Signed },
-            TypeExprKind::Long(s) => Type::Int { bits: 64, signed: s == ast::Signedness::Signed },
+            TypeExprKind::Void => Type::VOID,
+            TypeExprKind::Char(s) => Type::int(8, s == ast::Signedness::Signed),
+            TypeExprKind::Short(s) => Type::int(16, s == ast::Signedness::Signed),
+            TypeExprKind::Int(s) => Type::int(32, s == ast::Signedness::Signed),
+            TypeExprKind::Long(s) => Type::int(64, s == ast::Signedness::Signed),
             TypeExprKind::Float => Type::f32(),
             TypeExprKind::Double => Type::f64(),
             TypeExprKind::Named(n) => match self.module.typedefs.get(&n) {
-                Some(t) => t.clone(),
+                Some(&t) => t,
                 None => {
                     self.diags.error(node.span, format!("unknown type name `{n}`"));
                     Type::int32()
@@ -198,10 +198,13 @@ impl<'u, 'd> Lowerer<'u, 'd> {
                     // Forward reference: declare the tag.
                     self.module.types.declare_struct(tag, is_union)
                 });
-                Type::Struct(id)
+                self.module.types.intern(TypeKind::Struct(id))
             }
             TypeExprKind::Enum(_) => Type::int32(),
-            TypeExprKind::Ptr(inner) => self.resolve_type(inner).ptr_to(),
+            TypeExprKind::Ptr(inner) => {
+                let pointee = self.resolve_type(inner);
+                self.module.types.ptr_to(pointee)
+            }
             TypeExprKind::Array(inner, size) => {
                 let elem = self.resolve_type(inner);
                 let n = match size {
@@ -221,7 +224,7 @@ impl<'u, 'd> Lowerer<'u, 'd> {
                         1
                     }
                 };
-                Type::Array(Box::new(elem), n)
+                self.module.types.array_of(elem, n)
             }
         }
     }
@@ -274,7 +277,7 @@ impl<'u, 'd> Lowerer<'u, 'd> {
             }
             EK::SizeofType(te) => {
                 let ty = self.resolve_type(*te);
-                Some(self.module.types.size_of(&ty) as i64)
+                Some(self.module.types.size_of(ty) as i64)
             }
             EK::Conditional { cond, then, els } => {
                 let (cond, then, els) = (*cond, *then, *els);
@@ -293,8 +296,8 @@ impl<'u, 'd> Lowerer<'u, 'd> {
 
     fn lower_function(&mut self, f: &ast::FuncDef) {
         let fid = self.module.function_by_name(f.name).expect("registered in pass 1");
-        let ret = self.module.function(fid).ret.clone();
-        let params = self.module.function(fid).params.clone();
+        let ret = self.module.function(fid).ret;
+        let n_params = self.module.function(fid).params.len();
 
         let mut bufs = std::mem::take(&mut self.bufs);
         bufs.blocks.push(BasicBlock {
@@ -310,23 +313,24 @@ impl<'u, 'd> Lowerer<'u, 'd> {
             terminated: false,
             loops: Vec::new(),
             extra_annotations: Vec::new(),
-            ret_ty: ret.clone(),
+            ret_ty: ret,
         };
 
         // Spill parameters into allocas so they behave like C lvalues; SSA
         // promotion removes the indirection.
-        for (i, p) in params.iter().enumerate() {
+        for i in 0..n_params {
+            let p = fl.lw.module.function(fid).params[i];
             if p.name.as_str().is_empty() {
                 continue;
             }
-            let slot =
-                fl.emit(InstKind::Alloca { ty: p.ty.clone(), name: p.name }, p.ty.ptr_to(), f.span);
+            let addr_ty = fl.ptr_to(p.ty);
+            let slot = fl.emit(InstKind::Alloca { ty: p.ty, name: p.name }, addr_ty, f.span);
             fl.emit(
                 InstKind::Store { ptr: Value::Inst(slot), value: Value::Param(i as u32) },
-                Type::Void,
+                Type::VOID,
                 f.span,
             );
-            fl.declare(p.name, LocalSlot { addr: slot, ty: p.ty.clone() });
+            fl.declare(p.name, LocalSlot { addr: slot, ty: p.ty });
         }
 
         let body = f.body.as_ref().expect("definition");
@@ -334,7 +338,7 @@ impl<'u, 'd> Lowerer<'u, 'd> {
 
         // Implicit return at the end of the function.
         if !fl.terminated {
-            let term = if ret == Type::Void {
+            let term = if ret == Type::VOID {
                 Terminator::Ret(None)
             } else if f.name == "main" {
                 Terminator::Ret(Some(Value::i32(0)))
@@ -355,7 +359,7 @@ impl<'u, 'd> Lowerer<'u, 'd> {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct LocalSlot {
     addr: InstId,
     ty: Type,
@@ -376,6 +380,7 @@ struct FnLower<'a, 'u, 'd> {
 }
 
 /// What an lvalue lowered to: an address plus the value type stored there.
+#[derive(Clone, Copy)]
 struct Place {
     addr: Value,
     ty: Type,
@@ -427,7 +432,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
     /// The innermost local named `name`; a redeclaration in one scope
     /// shadows the earlier one.
     fn lookup(&self, name: Symbol) -> Option<LocalSlot> {
-        self.b.locals.iter().rev().find(|(n, _)| *n == name).map(|(_, slot)| slot.clone())
+        self.b.locals.iter().rev().find(|(n, _)| *n == name).map(|&(_, slot)| slot)
     }
 
     /// Declares a local in the innermost scope.
@@ -446,6 +451,14 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
 
     fn types(&self) -> &TypeTable {
         &self.lw.module.types
+    }
+
+    fn kind(&self, ty: Type) -> TypeKind {
+        self.lw.module.types.kind(ty)
+    }
+
+    fn ptr_to(&mut self, ty: Type) -> Type {
+        self.lw.module.types.ptr_to(ty)
     }
 
     // ---- statements ----
@@ -566,8 +579,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                     Some(e) => {
                         let e = *e;
                         let (v, ty) = self.lower_rvalue(e);
-                        let ret_ty = self.ret_ty.clone();
-                        Some(self.coerce(v, &ty, &ret_ty, ast.expr(e).span))
+                        Some(self.coerce(v, ty, self.ret_ty, ast.expr(e).span))
                     }
                     None => None,
                 };
@@ -599,7 +611,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                         );
                         self.emit(
                             InstKind::AssertSafe { var: *var, value: Value::Inst(v) },
-                            Type::Void,
+                            Type::VOID,
                             span,
                         );
                     }
@@ -607,7 +619,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                         // Maybe a global.
                         match self.lw.module.global_by_name(*var) {
                             Some(gid) => {
-                                let gty = self.lw.module.global(gid).ty.clone();
+                                let gty = self.lw.module.global(gid).ty;
                                 let v = self.emit(
                                     InstKind::Load { ptr: Value::Global(gid) },
                                     gty,
@@ -615,7 +627,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                                 );
                                 self.emit(
                                     InstKind::AssertSafe { var: *var, value: Value::Inst(v) },
-                                    Type::Void,
+                                    Type::VOID,
                                     span,
                                 );
                             }
@@ -637,7 +649,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
 
     fn lower_switch(&mut self, scrutinee: ast::ExprId, cases: &[ast::SwitchCase], span: Span) {
         let (scrut, sty) = self.lower_rvalue(scrutinee);
-        let scrut = self.coerce(scrut, &sty, &Type::int64(), span);
+        let scrut = self.coerce(scrut, sty, Type::int64(), span);
         let exit_bb = self.new_block("switch.end");
 
         // Create one block per case arm.
@@ -676,53 +688,51 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
 
     fn lower_local_decl(&mut self, d: &ast::VarDecl) {
         let ty = self.lw.resolve_type(d.ty);
-        let slot =
-            self.emit(InstKind::Alloca { ty: ty.clone(), name: d.name }, ty.ptr_to(), d.span);
-        self.declare(d.name, LocalSlot { addr: slot, ty: ty.clone() });
+        let addr_ty = self.ptr_to(ty);
+        let slot = self.emit(InstKind::Alloca { ty, name: d.name }, addr_ty, d.span);
+        self.declare(d.name, LocalSlot { addr: slot, ty });
         if let Some(init) = d.init {
-            self.lower_initializer(Value::Inst(slot), &ty, init, d.span);
+            self.lower_initializer(Value::Inst(slot), ty, init, d.span);
         }
     }
 
-    fn lower_initializer(&mut self, addr: Value, ty: &Type, init: ast::InitId, span: Span) {
+    fn lower_initializer(&mut self, addr: Value, ty: Type, init: ast::InitId, span: Span) {
         let ast = self.lw.ast;
-        match (ast.init(init), ty) {
+        match (ast.init(init), self.kind(ty)) {
             (ast::Initializer::Expr(e), _) => {
                 let e = *e;
                 let (v, vty) = self.lower_rvalue(e);
-                let v = self.coerce(v, &vty, ty, ast.expr(e).span);
-                self.emit(InstKind::Store { ptr: addr, value: v }, Type::Void, span);
+                let v = self.coerce(v, vty, ty, ast.expr(e).span);
+                self.emit(InstKind::Store { ptr: addr, value: v }, Type::VOID, span);
             }
-            (ast::Initializer::List(items, lspan), Type::Array(elem, n)) => {
-                if items.len() as u64 > *n {
+            (ast::Initializer::List(items, lspan), TypeKind::Array(elem, n)) => {
+                if items.len() as u64 > n {
                     self.lw.diags.error(*lspan, "too many initializers for array");
                 }
-                for (i, item) in items.iter().enumerate().take(*n as usize) {
+                let elem_ptr = self.ptr_to(elem);
+                for (i, item) in items.iter().enumerate().take(n as usize) {
                     let eaddr = self.emit(
-                        InstKind::ElemAddr { base: addr.clone(), index: Value::i32(i as i64) },
-                        (**elem).ptr_to(),
+                        InstKind::ElemAddr { base: addr, index: Value::i32(i as i64) },
+                        elem_ptr,
                         *lspan,
                     );
                     self.lower_initializer(Value::Inst(eaddr), elem, *item, *lspan);
                 }
             }
-            (ast::Initializer::List(items, lspan), Type::Struct(sid)) => {
-                let layout = self.types().layout(*sid).clone();
-                if items.len() > layout.fields.len() {
+            (ast::Initializer::List(items, lspan), TypeKind::Struct(sid)) => {
+                let n_fields = self.types().layout(sid).fields.len();
+                if items.len() > n_fields {
                     self.lw.diags.error(*lspan, "too many initializers for struct");
                 }
-                for (i, item) in items.iter().enumerate().take(layout.fields.len()) {
-                    let fty = layout.fields[i].ty.clone();
+                for (i, item) in items.iter().enumerate().take(n_fields) {
+                    let fty = self.types().layout(sid).fields[i].ty;
+                    let field_ptr = self.ptr_to(fty);
                     let faddr = self.emit(
-                        InstKind::FieldAddr {
-                            base: addr.clone(),
-                            struct_id: *sid,
-                            field: i as u32,
-                        },
-                        fty.ptr_to(),
+                        InstKind::FieldAddr { base: addr, struct_id: sid, field: i as u32 },
+                        field_ptr,
                         *lspan,
                     );
-                    self.lower_initializer(Value::Inst(faddr), &fty, *item, *lspan);
+                    self.lower_initializer(Value::Inst(faddr), fty, *item, *lspan);
                 }
             }
             (ast::Initializer::List(items, lspan), _) => {
@@ -741,18 +751,18 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
     fn lower_condition(&mut self, e: ast::ExprId) -> Value {
         let span = self.lw.ast.expr(e).span;
         let (v, ty) = self.lower_rvalue(e);
-        match ty {
-            Type::Int { .. } => v,
-            Type::Ptr(_) => {
-                let null = Value::ConstNull(ty.clone());
+        match self.kind(ty) {
+            TypeKind::Int { .. } => v,
+            TypeKind::Ptr(_) => {
+                let null = Value::ConstNull(ty);
                 Value::Inst(self.emit(
                     InstKind::Cmp { op: CmpOp::Ne, lhs: v, rhs: null },
                     Type::int32(),
                     span,
                 ))
             }
-            Type::Float { .. } => {
-                let zero = Value::ConstFloat(0.0, ty.clone());
+            TypeKind::Float { .. } => {
+                let zero = Value::ConstFloat(0.0, ty);
                 Value::Inst(self.emit(
                     InstKind::Cmp { op: CmpOp::Ne, lhs: v, rhs: zero },
                     Type::int32(),
@@ -794,10 +804,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 }
             }
             EK::Unary(UnOp::AddrOf, inner) => match self.lower_lvalue(*inner) {
-                Some(place) => {
-                    let ty = place.ty.ptr_to();
-                    (place.addr, ty)
-                }
+                Some(place) => (place.addr, self.ptr_to(place.ty)),
                 None => (Value::ConstNull(Type::void_ptr()), Type::void_ptr()),
             },
             EK::Unary(op, inner) => {
@@ -805,25 +812,23 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 match op {
                     UnOp::Plus => (v, ty),
                     UnOp::Neg => {
-                        let zero = if ty.is_float() {
-                            Value::ConstFloat(0.0, ty.clone())
+                        let zero = if self.types().is_float(ty) {
+                            Value::ConstFloat(0.0, ty)
                         } else {
-                            Value::ConstInt(0, ty.clone())
+                            Value::ConstInt(0, ty)
                         };
                         let id = self.emit(
                             InstKind::Bin { op: BinOp::Sub, lhs: zero, rhs: v },
-                            ty.clone(),
+                            ty,
                             span,
                         );
                         (Value::Inst(id), ty)
                     }
                     UnOp::Not => {
-                        let zero = if ty.is_float() {
-                            Value::ConstFloat(0.0, ty.clone())
-                        } else if ty.is_ptr() {
-                            Value::ConstNull(ty.clone())
-                        } else {
-                            Value::ConstInt(0, ty.clone())
+                        let zero = match self.kind(ty) {
+                            TypeKind::Float { .. } => Value::ConstFloat(0.0, ty),
+                            TypeKind::Ptr(_) => Value::ConstNull(ty),
+                            _ => Value::ConstInt(0, ty),
                         };
                         let id = self.emit(
                             InstKind::Cmp { op: CmpOp::Eq, lhs: v, rhs: zero },
@@ -833,12 +838,9 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                         (Value::Inst(id), Type::int32())
                     }
                     UnOp::BitNot => {
-                        let m1 = Value::ConstInt(-1, ty.clone());
-                        let id = self.emit(
-                            InstKind::Bin { op: BinOp::Xor, lhs: v, rhs: m1 },
-                            ty.clone(),
-                            span,
-                        );
+                        let m1 = Value::ConstInt(-1, ty);
+                        let id =
+                            self.emit(InstKind::Bin { op: BinOp::Xor, lhs: v, rhs: m1 }, ty, span);
                         (Value::Inst(id), ty)
                     }
                     UnOp::Deref | UnOp::AddrOf => unreachable!("handled above"),
@@ -853,12 +855,12 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             EK::Cast(te, inner) => {
                 let to = self.lw.resolve_type(*te);
                 let (v, from) = self.lower_rvalue(*inner);
-                let v = self.cast_value(v, &from, &to, span);
+                let v = self.cast_value(v, from, to, span);
                 (v, to)
             }
             EK::SizeofType(te) => {
                 let ty = self.lw.resolve_type(*te);
-                let sz = self.types().size_of(&ty) as i64;
+                let sz = self.types().size_of(ty) as i64;
                 (Value::ConstInt(sz, Type::int64()), Type::int64())
             }
             EK::SizeofExpr(inner) => {
@@ -867,21 +869,18 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 // type, so lower and discard (safe: no side effects matter
                 // for sizeof in practice in the corpus).
                 let ty = self.type_of_expr(*inner);
-                let sz = self.types().size_of(&ty) as i64;
+                let sz = self.types().size_of(ty) as i64;
                 (Value::ConstInt(sz, Type::int64()), Type::int64())
             }
             EK::PreIncDec(inner, inc) => {
                 let delta = if *inc { 1 } else { -1 };
                 match self.lower_lvalue(*inner) {
                     Some(place) => {
-                        let (old, ty) = self.load_place(
-                            Place { addr: place.addr.clone(), ty: place.ty.clone() },
-                            span,
-                        );
-                        let new_v = self.apply_incdec(old, &ty, delta, span);
+                        let (old, ty) = self.load_place(place, span);
+                        let new_v = self.apply_incdec(old, ty, delta, span);
                         self.emit(
-                            InstKind::Store { ptr: place.addr, value: new_v.clone() },
-                            Type::Void,
+                            InstKind::Store { ptr: place.addr, value: new_v },
+                            Type::VOID,
                             span,
                         );
                         (new_v, ty)
@@ -893,14 +892,11 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 let delta = if *inc { 1 } else { -1 };
                 match self.lower_lvalue(*inner) {
                     Some(place) => {
-                        let (old, ty) = self.load_place(
-                            Place { addr: place.addr.clone(), ty: place.ty.clone() },
-                            span,
-                        );
-                        let new_v = self.apply_incdec(old.clone(), &ty, delta, span);
+                        let (old, ty) = self.load_place(place, span);
+                        let new_v = self.apply_incdec(old, ty, delta, span);
                         self.emit(
                             InstKind::Store { ptr: place.addr, value: new_v },
-                            Type::Void,
+                            Type::VOID,
                             span,
                         );
                         (old, ty)
@@ -916,43 +912,30 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
         }
     }
 
-    fn apply_incdec(&mut self, v: Value, ty: &Type, delta: i64, span: Span) -> Value {
-        match ty {
-            Type::Ptr(_) => {
-                let id = self.emit(
-                    InstKind::ElemAddr { base: v, index: Value::i32(delta) },
-                    ty.clone(),
-                    span,
-                );
-                Value::Inst(id)
+    fn apply_incdec(&mut self, v: Value, ty: Type, delta: i64, span: Span) -> Value {
+        let kind = match self.kind(ty) {
+            TypeKind::Ptr(_) => InstKind::ElemAddr { base: v, index: Value::i32(delta) },
+            TypeKind::Float { .. } => {
+                InstKind::Bin { op: BinOp::Add, lhs: v, rhs: Value::ConstFloat(delta as f64, ty) }
             }
-            Type::Float { .. } => {
-                let one = Value::ConstFloat(delta as f64, ty.clone());
-                let id =
-                    self.emit(InstKind::Bin { op: BinOp::Add, lhs: v, rhs: one }, ty.clone(), span);
-                Value::Inst(id)
-            }
-            _ => {
-                let one = Value::ConstInt(delta, ty.clone());
-                let id =
-                    self.emit(InstKind::Bin { op: BinOp::Add, lhs: v, rhs: one }, ty.clone(), span);
-                Value::Inst(id)
-            }
-        }
+            _ => InstKind::Bin { op: BinOp::Add, lhs: v, rhs: Value::ConstInt(delta, ty) },
+        };
+        Value::Inst(self.emit(kind, ty, span))
     }
 
     fn lower_string_literal(&mut self, s: &str, span: Span) -> (Value, Type) {
         let name = Symbol::intern(&format!("__str_{}", self.lw.str_counter));
         self.lw.str_counter += 1;
-        let ty = Type::Array(Box::new(Type::int8()), s.len() as u64 + 1);
+        let ty = self.lw.module.types.array_of(Type::int8(), s.len() as u64 + 1);
         let gid = self.lw.module.add_global(Global { name, ty, has_init: true, span });
         // Decay to char*.
+        let char_ptr = self.ptr_to(Type::int8());
         let id = self.emit(
             InstKind::ElemAddr { base: Value::Global(gid), index: Value::i32(0) },
-            Type::int8().ptr_to(),
+            char_ptr,
             span,
         );
-        (Value::Inst(id), Type::int8().ptr_to())
+        (Value::Inst(id), char_ptr)
     }
 
     /// Best-effort static type of an expression (for `sizeof expr`).
@@ -963,36 +946,38 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             EK::IntLit(_) => Type::int32(),
             EK::FloatLit(_) => Type::f64(),
             EK::CharLit(_) => Type::int8(),
-            EK::StrLit(s) => Type::Array(Box::new(Type::int8()), s.as_str().len() as u64 + 1),
+            EK::StrLit(s) => {
+                self.lw.module.types.array_of(Type::int8(), s.as_str().len() as u64 + 1)
+            }
             EK::Ident(n) => self
                 .lookup(*n)
                 .map(|s| s.ty)
-                .or_else(|| {
-                    self.lw.module.global_by_name(*n).map(|g| self.lw.module.global(g).ty.clone())
-                })
+                .or_else(|| self.lw.module.global_by_name(*n).map(|g| self.lw.module.global(g).ty))
                 .unwrap_or_else(Type::int32),
             EK::Unary(UnOp::Deref, inner) => {
                 let t = self.type_of_expr(*inner);
-                t.pointee().cloned().unwrap_or_else(Type::int32)
+                self.types().pointee(t).unwrap_or_else(Type::int32)
             }
-            EK::Unary(UnOp::AddrOf, inner) => self.type_of_expr(*inner).ptr_to(),
+            EK::Unary(UnOp::AddrOf, inner) => {
+                let t = self.type_of_expr(*inner);
+                self.ptr_to(t)
+            }
             EK::Cast(te, _) => self.lw.resolve_type(*te),
             EK::Member { base, field, arrow } => {
                 let bt = self.type_of_expr(*base);
-                let st = if *arrow { bt.pointee().cloned().unwrap_or(Type::Void) } else { bt };
-                if let Type::Struct(sid) = st {
+                let st = if *arrow { self.types().pointee(bt).unwrap_or(Type::VOID) } else { bt };
+                if let TypeKind::Struct(sid) = self.kind(st) {
                     let layout = self.types().layout(sid);
                     if let Some(i) = layout.field_index(*field) {
-                        return layout.fields[i].ty.clone();
+                        return layout.fields[i].ty;
                     }
                 }
                 Type::int32()
             }
             EK::Index(base, _) => {
                 let bt = self.type_of_expr(*base);
-                match bt {
-                    Type::Array(e, _) => *e,
-                    Type::Ptr(e) => *e,
+                match self.kind(bt) {
+                    TypeKind::Array(e, _) | TypeKind::Ptr(e) => e,
                     _ => Type::int32(),
                 }
             }
@@ -1003,18 +988,18 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
     /// Loads from a place; arrays decay to element pointers instead of
     /// loading.
     fn load_place(&mut self, place: Place, span: Span) -> (Value, Type) {
-        match &place.ty {
-            Type::Array(elem, _) => {
-                let pty = (**elem).ptr_to();
+        match self.kind(place.ty) {
+            TypeKind::Array(elem, _) => {
+                let pty = self.ptr_to(elem);
                 let id = self.emit(
                     InstKind::ElemAddr { base: place.addr, index: Value::i32(0) },
-                    pty.clone(),
+                    pty,
                     span,
                 );
                 (Value::Inst(id), pty)
             }
             _ => {
-                let id = self.emit(InstKind::Load { ptr: place.addr }, place.ty.clone(), span);
+                let id = self.emit(InstKind::Load { ptr: place.addr }, place.ty, span);
                 (Value::Inst(id), place.ty)
             }
         }
@@ -1032,7 +1017,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                     return Some(Place { addr: Value::Inst(slot.addr), ty: slot.ty });
                 }
                 if let Some(gid) = self.lw.module.global_by_name(*n) {
-                    let ty = self.lw.module.global(gid).ty.clone();
+                    let ty = self.lw.module.global(gid).ty;
                     return Some(Place { addr: Value::Global(gid), ty });
                 }
                 self.lw.diags.error(span, format!("unknown variable `{n}`"));
@@ -1040,8 +1025,8 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             }
             EK::Unary(UnOp::Deref, inner) => {
                 let (v, ty) = self.lower_rvalue(*inner);
-                match ty.pointee() {
-                    Some(p) => Some(Place { addr: v, ty: p.clone() }),
+                match self.types().pointee(ty) {
+                    Some(p) => Some(Place { addr: v, ty: p }),
                     None => {
                         self.lw.diags.error(span, "cannot dereference a non-pointer");
                         None
@@ -1052,15 +1037,12 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 let (base, index) = (*base, *index);
                 let (bv, bty) = self.lower_rvalue(base); // arrays decay here
                 let (iv, ity) = self.lower_rvalue(index);
-                let iv = self.coerce(iv, &ity, &Type::int64(), ast.expr(index).span);
-                match bty.pointee() {
+                let iv = self.coerce(iv, ity, Type::int64(), ast.expr(index).span);
+                match self.types().pointee(bty) {
                     Some(elem) => {
-                        let elem = elem.clone();
-                        let id = self.emit(
-                            InstKind::ElemAddr { base: bv, index: iv },
-                            elem.ptr_to(),
-                            span,
-                        );
+                        let elem_ptr = self.ptr_to(elem);
+                        let id =
+                            self.emit(InstKind::ElemAddr { base: bv, index: iv }, elem_ptr, span);
                         Some(Place { addr: Value::Inst(id), ty: elem })
                     }
                     None => {
@@ -1072,8 +1054,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             EK::Member { base, field, arrow } => {
                 let (base_addr, struct_ty) = if *arrow {
                     let (v, ty) = self.lower_rvalue(*base);
-                    let p = ty.pointee().cloned();
-                    match p {
+                    match self.types().pointee(ty) {
                         Some(p) => (v, p),
                         None => {
                             self.lw.diags.error(span, "`->` on a non-pointer");
@@ -1084,19 +1065,20 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                     let place = self.lower_lvalue(*base)?;
                     (place.addr, place.ty)
                 };
-                match struct_ty {
-                    Type::Struct(sid) => {
+                match self.kind(struct_ty) {
+                    TypeKind::Struct(sid) => {
                         let layout = self.types().layout(sid);
                         match layout.field_index(*field) {
                             Some(i) => {
-                                let fty = layout.fields[i].ty.clone();
+                                let fty = layout.fields[i].ty;
+                                let field_ptr = self.ptr_to(fty);
                                 let id = self.emit(
                                     InstKind::FieldAddr {
                                         base: base_addr,
                                         struct_id: sid,
                                         field: i as u32,
                                     },
-                                    fty.ptr_to(),
+                                    field_ptr,
                                     span,
                                 );
                                 Some(Place { addr: Value::Inst(id), ty: fty })
@@ -1122,8 +1104,8 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                 // and synthesize a place through the result.
                 let to = self.lw.resolve_type(*te);
                 let (v, from) = self.lower_rvalue(*inner);
-                let v = self.cast_value(v, &from, &to, span);
-                match to.pointee() {
+                let v = self.cast_value(v, from, to, span);
+                match self.types().pointee(to) {
                     Some(_) => {
                         // The *place* here would be *(T*)p — only reachable
                         // via deref, which is handled above; a cast is not an
@@ -1158,28 +1140,26 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
 
         // Pointer arithmetic.
         if matches!(op, B::Add | B::Sub) {
-            match (&lt, &rt) {
-                (Type::Ptr(_), t) if t.is_int() => {
+            match (self.kind(lt), self.kind(rt)) {
+                (TypeKind::Ptr(_), TypeKind::Int { .. }) => {
                     let idx = if op == B::Sub {
-                        let zero = Value::ConstInt(0, rt.clone());
+                        let zero = Value::ConstInt(0, rt);
                         Value::Inst(self.emit(
                             InstKind::Bin { op: BinOp::Sub, lhs: zero, rhs: rv },
-                            rt.clone(),
+                            rt,
                             span,
                         ))
                     } else {
                         rv
                     };
-                    let id =
-                        self.emit(InstKind::ElemAddr { base: lv, index: idx }, lt.clone(), span);
+                    let id = self.emit(InstKind::ElemAddr { base: lv, index: idx }, lt, span);
                     return (Value::Inst(id), lt);
                 }
-                (t, Type::Ptr(_)) if t.is_int() && op == B::Add => {
-                    let id =
-                        self.emit(InstKind::ElemAddr { base: rv, index: lv }, rt.clone(), span);
+                (TypeKind::Int { .. }, TypeKind::Ptr(_)) if op == B::Add => {
+                    let id = self.emit(InstKind::ElemAddr { base: rv, index: lv }, rt, span);
                     return (Value::Inst(id), rt);
                 }
-                (Type::Ptr(_), Type::Ptr(_)) if op == B::Sub => {
+                (TypeKind::Ptr(_), TypeKind::Ptr(_)) if op == B::Sub => {
                     // Pointer difference: cast both to integers. (On shared
                     // memory this trips restriction P3, by design.)
                     let li = self.emit(
@@ -1208,7 +1188,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
         }
 
         // Pointer comparisons.
-        if op.is_comparison() && (lt.is_ptr() || rt.is_ptr()) {
+        if op.is_comparison() && (self.types().is_ptr(lt) || self.types().is_ptr(rt)) {
             let cmp = comparison_op(op);
             let id = self.emit(InstKind::Cmp { op: cmp, lhs: lv, rhs: rv }, Type::int32(), span);
             return (Value::Inst(id), Type::int32());
@@ -1216,9 +1196,9 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
 
         // Usual arithmetic conversions (simplified): unify to the "wider"
         // of the two types.
-        let common = common_type(&lt, &rt);
-        let lv = self.coerce(lv, &lt, &common, span);
-        let rv = self.coerce(rv, &rt, &common, span);
+        let common = common_type(&mut self.lw.module.types, lt, rt);
+        let lv = self.coerce(lv, lt, common, span);
+        let rv = self.coerce(rv, rt, common, span);
 
         if op.is_comparison() {
             let cmp = comparison_op(op);
@@ -1238,7 +1218,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             B::BitXor => BinOp::Xor,
             _ => unreachable!("comparisons handled above"),
         };
-        let id = self.emit(InstKind::Bin { op: bop, lhs: lv, rhs: rv }, common.clone(), span);
+        let id = self.emit(InstKind::Bin { op: bop, lhs: lv, rhs: rv }, common, span);
         (Value::Inst(id), common)
     }
 
@@ -1250,18 +1230,12 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
         span: Span,
     ) -> (Value, Type) {
         // Lower via a result slot; SSA promotion turns it into a phi.
-        let slot = self.emit(
-            InstKind::Alloca { ty: Type::int32(), name: "__sc".into() },
-            Type::int32().ptr_to(),
-            span,
-        );
+        let int_ptr = self.ptr_to(Type::int32());
+        let slot =
+            self.emit(InstKind::Alloca { ty: Type::int32(), name: "__sc".into() }, int_ptr, span);
         let lv = self.lower_condition(l);
         let lbool = self.normalize_bool(lv, span);
-        self.emit(
-            InstKind::Store { ptr: Value::Inst(slot), value: lbool.clone() },
-            Type::Void,
-            span,
-        );
+        self.emit(InstKind::Store { ptr: Value::Inst(slot), value: lbool }, Type::VOID, span);
         let rhs_bb = self.new_block(if is_and { "and.rhs" } else { "or.rhs" });
         let merge_bb = self.new_block("sc.end");
         if is_and {
@@ -1280,7 +1254,7 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
         self.switch_to(rhs_bb);
         let rv = self.lower_condition(r);
         let rbool = self.normalize_bool(rv, span);
-        self.emit(InstKind::Store { ptr: Value::Inst(slot), value: rbool }, Type::Void, span);
+        self.emit(InstKind::Store { ptr: Value::Inst(slot), value: rbool }, Type::VOID, span);
         self.set_terminator(Terminator::Br(merge_bb));
         self.switch_to(merge_bb);
         let v = self.emit(InstKind::Load { ptr: Value::Inst(slot) }, Type::int32(), span);
@@ -1312,27 +1286,25 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
         // We need the result type before emitting stores; peek via a typing
         // pass on the then-branch.
         let result_ty = self.type_of_expr(then);
-        let slot = self.emit(
-            InstKind::Alloca { ty: result_ty.clone(), name: "__sel".into() },
-            result_ty.ptr_to(),
-            span,
-        );
+        let result_ptr = self.ptr_to(result_ty);
+        let slot =
+            self.emit(InstKind::Alloca { ty: result_ty, name: "__sel".into() }, result_ptr, span);
         self.set_terminator(Terminator::CondBr { cond: c, then_bb, else_bb });
 
         self.switch_to(then_bb);
         let (tv, tt) = self.lower_rvalue(then);
-        let tv = self.coerce(tv, &tt, &result_ty, span);
-        self.emit(InstKind::Store { ptr: Value::Inst(slot), value: tv }, Type::Void, span);
+        let tv = self.coerce(tv, tt, result_ty, span);
+        self.emit(InstKind::Store { ptr: Value::Inst(slot), value: tv }, Type::VOID, span);
         self.set_terminator(Terminator::Br(merge_bb));
 
         self.switch_to(else_bb);
         let (ev, et) = self.lower_rvalue(els);
-        let ev = self.coerce(ev, &et, &result_ty, span);
-        self.emit(InstKind::Store { ptr: Value::Inst(slot), value: ev }, Type::Void, span);
+        let ev = self.coerce(ev, et, result_ty, span);
+        self.emit(InstKind::Store { ptr: Value::Inst(slot), value: ev }, Type::VOID, span);
         self.set_terminator(Terminator::Br(merge_bb));
 
         self.switch_to(merge_bb);
-        let v = self.emit(InstKind::Load { ptr: Value::Inst(slot) }, result_ty.clone(), span);
+        let v = self.emit(InstKind::Load { ptr: Value::Inst(slot) }, result_ty, span);
         (Value::Inst(v), result_ty)
     }
 
@@ -1350,34 +1322,29 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
         let value = match op {
             None => {
                 let (rv, rt) = self.lower_rvalue(rhs);
-                self.coerce(rv, &rt, &place.ty, span)
+                self.coerce(rv, rt, place.ty, span)
             }
             Some(binop) => {
                 // Compound assignment: load, combine, store.
-                let (old, oty) =
-                    self.load_place(Place { addr: place.addr.clone(), ty: place.ty.clone() }, span);
+                let (old, oty) = self.load_place(place, span);
                 let (rv, rt) = self.lower_rvalue(rhs);
                 // Pointer += int
-                if oty.is_ptr() && matches!(binop, ast::BinOp::Add | ast::BinOp::Sub) {
+                if self.types().is_ptr(oty) && matches!(binop, ast::BinOp::Add | ast::BinOp::Sub) {
                     let idx = if *binop == ast::BinOp::Sub {
-                        let zero = Value::ConstInt(0, rt.clone());
+                        let zero = Value::ConstInt(0, rt);
                         Value::Inst(self.emit(
                             InstKind::Bin { op: BinOp::Sub, lhs: zero, rhs: rv },
-                            rt.clone(),
+                            rt,
                             span,
                         ))
                     } else {
                         rv
                     };
-                    Value::Inst(self.emit(
-                        InstKind::ElemAddr { base: old, index: idx },
-                        oty.clone(),
-                        span,
-                    ))
+                    Value::Inst(self.emit(InstKind::ElemAddr { base: old, index: idx }, oty, span))
                 } else {
-                    let common = common_type(&oty, &rt);
-                    let a = self.coerce(old, &oty, &common, span);
-                    let b = self.coerce(rv, &rt, &common, span);
+                    let common = common_type(&mut self.lw.module.types, oty, rt);
+                    let a = self.coerce(old, oty, common, span);
+                    let b = self.coerce(rv, rt, common, span);
                     let bop = match binop {
                         ast::BinOp::Add => BinOp::Add,
                         ast::BinOp::Sub => BinOp::Sub,
@@ -1398,40 +1365,35 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
                         }
                     };
                     let combined =
-                        self.emit(InstKind::Bin { op: bop, lhs: a, rhs: b }, common.clone(), span);
-                    self.coerce(Value::Inst(combined), &common, &place.ty, span)
+                        self.emit(InstKind::Bin { op: bop, lhs: a, rhs: b }, common, span);
+                    self.coerce(Value::Inst(combined), common, place.ty, span)
                 }
             }
         };
-        self.emit(InstKind::Store { ptr: place.addr, value: value.clone() }, Type::Void, span);
+        self.emit(InstKind::Store { ptr: place.addr, value }, Type::VOID, span);
         (value, place.ty)
     }
 
     fn lower_call(&mut self, callee: Symbol, args: &[ast::ExprId], span: Span) -> (Value, Type) {
         let mut lowered = Vec::with_capacity(args.len());
         let target = self.lw.module.function_by_name(callee);
-        let (callee_kind, ret_ty, param_tys, varargs) = match target {
+        let (callee_kind, ret_ty, n_params, varargs) = match target {
             Some(fid) => {
                 let f = self.lw.module.function(fid);
-                (
-                    Callee::Local(fid),
-                    f.ret.clone(),
-                    f.params.iter().map(|p| p.ty.clone()).collect::<Vec<_>>(),
-                    f.varargs,
-                )
+                (Callee::Local(fid), f.ret, f.params.len(), f.varargs)
             }
-            None => {
-                (Callee::External(callee), default_external_ret(callee.as_str()), Vec::new(), true)
-            }
+            None => (Callee::External(callee), default_external_ret(callee.as_str()), 0, true),
         };
         for (i, a) in args.iter().enumerate() {
             let a = *a;
             let aspan = self.lw.ast.expr(a).span;
             let (v, ty) = self.lower_rvalue(a);
-            let v = match param_tys.get(i) {
-                Some(pt) => self.coerce(v, &ty, pt, aspan),
+            let param_ty =
+                target.and_then(|fid| self.lw.module.function(fid).params.get(i)).map(|p| p.ty);
+            let v = match param_ty {
+                Some(pt) => self.coerce(v, ty, pt, aspan),
                 None => {
-                    if !varargs && !param_tys.is_empty() {
+                    if !varargs && n_params > 0 {
                         self.lw.diags.warning(aspan, format!("too many arguments to `{callee}`"));
                     }
                     v
@@ -1439,38 +1401,38 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             };
             lowered.push(v);
         }
-        if !varargs && lowered.len() < param_tys.len() {
+        if !varargs && lowered.len() < n_params {
             self.lw.diags.warning(span, format!("too few arguments to `{callee}`"));
         }
-        let id =
-            self.emit(InstKind::Call { callee: callee_kind, args: lowered }, ret_ty.clone(), span);
+        let id = self.emit(InstKind::Call { callee: callee_kind, args: lowered }, ret_ty, span);
         (Value::Inst(id), ret_ty)
     }
 
     // ---- conversions ----
 
-    fn coerce(&mut self, v: Value, from: &Type, to: &Type, span: Span) -> Value {
-        if from == to || *to == Type::Void {
+    fn coerce(&mut self, v: Value, from: Type, to: Type, span: Span) -> Value {
+        if from == to || to == Type::VOID {
             return v;
         }
         self.cast_value(v, from, to, span)
     }
 
-    fn cast_value(&mut self, v: Value, from: &Type, to: &Type, span: Span) -> Value {
+    fn cast_value(&mut self, v: Value, from: Type, to: Type, span: Span) -> Value {
         if from == to {
             return v;
         }
-        let kind = match (from, to) {
-            (Type::Int { .. }, Type::Int { .. }) => CastKind::IntToInt,
-            (Type::Int { .. }, Type::Float { .. }) => CastKind::IntToFloat,
-            (Type::Float { .. }, Type::Int { .. }) => CastKind::FloatToInt,
-            (Type::Float { .. }, Type::Float { .. }) => CastKind::FloatToFloat,
-            (Type::Ptr(_), Type::Ptr(_)) => CastKind::PtrToPtr,
-            (Type::Ptr(_), Type::Int { .. }) => CastKind::PtrToInt,
-            (Type::Int { .. }, Type::Ptr(_)) => CastKind::IntToPtr,
+        use TypeKind::{Float, Int, Ptr};
+        let kind = match (self.kind(from), self.kind(to)) {
+            (Int { .. }, Int { .. }) => CastKind::IntToInt,
+            (Int { .. }, Float { .. }) => CastKind::IntToFloat,
+            (Float { .. }, Int { .. }) => CastKind::FloatToInt,
+            (Float { .. }, Float { .. }) => CastKind::FloatToFloat,
+            (Ptr(_), Ptr(_)) => CastKind::PtrToPtr,
+            (Ptr(_), Int { .. }) => CastKind::PtrToInt,
+            (Int { .. }, Ptr(_)) => CastKind::IntToPtr,
             _ => {
                 // Fold away no-op casts (e.g. to void) silently.
-                if *to == Type::Void {
+                if to == Type::VOID {
                     return v;
                 }
                 self.lw.diags.error(
@@ -1485,19 +1447,13 @@ impl<'a, 'u, 'd> FnLower<'a, 'u, 'd> {
             }
         };
         // Constant folding for the common literal cases keeps the IR tidy.
-        if let (Value::ConstInt(c, _), CastKind::IntToInt) = (&v, kind) {
-            return Value::ConstInt(*c, to.clone());
+        match (v, kind) {
+            (Value::ConstInt(c, _), CastKind::IntToInt) => Value::ConstInt(c, to),
+            (Value::ConstInt(c, _), CastKind::IntToFloat) => Value::ConstFloat(c as f64, to),
+            (Value::ConstFloat(c, _), CastKind::FloatToFloat) => Value::ConstFloat(c, to),
+            (Value::ConstInt(0, _), CastKind::IntToPtr) => Value::ConstNull(to),
+            _ => Value::Inst(self.emit(InstKind::Cast { kind, value: v }, to, span)),
         }
-        if let (Value::ConstInt(c, _), CastKind::IntToFloat) = (&v, kind) {
-            return Value::ConstFloat(*c as f64, to.clone());
-        }
-        if let (Value::ConstFloat(c, _), CastKind::FloatToFloat) = (&v, kind) {
-            return Value::ConstFloat(*c, to.clone());
-        }
-        if let (Value::ConstInt(0, _), CastKind::IntToPtr) = (&v, kind) {
-            return Value::ConstNull(to.clone());
-        }
-        Value::Inst(self.emit(InstKind::Cast { kind, value: v }, to.clone(), span))
     }
 }
 
@@ -1515,25 +1471,26 @@ fn comparison_op(op: ast::BinOp) -> CmpOp {
 
 /// Simplified usual-arithmetic-conversions: floats beat ints, wider beats
 /// narrower, unsigned beats signed at equal width.
-fn common_type(a: &Type, b: &Type) -> Type {
-    match (a, b) {
-        (Type::Float { bits: x }, Type::Float { bits: y }) => Type::Float { bits: (*x).max(*y) },
-        (Type::Float { .. }, _) => a.clone(),
-        (_, Type::Float { .. }) => b.clone(),
-        (Type::Int { bits: x, signed: sx }, Type::Int { bits: y, signed: sy }) => {
+fn common_type(types: &mut TypeTable, a: Type, b: Type) -> Type {
+    use TypeKind::{Float, Int, Ptr};
+    match (types.kind(a), types.kind(b)) {
+        (Float { bits: x }, Float { bits: y }) => types.intern(Float { bits: x.max(y) }),
+        (Float { .. }, _) => a,
+        (_, Float { .. }) => b,
+        (Int { bits: x, signed: sx }, Int { bits: y, signed: sy }) => {
             // Promote to at least int.
-            let bits = (*x).max(*y).max(32);
+            let bits = x.max(y).max(32);
             let signed = if x == y {
-                *sx && *sy
+                sx && sy
             } else if x > y {
-                *sx
+                sx
             } else {
-                *sy
+                sy
             };
-            Type::Int { bits, signed }
+            types.intern(Int { bits, signed })
         }
-        (Type::Ptr(_), _) => a.clone(),
-        (_, Type::Ptr(_)) => b.clone(),
+        (Ptr(_), _) => a,
+        (_, Ptr(_)) => b,
         _ => Type::int32(),
     }
 }
@@ -1751,7 +1708,7 @@ mod tests {
     fn globals_registered_with_types() {
         let m = lower_ok("typedef struct { float c; } D;\nD *noncoreCtrl;\nint counter = 3;");
         let g = m.global(m.global_by_name("noncoreCtrl".into()).unwrap());
-        assert!(g.ty.is_ptr());
+        assert!(m.types.is_ptr(g.ty));
         let c = m.global(m.global_by_name("counter".into()).unwrap());
         assert!(c.has_init);
     }

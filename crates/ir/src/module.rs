@@ -31,8 +31,8 @@ pub struct BlockId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstId(pub u32);
 
-/// An SSA operand.
-#[derive(Debug, Clone, PartialEq)]
+/// An SSA operand: 16 bytes, copied by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Result of an instruction.
     Inst(InstId),
@@ -355,7 +355,7 @@ pub struct BasicBlock {
 }
 
 /// A function parameter.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IrParam {
     /// Source name.
     pub name: Symbol,
@@ -490,10 +490,13 @@ impl Module {
     }
 
     /// Adds a global, returning its id. Duplicate names return the first id.
+    /// Interns the global's address type, which [`Module::value_type`]
+    /// reads.
     pub fn add_global(&mut self, g: Global) -> GlobalId {
         if let Some(&id) = self.global_by_name.get(&g.name) {
             return id;
         }
+        self.types.ptr_to(g.ty);
         let id = GlobalId(self.globals.len() as u32);
         self.global_by_name.insert(g.name, id);
         self.globals.push(g);
@@ -550,7 +553,7 @@ impl Module {
     /// typedef names, struct tags, and primitive names all work.
     pub fn sizeof_name(&self, name: Symbol) -> Option<u64> {
         if let Some(t) = self.typedefs.get(&name) {
-            return Some(self.types.size_of(t));
+            return Some(self.types.size_of(*t));
         }
         if let Some(id) = self.types.struct_by_name(name) {
             return Some(self.types.layout(id).size);
@@ -565,12 +568,21 @@ impl Module {
     }
 
     /// The type of `value` as seen inside `func`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the address of a global that was pushed onto
+    /// [`Module::globals`] directly instead of through
+    /// [`Module::add_global`], since its pointer type was never interned.
     pub fn value_type(&self, func: &Function, value: &Value) -> Type {
-        match value {
-            Value::Inst(id) => func.inst(*id).ty.clone(),
-            Value::Param(i) => func.params[*i as usize].ty.clone(),
-            Value::Global(g) => self.global(*g).ty.ptr_to(),
-            Value::ConstInt(_, t) | Value::ConstFloat(_, t) | Value::ConstNull(t) => t.clone(),
+        match *value {
+            Value::Inst(id) => func.inst(id).ty,
+            Value::Param(i) => func.params[i as usize].ty,
+            Value::Global(g) => self
+                .types
+                .interned_ptr_to(self.global(g).ty)
+                .expect("add_global interns each global's address type"),
+            Value::ConstInt(_, t) | Value::ConstFloat(_, t) | Value::ConstNull(t) => t,
         }
     }
 }
@@ -600,7 +612,7 @@ mod tests {
     fn dummy_fn(name: &str, def: bool) -> Function {
         Function {
             name: name.into(),
-            ret: Type::Void,
+            ret: Type::VOID,
             params: vec![],
             varargs: false,
             insts: vec![],

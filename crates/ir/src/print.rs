@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 pub fn print_module(module: &Module) -> String {
     let mut out = String::new();
     for g in &module.globals {
-        let _ = writeln!(out, "global @{}: {}", g.name, module.types.display(&g.ty));
+        let _ = writeln!(out, "global @{}: {}", g.name, module.types.display(g.ty));
     }
     for fid in module.definitions() {
         out.push('\n');
@@ -24,14 +24,14 @@ pub fn print_function(module: &Module, fid: FuncId) -> String {
         .params
         .iter()
         .enumerate()
-        .map(|(i, p)| format!("%arg{}: {}", i, module.types.display(&p.ty)))
+        .map(|(i, p)| format!("%arg{}: {}", i, module.types.display(p.ty)))
         .collect();
     let _ = writeln!(
         out,
         "fn @{}({}) -> {} {{",
         func.name,
         params.join(", "),
-        module.types.display(&func.ret)
+        module.types.display(func.ret)
     );
     for ann in &func.annotations {
         let _ = writeln!(out, "  ; annotation: {ann:?}");
@@ -60,10 +60,10 @@ fn val(v: &Value) -> String {
 
 fn print_inst(module: &Module, func: &Function, iid: InstId) -> String {
     let inst = func.inst(iid);
-    let ty = module.types.display(&inst.ty);
+    let ty = module.types.display(inst.ty);
     match &inst.kind {
         InstKind::Alloca { ty: t, name } => {
-            format!("%{} = alloca {} ; {}", iid.0, module.types.display(t), name)
+            format!("%{} = alloca {} ; {}", iid.0, module.types.display(*t), name)
         }
         InstKind::Load { ptr } => format!("%{} = load {} <- {}", iid.0, ty, val(ptr)),
         InstKind::Store { ptr, value } => format!("store {} -> {}", val(value), val(ptr)),

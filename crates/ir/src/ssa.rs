@@ -12,7 +12,7 @@
 use crate::cfg::{BlockLists, Cfg};
 use crate::dom::DomTree;
 use crate::module::*;
-use crate::types::Type;
+use crate::types::{Type, TypeKind, TypeTable};
 
 /// Promotes eligible allocas in every defined function of `module` to SSA
 /// values. Returns the total number of promoted slots.
@@ -21,9 +21,13 @@ use crate::types::Type;
 /// *only* as the pointer operand of loads and stores — exactly the slots
 /// whose address never escapes.
 pub fn promote_module(module: &mut Module) -> usize {
-    let ids: Vec<FuncId> = module.definitions().collect();
     let (mut graphs, mut scratch) = (Graphs::default(), Scratch::default());
-    ids.into_iter().map(|id| promote(module.function_mut(id), &mut graphs, &mut scratch)).sum()
+    let Module { types, functions, .. } = module;
+    functions
+        .iter_mut()
+        .filter(|f| f.is_definition)
+        .map(|f| promote(f, types, &mut graphs, &mut scratch))
+        .sum()
 }
 
 /// The CFG, dominator tree and dominance frontiers of the function being
@@ -96,20 +100,20 @@ fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
     v.resize(len, value);
 }
 
-fn promote(func: &mut Function, g: &mut Graphs, s: &mut Scratch) -> usize {
+fn promote(func: &mut Function, types: &TypeTable, g: &mut Graphs, s: &mut Scratch) -> usize {
     if func.blocks.is_empty() {
         return 0;
     }
     g.cfg.rebuild(func);
     clear_unreachable_blocks(func, &g.cfg);
-    let promoted = s.find_promotable(func);
+    let promoted = s.find_promotable(func, types);
     if promoted == 0 {
         return 0;
     }
     g.dom.rebuild(&g.cfg);
     dominance_frontiers(&g.cfg, &g.dom, s, &mut g.frontiers);
     place_phis(func, &g.cfg, &g.frontiers, s);
-    rename(func, &g.cfg, &g.dom, s, promoted);
+    rename(func, types, &g.cfg, &g.dom, s, promoted);
     cleanup(func, s);
     promoted
 }
@@ -204,13 +208,13 @@ fn place_phis(func: &mut Function, cfg: &Cfg, frontiers: &BlockLists, s: &mut Sc
     s.new_phis.clear();
     s.phi_slot.clear();
     for &(df, alloca) in &s.placements {
-        let Inst { kind: InstKind::Alloca { ty, .. }, span, .. } = func.inst(alloca) else {
+        let &Inst { kind: InstKind::Alloca { ty, .. }, span, .. } = func.inst(alloca) else {
             unreachable!("promotable set only holds allocas")
         };
         let phi = Inst {
             kind: InstKind::Phi { incoming: Vec::with_capacity(cfg.preds_of(df).len()) },
-            ty: ty.clone(),
-            span: *span,
+            ty,
+            span,
         };
         s.new_phis.push((df, InstId(func.insts.len() as u32)));
         s.phi_slot.push(s.slot[alloca.0 as usize]);
@@ -233,7 +237,7 @@ impl Scratch {
     /// is only used by loads and stores (as the pointer), in `InstId`
     /// order, and records their def blocks in `defs`. Returns how many
     /// there are.
-    fn find_promotable(&mut self, func: &Function) -> usize {
+    fn find_promotable(&mut self, func: &Function, types: &TypeTable) -> usize {
         let n = func.insts.len();
         refill(&mut self.slot, n, NO_SLOT);
         refill(&mut self.escaped, n, false);
@@ -248,7 +252,9 @@ impl Scratch {
         for (bid, block) in func.iter_blocks() {
             for &iid in &block.insts {
                 match &func.inst(iid).kind {
-                    InstKind::Alloca { ty, .. } if ty.is_scalar() => self.slot[iid.0 as usize] = 0,
+                    InstKind::Alloca { ty, .. } if types.is_scalar(*ty) => {
+                        self.slot[iid.0 as usize] = 0
+                    }
                     InstKind::Load { ptr: Value::Inst(_) } => {}
                     // Storing the *address itself* somewhere disqualifies it.
                     InstKind::Store { ptr: Value::Inst(a), value } => {
@@ -289,14 +295,21 @@ impl Scratch {
     }
 
     /// The current value of `slot`, or the undefined value of `ty`.
-    fn current_or_undef(&self, slot: u32, ty: &Type) -> Value {
-        self.current[slot as usize].clone().unwrap_or_else(|| undef_value(ty))
+    fn current_or_undef(&self, slot: u32, types: &TypeTable, ty: Type) -> Value {
+        self.current[slot as usize].unwrap_or_else(|| undef_value(types, ty))
     }
 
     /// Renames `block`: its φs and stores become the current values of
     /// their allocas, its loads of promoted allocas are replaced, and the
     /// φs of its successors get this block's current values.
-    fn rename_block(&mut self, func: &mut Function, cfg: &Cfg, block: BlockId, first_phi: usize) {
+    fn rename_block(
+        &mut self,
+        func: &mut Function,
+        types: &TypeTable,
+        cfg: &Cfg,
+        block: BlockId,
+        first_phi: usize,
+    ) {
         let b = block.0 as usize;
         // φ-defs first, in creation (ascending alloca) order.
         for i in (0..self.phi_count[b] as usize).rev() {
@@ -311,14 +324,14 @@ impl Scratch {
             match &inst.kind {
                 InstKind::Load { ptr: Value::Inst(a) } => {
                     let Some(slot) = self.slot_of(*a) else { continue };
-                    let current = self.current_or_undef(slot, &inst.ty);
+                    let current = self.current_or_undef(slot, types, inst.ty);
                     self.replacements.push(current);
                     self.replace[iid.0 as usize] = self.replacements.len() as u32;
                     self.dead[iid.0 as usize] = true;
                 }
                 InstKind::Store { ptr: Value::Inst(a), value } => {
                     let Some(slot) = self.slot_of(*a) else { continue };
-                    self.push(slot, value.clone());
+                    self.push(slot, *value);
                     self.dead[iid.0 as usize] = true;
                 }
                 _ => {}
@@ -335,7 +348,7 @@ impl Scratch {
                 let phi = func.blocks[succ].insts[i];
                 let phi_inst = &mut func.insts[phi.0 as usize];
                 let slot = self.phi_slot[phi.0 as usize - first_phi];
-                let current = self.current_or_undef(slot, &phi_inst.ty);
+                let current = self.current_or_undef(slot, types, phi_inst.ty);
                 if let InstKind::Phi { incoming } = &mut phi_inst.kind {
                     incoming.push((block, current));
                 }
@@ -347,7 +360,7 @@ impl Scratch {
     fn rewrite(&self, op: &mut Value) {
         if let Value::Inst(id) = op {
             if let Some(r) = self.replace[id.0 as usize].checked_sub(1) {
-                *op = self.replacements[r as usize].clone();
+                *op = self.replacements[r as usize];
             }
         }
     }
@@ -355,7 +368,14 @@ impl Scratch {
 
 /// The renaming walk: a depth-first walk of the dominator tree from the
 /// entry, skipping unreachable blocks.
-fn rename(func: &mut Function, cfg: &Cfg, dom: &DomTree, s: &mut Scratch, slots: usize) {
+fn rename(
+    func: &mut Function,
+    types: &TypeTable,
+    cfg: &Cfg,
+    dom: &DomTree,
+    s: &mut Scratch,
+    slots: usize,
+) {
     let n = func.insts.len();
     let first_phi = n - s.phi_slot.len();
     refill(&mut s.current, slots, None);
@@ -369,7 +389,7 @@ fn rename(func: &mut Function, cfg: &Cfg, dom: &DomTree, s: &mut Scratch, slots:
     s.frames.clear();
 
     let entry = func.entry();
-    s.rename_block(func, cfg, entry, first_phi);
+    s.rename_block(func, types, cfg, entry, first_phi);
     s.frames.push((entry, 0, 0));
     while let Some(&mut (block, ref mut next, mark)) = s.frames.last_mut() {
         if let Some(&child) = dom.children(block).get(*next) {
@@ -378,7 +398,7 @@ fn rename(func: &mut Function, cfg: &Cfg, dom: &DomTree, s: &mut Scratch, slots:
                 continue;
             }
             let mark = s.undo.len();
-            s.rename_block(func, cfg, child, first_phi);
+            s.rename_block(func, types, cfg, child, first_phi);
             s.frames.push((child, 0, mark));
         } else {
             s.frames.pop();
@@ -415,7 +435,7 @@ fn cleanup(func: &mut Function, s: &Scratch) {
                 _ => break,
             }
         }
-        *op = cur.clone();
+        *op = *cur;
     };
     for inst in &mut func.insts {
         inst.kind.for_each_operand_mut(resolve);
@@ -426,11 +446,11 @@ fn cleanup(func: &mut Function, s: &Scratch) {
 }
 
 /// The "undefined" placeholder for a type (reads before any write).
-fn undef_value(ty: &Type) -> Value {
-    match ty {
-        Type::Float { .. } => Value::ConstFloat(0.0, ty.clone()),
-        Type::Ptr(_) => Value::ConstNull(ty.clone()),
-        _ => Value::ConstInt(0, ty.clone()),
+fn undef_value(types: &TypeTable, ty: Type) -> Value {
+    match types.kind(ty) {
+        TypeKind::Float { .. } => Value::ConstFloat(0.0, ty),
+        TypeKind::Ptr(_) => Value::ConstNull(ty),
+        _ => Value::ConstInt(0, ty),
     }
 }
 
@@ -468,7 +488,7 @@ mod tests {
             .collect();
         let f = Function {
             name: "t".into(),
-            ret: Type::Void,
+            ret: Type::VOID,
             params: vec![],
             varargs: false,
             insts: vec![],

@@ -278,7 +278,7 @@ fn gen_cfg_function(g: &mut Gen) -> Function {
         .collect();
     Function {
         name: "f".into(),
-        ret: Type::Void,
+        ret: Type::VOID,
         params: vec![],
         varargs: false,
         insts: vec![],

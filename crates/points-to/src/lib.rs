@@ -341,19 +341,19 @@ impl Analyzer {
                         self.add_obj(this, Obj::Stack(fid, iid));
                     }
                     InstKind::FieldAddr { base, struct_id, field } => {
-                        self.field_edges.push((fid, iid, base.clone(), struct_id.0, *field));
+                        self.field_edges.push((fid, iid, *base, struct_id.0, *field));
                     }
                     InstKind::ElemAddr { base, .. } => {
                         // Array elements collapse into the base object.
                         self.value_into(fid, base, this);
                     }
                     InstKind::Cast { value, .. } => {
-                        if inst.ty.is_ptr() {
+                        if module.types.is_ptr(inst.ty) {
                             self.value_into(fid, value, this);
                         }
                     }
                     InstKind::Load { ptr } => {
-                        if inst.ty.is_ptr() {
+                        if module.types.is_ptr(inst.ty) {
                             match self.value_key(fid, ptr) {
                                 Some(src) => {
                                     self.complex_loads.push(ComplexLoad { dst: this, src })
@@ -369,7 +369,7 @@ impl Analyzer {
                     }
                     InstKind::Store { ptr, value } => {
                         let vt = module.value_type(func, value);
-                        if vt.is_ptr() {
+                        if module.types.is_ptr(vt) {
                             match self.value_key(fid, ptr) {
                                 Some(dst_ptr) => {
                                     // The stored value may itself be a
@@ -403,21 +403,21 @@ impl Analyzer {
                         Callee::Local(target) if module.function(*target).is_definition => {
                             for (i, arg) in args.iter().enumerate() {
                                 let at = module.value_type(func, arg);
-                                if at.is_ptr() {
+                                if module.types.is_ptr(at) {
                                     self.value_into(fid, arg, VarKey::Param(*target, i as u32));
                                 }
                             }
-                            if inst.ty.is_ptr() {
+                            if module.types.is_ptr(inst.ty) {
                                 self.add_edge(VarKey::Ret(*target), this);
                             }
                         }
                         _ => {
-                            if inst.ty.is_ptr() {
+                            if module.types.is_ptr(inst.ty) {
                                 self.add_obj(this, Obj::ExternRet(fid, iid));
                             }
                             for arg in args {
                                 let at = module.value_type(func, arg);
-                                if at.is_ptr() {
+                                if module.types.is_ptr(at) {
                                     match self.value_key(fid, arg) {
                                         Some(k) => self.extern_args.push(k),
                                         None => {
@@ -437,7 +437,7 @@ impl Analyzer {
             for (_, block) in func.iter_blocks() {
                 if let safeflow_ir::Terminator::Ret(Some(v)) = &block.terminator {
                     let vt = module.value_type(func, v);
-                    if vt.is_ptr() {
+                    if module.types.is_ptr(vt) {
                         self.value_into(fid, v, VarKey::Ret(fid));
                     }
                 }
