@@ -35,7 +35,8 @@ help:
 	@echo "  serve-smoke      daemon drill: 32 concurrent clients, injected"
 	@echo "                   fault, byte-identity vs one-shot CLI, SIGKILL"
 	@echo "  policy-smoke     3-label mixed-criticality example through all"
-	@echo "                   implicit-flow modes, diffed against goldens"
+	@echo "                   implicit-flow modes, diffed against goldens;"
+	@echo "                   both engines agree on every policy example"
 	@echo "  smoke            pre-merge gate: lint+build+test+determinism"
 	@echo "  metrics-demo     Table 1 with the observability layer on"
 	@echo "  incremental-demo incremental-session store lifecycle walk"
@@ -147,6 +148,10 @@ oracle-deep: require-release
 # stripped before the diff, per the observability contract.
 # Goldens live in tests/policy-goldens/; regenerate by re-running the
 # same commands by hand after an intentional report change.
+# Then every policy example runs under both phase-3 engines in every mode,
+# and the two reports, flow lines stripped (the summary engine's flows are
+# coarser), must match.
+POLICY_EXAMPLES := mixed_criticality lateral_declassify
 policy-smoke: require-release
 	$(SAFEFLOW) --implicit-flow strict examples/policy/mixed_criticality.c \
 	  > /tmp/safeflow-policy-strict.txt; test $$? -eq 2
@@ -162,7 +167,18 @@ policy-smoke: require-release
 	  | sed '/^  "metrics": {$$/,$$d' \
 	  > /tmp/safeflow-policy-separate.json
 	cmp /tmp/safeflow-policy-separate.json tests/policy-goldens/report-separately.json
-	@echo "policy-smoke OK: all three implicit-flow modes match their goldens"
+	@for ex in $(POLICY_EXAMPLES); do \
+	  for mode in strict taint-only report-separately; do \
+	    for engine in context summary; do \
+	      $(SAFEFLOW) --engine $$engine --implicit-flow $$mode examples/policy/$$ex.c \
+	        | grep -v -e '^ *source: ' -e '^ *then: ' \
+	        > /tmp/safeflow-policy-$$ex-$$mode-$$engine.txt; \
+	    done; \
+	    cmp /tmp/safeflow-policy-$$ex-$$mode-context.txt \
+	      /tmp/safeflow-policy-$$ex-$$mode-summary.txt || exit 1; \
+	  done; \
+	done
+	@echo "policy-smoke OK: all three implicit-flow modes match their goldens, and both engines agree on every policy example"
 
 # Lint + build + test + determinism at two thread counts: the summary
 # engine's corpus reports must be byte-identical at --jobs 1 and --jobs 8.

@@ -1,6 +1,7 @@
 //! Analysis configuration.
 
-use crate::policy::{ImplicitFlowMode, Policy};
+use crate::policy::{ImplicitFlowMode, LabelTable, Policy};
+use safeflow_ir::Value;
 use safeflow_util::fault::FaultPlan;
 use safeflow_util::Symbol;
 
@@ -115,22 +116,65 @@ pub enum Engine {
 /// and the function whose end restriction P1 lets shared memory live to.
 pub(crate) const ENTRY: &str = "main";
 
-/// The configured call names, interned once per run so that phase 3
-/// matches calls by comparing symbols: each critical call with its
-/// function's name and the name of the sink it makes, `name:argN`; each
-/// receive spec with its function's name.
-pub(crate) struct CallNames<'a> {
-    pub(crate) critical: Vec<(&'a CriticalCall, Symbol, Symbol)>,
-    pub(crate) recv: Vec<(&'a RecvSpec, Symbol)>,
+/// A configured critical call, resolved for one run: the argument it
+/// checks, the name of the sink it makes (`name:argN`) and the argument's
+/// clearance mask under the compiled policy.
+pub(crate) struct CriticalSink {
+    pub(crate) arg: usize,
+    pub(crate) sink: Symbol,
+    pub(crate) clearance: u64,
 }
 
-impl<'a> CallNames<'a> {
-    pub(crate) fn new(config: &'a AnalysisConfig) -> CallNames<'a> {
+/// The configured calls, interned once per run so that phase 3 matches
+/// calls by comparing symbols, and the one reading of what a critical or
+/// receive call means at a call site, for both engines.
+pub(crate) struct CallNames {
+    critical: Vec<(Symbol, CriticalSink)>,
+    /// Each receive call's name, socket argument and buffer argument.
+    recv: Vec<(Symbol, usize, usize)>,
+}
+
+impl CallNames {
+    /// Clearances are resolved in `table`: `trusted` (0) unless a call
+    /// names a declared label; unknown names resolve to `trusted`, the most
+    /// conservative clearance, and are reported when the policy compiles.
+    pub(crate) fn new(config: &AnalysisConfig, table: &LabelTable) -> CallNames {
         let critical = config.implicit_critical_calls.iter().map(|c| {
-            (c, Symbol::intern(&c.name), Symbol::intern(&format!("{}:arg{}", c.name, c.arg)))
+            let sink = Symbol::intern(&format!("{}:arg{}", c.name, c.arg));
+            let clearance = c.clearance.as_deref().and_then(|n| table.mask_of(n)).unwrap_or(0);
+            (Symbol::intern(&c.name), CriticalSink { arg: c.arg, sink, clearance })
         });
-        let recv = config.recv_functions.iter().map(|r| (r, Symbol::intern(&r.name)));
+        let recv =
+            config.recv_functions.iter().map(|r| (Symbol::intern(&r.name), r.sock_arg, r.buf_arg));
         CallNames { critical: critical.collect(), recv: recv.collect() }
+    }
+
+    /// Each critical argument of a call to the external `callee`, with its
+    /// sink; a spec whose argument the call does not pass is skipped.
+    pub(crate) fn critical_args<'s>(
+        &'s self,
+        callee: Symbol,
+        args: &'s [Value],
+    ) -> impl Iterator<Item = (&'s Value, &'s CriticalSink)> + 's {
+        let specs = self.critical.iter().filter(move |(name, _)| *name == callee);
+        specs.filter_map(move |(_, c)| Some((args.get(c.arg)?, c)))
+    }
+
+    /// Each buffer a call to the external `callee` receives into, with its
+    /// socket argument (`None` when the call does not pass it).
+    pub(crate) fn recv_bufs<'s>(
+        &'s self,
+        callee: Symbol,
+        args: &'s [Value],
+    ) -> impl Iterator<Item = (&'s Value, Option<&'s Value>)> + 's {
+        let specs = self.recv.iter().filter(move |&&(name, ..)| name == callee);
+        specs.filter_map(move |&(_, sock, buf)| Some((args.get(buf)?, args.get(sock))))
+    }
+
+    /// The clearance of the sink named `sink`: the last critical call's
+    /// that makes it, `trusted` for an assert anchor.
+    pub(crate) fn clearance(&self, sink: Symbol) -> u64 {
+        self.critical.iter().rev().find(|(_, c)| c.sink == sink).map_or(0, |(_, c)| c.clearance)
     }
 }
 

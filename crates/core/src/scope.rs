@@ -1,6 +1,7 @@
-//! Phase 3's shared reading of annotations and configuration: the rules
-//! both value-flow engines ([`crate::taint`] and [`crate::summary`]) apply
-//! to their inputs before their own algorithms take over.
+//! Phase 3's shared reading of annotations, configuration and value-flow
+//! sites: the rules both value-flow engines ([`crate::taint`] and
+//! [`crate::summary`]) apply to their inputs before their own algorithms
+//! take over.
 //!
 //! * A function's **own scope** — what its `assume(core(...))` and
 //!   `assume(declassify(...))` annotations monitor — and the init-check
@@ -8,16 +9,21 @@
 //! * **Pointer-name resolution** for those annotations, in one order: the
 //!   region global named `p`; else the regions a global named `p` holds, if
 //!   any; else the regions of a parameter named `p`.
+//! * The **region reads** of a load under a scope
+//!   ([`LabelTable::region_reads`]), and how a caller's scope narrows a
+//!   read inlined from a callee ([`narrow`]).
 //! * The §3.4.3 **message-passing helpers**: non-core socket globals and
 //!   loads through locally assumed (received-buffer) parameters.
-//! * The **finding label** and **critical-call clearance** of the compiled
-//!   policy.
 //!
-//! The two engines still compute value flow independently; only how they
-//! read annotations and configuration lives here, so report text derived
-//! from it (notes, labels) cannot drift between them.
+//! What a critical call and a receive call mean at a call site, with each
+//! critical argument's clearance under the compiled policy, is read once
+//! too, on [`crate::config::CallNames`].
+//!
+//! The two engines still propagate value flow independently (context
+//! descent vs. summary inlining); only how they read annotations,
+//! configuration and sites lives here, so findings and report text derived
+//! from them (notes, labels) cannot drift between them.
 
-use crate::config::CriticalCall;
 use crate::policy::LabelTable;
 use crate::regions::{RegionId, RegionMap};
 use crate::shmptr::ShmPointers;
@@ -30,6 +36,56 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// inside the scope (`0` = fully monitored). Regions absent from the map
 /// keep their declared label.
 pub(crate) type Scope = BTreeMap<RegionId, u64>;
+
+/// One region a load reads.
+pub(crate) struct RegionRead {
+    pub(crate) region: RegionId,
+    /// The label mask the read carries; never ⊥.
+    pub(crate) mask: u64,
+    /// The scope's mask for the region, when the scope names it (`mask` is
+    /// then that mask); `None` when the read keeps its declared label.
+    pub(crate) relabel: Option<u64>,
+}
+
+impl LabelTable {
+    /// The regions a load through `ptr` in `fid` reads under `scope`, each
+    /// with the mask it reads at: a scope entry `m` reads at `m`, a region
+    /// the scope does not name at its declared label. Core regions and
+    /// reads at ⊥ are skipped. `None` when `ptr` derives from a parameter
+    /// the function's own annotations assume: such a load is monitored
+    /// (§3.4.3's received-buffer form) and reads nothing, neither a region
+    /// nor, in the engines, a memory object.
+    pub(crate) fn region_reads<'s>(
+        &'s self,
+        regions: &'s RegionMap,
+        shm: &'s ShmPointers,
+        func: &Function,
+        fid: FuncId,
+        ptr: &Value,
+        scope: &'s Scope,
+    ) -> Option<impl Iterator<Item = RegionRead> + 's> {
+        if derives_from_assumed_param(func, ptr) {
+            return None;
+        }
+        Some(shm.regions_of_ref(fid, ptr).iter().filter_map(move |fact| {
+            let region = fact.region;
+            let declared = self.region_source_mask(region.0, regions.region(region).noncore);
+            let relabel = scope.get(&region).copied();
+            let mask = relabel.unwrap_or(declared);
+            (declared != 0 && mask != 0).then_some(RegionRead { region, mask, relabel })
+        }))
+    }
+}
+
+/// A read inlined from a callee at `relabel` (`None`: its declared label),
+/// seen through the caller's `scope`: a scope entry `m` narrows it to
+/// `relabel & m`, or to `m` when it kept its declared label. `None` when
+/// the read is monitored away (narrowed to ⊥).
+pub(crate) fn narrow(scope: &Scope, region: RegionId, relabel: Option<u64>) -> Option<Option<u64>> {
+    let Some(&m) = scope.get(&region) else { return Some(relabel) };
+    let mask = relabel.map_or(m, |x| x & m);
+    (mask != 0).then_some(Some(mask))
+}
 
 /// The own scope of every function the engines analyze (definitions with
 /// a body, `shminit` functions excepted), plus the init-check notes for
@@ -171,44 +227,32 @@ fn resolve_pointer_name(
     }
 }
 
-/// Parameters named by the function's own `assume(core(p, ...))` or
-/// `assume(declassify(p, ...))` — §3.4.3's received-buffer monitoring form:
-/// loads through them are monitored in this function only.
-pub(crate) fn assumed_params(func: &Function) -> BTreeSet<u32> {
-    func.annotations
-        .iter()
-        .filter_map(|a| match a {
-            Annotation::AssumeCore { ptr, .. } | Annotation::AssumeDeclassify { ptr, .. } => {
-                func.params.iter().position(|p| p.name == *ptr).map(|i| i as u32)
-            }
-            _ => None,
-        })
-        .collect()
-}
-
 /// Whether a pointer value derives (through field/element/cast chains)
-/// from one of the [`assumed_params`].
-pub(crate) fn derives_from_assumed_param(
-    func: &Function,
-    v: &Value,
-    assumed: &BTreeSet<u32>,
-    depth: usize,
-) -> bool {
-    if depth > 16 {
-        return false;
-    }
-    match v {
-        Value::Param(i) => assumed.contains(i),
-        Value::Inst(id) => match &func.inst(*id).kind {
-            InstKind::FieldAddr { base, .. }
-            | InstKind::ElemAddr { base, .. }
-            | InstKind::Cast { value: base, .. } => {
-                derives_from_assumed_param(func, base, assumed, depth + 1)
+/// from a parameter the function's own `assume(core(p, ...))` or
+/// `assume(declassify(p, ...))` names — §3.4.3's received-buffer
+/// monitoring form: loads through it are monitored in this function only.
+fn derives_from_assumed_param(func: &Function, ptr: &Value) -> bool {
+    let mut v = *ptr;
+    for _ in 0..=16 {
+        match v {
+            Value::Param(i) => {
+                let name = func.params[i as usize].name;
+                return func.annotations.iter().any(|a| match a {
+                    Annotation::AssumeCore { ptr, .. }
+                    | Annotation::AssumeDeclassify { ptr, .. } => *ptr == name,
+                    _ => false,
+                });
             }
-            _ => false,
-        },
-        _ => false,
+            Value::Inst(id) => match func.inst(id).kind {
+                InstKind::FieldAddr { base, .. }
+                | InstKind::ElemAddr { base, .. }
+                | InstKind::Cast { value: base, .. } => v = base,
+                _ => return false,
+            },
+            _ => return false,
+        }
     }
+    false
 }
 
 /// Globals annotated `noncore(...)` that are not shm regions: socket /
@@ -229,29 +273,19 @@ pub(crate) fn find_noncore_sockets(module: &Module, regions: &RegionMap) -> BTre
     out
 }
 
-/// Whether a socket argument reads from a `noncore(...)`-annotated
-/// descriptor global.
+/// Whether a receive call's socket argument (`None` when the call does not
+/// pass it) reads from a `noncore(...)`-annotated descriptor global.
 pub(crate) fn socket_is_noncore(
     func: &Function,
-    sock: &Value,
+    sock: Option<&Value>,
     noncore_sockets: &BTreeSet<GlobalId>,
 ) -> bool {
     match sock {
-        Value::Inst(id) => match &func.inst(*id).kind {
+        Some(Value::Inst(id)) => match &func.inst(*id).kind {
             InstKind::Load { ptr: Value::Global(g) } => noncore_sockets.contains(g),
-            InstKind::Cast { value, .. } => socket_is_noncore(func, value, noncore_sockets),
+            InstKind::Cast { value, .. } => socket_is_noncore(func, Some(value), noncore_sockets),
             _ => false,
         },
         _ => false,
-    }
-}
-
-impl LabelTable {
-    /// The clearance mask of a critical call's argument: flows at or below
-    /// it may reach the call. `trusted` (0) unless the config names a
-    /// declared label; unknown names resolve to `trusted`, the most
-    /// conservative clearance, and are reported when the policy compiles.
-    pub(crate) fn clearance(&self, call: &CriticalCall) -> u64 {
-        call.clearance.as_deref().and_then(|n| self.mask_of(n)).unwrap_or(0)
     }
 }

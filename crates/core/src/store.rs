@@ -66,7 +66,11 @@ pub(crate) use safeflow_util::wire::{put_str, put_u32, put_u64, put_u8, ByteRead
 /// v6: the context-sensitive engine walks each body in the summary engine's
 /// order, so its stored manifests carry other `contexts_analyzed` values
 /// and `taint.*` counters; the layout did not change.
-pub const STORE_VERSION: u32 = 6;
+/// v7: a declassified read carries its declassifier's target label even
+/// when the target is not below the region's label (the summary engine
+/// used to meet the two), so stored summaries and manifests of such
+/// programs are wrong; the layout did not change.
+pub const STORE_VERSION: u32 = 7;
 
 const MAGIC: &[u8; 8] = b"SFSTORE\0";
 const STORE_FILE: &str = "safeflow-store.bin";

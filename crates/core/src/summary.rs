@@ -22,11 +22,16 @@
 //!
 //! Label-lattice policies generalize the summaries without changing their
 //! shape: region facts carry an optional *relabel* mask recording the
-//! label a caller's `assume(declassify(...))` scope lowered them to, and
-//! the root evaluation checks leaked masks against per-sink clearances.
-//! Under the default two-point policy declassification always lowers to ⊥
-//! (the fact is dropped, exactly the historical behavior) and every
-//! clearance is ⊥, so summaries and findings are byte-identical.
+//! label an `assume(declassify(...))` scope (the function's own, met with
+//! its callers') declassified them to, and the root evaluation checks
+//! leaked masks against per-sink clearances. Under the default two-point
+//! policy declassification always lowers to ⊥ (the fact is dropped,
+//! exactly the historical behavior) and every clearance is ⊥, so summaries
+//! and findings are byte-identical.
+//!
+//! What a load, a critical call and a receive call read is the shared
+//! reading of [`crate::scope`] and [`CallNames`], the same as the
+//! context-sensitive engine's; only the propagation is this engine's own.
 
 use crate::config::{AnalysisConfig, CallNames, ENTRY};
 use crate::engine::SccTable;
@@ -76,10 +81,10 @@ enum Sym {
 struct Fact {
     sym: Sym,
     ctl: bool,
-    /// The label mask a caller's `assume(declassify(...))` scope lowered a
-    /// region source to; `None` keeps the region's declared label. Always
-    /// `None` under the default policy, where declassification lowers to ⊥
-    /// and drops the fact instead.
+    /// The label mask the `assume(declassify(...))` scopes the fact passed
+    /// through declassified a region source to (their meet); `None` keeps
+    /// the region's declared label. Always `None` under the default policy,
+    /// where declassification lowers to ⊥ and drops the fact instead.
     relabel: Option<u64>,
 }
 
@@ -218,8 +223,8 @@ pub(crate) struct Summary {
     ret: SymSet,
     /// Unmonitored region reads: `(site span, region, function, relabel)`
     /// — already filtered by this function's own assume scope; `relabel`
-    /// carries the declassified-to mask when a scope lowered (but did not
-    /// clear) the read's label.
+    /// carries the declassified-to mask when a scope named the region (but
+    /// did not clear it), as on a [`Fact`].
     region_reads: Vec<(Span, RegionId, Symbol, Option<u64>)>,
     /// Sinks observed in this function or inlined from callees.
     sinks: Vec<Sink>,
@@ -405,7 +410,7 @@ pub(crate) fn analyze_summaries(
     metrics: &Metrics,
 ) -> (TaintResults, SccTable) {
     let noncore_sockets = scope::find_noncore_sockets(module, regions);
-    let calls = CallNames::new(config);
+    let calls = CallNames::new(config, table);
     // Assume scopes first: they feed the report's init-check notes on
     // *every* run (cache-warm included) and are part of each function's
     // cache key.
@@ -522,7 +527,7 @@ pub(crate) fn analyze_summaries(
         spare_cds.extend(graphs.drain(..).map(|g| g.cd));
         for &fid in scc.iter().filter(|&&fid| summarized(fid)) {
             let cd = spare_cds.pop().unwrap_or_default();
-            graphs.push(build_fn_graphs(module, cfgs, &assumed_of, fid, cd, pdom));
+            graphs.push(build_fn_graphs(cfgs, &assumed_of, fid, cd, pdom));
         }
         let one_round = scc.len() == 1 && !callgraph.is_recursive(scc[0]);
         let mut changed = true;
@@ -683,23 +688,19 @@ pub(crate) fn analyze_summaries(
         .collect();
     for &fid in &degraded_fns {
         for (_, inst) in module.function(fid).iter_insts() {
-            let targets: Vec<&Value> = match &inst.kind {
-                InstKind::Store { ptr, .. } => vec![ptr],
-                InstKind::Call { callee, args } => match module.external_callee_name(callee) {
-                    Some(name) => calls
-                        .recv
-                        .iter()
-                        .filter(|&&(_, recv)| recv == name)
-                        .filter_map(|(spec, _)| args.get(spec.buf_arg))
-                        .collect(),
-                    None => Vec::new(),
-                },
-                _ => Vec::new(),
-            };
-            for ptr in targets {
+            let mut write = |ptr: &Value| {
                 for o in pt.points_to_ref(fid, ptr).iter() {
                     obj_writes.entry(o).or_default().insert(data_fact(Sym::Unknown));
                 }
+            };
+            match &inst.kind {
+                InstKind::Store { ptr, .. } => write(ptr),
+                InstKind::Call { callee, args } => {
+                    if let Some(name) = module.external_callee_name(callee) {
+                        calls.recv_bufs(name, args).for_each(|(buf, _)| write(buf));
+                    }
+                }
+                _ => {}
             }
         }
     }
@@ -781,12 +782,7 @@ pub(crate) fn analyze_summaries(
             // Parameters of roots are clean; other sources decide. Flows
             // at or below a critical call's clearance may reach it; an
             // assert anchor (keyed by its variable) has clearance ⊥.
-            let clear = calls
-                .critical
-                .iter()
-                .rev()
-                .find(|&&(_, _, critical)| critical == sink.critical)
-                .map_or(0, |&(call, _, _)| table.clearance(call));
+            let clear = calls.clearance(sink.critical);
             for f in &sink.sources {
                 let v = source_val(f, &unsafe_objs);
                 findings.reach(sink.function, sink.span, sink.critical, v, clear, || {
@@ -839,19 +835,13 @@ pub(crate) fn analyze_summaries(
                 span,
             ))
         };
-        let assumed = assumed_of.get(&fid).cloned().unwrap_or_default();
-        let local_assumed_params = scope::assumed_params(func);
+        let assumed = assumed_of.get(&fid).unwrap_or(&NO_SCOPE);
         for (_, inst) in func.iter_insts() {
             match &inst.kind {
                 InstKind::Load { ptr } => {
-                    if scope::derives_from_assumed_param(func, ptr, &local_assumed_params, 0) {
-                        continue;
-                    }
-                    for &fact in shm.regions_of_ref(fid, ptr) {
-                        let declared = declared_mask(fact.region);
-                        let effective =
-                            assumed.get(&fact.region).map(|&m| declared & m).unwrap_or(declared);
-                        findings.read(name, fact.region, inst.span, effective);
+                    let reads = table.region_reads(regions, shm, func, fid, ptr, assumed);
+                    for read in reads.into_iter().flatten() {
+                        findings.read(name, read.region, inst.span, read.mask);
                     }
                 }
                 InstKind::AssertSafe { var, .. } => {
@@ -859,17 +849,15 @@ pub(crate) fn analyze_summaries(
                 }
                 InstKind::Call { callee, args } => {
                     if let Some(callee_name) = module.external_callee_name(callee) {
-                        for &(call, cname, critical) in &calls.critical {
-                            if cname == callee_name && args.get(call.arg).is_some() {
-                                findings.reach(
-                                    name,
-                                    inst.span,
-                                    critical,
-                                    unsafe_top,
-                                    table.clearance(call),
-                                    || degraded(inst.span),
-                                );
-                            }
+                        for (_, c) in calls.critical_args(callee_name, args) {
+                            findings.reach(
+                                name,
+                                inst.span,
+                                c.sink,
+                                unsafe_top,
+                                c.clearance,
+                                || degraded(inst.span),
+                            );
                         }
                     }
                 }
@@ -902,8 +890,6 @@ struct FnGraphs<'a> {
     cfg: &'a Cfg,
     cd: ControlDeps,
     assumed: &'a Scope,
-    /// Parameters the function's own annotations assume core.
-    assumed_params: BTreeSet<u32>,
 }
 
 /// The scope of a function that assumes nothing.
@@ -912,7 +898,6 @@ static NO_SCOPE: Scope = BTreeMap::new();
 /// The graphs of `fid`, its control dependences built into `cd`'s buffers
 /// and its post-dominators into `pdom`'s.
 fn build_fn_graphs<'a>(
-    module: &Module,
     cfgs: &'a [Option<Cfg>],
     assumed_of: &'a HashMap<FuncId, Scope>,
     fid: FuncId,
@@ -920,14 +905,8 @@ fn build_fn_graphs<'a>(
     pdom: &mut PostDomTree,
 ) -> FnGraphs<'a> {
     let cfg = cfgs[fid.0 as usize].as_ref().expect("function has blocks");
-    let func = module.function(fid);
     cd.rebuild(cfg, pdom);
-    FnGraphs {
-        cfg,
-        cd,
-        assumed: assumed_of.get(&fid).unwrap_or(&NO_SCOPE),
-        assumed_params: scope::assumed_params(func),
-    }
+    FnGraphs { cfg, cd, assumed: assumed_of.get(&fid).unwrap_or(&NO_SCOPE) }
 }
 
 /// The buffers one SCC task summarizes its members in, kept from one SCC
@@ -1097,7 +1076,7 @@ fn summarize_function(
     if func.blocks.is_empty() {
         return (s, 0, true);
     }
-    let FnGraphs { cfg, cd, assumed, assumed_params } = graphs;
+    let FnGraphs { cfg, cd, assumed } = graphs;
     let (walk, one_pass) = cfg.body_walk(func);
 
     facts.reset(func);
@@ -1119,27 +1098,15 @@ fn summarize_function(
                 set.clear();
                 match &inst.kind {
                     InstKind::Load { ptr } => {
-                        let locally_assumed =
-                            scope::derives_from_assumed_param(func, ptr, assumed_params, 0);
-                        for &fact in shm.regions_of_ref(fid, ptr) {
-                            let region = regions.region(fact.region);
-                            let declared = table.region_source_mask(fact.region.0, region.noncore);
-                            if declared == 0 || locally_assumed {
-                                continue;
-                            }
-                            let effective = assumed
-                                .get(&fact.region)
-                                .map(|&m| declared & m)
-                                .unwrap_or(declared);
-                            if effective == 0 {
-                                continue;
-                            }
-                            let relabel = (effective != declared).then_some(effective);
-                            s.region_reads.push((inst.span, fact.region, func.name, relabel));
-                            set.insert(Fact { sym: Sym::Region(fact.region), ctl: false, relabel });
+                        let reads = table.region_reads(regions, shm, func, fid, ptr, assumed);
+                        let monitored = reads.is_none();
+                        for read in reads.into_iter().flatten() {
+                            let (region, relabel) = (read.region, read.relabel);
+                            s.region_reads.push((inst.span, region, func.name, relabel));
+                            set.insert(Fact { sym: Sym::Region(region), ctl: false, relabel });
                         }
                         set.union(vals.of(ptr));
-                        if !locally_assumed {
+                        if !monitored {
                             for o in pt.points_to_ref(fid, ptr).iter() {
                                 set.insert(data_fact(Sym::Obj(o)));
                                 let base = pt.base_of(o);
@@ -1159,19 +1126,14 @@ fn summarize_function(
                             }
                         }
                     }
-                    InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                        set.union(vals.of(lhs));
-                        set.union(vals.of(rhs));
-                    }
-                    InstKind::Cast { value, .. } => {
-                        set.union(vals.of(value));
-                    }
-                    InstKind::FieldAddr { base, .. } => {
-                        set.union(vals.of(base));
-                    }
-                    InstKind::ElemAddr { base, index } => {
-                        set.union(vals.of(base));
-                        set.union(vals.of(index));
+                    kind @ (InstKind::Bin { .. }
+                    | InstKind::Cmp { .. }
+                    | InstKind::Cast { .. }
+                    | InstKind::FieldAddr { .. }
+                    | InstKind::ElemAddr { .. }) => {
+                        kind.for_each_operand(|v| {
+                            set.union(vals.of(v));
+                        });
                     }
                     InstKind::Phi { incoming } => {
                         // Values plus implicit flow from the branches that
@@ -1185,36 +1147,18 @@ fn summarize_function(
                     }
                     InstKind::Call { callee, args } => {
                         if let Some(callee_name) = module.external_callee_name(callee) {
-                            for &(call, cname, critical) in &calls.critical {
-                                if cname != callee_name {
-                                    continue;
-                                }
-                                if let Some(arg) = args.get(call.arg) {
-                                    let sources = sink_sources(vals.of(arg), ctl_here);
-                                    if !sources.is_empty() {
-                                        s.sinks.push(Sink {
-                                            critical,
-                                            function: func.name,
-                                            span: inst.span,
-                                            sources,
-                                        });
-                                    }
+                            for (arg, c) in calls.critical_args(callee_name, args) {
+                                let sources = sink_sources(vals.of(arg), ctl_here);
+                                if !sources.is_empty() {
+                                    let (critical, function, span) = (c.sink, func.name, inst.span);
+                                    s.sinks.push(Sink { critical, function, span, sources });
                                 }
                             }
-                            for &(spec, recv) in &calls.recv {
-                                if recv == callee_name {
-                                    let sock_noncore = args.get(spec.sock_arg).is_some_and(|a| {
-                                        scope::socket_is_noncore(func, a, noncore_sockets)
-                                    });
-                                    if sock_noncore {
-                                        if let Some(buf) = args.get(spec.buf_arg) {
-                                            for o in pt.points_to_ref(fid, buf).iter() {
-                                                s.obj_writes
-                                                    .entry(o)
-                                                    .or_default()
-                                                    .insert(data_fact(Sym::Recv));
-                                            }
-                                        }
+                            for (buf, sock) in calls.recv_bufs(callee_name, args) {
+                                if scope::socket_is_noncore(func, sock, noncore_sockets) {
+                                    let recv = data_fact(Sym::Recv);
+                                    for o in pt.points_to_ref(fid, buf).iter() {
+                                        s.obj_writes.entry(o).or_default().insert(recv);
                                     }
                                 }
                             }
@@ -1224,23 +1168,6 @@ fn summarize_function(
                             // (bottom seed); a poisoned dependency comes
                             // back as `Summary::top()` from the view.
                             let callee_sum = summaries.get(*target).unwrap_or_default();
-                            // Meets a region fact's label with the mask the
-                            // caller's assume scope declassifies it to;
-                            // `None` when nothing survives (fully monitored).
-                            let scope_relabel = |r: RegionId, relabel: Option<u64>| {
-                                let m = match assumed.get(&r) {
-                                    Some(&m) => m,
-                                    None => return Some(relabel),
-                                };
-                                let declared =
-                                    table.region_source_mask(r.0, regions.region(r).noncore);
-                                let eff = relabel.unwrap_or(declared) & m;
-                                if eff == 0 {
-                                    None
-                                } else {
-                                    Some((eff != declared).then_some(eff))
-                                }
-                            };
                             // Adds the callee-side `facts` to `out` in this
                             // caller's terms.
                             let subst = |facts: &SymSet, out: &mut SymSet| {
@@ -1259,7 +1186,9 @@ fn summarize_function(
                                         // caller's assume scope (recursive,
                                         // §3.1).
                                         Sym::Region(r) => {
-                                            if let Some(relabel) = scope_relabel(r, f.relabel) {
+                                            if let Some(relabel) =
+                                                scope::narrow(assumed, r, f.relabel)
+                                            {
                                                 out.insert(Fact { relabel, ..*f });
                                             }
                                         }
@@ -1271,7 +1200,7 @@ fn summarize_function(
                             };
                             // Region reads surviving this caller's scope.
                             for (span, r, in_func, relabel) in &callee_sum.region_reads {
-                                if let Some(relabel) = scope_relabel(*r, *relabel) {
+                                if let Some(relabel) = scope::narrow(assumed, *r, *relabel) {
                                     s.region_reads.push((*span, *r, *in_func, relabel));
                                 }
                             }
@@ -1409,7 +1338,6 @@ mod tests {
         let sockets = scope::find_noncore_sockets(&module, &regions);
         let fid = module.function_by_name(name.into()).expect("function exists");
         let graphs = build_fn_graphs(
-            &module,
             &cfgs,
             &assumed_of,
             fid,
@@ -1422,7 +1350,7 @@ mod tests {
             &regions,
             &shm,
             &pt,
-            &CallNames::new(&config),
+            &CallNames::new(&config, &table),
             &table,
             &sockets,
             &view,

@@ -25,7 +25,7 @@
 
 use crate::config::{AnalysisConfig, CallNames, ENTRY};
 use crate::policy::LabelTable;
-use crate::regions::RegionMap;
+use crate::regions::{RegionId, RegionMap};
 use crate::report::{Degradation, DegradationKind, ErrorDependency, Findings, FlowNode, Warning};
 use crate::scope::{self, Scope};
 use crate::shmptr::ShmPointers;
@@ -212,7 +212,7 @@ pub fn analyze_taint(
         obj_taint: BTreeMap::new(),
         noncore_sockets: scope::find_noncore_sockets(module, regions),
         own_scopes,
-        calls: CallNames::new(config),
+        calls: CallNames::new(config, table),
         notes,
         control_deps: HashMap::new(),
         pdom: PostDomTree::default(),
@@ -322,7 +322,7 @@ struct Engine<'a> {
     /// Each function's own assume/declassify scope.
     own_scopes: HashMap<FuncId, Scope>,
     /// The configured call names, interned.
-    calls: CallNames<'a>,
+    calls: CallNames,
     notes: Vec<String>,
     /// Control dependences of the functions analyzed so far.
     control_deps: HashMap<FuncId, ControlDeps>,
@@ -352,8 +352,9 @@ impl<'a> Engine<'a> {
         (0u32..).zip(&self.memo).flat_map(|(f, ctxs)| ctxs.values().map(move |o| (f, o)))
     }
 
-    /// The flow-path source description for a region read at `mask`.
-    fn read_source_desc(&self, region_name: Symbol, func_name: Symbol, mask: u64) -> String {
+    /// The flow-path source description for a read of `region` at `mask`.
+    fn read_source_desc(&self, region: RegionId, func_name: Symbol, mask: u64) -> String {
+        let region_name = self.regions.region(region).name;
         if self.table.is_default() {
             format!("unmonitored read of non-core region `{region_name}` in `{func_name}`")
         } else {
@@ -431,11 +432,6 @@ impl<'a> Engine<'a> {
                 );
             }
         }
-        // Locally-assumed objects for the §3.4.3 extension: assume core
-        // (or declassify) on a *local/param* pointer exempts loads through
-        // it in this function only.
-        let local_assumed_params = scope::assumed_params(func);
-
         let mut taints: HashMap<InstId, Taint> = HashMap::new();
         let mut block_ctl: HashMap<BlockId, Taint> = HashMap::new();
         let cfg = self.cfgs[fid.0 as usize].as_ref().expect("function has blocks");
@@ -468,43 +464,27 @@ impl<'a> Engine<'a> {
                     let mut t = Taint::clean();
                     match &inst.kind {
                         InstKind::Load { ptr } => {
-                            let locally_assumed = scope::derives_from_assumed_param(
+                            let reads = self.table.region_reads(
+                                self.regions,
+                                self.shm,
                                 func,
+                                fid,
                                 ptr,
-                                &local_assumed_params,
-                                0,
+                                &ctx.declass,
                             );
-                            // Region source?
-                            for &fact in self.shm.regions_of_ref(fid, ptr) {
-                                let region = self.regions.region(fact.region);
-                                let declared =
-                                    self.table.region_source_mask(fact.region.0, region.noncore);
-                                if declared == 0 {
-                                    continue;
-                                }
-                                let effective = if locally_assumed {
-                                    0
-                                } else {
-                                    ctx.declass.get(&fact.region).copied().unwrap_or(declared)
-                                };
-                                if effective == 0 {
-                                    continue; // monitored / declassified to ⊥ (§2 rules)
-                                }
-                                outcome.findings.read(func.name, fact.region, inst.span, effective);
-                                t.join(&Taint {
-                                    val: TaintVal::explicit_at(effective),
-                                    origin: Some(FlowNode::source(
-                                        self.read_source_desc(region.name, func.name, effective),
-                                        inst.span,
-                                    )),
+                            let monitored = reads.is_none();
+                            for read in reads.into_iter().flatten() {
+                                outcome.findings.read(func.name, read.region, inst.span, read.mask);
+                                t.join_with(TaintVal::explicit_at(read.mask), || {
+                                    let what =
+                                        self.read_source_desc(read.region, func.name, read.mask);
+                                    Some(FlowNode::source(what, inst.span))
                                 });
                             }
-                            // Pointer-influence + memory-object taint. A
-                            // load through a locally-assumed parameter is
-                            // monitored (§3.4.3's received-buffer form), so
-                            // object taint does not apply.
+                            // Pointer influence, plus memory-object taint
+                            // unless the load is monitored.
                             t.join(&value_taint(ptr, &taints, ctx));
-                            if !locally_assumed {
+                            if !monitored {
                                 for o in self.pt.points_to_ref(fid, ptr).iter() {
                                     if let Some(ot) = self.obj_taint.get(&o) {
                                         t.join(ot);
@@ -517,10 +497,6 @@ impl<'a> Engine<'a> {
                                     }
                                 }
                             }
-                            // Loads of plain globals: global object taint via
-                            // points-to is handled above when ptr is
-                            // Value::Global — covered since points_to maps
-                            // globals to their object.
                         }
                         InstKind::Store { ptr, value } => {
                             let mut vt = value_taint(value, &taints, ctx);
@@ -545,19 +521,14 @@ impl<'a> Engine<'a> {
                                 }
                             }
                         }
-                        InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
-                            t.join(&value_taint(lhs, &taints, ctx));
-                            t.join(&value_taint(rhs, &taints, ctx));
-                        }
-                        InstKind::Cast { value, .. } => {
-                            t.join(&value_taint(value, &taints, ctx));
-                        }
-                        InstKind::FieldAddr { base, .. } => {
-                            t.join(&value_taint(base, &taints, ctx));
-                        }
-                        InstKind::ElemAddr { base, index } => {
-                            t.join(&value_taint(base, &taints, ctx));
-                            t.join(&value_taint(index, &taints, ctx));
+                        kind @ (InstKind::Bin { .. }
+                        | InstKind::Cmp { .. }
+                        | InstKind::Cast { .. }
+                        | InstKind::FieldAddr { .. }
+                        | InstKind::ElemAddr { .. }) => {
+                            kind.for_each_operand(|v| {
+                                t.join(&value_taint(v, &taints, ctx));
+                            });
                         }
                         InstKind::Phi { incoming } => {
                             // Data from the incoming values, plus implicit
@@ -693,41 +664,29 @@ impl<'a> Engine<'a> {
             format!("analysis of `{}` degraded; conservatively assumed unsafe", func.name),
             func.span,
         );
-        let top = self.table.top();
-        let mut outcome = Outcome {
-            ret: Some(Taint::at(TaintVal::explicit_at(top), Some(origin.clone()))),
-            ..Outcome::default()
-        };
+        let top = Taint::at(TaintVal::explicit_at(self.table.top()), Some(origin));
+        let mut outcome = Outcome { ret: Some(top.clone()), ..Outcome::default() };
         for (_, inst) in func.iter_insts() {
             match &inst.kind {
                 InstKind::Load { ptr } => {
-                    for &fact in self.shm.regions_of_ref(fid, ptr) {
-                        let noncore = self.regions.region(fact.region).noncore;
-                        let declared = self.table.region_source_mask(fact.region.0, noncore);
-                        if declared == 0 {
-                            continue;
-                        }
-                        let effective = ctx.declass.get(&fact.region).copied().unwrap_or(declared);
-                        outcome.findings.read(name, fact.region, inst.span, effective);
+                    let reads = self.table.region_reads(
+                        self.regions,
+                        self.shm,
+                        func,
+                        fid,
+                        ptr,
+                        &ctx.declass,
+                    );
+                    for read in reads.into_iter().flatten() {
+                        outcome.findings.read(name, read.region, inst.span, read.mask);
                     }
                 }
                 InstKind::Store { ptr, .. } => {
-                    for o in self.pt.points_to_ref(fid, ptr).iter() {
-                        let e = self.obj_taint.entry(o).or_insert_with(Taint::clean);
-                        if e.join(&Taint::at(TaintVal::explicit_at(top), Some(origin.clone()))) {
-                            self.obj_dirty = true;
-                        }
-                    }
+                    self.obj_dirty |= taint_pointees(&mut self.obj_taint, self.pt, fid, ptr, &top);
                 }
                 InstKind::AssertSafe { var, .. } => {
-                    outcome.findings.reach(
-                        name,
-                        inst.span,
-                        *var,
-                        TaintVal::explicit_at(top),
-                        0,
-                        || Some(origin.clone()),
-                    );
+                    let flow = || top.origin.clone();
+                    outcome.findings.reach(name, inst.span, *var, top.val, 0, flow);
                 }
                 InstKind::Call { callee, args } => {
                     // Local callees are still analyzed — in the worst-case
@@ -737,42 +696,24 @@ impl<'a> Engine<'a> {
                     if let Callee::Local(target) = callee {
                         if self.module.function(*target).is_definition {
                             let n = self.module.function(*target).params.len();
-                            let worst = self.base_ctx(
-                                *target,
-                                &Scope::new(),
-                                &vec![TaintVal::explicit_at(top); n],
-                            );
+                            let worst = self.base_ctx(*target, &Scope::new(), &vec![top.val; n]);
                             self.analyze(*target, worst);
                         }
                     }
                     if let Some(callee_name) = self.module.external_callee_name(callee) {
-                        for &(call, cname, critical) in &self.calls.critical {
-                            if cname == callee_name && args.get(call.arg).is_some() {
-                                outcome.findings.reach(
-                                    name,
-                                    inst.span,
-                                    critical,
-                                    TaintVal::explicit_at(top),
-                                    self.table.clearance(call),
-                                    || Some(origin.clone()),
-                                );
-                            }
+                        for (_, c) in self.calls.critical_args(callee_name, args) {
+                            outcome.findings.reach(
+                                name,
+                                inst.span,
+                                c.sink,
+                                top.val,
+                                c.clearance,
+                                || top.origin.clone(),
+                            );
                         }
-                        for &(spec, recv) in &self.calls.recv {
-                            if recv == callee_name {
-                                if let Some(buf) = args.get(spec.buf_arg) {
-                                    for o in self.pt.points_to_ref(fid, buf).iter() {
-                                        let e =
-                                            self.obj_taint.entry(o).or_insert_with(Taint::clean);
-                                        if e.join(&Taint::at(
-                                            TaintVal::explicit_at(top),
-                                            Some(origin.clone()),
-                                        )) {
-                                            self.obj_dirty = true;
-                                        }
-                                    }
-                                }
-                            }
+                        for (buf, _) in self.calls.recv_bufs(callee_name, args) {
+                            self.obj_dirty |=
+                                taint_pointees(&mut self.obj_taint, self.pt, fid, buf, &top);
                         }
                     }
                 }
@@ -800,55 +741,26 @@ impl<'a> Engine<'a> {
         if let Some(name) = self.module.external_callee_name(callee) {
             // Implicit critical arguments (kill's pid), checked against
             // the call's clearance label (`trusted` by default).
-            for &(call, cname, critical) in &self.calls.critical {
-                let argi = call.arg;
-                if cname == name {
-                    if let Some(arg) = args.get(argi) {
-                        let mut at = value_taint(arg, taints, ctx);
-                        at.join(ctl_here);
-                        outcome.findings.reach(
-                            func.name,
-                            inst.span,
-                            critical,
-                            at.val,
-                            self.table.clearance(call),
-                            || {
-                                at.origin.map(|orig| {
-                                    FlowNode::step(
-                                        format!("passed as critical argument {argi} of `{name}`"),
-                                        inst.span,
-                                        orig,
-                                    )
-                                })
-                            },
-                        );
-                    }
-                }
+            for (arg, c) in self.calls.critical_args(name, args) {
+                let mut at = value_taint(arg, taints, ctx);
+                at.join(ctl_here);
+                outcome.findings.reach(func.name, inst.span, c.sink, at.val, c.clearance, || {
+                    at.origin.map(|orig| {
+                        let what = format!("passed as critical argument {} of `{name}`", c.arg);
+                        FlowNode::step(what, inst.span, orig)
+                    })
+                });
             }
             // recv-style calls over non-core sockets taint the buffer
             // (§3.4.3 extension).
-            for &(spec, recv) in &self.calls.recv {
-                if recv == name {
-                    let sock_noncore = args
-                        .get(spec.sock_arg)
-                        .is_some_and(|s| scope::socket_is_noncore(func, s, &self.noncore_sockets));
-                    if sock_noncore {
-                        if let Some(buf) = args.get(spec.buf_arg) {
-                            let origin = FlowNode::source(
-                                format!("`{name}` received non-core data in `{}`", func.name),
-                                inst.span,
-                            );
-                            for o in self.pt.points_to_ref(fid, buf).iter() {
-                                let e = self.obj_taint.entry(o).or_insert_with(Taint::clean);
-                                if e.join(&Taint::at(
-                                    TaintVal::explicit_at(self.table.top()),
-                                    Some(origin.clone()),
-                                )) {
-                                    self.obj_dirty = true;
-                                }
-                            }
-                        }
-                    }
+            for (buf, sock) in self.calls.recv_bufs(name, args) {
+                if scope::socket_is_noncore(func, sock, &self.noncore_sockets) {
+                    let origin = FlowNode::source(
+                        format!("`{name}` received non-core data in `{}`", func.name),
+                        inst.span,
+                    );
+                    let t = Taint::at(TaintVal::explicit_at(self.table.top()), Some(origin));
+                    self.obj_dirty |= taint_pointees(&mut self.obj_taint, self.pt, fid, buf, &t);
                 }
             }
             // Unknown external functions: result considered clean (the
@@ -891,6 +803,22 @@ impl<'a> Engine<'a> {
         t.join(ctl_here);
         t
     }
+}
+
+/// Joins `t` into every memory object `ptr` may point to in `fid`; `true`
+/// when one of them rose.
+fn taint_pointees(
+    obj_taint: &mut BTreeMap<ObjId, Taint>,
+    pt: &PointsTo,
+    fid: FuncId,
+    ptr: &Value,
+    t: &Taint,
+) -> bool {
+    let mut rose = false;
+    for o in pt.points_to_ref(fid, ptr).iter() {
+        rose |= obj_taint.entry(o).or_insert_with(Taint::clean).join(t);
+    }
+    rose
 }
 
 /// Taint of an operand: parameter taint comes from the context, SSA values

@@ -100,3 +100,67 @@ fn summary_flow_names_the_declassified_label() {
     let flow = part.flow.as_ref().expect("the error carries its flow").path();
     assert_eq!(flow[0].0, "read of non-core region `regF` (label `sensor_b`)", "{flow:?}");
 }
+
+/// A monitor declassifies the `sensor_a` channel `regA` to `to`, a label
+/// that is not below `sensor_a`; `labels` declares the policy's labels.
+fn non_lowering_declassifier(labels: &str, to: &str) -> String {
+    format!(
+        r#"
+typedef struct Blk {{ float v; int seq; int flag; int pad; }} Blk;
+Blk *regA;
+int shmget(int key, int size, int flags);
+void *shmat(int shmid, void *addr, int flags);
+
+void initShm(void)
+/** SafeFlow Annotation shminit */
+{{
+    int shmid;
+    shmid = shmget(77, sizeof(Blk), 0);
+    regA = (Blk *) shmat(shmid, 0, 0);
+    /** SafeFlow Annotation
+        {labels}
+        assume(declassifier(sensor_a, {to}))
+        assume(channel(regA, sizeof(Blk), sensor_a))
+    */
+}}
+
+float monitorA(void)
+/** SafeFlow Annotation assume(declassify(regA, 0, sizeof(Blk), {to})) */
+{{
+    float v;
+    v = regA->v;
+    return v;
+}}
+
+int main() {{
+    float x;
+    initShm();
+    x = monitorA();
+    /** SafeFlow Annotation assert(safe(x)) */
+    return 0;
+}}
+"#
+    )
+}
+
+/// A declassified read carries the declassifier's target label, whether
+/// the target lies beside the source (`sensor_b`) or above it (`fused`):
+/// both engines warn at the monitor's read and report the assert as a
+/// `Data` error, each labeled with the target.
+#[test]
+fn a_non_lowering_declassifier_relabels_to_its_target() {
+    let lateral = "assume(label(sensor_a))\n        assume(label(sensor_b))";
+    let upward = "assume(label(sensor_a))\n        assume(label(fused, sensor_a))";
+    for (labels, to) in [(lateral, "sensor_b"), (upward, "fused")] {
+        let src = non_lowering_declassifier(labels, to);
+        for engine in [Engine::ContextSensitive, Engine::Summary] {
+            let report = analyze(engine, "declassify.c", &src);
+            let label = |l: &Option<String>| l.as_deref() == Some(to);
+            assert_eq!(report.warnings.len(), 1, "{engine:?} to {to}: {:?}", report.warnings);
+            assert_eq!(report.errors.len(), 1, "{engine:?} to {to}: {:?}", report.errors);
+            assert!(label(&report.warnings[0].label), "{engine:?}: {:?}", report.warnings);
+            assert!(label(&report.errors[0].label), "{engine:?}: {:?}", report.errors);
+            assert_eq!(report.errors[0].kind, DependencyKind::Data, "{engine:?} to {to}");
+        }
+    }
+}

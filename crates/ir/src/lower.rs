@@ -155,7 +155,10 @@ impl<'u, 'd> Lowerer<'u, 'd> {
                         insts: Vec::new(),
                         blocks: Vec::new(),
                         annotations: f.annotations.clone(),
-                        is_definition: false, // bodies come in pass 2
+                        // Bodies come in pass 2; marking the entry now keeps
+                        // a later prototype from replacing its parameters
+                        // and annotations.
+                        is_definition: f.body.is_some(),
                         span: f.span,
                     });
                 }
@@ -353,8 +356,6 @@ impl<'u, 'd> Lowerer<'u, 'd> {
         let func = self.module.function_mut(fid);
         bufs.finish_into(func);
         self.bufs = bufs;
-        func.is_definition = true;
-        func.annotations = f.annotations.clone();
         func.annotations.extend(extra);
     }
 }
@@ -1533,6 +1534,27 @@ mod tests {
         // entry block: 2 allocas + 2 stores + loads + add
         assert!(f.insts.len() >= 5);
         assert!(matches!(f.blocks[0].terminator, Terminator::Ret(Some(_))));
+    }
+
+    /// A prototype names the same function as its definition, before or
+    /// after it; the definition's parameters and annotations stand either
+    /// way.
+    #[test]
+    fn a_prototype_never_replaces_its_definition() {
+        let def = "int f(int a)\n/** SafeFlow Annotation assume(core(a, 0, 4)) */\n\
+                   { return a + 1; }\n";
+        for src in [
+            format!("{def}int f();"),
+            format!("{def}int f(int b);"),
+            format!("int f(int b);\n{def}"),
+        ] {
+            let m = lower_ok(&src);
+            let f = m.function(m.function_by_name("f".into()).unwrap());
+            assert!(f.is_definition, "{src}");
+            assert_eq!(f.params.len(), 1, "{src}");
+            assert_eq!(f.params[0].name.as_str(), "a", "{src}");
+            assert_eq!(f.annotations.len(), 1, "{src}");
+        }
     }
 
     #[test]
